@@ -2,13 +2,24 @@
 
 The gold value of a pair is the arithmetic mean of its surviving labels.
 Pearson is the headline statistic; Spearman rides along in a secondary
-column.  A constant input makes a correlation undefined and that is an
-error here, never a silent zero.
+column.  A constant or non-finite input makes a correlation undefined and
+that is an error here, never a silent zero (or a silent one).
+
+:func:`correlation_report` works on integer columns built once per call:
+every annotation becomes a (pair index, annotator index, label) row, with
+annotated pairs indexed in sorted ``pair_id`` order, and every usable
+metric becomes a value array with a ``defined`` mask over those pairs.  A
+filter subset is then only a keep mask over annotators (the panel minus
+the annotators its flags remove); gold means come from ``np.bincount``
+over the kept rows, and the observations handed to :func:`pearson` and
+:func:`spearman` are, element for element and in order, those of a join
+on sorted pair ids.  No filtered corpus copy is ever made.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -16,14 +27,14 @@ import numpy as np
 
 from .corpus import LabeledCorpus, SentencePair
 from .heuristics import (CorpusLike, FilteredCorpus, HeuristicConfig,
-                         HeuristicId, Scorers, apply_filters,
-                         compute_flag_reports, heuristic_subsets,
-                         normalize_subset, subset_label)
+                         HeuristicId, Scorers, compute_flag_reports,
+                         heuristic_subsets, normalize_subset, subset_label)
 from . import embmetrics, textmetrics
 
 
 class UndefinedCorrelationError(ValueError):
-    """Raised when a correlation has no defined value (constant input)."""
+    """Raised when a correlation has no defined value (constant or
+    non-finite input)."""
 
 
 @dataclass(frozen=True)
@@ -58,14 +69,22 @@ def pair_gold(corpus: CorpusLike,
     }
 
 
+def _finite(values: Sequence[float]) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise UndefinedCorrelationError(
+            "correlation undefined: an input is not finite")
+    return arr
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation; raises on constant input."""
+    """Sample Pearson correlation; raises on constant or non-finite input."""
     if len(xs) != len(ys):
         raise ValueError("correlation inputs must have equal length")
     if len(xs) < 3:
         raise ValueError("correlation needs at least 3 observations")
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
+    x = _finite(xs)
+    y = _finite(ys)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt((dx * dx).sum()))
@@ -74,29 +93,31 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise UndefinedCorrelationError(
             "correlation undefined: an input is constant")
     r = float((dx * dy).sum() / (sx * sy))
+    if not math.isfinite(r):
+        raise UndefinedCorrelationError(
+            "correlation undefined: the result is not finite")
     return max(-1.0, min(1.0, r))
 
 
 def _ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; ties share the average of the ranks they span."""
     arr = np.asarray(values, dtype=np.float64)
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], arr.size) - 1
     ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        # ties share the average of the ranks they span
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation (average ranks on ties)."""
+    """Spearman rank correlation (average ranks on ties); raises on
+    constant or non-finite input."""
     if len(xs) != len(ys):
         raise ValueError("correlation inputs must have equal length")
-    return pearson(_ranks(xs), _ranks(ys))
+    return pearson(_ranks(_finite(xs)), _ranks(_finite(ys)))
 
 
 def percent_change(value: float, baseline: float) -> float:
@@ -225,7 +246,10 @@ def compute_metric_scores(corpus: LabeledCorpus,
         return out
 
     pairs = list(corpus.pairs)
-    if jobs and jobs > 1:
+    if not any(m in LEXICAL_METRICS or m in EMBEDDING_METRICS
+               for m in metrics):
+        per_pair = []  # precomputed channels only: no per-pair pass
+    elif jobs and jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_pair = list(pool.map(score_one, pairs))
@@ -278,41 +302,109 @@ class CorrelationReport:
     n_pairs: int = 0
 
 
-def _gold_observations(corpus: CorpusLike,
-                       annotator_ids: Optional[set],
-                       per_annotation: bool) -> dict[str, list[float]]:
-    """Gold values per pair: one mean, or every label separately."""
-    plain = _plain_corpus(corpus)
-    labels: dict[str, list[float]] = {}
-    for ann in plain.annotations:
-        if annotator_ids is not None and ann.annotator_id not in annotator_ids:
-            continue
-        labels.setdefault(ann.pair_id, []).append(float(ann.label))
-    if per_annotation:
-        return labels
-    return {pid: [sum(vals) / len(vals)] for pid, vals in labels.items()}
+@dataclass(frozen=True)
+class _Columns:
+    """A corpus and its metric scores as arrays, built once per report.
+
+    Annotated pairs are indexed in sorted ``pair_id`` order and the
+    annotation rows are stably sorted by that index, so rows of one pair
+    stay in corpus order.  ``values[name]`` / ``defined[name]`` hold each
+    metric over the same pair index.
+    """
+
+    n_pairs: int           # annotated pairs: the length of per-pair arrays
+    annotators: dict[str, int]
+    pair: np.ndarray       # pair index per annotation row, ascending
+    annotator: np.ndarray  # annotator index per annotation row
+    label: np.ndarray      # float label per annotation row
+    values: dict[str, np.ndarray]
+    defined: dict[str, np.ndarray]
+
+    @classmethod
+    def build(cls, corpus: LabeledCorpus,
+              metric_scores: Mapping[str, Mapping[str, float]],
+              names: Sequence[str]) -> "_Columns":
+        anns = corpus.annotations
+        pair_index = {pid: i for i, pid in
+                      enumerate(sorted({a.pair_id for a in anns}))}
+        annotators = {aid: i for i, aid in
+                      enumerate(sorted({a.annotator_id for a in anns}))}
+        pair = np.fromiter((pair_index[a.pair_id] for a in anns),
+                           dtype=np.intp, count=len(anns))
+        order = np.argsort(pair, kind="stable")
+        annotator = np.fromiter((annotators[a.annotator_id] for a in anns),
+                                dtype=np.intp, count=len(anns))
+        label = np.fromiter((a.label for a in anns), dtype=np.float64,
+                            count=len(anns))
+        values: dict[str, np.ndarray] = {}
+        defined: dict[str, np.ndarray] = {}
+        for name in names:
+            vals = np.zeros(len(pair_index), dtype=np.float64)
+            mask = np.zeros(len(pair_index), dtype=bool)
+            for pid, value in metric_scores[name].items():
+                i = pair_index.get(pid)
+                if i is not None:
+                    vals[i] = value
+                    mask[i] = True
+            values[name] = vals
+            defined[name] = mask
+        return cls(n_pairs=len(pair_index), annotators=annotators,
+                   pair=pair[order],
+                   annotator=annotator[order], label=label[order],
+                   values=values, defined=defined)
+
+    def panel(self, annotator_ids: Optional[set]) -> np.ndarray:
+        """Keep mask over annotators: everyone, or just ``annotator_ids``."""
+        if annotator_ids is None:
+            return np.ones(len(self.annotators), dtype=bool)
+        return np.fromiter((aid in annotator_ids for aid in self.annotators),
+                           dtype=bool, count=len(self.annotators))
+
+    def cells(self, names: Sequence[str], keep: np.ndarray,
+              per_annotation: bool) -> dict[str, MetricCorrelation]:
+        """Correlate each metric with the gold of the kept annotators.
+
+        Gold is one mean per pair, or with ``per_annotation`` every kept
+        label as its own observation (ordered by pair, then corpus order).
+        """
+        kept = keep[self.annotator]
+        pair = self.pair[kept]
+        label = self.label[kept]
+        counts = np.bincount(pair, minlength=self.n_pairs)
+        has_gold = counts > 0
+        gold = np.bincount(pair, weights=label, minlength=self.n_pairs) \
+            / np.maximum(counts, 1)
+        cells = {}
+        for name in names:
+            joined = self.defined[name] & has_gold
+            if per_annotation:
+                observed = joined[pair]
+                xs = self.values[name][pair[observed]]
+                ys = label[observed]
+            else:
+                xs = self.values[name][joined]
+                ys = gold[joined]
+            cells[name] = MetricCorrelation(
+                pearson=pearson(xs, ys),
+                spearman=spearman(xs, ys),
+                n_pairs=int(joined.sum()),
+            )
+        return cells
 
 
-def _correlate_cells(metrics: Sequence[str],
-                     scores: Mapping[str, Mapping[str, float]],
-                     gold: Mapping[str, Sequence[float]],
-                     ) -> dict[str, MetricCorrelation]:
-    cells = {}
-    for name in metrics:
-        defined = scores[name]
-        joined = sorted(pid for pid in defined if pid in gold)
-        xs: list[float] = []
-        ys: list[float] = []
-        for pid in joined:
-            for obs in gold[pid]:
-                xs.append(defined[pid])
-                ys.append(obs)
-        cells[name] = MetricCorrelation(
-            pearson=pearson(xs, ys),
-            spearman=spearman(xs, ys),
-            n_pairs=len(joined),
-        )
-    return cells
+def _normalized_subsets(subsets: Optional[Sequence[Sequence[HeuristicId]]]
+                        ) -> list[tuple[HeuristicId, ...]]:
+    return [normalize_subset(s) for s in subsets] if subsets is not None \
+        else heuristic_subsets()
+
+
+def _subset_flag_reports(corpus: LabeledCorpus,
+                         subsets: Sequence[tuple[HeuristicId, ...]],
+                         cfg: Optional[HeuristicConfig],
+                         scorers: Optional[Scorers]) -> dict:
+    """One flag pass covering every heuristic the subsets use."""
+    universe = sorted({h for s in subsets for h in s})
+    return compute_flag_reports(corpus, universe, cfg, scorers)
 
 
 def correlation_report(corpus: LabeledCorpus,
@@ -333,10 +425,11 @@ def correlation_report(corpus: LabeledCorpus,
     :func:`compute_metric_scores`.  A metric undefined on more than
     ``unavailable_fraction`` of the pairs is excluded and listed under
     ``unavailable``.  ``annotator_ids`` restricts the gold computation to
-    a sub-population (the style reports use this).
+    a sub-population (the style reports use this).  A subset removes the
+    annotators whose ``reports`` carry any of its flags; without
+    ``reports`` one flag pass over ``corpus`` computes them.
     """
-    subsets = [normalize_subset(s) for s in subsets] if subsets is not None \
-        else heuristic_subsets()
+    subsets = _normalized_subsets(subsets)
     dropped = dict(dropped or {})
 
     n_pairs = len(corpus.pairs)
@@ -357,21 +450,22 @@ def correlation_report(corpus: LabeledCorpus,
             metrics=(), baseline={}, subsets=(), dropped=dropped,
             unavailable=unavailable, n_pairs=n_pairs)
 
-    base_gold = _gold_observations(corpus, annotator_ids, per_annotation)
-    baseline = _correlate_cells(usable, metric_scores, base_gold)
+    columns = _Columns.build(corpus, metric_scores, usable)
+    panel = columns.panel(annotator_ids)
+    baseline = columns.cells(usable, panel, per_annotation)
 
     if reports is None:
-        universe = sorted({h for s in subsets for h in s})
-        reports = compute_flag_reports(corpus, universe, cfg, scorers)
+        reports = _subset_flag_reports(corpus, subsets, cfg, scorers)
 
     subset_rows = []
     for subset in subsets:
-        filtered = apply_filters(corpus, subset, cfg, scorers, reports=reports)
-        keep = annotator_ids
-        if keep is not None:
-            keep = keep - set(filtered.removed_annotators)
-        gold = _gold_observations(filtered, keep, per_annotation)
-        cells = _correlate_cells(usable, metric_scores, gold)
+        flags = set(subset)
+        removed = tuple(sorted(aid for aid, rep in reports.items()
+                               if rep.flags & flags))
+        keep = panel.copy()
+        keep[[columns.annotators[aid] for aid in removed
+              if aid in columns.annotators]] = False
+        cells = columns.cells(usable, keep, per_annotation)
         pct = {
             name: (percent_change(cells[name].pearson, baseline[name].pearson),
                    percent_change(cells[name].spearman, baseline[name].spearman))
@@ -379,7 +473,7 @@ def correlation_report(corpus: LabeledCorpus,
         }
         subset_rows.append(SubsetResult(
             subset=subset,
-            removed_annotators=tuple(sorted(filtered.removed_annotators)),
+            removed_annotators=removed,
             cells=cells,
             pct_change=pct,
         ))
@@ -399,7 +493,8 @@ def style_split_report(corpus: LabeledCorpus,
                        exclude_midpoint_from_variance: bool = False,
                        ) -> tuple[CorrelationReport, CorrelationReport]:
     """Correlation reports using gold means from Radical-only and
-    Centrist-only annotators, in that order."""
+    Centrist-only annotators, in that order.  Both panels share one flag
+    pass over the corpus."""
     from .stats import Style, annotator_profiles
 
     profiles = annotator_profiles(
@@ -407,11 +502,16 @@ def style_split_report(corpus: LabeledCorpus,
     radical = {aid for aid, p in profiles.items() if p.style is Style.RADICAL}
     centrist = {aid for aid, p in profiles.items() if p.style is Style.CENTRIST}
 
+    subsets = _normalized_subsets(subsets)
+    reports = None
+    if radical or centrist:
+        reports = _subset_flag_reports(corpus, subsets, cfg, scorers)
+
     out = []
     for style_name, ids in (("Radical", radical), ("Centrist", centrist)):
         out.append(correlation_report(
             corpus, metric_scores, subsets=subsets, cfg=cfg, scorers=scorers,
-            dropped=dict(dropped or {}), annotator_ids=ids,
+            reports=reports, dropped=dict(dropped or {}), annotator_ids=ids,
             label=f"{style_name}-only gold"))
     return out[0], out[1]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import Optional, Sequence
 
 from .corpus import LabeledCorpus, VALID_LABELS
@@ -43,11 +44,22 @@ def reduce_label(label: int) -> int:
 
 
 def population_variance(values: Sequence[float]) -> float:
-    """Population (denominator n) variance of a non-empty sequence."""
+    """Population (denominator n) variance of a non-empty sequence.
+
+    Integer input (labels) is computed exactly as
+    ``(n * sum(l**2) - sum(l)**2) / n**2`` and rounded once, so a variance
+    that is exactly a threshold compares as that threshold; other input
+    uses the two-pass float formula.
+    """
     if not values:
         raise ValueError("variance of an empty sequence is undefined")
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / len(values)
+    n = len(values)
+    if all(isinstance(v, Integral) for v in values):
+        ints = [int(v) for v in values]
+        total = sum(ints)
+        return (n * sum(v * v for v in ints) - total * total) / (n * n)
+    mean = sum(values) / n
+    return sum((v - mean) ** 2 for v in values) / n
 
 
 @dataclass(frozen=True)

@@ -254,3 +254,79 @@ def linprog_transport_oracle(a, b, cost_rows):
                      bounds=[(0, None)] * (n * m), method="highs")
     assert result.success, result.message
     return result.fun
+
+
+# ---------------------------------------------------------------------------
+# correlation reports
+
+
+def loop_ranks(values):
+    """Average ranks by walking the tie runs of a stable sort, one by one."""
+    import numpy as np
+
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(arr.size, dtype=np.float64)
+    i = 0
+    while i < arr.size:
+        j = i
+        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def correlation_report_oracle(corpus, metric_scores, metrics, subsets, reports,
+                              annotator_ids=None, per_annotation=False):
+    """Baseline cells and per-subset rows of a correlation report, the long
+    way: one filtered corpus copy per subset, a dict join on sorted pair
+    ids, and loop ranks.
+
+    Returns ``(baseline, rows)`` with ``rows`` a list of
+    ``(removed_annotators, cells, pct_change)`` in subset order.  Pearson
+    itself is the package's, so every value must agree bit for bit.
+    """
+    from labelsim.correlate import MetricCorrelation, pearson, percent_change
+    from labelsim.heuristics import apply_filters
+
+    def gold_observations(plain, keep):
+        labels = {}
+        for ann in plain.annotations:
+            if keep is not None and ann.annotator_id not in keep:
+                continue
+            labels.setdefault(ann.pair_id, []).append(float(ann.label))
+        if per_annotation:
+            return labels
+        return {pid: [sum(vals) / len(vals)] for pid, vals in labels.items()}
+
+    def cells(gold):
+        out = {}
+        for name in metrics:
+            defined = metric_scores[name]
+            joined = sorted(pid for pid in defined if pid in gold)
+            xs, ys = [], []
+            for pid in joined:
+                for obs in gold[pid]:
+                    xs.append(defined[pid])
+                    ys.append(obs)
+            out[name] = MetricCorrelation(
+                pearson=pearson(xs, ys),
+                spearman=pearson(loop_ranks(xs), loop_ranks(ys)),
+                n_pairs=len(joined))
+        return out
+
+    baseline = cells(gold_observations(corpus, annotator_ids))
+    rows = []
+    for subset in subsets:
+        filtered = apply_filters(corpus, subset, reports=reports)
+        keep = annotator_ids
+        if keep is not None:
+            keep = keep - set(filtered.removed_annotators)
+        got = cells(gold_observations(filtered.corpus, keep))
+        pct = {name: (percent_change(got[name].pearson, baseline[name].pearson),
+                      percent_change(got[name].spearman,
+                                     baseline[name].spearman))
+               for name in metrics}
+        rows.append((tuple(sorted(filtered.removed_annotators)), got, pct))
+    return baseline, rows

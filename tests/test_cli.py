@@ -338,6 +338,21 @@ def test_report_json_and_out_file(tmp_path, capsys):
     assert doc["subsets"][0]["removed_annotators"] == ["junk"]
 
 
+def test_report_nan_precomputed_channel_is_an_error(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    channel = tmp_path / "ext.csv"
+    channel.write_text("pair_id,score\np1,0.9\np2,0.5\np3,nan\n"
+                       "p4,0.9\np5,0.5\np6,0.1\n")
+    rc = main(["report", "--pairs", pairs, "--annotations", annotations,
+               "--precomputed", f"ext={channel}", "--metrics", "ext",
+               "--heuristics", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "error: correlation undefined: an input is not finite" \
+        in captured.err
+
+
 def test_report_runs_are_byte_identical(tmp_path):
     pairs, annotations = write_corpus(tmp_path)
     out1 = tmp_path / "r1.csv"

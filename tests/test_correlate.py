@@ -6,8 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from labelsim.corpus import attach_precomputed
+from labelsim import correlate
 from labelsim.correlate import (
     EMBEDDING_METRICS,
     LEXICAL_METRICS,
@@ -26,11 +28,15 @@ from labelsim.correlate import (
     style_split_report,
 )
 from labelsim.embmetrics import EmbeddingTable
-from labelsim.heuristics import HeuristicId
+from labelsim.heuristics import (HeuristicId, compute_flag_reports,
+                                 heuristic_subsets)
+from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
+                               generate_corpus)
 from labelsim.textmetrics import lexical_metric_names, score_pair_lexical
 
 from conftest import make_corpus
-from oracles import pearson_oracle, spearman_oracle
+from oracles import (correlation_report_oracle, loop_ranks, pearson_oracle,
+                     rank_oracle, spearman_oracle)
 
 
 # ------------------------------------------------------------ correlation
@@ -103,6 +109,29 @@ def test_spearman_matches_oracle_with_ties():
             assert len(set(xs)) == 1 or len(set(ys)) == 1
             continue
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_pearson_rejects_nan():
+    # a NaN must not pass the [-1, 1] clamp as a perfect 1.0
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        pearson([1, 2, float("nan"), 4], [1, 2, 3, 5])
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        pearson([1, 2, 3, 4], [1, float("inf"), 3, 5])
+
+
+def test_spearman_rejects_nan():
+    # ranking NaN as the largest value would give -0.8 here
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        spearman([1, 2, float("nan"), 4], [1, 2, 3, 5])
+    with pytest.raises(UndefinedCorrelationError, match="not finite"):
+        spearman([1, 2, 3, 4], [1, 2, float("-inf"), 5])
+
+
+@given(st.lists(st.integers(min_value=-4, max_value=4), max_size=60))
+def test_ranks_match_loop_ranks(values):
+    got = correlate._ranks(values)
+    assert np.array_equal(got, loop_ranks(values))
+    assert got.tolist() == rank_oracle(values)
 
 
 def test_percent_change():
@@ -296,6 +325,19 @@ def test_compute_metric_scores_parallel_matches_serial():
     parallel, d2 = compute_metric_scores(corpus, jobs=3, **kwargs)
     assert serial == parallel
     assert d1 == d2
+
+
+def test_compute_metric_scores_precomputed_only_skips_pair_pass(monkeypatch):
+    corpus = attach_precomputed(scoring_corpus(), "ext", {"p1": 0.5, "p3": 0.2})
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no per-pair pass is needed")
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    scores, dropped = compute_metric_scores(corpus, ["ext"], jobs=4)
+    assert scores == {"ext": {"p1": 0.5, "p3": 0.2}}
+    assert dropped == {"ext": 1}
 
 
 # ------------------------------------------------------------- reports
@@ -506,3 +548,94 @@ def test_render_report_text_lists_unavailable_metrics():
                                 subsets=[[HeuristicId.SLOW]])
     text = render_report_text(report)
     assert "unavailable: part" in text
+
+
+# ------------------------------------------- report engine vs. the oracle
+
+
+@pytest.fixture(scope="module")
+def tied_report_inputs():
+    """A simulated corpus whose metric scores are full of ties, with every
+    heuristic's flags; one metric is undefined on some pairs."""
+    kinds = ((ProfileKind.RELIABLE, 10), (ProfileKind.CONSTANT, 3),
+             (ProfileKind.UNIFORM_RANDOM, 3), (ProfileKind.SLOW, 2),
+             (ProfileKind.RADICAL, 5), (ProfileKind.CENTRIST, 5))
+    corpus, truth = generate_corpus(PopulationSpec(
+        n_pairs=240, fraction_random=0.2, seed=11,
+        profiles=tuple(ProfileSpec(kind, count) for kind, count in kinds)))
+    rng = random.Random(97)
+    scores = {
+        "coarse": {pid: round(t + rng.gauss(0.0, 0.2), 1)
+                   for pid, t in truth.latent.items()},
+        "five": {pid: float(min(5, max(1, round(4 * t + 1 + rng.gauss(0, 1)))))
+                 for pid, t in truth.latent.items()},
+        "holes": {pid: float(round(3 * t)) for pid, t in truth.latent.items()
+                  if rng.random() > 0.15},
+    }
+    reports = compute_flag_reports(corpus, list(HeuristicId))
+    return corpus, scores, reports
+
+
+def assert_report_matches_oracle(report, oracle):
+    baseline, rows = oracle
+    assert report.baseline == baseline
+    assert len(report.subsets) == len(rows)
+    for row, (removed, cells, pct) in zip(report.subsets, rows):
+        assert row.removed_annotators == removed
+        assert row.cells == cells
+        assert row.pct_change == pct
+
+
+@pytest.mark.parametrize("per_annotation", [False, True])
+def test_report_engine_matches_oracle(tied_report_inputs, per_annotation):
+    corpus, scores, reports = tied_report_inputs
+    subsets = heuristic_subsets()
+    report = correlation_report(corpus, scores, subsets=subsets,
+                                reports=reports,
+                                per_annotation=per_annotation)
+    assert report.metrics == ("coarse", "five", "holes")
+    # the filters do remove people, and not always the same ones
+    assert len({row.removed_annotators for row in report.subsets}) > 5
+    assert_report_matches_oracle(report, correlation_report_oracle(
+        corpus, scores, report.metrics, subsets, reports,
+        per_annotation=per_annotation))
+
+
+def test_report_engine_matches_oracle_on_a_panel(tied_report_inputs):
+    corpus, scores, reports = tied_report_inputs
+    ids = corpus.annotator_ids()
+    panel = set(ids[::2])
+    assert any(reports[aid].flags for aid in panel)
+    subsets = heuristic_subsets()
+    report = correlation_report(corpus, scores, subsets=subsets,
+                                reports=reports, annotator_ids=panel)
+    assert report.status == "ok"
+    assert_report_matches_oracle(report, correlation_report_oracle(
+        corpus, scores, report.metrics, subsets, reports,
+        annotator_ids=panel))
+
+    empty = correlation_report(corpus, scores, subsets=subsets,
+                               reports=reports, annotator_ids=set())
+    assert empty.status == "empty: no annotators in this panel"
+    assert empty.subsets == ()
+
+
+def test_style_split_report_flags_once(monkeypatch):
+    calls = []
+    real = correlate.compute_flag_reports
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(correlate, "compute_flag_reports", counting)
+    pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 7)]
+    rad_labels = {"p1": 1, "p2": 5, "p3": 1, "p4": 5, "p5": 1, "p6": 5}
+    cen_labels = {"p1": 1, "p2": 2, "p3": 4, "p4": 2, "p5": 4, "p6": 4}
+    annotations = [(pid, "rad", lab) for pid, lab in rad_labels.items()]
+    annotations += [(pid, "cen", lab) for pid, lab in cen_labels.items()]
+    corpus = make_corpus(pairs, annotations)
+    metric = {f"p{i}": i / 10.0 for i in range(1, 7)}
+    style_split_report(corpus, {"m": metric},
+                       subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
+    assert len(calls) == 1

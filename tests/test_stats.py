@@ -3,6 +3,7 @@ import statistics
 
 import pytest
 
+from labelsim.heuristics import HeuristicConfig, flag_low_variance
 from labelsim.stats import (Style, annotator_profile, annotator_profiles,
                             classify_style, population_variance, reduce_label)
 
@@ -38,6 +39,17 @@ def test_population_variance_random():
         got = population_variance(values)
         assert got == pytest.approx(pvariance_oracle(values), rel=1e-12)
         assert got == pytest.approx(statistics.pvariance(values), rel=1e-9)
+
+
+def test_population_variance_integer_labels_are_exact():
+    # exact variance 1; a two-pass float formula gives 0.9999999999999998,
+    # under the low-variance threshold of 1
+    labels = [4, 2, 4, 5, 4, 4, 2, 5, 2, 4, 3, 2, 3, 2, 4, 3, 4, 3]
+    assert population_variance(labels) == 1.0
+    corpus = make_corpus(
+        [(f"p{i}", f"a{i} b{i}", f"c{i} d{i}") for i in range(len(labels))],
+        [(f"p{i}", "ann", label) for i, label in enumerate(labels)])
+    assert flag_low_variance(corpus, "ann", HeuristicConfig()) is None
 
 
 def test_population_variance_empty():
