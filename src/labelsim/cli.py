@@ -91,8 +91,6 @@ def _add_corpus_args(p, annotations_required=True):
 def _add_common_args(p):
     p.add_argument("--config", help="key = value config file with defaults")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed for anything stochastic")
 
 
 def _add_threshold_args(p):
@@ -138,8 +136,6 @@ def _add_metric_args(p):
     p.add_argument("--epsilon", type=float, default=0.01,
                    help="sinkhorn regularization strength")
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel scoring workers (default: cpu count)")
 
 
 def _parse_heuristics(raw: str) -> list[HeuristicId]:
@@ -226,7 +222,6 @@ def _prepare_scoring(corpus, args):
             if noun_lex_path else None
         noun_tagger = embmetrics.lexicon_noun_tagger(nouns)
 
-    jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
     return metrics, dict(
         table=table,
         noun_tagger=noun_tagger,
@@ -238,7 +233,6 @@ def _prepare_scoring(corpus, args):
         wmd_method=args.wmd_method,
         epsilon=args.epsilon,
         max_iter=args.max_iter,
-        jobs=min(jobs, 64),
     )
 
 
@@ -453,7 +447,7 @@ def cmd_simulate(args) -> int:
         n_pairs=sim_value("n_pairs", int, 100),
         fraction_random=sim_value("fraction_random", float, 0.2),
         profiles=_parse_profiles(profiles_raw),
-        seed=args.seed,
+        seed=sim_value("seed", int, 0),
         annotators_per_pair=sim_value("annotators_per_pair", int, 3),
         min_tokens=sim_value("min_tokens", int, 4),
         max_tokens=sim_value("max_tokens", int, 9),
@@ -539,6 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic labeled corpus")
     _add_common_args(p)
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--seed", type=int, dest="seed",
+                   help="random seed of the generated corpus (default 0)")
     p.add_argument("--n-pairs", type=int, dest="n_pairs")
     p.add_argument("--fraction-random", type=float, dest="fraction_random")
     p.add_argument("--profiles", dest="profiles",

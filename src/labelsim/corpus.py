@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -137,9 +138,12 @@ def _parse_int(raw, where: str) -> int:
 
 def _parse_float(raw, where: str) -> float:
     try:
-        return float(str(raw).strip())
+        value = float(str(raw).strip())
     except (TypeError, ValueError):
         raise CorpusError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise CorpusError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _read_csv_rows(path: Path, required: tuple[str, ...]):

@@ -154,7 +154,6 @@ def compute_metric_scores(corpus: LabeledCorpus,
                           wmd_method: str = "exact",
                           epsilon: float = 0.01,
                           max_iter: int = 10000,
-                          jobs: int = 1,
                           oriented: bool = True,
                           ) -> tuple[dict[str, dict[str, float]], dict[str, int]]:
     """Score every pair with the requested metrics.
@@ -249,10 +248,6 @@ def compute_metric_scores(corpus: LabeledCorpus,
     if not any(m in LEXICAL_METRICS or m in EMBEDDING_METRICS
                for m in metrics):
         per_pair = []  # precomputed channels only: no per-pair pass
-    elif jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_pair = list(pool.map(score_one, pairs))
     else:
         per_pair = [score_one(p) for p in pairs]
 
@@ -277,8 +272,11 @@ def compute_metric_scores(corpus: LabeledCorpus,
 
 @dataclass(frozen=True)
 class MetricCorrelation:
-    pearson: float
-    spearman: float
+    """One cell; a subset cell left with fewer than 3 observations (its
+    filters emptied the panel, say) has ``None`` for both statistics."""
+
+    pearson: Optional[float]
+    spearman: Optional[float]
     n_pairs: int
 
 
@@ -287,7 +285,7 @@ class SubsetResult:
     subset: tuple[HeuristicId, ...]
     removed_annotators: tuple[str, ...]
     cells: dict[str, MetricCorrelation]
-    pct_change: dict[str, tuple[float, float]]
+    pct_change: dict[str, tuple[Optional[float], Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -361,11 +359,14 @@ class _Columns:
                            dtype=bool, count=len(self.annotators))
 
     def cells(self, names: Sequence[str], keep: np.ndarray,
-              per_annotation: bool) -> dict[str, MetricCorrelation]:
+              per_annotation: bool, allow_undefined: bool = False
+              ) -> dict[str, MetricCorrelation]:
         """Correlate each metric with the gold of the kept annotators.
 
         Gold is one mean per pair, or with ``per_annotation`` every kept
         label as its own observation (ordered by pair, then corpus order).
+        With ``allow_undefined`` a metric with fewer than 3 observations
+        gets an undefined cell instead of an error.
         """
         kept = keep[self.annotator]
         pair = self.pair[kept]
@@ -384,12 +385,23 @@ class _Columns:
             else:
                 xs = self.values[name][joined]
                 ys = gold[joined]
+            if allow_undefined and xs.size < 3:
+                cells[name] = MetricCorrelation(None, None, int(joined.sum()))
+                continue
             cells[name] = MetricCorrelation(
                 pearson=pearson(xs, ys),
                 spearman=spearman(xs, ys),
                 n_pairs=int(joined.sum()),
             )
         return cells
+
+
+def _pct_pair(cell: MetricCorrelation, base: MetricCorrelation
+              ) -> tuple[Optional[float], Optional[float]]:
+    if cell.pearson is None:
+        return None, None
+    return (percent_change(cell.pearson, base.pearson),
+            percent_change(cell.spearman, base.spearman))
 
 
 def _normalized_subsets(subsets: Optional[Sequence[Sequence[HeuristicId]]]
@@ -465,12 +477,9 @@ def correlation_report(corpus: LabeledCorpus,
         keep = panel.copy()
         keep[[columns.annotators[aid] for aid in removed
               if aid in columns.annotators]] = False
-        cells = columns.cells(usable, keep, per_annotation)
-        pct = {
-            name: (percent_change(cells[name].pearson, baseline[name].pearson),
-                   percent_change(cells[name].spearman, baseline[name].spearman))
-            for name in usable
-        }
+        cells = columns.cells(usable, keep, per_annotation,
+                              allow_undefined=True)
+        pct = {name: _pct_pair(cells[name], baseline[name]) for name in usable}
         subset_rows.append(SubsetResult(
             subset=subset,
             removed_annotators=removed,
@@ -597,7 +606,8 @@ def render_report_text(report: CorrelationReport) -> str:
         for name in report.metrics:
             val = row.cells[name].pearson
             pct = row.pct_change[name][0]
-            cells += f"  {f'{val:.4f} ({pct:+.1f}%)':>20}"
+            shown = "n/a" if val is None else f"{val:.4f} ({pct:+.1f}%)"
+            cells += f"  {shown:>20}"
         lines.append(subset_label(row.subset).ljust(width) + cells)
     if report.unavailable:
         lines.append("")

@@ -2,11 +2,14 @@
 
 The transport solver is written here from scratch because it is the
 numerical core of the distance suite: the exact path runs the classic
-transportation-simplex (network simplex on the bipartite transport
-graph), and a log-domain Sinkhorn iteration covers large instances.
+transportation simplex (network simplex on the bipartite transport
+graph) from a least-cost start.  A log-domain Sinkhorn iteration is the
+entropic alternative; it is slower than the exact path at every size
+measured (6 to 60 word types per side), so it is not the default.
 Sinkhorn plans are rounded onto the transport polytope before costing,
 so the returned cost is always the cost of a feasible plan and can never
-undercut the exact optimum.
+undercut the exact optimum.  scipy is imported inside the functions that
+use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .textmetrics import MetricScore, TokenSeq, light_stem
 
@@ -70,6 +70,9 @@ def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
                     f"{path} line {lineno}: non-numeric vector component") from None
             if values.size == 0:
                 raise ValueError(f"{path} line {lineno}: no vector components")
+            if not np.isfinite(values).all():
+                raise ValueError(
+                    f"{path} line {lineno}: non-finite vector component")
             if dimension is None:
                 dimension = values.size
             elif values.size != dimension:
@@ -187,7 +190,53 @@ def solve_transport(problem: TransportProblem, method: str = "exact",
 
 def _transport_simplex(a: np.ndarray, b: np.ndarray,
                        C: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact solver: northwest-corner start, then dual-guided pivots.
+    """Exact solver: least-cost start, then dual-guided pivots."""
+    return _simplex_pivots(C, *_least_cost_start(a, b, C))
+
+
+def _least_cost_start(a: np.ndarray, b: np.ndarray, C: np.ndarray
+                      ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Initial basic feasible plan by the least-cost (matrix-minimum) rule.
+
+    Cells are taken in ascending cost order (stable, so ties go row-major)
+    while their row and column are both open; each ships what it can and
+    closes one line.  The last open row is never closed and, while more
+    than one row is open, neither is the last open column, so exactly
+    ``n + m - 1`` cells are taken even when rounding leaves the remaining
+    masses a hair apart.  Closing one line per cell makes them a spanning
+    tree of the transport graph, degenerate zero cells included.
+    """
+    n, m = C.shape
+    flow = np.zeros((n, m))
+    basis: list[tuple[int, int]] = []
+    rem_a = a.copy()
+    rem_b = b.copy()
+    row_open = [True] * n
+    col_open = [True] * m
+    rows_left, cols_left = n, m
+    for flat in np.argsort(C, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, m)
+        if not (row_open[i] and col_open[j]):
+            continue
+        basis.append((i, j))
+        q = min(rem_a[i], rem_b[j])
+        flow[i, j] = q
+        rem_a[i] -= q
+        rem_b[j] -= q
+        if rows_left > 1 and (cols_left == 1 or rem_a[i] <= rem_b[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+        if len(basis) == n + m - 1:
+            break
+    return flow, basis
+
+
+def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
+                    basis: list[tuple[int, int]]) -> tuple[np.ndarray, int]:
+    """Pivot a basic feasible plan to optimality; returns it and the pivots.
 
     The basis is always a spanning tree of the bipartite transport graph
     (rows 0..n-1, columns n..n+m-1).  Entering cells are picked by most
@@ -197,26 +246,6 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray,
     n, m = C.shape
     scale = max(1.0, float(C.max()))
     opt_tol = 1e-11 * scale
-
-    flow = np.zeros((n, m))
-    basis: list[tuple[int, int]] = []
-    rem_a = a.copy()
-    rem_b = b.copy()
-    i = j = 0
-    for _ in range(n + m - 1):
-        basis.append((i, j))
-        q = min(rem_a[i], rem_b[j])
-        flow[i, j] = q
-        rem_a[i] -= q
-        rem_b[j] -= q
-        if i == n - 1:
-            j += 1
-        elif j == m - 1:
-            i += 1
-        elif rem_a[i] <= rem_b[j]:
-            i += 1
-        else:
-            j += 1
 
     max_pivots = 1000 + 40 * (n + m) * (n + m)
     stall_limit = 4 * (n + m)
@@ -311,6 +340,8 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray,
 def _sinkhorn_log(a: np.ndarray, b: np.ndarray, C: np.ndarray,
                   epsilon: float, max_iter: int,
                   tol: float) -> tuple[np.ndarray, int, bool]:
+    from scipy.special import logsumexp
+
     pos_a = a > 0
     pos_b = b > 0
     aa = a[pos_a]
@@ -384,6 +415,8 @@ def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable,
         max_iter: int = 10000) -> MetricScore:
     """Word mover's distance: minimal cost of moving one sentence's
     normalized bag-of-words onto the other's, with Euclidean ground costs."""
+    from scipy.spatial.distance import cdist
+
     _, wa, va = nbow_weights(a, table)
     _, wb, vb = nbow_weights(b, table)
     costs = cdist(va, vb)
@@ -446,6 +479,9 @@ def pos_distance(a: TokenSeq, b: TokenSeq,
     averages the full cross-product instead.  Returns None when either
     side has no embeddable noun, so callers can drop the pair.
     """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     nouns_a = [t for t in noun_tagger(a) if t in table.vectors]
     nouns_b = [t for t in noun_tagger(b) if t in table.vectors]
     if not nouns_a or not nouns_b:
@@ -500,6 +536,8 @@ def load_sentence_embeddings(path) -> dict:
                     f"{path} row {lineno}: non-numeric vector") from None
             if vec.size == 0:
                 raise ValueError(f"{path} row {lineno}: empty vector")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path} row {lineno}: non-finite vector")
             if dimension is None:
                 dimension = vec.size
             elif vec.size != dimension:

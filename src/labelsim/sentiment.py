@@ -9,6 +9,7 @@ and per-pair scores from an external tool can be ingested from CSV.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -87,6 +88,9 @@ def _parse_lexicon(fh, name: str) -> SentimentLexicon:
         except (TypeError, ValueError):
             raise ValueError(
                 f"{name} row {lineno}: bad valence {row['valence']!r}") from None
+        if not math.isfinite(valences[word]):
+            raise ValueError(
+                f"{name} row {lineno}: non-finite valence {row['valence']!r}")
     return SentimentLexicon(valences=valences)
 
 

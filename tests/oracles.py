@@ -330,3 +330,52 @@ def correlation_report_oracle(corpus, metric_scores, metrics, subsets, reports,
                for name in metrics}
         rows.append((tuple(sorted(filtered.removed_annotators)), got, pct))
     return baseline, rows
+
+
+# ---------------------------------------------------------------------------
+# word mover's distance from the northwest-corner start
+
+
+def northwest_corner_start(a, b, C):
+    """The exact solver's former initial basis: walk from the top-left cell,
+    moving down when the row is used up (or the column is the last one)
+    and right otherwise, for ``n + m - 1`` cells."""
+    import numpy as np
+
+    n, m = C.shape
+    flow = np.zeros((n, m))
+    basis = []
+    rem_a = a.copy()
+    rem_b = b.copy()
+    i = j = 0
+    for _ in range(n + m - 1):
+        basis.append((i, j))
+        q = min(rem_a[i], rem_b[j])
+        flow[i, j] = q
+        rem_a[i] -= q
+        rem_b[j] -= q
+        if i == n - 1:
+            j += 1
+        elif j == m - 1:
+            i += 1
+        elif rem_a[i] <= rem_b[j]:
+            i += 1
+        else:
+            j += 1
+    return flow, basis
+
+
+def northwest_corner_wmd(tokens_a, tokens_b, table):
+    """WMD from the northwest-corner start and the package's pivot loop.
+
+    Returns ``(cost, pivots)``.
+    """
+    from scipy.spatial.distance import cdist
+
+    from labelsim.embmetrics import _simplex_pivots, nbow_weights
+
+    _, wa, va = nbow_weights(tokens_a, table)
+    _, wb, vb = nbow_weights(tokens_b, table)
+    C = cdist(va, vb)
+    flow, pivots = _simplex_pivots(C, *northwest_corner_start(wa, wb, C))
+    return float((flow * C).sum()), pivots

@@ -371,7 +371,7 @@ def test_acceptance_8_report_determinism(tmp_path):
             "--pairs", str(sim_dir / "pairs.csv"),
             "--annotations", str(sim_dir / "annotations.csv"),
             "--metrics", "lexical", "--heuristics", "all",
-            "--out-format", "csv", "--seed", "0"]
+            "--out-format", "csv"]
     out1 = tmp_path / "run1.csv"
     out2 = tmp_path / "run2.csv"
     t0 = time.monotonic()

@@ -95,6 +95,33 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import labelsim
+
+    # the child imports the same package this process is testing
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(labelsim.__file__).resolve().parents[1]))
+    code = ("import sys, labelsim, labelsim.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_seed_and_jobs_are_not_report_options(tmp_path):
+    pairs, annotations = write_corpus(tmp_path)
+    base = ["report", "--pairs", pairs, "--annotations", annotations]
+    for extra in (["--seed", "1"], ["--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+
+
 def test_bad_usage_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["validate"])  # --pairs is required
@@ -349,7 +376,7 @@ def test_report_nan_precomputed_channel_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert "error: correlation undefined: an input is not finite" \
+    assert f"error: {channel} row 4: expected a finite number, got 'nan'" \
         in captured.err
 
 
@@ -398,6 +425,45 @@ def test_style_report_text(tmp_path, capsys):
     assert rc == 0
     assert "Correlation report (Radical-only gold)" in out
     assert "Correlation report (Centrist-only gold)" in out
+
+
+@pytest.fixture(scope="module")
+def one_radical_corpus(tmp_path_factory):
+    """Default simulated population, seed 3: the Radical panel is a single
+    annotator whom some filter subsets remove."""
+    out_dir = tmp_path_factory.mktemp("sim3")
+    assert main(["simulate", "--out-dir", str(out_dir), "--n-pairs", "600",
+                 "--seed", "3"]) == 0
+    return str(out_dir / "pairs.csv"), str(out_dir / "annotations.csv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_style_report_survives_an_emptied_panel(one_radical_corpus, fmt,
+                                                capsys):
+    pairs, annotations = one_radical_corpus
+    capsys.readouterr()
+    rc = main(["style-report", "--pairs", pairs, "--annotations", annotations,
+               "--metrics", "lexical", "--out-format", fmt])
+    out = capsys.readouterr().out
+    assert rc == 0
+    if fmt == "csv":
+        rows = [line.split(",") for line in out.splitlines()
+                if line.startswith("Radical")]
+        undefined = [r for r in rows if r[3] == ""]
+        assert undefined and all(r[1] != "baseline" for r in undefined)
+        assert all(r[3:7] == ["", "", "", ""] and r[7] == "0"
+                   for r in undefined)
+        assert all(r[3] != "" for r in rows if r[1] == "baseline")
+    elif fmt == "json":
+        radical = json.loads(out)["radical"]
+        assert radical["status"] == "ok"
+        assert all(c["pearson"] is not None
+                   for c in radical["baseline"].values())
+        cells = [c for row in radical["subsets"] for c in row["cells"].values()]
+        assert any(c["pearson"] is None and c["pearson_pct"] is None
+                   for c in cells)
+    else:
+        assert "n/a" in out
 
 
 def test_style_report_json(tmp_path, capsys):
@@ -451,6 +517,24 @@ def test_simulate_bad_profiles(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "bad profile" in captured.err
+
+
+def test_simulate_reads_seed_from_config(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("seed = 5\n")
+    runs = {"file": ["--config", str(cfg)],
+            "flag": ["--seed", "5"],
+            "default": [],
+            "flag_wins": ["--config", str(cfg), "--seed", "0"]}
+    out = {}
+    for name, extra in runs.items():
+        out_dir = tmp_path / name
+        assert main(["simulate", "--n-pairs", "30", "--profiles",
+                     "reliable:3:0.3", "--out-dir", str(out_dir)] + extra) == 0
+        out[name] = (out_dir / "annotations.csv").read_bytes()
+    assert out["file"] == out["flag"]
+    assert out["file"] != out["default"]  # the default seed is 0
+    assert out["flag_wins"] == out["default"]
 
 
 def test_simulate_reads_config_defaults(tmp_path, capsys):

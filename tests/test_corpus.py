@@ -108,6 +108,22 @@ def test_non_numeric_duration(tmp_path):
                     write(tmp_path, "ann.csv", bad))
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+def test_non_finite_duration(tmp_path, raw):
+    bad = ANNOTATIONS_CSV.replace("30.0", raw)
+    with pytest.raises(CorpusError, match=r"ann\.csv row 3: expected a "
+                                          r"finite number"):
+        load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV),
+                    write(tmp_path, "ann.csv", bad))
+
+
+def test_non_finite_precomputed_score(tmp_path):
+    path = write(tmp_path, "scores.csv", "pair_id,score\np1,0.5\np2,NaN\n")
+    with pytest.raises(CorpusError, match=r"scores\.csv row 3: expected a "
+                                          r"finite number, got 'NaN'"):
+        load_precomputed(path)
+
+
 def test_unknown_pair_reference(tmp_path):
     bad = ANNOTATIONS_CSV + "p9,w1,3,10\n"
     with pytest.raises(CorpusError, match="unknown pair_id"):

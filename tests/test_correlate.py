@@ -316,26 +316,9 @@ def test_compute_metric_scores_gold_tag_route():
     assert scores["pos_dist"]["p1"] == pytest.approx(-expected)
 
 
-def test_compute_metric_scores_parallel_matches_serial():
-    corpus = scoring_corpus()
-    table = scoring_table()
-    kwargs = dict(
-        metrics=["word_overlap", "chrf", "cosine", "wmd"], table=table)
-    serial, d1 = compute_metric_scores(corpus, jobs=1, **kwargs)
-    parallel, d2 = compute_metric_scores(corpus, jobs=3, **kwargs)
-    assert serial == parallel
-    assert d1 == d2
-
-
-def test_compute_metric_scores_precomputed_only_skips_pair_pass(monkeypatch):
+def test_compute_metric_scores_precomputed_only_skips_pair_pass():
     corpus = attach_precomputed(scoring_corpus(), "ext", {"p1": 0.5, "p3": 0.2})
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no per-pair pass is needed")
-
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    scores, dropped = compute_metric_scores(corpus, ["ext"], jobs=4)
+    scores, dropped = compute_metric_scores(corpus, ["ext"])
     assert scores == {"ext": {"p1": 0.5, "p3": 0.2}}
     assert dropped == {"ext": 1}
 
@@ -438,6 +421,46 @@ def test_correlation_report_empty_panel():
     assert report.status == "empty: no annotators in this panel"
     assert report.metrics == ()
     assert report.subsets == ()
+
+
+def test_correlation_report_subset_that_empties_the_panel_is_undefined():
+    # 'slow' is the whole panel and heuristic 1 removes it; heuristic 2
+    # removes nobody, so its row stays defined and equals the baseline.
+    pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 7)]
+    slow_labels = [1, 2, 4, 3, 5, 5]
+    annotations = [(f"p{i}", "slow", lab, 400.0)
+                   for i, lab in enumerate(slow_labels, start=1)]
+    annotations += [(f"p{i}", "fast", 6 - lab, 20.0)
+                    for i, lab in enumerate(slow_labels, start=1)]
+    corpus = make_corpus(pairs, annotations)
+    metric_scores = {"m": {f"p{i}": i / 10.0 for i in range(1, 7)}}
+    report = correlation_report(
+        corpus, metric_scores, annotator_ids={"slow"}, label="slow panel",
+        subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
+    assert report.status == "ok"
+    emptied, kept = report.subsets
+    assert emptied.removed_annotators == ("slow",)
+    assert emptied.cells["m"] == correlate.MetricCorrelation(None, None, 0)
+    assert emptied.pct_change["m"] == (None, None)
+    assert kept.cells["m"] == report.baseline["m"]
+    assert kept.pct_change["m"] == (0.0, 0.0)
+
+    csv_rows = render_report_csv(report).splitlines()
+    assert "slow panel,1,m,,,,,0,,1" in csv_rows
+    doc = json.loads(render_report_json(report))
+    assert doc["subsets"][0]["cells"]["m"] == {
+        "pearson": None, "spearman": None, "n_pairs": 0,
+        "pearson_pct": None, "spearman_pct": None}
+    text_rows = render_report_text(report).splitlines()
+    assert text_rows[3].split() == ["[1]", "n/a"]
+
+
+def test_correlation_report_baseline_needs_three_observations():
+    corpus, metric_scores = report_fixture()
+    few = {"m": dict(list(metric_scores["m"].items())[:2])}
+    with pytest.raises(ValueError, match="at least 3 observations"):
+        correlation_report(corpus, few, subsets=[[HeuristicId.SLOW]],
+                           unavailable_fraction=1.0)
 
 
 def test_correlation_report_per_annotation_gold():

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labelsim.embmetrics import (
     MARGINAL_TOL,
@@ -24,12 +25,16 @@ from labelsim.embmetrics import (
     sentence_vector,
     solve_transport,
     wmd,
+    _least_cost_start,
 )
-from labelsim.textmetrics import MetricScore
+from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
+                               generate_corpus)
+from labelsim.textmetrics import MetricScore, tokenize
 
 from oracles import (
     assignment_oracle,
     linprog_transport_oracle,
+    northwest_corner_wmd,
     uniform_transport_oracle,
 )
 
@@ -106,6 +111,16 @@ def test_load_embeddings_errors(tmp_path):
     bare.write_text("cat 1 2\nword\n")
     with pytest.raises(ValueError, match="no vector components"):
         load_embeddings(bare)
+
+
+def test_load_embeddings_rejects_non_finite(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("cat 1 2\ndog nan 2\n")
+    with pytest.raises(ValueError,
+                       match=r"vectors\.txt line 2: non-finite vector"):
+        load_embeddings(path)
+    # a filtered-out word is never parsed, so it cannot fail the load
+    assert set(load_embeddings(path, vocab_filter={"cat"}).vectors) == {"cat"}
 
 
 # ------------------------------------------------------ sentence geometry
@@ -263,6 +278,85 @@ def test_exact_transport_handles_zero_weight_entries():
         [[1.0, 2.0], [3.0, 4.0], [2.0, 0.5]])
     assert result.cost == pytest.approx(expected, abs=1e-9)
     assert result.plan[1].sum() == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def transport_problems(draw):
+    """Small problems with tied costs, equal weights, zero-weight entries
+    and 1 x m / n x 1 shapes all likely."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+
+    def weights(size):
+        if draw(st.booleans()):
+            return np.ones(size)
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=size,
+                                   max_size=size)), dtype=np.float64)
+        if w.sum() == 0:
+            w[draw(st.integers(0, size - 1))] = 1.0
+        return w
+
+    a = weights(n)
+    b = weights(m)
+    if draw(st.booleans()):
+        cells = st.integers(0, 3).map(float)  # many exact ties
+    else:
+        cells = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    C = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)),
+                 dtype=np.float64).reshape(n, m)
+    return a / a.sum(), b / b.sum(), C
+
+
+@settings(max_examples=300, deadline=None)
+@given(transport_problems())
+def test_exact_transport_matches_highs(problem):
+    a, b, C = problem
+    result = solve_transport(TransportProblem(a, b, C), method="exact")
+    expected = linprog_transport_oracle(a.tolist(), b.tolist(), C.tolist())
+    assert result.marginal_error <= 1e-12
+    assert (result.plan >= 0).all()
+    assert abs(result.cost - expected) <= 1e-12 * max(1.0, float(C.max()))
+
+
+def test_least_cost_start_spans_when_rounding_leaves_masses_apart():
+    # 0.3 + 0.2 + 0.1 rounds above the column sums, so the last open
+    # column runs out a hair before the rows do; it must not be closed
+    # while two rows are still open.
+    a = np.array([0.3, 0.2, 0.1])
+    b = np.array([0.19999999999999998, 0.09999999999999999, 0.3])
+    C = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 2.0], [2.0, 1.0, 0.0]])
+    _, basis = _least_cost_start(a, b, C)
+    assert len(basis) == 5
+    result = solve_transport(TransportProblem(a, b, C))
+    expected = linprog_transport_oracle(a.tolist(), b.tolist(), C.tolist())
+    assert result.marginal_error <= 1e-12
+    assert abs(result.cost - expected) <= 1e-12
+
+
+def test_least_cost_start_keeps_wmd_rank_order_and_saves_pivots():
+    from scipy.spatial.distance import cdist
+
+    corpus, _ = generate_corpus(PopulationSpec(
+        n_pairs=300, fraction_random=0.2, seed=13,
+        profiles=(ProfileSpec(ProfileKind.RELIABLE, 6),)))
+    sides = [(tokenize(p.text_a), tokenize(p.text_b)) for p in corpus.pairs]
+    words = sorted({t for pair in sides for side in pair for t in side})
+    table = make_table(words, dim=16, seed=3)
+    new, old, new_pivots, old_pivots = [], [], 0, 0
+    for tokens_a, tokens_b in sides:
+        _, wa, va = nbow_weights(tokens_a, table)
+        _, wb, vb = nbow_weights(tokens_b, table)
+        result = solve_transport(TransportProblem(wa, wb, cdist(va, vb)))
+        new.append(result.cost)
+        new_pivots += result.iterations
+        cost, pivots = northwest_corner_wmd(tokens_a, tokens_b, table)
+        old.append(cost)
+        old_pivots += pivots
+    new, old = np.array(new), np.array(old)
+    assert np.abs(new - old).max() <= 1e-12 * max(1.0, old.max())
+    assert (np.argsort(new, kind="stable")
+            == np.argsort(old, kind="stable")).all()
+    assert new_pivots < old_pivots
 
 
 # ------------------------------------------------------------- sinkhorn
@@ -511,6 +605,13 @@ def test_load_sentence_embeddings_errors(tmp_path):
     with pytest.raises(ValueError, match="duplicate side"):
         load_sentence_embeddings(
             attempt("pair_id,side,vector\np1,a,1 2\np1,a,3 4\n"))
+
+
+def test_load_sentence_embeddings_rejects_non_finite(tmp_path):
+    path = tmp_path / "sent.csv"
+    path.write_text("pair_id,side,vector\np1,a,1 2\np1,b,3 inf\n")
+    with pytest.raises(ValueError, match=r"sent\.csv row 3: non-finite"):
+        load_sentence_embeddings(path)
 
 
 def test_load_gold_tags(tmp_path):

@@ -63,6 +63,14 @@ def test_load_lexicon_bad_valence(tmp_path):
         load_lexicon(p)
 
 
+def test_load_lexicon_non_finite_valence(tmp_path):
+    # a NaN valence used to score every sentence containing the word 1.0
+    p = tmp_path / "lex.csv"
+    p.write_text("word,valence\nshiny,2.0\ndull,nan\n")
+    with pytest.raises(ValueError, match=r"lex\.csv row 3: non-finite valence"):
+        load_lexicon(p)
+
+
 def test_nonpositive_intensifier_rejected():
     with pytest.raises(ValueError, match="positive multiplier"):
         SentimentLexicon(valences={"good": 1.0}, intensifiers={"very": 0.0})
