@@ -131,11 +131,6 @@ def _add_metric_args(p):
                    default="jaccard")
     p.add_argument("--pos-aggregate", choices=["matched", "all_pairs"],
                    default="matched")
-    p.add_argument("--wmd-method", choices=["exact", "sinkhorn"],
-                   default="exact")
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="sinkhorn regularization strength")
-    p.add_argument("--max-iter", type=int, default=10000)
 
 
 def _parse_heuristics(raw: str) -> list[HeuristicId]:
@@ -230,9 +225,6 @@ def _prepare_scoring(corpus, args):
         distance_channels=set(args.precomputed_distance),
         overlap_mode=args.overlap_mode,
         pos_aggregate=args.pos_aggregate,
-        wmd_method=args.wmd_method,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
     )
 
 
@@ -394,8 +386,8 @@ def cmd_style_report(args) -> int:
         exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
     if args.out_format == "json":
         import json as _json
-        doc = {"radical": _json.loads(correlate.render_report_json(radical)),
-               "centrist": _json.loads(correlate.render_report_json(centrist))}
+        doc = {"radical": correlate.report_doc(radical),
+               "centrist": correlate.report_doc(centrist)}
         _write_output(_json.dumps(doc, indent=2) + "\n", args.out)
     else:
         text = _render_report(radical, args.out_format) \

@@ -151,9 +151,6 @@ def compute_metric_scores(corpus: LabeledCorpus,
                           distance_channels: Iterable[str] = (),
                           overlap_mode: str = "jaccard",
                           pos_aggregate: str = "matched",
-                          wmd_method: str = "exact",
-                          epsilon: float = 0.01,
-                          max_iter: int = 10000,
                           oriented: bool = True,
                           ) -> tuple[dict[str, dict[str, float]], dict[str, int]]:
     """Score every pair with the requested metrics.
@@ -197,33 +194,31 @@ def compute_metric_scores(corpus: LabeledCorpus,
         if any(m in metrics for m in ("cosine", "l2", "wmd", "pos_dist")):
             tokens_a = textmetrics.tokenize(pair.text_a)
             tokens_b = textmetrics.tokenize(pair.text_b)
-        if "cosine" in metrics:
+        means = None  # each side's mean token vector, computed once
+        if "cosine" in metrics or ("l2" in metrics and sent_embeddings is None):
             try:
-                va = embmetrics.sentence_vector(tokens_a, table)
-                vb = embmetrics.sentence_vector(tokens_b, table)
-                out["cosine"] = embmetrics.cosine_similarity(va, vb)
+                means = (embmetrics.sentence_vector(tokens_a, table),
+                         embmetrics.sentence_vector(tokens_b, table))
+            except ValueError:
+                pass
+        if "cosine" in metrics and means is not None:
+            try:
+                out["cosine"] = embmetrics.cosine_similarity(*means)
             except ValueError:
                 pass
         if "l2" in metrics:
-            try:
-                if sent_embeddings is not None:
-                    sides = sent_embeddings.get(pair.pair_id, {})
-                    if "a" not in sides or "b" not in sides:
-                        raise ValueError("missing sentence embedding")
-                    va, vb = sides["a"], sides["b"]
-                else:
-                    va = embmetrics.sentence_vector(tokens_a, table)
-                    vb = embmetrics.sentence_vector(tokens_b, table)
-                dist = embmetrics.l2_distance(va, vb)
+            if sent_embeddings is not None:
+                sides = sent_embeddings.get(pair.pair_id, {})
+                vectors = (sides["a"], sides["b"]) \
+                    if "a" in sides and "b" in sides else None
+            else:
+                vectors = means
+            if vectors is not None:
+                dist = embmetrics.l2_distance(*vectors)
                 out["l2"] = -dist if oriented else dist
-            except ValueError:
-                pass
         if "wmd" in metrics:
             try:
-                score = embmetrics.wmd(tokens_a, tokens_b, table,
-                                       method=wmd_method, epsilon=epsilon,
-                                       max_iter=max_iter)
-                out["wmd"] = finish(score)
+                out["wmd"] = finish(embmetrics.wmd(tokens_a, tokens_b, table))
             except ValueError:
                 pass
         if "pos_dist" in metrics:
@@ -556,12 +551,20 @@ def render_report_csv(report: CorrelationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report_json(report: CorrelationReport) -> str:
+def _json_float(value: Optional[float]) -> Optional[float]:
+    """A float cut to 12 significant digits, so that the json report does
+    not move with last-place changes in the arithmetic; None stays None."""
+    return None if value is None else float(f"{value:.12g}")
+
+
+def report_doc(report: CorrelationReport) -> dict:
+    """The report as plain json-ready data, floats at 12 significant digits."""
     def cell_dict(cell: MetricCorrelation) -> dict:
-        return {"pearson": cell.pearson, "spearman": cell.spearman,
+        return {"pearson": _json_float(cell.pearson),
+                "spearman": _json_float(cell.spearman),
                 "n_pairs": cell.n_pairs}
 
-    doc = {
+    return {
         "label": report.label,
         "status": report.status,
         "n_pairs": report.n_pairs,
@@ -577,15 +580,18 @@ def render_report_json(report: CorrelationReport) -> str:
                 "removed_annotators": list(row.removed_annotators),
                 "cells": {
                     name: dict(cell_dict(row.cells[name]),
-                               pearson_pct=row.pct_change[name][0],
-                               spearman_pct=row.pct_change[name][1])
+                               pearson_pct=_json_float(row.pct_change[name][0]),
+                               spearman_pct=_json_float(row.pct_change[name][1]))
                     for name in report.metrics
                 },
             }
             for row in report.subsets
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+def render_report_json(report: CorrelationReport) -> str:
+    return json.dumps(report_doc(report), indent=2, sort_keys=False) + "\n"
 
 
 def render_report_text(report: CorrelationReport) -> str:

@@ -3,13 +3,15 @@
 The transport solver is written here from scratch because it is the
 numerical core of the distance suite: the exact path runs the classic
 transportation simplex (network simplex on the bipartite transport
-graph) from a least-cost start.  A log-domain Sinkhorn iteration is the
-entropic alternative; it is slower than the exact path at every size
-measured (6 to 60 word types per side), so it is not the default.
-Sinkhorn plans are rounded onto the transport polytope before costing,
-so the returned cost is always the cost of a feasible plan and can never
-undercut the exact optimum.  scipy is imported inside the functions that
-use it, so importing the package does not load it.
+graph) from a least-cost start.  Word mover's distance always uses it,
+and so does the one-to-one noun matching of ``pos_distance``, posed as
+a transport problem with unit masses.  A log-domain Sinkhorn iteration
+is the entropic alternative, reachable only through
+``solve_transport(method="sinkhorn")``: it is slower than the exact path
+at every size measured (6 to 60 word types per side).  Sinkhorn plans
+are rounded onto the transport polytope before costing, so the returned
+cost is always the cost of a feasible plan and can never undercut the
+exact optimum.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -105,6 +107,17 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 def l2_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(u) - np.asarray(v)))
+
+
+def _euclidean_costs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every row of ``u`` and every row of ``v``.
+
+    ``cumsum`` adds the squared differences one dimension at a time, left
+    to right, as a plain loop over the dimensions would; ``sum`` and
+    ``einsum`` add pairwise, which can move the last place.
+    """
+    d = u[:, None, :] - v[None, :, :]
+    return np.sqrt(np.cumsum(d * d, axis=-1)[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +350,17 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
     raise RuntimeError("transport simplex exceeded its pivot budget")
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(x)))`` along ``axis``, shifted by the maximum so that
+    nothing overflows."""
+    top = x.max(axis=axis, keepdims=True)
+    total = np.exp(x - top).sum(axis=axis)
+    return np.log(total) + np.squeeze(top, axis=axis)
+
+
 def _sinkhorn_log(a: np.ndarray, b: np.ndarray, C: np.ndarray,
                   epsilon: float, max_iter: int,
                   tol: float) -> tuple[np.ndarray, int, bool]:
-    from scipy.special import logsumexp
-
     pos_a = a > 0
     pos_b = b > 0
     aa = a[pos_a]
@@ -354,8 +373,10 @@ def _sinkhorn_log(a: np.ndarray, b: np.ndarray, C: np.ndarray,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        f = epsilon * (log_a - logsumexp((g[None, :] - CC) / epsilon, axis=1))
-        g = epsilon * (log_b - logsumexp((f[:, None] - CC) / epsilon, axis=0))
+        f = epsilon * (log_a
+                       - _logsumexp((g[None, :] - CC) / epsilon, axis=1))
+        g = epsilon * (log_b
+                       - _logsumexp((f[:, None] - CC) / epsilon, axis=0))
         plan = np.exp((f[:, None] + g[None, :] - CC) / epsilon)
         err = max(
             float(np.abs(plan.sum(axis=1) - aa).max()),
@@ -410,18 +431,14 @@ def nbow_weights(tokens: TokenSeq, table: EmbeddingTable
     return types, weights, matrix
 
 
-def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable,
-        method: str = "exact", epsilon: float = 0.01,
-        max_iter: int = 10000) -> MetricScore:
+def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> MetricScore:
     """Word mover's distance: minimal cost of moving one sentence's
-    normalized bag-of-words onto the other's, with Euclidean ground costs."""
-    from scipy.spatial.distance import cdist
-
+    normalized bag-of-words onto the other's, with Euclidean ground costs,
+    solved exactly."""
     _, wa, va = nbow_weights(a, table)
     _, wb, vb = nbow_weights(b, table)
-    costs = cdist(va, vb)
-    result = solve_transport(TransportProblem(wa, wb, costs),
-                             method=method, epsilon=epsilon, max_iter=max_iter)
+    costs = _euclidean_costs(va, vb)
+    result = solve_transport(TransportProblem(wa, wb, costs))
     return MetricScore("wmd", result.cost, orientation="distance")
 
 
@@ -479,23 +496,42 @@ def pos_distance(a: TokenSeq, b: TokenSeq,
     averages the full cross-product instead.  Returns None when either
     side has no embeddable noun, so callers can drop the pair.
     """
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
     nouns_a = [t for t in noun_tagger(a) if t in table.vectors]
     nouns_b = [t for t in noun_tagger(b) if t in table.vectors]
     if not nouns_a or not nouns_b:
         return None
-    dists = cdist(np.stack([table.vectors[t] for t in nouns_a]),
-                  np.stack([table.vectors[t] for t in nouns_b]))
+    dists = _euclidean_costs(np.stack([table.vectors[t] for t in nouns_a]),
+                             np.stack([table.vectors[t] for t in nouns_b]))
     if aggregate == "matched":
-        rows, cols = linear_sum_assignment(dists)
+        rows, cols = _min_cost_matching(dists)
         value = float(dists[rows, cols].mean())
     elif aggregate == "all_pairs":
         value = float(dists.mean())
     else:
         raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
     return MetricScore("pos_dist", value, orientation="distance")
+
+
+def _min_cost_matching(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost one-to-one matching of min(n, m) rows and columns.
+
+    Posed as a transport problem with unit masses, the smaller side
+    padded by one zero-cost dummy node that holds the surplus.  With
+    integer masses every basic plan is 0/1, so the simplex optimum is an
+    exact matching.  Returns the matched cells in row order.
+    """
+    n, m = dists.shape
+    a = np.ones(n)
+    b = np.ones(m)
+    costs = dists
+    if n < m:
+        a = np.append(a, m - n)
+        costs = np.vstack([dists, np.zeros((1, m))])
+    elif n > m:
+        b = np.append(b, n - m)
+        costs = np.hstack([dists, np.zeros((n, 1))])
+    plan, _ = _transport_simplex(a, b, costs)
+    return np.nonzero(plan[:n, :m] > 0.5)
 
 
 def orient(score: MetricScore) -> float:

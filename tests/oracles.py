@@ -256,6 +256,67 @@ def linprog_transport_oracle(a, b, cost_rows):
     return result.fun
 
 
+def residual_min_mean_cycle(plan, cost_rows):
+    """Optimality certificate for a feasible transport plan.
+
+    The residual graph has a node per row (0..n-1) and per column
+    (n..n+m-1), an edge ``i -> n+j`` of cost ``C[i][j]`` for every cell
+    (its flow can grow), and an edge ``n+j -> i`` of cost ``-C[i][j]``
+    wherever ``plan[i][j] > 0`` (its flow can shrink).  The plan is
+    optimal exactly when no cycle of this graph has negative cost, and
+    within ``eps`` of optimal, in the sense of every reduced cost being
+    at least ``-eps``, exactly when no cycle has a mean cost per edge
+    below ``-eps``.  Returns the minimum mean cycle cost by Karp's
+    algorithm (``math.inf`` if the graph has no cycle).  Karp's table
+    holds shortest walks of at most n + m edges, so unlike Floyd-Warshall
+    it does not compound a slightly negative cycle into a large one.
+    """
+    n, m = len(cost_rows), len(cost_rows[0])
+    size = n + m
+    edges = []
+    for i in range(n):
+        for j in range(m):
+            c = float(cost_rows[i][j])
+            edges.append((i, n + j, c))
+            if plan[i][j] > 0:
+                edges.append((n + j, i, -c))
+    # walks[k][v]: cheapest walk of exactly k edges ending at v, from any start
+    walks = [[0.0] * size]
+    for _ in range(size):
+        prev = walks[-1]
+        cur = [math.inf] * size
+        for x, y, c in edges:
+            if prev[x] + c < cur[y]:
+                cur[y] = prev[x] + c
+        walks.append(cur)
+    best = math.inf
+    for v in range(size):
+        if walks[size][v] == math.inf:
+            continue
+        best = min(best, max((walks[size][v] - walks[k][v]) / (size - k)
+                             for k in range(size)
+                             if walks[k][v] < math.inf))
+    return best
+
+
+def matching_min_mean_cycle(dists, rows, cols):
+    """``residual_min_mean_cycle`` of a one-to-one matching, posed as the
+    unit-mass transport problem whose smaller side is padded by one
+    zero-cost dummy node that takes every unmatched node."""
+    import numpy as np
+
+    n, m = dists.shape
+    costs = np.zeros((n + (n < m), m + (m < n)))
+    costs[:n, :m] = dists
+    plan = np.zeros_like(costs)
+    plan[rows, cols] = 1.0
+    if n < m:
+        plan[n, sorted(set(range(m)) - set(cols.tolist()))] = 1.0
+    elif n > m:
+        plan[sorted(set(range(n)) - set(rows.tolist())), m] = 1.0
+    return residual_min_mean_cycle(plan, costs)
+
+
 # ---------------------------------------------------------------------------
 # correlation reports
 

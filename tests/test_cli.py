@@ -95,28 +95,82 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
-def test_import_loads_no_scipy():
+def _child_env():
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import labelsim
 
     # the child imports the same package this process is testing
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(labelsim.__file__).resolve().parents[1]))
+    return dict(os.environ,
+                PYTHONPATH=str(Path(labelsim.__file__).resolve().parents[1]))
+
+
+def test_import_loads_no_scipy():
+    import subprocess
+    import sys
+
     code = ("import sys, labelsim, labelsim.cli; "
             "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=_child_env(), capture_output=True,
+                         text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_full_report_loads_no_scipy(tmp_path):
+    """All 12 native metrics, WMD and the noun matching included, on numpy
+    alone."""
+    import subprocess
+    import sys
+
+    nouns = ["cat", "dog", "house", "tree", "car", "moon", "river", "bird"]
+    rng = np.random.default_rng(3)
+    pairs_lines = ["pair_id,source,is_random,text_a,text_b"]
+    ann_lines = ["pair_id,annotator_id,label,duration_seconds"]
+    for i in range(12):
+        a = " ".join(rng.choice(nouns, size=4))
+        b = " ".join(rng.choice(nouns, size=3))
+        pairs_lines.append(f"p{i},s1,0,the {a},a {b}")
+        for ann in ("x", "y", "z"):
+            ann_lines.append(f"p{i},{ann},{rng.integers(1, 6)},30")
+    (tmp_path / "pairs.csv").write_text("\n".join(pairs_lines) + "\n")
+    (tmp_path / "ann.csv").write_text("\n".join(ann_lines) + "\n")
+    (tmp_path / "vec.txt").write_text("".join(
+        w + " " + " ".join(f"{x:.6f}" for x in rng.normal(size=4)) + "\n"
+        for w in nouns + ["the", "a"]))
+    argv = ["report", "--pairs", str(tmp_path / "pairs.csv"),
+            "--annotations", str(tmp_path / "ann.csv"), "--metrics", "all",
+            "--embeddings", str(tmp_path / "vec.txt"), "--heuristics", "all",
+            "--out-format", "csv", "--out", str(tmp_path / "report.csv")]
+    code = ("import sys; from labelsim.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, sorted(k for k in sys.modules if k.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"
+    assert "warning" not in done.stderr
+    rows = (tmp_path / "report.csv").read_text().splitlines()
+    baseline = {r.split(",")[2]: r for r in rows if ",baseline," in r}
+    for name in ("cosine", "l2", "wmd", "pos_dist"):
+        assert baseline[name].split(",")[8] == "0"  # no pair dropped
 
 
 def test_seed_and_jobs_are_not_report_options(tmp_path):
     pairs, annotations = write_corpus(tmp_path)
     base = ["report", "--pairs", pairs, "--annotations", annotations]
     for extra in (["--seed", "1"], ["--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+
+
+def test_sinkhorn_knobs_are_not_report_options(tmp_path):
+    pairs, annotations = write_corpus(tmp_path)
+    base = ["report", "--pairs", pairs, "--annotations", annotations]
+    for extra in (["--wmd-method", "sinkhorn"], ["--epsilon", "0.1"],
+                  ["--max-iter", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2

@@ -24,15 +24,17 @@ from labelsim.correlate import (
     render_report_csv,
     render_report_json,
     render_report_text,
+    report_doc,
     spearman,
     style_split_report,
 )
-from labelsim.embmetrics import EmbeddingTable
+from labelsim.embmetrics import EmbeddingTable, cosine_similarity, l2_distance
 from labelsim.heuristics import (HeuristicId, compute_flag_reports,
                                  heuristic_subsets)
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
-from labelsim.textmetrics import lexical_metric_names, score_pair_lexical
+from labelsim.textmetrics import (lexical_metric_names, score_pair_lexical,
+                                  tokenize)
 
 from conftest import make_corpus
 from oracles import (correlation_report_oracle, loop_ranks, pearson_oracle,
@@ -257,6 +259,26 @@ def test_compute_metric_scores_orientation():
     assert raw["wmd"]["p1"] == pytest.approx(0.0, abs=1e-12)
     assert raw["l2"]["p1"] == pytest.approx(0.0, abs=1e-12)
     assert raw["cosine"]["p1"] == pytest.approx(1.0)
+
+
+def test_compute_metric_scores_mean_vectors_once_per_pair(monkeypatch):
+    corpus = scoring_corpus()
+    table = scoring_table()
+    calls = []
+    original = correlate.embmetrics.sentence_vector
+
+    def counting(tokens, tab):
+        calls.append(tuple(tokens))
+        return original(tokens, tab)
+
+    monkeypatch.setattr(correlate.embmetrics, "sentence_vector", counting)
+    scores, _ = compute_metric_scores(corpus, ["cosine", "l2"], table=table)
+    assert len(calls) == 2 * len(corpus.pairs)
+    for pair in corpus.pairs:
+        va = original(tokenize(pair.text_a), table)
+        vb = original(tokenize(pair.text_b), table)
+        assert scores["cosine"][pair.pair_id] == cosine_similarity(va, vb)
+        assert scores["l2"][pair.pair_id] == -l2_distance(va, vb)
 
 
 def test_compute_metric_scores_drops_oov_pairs():
@@ -549,7 +571,29 @@ def test_render_report_json_round_trip():
     cell = doc["subsets"][1]["cells"]["m"]
     assert set(cell) == {"pearson", "spearman", "n_pairs",
                          "pearson_pct", "spearman_pct"}
-    assert doc["baseline"]["m"]["pearson"] == report.baseline["m"].pearson
+    # every float is written to 12 significant digits
+    assert doc["baseline"]["m"]["pearson"] == \
+        float(f"{report.baseline['m'].pearson:.12g}")
+    assert cell["pearson_pct"] == \
+        float(f"{report.subsets[1].pct_change['m'][0]:.12g}")
+    assert doc == report_doc(report)
+
+
+def test_report_doc_rounds_floats_and_keeps_undefined_cells():
+    cell = correlate.MetricCorrelation(1 / 3, None, 3)
+    report = CorrelationReport(
+        label="x", status="ok", metrics=("m",), baseline={"m": cell},
+        subsets=(correlate.SubsetResult(
+            subset=(HeuristicId.SLOW,), removed_annotators=("a",),
+            cells={"m": cell}, pct_change={"m": (-2 / 3, None)}),),
+        dropped={}, unavailable={}, n_pairs=3)
+    doc = report_doc(report)
+    assert doc["baseline"]["m"] == {"pearson": 0.333333333333,
+                                    "spearman": None, "n_pairs": 3}
+    sub = doc["subsets"][0]["cells"]["m"]
+    assert sub["pearson_pct"] == -0.666666666667
+    assert sub["spearman_pct"] is None
+    assert '"pearson": 0.333333333333,' in render_report_json(report)
 
 
 def test_render_report_text():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from labelsim.embmetrics import (
     MARGINAL_TOL,
@@ -25,7 +25,10 @@ from labelsim.embmetrics import (
     sentence_vector,
     solve_transport,
     wmd,
+    _euclidean_costs,
     _least_cost_start,
+    _logsumexp,
+    _min_cost_matching,
 )
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
@@ -34,9 +37,15 @@ from labelsim.textmetrics import MetricScore, tokenize
 from oracles import (
     assignment_oracle,
     linprog_transport_oracle,
+    matching_min_mean_cycle,
     northwest_corner_wmd,
+    residual_min_mean_cycle,
     uniform_transport_oracle,
 )
+
+# The simplex stops once no reduced cost is below -1e-11 * scale, so no
+# residual cycle of its plan has a lower mean cost; the rest is rounding.
+SOLVER_TOL = 1.01e-11
 
 
 def make_table(words, dim=4, seed=7):
@@ -309,13 +318,29 @@ def transport_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(transport_problems())
+# HiGHS answers 7.04e-12 here, within its own tolerances; 0.0 is optimal.
+@example((np.array([0.5, 0.5]), np.array([0.0, 0.5, 0.5]),
+          np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.408e-11]])))
 def test_exact_transport_matches_highs(problem):
     a, b, C = problem
     result = solve_transport(TransportProblem(a, b, C), method="exact")
-    expected = linprog_transport_oracle(a.tolist(), b.tolist(), C.tolist())
+    scale = max(1.0, float(C.max()))
     assert result.marginal_error <= 1e-12
     assert (result.plan >= 0).all()
-    assert abs(result.cost - expected) <= 1e-12 * max(1.0, float(C.max()))
+    assert residual_min_mean_cycle(result.plan, C) >= -SOLVER_TOL * scale
+    # One-sided: an LP solver may stop above the optimum within its own
+    # tolerances.  The simplex may stop above it by at most its stopping
+    # tolerance times the unit mass.
+    expected = linprog_transport_oracle(a.tolist(), b.tolist(), C.tolist())
+    assert result.cost <= expected + SOLVER_TOL * scale
+
+
+def test_residual_certificate_rejects_a_suboptimal_plan():
+    C = np.array([[1.0, 5.0], [5.0, 1.0]])
+    crossed = np.array([[0.0, 0.5], [0.5, 0.0]])
+    # row 0 -> col 0 -> row 1 -> col 1 -> row 0 costs 1 - 5 + 1 - 5
+    assert residual_min_mean_cycle(crossed, C) == -2.0
+    assert residual_min_mean_cycle(np.eye(2) * 0.5, C) == 0.0
 
 
 def test_least_cost_start_spans_when_rounding_leaves_masses_apart():
@@ -421,7 +446,36 @@ def test_sinkhorn_reports_nonconvergence():
     assert result.marginal_error <= MARGINAL_TOL
 
 
+def test_logsumexp_matches_scipy_and_does_not_overflow():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(4)
+    x = rng.normal(scale=300.0, size=(5, 7))
+    for axis in (0, 1):
+        got = _logsumexp(x, axis=axis)
+        assert got.shape == logsumexp(x, axis=axis).shape
+        assert np.allclose(got, logsumexp(x, axis=axis), rtol=1e-14, atol=0)
+    big = np.array([[1000.0, 1000.0], [-1000.0, -np.inf]])
+    assert _logsumexp(big, axis=1) == pytest.approx(
+        [1000.0 + math.log(2.0), -1000.0])
+
+
 # ------------------------------------------------------------------ wmd
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 300),
+       st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_euclidean_costs_equal_cdist(n, m, dim, seed, scale):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(seed)
+    u = rng.normal(scale=scale, size=(n, dim))
+    v = rng.normal(scale=scale, size=(m, dim))
+    v[: min(n, m) // 2] = u[: min(n, m) // 2]  # some zero distances
+    got = _euclidean_costs(u, v)
+    assert got.shape == (n, m)
+    assert (got == cdist(u, v)).all()
 
 
 WMD_TABLE = make_table(
@@ -539,6 +593,61 @@ def test_pos_distance_matched_matches_assignment_oracle():
                   for y in nouns_b] for x in nouns_a]
         assert got.value == pytest.approx(assignment_oracle(costs) / n_a,
                                           abs=1e-9)
+
+
+def assert_matching_like_scipy(dists):
+    from scipy.optimize import linear_sum_assignment
+
+    n, m = dists.shape
+    rows, cols = _min_cost_matching(dists)
+    assert len(rows) == min(n, m)
+    assert (np.diff(rows) > 0).all()  # row order, each row at most once
+    assert len(set(cols.tolist())) == len(cols)
+    ref_rows, ref_cols = linear_sum_assignment(dists)
+    scale = max(1.0, float(dists.max()))
+    assert abs(dists[rows, cols].sum() - dists[ref_rows, ref_cols].sum()) \
+        <= 1e-12 * scale
+    got, ref = dists[rows, cols].mean(), dists[ref_rows, ref_cols].mean()
+    assert abs(got - ref) <= 4 * np.spacing(max(abs(got), abs(ref)))
+    assert matching_min_mean_cycle(dists, rows, cols) >= -SOLVER_TOL * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_min_cost_matching_matches_linear_sum_assignment(n, m, seed, repeat):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n, 5))
+    v = rng.normal(size=(m, 5))
+    if repeat and n > 1:
+        u[-1] = u[0]  # a repeated noun: several matchings tie
+    assert_matching_like_scipy(_euclidean_costs(u, v))
+
+
+def test_min_cost_matching_shapes():
+    rng = np.random.default_rng(11)
+    for n, m in [(1, 1), (1, 5), (5, 1), (3, 3), (2, 6), (6, 2), (4, 7)]:
+        dists = _euclidean_costs(rng.normal(size=(n, 3)),
+                                 rng.normal(size=(m, 3)))
+        assert_matching_like_scipy(dists)
+    # all costs tied: any full matching is optimal
+    assert_matching_like_scipy(np.ones((3, 4)))
+    assert_matching_like_scipy(np.zeros((4, 2)))
+
+
+def test_pos_distance_repeated_noun_matches_assignment():
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    tagger = lexicon_noun_tagger(frozenset(WMD_TABLE.vectors))
+    a = ["cat", "dog", "cat", "tree"]
+    b = ["dog", "cat", "moon"]
+    got = pos_distance(a, b, tagger, WMD_TABLE).value
+    dists = cdist(np.stack([WMD_TABLE.vectors[t] for t in a]),
+                  np.stack([WMD_TABLE.vectors[t] for t in b]))
+    rows, cols = linear_sum_assignment(dists)
+    ref = dists[rows, cols].mean()
+    assert abs(got - ref) <= 4 * np.spacing(ref)
 
 
 def test_pos_distance_all_pairs_mean():
