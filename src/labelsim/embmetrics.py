@@ -16,7 +16,7 @@ exact optimum.  The module needs numpy only.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -27,6 +27,9 @@ import numpy as np
 from .textmetrics import MetricScore, TokenSeq, light_stem
 
 MARGINAL_TOL = 1e-9
+# Degenerate pivots in a row, per node of the transport graph, after which
+# the simplex picks entering cells by Bland's rule.
+STALL_PIVOTS_PER_NODE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +225,8 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, C: np.ndarray
     n, m = C.shape
     flow = np.zeros((n, m))
     basis: list[tuple[int, int]] = []
-    rem_a = a.copy()
-    rem_b = b.copy()
+    rem_a = a.tolist()
+    rem_b = b.tolist()
     row_open = [True] * n
     col_open = [True] * m
     rows_left, cols_left = n, m
@@ -252,93 +255,131 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
     """Pivot a basic feasible plan to optimality; returns it and the pivots.
 
     The basis is always a spanning tree of the bipartite transport graph
-    (rows 0..n-1, columns n..n+m-1).  Entering cells are picked by most
-    negative reduced cost; after a long degenerate stall the rule drops
-    to Bland's smallest-index selection, which cannot cycle.
+    (rows 0..n-1, columns n..n+m-1), kept between pivots as parent and
+    depth arrays rooted at row 0.  The dual potentials follow the tree
+    down from ``u[0] = 0``: ``v[j] = C[i][j] - u[i]`` below a row,
+    ``u[i] = C[i][j] - v[j]`` below a column.  So each potential is an
+    alternating sum along the node's unique path from the root, computed
+    in the same order whatever walk reaches it, and a pivot, which
+    changes the path of no node outside the subtree it cuts off and hangs
+    back by the entering cell, needs new potentials for that subtree
+    only.  The entering cell's cycle is its two ends' paths up to their
+    common ancestor.  Entering cells are picked by most negative reduced
+    cost; after ``STALL_PIVOTS_PER_NODE * (n + m)`` degenerate pivots in a
+    row the rule drops to Bland's smallest-index selection, which cannot
+    cycle.
     """
     n, m = C.shape
     scale = max(1.0, float(C.max()))
     opt_tol = 1e-11 * scale
 
     max_pivots = 1000 + 40 * (n + m) * (n + m)
-    stall_limit = 4 * (n + m)
+    stall_limit = STALL_PIVOTS_PER_NODE * (n + m)
     stalled = 0
     use_bland = False
 
-    for pivot_count in range(max_pivots):
-        adj: list[list[int]] = [[] for _ in range(n + m)]
-        for (bi, bj) in basis:
-            adj[bi].append(n + bj)
-            adj[n + bj].append(bi)
+    cost = C.tolist()
+    plan = flow.tolist()
+    in_basis = np.zeros((n, m), dtype=bool)
+    adj: list[list[int]] = [[] for _ in range(n + m)]
+    for (bi, bj) in basis:
+        in_basis[bi, bj] = True
+        adj[bi].append(n + bj)
+        adj[n + bj].append(bi)
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    u = [0.0] * n
+    v = [0.0] * m
 
-        u = np.zeros(n)
-        v = np.zeros(m)
-        seen = [False] * (n + m)
-        seen[0] = True
-        stack = [0]
+    def hang(top: int) -> None:
+        # Potentials, parents and depths of everything below ``top``.
+        stack = [top]
         while stack:
             node = stack.pop()
             for nxt in adj[node]:
-                if seen[nxt]:
+                if nxt == parent[node]:
                     continue
-                seen[nxt] = True
+                parent[nxt] = node
+                depth[nxt] = depth[node] + 1
                 if node < n:
-                    v[nxt - n] = C[node, nxt - n] - u[node]
+                    v[nxt - n] = cost[node][nxt - n] - u[node]
                 else:
-                    u[nxt] = C[nxt, node - n] - v[node - n]
+                    u[nxt] = cost[nxt][node - n] - v[node - n]
                 stack.append(nxt)
 
-        reduced = C - u[:, None] - v[None, :]
-        for (bi, bj) in basis:
-            reduced[bi, bj] = np.inf
+    hang(0)
+    for pivot_count in range(max_pivots):
+        reduced = C - np.array(u)[:, None] - np.array(v)[None, :]
+        reduced[in_basis] = np.inf
 
         if use_bland:
             candidates = np.argwhere(reduced < -opt_tol)
             if candidates.size == 0:
-                return flow, pivot_count
+                return np.array(plan), pivot_count
             enter_i, enter_j = (int(candidates[0][0]), int(candidates[0][1]))
         else:
             flat = int(np.argmin(reduced))
             enter_i, enter_j = divmod(flat, m)
             if reduced[enter_i, enter_j] >= -opt_tol:
-                return flow, pivot_count
+                return np.array(plan), pivot_count
 
-        # Unique tree path from the entering row node to the entering
-        # column node; together with the entering edge it forms the cycle.
-        parent: dict[int, int] = {enter_i: -1}
-        queue = deque([enter_i])
-        target = n + enter_j
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                break
-            for nxt in adj[node]:
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        path = [target]
-        while path[-1] != enter_i:
-            path.append(parent[path[-1]])
+        # The tree path from the entering column node to the entering row
+        # node, through their common ancestor; each node on it stands for
+        # the tree edge to its parent.  With the entering edge it forms
+        # the cycle, whose signs alternate from + on the entering cell.
+        row_side: list[int] = []
+        col_side: list[int] = []
+        x, y = enter_i, n + enter_j
+        while depth[x] > depth[y]:
+            row_side.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            col_side.append(y)
+            y = parent[y]
+        while x != y:
+            row_side.append(x)
+            x = parent[x]
+            col_side.append(y)
+            y = parent[y]
+        path = col_side + row_side[::-1]
 
         cycle = [(enter_i, enter_j, 1)]
         sign = -1
-        for x, y in zip(path, path[1:]):
-            if x >= n:
-                cycle.append((y, x - n, sign))
+        for node in path:
+            if node >= n:
+                cycle.append((parent[node], node - n, sign))
             else:
-                cycle.append((x, y - n, sign))
+                cycle.append((node, parent[node] - n, sign))
             sign = -sign
 
         minus_cells = [(ci, cj) for ci, cj, s in cycle if s < 0]
-        theta = min(flow[ci, cj] for ci, cj in minus_cells)
+        theta = min(plan[ci][cj] for ci, cj in minus_cells)
         leaving = min((ci, cj) for ci, cj in minus_cells
-                      if flow[ci, cj] <= theta)
+                      if plan[ci][cj] <= theta)
 
         for ci, cj, s in cycle:
-            flow[ci, cj] += s * theta
-        basis.remove(leaving)
-        basis.append((enter_i, enter_j))
-        flow[leaving] = 0.0
+            plan[ci][cj] += s * theta
+        leave_i, leave_j = leaving
+        plan[leave_i][leave_j] = 0.0
+
+        # Swap the leaving edge for the entering one.  The subtree below
+        # the leaving edge holds exactly one end of the entering edge; it
+        # hangs from the other end now.
+        in_basis[leave_i, leave_j] = False
+        in_basis[enter_i, enter_j] = True
+        adj[leave_i].remove(n + leave_j)
+        adj[n + leave_j].remove(leave_i)
+        adj[enter_i].append(n + enter_j)
+        adj[n + enter_j].append(enter_i)
+        if cycle.index((leave_i, leave_j, -1)) <= len(col_side):
+            top, above = n + enter_j, enter_i
+            v[enter_j] = cost[enter_i][enter_j] - u[enter_i]
+        else:
+            top, above = enter_i, n + enter_j
+            u[enter_i] = cost[enter_i][enter_j] - v[enter_j]
+        parent[top] = above
+        depth[top] = depth[above] + 1
+        hang(top)
 
         if theta <= 1e-15 * scale:
             stalled += 1

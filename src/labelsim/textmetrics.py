@@ -17,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 TokenSeq = Sequence[str]
 
 _TOKEN_RE = re.compile(r"[\w']+", re.UNICODE)
@@ -113,46 +115,111 @@ def _char_stream(text: str) -> str:
     return re.sub(r"\s+", "", text.lower())
 
 
-def _char_ngrams(stream: str, n: int) -> Counter:
-    return Counter(stream[i:i + n] for i in range(len(stream) - n + 1))
-
-
-def _f_beta(p: float, r: float, beta: float) -> float:
-    denom = beta * beta * p + r
-    if denom == 0.0:
-        return 0.0
-    return (1 + beta * beta) * p * r / denom
-
-
 def chrf(text_a: str, text_b: str, max_n: int = 6, beta: float = 2.0) -> MetricScore:
-    """Character n-gram F-score over orders 1..max_n.
+    """Character n-gram F-score over orders 1..max_n; see :func:`chrf_block`,
+    of which this is the one-pair call."""
+    return chrf_block([text_a], [text_b], max_n=max_n, beta=beta)[0]
 
-    Precision and recall are averaged across the orders where either
-    side has n-grams, then combined with F_beta (beta favors recall).
-    Neither text plays a privileged reference role: the score is the
-    mean of the two directional F_beta values, so chrf(a, b) == chrf(b, a).
+
+def chrf_block(texts_a: Sequence[str], texts_b: Sequence[str],
+               max_n: int = 6, beta: float = 2.0) -> list[MetricScore]:
+    """chrF of every pair ``(texts_a[k], texts_b[k])``, in one pass.
+
+    Per pair: precision and recall are averaged across the orders where
+    either side has n-grams, then combined with F_beta (beta favors
+    recall).  Neither text plays a privileged reference role: the score
+    is the mean of the two directional F_beta values, so
+    chrf(a, b) == chrf(b, a).
+
+    The n-grams of all texts get dense ids order by order: order 1 by
+    code point, order n by the pair (order n-1 id, last character id).
+    Clipped matches are the smaller count of each (pair, n-gram) seen on
+    both sides.  Counts are integers; the float steps run per order, in
+    the order a loop over one pair would take, so every value is the
+    one-pair value.  Memory grows with the total length of the texts, so
+    callers with many pairs pass them in blocks.
     """
-    stream_a = _char_stream(text_a)
-    stream_b = _char_stream(text_b)
-    if not stream_a or not stream_b:
+    if len(texts_a) != len(texts_b):
+        raise ValueError("chrf_block needs as many texts on each side")
+    if max_n < 1:
+        raise ValueError("chrf max_n must be >= 1")
+    streams = [_char_stream(t) for t in texts_a] + \
+        [_char_stream(t) for t in texts_b]
+    if not all(streams):
         raise ValueError("cannot score empty text with chrf")
-    precisions = []
-    recalls = []
+    n_pairs = len(texts_a)
+    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    codes = np.frombuffer("".join(streams).encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32).astype(np.int64)
+    text = np.repeat(np.arange(2 * n_pairs), lengths)
+    ends = np.cumsum(lengths)
+    room = ends[text] - np.arange(codes.size)  # characters left in the text
+    pair = text % n_pairs
+    side = text // n_pairs  # 0 for texts_a, 1 for texts_b
+
+    char_id, n_chars = _dense_ids(codes)
+    gram_id, n_grams = char_id, n_chars
+    sum_p = np.zeros(n_pairs)
+    sum_r = np.zeros(n_pairs)
+    orders = np.zeros(n_pairs, dtype=np.int64)
+    len_a, len_b = lengths[:n_pairs], lengths[n_pairs:]
     for n in range(1, max_n + 1):
-        grams_a = _char_ngrams(stream_a, n)
-        grams_b = _char_ngrams(stream_b, n)
-        total_a = sum(grams_a.values())
-        total_b = sum(grams_b.values())
-        if total_a == 0 and total_b == 0:
-            continue
-        matches = sum(min(c, grams_a[g]) for g, c in grams_b.items())
-        precisions.append(matches / total_b if total_b else 0.0)
-        recalls.append(matches / total_a if total_a else 0.0)
-    chr_p = sum(precisions) / len(precisions)
-    chr_r = sum(recalls) / len(recalls)
-    value = (_f_beta(chr_p, chr_r, beta) + _f_beta(chr_r, chr_p, beta)) / 2.0
-    return MetricScore("chrf", value,
-                       extras={"precision": chr_p, "recall": chr_r})
+        if n > 1:
+            gram_id, n_grams = _dense_ids(
+                gram_id[:-1] * n_chars + char_id[n - 1:])
+        whole = np.flatnonzero(room[:gram_id.size] >= n)
+        # side in the lowest bit: a pair's n-gram on side a sorts just
+        # before the same n-gram on side b
+        keys, counts = _key_counts(
+            (pair[whole] * n_grams + gram_id[whole]) * 2 + side[whole])
+        both = np.flatnonzero(keys[1:] - keys[:-1] == 1)
+        both = both[keys[both] % 2 == 0]
+        matches = np.bincount(keys[both] // (2 * n_grams),
+                              np.minimum(counts[both], counts[both + 1]),
+                              minlength=n_pairs)
+        total_a = np.maximum(len_a - n + 1, 0)
+        total_b = np.maximum(len_b - n + 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sum_p += np.where(total_b > 0, matches / total_b, 0.0)
+            sum_r += np.where(total_a > 0, matches / total_a, 0.0)
+        orders += (total_a > 0) | (total_b > 0)
+    chr_p = sum_p / orders
+    chr_r = sum_r / orders
+    values = (_f_beta(chr_p, chr_r, beta) + _f_beta(chr_r, chr_p, beta)) / 2.0
+    return [MetricScore("chrf", value, extras={"precision": p, "recall": r})
+            for value, p, r in zip(values.tolist(), chr_p.tolist(),
+                                   chr_r.tolist())]
+
+
+def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's index among the sorted distinct keys, and their number."""
+    order = np.argsort(keys)
+    first = _run_starts(keys[order])
+    ids = np.empty(keys.size, dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, int(first.sum())
+
+
+def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys and how often each occurs."""
+    ordered = np.sort(keys)
+    starts = np.flatnonzero(_run_starts(ordered))
+    return ordered[starts], np.diff(np.append(starts, keys.size))
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal sorted keys begins."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _f_beta(p: np.ndarray, r: np.ndarray, beta: float) -> np.ndarray:
+    denom = beta * beta * p + r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, 0.0,
+                        (1 + beta * beta) * p * r / denom)
 
 
 def rouge_n(a: TokenSeq, b: TokenSeq, n: int) -> MetricScore:
@@ -289,20 +356,27 @@ def lexical_metric_names() -> list[str]:
             "rouge1", "rouge2", "rougeL", "meteor"]
 
 
-def score_pair_lexical(text_a: str, text_b: str,
-                       overlap_mode: str = "jaccard") -> dict[str, MetricScore]:
-    """All lexical metrics for one sentence pair, keyed by metric name."""
-    tokens_a = tokenize(text_a)
-    tokens_b = tokenize(text_b)
-    scores = {
+def token_lexical_scores(tokens_a: TokenSeq, tokens_b: TokenSeq,
+                         overlap_mode: str = "jaccard"
+                         ) -> dict[str, MetricScore]:
+    """The lexical metrics that work on word tokens (all but chrF), for
+    one tokenized pair, keyed by metric name."""
+    return {
         "word_overlap": word_overlap(tokens_a, tokens_b, mode=overlap_mode),
         "bleu1": MetricScore("bleu1", bleu(tokens_b, tokens_a, max_n=1,
                                            smoothing="none").value),
         "bleu": bleu(tokens_b, tokens_a, max_n=4, smoothing="add_one"),
-        "chrf": chrf(text_a, text_b),
         "rouge1": rouge_n(tokens_a, tokens_b, 1),
         "rouge2": rouge_n(tokens_a, tokens_b, 2),
         "rougeL": rouge_l(tokens_a, tokens_b),
         "meteor": meteor_lite(tokens_a, tokens_b),
     }
-    return scores
+
+
+def score_pair_lexical(text_a: str, text_b: str,
+                       overlap_mode: str = "jaccard") -> dict[str, MetricScore]:
+    """All lexical metrics for one sentence pair, keyed by metric name."""
+    scores = token_lexical_scores(tokenize(text_a), tokenize(text_b),
+                                  overlap_mode=overlap_mode)
+    scores["chrf"] = chrf(text_a, text_b)
+    return {name: scores[name] for name in lexical_metric_names()}

@@ -440,3 +440,111 @@ def northwest_corner_wmd(tokens_a, tokens_b, table):
     C = cdist(va, vb)
     flow, pivots = _simplex_pivots(C, *northwest_corner_start(wa, wb, C))
     return float((flow * C).sum()), pivots
+
+
+# ---------------------------------------------------------------------------
+# the transport simplex that rebuilds its tree on every pivot
+
+
+def rebuild_tree_pivots(C, flow, basis):
+    """The pivot loop as it was before the spanning tree was kept between
+    pivots: every pivot rebuilds the adjacency lists, walks the whole tree
+    for the potentials and finds the cycle by a breadth-first search.
+    Same signature and result as ``embmetrics._simplex_pivots``; it reads
+    ``STALL_PIVOTS_PER_NODE`` from that module at call time."""
+    from collections import deque
+
+    import numpy as np
+
+    from labelsim import embmetrics
+
+    n, m = C.shape
+    scale = max(1.0, float(C.max()))
+    opt_tol = 1e-11 * scale
+
+    max_pivots = 1000 + 40 * (n + m) * (n + m)
+    stall_limit = embmetrics.STALL_PIVOTS_PER_NODE * (n + m)
+    stalled = 0
+    use_bland = False
+
+    for pivot_count in range(max_pivots):
+        adj = [[] for _ in range(n + m)]
+        for (bi, bj) in basis:
+            adj[bi].append(n + bj)
+            adj[n + bj].append(bi)
+
+        u = np.zeros(n)
+        v = np.zeros(m)
+        seen = [False] * (n + m)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if seen[nxt]:
+                    continue
+                seen[nxt] = True
+                if node < n:
+                    v[nxt - n] = C[node, nxt - n] - u[node]
+                else:
+                    u[nxt] = C[nxt, node - n] - v[node - n]
+                stack.append(nxt)
+
+        reduced = C - u[:, None] - v[None, :]
+        for (bi, bj) in basis:
+            reduced[bi, bj] = np.inf
+
+        if use_bland:
+            candidates = np.argwhere(reduced < -opt_tol)
+            if candidates.size == 0:
+                return flow, pivot_count
+            enter_i, enter_j = (int(candidates[0][0]), int(candidates[0][1]))
+        else:
+            flat = int(np.argmin(reduced))
+            enter_i, enter_j = divmod(flat, m)
+            if reduced[enter_i, enter_j] >= -opt_tol:
+                return flow, pivot_count
+
+        parent = {enter_i: -1}
+        queue = deque([enter_i])
+        target = n + enter_j
+        while queue:
+            node = queue.popleft()
+            if node == target:
+                break
+            for nxt in adj[node]:
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        path = [target]
+        while path[-1] != enter_i:
+            path.append(parent[path[-1]])
+
+        cycle = [(enter_i, enter_j, 1)]
+        sign = -1
+        for x, y in zip(path, path[1:]):
+            if x >= n:
+                cycle.append((y, x - n, sign))
+            else:
+                cycle.append((x, y - n, sign))
+            sign = -sign
+
+        minus_cells = [(ci, cj) for ci, cj, s in cycle if s < 0]
+        theta = min(flow[ci, cj] for ci, cj in minus_cells)
+        leaving = min((ci, cj) for ci, cj in minus_cells
+                      if flow[ci, cj] <= theta)
+
+        for ci, cj, s in cycle:
+            flow[ci, cj] += s * theta
+        basis.remove(leaving)
+        basis.append((enter_i, enter_j))
+        flow[leaving] = 0.0
+
+        if theta <= 1e-15 * scale:
+            stalled += 1
+            if stalled > stall_limit:
+                use_bland = True
+        else:
+            stalled = 0
+
+    raise RuntimeError("transport simplex exceeded its pivot budget")

@@ -81,6 +81,23 @@ def test_validate_ok(tmp_path, capsys):
     assert "ok" in out
 
 
+def test_report_names_the_pair_with_no_word_tokens(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    lines = open(pairs).read().splitlines()
+    lines[4] = "p4,s1,0,red blue green,!!! ???"
+    open(pairs, "w").write("\n".join(lines) + "\n")
+    assert main(["validate", "--pairs", pairs,
+                 "--annotations", annotations]) == 0
+    assert "ok" in capsys.readouterr().out
+    rc = main(["report", "--pairs", pairs, "--annotations", annotations,
+               "--metrics", "lexical"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: pair 'p4': cannot score an empty "
+                            "token sequence (text_b)\n")
+
+
 def test_validate_pairs_only(tmp_path, capsys):
     pairs, _ = write_corpus(tmp_path)
     rc = main(["validate", "--pairs", pairs])

@@ -37,8 +37,8 @@ from labelsim.textmetrics import (lexical_metric_names, score_pair_lexical,
                                   tokenize)
 
 from conftest import make_corpus
-from oracles import (correlation_report_oracle, loop_ranks, pearson_oracle,
-                     rank_oracle, spearman_oracle)
+from oracles import (chrf_oracle, correlation_report_oracle, loop_ranks,
+                     pearson_oracle, rank_oracle, spearman_oracle)
 
 
 # ------------------------------------------------------------ correlation
@@ -238,6 +238,37 @@ def test_compute_metric_scores_lexical_values():
             assert 0.0 <= scores[name]["p2"] < 0.15
         else:
             assert scores[name]["p2"] == pytest.approx(0.0, abs=1e-12)
+
+
+BLOCK = correlate.CHRF_BLOCK_PAIRS
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  2 * BLOCK + 1])
+def test_compute_metric_scores_chrf_blocks(size):
+    # one pair, one pair either side of a block boundary, and two full
+    # blocks
+    rng = random.Random(size)
+    words = ["caf\u00e9", "na\u00efve", "tree", "trees", "\u65e5\u672c", "a", "ox"]
+    specs = [(f"p{i}", " ".join(rng.choices(words, k=rng.randint(1, 6))),
+              " ".join(rng.choices(words, k=rng.randint(1, 6))))
+             for i in range(size)]
+    corpus = make_corpus(specs, [])
+    scores, dropped = compute_metric_scores(corpus, ["chrf", "bleu"])
+    assert list(scores["chrf"]) == [pid for pid, _, _ in specs]
+    assert [scores["chrf"][pid] for pid, _, _ in specs] == [
+        chrf_oracle(a, b) for _, a, b in specs]
+    assert dropped == {"chrf": 0, "bleu": 0}
+
+
+def test_compute_metric_scores_names_a_pair_without_word_tokens():
+    corpus = make_corpus([("p1", "red oak", "red elm"),
+                          ("p2", "red oak", "!!! ???")], [])
+    with pytest.raises(ValueError, match=r"pair 'p2'.*\(text_b\)"):
+        compute_metric_scores(corpus, ["rouge1"])
+    # chrF alone scores punctuation
+    scores, _ = compute_metric_scores(corpus, ["chrf"])
+    assert scores["chrf"]["p2"] == chrf_oracle("red oak", "!!! ???") == 0.0
 
 
 def test_compute_metric_scores_orientation():

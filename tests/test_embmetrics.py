@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from labelsim import embmetrics
 from labelsim.embmetrics import (
     MARGINAL_TOL,
     EmbeddingTable,
@@ -29,6 +30,7 @@ from labelsim.embmetrics import (
     _least_cost_start,
     _logsumexp,
     _min_cost_matching,
+    _simplex_pivots,
 )
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
@@ -39,6 +41,7 @@ from oracles import (
     linprog_transport_oracle,
     matching_min_mean_cycle,
     northwest_corner_wmd,
+    rebuild_tree_pivots,
     residual_min_mean_cycle,
     uniform_transport_oracle,
 )
@@ -382,6 +385,94 @@ def test_least_cost_start_keeps_wmd_rank_order_and_saves_pivots():
     assert (np.argsort(new, kind="stable")
             == np.argsort(old, kind="stable")).all()
     assert new_pivots < old_pivots
+
+
+def unit_mass_problem(dists):
+    """``_min_cost_matching``'s transport problem for ``dists``: unit
+    masses, the smaller side padded by one zero-cost dummy node."""
+    n, m = dists.shape
+    a, b, costs = np.ones(n), np.ones(m), dists
+    if n < m:
+        a = np.append(a, m - n)
+        costs = np.vstack([dists, np.zeros((1, m))])
+    elif n > m:
+        b = np.append(b, n - m)
+        costs = np.hstack([dists, np.zeros((n, 1))])
+    return a, b, costs
+
+
+@st.composite
+def unit_mass_problems(draw):
+    """Matchings with tied integer costs or rounded ones, dummy node included."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 10))
+    cells = draw(st.sampled_from([
+        st.integers(0, 2).map(float),
+        st.integers(0, 10).map(lambda k: k / 10),  # ties that rounding splits
+        st.floats(0.0, 5.0).map(lambda x: round(x, 2)),
+    ]))
+    dists = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)),
+                     dtype=np.float64).reshape(n, m)
+    return unit_mass_problem(dists)
+
+
+def assert_same_pivots(a, b, C):
+    """The kept-tree pivot loop and the rebuild-every-pivot one take the
+    same pivots from the same start, down to the last bit of the plan."""
+    plan, pivots = _simplex_pivots(C, *_least_cost_start(a, b, C))
+    ref_plan, ref_pivots = rebuild_tree_pivots(C, *_least_cost_start(a, b, C))
+    assert pivots == ref_pivots
+    assert plan.tobytes() == ref_plan.tobytes()
+    return plan, pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(transport_problems(), unit_mass_problems()))
+def test_kept_tree_pivots_equal_rebuilt_tree_pivots(problem):
+    assert_same_pivots(*problem)
+
+
+def test_kept_tree_pivots_equal_rebuilt_tree_pivots_on_seeded_problems():
+    # Euclidean costs as in WMD, and costs on a 0.1 grid: sums of those
+    # round, so the potentials of a wrongly rebuilt tree would break
+    # reduced-cost ties differently.
+    rng = np.random.default_rng(5)
+    for k in range(300):
+        n, m = rng.integers(1, 14, size=2)
+        if k % 3 == 0:
+            C = _euclidean_costs(rng.normal(size=(n, 8)),
+                                 rng.normal(size=(m, 8)))
+        else:
+            C = rng.integers(0, 11, size=(n, m)) / 10
+        if k % 3 == 1:
+            assert_same_pivots(*unit_mass_problem(C))
+        else:
+            a = rng.integers(1, 4, size=n).astype(np.float64)
+            b = rng.integers(1, 4, size=m).astype(np.float64)
+            assert_same_pivots(a / a.sum(), b / b.sum(), C)
+
+
+def test_bland_fallback_matches_oracle_and_is_optimal(monkeypatch):
+    # Patched to 0, the first degenerate pivot switches the entering rule
+    # to Bland's.  No degenerate problem seen in practice stalls long
+    # enough to reach it otherwise.
+    rng = np.random.default_rng(0)
+    problems = []
+    for _ in range(150):
+        n, m = rng.integers(2, 8, size=2)
+        problems.append(unit_mass_problem(
+            rng.integers(0, 3, size=(n, m)).astype(np.float64)))
+    default_runs = [_simplex_pivots(C, *_least_cost_start(a, b, C))
+                    for a, b, C in problems]
+    monkeypatch.setattr(embmetrics, "STALL_PIVOTS_PER_NODE", 0)
+    changed = 0
+    for (a, b, C), (default_plan, default_pivots) in zip(problems,
+                                                          default_runs):
+        plan, pivots = assert_same_pivots(a, b, C)
+        assert residual_min_mean_cycle(plan, C) >= -SOLVER_TOL
+        changed += (pivots != default_pivots
+                    or not np.array_equal(plan, default_plan))
+    assert changed > 0  # the patch really took the Bland path
 
 
 # ------------------------------------------------------------- sinkhorn

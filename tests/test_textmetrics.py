@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from labelsim.textmetrics import (MetricScore, bleu, chrf, lexical_metric_names,
+from labelsim.textmetrics import (MetricScore, bleu, chrf, chrf_block,
+                                  lexical_metric_names,
                                   light_stem, meteor_lite, ngrams, rouge_l,
                                   rouge_n, score_pair_lexical, tokenize,
                                   word_overlap)
@@ -173,6 +175,43 @@ def test_chrf_matches_oracle():
         for max_n in (2, 6):
             assert chrf(a, b, max_n=max_n).value == pytest.approx(
                 oracles.chrf_oracle(a, b, max_n=max_n), abs=1e-12)
+
+
+# any text with a character that is not whitespace
+scorable_text = st.text(max_size=30).filter(lambda t: t.split())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(scorable_text, scorable_text), min_size=1,
+                max_size=6),
+       st.integers(1, 7))
+def test_chrf_block_equals_oracle_on_unicode(pairs, max_n):
+    got = chrf_block([a for a, _ in pairs], [b for _, b in pairs],
+                     max_n=max_n)
+    assert [s.value for s in got] == [
+        oracles.chrf_oracle(a, b, max_n=max_n) for a, b in pairs]
+
+
+def test_chrf_block_equals_oracle_on_short_strings():
+    # shorter than the top order: the orders a side lacks score 0 for it,
+    # and the orders neither side has are not averaged in
+    rng = random.Random(505)
+    pairs = [("".join(rng.choice("ab c\u00e9\u65e5") for _ in range(rng.randint(1, 5))),
+              "".join(rng.choice("abc\u00e9 ") for _ in range(rng.randint(1, 5))))
+             for _ in range(400)]
+    pairs = [(a, b) for a, b in pairs if a.split() and b.split()]
+    got = chrf_block([a for a, _ in pairs], [b for _, b in pairs])
+    for (a, b), score in zip(pairs, got):
+        assert score.value == oracles.chrf_oracle(a, b)
+        assert score.value == chrf(a, b).value
+
+
+def test_chrf_block_whitespace_only_side_raises():
+    with pytest.raises(ValueError):
+        chrf_block(["abc", "de"], ["abc", " \t "])
+    with pytest.raises(ValueError):
+        chrf_block(["abc"], ["abc", "de"])
+    assert chrf_block([], []) == []
 
 
 # ---------------------------------------------------------------------------
