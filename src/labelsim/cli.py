@@ -19,8 +19,8 @@ from pathlib import Path
 from . import correlate, embmetrics, simulate, stats
 from .corpus import (CorpusError, attach_precomputed, load_corpus,
                      load_precomputed, save_corpus)
-from .heuristics import (HeuristicConfig, HeuristicId, apply_filters,
-                         compute_flag_reports, default_scorers,
+from .heuristics import (HeuristicConfig, HeuristicId, compute_flag_reports,
+                         default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
 from .sentiment import ingest_sentiment
 
@@ -294,8 +294,7 @@ def cmd_flag(args) -> int:
     if args.all_subsets:
         lines = ["subset,n_removed,removed_annotators"]
         for sub in heuristic_subsets(subset):
-            filtered = apply_filters(corpus, sub, cfg, scorers, reports=reports)
-            removed = sorted(filtered.removed_annotators)
+            removed = sorted(flagged_annotators(reports, sub))
             lines.append('"%s",%d,%s' % (subset_label(sub), len(removed),
                                          ";".join(removed)))
     else:

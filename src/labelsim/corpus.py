@@ -17,6 +17,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+
 VALID_LABELS = (1, 2, 3, 4, 5)
 
 PAIR_FIELDS = ("pair_id", "source", "is_random", "text_a", "text_b")
@@ -49,6 +51,50 @@ class Annotation:
 
 
 @dataclass(frozen=True)
+class AnnotationColumns:
+    """The annotations as arrays, one row per annotation in file order.
+
+    ``pair`` indexes ``pair_ids``, every pair of the corpus in sorted
+    order; ``annotator`` indexes ``annotator_ids``, every annotator with
+    a label, sorted; ``is_random`` is the flag of the row's pair.
+    """
+
+    pair_ids: tuple[str, ...]
+    annotator_ids: tuple[str, ...]
+    pair: np.ndarray       # intp
+    annotator: np.ndarray  # intp
+    label: np.ndarray      # int64
+    duration: np.ndarray   # float64
+    is_random: np.ndarray  # bool
+
+    @classmethod
+    def build(cls, pairs: tuple[SentencePair, ...],
+              annotations: tuple[Annotation, ...]) -> "AnnotationColumns":
+        pair_ids = tuple(sorted(p.pair_id for p in pairs))
+        pair_index = {pid: i for i, pid in enumerate(pair_ids)}
+        annotator_ids = tuple(sorted({a.annotator_id for a in annotations}))
+        annotator_index = {aid: i for i, aid in enumerate(annotator_ids)}
+        n = len(annotations)
+        pair = np.fromiter((pair_index[a.pair_id] for a in annotations),
+                           dtype=np.intp, count=n)
+        random_pairs = np.zeros(len(pair_ids), dtype=bool)
+        random_pairs[[pair_index[p.pair_id] for p in pairs if p.is_random]] = True
+        return cls(
+            pair_ids=pair_ids,
+            annotator_ids=annotator_ids,
+            pair=pair,
+            annotator=np.fromiter((annotator_index[a.annotator_id]
+                                   for a in annotations),
+                                  dtype=np.intp, count=n),
+            label=np.fromiter((a.label for a in annotations),
+                              dtype=np.int64, count=n),
+            duration=np.fromiter((a.duration for a in annotations),
+                                 dtype=np.float64, count=n),
+            is_random=random_pairs[pair],
+        )
+
+
+@dataclass(frozen=True)
 class LabeledCorpus:
     """Immutable bundle of pairs, annotations and optional score channels.
 
@@ -66,21 +112,19 @@ class LabeledCorpus:
         return {p.pair_id: p for p in self.pairs}
 
     @cached_property
-    def annotations_by_annotator(self) -> dict[str, tuple[Annotation, ...]]:
-        out: dict[str, list[Annotation]] = {}
-        for ann in self.annotations:
-            out.setdefault(ann.annotator_id, []).append(ann)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def annotations_by_pair(self) -> dict[str, tuple[Annotation, ...]]:
         out: dict[str, list[Annotation]] = {}
         for ann in self.annotations:
             out.setdefault(ann.pair_id, []).append(ann)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def columns(self) -> AnnotationColumns:
+        """The annotations as arrays, built on first use and kept."""
+        return AnnotationColumns.build(self.pairs, self.annotations)
+
     def annotator_ids(self) -> list[str]:
-        return sorted(self.annotations_by_annotator)
+        return list(self.columns.annotator_ids)
 
 
 def build_corpus(pairs: Iterable[SentencePair],

@@ -5,15 +5,16 @@ Pearson is the headline statistic; Spearman rides along in a secondary
 column.  A constant or non-finite input makes a correlation undefined and
 that is an error here, never a silent zero (or a silent one).
 
-:func:`correlation_report` works on integer columns built once per call:
-every annotation becomes a (pair index, annotator index, label) row, with
-annotated pairs indexed in sorted ``pair_id`` order, and every usable
-metric becomes a value array with a ``defined`` mask over those pairs.  A
-filter subset is then only a keep mask over annotators (the panel minus
-the annotators its flags remove); gold means come from ``np.bincount``
-over the kept rows, and the observations handed to :func:`pearson` and
-:func:`spearman` are, element for element and in order, those of a join
-on sorted pair ids.  No filtered corpus copy is ever made.
+:func:`correlation_report` works on integer columns: the corpus's cached
+annotation columns give every annotation a (pair index, annotator index,
+label) row, with pairs indexed in sorted ``pair_id`` order, and every
+usable metric becomes a value array with a ``defined`` mask over those
+pairs.  A filter subset is then only a keep mask over annotators (the
+panel minus the annotators its flags remove); gold means come from
+``np.bincount`` over the kept rows, and the observations handed to
+:func:`pearson` and :func:`spearman` are, element for element and in
+order, those of a join on sorted pair ids.  No filtered corpus copy is
+ever made.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 from .corpus import LabeledCorpus, SentencePair
 from .heuristics import (CorpusLike, FilteredCorpus, HeuristicConfig,
                          HeuristicId, Scorers, compute_flag_reports,
-                         heuristic_subsets, normalize_subset, subset_label)
+                         flagged_annotators, heuristic_subsets,
+                         normalize_subset, subset_label)
 from . import embmetrics, textmetrics
 
 
@@ -133,11 +135,6 @@ def percent_change(value: float, baseline: float) -> float:
 
 LEXICAL_METRICS = tuple(textmetrics.lexical_metric_names())
 EMBEDDING_METRICS = ("cosine", "l2", "wmd", "pos_dist")
-# Pairs are scored in blocks of this many, with one chrf_block call per
-# block.  Its arrays grow with the block's text: on 800 pairs of 8-20
-# words, 64-pair blocks peaked 0.8 MB higher than 16-pair ones and were
-# no faster.
-CHRF_BLOCK_PAIRS = 16
 
 
 def metric_universe(corpus: Optional[LabeledCorpus] = None) -> list[str]:
@@ -184,6 +181,9 @@ def compute_metric_scores(corpus: LabeledCorpus,
 
     token_lexical = [m for m in metrics
                      if m in LEXICAL_METRICS and m != "chrf"]
+    per_pair_lexical = [m for m in token_lexical
+                        if m not in textmetrics.BLEU_METRICS]
+    bleu_metrics = [m for m in token_lexical if m in textmetrics.BLEU_METRICS]
     needs_tokens = bool(token_lexical) or any(
         m in metrics for m in ("cosine", "l2", "wmd", "pos_dist"))
     distance_channels = set(distance_channels)
@@ -191,21 +191,18 @@ def compute_metric_scores(corpus: LabeledCorpus,
     def finish(score) -> float:
         return embmetrics.orient(score) if oriented else score.value
 
-    def score_one(pair: SentencePair) -> dict[str, float]:
+    def score_one(pair: SentencePair, tokens_a, tokens_b) -> dict[str, float]:
         out: dict[str, float] = {}
-        tokens_a = tokens_b = None
-        if needs_tokens:
-            tokens_a = textmetrics.tokenize(pair.text_a)
-            tokens_b = textmetrics.tokenize(pair.text_b)
         if token_lexical:
             for side, tokens in (("a", tokens_a), ("b", tokens_b)):
                 if not tokens:
                     raise ValueError(
                         f"pair {pair.pair_id!r}: cannot score an empty "
                         f"token sequence (text_{side})")
+        if per_pair_lexical:
             lex = textmetrics.token_lexical_scores(
                 tokens_a, tokens_b, overlap_mode=overlap_mode)
-            for name in token_lexical:
+            for name in per_pair_lexical:
                 out[name] = finish(lex[name])
         means = None  # each side's mean token vector, computed once
         if "cosine" in metrics or ("l2" in metrics and sent_embeddings is None):
@@ -256,11 +253,21 @@ def compute_metric_scores(corpus: LabeledCorpus,
     scores: dict[str, dict[str, float]] = {name: {} for name in metrics}
     if any(m in LEXICAL_METRICS or m in EMBEDDING_METRICS for m in metrics):
         # precomputed channels alone need no per-pair pass
-        for start in range(0, len(pairs), CHRF_BLOCK_PAIRS):
-            block = pairs[start:start + CHRF_BLOCK_PAIRS]
-            for pair in block:
-                for name, value in score_one(pair).items():
+        # one chrf_block call and one bleu_block call per BLEU metric per
+        # block of pairs
+        for part in textmetrics.pair_blocks(len(pairs)):
+            block = pairs[part]
+            tokens_a = tokens_b = [None] * len(block)
+            if needs_tokens:
+                tokens_a = [textmetrics.tokenize(p.text_a) for p in block]
+                tokens_b = [textmetrics.tokenize(p.text_b) for p in block]
+            for pair, tok_a, tok_b in zip(block, tokens_a, tokens_b):
+                for name, value in score_one(pair, tok_a, tok_b).items():
                     scores[name][pair.pair_id] = value
+            for name in bleu_metrics:
+                column = textmetrics.bleu_metric(name, tokens_a, tokens_b)
+                for pair, score in zip(block, column):
+                    scores[name][pair.pair_id] = finish(score)
             if "chrf" in metrics:
                 chrfs = textmetrics.chrf_block([p.text_a for p in block],
                                                [p.text_b for p in block])
@@ -315,13 +322,13 @@ class CorrelationReport:
 class _Columns:
     """A corpus and its metric scores as arrays, built once per report.
 
-    Annotated pairs are indexed in sorted ``pair_id`` order and the
-    annotation rows are stably sorted by that index, so rows of one pair
-    stay in corpus order.  ``values[name]`` / ``defined[name]`` hold each
-    metric over the same pair index.
+    Pairs are indexed in sorted ``pair_id`` order, as in the corpus's
+    annotation columns, and the annotation rows are stably sorted by that
+    index, so rows of one pair stay in corpus order.  ``values[name]`` /
+    ``defined[name]`` hold each metric over the same pair index.
     """
 
-    n_pairs: int           # annotated pairs: the length of per-pair arrays
+    n_pairs: int           # the length of per-pair arrays
     annotators: dict[str, int]
     pair: np.ndarray       # pair index per annotation row, ascending
     annotator: np.ndarray  # annotator index per annotation row
@@ -333,18 +340,9 @@ class _Columns:
     def build(cls, corpus: LabeledCorpus,
               metric_scores: Mapping[str, Mapping[str, float]],
               names: Sequence[str]) -> "_Columns":
-        anns = corpus.annotations
-        pair_index = {pid: i for i, pid in
-                      enumerate(sorted({a.pair_id for a in anns}))}
-        annotators = {aid: i for i, aid in
-                      enumerate(sorted({a.annotator_id for a in anns}))}
-        pair = np.fromiter((pair_index[a.pair_id] for a in anns),
-                           dtype=np.intp, count=len(anns))
-        order = np.argsort(pair, kind="stable")
-        annotator = np.fromiter((annotators[a.annotator_id] for a in anns),
-                                dtype=np.intp, count=len(anns))
-        label = np.fromiter((a.label for a in anns), dtype=np.float64,
-                            count=len(anns))
+        columns = corpus.columns
+        pair_index = {pid: i for i, pid in enumerate(columns.pair_ids)}
+        order = np.argsort(columns.pair, kind="stable")
         values: dict[str, np.ndarray] = {}
         defined: dict[str, np.ndarray] = {}
         for name in names:
@@ -357,9 +355,12 @@ class _Columns:
                     mask[i] = True
             values[name] = vals
             defined[name] = mask
-        return cls(n_pairs=len(pair_index), annotators=annotators,
-                   pair=pair[order],
-                   annotator=annotator[order], label=label[order],
+        return cls(n_pairs=len(pair_index),
+                   annotators={aid: i for i, aid
+                               in enumerate(columns.annotator_ids)},
+                   pair=columns.pair[order],
+                   annotator=columns.annotator[order],
+                   label=columns.label[order].astype(np.float64),
                    values=values, defined=defined)
 
     def panel(self, annotator_ids: Optional[set]) -> np.ndarray:
@@ -482,9 +483,7 @@ def correlation_report(corpus: LabeledCorpus,
 
     subset_rows = []
     for subset in subsets:
-        flags = set(subset)
-        removed = tuple(sorted(aid for aid, rep in reports.items()
-                               if rep.flags & flags))
+        removed = tuple(sorted(flagged_annotators(reports, subset)))
         keep = panel.copy()
         keep[[columns.annotators[aid] for aid in removed
               if aid in columns.annotators]] = False

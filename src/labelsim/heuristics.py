@@ -9,6 +9,13 @@ Five heuristics, numbered as they appear in reports:
 5. sentiment_disaligned -- erratic labels on lexically-close but
                            sentiment-divergent pairs
 
+Each heuristic is a threshold rule ``(heuristic, statistic, comparator,
+threshold)`` over a per-annotator column: heuristics 1-4 read the
+:class:`~labelsim.stats.AnnotatorTable`, heuristic 5 the label sums over
+its qualifying pairs.  An annotator is flagged when the statistic is
+defined and compares true against the threshold; the comparison is
+strict (``>`` for 1, 3, 4 and 5, ``<`` for 2).
+
 Filtering removes the union of annotators flagged by the chosen subset.
 Flags are always evaluated against the original corpus a filtered view
 descends from, so applying the same subset twice removes nothing new and
@@ -18,12 +25,17 @@ a larger subset always removes a superset of annotators.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .corpus import Annotation, LabeledCorpus
-from .stats import population_variance, reduce_label
+import numpy as np
+
+from .corpus import LabeledCorpus
+from .stats import (AnnotatorTable, annotator_table, label_counts,
+                    label_sums, variance_from_sums)
+from .textmetrics import bleu_block, pair_blocks, tokenize
 
 
 class HeuristicId(IntEnum):
@@ -89,112 +101,49 @@ class FlagReport:
 class Scorers:
     """Pluggable text scorers used by the sentiment-disalignment flag.
 
-    ``overlap(text_a, text_b)`` returns a lexical-closeness score in
-    [0, 1]; ``sentiment(text)`` returns a polarity score.  Per-pair
-    sentiment overrides (from an ingested file) win over the callable.
+    ``overlap(texts_a, texts_b)`` scores a block of pairs at once and
+    returns one lexical-closeness score in [0, 1] per pair
+    ``(texts_a[k], texts_b[k])`` (a score list of another length is a
+    ValueError); ``sentiment(text)`` returns a polarity
+    score.  Per-pair sentiment overrides (from an ingested file) win over
+    the callable.
     """
 
-    overlap: Callable[[str, str], float]
+    overlap: Callable[[Sequence[str], Sequence[str]], Sequence[float]]
     sentiment: Callable[[str], float]
     pair_sentiment: Optional[Mapping[str, tuple[float, float]]] = None
 
 
+class _EmptyText(ValueError):
+    """A text without word tokens, at position ``index`` of a scored block."""
+
+    def __init__(self, index: int, side: str):
+        super().__init__(f"cannot score an empty token sequence ({side})")
+        self.index = index
+
+
 def default_scorers(cfg: Optional[HeuristicConfig] = None) -> Scorers:
     """Bundled scorers: sentence-BLEU overlap and the built-in sentiment lexicon."""
-    from .textmetrics import bleu, tokenize
     from .sentiment import default_sentiment_scorer
 
     cfg = cfg or HeuristicConfig()
     order = cfg.overlap_bleu_order
 
-    def overlap(text_a: str, text_b: str) -> float:
-        return bleu(tokenize(text_b), tokenize(text_a),
-                    max_n=order, smoothing="none").value
+    def overlap(texts_a: Sequence[str], texts_b: Sequence[str]) -> list[float]:
+        values: list[float] = []
+        for block in pair_blocks(len(texts_a)):
+            refs = [tokenize(t) for t in texts_a[block]]
+            cands = [tokenize(t) for t in texts_b[block]]
+            if not all(refs) or not all(cands):
+                k = next(k for k, (ref, cand) in enumerate(zip(refs, cands))
+                         if not ref or not cand)
+                raise _EmptyText(block.start + k,
+                                 "text_b" if refs[k] else "text_a")
+            values.extend(score.value for score in bleu_block(
+                cands, refs, max_n=order, smoothing="none"))
+        return values
 
     return Scorers(overlap=overlap, sentiment=default_sentiment_scorer())
-
-
-def flag_slow(corpus: LabeledCorpus, annotator_id: str,
-              cfg: HeuristicConfig) -> Optional[FlagEvidence]:
-    """Heuristic 1: mean labeling duration strictly above the threshold."""
-    anns = _annotations_of(corpus, annotator_id)
-    mean_duration = sum(a.duration for a in anns) / len(anns)
-    if mean_duration > cfg.slow_threshold:
-        return FlagEvidence("mean_duration", mean_duration, cfg.slow_threshold)
-    return None
-
-
-def flag_low_variance(corpus: LabeledCorpus, annotator_id: str,
-                      cfg: HeuristicConfig) -> Optional[FlagEvidence]:
-    """Heuristic 2: population label variance strictly below the threshold."""
-    anns = _annotations_of(corpus, annotator_id)
-    variance = population_variance([a.label for a in anns])
-    if variance < cfg.low_variance_threshold:
-        return FlagEvidence("label_variance", variance,
-                            cfg.low_variance_threshold)
-    return None
-
-
-def flag_high_random(corpus: LabeledCorpus,
-                     annotator_id: str) -> Optional[FlagEvidence]:
-    """Heuristic 3: mean label on random pairs strictly above non-random pairs.
-
-    Both means must be defined; an annotator who never saw one of the two
-    pair kinds is never flagged.
-    """
-    anns = _annotations_of(corpus, annotator_id)
-    random_labels = []
-    nonrandom_labels = []
-    for a in anns:
-        if corpus.pairs_by_id[a.pair_id].is_random:
-            random_labels.append(a.label)
-        else:
-            nonrandom_labels.append(a.label)
-    if not random_labels or not nonrandom_labels:
-        return None
-    mean_random = sum(random_labels) / len(random_labels)
-    mean_nonrandom = sum(nonrandom_labels) / len(nonrandom_labels)
-    if mean_random > mean_nonrandom:
-        return FlagEvidence("mean_random_label", mean_random, mean_nonrandom)
-    return None
-
-
-def disagreement_rate(corpus: LabeledCorpus,
-                      annotator_id: str) -> Optional[float]:
-    """Fraction of pairs where the annotator's reduced label contradicts a
-    unanimous reduced verdict of exactly two co-annotators.
-
-    Pairs with any other number of co-annotators, or where the two
-    co-annotators disagree with each other, do not count.  Returns None
-    when no pair qualifies.
-    """
-    anns = _annotations_of(corpus, annotator_id)
-    considered = 0
-    disagreed = 0
-    for a in anns:
-        others = [x for x in corpus.annotations_by_pair[a.pair_id]
-                  if x.annotator_id != annotator_id]
-        if len(others) != 2:
-            continue
-        reduced = [reduce_label(x.label) for x in others]
-        if reduced[0] != reduced[1]:
-            continue
-        considered += 1
-        if reduce_label(a.label) != reduced[0]:
-            disagreed += 1
-    if considered == 0:
-        return None
-    return disagreed / considered
-
-
-def flag_disagreeable(corpus: LabeledCorpus, annotator_id: str,
-                      cfg: HeuristicConfig) -> Optional[FlagEvidence]:
-    """Heuristic 4: disagreement rate strictly above the threshold."""
-    rate = disagreement_rate(corpus, annotator_id)
-    if rate is not None and rate > cfg.disagreement_threshold:
-        return FlagEvidence("disagreement_rate", rate,
-                            cfg.disagreement_threshold)
-    return None
 
 
 def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
@@ -204,10 +153,16 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
     Qualification: overlap score strictly above ``overlap_threshold`` and
     absolute sentiment gap at least ``sentiment_gap_threshold``.
     """
+    pairs = corpus.pairs
+    try:
+        overlaps = scorers.overlap([p.text_a for p in pairs],
+                                   [p.text_b for p in pairs])
+    except _EmptyText as exc:
+        raise ValueError(f"pair {pairs[exc.index].pair_id!r}: {exc}") from None
     qualifying: set[str] = set()
     overrides = scorers.pair_sentiment or {}
-    for pair in corpus.pairs:
-        if scorers.overlap(pair.text_a, pair.text_b) <= cfg.overlap_threshold:
+    for pair, overlap in zip(pairs, overlaps, strict=True):
+        if overlap <= cfg.overlap_threshold:
             continue
         if pair.pair_id in overrides:
             score_a, score_b = overrides[pair.pair_id]
@@ -219,27 +174,43 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
     return qualifying
 
 
-def flag_sentiment_disaligned(corpus: LabeledCorpus, annotator_id: str,
-                              cfg: HeuristicConfig, scorers: Scorers,
-                              qualifying: Optional[set[str]] = None
-                              ) -> Optional[FlagEvidence]:
-    """Heuristic 5: erratic labels on the sentiment-divergent qualifying pairs.
+def _rule(h: HeuristicId, corpus: LabeledCorpus, table: AnnotatorTable,
+          cfg: HeuristicConfig, scorers: Optional[Scorers]):
+    """Heuristic ``h`` as a threshold rule: ``(evidence statistic,
+    comparator, values, thresholds)``, one value and one threshold per
+    annotator.  None marks an undefined value or threshold."""
+    every = itertools.repeat
+    if h is HeuristicId.SLOW:
+        return ("mean_duration", operator.gt, table.mean_duration,
+                every(cfg.slow_threshold))
+    if h is HeuristicId.LOW_VARIANCE:
+        return ("label_variance", operator.lt, table.label_variance,
+                every(cfg.low_variance_threshold))
+    if h is HeuristicId.HIGH_RANDOM:
+        # both means must be defined: an annotator who never saw one of
+        # the two pair kinds is never flagged
+        return ("mean_random_label", operator.gt, table.mean_random,
+                table.mean_nonrandom)
+    if h is HeuristicId.DISAGREEABLE:
+        return ("disagreement_rate", operator.gt, table.disagreement_rate,
+                every(cfg.disagreement_threshold))
+    qualifying = sentiment_qualifying_pairs(
+        corpus, scorers or default_scorers(cfg), cfg)
+    return ("sentiment_pair_label_variance", operator.gt,
+            _qualifying_variance(corpus, qualifying, cfg.min_sentiment_pairs),
+            every(cfg.sentiment_variance_threshold))
 
-    Requires at least ``min_sentiment_pairs`` qualifying pairs labeled by
-    the annotator; flags when the population variance of those labels is
-    strictly above ``sentiment_variance_threshold``.
-    """
-    if qualifying is None:
-        qualifying = sentiment_qualifying_pairs(corpus, scorers, cfg)
-    anns = _annotations_of(corpus, annotator_id)
-    labels = [a.label for a in anns if a.pair_id in qualifying]
-    if len(labels) < cfg.min_sentiment_pairs:
-        return None
-    variance = population_variance(labels)
-    if variance > cfg.sentiment_variance_threshold:
-        return FlagEvidence("sentiment_pair_label_variance", variance,
-                            cfg.sentiment_variance_threshold)
-    return None
+
+def _qualifying_variance(corpus: LabeledCorpus, qualifying: set[str],
+                         min_labels: int) -> list[Optional[float]]:
+    """Per annotator, the population variance of their labels on the
+    qualifying pairs; None with fewer than ``min_labels`` such labels."""
+    columns = corpus.columns
+    on_pair = np.fromiter((pid in qualifying for pid in columns.pair_ids),
+                          dtype=bool, count=len(columns.pair_ids))
+    sums = zip(*label_sums(label_counts(columns, on_pair[columns.pair])))
+    return [variance_from_sums(*s) if s[0] >= min_labels else None
+            for s in sums]
 
 
 def compute_flag_reports(corpus: LabeledCorpus,
@@ -252,35 +223,18 @@ def compute_flag_reports(corpus: LabeledCorpus,
     cfg.validate()
     subset = normalize_subset(subset)
 
-    qualifying: Optional[set[str]] = None
-    if HeuristicId.SENTIMENT_DISALIGNED in subset:
-        if scorers is None:
-            scorers = default_scorers(cfg)
-        qualifying = sentiment_qualifying_pairs(corpus, scorers, cfg)
-
-    reports: dict[str, FlagReport] = {}
-    for annotator_id in corpus.annotator_ids():
-        evidence: dict[HeuristicId, FlagEvidence] = {}
-        for h in subset:
-            if h is HeuristicId.SLOW:
-                ev = flag_slow(corpus, annotator_id, cfg)
-            elif h is HeuristicId.LOW_VARIANCE:
-                ev = flag_low_variance(corpus, annotator_id, cfg)
-            elif h is HeuristicId.HIGH_RANDOM:
-                ev = flag_high_random(corpus, annotator_id)
-            elif h is HeuristicId.DISAGREEABLE:
-                ev = flag_disagreeable(corpus, annotator_id, cfg)
-            else:
-                ev = flag_sentiment_disaligned(corpus, annotator_id, cfg,
-                                               scorers, qualifying)
-            if ev is not None:
-                evidence[h] = ev
-        reports[annotator_id] = FlagReport(
-            annotator_id=annotator_id,
-            flags=frozenset(evidence),
-            evidence=evidence,
-        )
-    return reports
+    table = annotator_table(corpus)
+    evidence: list[dict[HeuristicId, FlagEvidence]] = [
+        {} for _ in table.annotator_ids]
+    for h in subset:
+        statistic, exceeds, values, thresholds = _rule(h, corpus, table, cfg,
+                                                       scorers)
+        for found, value, limit in zip(evidence, values, thresholds):
+            if value is not None and limit is not None and exceeds(value, limit):
+                found[h] = FlagEvidence(statistic, value, limit)
+    return {aid: FlagReport(annotator_id=aid, flags=frozenset(found),
+                            evidence=found)
+            for aid, found in zip(table.annotator_ids, evidence)}
 
 
 @dataclass(frozen=True)
@@ -308,11 +262,12 @@ def _source_of(corpus: CorpusLike) -> tuple[LabeledCorpus, frozenset[str]]:
     return corpus, frozenset()
 
 
-def _annotations_of(corpus: LabeledCorpus, annotator_id: str) -> tuple[Annotation, ...]:
-    anns = corpus.annotations_by_annotator.get(annotator_id)
-    if not anns:
-        raise ValueError(f"annotator {annotator_id!r} has no annotations")
-    return anns
+def flagged_annotators(reports: Mapping[str, FlagReport],
+                       subset: Iterable[HeuristicId]) -> frozenset[str]:
+    """The annotators whose reports carry a flag of ``subset``: those a
+    filter on ``subset`` removes."""
+    flags = set(subset)
+    return frozenset(aid for aid, rep in reports.items() if rep.flags & flags)
 
 
 def normalize_subset(subset: Iterable[HeuristicId]) -> tuple[HeuristicId, ...]:
@@ -341,10 +296,7 @@ def apply_filters(corpus: CorpusLike,
     if reports is None:
         reports = compute_flag_reports(source, subset, cfg, scorers)
 
-    removed = set(already_removed)
-    for annotator_id, report in reports.items():
-        if report.flags & set(subset):
-            removed.add(annotator_id)
+    removed = already_removed | flagged_annotators(reports, subset)
 
     surviving = tuple(a for a in source.annotations
                       if a.annotator_id not in removed)
@@ -357,7 +309,7 @@ def apply_filters(corpus: CorpusLike,
         corpus=filtered,
         source=source,
         subset=subset,
-        removed_annotators=frozenset(removed),
+        removed_annotators=removed,
         reports=reports,
     )
 

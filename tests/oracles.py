@@ -62,6 +62,37 @@ def bleu_oracle(candidate, reference, max_n=4, smoothing="add_one"):
     return precision_mean
 
 
+def counter_bleu(candidate, reference, max_n=4, smoothing="add_one"):
+    """Sentence BLEU one pair at a time on Counter n-gram multisets: the
+    package's former ``bleu``, value only."""
+    from collections import Counter
+
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n])
+                       for i in range(len(tokens) - n + 1))
+
+    effective_n = min(max_n, len(candidate), len(reference))
+    log_sum = 0.0
+    for n in range(1, effective_n + 1):
+        cand_counts = ngrams(candidate, n)
+        ref_counts = ngrams(reference, n)
+        matches = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        total = sum(cand_counts.values())
+        if smoothing == "add_one" and n >= 2:
+            precision = (matches + 1) / (total + 1)
+        else:
+            if matches == 0:
+                return 0.0
+            precision = matches / total
+        log_sum += math.log(precision)
+    geo_mean = math.exp(log_sum / effective_n)
+    if len(candidate) < len(reference):
+        bp = math.exp(1.0 - len(reference) / len(candidate))
+    else:
+        bp = 1.0
+    return bp * geo_mean
+
+
 def _chrf_stream(text):
     return "".join(text.lower().split())
 
@@ -548,3 +579,200 @@ def rebuild_tree_pivots(C, flow, basis):
             stalled = 0
 
     raise RuntimeError("transport simplex exceeded its pivot budget")
+
+
+# ---------------------------------------------------------------------------
+# per-annotator flags and profiles, one annotator at a time
+
+
+def _annotations_by_annotator(corpus):
+    out = {}
+    for ann in corpus.annotations:
+        out.setdefault(ann.annotator_id, []).append(ann)
+    return out
+
+
+def _annotations_by_pair(corpus):
+    out = {}
+    for ann in corpus.annotations:
+        out.setdefault(ann.pair_id, []).append(ann)
+    return out
+
+
+def _annotations_of(corpus, annotator_id):
+    anns = _annotations_by_annotator(corpus).get(annotator_id)
+    if not anns:
+        raise ValueError(f"annotator {annotator_id!r} has no annotations")
+    return anns
+
+
+def _mean_duration(anns):
+    # an explicit loop: from Python 3.12 on, sum() of floats is compensated
+    total = 0
+    for a in anns:
+        total += a.duration
+    return total / len(anns)
+
+
+def flag_slow(corpus, annotator_id, cfg):
+    from labelsim.heuristics import FlagEvidence
+
+    anns = _annotations_of(corpus, annotator_id)
+    mean_duration = _mean_duration(anns)
+    if mean_duration > cfg.slow_threshold:
+        return FlagEvidence("mean_duration", mean_duration, cfg.slow_threshold)
+    return None
+
+
+def flag_low_variance(corpus, annotator_id, cfg):
+    from labelsim.heuristics import FlagEvidence
+    from labelsim.stats import population_variance
+
+    anns = _annotations_of(corpus, annotator_id)
+    variance = population_variance([a.label for a in anns])
+    if variance < cfg.low_variance_threshold:
+        return FlagEvidence("label_variance", variance,
+                            cfg.low_variance_threshold)
+    return None
+
+
+def flag_high_random(corpus, annotator_id):
+    from labelsim.heuristics import FlagEvidence
+
+    anns = _annotations_of(corpus, annotator_id)
+    random_labels = []
+    nonrandom_labels = []
+    for a in anns:
+        if corpus.pairs_by_id[a.pair_id].is_random:
+            random_labels.append(a.label)
+        else:
+            nonrandom_labels.append(a.label)
+    if not random_labels or not nonrandom_labels:
+        return None
+    mean_random = sum(random_labels) / len(random_labels)
+    mean_nonrandom = sum(nonrandom_labels) / len(nonrandom_labels)
+    if mean_random > mean_nonrandom:
+        return FlagEvidence("mean_random_label", mean_random, mean_nonrandom)
+    return None
+
+
+def disagreement_rate(corpus, annotator_id):
+    from labelsim.stats import reduce_label
+
+    by_pair = _annotations_by_pair(corpus)
+    anns = _annotations_of(corpus, annotator_id)
+    considered = 0
+    disagreed = 0
+    for a in anns:
+        others = [x for x in by_pair[a.pair_id]
+                  if x.annotator_id != annotator_id]
+        if len(others) != 2:
+            continue
+        reduced = [reduce_label(x.label) for x in others]
+        if reduced[0] != reduced[1]:
+            continue
+        considered += 1
+        if reduce_label(a.label) != reduced[0]:
+            disagreed += 1
+    if considered == 0:
+        return None
+    return disagreed / considered
+
+
+def flag_disagreeable(corpus, annotator_id, cfg):
+    from labelsim.heuristics import FlagEvidence
+
+    rate = disagreement_rate(corpus, annotator_id)
+    if rate is not None and rate > cfg.disagreement_threshold:
+        return FlagEvidence("disagreement_rate", rate,
+                            cfg.disagreement_threshold)
+    return None
+
+
+def flag_sentiment_disaligned(corpus, annotator_id, cfg, qualifying):
+    from labelsim.heuristics import FlagEvidence
+    from labelsim.stats import population_variance
+
+    anns = _annotations_of(corpus, annotator_id)
+    labels = [a.label for a in anns if a.pair_id in qualifying]
+    if len(labels) < cfg.min_sentiment_pairs:
+        return None
+    variance = population_variance(labels)
+    if variance > cfg.sentiment_variance_threshold:
+        return FlagEvidence("sentiment_pair_label_variance", variance,
+                            cfg.sentiment_variance_threshold)
+    return None
+
+
+def flag_reports(corpus, subset, cfg, qualifying=None):
+    """Every annotator's FlagReport, heuristic by heuristic; heuristic 5
+    reads the given qualifying pairs."""
+    from labelsim.heuristics import FlagReport, HeuristicId
+
+    reports = {}
+    for annotator_id in sorted(_annotations_by_annotator(corpus)):
+        evidence = {}
+        for h in sorted(set(subset)):
+            if h is HeuristicId.SLOW:
+                ev = flag_slow(corpus, annotator_id, cfg)
+            elif h is HeuristicId.LOW_VARIANCE:
+                ev = flag_low_variance(corpus, annotator_id, cfg)
+            elif h is HeuristicId.HIGH_RANDOM:
+                ev = flag_high_random(corpus, annotator_id)
+            elif h is HeuristicId.DISAGREEABLE:
+                ev = flag_disagreeable(corpus, annotator_id, cfg)
+            else:
+                ev = flag_sentiment_disaligned(corpus, annotator_id, cfg,
+                                               qualifying)
+            if ev is not None:
+                evidence[h] = ev
+        reports[annotator_id] = FlagReport(
+            annotator_id=annotator_id, flags=frozenset(evidence),
+            evidence=evidence)
+    return reports
+
+
+def annotator_profile(corpus, annotator_id,
+                      exclude_midpoint_from_variance=False):
+    from labelsim.stats import (CENTRAL_LABELS, EXTREME_LABELS,
+                                MIDPOINT_LABEL, AnnotatorProfile,
+                                classify_style, population_variance)
+
+    anns = _annotations_of(corpus, annotator_id)
+    labels = [a.label for a in anns]
+
+    variance_labels = labels
+    if exclude_midpoint_from_variance:
+        non_mid = [l for l in labels if l != MIDPOINT_LABEL]
+        variance_labels = non_mid or labels
+    label_variance = population_variance(variance_labels)
+
+    random_labels = []
+    nonrandom_labels = []
+    for a in anns:
+        pair = corpus.pairs_by_id[a.pair_id]
+        (random_labels if pair.is_random else nonrandom_labels).append(a.label)
+    mean_random = sum(random_labels) / len(random_labels) if random_labels else None
+    mean_nonrandom = (sum(nonrandom_labels) / len(nonrandom_labels)
+                      if nonrandom_labels else None)
+
+    off_mid = [l for l in labels if l != MIDPOINT_LABEL]
+    if off_mid:
+        extreme_share = sum(1 for l in off_mid if l in EXTREME_LABELS) / len(off_mid)
+        central_share = sum(1 for l in off_mid if l in CENTRAL_LABELS) / len(off_mid)
+    else:
+        extreme_share = None
+        central_share = None
+
+    return AnnotatorProfile(
+        annotator_id=annotator_id,
+        n_labels=len(labels),
+        mean_duration=_mean_duration(anns),
+        label_variance=label_variance,
+        mean_random=mean_random,
+        mean_nonrandom=mean_nonrandom,
+        extreme_share=extreme_share,
+        central_share=central_share,
+        disagreement_rate=disagreement_rate(corpus, annotator_id),
+        style=classify_style(label_variance, extreme_share, central_share),
+    )

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from labelsim.cli import main, read_config
+from labelsim.corpus import load_corpus
+from labelsim.heuristics import apply_filters, heuristic_subsets, subset_label
 
 
 OVERLAP_TEXTS = [
@@ -289,6 +292,61 @@ def test_flag_all_subsets(tmp_path, capsys):
                "--all-subsets", "--heuristics", "1,2"])
     out = capsys.readouterr().out
     assert len(out.strip().split("\n")) == 1 + 3  # [1], [2], [1, 2]
+
+
+def test_flag_all_subsets_matches_apply_filters(one_radical_corpus, capsys):
+    pairs, annotations = one_radical_corpus
+    capsys.readouterr()
+    assert main(["flag", "--pairs", pairs, "--annotations", annotations,
+                 "--all-subsets"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    corpus = load_corpus(pairs, annotations)
+    subsets = heuristic_subsets()
+    assert len(rows) == len(subsets)
+    for row, subset in zip(rows, subsets):
+        removed = sorted(apply_filters(corpus, subset).removed_annotators)
+        assert row == '"%s",%d,%s' % (subset_label(subset), len(removed),
+                                      ";".join(removed))
+
+
+def write_tokenless_text_a(pairs):
+    """Give pair p2 a text_a with no word tokens; validate still passes."""
+    path = Path(pairs)
+    lines = path.read_text().splitlines()
+    lines[2] = "p2,s1,0,!!!,red blue oak"
+    path.write_text("\n".join(lines) + "\n")
+
+
+TOKENLESS_ERROR = ("error: pair 'p2': cannot score an empty token sequence "
+                   "(text_a)\n")
+
+
+def test_flag_names_the_pair_with_no_word_tokens(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    write_tokenless_text_a(pairs)
+    assert main(["validate", "--pairs", pairs,
+                 "--annotations", annotations]) == 0
+    assert "ok" in capsys.readouterr().out
+    rc = main(["flag", "--pairs", pairs, "--annotations", annotations,
+               "--heuristics", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == TOKENLESS_ERROR
+
+
+def test_style_report_names_the_pair_with_no_word_tokens(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path, with_radical=True)
+    write_tokenless_text_a(pairs)
+    channel = tmp_path / "ext.csv"
+    channel.write_text("pair_id,score\n" + "".join(
+        f"p{i},{i / 10}\n" for i in range(1, 7)))
+    rc = main(["style-report", "--pairs", pairs, "--annotations", annotations,
+               "--precomputed", f"ext={channel}", "--metrics", "ext"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == TOKENLESS_ERROR
 
 
 def test_flag_config_file_and_flag_precedence(tmp_path, capsys):

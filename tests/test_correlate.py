@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from labelsim.corpus import attach_precomputed
-from labelsim import correlate
+from labelsim import correlate, textmetrics
 from labelsim.correlate import (
     EMBEDDING_METRICS,
     LEXICAL_METRICS,
@@ -37,8 +37,8 @@ from labelsim.textmetrics import (lexical_metric_names, score_pair_lexical,
                                   tokenize)
 
 from conftest import make_corpus
-from oracles import (chrf_oracle, correlation_report_oracle, loop_ranks,
-                     pearson_oracle, rank_oracle, spearman_oracle)
+from oracles import (chrf_oracle, correlation_report_oracle, counter_bleu,
+                     loop_ranks, pearson_oracle, rank_oracle, spearman_oracle)
 
 
 # ------------------------------------------------------------ correlation
@@ -240,7 +240,7 @@ def test_compute_metric_scores_lexical_values():
             assert scores[name]["p2"] == pytest.approx(0.0, abs=1e-12)
 
 
-BLOCK = correlate.CHRF_BLOCK_PAIRS
+BLOCK = textmetrics.BLOCK_PAIRS
 
 
 @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
@@ -254,11 +254,16 @@ def test_compute_metric_scores_chrf_blocks(size):
               " ".join(rng.choices(words, k=rng.randint(1, 6))))
              for i in range(size)]
     corpus = make_corpus(specs, [])
-    scores, dropped = compute_metric_scores(corpus, ["chrf", "bleu"])
+    scores, dropped = compute_metric_scores(corpus, ["chrf", "bleu1", "bleu"])
     assert list(scores["chrf"]) == [pid for pid, _, _ in specs]
     assert [scores["chrf"][pid] for pid, _, _ in specs] == [
         chrf_oracle(a, b) for _, a, b in specs]
-    assert dropped == {"chrf": 0, "bleu": 0}
+    for name, max_n, smoothing in (("bleu1", 1, "none"), ("bleu", 4, "add_one")):
+        assert list(scores[name]) == [pid for pid, _, _ in specs]
+        assert [scores[name][pid] for pid, _, _ in specs] == [
+            counter_bleu(tokenize(b), tokenize(a), max_n, smoothing)
+            for _, a, b in specs]
+    assert dropped == {"chrf": 0, "bleu1": 0, "bleu": 0}
 
 
 def test_compute_metric_scores_names_a_pair_without_word_tokens():

@@ -2,20 +2,31 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from labelsim import simulate
+from labelsim import simulate, textmetrics
 from labelsim.heuristics import (HeuristicConfig, HeuristicId, Scorers,
                                  apply_filters, compute_flag_reports,
-                                 disagreement_rate, flag_disagreeable,
-                                 flag_high_random, flag_low_variance,
-                                 flag_sentiment_disaligned, flag_slow,
-                                 heuristic_subsets, normalize_subset,
-                                 sentiment_qualifying_pairs, subset_label)
+                                 default_scorers, heuristic_subsets,
+                                 normalize_subset, sentiment_qualifying_pairs,
+                                 subset_label)
+from labelsim.stats import annotator_profile, annotator_profiles
 
 from conftest import make_corpus
+import oracles
 
 H = HeuristicId
 CFG = HeuristicConfig()
+
+
+def evidence(corpus, h, annotator_id="w", scorers=None):
+    """The evidence heuristic ``h`` gives against one annotator, or None."""
+    reports = compute_flag_reports(corpus, [h], CFG, scorers)
+    return reports[annotator_id].evidence.get(h)
+
+
+def disagreement_rate(corpus, annotator_id):
+    return annotator_profile(corpus, annotator_id).disagreement_rate
 
 
 def single_annotator_corpus(labels, durations=None, random_flags=None):
@@ -49,46 +60,46 @@ def test_config_validation():
 
 def test_flag_slow_boundaries():
     flagged = single_annotator_corpus([1, 5], durations=[340.0, 360.0])
-    ev = flag_slow(flagged, "w", CFG)
+    ev = evidence(flagged, H.SLOW)
     assert ev is not None and ev.value == pytest.approx(350.0)
 
     at_threshold = single_annotator_corpus([1, 5], durations=[300.0, 300.0])
-    assert flag_slow(at_threshold, "w", CFG) is None
+    assert evidence(at_threshold, H.SLOW) is None
 
     fast = single_annotator_corpus([1, 5], durations=[10.0, 10.0])
-    assert flag_slow(fast, "w", CFG) is None
+    assert evidence(fast, H.SLOW) is None
 
 
 def test_flag_low_variance_boundaries():
     constant = single_annotator_corpus([4, 4, 4, 4])
-    ev = flag_low_variance(constant, "w", CFG)
+    ev = evidence(constant, H.LOW_VARIANCE)
     assert ev is not None and ev.value == 0.0
 
     spread = single_annotator_corpus([1, 5, 1, 5])
-    assert flag_low_variance(spread, "w", CFG) is None
+    assert evidence(spread, H.LOW_VARIANCE) is None
 
     # population variance of [2, 4] is exactly 1.0: strictly-below misses it
     boundary = single_annotator_corpus([2, 4])
-    assert flag_low_variance(boundary, "w", CFG) is None
+    assert evidence(boundary, H.LOW_VARIANCE) is None
 
 
 def test_flag_high_random():
     spammy = single_annotator_corpus(
         [5, 4, 3, 3], random_flags=[True, True, False, False])
-    ev = flag_high_random(spammy, "w")
+    ev = evidence(spammy, H.HIGH_RANDOM)
     assert ev is not None
     assert ev.value == pytest.approx(4.5)
     assert ev.threshold == pytest.approx(3.0)
 
     sane = single_annotator_corpus(
         [1, 1, 4, 4], random_flags=[True, True, False, False])
-    assert flag_high_random(sane, "w") is None
+    assert evidence(sane, H.HIGH_RANDOM) is None
 
     no_random = single_annotator_corpus([5, 5])
-    assert flag_high_random(no_random, "w") is None
+    assert evidence(no_random, H.HIGH_RANDOM) is None
 
     all_random = single_annotator_corpus([5, 5], random_flags=[True, True])
-    assert flag_high_random(all_random, "w") is None
+    assert evidence(all_random, H.HIGH_RANDOM) is None
 
 
 @pytest.fixture
@@ -105,11 +116,11 @@ def disagreeable_corpus():
 
 def test_disagreement_rate_two_thirds(disagreeable_corpus):
     assert disagreement_rate(disagreeable_corpus, "w") == pytest.approx(2 / 3)
-    ev = flag_disagreeable(disagreeable_corpus, "w", CFG)
+    ev = evidence(disagreeable_corpus, H.DISAGREEABLE)
     assert ev is not None and ev.value == pytest.approx(2 / 3)
     # x never overrules a unanimous verdict (q1/q2 co-annotators split)
     assert disagreement_rate(disagreeable_corpus, "x") == 0.0
-    assert flag_disagreeable(disagreeable_corpus, "x", CFG) is None
+    assert evidence(disagreeable_corpus, H.DISAGREEABLE, "x") is None
 
 
 def test_disagreement_needs_exactly_two_coannotators():
@@ -121,7 +132,7 @@ def test_disagreement_needs_exactly_two_coannotators():
             ("q2", "w", 1), ("q2", "x", 5),
         ])
     assert disagreement_rate(corpus, "w") is None
-    assert flag_disagreeable(corpus, "w", CFG) is None
+    assert evidence(corpus, H.DISAGREEABLE) is None
 
 
 def test_disagreement_nonunanimous_pairs_skipped():
@@ -150,7 +161,7 @@ def stub_scorers(overlap_value=1.0, sentiments=None, pair_sentiment=None):
     sentiments = sentiments or {}
 
     return Scorers(
-        overlap=lambda a, b: overlap_value,
+        overlap=lambda texts_a, texts_b: [overlap_value] * len(texts_a),
         sentiment=lambda text: sentiments.get(text, 0.0),
         pair_sentiment=pair_sentiment,
     )
@@ -175,17 +186,17 @@ def test_sentiment_flag_fires_on_erratic_labels():
     qualifying = sentiment_qualifying_pairs(corpus, scorers, CFG)
     assert qualifying == {"s0", "s1", "s2"}
 
-    ev = flag_sentiment_disaligned(corpus, "v", CFG, scorers, qualifying)
+    ev = evidence(corpus, H.SENTIMENT_DISALIGNED, "v", scorers)
     assert ev is not None
     assert ev.value == pytest.approx(32 / 9)  # variance of [1, 5, 1]
 
-    assert flag_sentiment_disaligned(corpus, "u", CFG, scorers, qualifying) is None
+    assert evidence(corpus, H.SENTIMENT_DISALIGNED, "u", scorers) is None
 
 
 def test_sentiment_flag_needs_two_qualifying_pairs():
     corpus = sentiment_corpus({"v": [1, 5, 1], "t": [1]})
     scorers = stub_scorers(overlap_value=0.9, sentiments=SENTS)
-    assert flag_sentiment_disaligned(corpus, "t", CFG, scorers) is None
+    assert evidence(corpus, H.SENTIMENT_DISALIGNED, "t", scorers) is None
 
 
 def test_sentiment_overlap_threshold_is_strict():
@@ -194,6 +205,44 @@ def test_sentiment_overlap_threshold_is_strict():
     assert sentiment_qualifying_pairs(corpus, at_threshold, CFG) == set()
     above = stub_scorers(overlap_value=0.8000001, sentiments=SENTS)
     assert len(sentiment_qualifying_pairs(corpus, above, CFG)) == 3
+
+
+def test_sentiment_overlap_scorer_must_score_every_pair():
+    corpus = sentiment_corpus({"v": [1, 5, 1]})
+    short = Scorers(overlap=lambda texts_a, texts_b: [1.0],
+                    sentiment=lambda text: SENTS.get(text, 0.0))
+    with pytest.raises(ValueError):
+        sentiment_qualifying_pairs(corpus, short, CFG)
+
+
+BLOCK = textmetrics.BLOCK_PAIRS
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  2 * BLOCK + 1])
+def test_default_overlap_scores_every_block(size):
+    # one pair, one pair either side of a block boundary, and two full
+    # blocks
+    rng = random.Random(size)
+    words = ["red", "oak", "elm", "don't", "'tis", "it's", "a"]
+    texts_a = [" ".join(rng.choices(words, k=rng.randint(1, 6)))
+               for _ in range(size)]
+    texts_b = [" ".join(rng.choices(words, k=rng.randint(1, 6)))
+               for _ in range(size)]
+    cfg = HeuristicConfig(overlap_bleu_order=2)
+    assert default_scorers(cfg).overlap(texts_a, texts_b) == [
+        oracles.counter_bleu(textmetrics.tokenize(b), textmetrics.tokenize(a),
+                             2, "none")
+        for a, b in zip(texts_a, texts_b)]
+
+
+def test_sentiment_names_a_tokenless_pair_in_a_later_block():
+    n = 2 * BLOCK + 1
+    corpus = make_corpus(
+        [(f"p{i}", "red oak", "red elm" if i < n - 1 else "' !!") for i in range(n)],
+        [])
+    with pytest.raises(ValueError, match=rf"pair 'p{n - 1}'.*\(text_b\)"):
+        sentiment_qualifying_pairs(corpus, default_scorers(CFG), CFG)
 
 
 def test_sentiment_gap_threshold_is_inclusive():
@@ -349,3 +398,84 @@ def test_subset_label_and_normalize():
         normalize_subset([])
     with pytest.raises(ValueError):
         normalize_subset([0])
+
+
+# ---------------------------------------------------------------------------
+# the statistics table against the per-annotator loops it replaced
+
+ANNOTATORS = ("a", "b", "c", "d", "e", "f")
+# sums of these are inexact in binary, and 300.0 and 0.3 are thresholds
+DURATIONS = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 299.9, 300.0, 300.1, 451.25]),
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
+
+
+@st.composite
+def labeled_corpora(draw):
+    """A small validated corpus, thresholds its statistics can hit
+    exactly, and the pairs heuristic 5 treats as qualifying."""
+    n_pairs = draw(st.integers(1, 8))
+    pairs, anns = [], []
+    for i in range(n_pairs):
+        pid = f"p{i}"
+        pairs.append((pid, "a b", "c d", draw(st.booleans())))
+        annotators = draw(st.lists(st.sampled_from(ANNOTATORS), min_size=1,
+                                   max_size=5, unique=True))
+        # some pairs are all-3, so some annotators have no other label
+        labels = st.just(3) if draw(st.booleans()) else st.integers(1, 5)
+        anns.extend((pid, aid, draw(labels), draw(DURATIONS))
+                    for aid in annotators)
+    cfg = HeuristicConfig(
+        slow_threshold=draw(st.sampled_from([0.2, 0.3, 150.0, 300.0])),
+        low_variance_threshold=draw(st.sampled_from([0.0, 0.25, 1.0, 2.0])),
+        disagreement_threshold=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        sentiment_variance_threshold=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        min_sentiment_pairs=draw(st.sampled_from([1, 2, 3])))
+    qualifying = set(draw(st.lists(st.sampled_from([p[0] for p in pairs]),
+                                   unique=True)))
+    return make_corpus(pairs, anns), cfg, qualifying
+
+
+def qualifying_scorers(qualifying):
+    """Stub scorers under which exactly ``qualifying`` qualifies."""
+    return stub_scorers(pair_sentiment={
+        pid: (0.95, -0.95) for pid in qualifying})
+
+
+def assert_table_matches_loops(corpus, cfg, scorers):
+    qualifying = sentiment_qualifying_pairs(corpus, scorers, cfg)
+    got = compute_flag_reports(corpus, list(H), cfg, scorers)
+    assert got == oracles.flag_reports(corpus, list(H), cfg, qualifying)
+    for exclude in (False, True):
+        assert annotator_profiles(corpus, exclude) == {
+            aid: oracles.annotator_profile(corpus, aid, exclude)
+            for aid in corpus.annotator_ids()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_corpora())
+def test_table_flags_and_profiles_equal_the_loops(drawn):
+    corpus, cfg, qualifying = drawn
+    scorers = qualifying_scorers(qualifying)
+    assert sentiment_qualifying_pairs(corpus, scorers, cfg) == qualifying
+    assert_table_matches_loops(corpus, cfg, scorers)
+
+
+def test_table_flags_and_profiles_equal_the_loops_on_a_simulated_corpus():
+    spec = simulate.PopulationSpec(
+        n_pairs=600, fraction_random=0.2,
+        profiles=(
+            simulate.ProfileSpec(simulate.ProfileKind.RELIABLE, 12, 0.5),
+            simulate.ProfileSpec(simulate.ProfileKind.CONSTANT, 3, 3),
+            simulate.ProfileSpec(simulate.ProfileKind.UNIFORM_RANDOM, 3),
+            simulate.ProfileSpec(simulate.ProfileKind.SLOW, 2, 400.0),
+            simulate.ProfileSpec(simulate.ProfileKind.RADICAL, 4, 0.9),
+            simulate.ProfileSpec(simulate.ProfileKind.CENTRIST, 4, 0.9),
+        ),
+        seed=3)
+    corpus, _ = simulate.generate_corpus(spec)
+    # heuristics 1-4 all fire somewhere, so the comparison is not vacuous
+    reports = compute_flag_reports(corpus, list(H))
+    fired = {h for report in reports.values() for h in report.flags}
+    assert fired >= {H.SLOW, H.LOW_VARIANCE, H.HIGH_RANDOM, H.DISAGREEABLE}
+    assert_table_matches_loops(corpus, CFG, default_scorers(CFG))

@@ -3,7 +3,8 @@ import statistics
 
 import pytest
 
-from labelsim.heuristics import HeuristicConfig, flag_low_variance
+from labelsim.heuristics import (HeuristicConfig, HeuristicId,
+                                 compute_flag_reports)
 from labelsim.stats import (Style, annotator_profile, annotator_profiles,
                             classify_style, population_variance, reduce_label)
 
@@ -49,7 +50,23 @@ def test_population_variance_integer_labels_are_exact():
     corpus = make_corpus(
         [(f"p{i}", f"a{i} b{i}", f"c{i} d{i}") for i in range(len(labels))],
         [(f"p{i}", "ann", label) for i, label in enumerate(labels)])
-    assert flag_low_variance(corpus, "ann", HeuristicConfig()) is None
+    report = compute_flag_reports(corpus, [HeuristicId.LOW_VARIANCE])["ann"]
+    assert report.flags == frozenset()
+
+
+def test_mean_duration_adds_left_to_right():
+    # ten durations of 0.1 add left to right to 0.9999999999999999; a
+    # compensated sum (math.fsum, or sum() from Python 3.12 on) gives 1.0
+    corpus = make_corpus(
+        [(f"p{i}", f"a{i} b{i}", f"c{i} d{i}") for i in range(10)],
+        [(f"p{i}", "ann", 3, 0.1) for i in range(10)])
+    mean = 0.9999999999999999 / 10
+    assert mean != 0.1
+    assert annotator_profile(corpus, "ann").mean_duration == mean
+    # heuristic 1 sees the same mean: equal to the threshold, so not slow
+    cfg = HeuristicConfig(slow_threshold=mean)
+    report = compute_flag_reports(corpus, [HeuristicId.SLOW], cfg)["ann"]
+    assert report.flags == frozenset()
 
 
 def test_population_variance_empty():

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from labelsim.textmetrics import (MetricScore, bleu, chrf, chrf_block,
-                                  lexical_metric_names,
+from labelsim.textmetrics import (MetricScore, bleu, bleu_block, chrf,
+                                  chrf_block, lexical_metric_names,
                                   light_stem, meteor_lite, ngrams, rouge_l,
                                   rouge_n, score_pair_lexical, tokenize,
                                   word_overlap)
@@ -131,6 +131,32 @@ def test_bleu_matches_oracle():
                 want = oracles.bleu_oracle(cand, ref, max_n, smoothing)
                 assert got == pytest.approx(want, abs=1e-12), \
                     (cand, ref, max_n, smoothing)
+
+
+# short sequences over a small vocabulary, so n-grams repeat and match;
+# some are shorter than the top order
+token_seqs = st.lists(st.sampled_from(["a", "b", "c", "\u00e9t\u00e9", "x'y"]),
+                      min_size=1, max_size=7).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(token_seqs, token_seqs), min_size=1, max_size=6),
+       st.integers(1, 5), st.sampled_from(["none", "add_one"]))
+def test_bleu_block_equals_counter_bleu(pairs, max_n, smoothing):
+    got = bleu_block([c for c, _ in pairs], [r for _, r in pairs],
+                     max_n=max_n, smoothing=smoothing)
+    assert [s.value for s in got] == [
+        oracles.counter_bleu(c, r, max_n, smoothing) for c, r in pairs]
+    assert [s.value for s in got] == [
+        bleu(c, r, max_n=max_n, smoothing=smoothing).value for c, r in pairs]
+
+
+def test_bleu_block_rejects_bad_blocks():
+    with pytest.raises(ValueError, match=r"\(reference\)"):
+        bleu_block([("a",), ("b",)], [("a",), ()])
+    with pytest.raises(ValueError):
+        bleu_block([("a",)], [("a",), ("b",)])
+    assert bleu_block([], []) == []
 
 
 # ---------------------------------------------------------------------------
