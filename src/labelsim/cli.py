@@ -12,6 +12,7 @@ LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -26,22 +27,16 @@ from .sentiment import ingest_sentiment
 
 ENV_PREFIX = "LABELSIM_"
 
-_CONFIG_FIELDS = {
-    "slow_threshold": float,
-    "low_variance_threshold": float,
-    "disagreement_threshold": float,
-    "overlap_threshold": float,
-    "sentiment_gap_threshold": float,
-    "sentiment_variance_threshold": float,
-    "overlap_bleu_order": int,
-    "min_sentiment_pairs": int,
-}
+# HeuristicConfig's fields, each a --flag and a config key
+_CONFIG_FIELDS = {f.name: type(f.default)
+                  for f in dataclasses.fields(HeuristicConfig)}
 
+# simulate's --flags and config keys, in --help order
 _SIM_CONFIG_FIELDS = {
+    "seed": int,
     "n_pairs": int,
     "fraction_random": float,
     "profiles": str,
-    "seed": int,
     "annotators_per_pair": int,
     "min_tokens": int,
     "max_tokens": int,
@@ -67,15 +62,21 @@ def _env_path(name: str):
     return os.environ.get(ENV_PREFIX + name) or None
 
 
-def _build_heuristic_config(args, file_cfg: dict[str, str]) -> HeuristicConfig:
-    kwargs = {}
-    for field, cast in _CONFIG_FIELDS.items():
-        value = getattr(args, field, None)
-        if value is None and field in file_cfg:
-            value = cast(file_cfg[field])
+def _given_values(args, file_cfg: dict[str, str], fields: dict) -> dict:
+    """The ``fields`` set by a flag, or else by the config file, cast to
+    their types; explicit flags win."""
+    values = {}
+    for name, cast in fields.items():
+        value = getattr(args, name, None)
+        if value is None and name in file_cfg:
+            value = cast(file_cfg[name])
         if value is not None:
-            kwargs[field] = value
-    cfg = HeuristicConfig(**kwargs)
+            values[name] = value
+    return values
+
+
+def _build_heuristic_config(args, file_cfg: dict[str, str]) -> HeuristicConfig:
+    cfg = HeuristicConfig(**_given_values(args, file_cfg, _CONFIG_FIELDS))
     cfg.validate()
     return cfg
 
@@ -93,21 +94,16 @@ def _add_common_args(p):
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+def _add_field_args(p, fields: dict, helps: dict) -> None:
+    """One --flag per config field, named after it with - for _."""
+    for name, cast in fields.items():
+        p.add_argument("--" + name.replace("_", "-"), type=cast, dest=name,
+                       help=helps.get(name))
+
+
 def _add_threshold_args(p):
-    g = p.add_argument_group("heuristic thresholds")
-    g.add_argument("--slow-threshold", type=float, dest="slow_threshold")
-    g.add_argument("--low-variance-threshold", type=float,
-                   dest="low_variance_threshold")
-    g.add_argument("--disagreement-threshold", type=float,
-                   dest="disagreement_threshold")
-    g.add_argument("--overlap-threshold", type=float, dest="overlap_threshold")
-    g.add_argument("--sentiment-gap-threshold", type=float,
-                   dest="sentiment_gap_threshold")
-    g.add_argument("--sentiment-variance-threshold", type=float,
-                   dest="sentiment_variance_threshold")
-    g.add_argument("--overlap-bleu-order", type=int, dest="overlap_bleu_order")
-    g.add_argument("--min-sentiment-pairs", type=int,
-                   dest="min_sentiment_pairs")
+    _add_field_args(p.add_argument_group("heuristic thresholds"),
+                    _CONFIG_FIELDS, {})
 
 
 def _add_metric_args(p):
@@ -201,7 +197,7 @@ def _prepare_scoring(corpus, args):
 
     if table is None:
         skipped = [m for m in metrics
-                   if m in ("cosine", "wmd", "pos_dist")
+                   if m in correlate.WORD_VECTOR_METRICS
                    or (m == "l2" and sent_embeddings is None)]
         if skipped:
             print(f"warning: skipping {', '.join(skipped)}: "
@@ -425,24 +421,12 @@ def _parse_profiles(raw: str) -> tuple:
 
 def cmd_simulate(args) -> int:
     file_cfg = read_config(args.config) if args.config else {}
-
-    def sim_value(name, cast, default):
-        value = getattr(args, name, None)
-        if value is None and name in file_cfg:
-            value = cast(file_cfg[name])
-        return default if value is None else value
-
-    profiles_raw = sim_value("profiles", str,
-                             "reliable:8:0.3,constant:1:3,uniform:1")
-    spec = simulate.PopulationSpec(
-        n_pairs=sim_value("n_pairs", int, 100),
-        fraction_random=sim_value("fraction_random", float, 0.2),
-        profiles=_parse_profiles(profiles_raw),
-        seed=sim_value("seed", int, 0),
-        annotators_per_pair=sim_value("annotators_per_pair", int, 3),
-        min_tokens=sim_value("min_tokens", int, 4),
-        max_tokens=sim_value("max_tokens", int, 9),
-    )
+    # PopulationSpec holds the other fields' defaults
+    values = {"n_pairs": 100, "fraction_random": 0.2,
+              "profiles": "reliable:8:0.3,constant:1:3,uniform:1",
+              **_given_values(args, file_cfg, _SIM_CONFIG_FIELDS)}
+    values["profiles"] = _parse_profiles(values["profiles"])
+    spec = simulate.PopulationSpec(**values)
     corpus, truth = simulate.generate_corpus(spec)
 
     out_dir = Path(args.out_dir)
@@ -524,16 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic labeled corpus")
     _add_common_args(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, dest="seed",
-                   help="random seed of the generated corpus (default 0)")
-    p.add_argument("--n-pairs", type=int, dest="n_pairs")
-    p.add_argument("--fraction-random", type=float, dest="fraction_random")
-    p.add_argument("--profiles", dest="profiles",
-                   help="e.g. 'reliable:36:0.5,constant:12:3,uniform:12'")
-    p.add_argument("--annotators-per-pair", type=int,
-                   dest="annotators_per_pair")
-    p.add_argument("--min-tokens", type=int, dest="min_tokens")
-    p.add_argument("--max-tokens", type=int, dest="max_tokens")
+    _add_field_args(p, _SIM_CONFIG_FIELDS, {
+        "seed": "random seed of the generated corpus (default "
+                f"{simulate.PopulationSpec.seed})",
+        "profiles": "e.g. 'reliable:36:0.5,constant:12:3,uniform:12'"})
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -135,6 +135,9 @@ def percent_change(value: float, baseline: float) -> float:
 
 LEXICAL_METRICS = tuple(textmetrics.lexical_metric_names())
 EMBEDDING_METRICS = ("cosine", "l2", "wmd", "pos_dist")
+# the embedding metrics that always read word vectors; l2 can instead
+# come from sentence embeddings
+WORD_VECTOR_METRICS = ("cosine", "wmd", "pos_dist")
 
 
 def metric_universe(corpus: Optional[LabeledCorpus] = None) -> list[str]:
@@ -170,7 +173,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
     for name in metrics:
         if name not in known:
             raise ValueError(f"unknown metric {name!r}")
-    needs_table = [m for m in metrics if m in ("cosine", "wmd", "pos_dist")]
+    needs_table = [m for m in metrics if m in WORD_VECTOR_METRICS]
     if needs_table and table is None:
         raise ValueError(f"metrics {needs_table} need an embedding table")
     if "l2" in metrics and table is None and sent_embeddings is None:
@@ -179,31 +182,16 @@ def compute_metric_scores(corpus: LabeledCorpus,
     if "pos_dist" in metrics and gold_tags is None and noun_tagger is None:
         noun_tagger = embmetrics.lexicon_noun_tagger()
 
-    token_lexical = [m for m in metrics
-                     if m in LEXICAL_METRICS and m != "chrf"]
-    per_pair_lexical = [m for m in token_lexical
-                        if m not in textmetrics.BLEU_METRICS]
-    bleu_metrics = [m for m in token_lexical if m in textmetrics.BLEU_METRICS]
-    needs_tokens = bool(token_lexical) or any(
-        m in metrics for m in ("cosine", "l2", "wmd", "pos_dist"))
+    lexical = [m for m in metrics if m in LEXICAL_METRICS]
+    embedding = [m for m in metrics if m in EMBEDDING_METRICS]
     distance_channels = set(distance_channels)
 
     def finish(score) -> float:
         return embmetrics.orient(score) if oriented else score.value
 
     def score_one(pair: SentencePair, tokens_a, tokens_b) -> dict[str, float]:
+        """The embedding metrics of one pair."""
         out: dict[str, float] = {}
-        if token_lexical:
-            for side, tokens in (("a", tokens_a), ("b", tokens_b)):
-                if not tokens:
-                    raise ValueError(
-                        f"pair {pair.pair_id!r}: cannot score an empty "
-                        f"token sequence (text_{side})")
-        if per_pair_lexical:
-            lex = textmetrics.token_lexical_scores(
-                tokens_a, tokens_b, overlap_mode=overlap_mode)
-            for name in per_pair_lexical:
-                out[name] = finish(lex[name])
         means = None  # each side's mean token vector, computed once
         if "cosine" in metrics or ("l2" in metrics and sent_embeddings is None):
             try:
@@ -233,46 +221,42 @@ def compute_metric_scores(corpus: LabeledCorpus,
                 pass
         if "pos_dist" in metrics:
             if gold_tags is not None:
-                tagger_a = lambda toks: embmetrics.nouns_from_tags(
-                    toks, gold_tags.get((pair.pair_id, "a"), {}))
-                tagger_b = lambda toks: embmetrics.nouns_from_tags(
-                    toks, gold_tags.get((pair.pair_id, "b"), {}))
+                nouns = [embmetrics.nouns_from_tags(
+                    tokens, gold_tags.get((pair.pair_id, side), {}))
+                    for side, tokens in (("a", tokens_a), ("b", tokens_b))]
             else:
-                tagger_a = tagger_b = noun_tagger
-            nouns_a = [t for t in tagger_a(tokens_a) if t in table.vectors]
-            nouns_b = [t for t in tagger_b(tokens_b) if t in table.vectors]
-            if nouns_a and nouns_b:
-                score = embmetrics.pos_distance(
-                    nouns_a, nouns_b, lambda toks: list(toks), table,
-                    aggregate=pos_aggregate)
-                if score is not None:
-                    out["pos_dist"] = finish(score)
+                nouns = [noun_tagger(tokens_a), noun_tagger(tokens_b)]
+            score = embmetrics.pos_distance(*nouns, list, table,
+                                            aggregate=pos_aggregate)
+            if score is not None:
+                out["pos_dist"] = finish(score)
         return out
 
     pairs = list(corpus.pairs)
     scores: dict[str, dict[str, float]] = {name: {} for name in metrics}
-    if any(m in LEXICAL_METRICS or m in EMBEDDING_METRICS for m in metrics):
-        # precomputed channels alone need no per-pair pass
-        # one chrf_block call and one bleu_block call per BLEU metric per
-        # block of pairs
-        for part in textmetrics.pair_blocks(len(pairs)):
-            block = pairs[part]
-            tokens_a = tokens_b = [None] * len(block)
-            if needs_tokens:
-                tokens_a = [textmetrics.tokenize(p.text_a) for p in block]
-                tokens_b = [textmetrics.tokenize(p.text_b) for p in block]
+    # precomputed channels alone need no per-pair pass
+    blocks = textmetrics.pair_blocks(len(pairs)) if lexical or embedding \
+        else []
+    for part in blocks:
+        block = pairs[part]
+        texts_a = [p.text_a for p in block]
+        texts_b = [p.text_b for p in block]
+        tokens_a = tokens_b = None
+        if embedding:
+            tokens_a = [textmetrics.tokenize(t) for t in texts_a]
+            tokens_b = [textmetrics.tokenize(t) for t in texts_b]
+        try:
+            columns = textmetrics.score_lexical_block(
+                lexical, texts_a, texts_b, tokens_a, tokens_b, overlap_mode)
+        except textmetrics.EmptyText as exc:
+            raise exc.for_pair(block[exc.index].pair_id) from None
+        for name, column in columns.items():
+            for pair, score in zip(block, column):
+                scores[name][pair.pair_id] = finish(score)
+        if embedding:
             for pair, tok_a, tok_b in zip(block, tokens_a, tokens_b):
                 for name, value in score_one(pair, tok_a, tok_b).items():
                     scores[name][pair.pair_id] = value
-            for name in bleu_metrics:
-                column = textmetrics.bleu_metric(name, tokens_a, tokens_b)
-                for pair, score in zip(block, column):
-                    scores[name][pair.pair_id] = finish(score)
-            if "chrf" in metrics:
-                chrfs = textmetrics.chrf_block([p.text_a for p in block],
-                                               [p.text_b for p in block])
-                for pair, score in zip(block, chrfs):
-                    scores["chrf"][pair.pair_id] = finish(score)
 
     for name in metrics:
         if name in corpus.precomputed_scores:

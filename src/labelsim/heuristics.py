@@ -35,7 +35,8 @@ import numpy as np
 from .corpus import LabeledCorpus
 from .stats import (AnnotatorTable, annotator_table, label_counts,
                     label_sums, variance_from_sums)
-from .textmetrics import bleu_block, pair_blocks, tokenize
+from .textmetrics import (EmptyText, bleu_block, pair_blocks,
+                          require_tokens, tokenize)
 
 
 class HeuristicId(IntEnum):
@@ -114,14 +115,6 @@ class Scorers:
     pair_sentiment: Optional[Mapping[str, tuple[float, float]]] = None
 
 
-class _EmptyText(ValueError):
-    """A text without word tokens, at position ``index`` of a scored block."""
-
-    def __init__(self, index: int, side: str):
-        super().__init__(f"cannot score an empty token sequence ({side})")
-        self.index = index
-
-
 def default_scorers(cfg: Optional[HeuristicConfig] = None) -> Scorers:
     """Bundled scorers: sentence-BLEU overlap and the built-in sentiment lexicon."""
     from .sentiment import default_sentiment_scorer
@@ -134,11 +127,7 @@ def default_scorers(cfg: Optional[HeuristicConfig] = None) -> Scorers:
         for block in pair_blocks(len(texts_a)):
             refs = [tokenize(t) for t in texts_a[block]]
             cands = [tokenize(t) for t in texts_b[block]]
-            if not all(refs) or not all(cands):
-                k = next(k for k, (ref, cand) in enumerate(zip(refs, cands))
-                         if not ref or not cand)
-                raise _EmptyText(block.start + k,
-                                 "text_b" if refs[k] else "text_a")
+            require_tokens(refs, cands, block.start)
             values.extend(score.value for score in bleu_block(
                 cands, refs, max_n=order, smoothing="none"))
         return values
@@ -157,8 +146,8 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
     try:
         overlaps = scorers.overlap([p.text_a for p in pairs],
                                    [p.text_b for p in pairs])
-    except _EmptyText as exc:
-        raise ValueError(f"pair {pairs[exc.index].pair_id!r}: {exc}") from None
+    except EmptyText as exc:
+        raise exc.for_pair(pairs[exc.index].pair_id) from None
     qualifying: set[str] = set()
     overrides = scorers.pair_sentiment or {}
     for pair, overlap in zip(pairs, overlaps, strict=True):

@@ -7,13 +7,18 @@ the raw character stream with whitespace runs collapsed.
 
 All scores live in [0, 1] and are exactly 1.0 on identical inputs and
 0.0 on inputs that share no vocabulary.
+
+One table, :data:`LEXICAL_SCORERS`, says how each metric is scored, and
+:func:`score_lexical_block` scores the requested names over a block of
+pairs: BLEU and ROUGE-N from one clipped token n-gram count of the block,
+chrF from its character n-grams, and word overlap, rougeL and METEOR pair
+by pair.  ``bleu``, ``rouge_n``, ``chrf``, ... score one pair.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,22 +49,34 @@ class MetricScore:
     extras: dict = field(default_factory=dict)
 
 
-def _require_tokens(tokens: TokenSeq, side: str) -> None:
-    if len(tokens) == 0:
-        raise ValueError(f"cannot score an empty token sequence ({side})")
+class EmptyText(ValueError):
+    """A text without word tokens, at position ``index`` of a scored block."""
+
+    def __init__(self, index: int, side: str):
+        super().__init__(f"cannot score an empty token sequence ({side})")
+        self.index = index
+
+    def for_pair(self, pair_id: str) -> ValueError:
+        """The same error, naming the pair at ``index``."""
+        return ValueError(f"pair {pair_id!r}: {self}")
 
 
-def ngrams(tokens: TokenSeq, n: int) -> Counter:
-    """Multiset of order-n token n-grams."""
-    if n < 1:
-        raise ValueError("n-gram order must be >= 1")
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def require_tokens(tokens_a: Sequence[TokenSeq], tokens_b: Sequence[TokenSeq],
+                   start: int = 0, sides: tuple[str, str] = ("text_a", "text_b")
+                   ) -> None:
+    """Raise :class:`EmptyText` for the first pair ``(tokens_a[k],
+    tokens_b[k])`` with an empty side, side a first.  ``start`` is the
+    block's offset in the corpus; ``sides`` names the two sides."""
+    if all(tokens_a) and all(tokens_b):
+        return
+    k = next(k for k, (a, b) in enumerate(zip(tokens_a, tokens_b))
+             if not a or not b)
+    raise EmptyText(start + k, sides[1] if tokens_a[k] else sides[0])
 
 
 def word_overlap(a: TokenSeq, b: TokenSeq, mode: str = "jaccard") -> MetricScore:
     """Unigram type overlap: Jaccard by default, |A&B|/|A| in precision mode."""
-    _require_tokens(a, "a")
-    _require_tokens(b, "b")
+    require_tokens([a], [b], sides=("a", "b"))
     types_a, types_b = set(a), set(b)
     common = len(types_a & types_b)
     if mode == "jaccard":
@@ -71,8 +88,8 @@ def word_overlap(a: TokenSeq, b: TokenSeq, mode: str = "jaccard") -> MetricScore
     return MetricScore("word_overlap", value)
 
 
-# Pairs per block when a caller scores many pairs with bleu_block or
-# chrf_block; see pair_blocks.
+# Pairs per block when a caller scores many pairs with score_lexical_block,
+# bleu_block or chrf_block; see pair_blocks.
 BLOCK_PAIRS = 16
 
 
@@ -110,12 +127,11 @@ def bleu_block(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq],
     The brevity penalty exp(1 - |ref|/|cand|) applies only when the
     candidate is shorter than the reference.
 
-    Tokens are interned to ids for the block and n-grams get dense ids
-    order by order, as in :func:`chrf_block`.  The clipped matches are
-    integers; the float steps run per pair, in the order a loop over one
-    pair would take, so every value is the one-pair value.  Memory grows
-    with the total length of the sequences, so callers with many pairs
-    pass them in blocks.
+    The clipped matches come from one count of the block
+    (:func:`_token_matches`) and are integers; the float steps run per
+    pair, in the order a loop over one pair would take, so every value is
+    the one-pair value.  Memory grows with the total length of the
+    sequences, so callers with many pairs pass them in blocks.
     """
     if len(candidates) != len(references):
         raise ValueError("bleu_block needs as many candidates as references")
@@ -123,24 +139,28 @@ def bleu_block(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq],
         raise ValueError("BLEU max_n must be >= 1")
     if smoothing not in ("none", "add_one"):
         raise ValueError(f"unknown BLEU smoothing {smoothing!r}")
-    n_pairs = len(candidates)
-    if n_pairs == 0:
-        return []
-    texts = list(candidates) + list(references)
-    lengths = np.array([len(t) for t in texts], dtype=np.int64)
-    if not lengths.all():
-        for candidate, reference in zip(candidates, references):
-            _require_tokens(candidate, "candidate")
-            _require_tokens(reference, "reference")
+    require_tokens(candidates, references, sides=("candidate", "reference"))
+    matches = _token_matches(candidates, references, max_n)
+    return [MetricScore("bleu", _bleu_value(found, len(c), len(r), max_n,
+                                            smoothing))
+            for found, c, r in zip(matches, candidates, references)]
+
+
+def _token_matches(tokens_a: Sequence[TokenSeq], tokens_b: Sequence[TokenSeq],
+                   max_n: int) -> list[list[int]]:
+    """Clipped n-gram matches of each pair ``(tokens_a[k], tokens_b[k])``
+    for the orders 1..max_n, one list per pair.
+
+    The block's tokens are interned to ids and counted by
+    :func:`_clipped_matches`.  The counts are symmetric, so one count
+    serves BLEU (text b as the candidate) and ROUGE-N (recall against a).
+    """
+    texts = list(tokens_a) + list(tokens_b)
     vocab: dict[str, int] = {}
     tokens = np.array([vocab.setdefault(tok, len(vocab))
                        for text in texts for tok in text], dtype=np.int64)
-    len_c, len_r = lengths[:n_pairs], lengths[n_pairs:]
-    top = min(max_n, int(np.minimum(len_c, len_r).max()))
-    matches = _clipped_matches(tokens, lengths, len(vocab), top)
-    return [MetricScore("bleu", _bleu_value(found, c, r, max_n, smoothing))
-            for found, c, r in zip(matches.T.tolist(), len_c.tolist(),
-                                   len_r.tolist())]
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    return _clipped_matches(tokens, lengths, len(vocab), max_n).T.tolist()
 
 
 def _bleu_value(matches: list[int], len_c: int, len_r: int, max_n: int,
@@ -237,7 +257,8 @@ def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
     Row n-1 of the result gives, per pair, the sum over its order-n
     n-grams of the smaller of the two sides' counts.  Order-n n-grams
     get dense ids from the pair (order n-1 id, last symbol id); each
-    (pair, n-gram, side) is counted by one sort.
+    (pair, n-gram, side) is counted by one sort.  Orders longer than
+    every pair's shorter side match nothing and are not counted.
     """
     n_pairs = lengths.size // 2
     text = np.repeat(np.arange(2 * n_pairs), lengths)
@@ -245,8 +266,10 @@ def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
     pair = text % n_pairs
     side = text // n_pairs  # 0 for side a, 1 for side b
     matches = np.zeros((max_n, n_pairs), dtype=np.int64)
+    top = min(max_n, int(np.minimum(lengths[:n_pairs],
+                                    lengths[n_pairs:]).max(initial=0)))
     gram_id, n_grams = symbols, n_symbols
-    for n in range(1, max_n + 1):
+    for n in range(1, top + 1):
         if n > 1:
             gram_id, n_grams = _dense_ids(
                 gram_id[:-1] * n_symbols + symbols[n - 1:])
@@ -295,19 +318,25 @@ def _f_beta(p: np.ndarray, r: np.ndarray, beta: float) -> np.ndarray:
 
 
 def rouge_n(a: TokenSeq, b: TokenSeq, n: int) -> MetricScore:
-    """N-gram overlap F1 with clipped counts; recall is taken against ``a``."""
-    _require_tokens(a, "a")
-    _require_tokens(b, "b")
-    grams_a = ngrams(a, n)
-    grams_b = ngrams(b, n)
-    total_a = sum(grams_a.values())
-    total_b = sum(grams_b.values())
+    """N-gram overlap F1 with clipped counts; recall is taken against ``a``.
+    The table's ``rouge1`` and ``rouge2`` score each pair of a block the
+    same way, from the block's one count."""
+    if n < 1:
+        raise ValueError("n-gram order must be >= 1")
+    require_tokens([a], [b], sides=("a", "b"))
+    return _rouge_score(a, b, _token_matches([a], [b], n)[0], n)
+
+
+def _rouge_score(a: TokenSeq, b: TokenSeq, matches: list[int],
+                 n: int) -> MetricScore:
+    """ROUGE-N of one pair from its clipped matches per order."""
+    total_a = max(len(a) - n + 1, 0)
+    total_b = max(len(b) - n + 1, 0)
     name = f"rouge{n}"
     if total_a == 0 or total_b == 0:
         return MetricScore(name, 0.0, extras={"precision": 0.0, "recall": 0.0})
-    matches = sum(min(c, grams_a[g]) for g, c in grams_b.items())
-    precision = matches / total_b
-    recall = matches / total_a
+    precision = matches[n - 1] / total_b
+    recall = matches[n - 1] / total_a
     if precision + recall == 0.0:
         f1 = 0.0
     else:
@@ -331,8 +360,7 @@ def _lcs_length(a: TokenSeq, b: TokenSeq) -> int:
 
 def rouge_l(a: TokenSeq, b: TokenSeq) -> MetricScore:
     """Longest-common-subsequence F1."""
-    _require_tokens(a, "a")
-    _require_tokens(b, "b")
+    require_tokens([a], [b], sides=("a", "b"))
     lcs = _lcs_length(a, b)
     recall = lcs / len(a)
     precision = lcs / len(b)
@@ -402,8 +430,7 @@ def meteor_lite(a: TokenSeq, b: TokenSeq, alpha: float = 0.9,
     multiplied by (1 - gamma*(chunks/matches)**chunk_exp); a single
     contiguous chunk carries no penalty at all.
     """
-    _require_tokens(a, "a")
-    _require_tokens(b, "b")
+    require_tokens([a], [b], sides=("a", "b"))
     pairs = _align(a, b)
     matches = len(pairs)
     if matches == 0:
@@ -423,44 +450,65 @@ def meteor_lite(a: TokenSeq, b: TokenSeq, alpha: float = 0.9,
                        extras={"matches": matches, "chunks": chunks})
 
 
+# How each lexical metric is scored, in report order: name -> (order,
+# scorer).  The scorer of a metric with an order scores one pair from its
+# tokens a and b, their clipped n-gram matches of orders 1..order (none
+# for order 0) and the overlap mode; BLEU takes text b as the candidate.
+# chrF's (order None) scores the texts of a whole block and reads no tokens.
+LEXICAL_SCORERS = {
+    "word_overlap": (0, lambda a, b, _, mode: word_overlap(a, b, mode=mode)),
+    "bleu1": (1, lambda a, b, found, _: MetricScore(
+        "bleu1", _bleu_value(found, len(b), len(a), 1, "none"))),
+    "bleu": (4, lambda a, b, found, _: MetricScore(
+        "bleu", _bleu_value(found, len(b), len(a), 4, "add_one"))),
+    "chrf": (None, chrf_block),
+    "rouge1": (1, lambda a, b, found, _: _rouge_score(a, b, found, 1)),
+    "rouge2": (2, lambda a, b, found, _: _rouge_score(a, b, found, 2)),
+    "rougeL": (0, lambda a, b, *_: rouge_l(a, b)),
+    "meteor": (0, lambda a, b, *_: meteor_lite(a, b)),
+}
+
+
 def lexical_metric_names() -> list[str]:
-    return ["word_overlap", "bleu1", "bleu", "chrf",
-            "rouge1", "rouge2", "rougeL", "meteor"]
+    return list(LEXICAL_SCORERS)
 
 
-# The BLEU metrics, scored in blocks of pairs with text b as the
-# candidate: name -> (max_n, smoothing).
-BLEU_METRICS = {"bleu1": (1, "none"), "bleu": (4, "add_one")}
+def score_lexical_block(names: Sequence[str], texts_a: Sequence[str],
+                        texts_b: Sequence[str],
+                        tokens_a: Optional[Sequence[TokenSeq]] = None,
+                        tokens_b: Optional[Sequence[TokenSeq]] = None,
+                        overlap_mode: str = "jaccard"
+                        ) -> dict[str, list[MetricScore]]:
+    """The lexical metrics ``names`` of every pair ``(texts_a[k],
+    texts_b[k])``, keyed by name, one score per pair.
 
-
-def bleu_metric(name: str, tokens_a: Sequence[TokenSeq],
-                tokens_b: Sequence[TokenSeq]) -> list[MetricScore]:
-    """One of :data:`BLEU_METRICS` for a block of tokenized pairs."""
-    max_n, smoothing = BLEU_METRICS[name]
-    return [MetricScore(name, score.value) for score in
-            bleu_block(tokens_b, tokens_a, max_n=max_n, smoothing=smoothing)]
-
-
-def token_lexical_scores(tokens_a: TokenSeq, tokens_b: TokenSeq,
-                         overlap_mode: str = "jaccard"
-                         ) -> dict[str, MetricScore]:
-    """The lexical metrics scored one tokenized pair at a time (all but
-    the BLEU metrics and chrF, which score blocks), keyed by name."""
-    return {
-        "word_overlap": word_overlap(tokens_a, tokens_b, mode=overlap_mode),
-        "rouge1": rouge_n(tokens_a, tokens_b, 1),
-        "rouge2": rouge_n(tokens_a, tokens_b, 2),
-        "rougeL": rouge_l(tokens_a, tokens_b),
-        "meteor": meteor_lite(tokens_a, tokens_b),
-    }
+    ``tokens_a`` and ``tokens_b`` are the texts' tokens when the caller
+    has them; otherwise they are made here, and only if a requested
+    metric reads tokens.  When one does, a pair with an empty side raises
+    :class:`EmptyText`, checked once for the block.  The clipped token
+    n-gram matches are counted once, up to the highest order the
+    requested metrics read.
+    """
+    scorers = {name: LEXICAL_SCORERS[name] for name in names}
+    orders = [order for order, _ in scorers.values() if order is not None]
+    rows = []
+    if orders:
+        if tokens_a is None or tokens_b is None:
+            tokens_a = [tokenize(t) for t in texts_a]
+            tokens_b = [tokenize(t) for t in texts_b]
+        require_tokens(tokens_a, tokens_b)
+        matches = _token_matches(tokens_a, tokens_b, max(orders)) \
+            if max(orders) else [[]] * len(tokens_a)
+        rows = list(zip(tokens_a, tokens_b, matches))
+    return {name: score(texts_a, texts_b) if order is None
+            else [score(a, b, found, overlap_mode) for a, b, found in rows]
+            for name, (order, score) in scorers.items()}
 
 
 def score_pair_lexical(text_a: str, text_b: str,
                        overlap_mode: str = "jaccard") -> dict[str, MetricScore]:
-    """All lexical metrics for one sentence pair, keyed by metric name."""
-    tokens_a, tokens_b = tokenize(text_a), tokenize(text_b)
-    scores = token_lexical_scores(tokens_a, tokens_b, overlap_mode=overlap_mode)
-    for name in BLEU_METRICS:
-        scores[name] = bleu_metric(name, [tokens_a], [tokens_b])[0]
-    scores["chrf"] = chrf(text_a, text_b)
-    return {name: scores[name] for name in lexical_metric_names()}
+    """All lexical metrics for one sentence pair, keyed by metric name: the
+    one-pair call of :func:`score_lexical_block`."""
+    return {name: column[0] for name, column in score_lexical_block(
+        lexical_metric_names(), [text_a], [text_b],
+        overlap_mode=overlap_mode).items()}

@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from labelsim.cli import main, read_config
+from labelsim.cli import (_build_heuristic_config, build_parser, main,
+                          read_config)
 from labelsim.corpus import load_corpus
-from labelsim.heuristics import apply_filters, heuristic_subsets, subset_label
+from labelsim.heuristics import (HeuristicConfig, apply_filters,
+                                 heuristic_subsets, subset_label)
 
 
 OVERLAP_TEXTS = [
@@ -335,6 +338,19 @@ def test_flag_names_the_pair_with_no_word_tokens(tmp_path, capsys):
     assert captured.err == TOKENLESS_ERROR
 
 
+def test_metrics_names_the_pair_with_no_word_tokens(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    write_tokenless_text_a(pairs)
+    rc = main(["metrics", "--pairs", pairs, "--metrics", "rouge2,chrf"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == TOKENLESS_ERROR
+    # chrF alone reads no word tokens and scores the pair
+    assert main(["metrics", "--pairs", pairs, "--metrics", "chrf"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("p2,0.")
+
+
 def test_style_report_names_the_pair_with_no_word_tokens(tmp_path, capsys):
     pairs, annotations = write_corpus(tmp_path, with_radical=True)
     write_tokenless_text_a(pairs)
@@ -347,6 +363,26 @@ def test_style_report_names_the_pair_with_no_word_tokens(tmp_path, capsys):
     assert rc == 1
     assert captured.out == ""
     assert captured.err == TOKENLESS_ERROR
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(HeuristicConfig),
+                         ids=lambda f: f.name)
+def test_every_heuristic_config_field_is_a_flag_and_a_config_key(
+        field, tmp_path):
+    # a valid value other than the default, of the default's type
+    value = field.default + 1 if isinstance(field.default, int) \
+        else field.default / 2
+    argv = ["flag", "--pairs", "pairs.csv", "--annotations", "ann.csv"]
+    flag = "--" + field.name.replace("_", "-")
+    from_flag = _build_heuristic_config(
+        build_parser().parse_args(argv + [flag, str(value)]), {})
+    cfg = tmp_path / "thresholds.cfg"
+    cfg.write_text(f"{field.name} = {value}\n")
+    from_file = _build_heuristic_config(build_parser().parse_args(argv),
+                                        read_config(cfg))
+    expected = dataclasses.replace(HeuristicConfig(), **{field.name: value})
+    assert from_flag == from_file == expected
+    assert type(getattr(from_flag, field.name)) is type(field.default)
 
 
 def test_flag_config_file_and_flag_precedence(tmp_path, capsys):

@@ -33,12 +33,15 @@ from labelsim.heuristics import (HeuristicId, compute_flag_reports,
                                  heuristic_subsets)
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
-from labelsim.textmetrics import (lexical_metric_names, score_pair_lexical,
-                                  tokenize)
+from labelsim.textmetrics import (bleu, chrf, lexical_metric_names,
+                                  meteor_lite, rouge_l, rouge_n,
+                                  score_lexical_block, score_pair_lexical,
+                                  tokenize, word_overlap)
 
 from conftest import make_corpus
 from oracles import (chrf_oracle, correlation_report_oracle, counter_bleu,
-                     loop_ranks, pearson_oracle, rank_oracle, spearman_oracle)
+                     jaccard_oracle, loop_ranks, pearson_oracle, rank_oracle,
+                     rouge_n_oracle, spearman_oracle)
 
 
 # ------------------------------------------------------------ correlation
@@ -246,24 +249,71 @@ BLOCK = textmetrics.BLOCK_PAIRS
 @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                   2 * BLOCK + 1])
 def test_compute_metric_scores_chrf_blocks(size):
-    # one pair, one pair either side of a block boundary, and two full
-    # blocks
+    # every lexical column, chrF's among them, over one pair, one pair
+    # either side of a block boundary, and two full blocks; sides of one
+    # to six words, so some are shorter than the bigram and BLEU orders
     rng = random.Random(size)
     words = ["caf\u00e9", "na\u00efve", "tree", "trees", "\u65e5\u672c", "a", "ox"]
     specs = [(f"p{i}", " ".join(rng.choices(words, k=rng.randint(1, 6))),
               " ".join(rng.choices(words, k=rng.randint(1, 6))))
              for i in range(size)]
     corpus = make_corpus(specs, [])
-    scores, dropped = compute_metric_scores(corpus, ["chrf", "bleu1", "bleu"])
-    assert list(scores["chrf"]) == [pid for pid, _, _ in specs]
-    assert [scores["chrf"][pid] for pid, _, _ in specs] == [
-        chrf_oracle(a, b) for _, a, b in specs]
-    for name, max_n, smoothing in (("bleu1", 1, "none"), ("bleu", 4, "add_one")):
+    scores, dropped = compute_metric_scores(corpus, list(LEXICAL_METRICS))
+    tokens = [(tokenize(a), tokenize(b)) for _, a, b in specs]
+    one_pair = {
+        "word_overlap": [word_overlap(a, b) for a, b in tokens],
+        "bleu1": [bleu(b, a, max_n=1, smoothing="none") for a, b in tokens],
+        "bleu": [bleu(b, a) for a, b in tokens],
+        "chrf": [chrf(a, b) for _, a, b in specs],
+        "rouge1": [rouge_n(a, b, 1) for a, b in tokens],
+        "rouge2": [rouge_n(a, b, 2) for a, b in tokens],
+        "rougeL": [rouge_l(a, b) for a, b in tokens],
+        "meteor": [meteor_lite(a, b) for a, b in tokens],
+    }
+    oracle = {
+        "word_overlap": [jaccard_oracle(a, b) for a, b in tokens],
+        "bleu1": [counter_bleu(b, a, 1, "none") for a, b in tokens],
+        "bleu": [counter_bleu(b, a, 4, "add_one") for a, b in tokens],
+        "chrf": [chrf_oracle(a, b) for _, a, b in specs],
+        "rouge1": [rouge_n_oracle(a, b, 1) for a, b in tokens],
+        "rouge2": [rouge_n_oracle(a, b, 2) for a, b in tokens],
+    }
+    for name in LEXICAL_METRICS:
         assert list(scores[name]) == [pid for pid, _, _ in specs]
-        assert [scores[name][pid] for pid, _, _ in specs] == [
-            counter_bleu(tokenize(b), tokenize(a), max_n, smoothing)
-            for _, a, b in specs]
-    assert dropped == {"chrf": 0, "bleu1": 0, "bleu": 0}
+        column = [scores[name][pid] for pid, _, _ in specs]
+        assert column == [score.value for score in one_pair[name]], name
+        if name in oracle:
+            assert column == oracle[name], name
+    assert dropped == {name: 0 for name in LEXICAL_METRICS}
+    # the extras of every block score, as the one-pair functions give them
+    for part in textmetrics.pair_blocks(size):
+        block = score_lexical_block(LEXICAL_METRICS,
+                                    [a for _, a, _ in specs[part]],
+                                    [b for _, _, b in specs[part]])
+        for name in LEXICAL_METRICS:
+            assert [(s.value, s.extras) for s in block[name]] == [
+                (s.value, s.extras) for s in one_pair[name][part]], name
+
+
+@pytest.mark.parametrize("name", LEXICAL_METRICS)
+def test_compute_metric_scores_scores_only_the_requested_metric(
+        name, monkeypatch):
+    # every other lexical scorer raises, so asking for one metric must not
+    # score another on the side
+    corpus = scoring_corpus()
+    expected = {p.pair_id: score_pair_lexical(p.text_a, p.text_b)[name].value
+                for p in corpus.pairs}
+
+    def unrequested(*args):
+        raise AssertionError("scored a metric that was not requested")
+
+    for other, (order, _) in textmetrics.LEXICAL_SCORERS.items():
+        if other != name:
+            monkeypatch.setitem(textmetrics.LEXICAL_SCORERS, other,
+                                (order, unrequested))
+    scores, dropped = compute_metric_scores(corpus, [name])
+    assert scores == {name: expected}
+    assert dropped == {name: 0}
 
 
 def test_compute_metric_scores_names_a_pair_without_word_tokens():
@@ -271,6 +321,12 @@ def test_compute_metric_scores_names_a_pair_without_word_tokens():
                           ("p2", "red oak", "!!! ???")], [])
     with pytest.raises(ValueError, match=r"pair 'p2'.*\(text_b\)"):
         compute_metric_scores(corpus, ["rouge1"])
+    # past the first block, the pair is found by its place in its block
+    late = make_corpus([(f"q{i}", "red oak", "red elm")
+                        for i in range(BLOCK + 2)]
+                       + [("q_last", "...", "red elm")], [])
+    with pytest.raises(ValueError, match=r"pair 'q_last'.*\(text_a\)"):
+        compute_metric_scores(late, ["meteor"])
     # chrF alone scores punctuation
     scores, _ = compute_metric_scores(corpus, ["chrf"])
     assert scores["chrf"]["p2"] == chrf_oracle("red oak", "!!! ???") == 0.0

@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from labelsim.textmetrics import (MetricScore, bleu, bleu_block, chrf,
-                                  chrf_block, lexical_metric_names,
-                                  light_stem, meteor_lite, ngrams, rouge_l,
-                                  rouge_n, score_pair_lexical, tokenize,
-                                  word_overlap)
+from labelsim import textmetrics
+from labelsim.textmetrics import (EmptyText, MetricScore, bleu, bleu_block,
+                                  chrf, chrf_block, lexical_metric_names,
+                                  light_stem, meteor_lite, require_tokens,
+                                  rouge_l, rouge_n, score_lexical_block,
+                                  score_pair_lexical, tokenize, word_overlap)
 
 import oracles
 
@@ -70,12 +71,14 @@ def test_word_overlap_matches_oracle():
 
 
 def test_ngrams_counting():
-    counts = ngrams(("a", "b", "a", "b"), 2)
+    # the oracles' n-gram multisets, under every clipped-count oracle; the
+    # package counts n-grams only as clipped matches of whole blocks
+    counts = oracles.gram_counts(("a", "b", "a", "b"), 2)
     assert counts[("a", "b")] == 2
     assert counts[("b", "a")] == 1
-    assert ngrams(("a",), 2) == {}
-    with pytest.raises(ValueError):
-        ngrams(("a",), 0)
+    assert oracles.gram_counts(("a",), 2) == {}
+    assert oracles.clipped_overlap(("a", "b", "a", "b"), ("b", "a", "b"),
+                                   2) == 2
 
 
 def test_bleu_identity():
@@ -251,6 +254,13 @@ def test_rouge_1_frozen():
     assert score.extras["recall"] == pytest.approx(2 / 3)
 
 
+def test_rouge_n_rejects_bad_input():
+    with pytest.raises(ValueError, match="order"):
+        rouge_n(("a",), ("a",), 0)
+    with pytest.raises(ValueError, match=r"\(b\)"):
+        rouge_n(("a",), (), 1)
+
+
 def test_rouge_2_no_bigrams():
     assert rouge_n(("a",), ("a", "b"), 2).value == 0.0
     assert rouge_n(("a", "b"), ("c",), 2).value == 0.0
@@ -360,6 +370,94 @@ def test_identity_scores_one_for_all_metrics():
         text = " ".join(random_tokens(rng, 2, 8, vocab=["cat", "dog", "run"]))
         for name, score in score_pair_lexical(text, text).items():
             assert score.value == pytest.approx(1.0), name
+
+
+# Unicode tokens; sides of one to six tokens, so some are shorter than
+# the ROUGE-2 bigram and below the BLEU order cap of 4
+unicode_tokens = st.lists(st.sampled_from(
+    ["a", "b", "\u00e9t\u00e9", "\u65e5\u672c", "x'y", "\u0441\u043e\u043d"]),
+    min_size=1, max_size=6).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(unicode_tokens, unicode_tokens), min_size=1,
+                max_size=6))
+def test_score_lexical_block_equals_one_pair_functions_and_oracles(pairs):
+    tokens_a = [a for a, _ in pairs]
+    tokens_b = [b for _, b in pairs]
+    texts_a = [" ".join(a) for a in tokens_a]
+    texts_b = [" ".join(b) for b in tokens_b]
+    got = score_lexical_block(lexical_metric_names(), texts_a, texts_b,
+                              tokens_a, tokens_b)
+    one_pair = {
+        "word_overlap": [word_overlap(a, b) for a, b in pairs],
+        "bleu1": [MetricScore("bleu1", bleu(b, a, max_n=1,
+                                            smoothing="none").value)
+                  for a, b in pairs],
+        "bleu": [MetricScore("bleu", bleu(b, a).value) for a, b in pairs],
+        "chrf": [chrf(a, b) for a, b in zip(texts_a, texts_b)],
+        "rouge1": [rouge_n(a, b, 1) for a, b in pairs],
+        "rouge2": [rouge_n(a, b, 2) for a, b in pairs],
+        "rougeL": [rouge_l(a, b) for a, b in pairs],
+        "meteor": [meteor_lite(a, b) for a, b in pairs],
+    }
+    assert got == one_pair
+    oracle = {
+        "bleu1": [oracles.counter_bleu(b, a, 1, "none") for a, b in pairs],
+        "bleu": [oracles.counter_bleu(b, a) for a, b in pairs],
+        "chrf": [oracles.chrf_oracle(a, b) for a, b in zip(texts_a, texts_b)],
+        "rouge1": [oracles.rouge_n_oracle(a, b, 1) for a, b in pairs],
+        "rouge2": [oracles.rouge_n_oracle(a, b, 2) for a, b in pairs],
+    }
+    for name, values in oracle.items():
+        assert [score.value for score in got[name]] == values, name
+    for name in ("rouge1", "rouge2"):
+        n = int(name[-1])
+        for (a, b), score in zip(pairs, got[name]):
+            total_a, total_b = len(a) - n + 1, len(b) - n + 1
+            matches = oracles.clipped_overlap(a, b, n)
+            if min(total_a, total_b) <= 0:
+                assert score.extras == {"precision": 0.0, "recall": 0.0}
+            else:
+                assert score.extras == {"precision": matches / total_b,
+                                        "recall": matches / total_a}
+
+
+def test_score_lexical_block_counts_token_ngrams_once(monkeypatch):
+    orders = []
+    original = textmetrics._clipped_matches
+
+    def counting(symbols, lengths, n_symbols, max_n):
+        orders.append(max_n)
+        return original(symbols, lengths, n_symbols, max_n)
+
+    monkeypatch.setattr(textmetrics, "_clipped_matches", counting)
+    texts = (["the cat sat on the mat", "a dog"], ["the cat sat", "a dog ran"])
+    score_lexical_block(["bleu1", "bleu", "rouge1", "rouge2"], *texts)
+    assert orders == [4]
+    orders.clear()
+    score_lexical_block(["rouge1"], *texts)
+    assert orders == [1]
+    orders.clear()
+    score_lexical_block(["word_overlap", "rougeL", "meteor"], *texts)
+    assert orders == []
+
+
+def test_score_lexical_block_names_the_first_empty_side():
+    with pytest.raises(EmptyText, match=r"\(text_b\)") as caught:
+        score_lexical_block(["word_overlap"], ["red", "red", "..."],
+                            ["red", "!!!", "red"])
+    assert caught.value.index == 1
+    assert str(caught.value.for_pair("p7")) == (
+        "pair 'p7': cannot score an empty token sequence (text_b)")
+    with pytest.raises(EmptyText, match=r"\(text_a\)"):
+        require_tokens([(), ("a",)], [(), ()])
+    with pytest.raises(EmptyText) as caught:
+        require_tokens([("a",), ()], [("a",), ("b",)], start=32)
+    assert caught.value.index == 33
+    # chrF reads no tokens, so a tokenless pair still scores
+    [score] = score_lexical_block(["chrf"], ["red oak"], ["!!! ???"])["chrf"]
+    assert score.value == 0.0
 
 
 def test_disjoint_scores_zero_for_all_metrics():
