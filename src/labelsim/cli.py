@@ -89,8 +89,11 @@ def _add_corpus_args(p, annotations_required=True):
                    help="force the corpus file format")
 
 
-def _add_common_args(p):
+def _add_config_arg(p):
     p.add_argument("--config", help="key = value config file with defaults")
+
+
+def _add_out_arg(p):
     p.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -208,10 +211,9 @@ def _prepare_scoring(corpus, args):
     if pos_tags_path:
         gold_tags = embmetrics.load_gold_tags(pos_tags_path)
     noun_tagger = None
-    if "pos_dist" in metrics and gold_tags is None:
-        nouns = embmetrics.load_noun_lexicon(noun_lex_path) \
-            if noun_lex_path else None
-        noun_tagger = embmetrics.lexicon_noun_tagger(nouns)
+    if "pos_dist" in metrics and gold_tags is None and noun_lex_path:
+        noun_tagger = embmetrics.lexicon_noun_tagger(
+            embmetrics.load_noun_lexicon(noun_lex_path))
 
     return metrics, dict(
         table=table,
@@ -240,10 +242,6 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _fmt_opt(value, spec=".6f") -> str:
-    return "" if value is None else format(value, spec)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -266,13 +264,12 @@ def cmd_stats(args) -> int:
              "mean_nonrandom,extreme_share,central_share,disagreement_rate,style"]
     for aid in sorted(profiles):
         p = profiles[aid]
-        lines.append(",".join([
-            aid, str(p.n_labels), _fmt_opt(p.mean_duration),
-            _fmt_opt(p.label_variance), _fmt_opt(p.mean_random),
-            _fmt_opt(p.mean_nonrandom), _fmt_opt(p.extreme_share),
-            _fmt_opt(p.central_share), _fmt_opt(p.disagreement_rate),
-            p.style.value,
-        ]))
+        values = (p.mean_duration, p.label_variance, p.mean_random,
+                  p.mean_nonrandom, p.extreme_share, p.central_share,
+                  p.disagreement_rate)
+        lines.append(",".join([aid, str(p.n_labels)]
+                              + [correlate._fmt(v) for v in values]
+                              + [p.style.value]))
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -314,7 +311,7 @@ def cmd_metrics(args) -> int:
         corpus, metrics, oriented=False, **kwargs)
     lines = ["pair_id," + ",".join(metrics)]
     for pair in corpus.pairs:
-        cells = [_fmt_opt(scores[m].get(pair.pair_id)) for m in metrics]
+        cells = [correlate._fmt(scores[m].get(pair.pair_id)) for m in metrics]
         lines.append(pair.pair_id + "," + ",".join(cells))
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -457,14 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="per-annotator statistics as CSV")
     _add_corpus_args(p)
-    _add_common_args(p)
+    _add_out_arg(p)
     p.add_argument("--style-variance-excludes-midpoint", action="store_true",
                    help="drop label-3 judgments from the style variance")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("flag", help="evaluate reliability heuristics")
     _add_corpus_args(p)
-    _add_common_args(p)
+    _add_config_arg(p)
+    _add_out_arg(p)
     _add_threshold_args(p)
     p.add_argument("--heuristics", default="all",
                    help="comma-separated heuristic ids (1-5) or 'all'")
@@ -476,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="score every pair with the metrics")
     _add_corpus_args(p, annotations_required=False)
-    _add_common_args(p)
+    _add_out_arg(p)
     _add_metric_args(p)
     p.set_defaults(func=cmd_metrics)
 
@@ -486,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
                            + ("per labeling style" if "style" in name else
                               "against gold mean labels"))
         _add_corpus_args(p)
-        _add_common_args(p)
+        _add_config_arg(p)
+        _add_out_arg(p)
         _add_threshold_args(p)
         _add_metric_args(p)
         p.add_argument("--heuristics", default="all",
@@ -506,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
 
     p = sub.add_parser("simulate", help="generate a synthetic labeled corpus")
-    _add_common_args(p)
+    _add_config_arg(p)
     p.add_argument("--out-dir", required=True)
     _add_field_args(p, _SIM_CONFIG_FIELDS, {
         "seed": "random seed of the generated corpus (default "
@@ -514,6 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
         "profiles": "e.g. 'reliable:36:0.5,constant:12:3,uniform:12'"})
     p.set_defaults(func=cmd_simulate)
 
+    # an option must be spelled out: a removed one such as simulate's
+    # --out would otherwise be taken as a prefix of --out-dir
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

@@ -191,13 +191,20 @@ def _parse_float(raw, where: str) -> float:
 
 
 def _read_csv_rows(path: Path, required: tuple[str, ...]):
+    """Yield ``(lineno, row)`` for each data row of a CSV file, from row 2.
+
+    Every CSV input is read here, so each fails the same way: a missing
+    header or column, or a row short of a required column, raises
+    :class:`CorpusError` naming the file and row.
+    """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise CorpusError(f"{path}: empty file, header required")
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
-            raise CorpusError(f"{path}: missing columns {missing}")
+            raise CorpusError(f"{path}: missing columns {missing}; "
+                              f"expected columns {','.join(required)}")
         for lineno, row in enumerate(reader, start=2):
             if any(row.get(c) is None for c in required):
                 raise CorpusError(f"{path} row {lineno}: short row")

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .corpus import CorpusError, _read_csv_rows
 from .textmetrics import MetricScore, TokenSeq, light_stem
 
 MARGINAL_TOL = 1e-9
@@ -68,27 +69,35 @@ def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
             word = parts[0]
             if vocab_filter is not None and word not in vocab_filter:
                 continue
-            try:
-                values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(
-                    f"{path} line {lineno}: non-numeric vector component") from None
-            if values.size == 0:
-                raise ValueError(f"{path} line {lineno}: no vector components")
-            if not np.isfinite(values).all():
-                raise ValueError(
-                    f"{path} line {lineno}: non-finite vector component")
-            if dimension is None:
-                dimension = values.size
-            elif values.size != dimension:
-                raise ValueError(
-                    f"{path} line {lineno}: expected {dimension} components, "
-                    f"got {values.size}")
+            values = _parse_vector(parts[1:], f"{path} line {lineno}",
+                                   dimension)
+            dimension = values.size
             if word not in vectors:
                 vectors[word] = values
     if dimension is None:
-        raise ValueError(f"{path}: no embedding vectors found")
+        raise CorpusError(f"{path}: no embedding vectors found")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
+def _parse_vector(fields: Sequence[str], where: str,
+                  dimension: Optional[int]) -> np.ndarray:
+    """One embedding vector from its whitespace-separated components.
+
+    ``where`` (``"<file> line N"`` or ``"<file> row N"``) prefixes each
+    error; a vector must match ``dimension`` once one is fixed.
+    """
+    try:
+        values = np.array([float(x) for x in fields], dtype=np.float64)
+    except ValueError:
+        raise CorpusError(f"{where}: non-numeric vector component") from None
+    if values.size == 0:
+        raise CorpusError(f"{where}: no vector components")
+    if not np.isfinite(values).all():
+        raise CorpusError(f"{where}: non-finite vector component")
+    if dimension is not None and values.size != dimension:
+        raise CorpusError(f"{where}: expected {dimension} components, "
+                          f"got {values.size}")
+    return values
 
 
 def sentence_vector(tokens: TokenSeq, table: EmbeddingTable) -> np.ndarray:
@@ -586,75 +595,47 @@ def orient(score: MetricScore) -> float:
 # external per-pair artifacts
 
 
+def _parse_side(row: dict, where: str) -> str:
+    side = row["side"].strip().lower()
+    if side not in ("a", "b"):
+        raise CorpusError(f"{where}: side must be a or b")
+    return side
+
+
 def load_sentence_embeddings(path) -> dict:
     """Per-pair sentence vectors: CSV pair_id, side in {a, b}, then the
     vector as whitespace-separated floats.  Returns pair_id -> {side: vec}."""
-    import csv
-
     path = Path(path)
     out: dict[str, dict[str, np.ndarray]] = {}
     dimension: Optional[int] = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = ("pair_id", "side", "vector")
-        if reader.fieldnames is None or \
-                not set(required) <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns pair_id,side,vector")
-        for lineno, row in enumerate(reader, start=2):
-            pid = row["pair_id"].strip()
-            side = row["side"].strip().lower()
-            if side not in ("a", "b"):
-                raise ValueError(f"{path} row {lineno}: side must be a or b")
-            try:
-                vec = np.array([float(x) for x in row["vector"].split()],
-                               dtype=np.float64)
-            except ValueError:
-                raise ValueError(
-                    f"{path} row {lineno}: non-numeric vector") from None
-            if vec.size == 0:
-                raise ValueError(f"{path} row {lineno}: empty vector")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path} row {lineno}: non-finite vector")
-            if dimension is None:
-                dimension = vec.size
-            elif vec.size != dimension:
-                raise ValueError(
-                    f"{path} row {lineno}: expected {dimension} components")
-            sides = out.setdefault(pid, {})
-            if side in sides:
-                raise ValueError(
-                    f"{path} row {lineno}: duplicate side {side!r} for {pid!r}")
-            sides[side] = vec
+    for lineno, row in _read_csv_rows(path, ("pair_id", "side", "vector")):
+        where = f"{path} row {lineno}"
+        pid = row["pair_id"].strip()
+        side = _parse_side(row, where)
+        vec = _parse_vector(row["vector"].split(), where, dimension)
+        dimension = vec.size
+        sides = out.setdefault(pid, {})
+        if side in sides:
+            raise CorpusError(f"{where}: duplicate side {side!r} for {pid!r}")
+        sides[side] = vec
     return out
 
 
 def load_gold_tags(path) -> dict:
     """Gold POS tags: CSV pair_id, side, token_index, tag.
     Returns (pair_id, side) -> {token_index: tag}."""
-    import csv
-
     path = Path(path)
     out: dict[tuple[str, str], dict[int, str]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = ("pair_id", "side", "token_index", "tag")
-        if reader.fieldnames is None or \
-                not set(required) <= set(reader.fieldnames):
-            raise ValueError(
-                f"{path}: expected columns pair_id,side,token_index,tag")
-        for lineno, row in enumerate(reader, start=2):
-            side = row["side"].strip().lower()
-            if side not in ("a", "b"):
-                raise ValueError(f"{path} row {lineno}: side must be a or b")
-            try:
-                idx = int(row["token_index"])
-            except ValueError:
-                raise ValueError(
-                    f"{path} row {lineno}: bad token_index") from None
-            key = (row["pair_id"].strip(), side)
-            tags = out.setdefault(key, {})
-            if idx in tags:
-                raise ValueError(
-                    f"{path} row {lineno}: duplicate token_index {idx}")
-            tags[idx] = row["tag"].strip()
+    for lineno, row in _read_csv_rows(
+            path, ("pair_id", "side", "token_index", "tag")):
+        where = f"{path} row {lineno}"
+        side = _parse_side(row, where)
+        try:
+            idx = int(row["token_index"])
+        except ValueError:
+            raise CorpusError(f"{where}: bad token_index") from None
+        tags = out.setdefault((row["pair_id"].strip(), side), {})
+        if idx in tags:
+            raise CorpusError(f"{where}: duplicate token_index {idx}")
+        tags[idx] = row["tag"].strip()
     return out

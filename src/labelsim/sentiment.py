@@ -8,14 +8,13 @@ and per-pair scores from an external tool can be ingested from CSV.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-from .corpus import CorpusError, LabeledCorpus
+from .corpus import CorpusError, LabeledCorpus, _read_csv_rows
 from .textmetrics import tokenize
 
 NEGATION_WINDOW = 3
@@ -65,32 +64,24 @@ class SentimentLexicon:
 
 def load_lexicon(path: Optional[Path] = None) -> SentimentLexicon:
     """Read a word,valence CSV; with no path, the bundled lexicon is used."""
-    if path is None:
-        ref = resources.files("labelsim.data").joinpath("sentiment_lexicon.csv")
-        with ref.open("r", encoding="utf-8") as fh:
-            return _parse_lexicon(fh, "bundled sentiment lexicon")
-    with Path(path).open(encoding="utf-8") as fh:
-        return _parse_lexicon(fh, str(path))
-
-
-def _parse_lexicon(fh, name: str) -> SentimentLexicon:
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or \
-            not {"word", "valence"} <= set(reader.fieldnames):
-        raise ValueError(f"{name}: expected columns word,valence")
+    ref = resources.files("labelsim.data").joinpath("sentiment_lexicon.csv") \
+        if path is None else Path(path)
     valences: dict[str, float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        word = row["word"].strip().lower()
-        if not word:
-            raise ValueError(f"{name} row {lineno}: empty word")
-        try:
-            valences[word] = float(row["valence"])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{name} row {lineno}: bad valence {row['valence']!r}") from None
-        if not math.isfinite(valences[word]):
-            raise ValueError(
-                f"{name} row {lineno}: non-finite valence {row['valence']!r}")
+    with resources.as_file(ref) as csv_path:
+        for lineno, row in _read_csv_rows(csv_path, ("word", "valence")):
+            where = f"{csv_path} row {lineno}"
+            word = row["word"].strip().lower()
+            if not word:
+                raise CorpusError(f"{where}: empty word")
+            try:
+                valence = float(row["valence"])
+            except ValueError:
+                raise CorpusError(
+                    f"{where}: bad valence {row['valence']!r}") from None
+            if not math.isfinite(valence):
+                raise CorpusError(
+                    f"{where}: non-finite valence {row['valence']!r}")
+            valences[word] = valence
     return SentimentLexicon(valences=valences)
 
 
@@ -140,27 +131,20 @@ def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None
     path = Path(path)
     known = corpus.pairs_by_id if corpus is not None else None
     out: dict[str, tuple[float, float]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = ("pair_id", "score_a", "score_b")
-        if reader.fieldnames is None or \
-                not set(required) <= set(reader.fieldnames):
-            raise CorpusError(f"{path}: expected columns pair_id,score_a,score_b")
-        for lineno, row in enumerate(reader, start=2):
-            pid = row["pair_id"].strip()
-            if known is not None and pid not in known:
-                raise CorpusError(f"{path} row {lineno}: unknown pair {pid!r}")
-            if pid in out:
-                raise CorpusError(f"{path} row {lineno}: duplicate pair {pid!r}")
-            try:
-                score_a = float(row["score_a"])
-                score_b = float(row["score_b"])
-            except (TypeError, ValueError):
-                raise CorpusError(
-                    f"{path} row {lineno}: non-numeric sentiment score") from None
-            for score in (score_a, score_b):
-                if not -1.0 <= score <= 1.0:
-                    raise CorpusError(
-                        f"{path} row {lineno}: score {score} outside [-1, 1]")
-            out[pid] = (score_a, score_b)
+    for lineno, row in _read_csv_rows(path, ("pair_id", "score_a", "score_b")):
+        where = f"{path} row {lineno}"
+        pid = row["pair_id"].strip()
+        if known is not None and pid not in known:
+            raise CorpusError(f"{where}: unknown pair {pid!r}")
+        if pid in out:
+            raise CorpusError(f"{where}: duplicate pair {pid!r}")
+        try:
+            score_a = float(row["score_a"])
+            score_b = float(row["score_b"])
+        except ValueError:
+            raise CorpusError(f"{where}: non-numeric sentiment score") from None
+        for score in (score_a, score_b):
+            if not -1.0 <= score <= 1.0:
+                raise CorpusError(f"{where}: score {score} outside [-1, 1]")
+        out[pid] = (score_a, score_b)
     return out

@@ -166,12 +166,10 @@ def _duration_for(kind: ProfileKind, param: float,
     return float(max(1.0, rng.normal(45.0, 10.0)))
 
 
-def generate_corpus(spec: PopulationSpec,
-                    seed: Optional[int] = None
-                    ) -> tuple[LabeledCorpus, GroundTruth]:
+def generate_corpus(spec: PopulationSpec) -> tuple[LabeledCorpus, GroundTruth]:
     """Simulate a labeled corpus; returns it with the planted ground truth."""
     spec.validate()
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     vocab = np.array(_vocabulary(spec.vocab_size))
 
     n_random = int(np.rint(spec.n_pairs * spec.fraction_random))

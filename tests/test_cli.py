@@ -9,9 +9,10 @@ import pytest
 
 from labelsim.cli import (_build_heuristic_config, build_parser, main,
                           read_config)
-from labelsim.corpus import load_corpus
+from labelsim.corpus import CorpusError, load_corpus
 from labelsim.heuristics import (HeuristicConfig, apply_filters,
                                  heuristic_subsets, subset_label)
+from labelsim.sentiment import load_lexicon
 
 
 OVERLAP_TEXTS = [
@@ -206,6 +207,61 @@ def test_bad_usage_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--pairs", "p.csv", "--annotations", "a.csv",
+     "--config", "c.cfg"],
+    ["metrics", "--pairs", "p.csv", "--config", "c.cfg"],
+    ["simulate", "--out-dir", "sim", "--out", "x"],
+], ids=["stats --config", "metrics --config", "simulate --out"])
+def test_options_no_handler_reads_are_usage_errors(tmp_path, monkeypatch,
+                                                   argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("name, header, good, argv", [
+    ("pairs", None, None, ["flag"]),
+    ("annotations", None, None, ["flag"]),
+    ("precomputed", "pair_id,score", "p1,0.5",
+     ["metrics", "--metrics", "ext", "--precomputed", "ext=PATH"]),
+    ("sentiment", "pair_id,score_a,score_b", "p1,0.5,0.5",
+     ["flag", "--sentiment-file", "PATH"]),
+    ("sent-embeddings", "pair_id,side,vector", "p1,a,1 2",
+     ["metrics", "--metrics", "l2", "--sent-embeddings", "PATH"]),
+    ("pos-tags", "pair_id,side,token_index,tag", "p1,a,0,NN",
+     ["metrics", "--metrics", "pos_dist", "--embeddings", "EMB",
+      "--pos-tags", "PATH"]),
+    ("lexicon", "word,valence", "shiny,2.0", None),
+], ids=["pairs", "annotations", "precomputed", "sentiment", "sent-embeddings",
+        "pos-tags", "lexicon"])
+def test_short_row_in_any_csv_input_names_file_and_row(
+        tmp_path, capsys, name, header, good, argv):
+    pairs, annotations = write_corpus(tmp_path)
+    if header is None:
+        path = Path(pairs if name == "pairs" else annotations)
+        row = len(path.read_text().splitlines()) + 1
+        path.write_text(path.read_text() + "p1,s1\n")
+    else:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"{header}\n{good}\np1\n")
+        row = 3
+    expected = f"{path} row {row}: short row"
+    if argv is None:  # the lexicon is read by the library, not the CLI
+        with pytest.raises(CorpusError) as exc:
+            load_lexicon(path)
+        assert str(exc.value) == expected
+        return
+    embeddings = write_embeddings(tmp_path)
+    rc = main(argv[:1] + ["--pairs", pairs, "--annotations", annotations]
+              + [a.replace("PATH", str(path)).replace("EMB", embeddings)
+                 for a in argv[1:]])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_corrupt_corpus_is_data_error(tmp_path, capsys):

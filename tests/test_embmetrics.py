@@ -796,7 +796,7 @@ def test_load_sentence_embeddings_errors(tmp_path):
     with pytest.raises(ValueError, match="non-numeric"):
         load_sentence_embeddings(
             attempt("pair_id,side,vector\np1,a,one two\n"))
-    with pytest.raises(ValueError, match="empty vector"):
+    with pytest.raises(ValueError, match="no vector components"):
         load_sentence_embeddings(
             attempt("pair_id,side,vector\np1,a,\n"))
     with pytest.raises(ValueError, match="expected 2 components"):

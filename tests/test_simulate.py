@@ -92,13 +92,13 @@ def test_same_seed_reproduces_everything():
     assert truth1 == truth2
 
 
-def test_seed_override_and_difference():
-    corpus1, _ = generate_corpus(small_spec(), seed=1)
-    corpus2, _ = generate_corpus(small_spec(), seed=2)
+def test_spec_seed_is_the_only_seed():
+    corpus1, _ = generate_corpus(small_spec(seed=1))
+    corpus2, _ = generate_corpus(small_spec(seed=2))
     assert corpus1 != corpus2
-    # the seed argument overrides PopulationSpec.seed
-    corpus3, _ = generate_corpus(small_spec(seed=999), seed=1)
-    assert corpus1 == corpus3
+    assert generate_corpus(small_spec(seed=1))[0] == corpus1
+    with pytest.raises(TypeError):
+        generate_corpus(small_spec(), seed=1)
 
 
 def test_roster_names_and_kind_counts():
