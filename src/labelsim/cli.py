@@ -196,7 +196,8 @@ def _prepare_scoring(corpus, args):
 
     sent_embeddings = None
     if sent_emb_path:
-        sent_embeddings = embmetrics.load_sentence_embeddings(sent_emb_path)
+        sent_embeddings = embmetrics.load_sentence_embeddings(
+            sent_emb_path, corpus)
 
     if table is None:
         skipped = [m for m in metrics
@@ -209,7 +210,7 @@ def _prepare_scoring(corpus, args):
 
     gold_tags = None
     if pos_tags_path:
-        gold_tags = embmetrics.load_gold_tags(pos_tags_path)
+        gold_tags = embmetrics.load_gold_tags(pos_tags_path, corpus)
     noun_tagger = None
     if "pos_dist" in metrics and gold_tags is None and noun_lex_path:
         noun_tagger = embmetrics.lexicon_noun_tagger(

@@ -211,6 +211,22 @@ def _read_csv_rows(path: Path, required: tuple[str, ...]):
             yield lineno, row
 
 
+def _row_pair(row: dict, where: str, corpus: Optional[LabeledCorpus]
+              ) -> tuple[str, Optional[SentencePair]]:
+    """A side-file row's pair_id and, when a corpus is given, its pair.
+
+    With a corpus, a pair_id it does not hold raises :class:`CorpusError`
+    prefixed by ``where``.
+    """
+    pid = row["pair_id"].strip()
+    if corpus is None:
+        return pid, None
+    pair = corpus.pairs_by_id.get(pid)
+    if pair is None:
+        raise CorpusError(f"{where}: unknown pair {pid!r}")
+    return pid, pair
+
+
 def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

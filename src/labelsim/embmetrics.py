@@ -1,17 +1,12 @@
 """Embedding-backed similarity metrics and the optimal-transport solver.
 
 The transport solver is written here from scratch because it is the
-numerical core of the distance suite: the exact path runs the classic
-transportation simplex (network simplex on the bipartite transport
-graph) from a least-cost start.  Word mover's distance always uses it,
-and so does the one-to-one noun matching of ``pos_distance``, posed as
-a transport problem with unit masses.  A log-domain Sinkhorn iteration
-is the entropic alternative, reachable only through
-``solve_transport(method="sinkhorn")``: it is slower than the exact path
-at every size measured (6 to 60 word types per side).  Sinkhorn plans
-are rounded onto the transport polytope before costing, so the returned
-cost is always the cost of a feasible plan and can never undercut the
-exact optimum.  The module needs numpy only.
+numerical core of the distance suite: the transportation simplex
+(network simplex on the bipartite transport graph) from a least-cost
+start, run to a provably optimal vertex.  Word mover's distance is
+defined by that exact optimum, and the one-to-one noun matching of
+``pos_distance`` runs on the same solver, posed as a transport problem
+with unit masses.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -24,8 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, _read_csv_rows
-from .textmetrics import MetricScore, TokenSeq, light_stem
+from .corpus import CorpusError, LabeledCorpus, _read_csv_rows, _row_pair
+from .textmetrics import MetricScore, TokenSeq, light_stem, tokenize
 
 MARGINAL_TOL = 1e-9
 # Degenerate pivots in a row, per node of the transport graph, after which
@@ -48,15 +43,19 @@ def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
 
     A leading ``count dim`` header line is detected and skipped.  The
     dimension is fixed by the first vector line; any later mismatch is an
-    error naming the line.  Duplicate words keep their first vector.
-    ``vocab_filter`` restricts loading to the given words.
+    error naming the line, and so is a line that is not UTF-8.  Duplicate
+    words keep their first vector.  ``vocab_filter`` restricts loading to
+    the given words.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
-    with path.open(encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise CorpusError(f"{path} line {lineno}: not UTF-8") from None
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2:
@@ -170,46 +169,33 @@ class TransportProblem:
 class TransportResult:
     plan: np.ndarray
     cost: float
-    method: str
-    iterations: int
-    converged: bool
+    iterations: int  # simplex pivots
     marginal_error: float
 
 
-def solve_transport(problem: TransportProblem, method: str = "exact",
-                    epsilon: float = 0.01, max_iter: int = 10000,
-                    tol: float = 1e-9) -> TransportResult:
-    """Solve the transport problem exactly or with entropic regularization.
+def solve_transport(problem: TransportProblem,
+                    method: str = "exact") -> TransportResult:
+    """Solve the transport problem exactly with the transportation simplex.
 
-    ``exact`` runs the transportation simplex to a provably optimal
-    vertex.  ``sinkhorn`` iterates in the log domain until the plan's
-    marginal residual drops below ``tol`` (or ``max_iter`` is hit, which
-    is reported via ``converged``), then rounds the plan to exact
-    marginals.
+    The plan is a provably optimal vertex of the transport polytope.
+    ``method`` accepts only ``"exact"``; any other name raises
+    ``ValueError``.  The keyword stays only for the benchmark's solver
+    probe (``perfbench/probe.py``), which asks for other methods by name
+    and reads that error as "method removed".
     """
+    if method != "exact":
+        raise ValueError(f"unknown transport method {method!r}")
     problem.validate()
     a = np.asarray(problem.source_weights, dtype=np.float64)
     b = np.asarray(problem.target_weights, dtype=np.float64)
     C = np.asarray(problem.costs, dtype=np.float64)
-
-    if method == "exact":
-        plan, iterations = _transport_simplex(a, b, C)
-        converged = True
-    elif method == "sinkhorn":
-        if epsilon <= 0:
-            raise ValueError("sinkhorn epsilon must be positive")
-        plan, iterations, converged = _sinkhorn_log(a, b, C, epsilon,
-                                                    max_iter, tol)
-    else:
-        raise ValueError(f"unknown transport method {method!r}")
-
+    plan, iterations = _transport_simplex(a, b, C)
     cost = float((plan * C).sum())
     marginal_error = max(
         float(np.abs(plan.sum(axis=1) - a).max()),
         float(np.abs(plan.sum(axis=0) - b).max()),
     )
-    return TransportResult(plan=plan, cost=cost, method=method,
-                           iterations=iterations, converged=converged,
+    return TransportResult(plan=plan, cost=cost, iterations=iterations,
                            marginal_error=marginal_error)
 
 
@@ -400,66 +386,6 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
     raise RuntimeError("transport simplex exceeded its pivot budget")
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(x)))`` along ``axis``, shifted by the maximum so that
-    nothing overflows."""
-    top = x.max(axis=axis, keepdims=True)
-    total = np.exp(x - top).sum(axis=axis)
-    return np.log(total) + np.squeeze(top, axis=axis)
-
-
-def _sinkhorn_log(a: np.ndarray, b: np.ndarray, C: np.ndarray,
-                  epsilon: float, max_iter: int,
-                  tol: float) -> tuple[np.ndarray, int, bool]:
-    pos_a = a > 0
-    pos_b = b > 0
-    aa = a[pos_a]
-    bb = b[pos_b]
-    CC = C[np.ix_(pos_a, pos_b)]
-    log_a = np.log(aa)
-    log_b = np.log(bb)
-    f = np.zeros(aa.size)
-    g = np.zeros(bb.size)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        f = epsilon * (log_a
-                       - _logsumexp((g[None, :] - CC) / epsilon, axis=1))
-        g = epsilon * (log_b
-                       - _logsumexp((f[:, None] - CC) / epsilon, axis=0))
-        plan = np.exp((f[:, None] + g[None, :] - CC) / epsilon)
-        err = max(
-            float(np.abs(plan.sum(axis=1) - aa).max()),
-            float(np.abs(plan.sum(axis=0) - bb).max()),
-        )
-        if err <= tol:
-            converged = True
-            break
-    plan = _round_to_feasible(plan, aa, bb)
-    full = np.zeros_like(C)
-    full[np.ix_(pos_a, pos_b)] = plan
-    return full, iterations, converged
-
-
-def _round_to_feasible(plan: np.ndarray, a: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """Project a near-feasible plan onto the transport polytope."""
-    row = plan.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(row > 0, np.minimum(a / row, 1.0), 1.0)
-    plan = plan * scale[:, None]
-    col = plan.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(col > 0, np.minimum(b / col, 1.0), 1.0)
-    plan = plan * scale[None, :]
-    err_a = a - plan.sum(axis=1)
-    err_b = b - plan.sum(axis=0)
-    total = err_a.sum()
-    if total > 1e-300:
-        plan = plan + np.outer(err_a, err_b) / total
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # word mover's distance
 
@@ -602,15 +528,17 @@ def _parse_side(row: dict, where: str) -> str:
     return side
 
 
-def load_sentence_embeddings(path) -> dict:
+def load_sentence_embeddings(path,
+                             corpus: Optional[LabeledCorpus] = None) -> dict:
     """Per-pair sentence vectors: CSV pair_id, side in {a, b}, then the
-    vector as whitespace-separated floats.  Returns pair_id -> {side: vec}."""
+    vector as whitespace-separated floats.  Returns pair_id -> {side: vec}.
+    When a corpus is given, every pair_id must exist in it."""
     path = Path(path)
     out: dict[str, dict[str, np.ndarray]] = {}
     dimension: Optional[int] = None
     for lineno, row in _read_csv_rows(path, ("pair_id", "side", "vector")):
         where = f"{path} row {lineno}"
-        pid = row["pair_id"].strip()
+        pid, _ = _row_pair(row, where, corpus)
         side = _parse_side(row, where)
         vec = _parse_vector(row["vector"].split(), where, dimension)
         dimension = vec.size
@@ -621,20 +549,38 @@ def load_sentence_embeddings(path) -> dict:
     return out
 
 
-def load_gold_tags(path) -> dict:
+def load_gold_tags(path, corpus: Optional[LabeledCorpus] = None) -> dict:
     """Gold POS tags: CSV pair_id, side, token_index, tag.
-    Returns (pair_id, side) -> {token_index: tag}."""
+    Returns (pair_id, side) -> {token_index: tag}.
+
+    A token_index must not be negative.  When a corpus is given, every
+    pair_id must exist in it and every token_index must fall inside the
+    tokenized text of that side.
+    """
     path = Path(path)
     out: dict[tuple[str, str], dict[int, str]] = {}
+    n_tokens: dict[tuple[str, str], int] = {}
     for lineno, row in _read_csv_rows(
             path, ("pair_id", "side", "token_index", "tag")):
         where = f"{path} row {lineno}"
+        pid, pair = _row_pair(row, where, corpus)
         side = _parse_side(row, where)
         try:
             idx = int(row["token_index"])
         except ValueError:
             raise CorpusError(f"{where}: bad token_index") from None
-        tags = out.setdefault((row["pair_id"].strip(), side), {})
+        if idx < 0:
+            raise CorpusError(f"{where}: negative token_index {idx}")
+        key = (pid, side)
+        if pair is not None:
+            if key not in n_tokens:
+                n_tokens[key] = len(tokenize(
+                    pair.text_a if side == "a" else pair.text_b))
+            if idx >= n_tokens[key]:
+                raise CorpusError(
+                    f"{where}: token_index {idx} out of range; side {side} "
+                    f"of {pid!r} has {n_tokens[key]} tokens")
+        tags = out.setdefault(key, {})
         if idx in tags:
             raise CorpusError(f"{where}: duplicate token_index {idx}")
         tags[idx] = row["tag"].strip()

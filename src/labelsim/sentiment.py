@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-from .corpus import CorpusError, LabeledCorpus, _read_csv_rows
+from .corpus import CorpusError, LabeledCorpus, _read_csv_rows, _row_pair
 from .textmetrics import tokenize
 
 NEGATION_WINDOW = 3
@@ -129,13 +129,10 @@ def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None
     must exist in it.
     """
     path = Path(path)
-    known = corpus.pairs_by_id if corpus is not None else None
     out: dict[str, tuple[float, float]] = {}
     for lineno, row in _read_csv_rows(path, ("pair_id", "score_a", "score_b")):
         where = f"{path} row {lineno}"
-        pid = row["pair_id"].strip()
-        if known is not None and pid not in known:
-            raise CorpusError(f"{where}: unknown pair {pid!r}")
+        pid, _ = _row_pair(row, where, corpus)
         if pid in out:
             raise CorpusError(f"{where}: duplicate pair {pid!r}")
         try:

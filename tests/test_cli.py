@@ -264,6 +264,42 @@ def test_short_row_in_any_csv_input_names_file_and_row(
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+@pytest.mark.parametrize("name, body, message", [
+    ("sent-embeddings", "pair_id,side,vector\nzz,a,1 2\nzz,b,3 4\n",
+     "row 2: unknown pair 'zz'"),
+    ("pos-tags", "pair_id,side,token_index,tag\nzz,a,0,NN\nzz,b,0,NN\n",
+     "row 2: unknown pair 'zz'"),
+    ("pos-tags", "pair_id,side,token_index,tag\np1,a,0,NN\np1,b,99,NN\n",
+     "row 3: token_index 99 out of range; side b of 'p1' has 3 tokens"),
+    ("pos-tags", "pair_id,side,token_index,tag\np1,a,-1,NN\n",
+     "row 2: negative token_index -1"),
+], ids=["sent-embeddings unknown pair", "pos-tags unknown pair",
+        "pos-tags index too high", "pos-tags negative index"])
+def test_side_files_are_checked_against_the_corpus(tmp_path, capsys, name,
+                                                   body, message):
+    # Loaded unchecked, each file would leave every l2 or pos_dist cell
+    # empty and the command would exit 0.
+    pairs, _ = write_corpus(tmp_path)
+    path = tmp_path / f"{name}.csv"
+    path.write_text(body)
+    metric = "l2" if name == "sent-embeddings" else "pos_dist"
+    rc = main(["metrics", "--pairs", pairs, "--metrics", metric,
+               "--embeddings", write_embeddings(tmp_path),
+               f"--{name}", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path} {message}\n"
+
+
+def test_non_utf8_embeddings_file_is_data_error(tmp_path, capsys):
+    pairs, _ = write_corpus(tmp_path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 1 2\ncaf\xe8 3 4\n")
+    rc = main(["metrics", "--pairs", pairs, "--metrics", "cosine",
+               "--embeddings", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path} line 1: not UTF-8\n"
+
+
 def test_corrupt_corpus_is_data_error(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("pair_id,source,is_random,text_a,text_b\np1,s,2,a,b\n")

@@ -1,6 +1,5 @@
 """Tests for embedding metrics and the optimal-transport solver."""
 
-import math
 import random
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from labelsim import embmetrics
+from labelsim.corpus import CorpusError
 from labelsim.embmetrics import (
     MARGINAL_TOL,
     EmbeddingTable,
@@ -28,7 +28,6 @@ from labelsim.embmetrics import (
     wmd,
     _euclidean_costs,
     _least_cost_start,
-    _logsumexp,
     _min_cost_matching,
     _simplex_pivots,
 )
@@ -36,6 +35,7 @@ from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
 from labelsim.textmetrics import MetricScore, tokenize
 
+from conftest import make_corpus
 from oracles import (
     assignment_oracle,
     linprog_transport_oracle,
@@ -135,6 +135,19 @@ def test_load_embeddings_rejects_non_finite(tmp_path):
     assert set(load_embeddings(path, vocab_filter={"cat"}).vectors) == {"cat"}
 
 
+def test_load_embeddings_rejects_non_utf8(tmp_path):
+    # Decoded leniently, both words would become "caf\ufffd" and the
+    # second vector would be dropped as a duplicate.
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"caf\xe9 1 2\ncaf\xe8 3 4\n")
+    with pytest.raises(CorpusError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"{path} line 1: not UTF-8"
+    path.write_bytes(b"cat 1 2\ncaf\xe8 3 4\n")
+    with pytest.raises(CorpusError, match=r"vectors\.txt line 2: not UTF-8"):
+        load_embeddings(path, vocab_filter={"cat"})
+
+
 # ------------------------------------------------------ sentence geometry
 
 
@@ -209,8 +222,10 @@ def test_solve_transport_unknown_method():
     prob = TransportProblem(np.ones(1), np.ones(1), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="unknown transport method"):
         solve_transport(prob, method="magic")
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        solve_transport(prob, method="sinkhorn", epsilon=0.0)
+    # A removed method reads as unknown, which is what the solver probe
+    # of perfbench/probe.py relies on.
+    with pytest.raises(ValueError, match="unknown transport method"):
+        solve_transport(prob, method="sinkhorn")
 
 
 # ------------------------------------------------------- exact transport
@@ -225,8 +240,6 @@ def test_exact_transport_hand_case():
         np.array([[1.0, 5.0], [5.0, 1.0]]),
     )
     result = solve_transport(prob)
-    assert result.method == "exact"
-    assert result.converged
     assert result.cost == pytest.approx(1.0, abs=1e-12)
     assert result.plan == pytest.approx(np.eye(2) * 0.5, abs=1e-12)
 
@@ -473,82 +486,6 @@ def test_bland_fallback_matches_oracle_and_is_optimal(monkeypatch):
         changed += (pivots != default_pivots
                     or not np.array_equal(plan, default_plan))
     assert changed > 0  # the patch really took the Bland path
-
-
-# ------------------------------------------------------------- sinkhorn
-
-
-def fixed_problem():
-    rng = np.random.default_rng(42)
-    marg = np.full(4, 0.25)
-    return TransportProblem(marg, marg, rng.uniform(0.5, 3.0, size=(4, 4)))
-
-
-def test_sinkhorn_rounded_plan_is_feasible():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n = rng.integers(2, 6)
-        m = rng.integers(2, 6)
-        a = rng.uniform(0.05, 1.0, size=n)
-        b = rng.uniform(0.05, 1.0, size=m)
-        a /= a.sum()
-        b /= b.sum()
-        C = rng.uniform(0.0, 4.0, size=(n, m))
-        result = solve_transport(TransportProblem(a, b, C),
-                                 method="sinkhorn", epsilon=0.05)
-        assert result.marginal_error <= MARGINAL_TOL
-        assert (result.plan >= -1e-15).all()
-
-
-def test_sinkhorn_cost_never_undercuts_exact():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        n = int(rng.integers(2, 5))
-        a = rng.uniform(0.1, 1.0, size=n)
-        b = rng.uniform(0.1, 1.0, size=n)
-        a /= a.sum()
-        b /= b.sum()
-        C = rng.uniform(0.0, 3.0, size=(n, n))
-        prob = TransportProblem(a, b, C)
-        exact = solve_transport(prob).cost
-        for eps in (1.0, 0.1, 0.02):
-            approx = solve_transport(prob, method="sinkhorn", epsilon=eps)
-            assert approx.cost >= exact - 1e-9
-
-
-def test_sinkhorn_approaches_exact_as_epsilon_shrinks():
-    prob = fixed_problem()
-    exact = solve_transport(prob).cost
-    gaps = []
-    for eps in (1.0, 0.5, 0.1):
-        approx = solve_transport(prob, method="sinkhorn", epsilon=eps)
-        gaps.append(approx.cost - exact)
-    assert gaps[0] > gaps[1] > gaps[2] >= 0.0
-    tight = solve_transport(prob, method="sinkhorn", epsilon=0.02)
-    assert tight.cost - exact < 1e-3
-
-
-def test_sinkhorn_reports_nonconvergence():
-    result = solve_transport(fixed_problem(), method="sinkhorn",
-                             epsilon=0.1, max_iter=1)
-    assert not result.converged
-    assert result.iterations == 1
-    # the rounding step still hands back a feasible plan
-    assert result.marginal_error <= MARGINAL_TOL
-
-
-def test_logsumexp_matches_scipy_and_does_not_overflow():
-    from scipy.special import logsumexp
-
-    rng = np.random.default_rng(4)
-    x = rng.normal(scale=300.0, size=(5, 7))
-    for axis in (0, 1):
-        got = _logsumexp(x, axis=axis)
-        assert got.shape == logsumexp(x, axis=axis).shape
-        assert np.allclose(got, logsumexp(x, axis=axis), rtol=1e-14, atol=0)
-    big = np.array([[1000.0, 1000.0], [-1000.0, -np.inf]])
-    assert _logsumexp(big, axis=1) == pytest.approx(
-        [1000.0 + math.log(2.0), -1000.0])
 
 
 # ------------------------------------------------------------------ wmd
@@ -837,6 +774,45 @@ def test_load_gold_tags_errors(tmp_path):
     with pytest.raises(ValueError, match="bad token_index"):
         load_gold_tags(
             attempt("pair_id,side,token_index,tag\np1,a,first,NN\n"))
+    with pytest.raises(ValueError, match="row 2: negative token_index -1"):
+        load_gold_tags(
+            attempt("pair_id,side,token_index,tag\np1,a,-1,NN\n"))
     with pytest.raises(ValueError, match="duplicate token_index"):
         load_gold_tags(
             attempt("pair_id,side,token_index,tag\np1,a,0,NN\np1,a,0,DT\n"))
+
+
+
+def one_pair_corpus():
+    # side a tokenizes to 3 tokens, side b to 2
+    return make_corpus([("p1", "the red car", "a car")], [("p1", "x", 3)])
+
+
+def test_load_sentence_embeddings_checks_corpus_pairs(tmp_path):
+    p = tmp_path / "sent.csv"
+    p.write_text("pair_id,side,vector\nzz,a,1 2\nzz,b,3 4\n")
+    with pytest.raises(CorpusError) as exc:
+        load_sentence_embeddings(p, one_pair_corpus())
+    assert str(exc.value) == f"{p} row 2: unknown pair 'zz'"
+    # without a corpus the same file is accepted
+    assert set(load_sentence_embeddings(p)) == {"zz"}
+
+
+def test_load_gold_tags_checks_corpus(tmp_path):
+    corpus = one_pair_corpus()
+    p = tmp_path / "tags.csv"
+    p.write_text("pair_id,side,token_index,tag\n"
+                 "p1,a,2,NN\np1,b,1,NN\np1,a,0,DT\n")
+    assert load_gold_tags(p, corpus) == {("p1", "a"): {2: "NN", 0: "DT"},
+                                         ("p1", "b"): {1: "NN"}}
+    p.write_text("pair_id,side,token_index,tag\np1,a,0,DT\nzz,a,0,NN\n")
+    with pytest.raises(CorpusError) as exc:
+        load_gold_tags(p, corpus)
+    assert str(exc.value) == f"{p} row 3: unknown pair 'zz'"
+    assert set(load_gold_tags(p)) == {("p1", "a"), ("zz", "a")}
+    p.write_text("pair_id,side,token_index,tag\np1,a,2,NN\np1,b,2,NN\n")
+    with pytest.raises(CorpusError) as exc:
+        load_gold_tags(p, corpus)
+    assert str(exc.value) == (f"{p} row 3: token_index 2 out of range; "
+                              "side b of 'p1' has 2 tokens")
+
