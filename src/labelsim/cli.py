@@ -308,7 +308,7 @@ def cmd_metrics(args) -> int:
     corpus = load_corpus(args.pairs, args.annotations, args.fmt)
     corpus = _attach_channels(corpus, args)
     metrics, kwargs = _prepare_scoring(corpus, args)
-    scores, _ = correlate.compute_metric_scores(
+    scores = correlate.compute_metric_scores(
         corpus, metrics, oriented=False, **kwargs)
     lines = ["pair_id," + ",".join(metrics)]
     for pair in corpus.pairs:
@@ -333,17 +333,17 @@ def _report_common(args):
     cfg = _build_heuristic_config(args, file_cfg)
     scorers = _build_scorers(corpus, cfg, args)
     metrics, kwargs = _prepare_scoring(corpus, args)
-    scores, dropped = correlate.compute_metric_scores(corpus, metrics, **kwargs)
+    scores = correlate.compute_metric_scores(corpus, metrics, **kwargs)
     subsets = heuristic_subsets(_parse_heuristics(args.heuristics))
-    return corpus, cfg, scorers, scores, dropped, subsets
+    return corpus, cfg, scorers, scores, subsets
 
 
 def cmd_report(args) -> int:
-    corpus, cfg, scorers, scores, dropped, subsets = _report_common(args)
+    corpus, cfg, scorers, scores, subsets = _report_common(args)
 
-    def one(c, sc, dr, label):
+    def one(c, sc, label):
         return correlate.correlation_report(
-            c, sc, subsets=subsets, cfg=cfg, scorers=scorers, dropped=dr,
+            c, sc, subsets=subsets, cfg=cfg, scorers=scorers,
             label=label, per_annotation=args.per_annotation_gold)
 
     if args.per_dataset:
@@ -362,20 +362,19 @@ def cmd_report(args) -> int:
                               if pid in pair_ids}
                           for m, vals in scores.items()}
             chunks.append(_render_report(
-                one(sub, sub_scores, None, f"dataset {source or '(unnamed)'}"),
+                one(sub, sub_scores, f"dataset {source or '(unnamed)'}"),
                 args.out_format))
         _write_output("".join(chunks), args.out)
     else:
-        report = one(corpus, scores, dropped, "all annotators")
+        report = one(corpus, scores, "all annotators")
         _write_output(_render_report(report, args.out_format), args.out)
     return 0
 
 
 def cmd_style_report(args) -> int:
-    corpus, cfg, scorers, scores, dropped, subsets = _report_common(args)
+    corpus, cfg, scorers, scores, subsets = _report_common(args)
     radical, centrist = correlate.style_split_report(
         corpus, scores, subsets=subsets, cfg=cfg, scorers=scorers,
-        dropped=dropped,
         exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
     if args.out_format == "json":
         import json as _json

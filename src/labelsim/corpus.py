@@ -112,13 +112,6 @@ class LabeledCorpus:
         return {p.pair_id: p for p in self.pairs}
 
     @cached_property
-    def annotations_by_pair(self) -> dict[str, tuple[Annotation, ...]]:
-        out: dict[str, list[Annotation]] = {}
-        for ann in self.annotations:
-            out.setdefault(ann.pair_id, []).append(ann)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def columns(self) -> AnnotationColumns:
         """The annotations as arrays, built on first use and kept."""
         return AnnotationColumns.build(self.pairs, self.annotations)
@@ -195,20 +188,36 @@ def _read_csv_rows(path: Path, required: tuple[str, ...]):
 
     Every CSV input is read here, so each fails the same way: a missing
     header or column, or a row short of a required column, raises
-    :class:`CorpusError` naming the file and row.
+    :class:`CorpusError` naming the file and row, and a byte that is not
+    UTF-8 one naming the file and line.
     """
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CorpusError(f"{path}: empty file, header required")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise CorpusError(f"{path}: missing columns {missing}; "
-                              f"expected columns {','.join(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in required):
-                raise CorpusError(f"{path} row {lineno}: short row")
-            yield lineno, row
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise CorpusError(f"{path}: empty file, header required")
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise CorpusError(f"{path}: missing columns {missing}; "
+                                  f"expected columns {','.join(required)}")
+            for lineno, row in enumerate(reader, start=2):
+                if any(row.get(c) is None for c in required):
+                    raise CorpusError(f"{path} row {lineno}: short row")
+                yield lineno, row
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path: Path) -> CorpusError:
+    """The error naming a file's first line that is not UTF-8.  The
+    decoder's error counts from the start of a chunk, not of the file."""
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return CorpusError(f"{path} line {lineno}: not UTF-8")
+    return CorpusError(f"{path}: not UTF-8")
 
 
 def _row_pair(row: dict, where: str, corpus: Optional[LabeledCorpus]
@@ -229,20 +238,25 @@ def _row_pair(row: dict, where: str, corpus: Optional[LabeledCorpus]
 
 def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path} line {lineno}: bad JSON ({exc})") from None
-            if not isinstance(row, dict):
-                raise CorpusError(f"{path} line {lineno}: expected an object")
-            missing = [c for c in required if c not in row]
-            if missing:
-                raise CorpusError(f"{path} line {lineno}: missing fields {missing}")
-            yield lineno, row
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(
+                        f"{path} line {lineno}: bad JSON ({exc})") from None
+                if not isinstance(row, dict):
+                    raise CorpusError(f"{path} line {lineno}: expected an object")
+                missing = [c for c in required if c not in row]
+                if missing:
+                    raise CorpusError(
+                        f"{path} line {lineno}: missing fields {missing}")
+                yield lineno, row
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
 def _detect_format(path: Path, fmt: Optional[str]) -> str:

@@ -5,6 +5,10 @@ Pearson is the headline statistic; Spearman rides along in a secondary
 column.  A constant or non-finite input makes a correlation undefined and
 that is an error here, never a silent zero (or a silent one).
 
+A metric score is one plain float per pair; :func:`compute_metric_scores`
+negates the :data:`DISTANCE_METRICS` and the distance channels, so higher
+always means more similar, and leaves out the pairs a metric cannot score.
+
 :func:`correlation_report` works on integer columns: the corpus's cached
 annotation columns give every annotation a (pair index, annotator index,
 label) row, with pairs indexed in sorted ``pair_id`` order, and every
@@ -138,6 +142,8 @@ EMBEDDING_METRICS = ("cosine", "l2", "wmd", "pos_dist")
 # the embedding metrics that always read word vectors; l2 can instead
 # come from sentence embeddings
 WORD_VECTOR_METRICS = ("cosine", "wmd", "pos_dist")
+# the native metrics that are distances: lower means more similar
+DISTANCE_METRICS = ("l2", "wmd", "pos_dist")
 
 
 def metric_universe(corpus: Optional[LabeledCorpus] = None) -> list[str]:
@@ -157,14 +163,14 @@ def compute_metric_scores(corpus: LabeledCorpus,
                           overlap_mode: str = "jaccard",
                           pos_aggregate: str = "matched",
                           oriented: bool = True,
-                          ) -> tuple[dict[str, dict[str, float]], dict[str, int]]:
+                          ) -> dict[str, dict[str, float]]:
     """Score every pair with the requested metrics.
 
-    Returns ``(scores, dropped)`` where ``scores[name][pair_id]`` is the
-    oriented value (distances already negated so higher always means more
-    similar) and ``dropped[name]`` counts pairs where the metric was
-    undefined.  Precomputed channels are pulled from the corpus; names
-    listed in ``distance_channels`` are negated like native distances.
+    Returns ``scores[name][pair_id]``; a pair on which a metric is
+    undefined is absent from its map.  Precomputed channels are pulled
+    from the corpus.  With ``oriented`` every metric in
+    :data:`DISTANCE_METRICS` or ``distance_channels`` is negated, last
+    and in this one place, so higher always means more similar;
     ``oriented=False`` keeps every value raw (distances stay positive),
     which is what the metric-matrix dump wants.
     """
@@ -185,9 +191,6 @@ def compute_metric_scores(corpus: LabeledCorpus,
     lexical = [m for m in metrics if m in LEXICAL_METRICS]
     embedding = [m for m in metrics if m in EMBEDDING_METRICS]
     distance_channels = set(distance_channels)
-
-    def finish(score) -> float:
-        return embmetrics.orient(score) if oriented else score.value
 
     def score_one(pair: SentencePair, tokens_a, tokens_b) -> dict[str, float]:
         """The embedding metrics of one pair."""
@@ -212,11 +215,10 @@ def compute_metric_scores(corpus: LabeledCorpus,
             else:
                 vectors = means
             if vectors is not None:
-                dist = embmetrics.l2_distance(*vectors)
-                out["l2"] = -dist if oriented else dist
+                out["l2"] = embmetrics.l2_distance(*vectors)
         if "wmd" in metrics:
             try:
-                out["wmd"] = finish(embmetrics.wmd(tokens_a, tokens_b, table))
+                out["wmd"] = embmetrics.wmd(tokens_a, tokens_b, table)
             except ValueError:
                 pass
         if "pos_dist" in metrics:
@@ -226,10 +228,10 @@ def compute_metric_scores(corpus: LabeledCorpus,
                     for side, tokens in (("a", tokens_a), ("b", tokens_b))]
             else:
                 nouns = [noun_tagger(tokens_a), noun_tagger(tokens_b)]
-            score = embmetrics.pos_distance(*nouns, list, table,
-                                            aggregate=pos_aggregate)
-            if score is not None:
-                out["pos_dist"] = finish(score)
+            dist = embmetrics.pos_distance(*nouns, list, table,
+                                           aggregate=pos_aggregate)
+            if dist is not None:
+                out["pos_dist"] = dist
         return out
 
     pairs = list(corpus.pairs)
@@ -251,21 +253,20 @@ def compute_metric_scores(corpus: LabeledCorpus,
         except textmetrics.EmptyText as exc:
             raise exc.for_pair(block[exc.index].pair_id) from None
         for name, column in columns.items():
-            for pair, score in zip(block, column):
-                scores[name][pair.pair_id] = finish(score)
+            for pair, value in zip(block, column):
+                scores[name][pair.pair_id] = value
         if embedding:
             for pair, tok_a, tok_b in zip(block, tokens_a, tokens_b):
                 for name, value in score_one(pair, tok_a, tok_b).items():
                     scores[name][pair.pair_id] = value
 
-    for name in metrics:
+    for name in scores:
         if name in corpus.precomputed_scores:
-            sign = -1.0 if oriented and name in distance_channels else 1.0
-            scores[name] = {pid: sign * val for pid, val
-                            in corpus.precomputed_scores[name].items()}
-
-    dropped = {name: len(pairs) - len(scores[name]) for name in metrics}
-    return scores, dropped
+            scores[name] = dict(corpus.precomputed_scores[name])
+        if oriented and (name in DISTANCE_METRICS
+                         or name in distance_channels):
+            scores[name] = {pid: -value for pid, value in scores[name].items()}
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +422,6 @@ def correlation_report(corpus: LabeledCorpus,
                        cfg: Optional[HeuristicConfig] = None,
                        scorers: Optional[Scorers] = None,
                        reports: Optional[dict] = None,
-                       dropped: Optional[dict[str, int]] = None,
                        annotator_ids: Optional[set] = None,
                        label: str = "all annotators",
                        unavailable_fraction: float = 0.5,
@@ -430,7 +430,8 @@ def correlation_report(corpus: LabeledCorpus,
     """Baseline and per-filter-subset correlations for every metric.
 
     ``metric_scores`` holds oriented per-pair values as produced by
-    :func:`compute_metric_scores`.  A metric undefined on more than
+    :func:`compute_metric_scores`; a pair of ``corpus`` missing from a
+    metric's map counts as dropped.  A metric undefined on more than
     ``unavailable_fraction`` of the pairs is excluded and listed under
     ``unavailable``.  ``annotator_ids`` restricts the gold computation to
     a sub-population (the style reports use this).  A subset removes the
@@ -438,14 +439,13 @@ def correlation_report(corpus: LabeledCorpus,
     ``reports`` one flag pass over ``corpus`` computes them.
     """
     subsets = _normalized_subsets(subsets)
-    dropped = dict(dropped or {})
 
     n_pairs = len(corpus.pairs)
+    dropped = {name: n_pairs - len(values)
+               for name, values in metric_scores.items()}
     usable: list[str] = []
     unavailable: dict[str, str] = {}
-    for name in metric_scores:
-        missing = dropped.get(name, n_pairs - len(metric_scores[name]))
-        dropped[name] = missing
+    for name, missing in dropped.items():
         if missing > unavailable_fraction * n_pairs:
             unavailable[name] = (
                 f"undefined on {missing} of {n_pairs} pairs")
@@ -492,7 +492,6 @@ def style_split_report(corpus: LabeledCorpus,
                        subsets: Optional[Sequence[Sequence[HeuristicId]]] = None,
                        cfg: Optional[HeuristicConfig] = None,
                        scorers: Optional[Scorers] = None,
-                       dropped: Optional[dict[str, int]] = None,
                        exclude_midpoint_from_variance: bool = False,
                        ) -> tuple[CorrelationReport, CorrelationReport]:
     """Correlation reports using gold means from Radical-only and
@@ -514,7 +513,7 @@ def style_split_report(corpus: LabeledCorpus,
     for style_name, ids in (("Radical", radical), ("Centrist", centrist)):
         out.append(correlation_report(
             corpus, metric_scores, subsets=subsets, cfg=cfg, scorers=scorers,
-            reports=reports, dropped=dict(dropped or {}), annotator_ids=ids,
+            reports=reports, annotator_ids=ids,
             label=f"{style_name}-only gold"))
     return out[0], out[1]
 

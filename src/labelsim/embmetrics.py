@@ -7,6 +7,9 @@ start, run to a provably optimal vertex.  Word mover's distance is
 defined by that exact optimum, and the one-to-one noun matching of
 ``pos_distance`` runs on the same solver, posed as a transport problem
 with unit masses.  The module needs numpy only.
+
+Every metric returns a plain float; ``l2_distance``, ``wmd`` and
+``pos_distance`` are distances, which ``correlate`` negates.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .corpus import CorpusError, LabeledCorpus, _read_csv_rows, _row_pair
-from .textmetrics import MetricScore, TokenSeq, light_stem, tokenize
+from .textmetrics import TokenSeq, light_stem, tokenize
 
 MARGINAL_TOL = 1e-9
 # Degenerate pivots in a row, per node of the transport graph, after which
@@ -407,15 +410,14 @@ def nbow_weights(tokens: TokenSeq, table: EmbeddingTable
     return types, weights, matrix
 
 
-def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> MetricScore:
+def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> float:
     """Word mover's distance: minimal cost of moving one sentence's
     normalized bag-of-words onto the other's, with Euclidean ground costs,
     solved exactly."""
     _, wa, va = nbow_weights(a, table)
     _, wb, vb = nbow_weights(b, table)
     costs = _euclidean_costs(va, vb)
-    result = solve_transport(TransportProblem(wa, wb, costs))
-    return MetricScore("wmd", result.cost, orientation="distance")
+    return solve_transport(TransportProblem(wa, wb, costs)).cost
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +466,7 @@ def nouns_from_tags(tokens: TokenSeq, tags: dict) -> list[str]:
 def pos_distance(a: TokenSeq, b: TokenSeq,
                  noun_tagger: Callable[[TokenSeq], list[str]],
                  table: EmbeddingTable,
-                 aggregate: str = "matched") -> Optional[MetricScore]:
+                 aggregate: str = "matched") -> Optional[float]:
     """Mean embedding distance between the nouns of the two sentences.
 
     With ``matched`` aggregation the nouns are paired one-to-one by a
@@ -480,12 +482,10 @@ def pos_distance(a: TokenSeq, b: TokenSeq,
                              np.stack([table.vectors[t] for t in nouns_b]))
     if aggregate == "matched":
         rows, cols = _min_cost_matching(dists)
-        value = float(dists[rows, cols].mean())
-    elif aggregate == "all_pairs":
-        value = float(dists.mean())
-    else:
-        raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
-    return MetricScore("pos_dist", value, orientation="distance")
+        return float(dists[rows, cols].mean())
+    if aggregate == "all_pairs":
+        return float(dists.mean())
+    raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
 
 
 def _min_cost_matching(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,13 +508,6 @@ def _min_cost_matching(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         costs = np.hstack([dists, np.zeros((n, 1))])
     plan, _ = _transport_simplex(a, b, costs)
     return np.nonzero(plan[:n, :m] > 0.5)
-
-
-def orient(score: MetricScore) -> float:
-    """Map a score to the higher-means-more-similar axis used in correlations."""
-    if score.orientation == "distance":
-        return -score.value
-    return score.value
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,8 @@ def default_scorers(cfg: Optional[HeuristicConfig] = None) -> Scorers:
             refs = [tokenize(t) for t in texts_a[block]]
             cands = [tokenize(t) for t in texts_b[block]]
             require_tokens(refs, cands, block.start)
-            values.extend(score.value for score in bleu_block(
-                cands, refs, max_n=order, smoothing="none"))
+            values.extend(bleu_block(cands, refs, max_n=order,
+                                     smoothing="none"))
         return values
 
     return Scorers(overlap=overlap, sentiment=default_sentiment_scorer())

@@ -5,6 +5,7 @@ whitespace and punctuation, punctuation dropped (inner apostrophes are
 kept so contractions stay whole).  chrF is the exception -- it works on
 the raw character stream with whitespace runs collapsed.
 
+Every scorer returns a plain float (the block scorers one per pair).
 All scores live in [0, 1] and are exactly 1.0 on identical inputs and
 0.0 on inputs that share no vocabulary.
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,16 +37,6 @@ def tokenize(text: str) -> tuple[str, ...]:
         if tok:
             tokens.append(tok)
     return tuple(tokens)
-
-
-@dataclass(frozen=True)
-class MetricScore:
-    """A named score plus its orientation (similarity vs. distance)."""
-
-    metric: str
-    value: float
-    orientation: str = "similarity"
-    extras: dict = field(default_factory=dict)
 
 
 class EmptyText(ValueError):
@@ -74,18 +64,16 @@ def require_tokens(tokens_a: Sequence[TokenSeq], tokens_b: Sequence[TokenSeq],
     raise EmptyText(start + k, sides[1] if tokens_a[k] else sides[0])
 
 
-def word_overlap(a: TokenSeq, b: TokenSeq, mode: str = "jaccard") -> MetricScore:
+def word_overlap(a: TokenSeq, b: TokenSeq, mode: str = "jaccard") -> float:
     """Unigram type overlap: Jaccard by default, |A&B|/|A| in precision mode."""
     require_tokens([a], [b], sides=("a", "b"))
     types_a, types_b = set(a), set(b)
     common = len(types_a & types_b)
     if mode == "jaccard":
-        value = common / len(types_a | types_b)
-    elif mode == "precision":
-        value = common / len(types_a)
-    else:
-        raise ValueError(f"unknown word_overlap mode {mode!r}")
-    return MetricScore("word_overlap", value)
+        return common / len(types_a | types_b)
+    if mode == "precision":
+        return common / len(types_a)
+    raise ValueError(f"unknown word_overlap mode {mode!r}")
 
 
 # Pairs per block when a caller scores many pairs with score_lexical_block,
@@ -108,7 +96,7 @@ def pair_blocks(n_pairs: int) -> list[slice]:
 
 
 def bleu(candidate: TokenSeq, reference: TokenSeq, max_n: int = 4,
-         smoothing: str = "add_one") -> MetricScore:
+         smoothing: str = "add_one") -> float:
     """Sentence BLEU of one pair; see :func:`bleu_block`, of which this is
     the one-pair call."""
     return bleu_block([candidate], [reference], max_n=max_n,
@@ -116,7 +104,7 @@ def bleu(candidate: TokenSeq, reference: TokenSeq, max_n: int = 4,
 
 
 def bleu_block(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq],
-               max_n: int = 4, smoothing: str = "add_one") -> list[MetricScore]:
+               max_n: int = 4, smoothing: str = "add_one") -> list[float]:
     """Sentence BLEU of every pair ``(candidates[k], references[k])``, in
     one pass.
 
@@ -141,8 +129,7 @@ def bleu_block(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq],
         raise ValueError(f"unknown BLEU smoothing {smoothing!r}")
     require_tokens(candidates, references, sides=("candidate", "reference"))
     matches = _token_matches(candidates, references, max_n)
-    return [MetricScore("bleu", _bleu_value(found, len(c), len(r), max_n,
-                                            smoothing))
+    return [_bleu_value(found, len(c), len(r), max_n, smoothing)
             for found, c, r in zip(matches, candidates, references)]
 
 
@@ -191,21 +178,25 @@ def _char_stream(text: str) -> str:
     return re.sub(r"\s+", "", text.lower())
 
 
-def chrf(text_a: str, text_b: str, max_n: int = 6, beta: float = 2.0) -> MetricScore:
+# chrF's F-score weight: recall counts CHRF_BETA times as much as precision
+CHRF_BETA = 2.0
+
+
+def chrf(text_a: str, text_b: str, max_n: int = 6) -> float:
     """Character n-gram F-score over orders 1..max_n; see :func:`chrf_block`,
     of which this is the one-pair call."""
-    return chrf_block([text_a], [text_b], max_n=max_n, beta=beta)[0]
+    return chrf_block([text_a], [text_b], max_n=max_n)[0]
 
 
 def chrf_block(texts_a: Sequence[str], texts_b: Sequence[str],
-               max_n: int = 6, beta: float = 2.0) -> list[MetricScore]:
+               max_n: int = 6) -> list[float]:
     """chrF of every pair ``(texts_a[k], texts_b[k])``, in one pass.
 
     Per pair: precision and recall are averaged across the orders where
-    either side has n-grams, then combined with F_beta (beta favors
-    recall).  Neither text plays a privileged reference role: the score
-    is the mean of the two directional F_beta values, so
-    chrf(a, b) == chrf(b, a).
+    either side has n-grams, then combined with F_beta, beta
+    :data:`CHRF_BETA` (which favors recall).  Neither text plays a
+    privileged reference role: the score is the mean of the two
+    directional F_beta values, so chrf(a, b) == chrf(b, a).
 
     The n-grams of all texts get dense ids order by order: order 1 by
     code point, order n by the pair (order n-1 id, last character id).
@@ -242,10 +233,8 @@ def chrf_block(texts_a: Sequence[str], texts_b: Sequence[str],
         orders += (total_a > 0) | (total_b > 0)
     chr_p = sum_p / orders
     chr_r = sum_r / orders
-    values = (_f_beta(chr_p, chr_r, beta) + _f_beta(chr_r, chr_p, beta)) / 2.0
-    return [MetricScore("chrf", value, extras={"precision": p, "recall": r})
-            for value, p, r in zip(values.tolist(), chr_p.tolist(),
-                                   chr_r.tolist())]
+    values = (_f_beta(chr_p, chr_r) + _f_beta(chr_r, chr_p)) / 2.0
+    return values.tolist()
 
 
 def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
@@ -310,14 +299,14 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return first
 
 
-def _f_beta(p: np.ndarray, r: np.ndarray, beta: float) -> np.ndarray:
-    denom = beta * beta * p + r
+def _f_beta(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    denom = CHRF_BETA * CHRF_BETA * p + r
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom == 0.0, 0.0,
-                        (1 + beta * beta) * p * r / denom)
+                        (1 + CHRF_BETA * CHRF_BETA) * p * r / denom)
 
 
-def rouge_n(a: TokenSeq, b: TokenSeq, n: int) -> MetricScore:
+def rouge_n(a: TokenSeq, b: TokenSeq, n: int) -> float:
     """N-gram overlap F1 with clipped counts; recall is taken against ``a``.
     The table's ``rouge1`` and ``rouge2`` score each pair of a block the
     same way, from the block's one count."""
@@ -328,21 +317,19 @@ def rouge_n(a: TokenSeq, b: TokenSeq, n: int) -> MetricScore:
 
 
 def _rouge_score(a: TokenSeq, b: TokenSeq, matches: list[int],
-                 n: int) -> MetricScore:
+                 n: int) -> float:
     """ROUGE-N of one pair from its clipped matches per order."""
     total_a = max(len(a) - n + 1, 0)
     total_b = max(len(b) - n + 1, 0)
-    name = f"rouge{n}"
     if total_a == 0 or total_b == 0:
-        return MetricScore(name, 0.0, extras={"precision": 0.0, "recall": 0.0})
-    precision = matches[n - 1] / total_b
-    recall = matches[n - 1] / total_a
+        return 0.0
+    return _f1(matches[n - 1] / total_b, matches[n - 1] / total_a)
+
+
+def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
-        f1 = 0.0
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return MetricScore(name, f1,
-                       extras={"precision": precision, "recall": recall})
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
 
 
 def _lcs_length(a: TokenSeq, b: TokenSeq) -> int:
@@ -358,18 +345,11 @@ def _lcs_length(a: TokenSeq, b: TokenSeq) -> int:
     return prev[-1]
 
 
-def rouge_l(a: TokenSeq, b: TokenSeq) -> MetricScore:
+def rouge_l(a: TokenSeq, b: TokenSeq) -> float:
     """Longest-common-subsequence F1."""
     require_tokens([a], [b], sides=("a", "b"))
     lcs = _lcs_length(a, b)
-    recall = lcs / len(a)
-    precision = lcs / len(b)
-    if precision + recall == 0.0:
-        f1 = 0.0
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return MetricScore("rougeL", f1,
-                       extras={"precision": precision, "recall": recall})
+    return _f1(lcs / len(b), lcs / len(a))
 
 
 _STEM_RULES = (
@@ -422,32 +402,38 @@ def _align(a: TokenSeq, b: TokenSeq) -> list[tuple[int, int]]:
     return sorted(alignment.items())
 
 
-def meteor_lite(a: TokenSeq, b: TokenSeq, alpha: float = 0.9,
-                gamma: float = 0.5, chunk_exp: float = 3.0) -> MetricScore:
+# meteor_lite's alpha, gamma and chunk_exp
+METEOR_ALPHA = 0.9
+METEOR_GAMMA = 0.5
+METEOR_CHUNK_EXP = 3.0
+
+
+def meteor_lite(a: TokenSeq, b: TokenSeq) -> float:
     """Unigram-alignment score with a fragmentation penalty.
 
     Matches are exact or rule-stemmed.  F = P*R / (alpha*P + (1-alpha)*R),
-    multiplied by (1 - gamma*(chunks/matches)**chunk_exp); a single
-    contiguous chunk carries no penalty at all.
+    multiplied by (1 - gamma*(chunks/matches)**chunk_exp) with the
+    ``METEOR_*`` constants; a single contiguous chunk carries no penalty
+    at all.
     """
     require_tokens([a], [b], sides=("a", "b"))
     pairs = _align(a, b)
     matches = len(pairs)
     if matches == 0:
-        return MetricScore("meteor", 0.0)
+        return 0.0
     precision = matches / len(b)
     recall = matches / len(a)
-    f_mean = precision * recall / (alpha * precision + (1 - alpha) * recall)
+    f_mean = precision * recall / (METEOR_ALPHA * precision
+                                   + (1 - METEOR_ALPHA) * recall)
     chunks = 1
     for (j_prev, i_prev), (j_cur, i_cur) in zip(pairs, pairs[1:]):
         if j_cur != j_prev + 1 or i_cur != i_prev + 1:
             chunks += 1
     if chunks > 1:
-        penalty = gamma * (chunks / matches) ** chunk_exp
+        penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_CHUNK_EXP
     else:
         penalty = 0.0
-    return MetricScore("meteor", f_mean * (1.0 - penalty),
-                       extras={"matches": matches, "chunks": chunks})
+    return f_mean * (1.0 - penalty)
 
 
 # How each lexical metric is scored, in report order: name -> (order,
@@ -457,10 +443,10 @@ def meteor_lite(a: TokenSeq, b: TokenSeq, alpha: float = 0.9,
 # chrF's (order None) scores the texts of a whole block and reads no tokens.
 LEXICAL_SCORERS = {
     "word_overlap": (0, lambda a, b, _, mode: word_overlap(a, b, mode=mode)),
-    "bleu1": (1, lambda a, b, found, _: MetricScore(
-        "bleu1", _bleu_value(found, len(b), len(a), 1, "none"))),
-    "bleu": (4, lambda a, b, found, _: MetricScore(
-        "bleu", _bleu_value(found, len(b), len(a), 4, "add_one"))),
+    "bleu1": (1, lambda a, b, found, _: _bleu_value(found, len(b), len(a), 1,
+                                                    "none")),
+    "bleu": (4, lambda a, b, found, _: _bleu_value(found, len(b), len(a), 4,
+                                                   "add_one")),
     "chrf": (None, chrf_block),
     "rouge1": (1, lambda a, b, found, _: _rouge_score(a, b, found, 1)),
     "rouge2": (2, lambda a, b, found, _: _rouge_score(a, b, found, 2)),
@@ -478,7 +464,7 @@ def score_lexical_block(names: Sequence[str], texts_a: Sequence[str],
                         tokens_a: Optional[Sequence[TokenSeq]] = None,
                         tokens_b: Optional[Sequence[TokenSeq]] = None,
                         overlap_mode: str = "jaccard"
-                        ) -> dict[str, list[MetricScore]]:
+                        ) -> dict[str, list[float]]:
     """The lexical metrics ``names`` of every pair ``(texts_a[k],
     texts_b[k])``, keyed by name, one score per pair.
 
@@ -506,7 +492,7 @@ def score_lexical_block(names: Sequence[str], texts_a: Sequence[str],
 
 
 def score_pair_lexical(text_a: str, text_b: str,
-                       overlap_mode: str = "jaccard") -> dict[str, MetricScore]:
+                       overlap_mode: str = "jaccard") -> dict[str, float]:
     """All lexical metrics for one sentence pair, keyed by metric name: the
     one-pair call of :func:`score_lexical_block`."""
     return {name: column[0] for name, column in score_lexical_block(

@@ -112,7 +112,7 @@ def test_acceptance_3_lexical_metric_oracles():
         tokens_b = rng.choices(vocab, k=rng.randint(1, 8))
         text_a = " ".join(tokens_a)
         text_b = " ".join(tokens_b)
-        got = {name: s.value
+        got = {name: s
                for name, s in score_pair_lexical(text_a, text_b).items()}
         expected = {
             "word_overlap": jaccard_oracle(tokens_a, tokens_b),
@@ -140,13 +140,13 @@ def test_acceptance_3_lexical_metric_oracles():
     for _ in range(50):
         text = " ".join(rng.choices(vocab, k=rng.randint(2, 8)))
         for name, s in score_pair_lexical(text, text).items():
-            assert s.value == pytest.approx(1.0, abs=tol), name
+            assert s == pytest.approx(1.0, abs=tol), name
         vec = sentence_vector(tokenize(text), table)
         assert cosine_similarity(vec, vec) == pytest.approx(1.0)
 
     # a single-token sentence has no bigrams, so rouge2 falls back to the
     # zero-denominator convention (0.0); the other seven still score 1.0
-    single = {name: s.value
+    single = {name: s
               for name, s in score_pair_lexical("cat", "cat").items()}
     assert single.pop("rouge2") == 0.0
     assert all(v == pytest.approx(1.0, abs=tol) for v in single.values())
@@ -158,7 +158,7 @@ def test_acceptance_3_lexical_metric_oracles():
         text_a = " ".join(rng.choices(left, k=rng.randint(1, 6)))
         text_b = " ".join(rng.choices(right, k=rng.randint(1, 6)))
         for name, s in score_pair_lexical(text_a, text_b).items():
-            assert s.value == 0.0, (name, text_a, text_b)
+            assert s == 0.0, (name, text_a, text_b)
 
     elapsed = time.monotonic() - t0
     ok = worst <= tol and elapsed < 30.0
@@ -257,7 +257,7 @@ def test_acceptance_6_filtering_improves_correlation(synthetic_runs):
     improved = {name: 0 for name in LEXICAL_METRICS}
     t0 = time.monotonic()
     for corpus, _, reports in runs:
-        scores, _ = compute_metric_scores(corpus, list(LEXICAL_METRICS))
+        scores = compute_metric_scores(corpus, list(LEXICAL_METRICS))
         base_gold = pair_gold(corpus)
         filtered = apply_filters(corpus, subset, reports=reports)
         filt_gold = pair_gold(filtered)
@@ -297,7 +297,7 @@ def test_acceptance_7_real_data_baselines():
 
     corpus = load_corpus(paths["LABELSIM_REAL_PAIRS"],
                          paths["LABELSIM_REAL_ANNOTATIONS"])
-    scores, _ = compute_metric_scores(corpus, ["rouge1", "bleu"])
+    scores = compute_metric_scores(corpus, ["rouge1", "bleu"])
     gold = pair_gold(corpus)
 
     def baseline(name):

@@ -300,6 +300,46 @@ def test_non_utf8_embeddings_file_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path} line 1: not UTF-8\n"
 
 
+def _latin1_pairs_csv(tmp_path):
+    # 600 rows, the bad byte on line 451: past the first chunk the text
+    # decoder reads, so its own error would give a position in that chunk
+    lines = [b"pair_id,source,is_random,text_a,text_b"] + [
+        b"p%03d,s1,0,red blue green,red blue oak" % i for i in range(600)]
+    lines[450] = b"p449,s1,0,caf\xe9 au lait,red blue oak"
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path, ["validate", "--pairs", str(path)], 451
+
+
+def _latin1_pairs_jsonl(tmp_path):
+    rows = [json.dumps({"pair_id": f"p{i}", "source": "s1", "is_random": 0,
+                        "text_a": "red blue", "text_b": "red oak"}).encode()
+            for i in range(3)]
+    rows[1] = rows[1].replace(b"red oak", b"caf\xe9")
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    return path, ["validate", "--pairs", str(path)], 2
+
+
+def _latin1_precomputed(tmp_path):
+    pairs, _ = write_corpus(tmp_path)
+    path = tmp_path / "ext.csv"
+    path.write_bytes(b"pair_id,score\np1,0.5\np2,0.4 caf\xe9\n")
+    return path, ["metrics", "--pairs", pairs, "--precomputed", f"ext={path}",
+                  "--metrics", "ext"], 3
+
+
+@pytest.mark.parametrize("write", [_latin1_pairs_csv, _latin1_pairs_jsonl,
+                                   _latin1_precomputed])
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, write):
+    path, argv, line = write(tmp_path)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path} line {line}: not UTF-8\n"
+
+
 def test_corrupt_corpus_is_data_error(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("pair_id,source,is_random,text_a,text_b\np1,s,2,a,b\n")
@@ -657,6 +697,38 @@ def test_report_per_dataset(tmp_path, capsys):
     assert rc == 0
     assert "Correlation report (dataset s1)" in out
     assert "Correlation report (dataset s2)" in out
+
+
+def test_dropped_pairs_of_a_partial_distance_channel(tmp_path, capsys):
+    # the channel lacks p2 and p7, one pair of each source
+    pairs, annotations = write_two_source_corpus(tmp_path)
+    channel = tmp_path / "ext.csv"
+    channel.write_text("pair_id,score\n" + "".join(
+        f"p{i},{0.1 * i * i % 1.7:.3f}\n" for i in (1, 3, 4, 5, 6, 8)))
+    argv = ["--pairs", pairs, "--annotations", annotations,
+            "--precomputed", f"ext={channel}", "--precomputed-distance", "ext",
+            "--metrics", "word_overlap,ext", "--heuristics", "2"]
+
+    def baseline(out):
+        # (panel, metric) -> (n_pairs, dropped_pairs)
+        return {(r[0], r[2]): (r[7], r[8]) for r in
+                (line.split(",") for line in out.splitlines())
+                if r[1] == "baseline"}
+
+    assert main(["report", *argv, "--out-format", "csv"]) == 0
+    assert baseline(capsys.readouterr().out) == {
+        ("all annotators", "word_overlap"): ("8", "0"),
+        ("all annotators", "ext"): ("6", "2")}
+    assert main(["report", *argv, "--out-format", "csv",
+                 "--per-dataset"]) == 0
+    assert baseline(capsys.readouterr().out) == {
+        (f"dataset {s}", name): counts for s in ("s1", "s2")
+        for name, counts in (("word_overlap", ("4", "0")),
+                             ("ext", ("3", "1")))}
+    assert main(["style-report", *argv, "--out-format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for panel in ("radical", "centrist"):
+        assert doc[panel]["dropped_pairs"] == {"ext": 2, "word_overlap": 0}
 
 
 def test_report_per_annotation_gold(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_load_csv(tmp_path):
     assert corpus.pairs_by_id["p2"].is_random is True
     assert corpus.pairs_by_id["p1"].source == "sts"
     assert len(corpus.annotations) == 3
-    assert corpus.annotations_by_pair["p1"][1].label == 4
+    assert [a.label for a in corpus.annotations if a.pair_id == "p1"] == [5, 4]
     assert corpus.annotator_ids() == ["w1", "w2"]
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from labelsim.corpus import attach_precomputed
 from labelsim import correlate, textmetrics
 from labelsim.correlate import (
+    DISTANCE_METRICS,
     EMBEDDING_METRICS,
     LEXICAL_METRICS,
     CorrelationReport,
@@ -35,8 +36,7 @@ from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
 from labelsim.textmetrics import (bleu, chrf, lexical_metric_names,
                                   meteor_lite, rouge_l, rouge_n,
-                                  score_lexical_block, score_pair_lexical,
-                                  tokenize, word_overlap)
+                                  score_pair_lexical, tokenize, word_overlap)
 
 from conftest import make_corpus
 from oracles import (chrf_oracle, correlation_report_oracle, counter_bleu,
@@ -226,13 +226,14 @@ def test_compute_metric_scores_missing_table_errors():
 
 def test_compute_metric_scores_lexical_values():
     corpus = scoring_corpus()
-    scores, dropped = compute_metric_scores(corpus, list(LEXICAL_METRICS))
+    scores = compute_metric_scores(corpus, list(LEXICAL_METRICS))
     assert set(scores) == set(LEXICAL_METRICS)
-    assert all(dropped[name] == 0 for name in LEXICAL_METRICS)
+    assert all(len(scores[name]) == len(corpus.pairs)
+               for name in LEXICAL_METRICS)
     for pair in corpus.pairs:
         direct = score_pair_lexical(pair.text_a, pair.text_b)
         for name in LEXICAL_METRICS:
-            assert scores[name][pair.pair_id] == direct[name].value
+            assert scores[name][pair.pair_id] == direct[name]
     # identical sentences max out; token-disjoint ones bottom out except
     # chrf, whose character n-grams still share letters like o/s/h/r
     for name in LEXICAL_METRICS:
@@ -258,7 +259,7 @@ def test_compute_metric_scores_chrf_blocks(size):
               " ".join(rng.choices(words, k=rng.randint(1, 6))))
              for i in range(size)]
     corpus = make_corpus(specs, [])
-    scores, dropped = compute_metric_scores(corpus, list(LEXICAL_METRICS))
+    scores = compute_metric_scores(corpus, list(LEXICAL_METRICS))
     tokens = [(tokenize(a), tokenize(b)) for _, a, b in specs]
     one_pair = {
         "word_overlap": [word_overlap(a, b) for a, b in tokens],
@@ -281,18 +282,9 @@ def test_compute_metric_scores_chrf_blocks(size):
     for name in LEXICAL_METRICS:
         assert list(scores[name]) == [pid for pid, _, _ in specs]
         column = [scores[name][pid] for pid, _, _ in specs]
-        assert column == [score.value for score in one_pair[name]], name
+        assert column == one_pair[name], name
         if name in oracle:
             assert column == oracle[name], name
-    assert dropped == {name: 0 for name in LEXICAL_METRICS}
-    # the extras of every block score, as the one-pair functions give them
-    for part in textmetrics.pair_blocks(size):
-        block = score_lexical_block(LEXICAL_METRICS,
-                                    [a for _, a, _ in specs[part]],
-                                    [b for _, _, b in specs[part]])
-        for name in LEXICAL_METRICS:
-            assert [(s.value, s.extras) for s in block[name]] == [
-                (s.value, s.extras) for s in one_pair[name][part]], name
 
 
 @pytest.mark.parametrize("name", LEXICAL_METRICS)
@@ -301,7 +293,7 @@ def test_compute_metric_scores_scores_only_the_requested_metric(
     # every other lexical scorer raises, so asking for one metric must not
     # score another on the side
     corpus = scoring_corpus()
-    expected = {p.pair_id: score_pair_lexical(p.text_a, p.text_b)[name].value
+    expected = {p.pair_id: score_pair_lexical(p.text_a, p.text_b)[name]
                 for p in corpus.pairs}
 
     def unrequested(*args):
@@ -311,9 +303,8 @@ def test_compute_metric_scores_scores_only_the_requested_metric(
         if other != name:
             monkeypatch.setitem(textmetrics.LEXICAL_SCORERS, other,
                                 (order, unrequested))
-    scores, dropped = compute_metric_scores(corpus, [name])
+    scores = compute_metric_scores(corpus, [name])
     assert scores == {name: expected}
-    assert dropped == {name: 0}
 
 
 def test_compute_metric_scores_names_a_pair_without_word_tokens():
@@ -328,25 +319,32 @@ def test_compute_metric_scores_names_a_pair_without_word_tokens():
     with pytest.raises(ValueError, match=r"pair 'q_last'.*\(text_a\)"):
         compute_metric_scores(late, ["meteor"])
     # chrF alone scores punctuation
-    scores, _ = compute_metric_scores(corpus, ["chrf"])
+    scores = compute_metric_scores(corpus, ["chrf"])
     assert scores["chrf"]["p2"] == chrf_oracle("red oak", "!!! ???") == 0.0
 
 
 def test_compute_metric_scores_orientation():
+    # one rule: a metric in DISTANCE_METRICS or among the distance
+    # channels is negated, every other metric keeps its raw value
     corpus = scoring_corpus()
-    table = scoring_table()
-    kwargs = dict(table=table, metrics=["cosine", "l2", "wmd", "pos_dist"],
-                  noun_tagger=lambda toks: list(toks))
-    oriented, _ = compute_metric_scores(corpus, **kwargs)
-    raw, _ = compute_metric_scores(corpus, oriented=False, **kwargs)
-    for pid in ("p1", "p2", "p3"):
-        # similarities keep their sign, distances flip
-        assert oriented["cosine"][pid] == raw["cosine"][pid]
-        assert oriented["l2"][pid] == -raw["l2"][pid]
-        assert oriented["wmd"][pid] == -raw["wmd"][pid]
-        assert oriented["pos_dist"][pid] == -raw["pos_dist"][pid]
-        assert raw["l2"][pid] >= 0.0
-        assert raw["wmd"][pid] >= 0.0
+    for name, values in (("ext_dist", {"p1": 0.5, "p2": 2.0, "p3": 1.0}),
+                         ("ext_sim", {"p1": 0.9, "p2": -0.2, "p3": 0.4})):
+        corpus = attach_precomputed(corpus, name, values)
+    kwargs = dict(metrics=metric_universe(corpus), table=scoring_table(),
+                  noun_tagger=lambda toks: list(toks),
+                  distance_channels={"ext_dist"})
+    oriented = compute_metric_scores(corpus, **kwargs)
+    raw = compute_metric_scores(corpus, oriented=False, **kwargs)
+    assert set(DISTANCE_METRICS) < set(EMBEDDING_METRICS)
+    for name in metric_universe(corpus):
+        assert sorted(raw[name]) == sorted(oriented[name]) == \
+            ["p1", "p2", "p3"], name
+        for pid, value in raw[name].items():
+            if name in DISTANCE_METRICS or name == "ext_dist":
+                assert oriented[name][pid] == -value, (name, pid)
+                assert value >= 0.0, (name, pid)
+            else:
+                assert oriented[name][pid] == value, (name, pid)
     # identical sentences: zero distance, cosine 1
     assert raw["wmd"]["p1"] == pytest.approx(0.0, abs=1e-12)
     assert raw["l2"]["p1"] == pytest.approx(0.0, abs=1e-12)
@@ -364,7 +362,7 @@ def test_compute_metric_scores_mean_vectors_once_per_pair(monkeypatch):
         return original(tokens, tab)
 
     monkeypatch.setattr(correlate.embmetrics, "sentence_vector", counting)
-    scores, _ = compute_metric_scores(corpus, ["cosine", "l2"], table=table)
+    scores = compute_metric_scores(corpus, ["cosine", "l2"], table=table)
     assert len(calls) == 2 * len(corpus.pairs)
     for pair in corpus.pairs:
         va = original(tokenize(pair.text_a), table)
@@ -379,26 +377,24 @@ def test_compute_metric_scores_drops_oov_pairs():
         [("p1", "good", 5), ("p2", "good", 1)],
     )
     table = scoring_table()
-    scores, dropped = compute_metric_scores(
+    scores = compute_metric_scores(
         corpus, ["cosine", "wmd", "word_overlap"], table=table)
-    assert dropped == {"cosine": 1, "wmd": 1, "word_overlap": 0}
-    assert "p2" not in scores["cosine"]
-    assert "p2" not in scores["wmd"]
+    assert {name: sorted(values) for name, values in scores.items()} == {
+        "cosine": ["p1"], "wmd": ["p1"], "word_overlap": ["p1", "p2"]}
     assert scores["word_overlap"]["p2"] == 0.0
 
 
 def test_compute_metric_scores_precomputed_channels():
     corpus = attach_precomputed(
         scoring_corpus(), "ext_dist", {"p1": 0.5, "p2": 2.0})
-    scores, dropped = compute_metric_scores(
+    scores = compute_metric_scores(
         corpus, ["ext_dist"], distance_channels={"ext_dist"})
-    assert scores["ext_dist"] == {"p1": -0.5, "p2": -2.0}
-    assert dropped["ext_dist"] == 1  # p3 has no value
-    raw, _ = compute_metric_scores(
+    assert scores["ext_dist"] == {"p1": -0.5, "p2": -2.0}  # p3 has no value
+    raw = compute_metric_scores(
         corpus, ["ext_dist"], distance_channels={"ext_dist"}, oriented=False)
     assert raw["ext_dist"] == {"p1": 0.5, "p2": 2.0}
     # channels not named as distances pass through untouched
-    plain, _ = compute_metric_scores(corpus, ["ext_dist"])
+    plain = compute_metric_scores(corpus, ["ext_dist"])
     assert plain["ext_dist"] == {"p1": 0.5, "p2": 2.0}
 
 
@@ -409,11 +405,10 @@ def test_compute_metric_scores_sentence_embedding_l2():
         "p2": {"a": np.array([1.0, 1.0]), "b": np.array([1.0, 1.0])},
         # p3 missing entirely -> dropped
     }
-    scores, dropped = compute_metric_scores(
-        corpus, ["l2"], sent_embeddings=sent)
+    scores = compute_metric_scores(corpus, ["l2"], sent_embeddings=sent)
     assert scores["l2"]["p1"] == pytest.approx(-5.0)
     assert scores["l2"]["p2"] == pytest.approx(0.0)
-    assert dropped["l2"] == 1
+    assert "p3" not in scores["l2"]
 
 
 def test_compute_metric_scores_gold_tag_route():
@@ -423,7 +418,7 @@ def test_compute_metric_scores_gold_tag_route():
     )
     table = scoring_table()
     tags = {("p1", "a"): {1: "NN"}, ("p1", "b"): {1: "NN"}}
-    scores, _ = compute_metric_scores(
+    scores = compute_metric_scores(
         corpus, ["pos_dist"], table=table, gold_tags=tags)
     expected = float(np.linalg.norm(
         table.vectors["cat"] - table.vectors["dog"]))
@@ -432,9 +427,8 @@ def test_compute_metric_scores_gold_tag_route():
 
 def test_compute_metric_scores_precomputed_only_skips_pair_pass():
     corpus = attach_precomputed(scoring_corpus(), "ext", {"p1": 0.5, "p3": 0.2})
-    scores, dropped = compute_metric_scores(corpus, ["ext"])
+    scores = compute_metric_scores(corpus, ["ext"])
     assert scores == {"ext": {"p1": 0.5, "p3": 0.2}}
-    assert dropped == {"ext": 1}
 
 
 # ------------------------------------------------------------- reports

@@ -21,7 +21,6 @@ from labelsim.embmetrics import (
     load_sentence_embeddings,
     nbow_weights,
     nouns_from_tags,
-    orient,
     pos_distance,
     sentence_vector,
     solve_transport,
@@ -33,7 +32,7 @@ from labelsim.embmetrics import (
 )
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
-from labelsim.textmetrics import MetricScore, tokenize
+from labelsim.textmetrics import tokenize
 
 from conftest import make_corpus
 from oracles import (
@@ -513,15 +512,13 @@ WMD_TABLE = make_table(
 
 def test_wmd_identical_sentences_cost_zero():
     score = wmd(["cat", "dog", "cat"], ["cat", "dog", "cat"], WMD_TABLE)
-    assert score.metric == "wmd"
-    assert score.orientation == "distance"
-    assert score.value == pytest.approx(0.0, abs=1e-12)
+    assert score == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wmd_single_words_is_euclidean_distance():
     got = wmd(["cat"], ["dog"], WMD_TABLE)
     expected = l2_distance(WMD_TABLE.vectors["cat"], WMD_TABLE.vectors["dog"])
-    assert got.value == pytest.approx(expected, abs=1e-12)
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_wmd_symmetric():
@@ -530,8 +527,8 @@ def test_wmd_symmetric():
     for _ in range(20):
         a = rng.choices(words, k=rng.randint(1, 5))
         b = rng.choices(words, k=rng.randint(1, 5))
-        assert wmd(a, b, WMD_TABLE).value == pytest.approx(
-            wmd(b, a, WMD_TABLE).value, abs=1e-9)
+        assert wmd(a, b, WMD_TABLE) == pytest.approx(
+            wmd(b, a, WMD_TABLE), abs=1e-9)
 
 
 def test_wmd_triangle_inequality():
@@ -541,15 +538,15 @@ def test_wmd_triangle_inequality():
         a = rng.choices(words, k=rng.randint(1, 4))
         b = rng.choices(words, k=rng.randint(1, 4))
         c = rng.choices(words, k=rng.randint(1, 4))
-        ab = wmd(a, b, WMD_TABLE).value
-        bc = wmd(b, c, WMD_TABLE).value
-        ac = wmd(a, c, WMD_TABLE).value
+        ab = wmd(a, b, WMD_TABLE)
+        bc = wmd(b, c, WMD_TABLE)
+        ac = wmd(a, c, WMD_TABLE)
         assert ac <= ab + bc + 1e-9
 
 
 def test_wmd_ignores_token_order():
-    assert wmd(["cat", "dog"], ["tree", "house"], WMD_TABLE).value == \
-        pytest.approx(wmd(["dog", "cat"], ["house", "tree"], WMD_TABLE).value,
+    assert wmd(["cat", "dog"], ["tree", "house"], WMD_TABLE) == \
+        pytest.approx(wmd(["dog", "cat"], ["house", "tree"], WMD_TABLE),
                       abs=1e-12)
 
 
@@ -602,9 +599,7 @@ def test_pos_distance_single_nouns():
     tagger = lexicon_noun_tagger(frozenset({"cat", "dog"}))
     score = pos_distance(["the", "cat"], ["a", "dog"], tagger, WMD_TABLE)
     expected = l2_distance(WMD_TABLE.vectors["cat"], WMD_TABLE.vectors["dog"])
-    assert score.metric == "pos_dist"
-    assert score.orientation == "distance"
-    assert score.value == pytest.approx(expected)
+    assert score == pytest.approx(expected)
 
 
 def test_pos_distance_matched_matches_assignment_oracle():
@@ -619,7 +614,7 @@ def test_pos_distance_matched_matches_assignment_oracle():
         got = pos_distance(nouns_a, nouns_b, tagger, WMD_TABLE)
         costs = [[l2_distance(WMD_TABLE.vectors[x], WMD_TABLE.vectors[y])
                   for y in nouns_b] for x in nouns_a]
-        assert got.value == pytest.approx(assignment_oracle(costs) / n_a,
+        assert got == pytest.approx(assignment_oracle(costs) / n_a,
                                           abs=1e-9)
 
 
@@ -670,7 +665,7 @@ def test_pos_distance_repeated_noun_matches_assignment():
     tagger = lexicon_noun_tagger(frozenset(WMD_TABLE.vectors))
     a = ["cat", "dog", "cat", "tree"]
     b = ["dog", "cat", "moon"]
-    got = pos_distance(a, b, tagger, WMD_TABLE).value
+    got = pos_distance(a, b, tagger, WMD_TABLE)
     dists = cdist(np.stack([WMD_TABLE.vectors[t] for t in a]),
                   np.stack([WMD_TABLE.vectors[t] for t in b]))
     rows, cols = linear_sum_assignment(dists)
@@ -684,7 +679,7 @@ def test_pos_distance_all_pairs_mean():
                        aggregate="all_pairs")
     d1 = l2_distance(WMD_TABLE.vectors["cat"], WMD_TABLE.vectors["tree"])
     d2 = l2_distance(WMD_TABLE.vectors["dog"], WMD_TABLE.vectors["tree"])
-    assert got.value == pytest.approx((d1 + d2) / 2.0)
+    assert got == pytest.approx((d1 + d2) / 2.0)
 
 
 def test_pos_distance_none_when_side_has_no_nouns():
@@ -700,11 +695,6 @@ def test_pos_distance_unknown_aggregate():
     tagger = lexicon_noun_tagger(frozenset({"cat"}))
     with pytest.raises(ValueError, match="aggregate"):
         pos_distance(["cat"], ["cat"], tagger, WMD_TABLE, aggregate="median")
-
-
-def test_orient_flips_distances_only():
-    assert orient(MetricScore("wmd", 2.5, orientation="distance")) == -2.5
-    assert orient(MetricScore("chrf", 0.5, orientation="similarity")) == 0.5
 
 
 # ------------------------------------------------- per-pair artifact IO

@@ -149,7 +149,7 @@ def test_overlap_correlates_with_latent():
     corpus, truth = generate_corpus(small_spec(n_pairs=200))
     scored = sorted(
         (truth.latent[p.pair_id],
-         word_overlap(tokenize(p.text_a), tokenize(p.text_b)).value)
+         word_overlap(tokenize(p.text_a), tokenize(p.text_b)))
         for p in corpus.pairs)
     low = [s for _, s in scored[:50]]
     high = [s for _, s in scored[-50:]]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelsim import textmetrics
-from labelsim.textmetrics import (EmptyText, MetricScore, bleu, bleu_block,
+from labelsim.textmetrics import (EmptyText, bleu, bleu_block,
                                   chrf, chrf_block, lexical_metric_names,
                                   light_stem, meteor_lite, require_tokens,
                                   rouge_l, rouge_n, score_lexical_block,
@@ -40,14 +40,14 @@ def test_tokenize_deterministic():
 
 
 def test_word_overlap_examples():
-    assert word_overlap(("a", "b"), ("a", "c")).value == pytest.approx(1 / 3)
-    assert word_overlap(("x", "y"), ("x", "y")).value == 1.0
-    assert word_overlap(("x",), ("y",)).value == 0.0
+    assert word_overlap(("a", "b"), ("a", "c")) == pytest.approx(1 / 3)
+    assert word_overlap(("x", "y"), ("x", "y")) == 1.0
+    assert word_overlap(("x",), ("y",)) == 0.0
 
 
 def test_word_overlap_precision_mode():
     score = word_overlap(("a", "b", "c"), ("a", "x"), mode="precision")
-    assert score.value == pytest.approx(1 / 3)
+    assert score == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         word_overlap(("a",), ("b",), mode="dice")
 
@@ -61,9 +61,9 @@ def test_word_overlap_matches_oracle():
     rng = random.Random(101)
     for _ in range(200):
         a, b = random_tokens(rng), random_tokens(rng)
-        assert word_overlap(a, b).value == pytest.approx(
+        assert word_overlap(a, b) == pytest.approx(
             oracles.jaccard_oracle(a, b), abs=1e-12)
-        assert word_overlap(a, b).value == word_overlap(b, a).value
+        assert word_overlap(a, b) == word_overlap(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -83,36 +83,36 @@ def test_ngrams_counting():
 
 def test_bleu_identity():
     s = ("the", "cat", "sat", "on", "the", "mat")
-    assert bleu(s, s).value == 1.0
-    assert bleu(s, s, max_n=1, smoothing="none").value == 1.0
+    assert bleu(s, s) == 1.0
+    assert bleu(s, s, max_n=1, smoothing="none") == 1.0
 
 
 def test_bleu_clipping():
     # "the the the" against "the cat": only one "the" is creditable
     score = bleu(("the", "the", "the"), ("the", "cat"),
                  max_n=1, smoothing="none")
-    assert score.value == pytest.approx(1 / 3)
+    assert score == pytest.approx(1 / 3)
 
 
 def test_bleu_brevity_penalty_only_for_short_candidates():
     short = bleu(("the", "cat"), ("the", "cat", "sat"),
                  max_n=1, smoothing="none")
-    assert short.value == pytest.approx(math.exp(-0.5))
+    assert short == pytest.approx(math.exp(-0.5))
     # a long candidate pays through diluted precision, never a boost
     long_ = bleu(("the", "cat", "sat"), ("the", "cat"),
                  max_n=1, smoothing="none")
-    assert long_.value == pytest.approx(2 / 3)
+    assert long_ == pytest.approx(2 / 3)
 
 
 def test_bleu_disjoint_is_zero_even_smoothed():
-    assert bleu(("a", "b"), ("c", "d"), smoothing="none").value == 0.0
+    assert bleu(("a", "b"), ("c", "d"), smoothing="none") == 0.0
     # add-one never touches the unigram precision
-    assert bleu(("a", "b"), ("c", "d"), smoothing="add_one").value == 0.0
+    assert bleu(("a", "b"), ("c", "d"), smoothing="add_one") == 0.0
 
 
 def test_bleu_effective_order_capped():
     # one-token sentences can only use unigrams, whatever max_n says
-    assert bleu(("cat",), ("cat",), max_n=4).value == 1.0
+    assert bleu(("cat",), ("cat",), max_n=4) == 1.0
 
 
 def test_bleu_rejects_bad_args():
@@ -130,7 +130,7 @@ def test_bleu_matches_oracle():
         cand, ref = random_tokens(rng), random_tokens(rng)
         for max_n in (1, 2, 4):
             for smoothing in ("none", "add_one"):
-                got = bleu(cand, ref, max_n=max_n, smoothing=smoothing).value
+                got = bleu(cand, ref, max_n=max_n, smoothing=smoothing)
                 want = oracles.bleu_oracle(cand, ref, max_n, smoothing)
                 assert got == pytest.approx(want, abs=1e-12), \
                     (cand, ref, max_n, smoothing)
@@ -148,10 +148,10 @@ token_seqs = st.lists(st.sampled_from(["a", "b", "c", "\u00e9t\u00e9", "x'y"]),
 def test_bleu_block_equals_counter_bleu(pairs, max_n, smoothing):
     got = bleu_block([c for c, _ in pairs], [r for _, r in pairs],
                      max_n=max_n, smoothing=smoothing)
-    assert [s.value for s in got] == [
+    assert got == [
         oracles.counter_bleu(c, r, max_n, smoothing) for c, r in pairs]
-    assert [s.value for s in got] == [
-        bleu(c, r, max_n=max_n, smoothing=smoothing).value for c, r in pairs]
+    assert got == [
+        bleu(c, r, max_n=max_n, smoothing=smoothing) for c, r in pairs]
 
 
 def test_bleu_block_rejects_bad_blocks():
@@ -168,12 +168,12 @@ def test_bleu_block_rejects_bad_blocks():
 
 def test_chrf_frozen_example():
     # 1-gram P = R = 3/4, 2-gram P = R = 2/3; mean 17/24 either direction
-    assert chrf("abcd", "abce", max_n=2).value == pytest.approx(17 / 24)
+    assert chrf("abcd", "abce", max_n=2) == pytest.approx(17 / 24)
 
 
 def test_chrf_identity_and_disjoint():
-    assert chrf("same words here", "same words here").value == 1.0
-    assert chrf("aaa", "zzz").value == 0.0
+    assert chrf("same words here", "same words here") == 1.0
+    assert chrf("aaa", "zzz") == 0.0
 
 
 def test_chrf_symmetry():
@@ -181,12 +181,12 @@ def test_chrf_symmetry():
     for _ in range(100):
         a = " ".join("".join(random_tokens(rng, 1, 4)) for _ in range(rng.randint(1, 4)))
         b = " ".join("".join(random_tokens(rng, 1, 4)) for _ in range(rng.randint(1, 4)))
-        assert chrf(a, b).value == chrf(b, a).value
+        assert chrf(a, b) == chrf(b, a)
 
 
 def test_chrf_whitespace_is_not_credited():
-    assert chrf("a  b", "a b").value == 1.0
-    assert chrf("  a b  ", "ab").value == 1.0
+    assert chrf("a  b", "a b") == 1.0
+    assert chrf("  a b  ", "ab") == 1.0
 
 
 def test_chrf_empty_input():
@@ -202,7 +202,7 @@ def test_chrf_matches_oracle():
         a = " ".join("".join(random_tokens(rng, 1, 5)) for _ in range(rng.randint(1, 3)))
         b = " ".join("".join(random_tokens(rng, 1, 5)) for _ in range(rng.randint(1, 3)))
         for max_n in (2, 6):
-            assert chrf(a, b, max_n=max_n).value == pytest.approx(
+            assert chrf(a, b, max_n=max_n) == pytest.approx(
                 oracles.chrf_oracle(a, b, max_n=max_n), abs=1e-12)
 
 
@@ -217,7 +217,7 @@ scorable_text = st.text(max_size=30).filter(lambda t: t.split())
 def test_chrf_block_equals_oracle_on_unicode(pairs, max_n):
     got = chrf_block([a for a, _ in pairs], [b for _, b in pairs],
                      max_n=max_n)
-    assert [s.value for s in got] == [
+    assert got == [
         oracles.chrf_oracle(a, b, max_n=max_n) for a, b in pairs]
 
 
@@ -231,8 +231,8 @@ def test_chrf_block_equals_oracle_on_short_strings():
     pairs = [(a, b) for a, b in pairs if a.split() and b.split()]
     got = chrf_block([a for a, _ in pairs], [b for _, b in pairs])
     for (a, b), score in zip(pairs, got):
-        assert score.value == oracles.chrf_oracle(a, b)
-        assert score.value == chrf(a, b).value
+        assert score == oracles.chrf_oracle(a, b)
+        assert score == chrf(a, b)
 
 
 def test_chrf_block_whitespace_only_side_raises():
@@ -249,9 +249,7 @@ def test_chrf_block_whitespace_only_side_raises():
 
 def test_rouge_1_frozen():
     score = rouge_n(("a", "b", "c"), ("a", "x", "c"), 1)
-    assert score.value == pytest.approx(2 / 3)
-    assert score.extras["precision"] == pytest.approx(2 / 3)
-    assert score.extras["recall"] == pytest.approx(2 / 3)
+    assert score == pytest.approx(2 / 3)
 
 
 def test_rouge_n_rejects_bad_input():
@@ -262,20 +260,20 @@ def test_rouge_n_rejects_bad_input():
 
 
 def test_rouge_2_no_bigrams():
-    assert rouge_n(("a",), ("a", "b"), 2).value == 0.0
-    assert rouge_n(("a", "b"), ("c",), 2).value == 0.0
+    assert rouge_n(("a",), ("a", "b"), 2) == 0.0
+    assert rouge_n(("a", "b"), ("c",), 2) == 0.0
 
 
 def test_rouge_l_frozen():
-    assert rouge_l(("a", "b", "c"), ("a", "x", "c")).value == pytest.approx(2 / 3)
-    assert rouge_l(("a", "b"), ("c", "d")).value == 0.0
+    assert rouge_l(("a", "b", "c"), ("a", "x", "c")) == pytest.approx(2 / 3)
+    assert rouge_l(("a", "b"), ("c", "d")) == 0.0
 
 
 def test_rouge_identity():
     s = ("w", "x", "y", "z")
-    assert rouge_n(s, s, 1).value == 1.0
-    assert rouge_n(s, s, 2).value == 1.0
-    assert rouge_l(s, s).value == 1.0
+    assert rouge_n(s, s, 1) == 1.0
+    assert rouge_n(s, s, 2) == 1.0
+    assert rouge_l(s, s) == 1.0
 
 
 def test_rouge_matches_oracle():
@@ -283,9 +281,9 @@ def test_rouge_matches_oracle():
     for _ in range(200):
         a, b = random_tokens(rng), random_tokens(rng)
         for n in (1, 2):
-            assert rouge_n(a, b, n).value == pytest.approx(
+            assert rouge_n(a, b, n) == pytest.approx(
                 oracles.rouge_n_oracle(a, b, n), abs=1e-12)
-        assert rouge_l(a, b).value == pytest.approx(
+        assert rouge_l(a, b) == pytest.approx(
             oracles.rouge_l_oracle(a, b), abs=1e-12)
 
 
@@ -307,23 +305,21 @@ def test_light_stem_rules():
 
 def test_meteor_identity():
     s = ("dogs", "chase", "cats")
-    assert meteor_lite(s, s).value == 1.0
+    assert meteor_lite(s, s) == 1.0
 
 
 def test_meteor_stemmed_match():
-    assert meteor_lite(("cats", "run"), ("cat", "runs")).value == 1.0
+    assert meteor_lite(("cats", "run"), ("cat", "runs")) == 1.0
 
 
 def test_meteor_no_match():
-    assert meteor_lite(("a", "b"), ("x", "y")).value == 0.0
+    assert meteor_lite(("a", "b"), ("x", "y")) == 0.0
 
 
 def test_meteor_fragmentation_penalty():
     # alignment has two chunks: P = R = 1 but the penalty bites
     score = meteor_lite(("the", "cat", "sat"), ("sat", "the", "cat"))
-    assert score.value == pytest.approx(23 / 27)
-    assert score.extras["chunks"] == 2
-    assert score.extras["matches"] == 3
+    assert score == pytest.approx(23 / 27)
 
 
 def test_meteor_matches_oracle():
@@ -332,7 +328,7 @@ def test_meteor_matches_oracle():
     for _ in range(300):
         a = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
         b = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
-        assert meteor_lite(a, b).value == pytest.approx(
+        assert meteor_lite(a, b) == pytest.approx(
             oracles.meteor_oracle(a, b), abs=1e-12), (a, b)
 
 
@@ -344,12 +340,11 @@ def test_score_pair_lexical_channels():
     scores = score_pair_lexical("The cat sat.", "A cat sat!")
     assert sorted(scores) == sorted(lexical_metric_names())
     for name, score in scores.items():
-        assert isinstance(score, MetricScore)
-        assert score.orientation == "similarity"
-        assert 0.0 <= score.value <= 1.0
-    assert scores["bleu1"].value == pytest.approx(
+        assert type(score) is float, name
+        assert 0.0 <= score <= 1.0
+    assert scores["bleu1"] == pytest.approx(
         bleu(tokenize("A cat sat!"), tokenize("The cat sat."),
-             max_n=1, smoothing="none").value)
+             max_n=1, smoothing="none"))
 
 
 def test_all_metrics_bounded_and_deterministic():
@@ -360,8 +355,8 @@ def test_all_metrics_bounded_and_deterministic():
         first = score_pair_lexical(a, b)
         second = score_pair_lexical(a, b)
         for name in first:
-            assert 0.0 <= first[name].value <= 1.0
-            assert first[name].value == second[name].value
+            assert 0.0 <= first[name] <= 1.0
+            assert first[name] == second[name]
 
 
 def test_identity_scores_one_for_all_metrics():
@@ -369,7 +364,7 @@ def test_identity_scores_one_for_all_metrics():
     for _ in range(50):
         text = " ".join(random_tokens(rng, 2, 8, vocab=["cat", "dog", "run"]))
         for name, score in score_pair_lexical(text, text).items():
-            assert score.value == pytest.approx(1.0), name
+            assert score == pytest.approx(1.0), name
 
 
 # Unicode tokens; sides of one to six tokens, so some are shorter than
@@ -391,10 +386,8 @@ def test_score_lexical_block_equals_one_pair_functions_and_oracles(pairs):
                               tokens_a, tokens_b)
     one_pair = {
         "word_overlap": [word_overlap(a, b) for a, b in pairs],
-        "bleu1": [MetricScore("bleu1", bleu(b, a, max_n=1,
-                                            smoothing="none").value)
-                  for a, b in pairs],
-        "bleu": [MetricScore("bleu", bleu(b, a).value) for a, b in pairs],
+        "bleu1": [bleu(b, a, max_n=1, smoothing="none") for a, b in pairs],
+        "bleu": [bleu(b, a) for a, b in pairs],
         "chrf": [chrf(a, b) for a, b in zip(texts_a, texts_b)],
         "rouge1": [rouge_n(a, b, 1) for a, b in pairs],
         "rouge2": [rouge_n(a, b, 2) for a, b in pairs],
@@ -410,17 +403,7 @@ def test_score_lexical_block_equals_one_pair_functions_and_oracles(pairs):
         "rouge2": [oracles.rouge_n_oracle(a, b, 2) for a, b in pairs],
     }
     for name, values in oracle.items():
-        assert [score.value for score in got[name]] == values, name
-    for name in ("rouge1", "rouge2"):
-        n = int(name[-1])
-        for (a, b), score in zip(pairs, got[name]):
-            total_a, total_b = len(a) - n + 1, len(b) - n + 1
-            matches = oracles.clipped_overlap(a, b, n)
-            if min(total_a, total_b) <= 0:
-                assert score.extras == {"precision": 0.0, "recall": 0.0}
-            else:
-                assert score.extras == {"precision": matches / total_b,
-                                        "recall": matches / total_a}
+        assert got[name] == values, name
 
 
 def test_score_lexical_block_counts_token_ngrams_once(monkeypatch):
@@ -457,10 +440,10 @@ def test_score_lexical_block_names_the_first_empty_side():
     assert caught.value.index == 33
     # chrF reads no tokens, so a tokenless pair still scores
     [score] = score_lexical_block(["chrf"], ["red oak"], ["!!! ???"])["chrf"]
-    assert score.value == 0.0
+    assert score == 0.0
 
 
 def test_disjoint_scores_zero_for_all_metrics():
     # token AND character disjoint, so chrf drops to zero too
     for name, score in score_pair_lexical("aba cab bac", "xyz zyx yzx").items():
-        assert score.value == 0.0, name
+        assert score == 0.0, name
