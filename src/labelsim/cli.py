@@ -128,7 +128,7 @@ def _add_metric_args(p):
                    help="treat this precomputed channel as a distance")
     p.add_argument("--overlap-mode", choices=["jaccard", "precision"],
                    default="jaccard")
-    p.add_argument("--pos-aggregate", choices=["matched", "all_pairs"],
+    p.add_argument("--pos-aggregate", choices=embmetrics.POS_AGGREGATES,
                    default="matched")
 
 
@@ -166,7 +166,11 @@ def _attach_channels(corpus, args):
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             raise ValueError(f"--precomputed expects NAME=PATH, got {spec!r}")
-        corpus = attach_precomputed(corpus, name.strip(),
+        name = name.strip()
+        if name in correlate.metric_universe():
+            raise ValueError(
+                f"--precomputed {name}: a native metric has that name")
+        corpus = attach_precomputed(corpus, name,
                                     load_precomputed(path.strip()))
     return corpus
 
@@ -183,6 +187,12 @@ def _corpus_vocabulary(corpus) -> set:
 def _prepare_scoring(corpus, args):
     """Resolve metric names and load whatever artifacts they need."""
     metrics = _parse_metric_names(args.metrics, corpus)
+    channels = sorted(corpus.precomputed_scores)
+    for name in args.precomputed_distance:
+        if name not in channels:
+            raise ValueError(
+                f"--precomputed-distance {name}: no precomputed channel has "
+                f"that name (attached: {', '.join(channels) or 'none'})")
 
     embeddings_path = args.embeddings or _env_path("EMBEDDINGS")
     sent_emb_path = args.sent_embeddings or _env_path("SENT_EMBEDDINGS")

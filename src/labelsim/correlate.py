@@ -179,6 +179,8 @@ def compute_metric_scores(corpus: LabeledCorpus,
     for name in metrics:
         if name not in known:
             raise ValueError(f"unknown metric {name!r}")
+    if "pos_dist" in metrics and pos_aggregate not in embmetrics.POS_AGGREGATES:
+        raise ValueError(f"unknown pos_distance aggregate {pos_aggregate!r}")
     needs_table = [m for m in metrics if m in WORD_VECTOR_METRICS]
     if needs_table and table is None:
         raise ValueError(f"metrics {needs_table} need an embedding table")
@@ -192,8 +194,13 @@ def compute_metric_scores(corpus: LabeledCorpus,
     embedding = [m for m in metrics if m in EMBEDDING_METRICS]
     distance_channels = set(distance_channels)
 
+    def embeddable(tokens) -> bool:
+        return any(t in table.vectors for t in tokens)
+
     def score_one(pair: SentencePair, tokens_a, tokens_b) -> dict[str, float]:
-        """The embedding metrics of one pair."""
+        """The embedding metrics of one pair; a metric that needs word
+        vectors drops the pair when a side has none, and any other error
+        is raised."""
         out: dict[str, float] = {}
         means = None  # each side's mean token vector, computed once
         if "cosine" in metrics or ("l2" in metrics and sent_embeddings is None):
@@ -216,11 +223,9 @@ def compute_metric_scores(corpus: LabeledCorpus,
                 vectors = means
             if vectors is not None:
                 out["l2"] = embmetrics.l2_distance(*vectors)
-        if "wmd" in metrics:
-            try:
-                out["wmd"] = embmetrics.wmd(tokens_a, tokens_b, table)
-            except ValueError:
-                pass
+        if "wmd" in metrics and embeddable(tokens_a) \
+                and embeddable(tokens_b):
+            out["wmd"] = embmetrics.wmd(tokens_a, tokens_b, table)
         if "pos_dist" in metrics:
             if gold_tags is not None:
                 nouns = [embmetrics.nouns_from_tags(
@@ -257,7 +262,12 @@ def compute_metric_scores(corpus: LabeledCorpus,
                 scores[name][pair.pair_id] = value
         if embedding:
             for pair, tok_a, tok_b in zip(block, tokens_a, tokens_b):
-                for name, value in score_one(pair, tok_a, tok_b).items():
+                try:
+                    values = score_one(pair, tok_a, tok_b)
+                except ValueError as exc:
+                    raise ValueError(f"pair {pair.pair_id!r}: {exc}") \
+                        from None
+                for name, value in values.items():
                     scores[name][pair.pair_id] = value
 
     for name in scores:
@@ -395,10 +405,15 @@ class _Columns:
 
 def _pct_pair(cell: MetricCorrelation, base: MetricCorrelation
               ) -> tuple[Optional[float], Optional[float]]:
-    if cell.pearson is None:
-        return None, None
-    return (percent_change(cell.pearson, base.pearson),
-            percent_change(cell.spearman, base.spearman))
+    """Percent changes of Pearson and Spearman; None where the cell is
+    undefined or the baseline statistic is exactly 0."""
+    def pct(value, baseline):
+        if value is None or baseline == 0.0:
+            return None
+        return percent_change(value, baseline)
+
+    return (pct(cell.pearson, base.pearson),
+            pct(cell.spearman, base.spearman))
 
 
 def _normalized_subsets(subsets: Optional[Sequence[Sequence[HeuristicId]]]
@@ -610,7 +625,12 @@ def render_report_text(report: CorrelationReport) -> str:
         for name in report.metrics:
             val = row.cells[name].pearson
             pct = row.pct_change[name][0]
-            shown = "n/a" if val is None else f"{val:.4f} ({pct:+.1f}%)"
+            if val is None:
+                shown = "n/a"
+            elif pct is None:
+                shown = f"{val:.4f} (n/a)"
+            else:
+                shown = f"{val:.4f} ({pct:+.1f}%)"
             cells += f"  {shown:>20}"
         lines.append(subset_label(row.subset).ljust(width) + cells)
     if report.unavailable:

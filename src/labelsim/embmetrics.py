@@ -4,9 +4,11 @@ The transport solver is written here from scratch because it is the
 numerical core of the distance suite: the transportation simplex
 (network simplex on the bipartite transport graph) from a least-cost
 start, run to a provably optimal vertex.  Word mover's distance is
-defined by that exact optimum, and the one-to-one noun matching of
-``pos_distance`` runs on the same solver, posed as a transport problem
-with unit masses.  The module needs numpy only.
+defined by that exact optimum; ``wmd`` solves it on the mass the two
+bags do not share, which for a metric ground cost has the same optimum.
+The one-to-one noun matching of ``pos_distance`` is an assignment
+problem, solved by shortest augmenting paths (Jonker & Volgenant 1987).
+The module needs numpy only.
 
 Every metric returns a plain float; ``l2_distance``, ``wmd`` and
 ``pos_distance`` are distances, which ``correlate`` negates.
@@ -192,7 +194,7 @@ def solve_transport(problem: TransportProblem,
     a = np.asarray(problem.source_weights, dtype=np.float64)
     b = np.asarray(problem.target_weights, dtype=np.float64)
     C = np.asarray(problem.costs, dtype=np.float64)
-    plan, iterations = _transport_simplex(a, b, C)
+    plan, iterations = _simplex_pivots(C, *_least_cost_start(a, b, C))
     cost = float((plan * C).sum())
     marginal_error = max(
         float(np.abs(plan.sum(axis=1) - a).max()),
@@ -200,12 +202,6 @@ def solve_transport(problem: TransportProblem,
     )
     return TransportResult(plan=plan, cost=cost, iterations=iterations,
                            marginal_error=marginal_error)
-
-
-def _transport_simplex(a: np.ndarray, b: np.ndarray,
-                       C: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact solver: least-cost start, then dual-guided pivots."""
-    return _simplex_pivots(C, *_least_cost_start(a, b, C))
 
 
 def _least_cost_start(a: np.ndarray, b: np.ndarray, C: np.ndarray
@@ -413,11 +409,32 @@ def nbow_weights(tokens: TokenSeq, table: EmbeddingTable
 def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> float:
     """Word mover's distance: minimal cost of moving one sentence's
     normalized bag-of-words onto the other's, with Euclidean ground costs,
-    solved exactly."""
-    _, wa, va = nbow_weights(a, table)
-    _, wb, vb = nbow_weights(b, table)
-    costs = _euclidean_costs(va, vb)
-    return solve_transport(TransportProblem(wa, wb, costs)).cost
+    solved exactly.
+
+    Only the mass the bags do not share is moved: each word type in both
+    bags loses ``min(wa, wb)`` on both sides, and the types left with no
+    mass are dropped.  The Euclidean cost is a metric, and for a metric
+    cost the optimal transport cost W1(mu, nu) depends only on mu - nu
+    (Kantorovich-Rubinstein duality), so the shared mass stays in place
+    at zero cost and the residual problem has the same optimum.
+    Identical bags cost 0.0 without a solve.
+    """
+    types_a, wa, va = nbow_weights(a, table)
+    types_b, wb, vb = nbow_weights(b, table)
+    index_b = {t: j for j, t in enumerate(types_b)}
+    for i, t in enumerate(types_a):
+        j = index_b.get(t)
+        if j is not None:
+            shared = min(wa[i], wb[j])
+            wa[i] -= shared
+            wb[j] -= shared
+    keep_a = wa > 0.0
+    keep_b = wb > 0.0
+    if not keep_a.any() and not keep_b.any():
+        return 0.0
+    costs = _euclidean_costs(va[keep_a], vb[keep_b])
+    return solve_transport(
+        TransportProblem(wa[keep_a], wb[keep_b], costs)).cost
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +480,9 @@ def nouns_from_tags(tokens: TokenSeq, tags: dict) -> list[str]:
     return out
 
 
+POS_AGGREGATES = ("matched", "all_pairs")
+
+
 def pos_distance(a: TokenSeq, b: TokenSeq,
                  noun_tagger: Callable[[TokenSeq], list[str]],
                  table: EmbeddingTable,
@@ -474,40 +494,94 @@ def pos_distance(a: TokenSeq, b: TokenSeq,
     averages the full cross-product instead.  Returns None when either
     side has no embeddable noun, so callers can drop the pair.
     """
+    if aggregate not in POS_AGGREGATES:
+        raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
     nouns_a = [t for t in noun_tagger(a) if t in table.vectors]
     nouns_b = [t for t in noun_tagger(b) if t in table.vectors]
     if not nouns_a or not nouns_b:
         return None
     dists = _euclidean_costs(np.stack([table.vectors[t] for t in nouns_a]),
                              np.stack([table.vectors[t] for t in nouns_b]))
-    if aggregate == "matched":
-        rows, cols = _min_cost_matching(dists)
-        return float(dists[rows, cols].mean())
     if aggregate == "all_pairs":
         return float(dists.mean())
-    raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
+    rows, cols = _min_cost_matching(dists)
+    return float(dists[rows, cols].mean())
 
 
 def _min_cost_matching(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-cost one-to-one matching of min(n, m) rows and columns.
 
-    Posed as a transport problem with unit masses, the smaller side
-    padded by one zero-cost dummy node that holds the surplus.  With
-    integer masses every basic plan is 0/1, so the simplex optimum is an
-    exact matching.  Returns the matched cells in row order.
+    Shortest augmenting paths (Jonker & Volgenant 1987), in the form
+    without an initial matching: each row in turn is matched by a
+    Dijkstra search over reduced costs ``C[i][j] - u[i] - v[j]``, after
+    which the dual potentials of the rows and columns it reached are
+    shifted so that every reduced cost stays non-negative and the matched
+    cells' stay zero.  Columns are scanned, and ties broken towards a
+    free column, in the order scipy's ``linear_sum_assignment`` uses, so
+    tied matchings come out the same.  A taller matrix is solved
+    transposed.  Returns the matched cells in row order; raises
+    ``ValueError`` on a non-finite cost.
     """
+    dists = np.asarray(dists, dtype=np.float64)
+    if not np.isfinite(dists).all():
+        raise ValueError("matching costs must be finite")
+    transposed = dists.shape[0] > dists.shape[1]
+    if transposed:
+        dists = dists.T
     n, m = dists.shape
-    a = np.ones(n)
-    b = np.ones(m)
-    costs = dists
-    if n < m:
-        a = np.append(a, m - n)
-        costs = np.vstack([dists, np.zeros((1, m))])
-    elif n > m:
-        b = np.append(b, n - m)
-        costs = np.hstack([dists, np.zeros((n, 1))])
-    plan, _ = _transport_simplex(a, b, costs)
-    return np.nonzero(plan[:n, :m] > 0.5)
+    cost = dists.tolist()
+    u = [0.0] * n
+    v = [0.0] * m
+    col4row = [-1] * n
+    row4col = [-1] * m
+    inf = float("inf")
+    for start in range(n):
+        # Dijkstra from ``start`` until it reaches a free column.
+        dist = [inf] * m
+        path = [-1] * m
+        row_seen = []
+        col_seen = []
+        remaining = list(range(m - 1, -1, -1))
+        i, reached = start, 0.0
+        while True:
+            row_seen.append(i)
+            row_cost = cost[i]
+            u_i = u[i]
+            best, best_at = inf, -1
+            for at, j in enumerate(remaining):
+                r = reached + row_cost[j] - u_i - v[j]
+                if r < dist[j]:
+                    path[j] = i
+                    dist[j] = r
+                if dist[j] < best or (dist[j] == best and row4col[j] == -1):
+                    best, best_at = dist[j], at
+            reached = best
+            j = remaining[best_at]
+            col_seen.append(j)
+            remaining[best_at] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                sink = j
+                break
+            i = row4col[j]
+        u[start] += reached
+        for r in row_seen[1:]:
+            u[r] += reached - dist[col4row[r]]
+        for c in col_seen:
+            v[c] -= reached - dist[c]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    rows = np.arange(n)
+    cols = np.array(col4row, dtype=np.intp)
+    if transposed:
+        order = np.argsort(cols, kind="stable")
+        rows, cols = cols[order], rows[order]
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------

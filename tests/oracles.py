@@ -408,6 +408,10 @@ def correlation_report_oracle(corpus, metric_scores, metrics, subsets, reports,
                 n_pairs=len(joined))
         return out
 
+    def pct_or_none(value, base):
+        # a percent change from a baseline of exactly 0 is undefined
+        return None if base == 0.0 else percent_change(value, base)
+
     baseline = cells(gold_observations(corpus, annotator_ids))
     rows = []
     for subset in subsets:
@@ -416,9 +420,9 @@ def correlation_report_oracle(corpus, metric_scores, metrics, subsets, reports,
         if keep is not None:
             keep = keep - set(filtered.removed_annotators)
         got = cells(gold_observations(filtered.corpus, keep))
-        pct = {name: (percent_change(got[name].pearson, baseline[name].pearson),
-                      percent_change(got[name].spearman,
-                                     baseline[name].spearman))
+        pct = {name: (pct_or_none(got[name].pearson, baseline[name].pearson),
+                      pct_or_none(got[name].spearman,
+                                  baseline[name].spearman))
                for name in metrics}
         rows.append((tuple(sorted(filtered.removed_annotators)), got, pct))
     return baseline, rows

@@ -617,6 +617,40 @@ def test_metrics_precomputed_channel(tmp_path, capsys):
     assert out.splitlines()[1] == "p1,0.900000"
 
 
+def test_precomputed_channel_may_not_take_a_native_name(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    channel = tmp_path / "ch.csv"
+    channel.write_text("pair_id,score\np1,0.9\np2,0.5\np3,0.1\n")
+    for argv in (["metrics", "--pairs", pairs, "--metrics", "lexical"],
+                 ["report", "--pairs", pairs, "--annotations", annotations,
+                  "--metrics", "chrf"]):
+        rc = main([*argv, "--precomputed", f"chrf={channel}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --precomputed chrf: a native metric has that name\n")
+
+
+def test_precomputed_distance_must_name_an_attached_channel(tmp_path,
+                                                            capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    channel = tmp_path / "ch.csv"
+    channel.write_text("pair_id,score\np1,0.9\np2,0.5\np3,0.1\n")
+    argv = ["--pairs", pairs, "--annotations", annotations,
+            "--metrics", "word_overlap", "--precomputed-distance", "exd"]
+    for command, attached in (("report", "ext"), ("style-report", "ext"),
+                              ("metrics", None)):
+        extra = ["--precomputed", f"ext={channel}"] if attached else []
+        rc = main([command, *argv, *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --precomputed-distance exd: no precomputed channel has "
+            f"that name (attached: {attached or 'none'})\n")
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -675,6 +709,76 @@ def test_report_nan_precomputed_channel_is_an_error(tmp_path, capsys):
     assert captured.out == ""
     assert f"error: {channel} row 4: expected a finite number, got 'nan'" \
         in captured.err
+
+
+def write_zero_baseline_corpus(tmp_path):
+    """Four pairs with gold means 4.5, 2.5, 1.5, 2.5, and two channels:
+    ``ext`` has Spearman exactly 0 with gold, ``orth`` both statistics."""
+    labels = {"x": [5, 3, 1, 2], "y": [4, 2, 2, 3]}
+    pairs = tmp_path / "pairs.csv"
+    annotations = tmp_path / "annotations.csv"
+    pairs.write_text("pair_id,source,is_random,text_a,text_b\n" + "".join(
+        f"p{i},s1,0,red blue,green oak\n" for i in range(4)))
+    annotations.write_text(
+        "pair_id,annotator_id,label,duration_seconds\n" + "".join(
+            f"p{i},{aid},{labels[aid][i]},30\n"
+            for i in range(4) for aid in labels))
+    argv = ["--pairs", str(pairs), "--annotations", str(annotations)]
+    for name, values in (("ext", [0.5, 0.1, 0.5, 0.5]),
+                         ("orth", [1.0, 0.0, 1.0, 2.0])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("pair_id,score\n" + "".join(
+            f"p{i},{v}\n" for i, v in enumerate(values)))
+        argv += ["--precomputed", f"{name}={path}"]
+    return argv
+
+
+def test_report_with_a_zero_baseline_has_no_percent_change(tmp_path,
+                                                           capsys):
+    argv = ["report", *write_zero_baseline_corpus(tmp_path),
+            "--metrics", "ext,orth", "--heuristics", "1"]
+    assert main([*argv, "--out-format", "csv"]) == 0
+    rows = [line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:]]
+    cells = {(r[1], r[2]): r[3:7] for r in rows}
+    assert cells["baseline", "ext"][1] == "0.000000"
+    assert cells["1", "ext"][2:] == ["0.00", ""]  # nobody is slow
+    assert cells["baseline", "orth"][:2] == ["0.000000", "0.000000"]
+    assert cells["1", "orth"][2:] == ["", ""]
+
+    assert main([*argv, "--out-format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["baseline"]["ext"]["spearman"] == 0.0
+    ext, orth = (doc["subsets"][0]["cells"][name] for name in ("ext", "orth"))
+    assert (ext["pearson_pct"], ext["spearman_pct"]) == (0.0, None)
+    assert (orth["pearson_pct"], orth["spearman_pct"]) == (None, None)
+
+    assert main([*argv, "--out-format", "text"]) == 0
+    row = capsys.readouterr().out.splitlines()[3]
+    assert row.split()[-4:] == ["0.1325", "(+0.0%)", "0.0000", "(n/a)"]
+
+
+@pytest.mark.parametrize("metric, message", [
+    ("wmd", "costs must be finite and non-negative"),
+    ("pos_dist", "matching costs must be finite")])
+def test_report_fails_on_a_solver_error(tmp_path, capsys, metric, message):
+    # oak's squared distances overflow: an error, not a dropped pair
+    pairs, annotations = write_corpus(tmp_path)
+    words = ["red", "blue", "green", "oak", "elm", "fir"]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(
+        f"{w} {'1e200' if w == 'oak' else i} {i % 2} 1\n"
+        for i, w in enumerate(words)))
+    nouns = tmp_path / "nouns.txt"
+    nouns.write_text("\n".join(words) + "\n")
+    with np.errstate(over="ignore"):
+        rc = main(["report", "--pairs", pairs, "--annotations", annotations,
+                   "--metrics", metric, "--embeddings", str(vectors),
+                   "--noun-lexicon", str(nouns), "--out-format", "csv"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: pair 'p2': {message}\n"
 
 
 def test_report_runs_are_byte_identical(tmp_path):

@@ -384,6 +384,35 @@ def test_compute_metric_scores_drops_oov_pairs():
     assert scores["word_overlap"]["p2"] == 0.0
 
 
+@pytest.mark.parametrize("metric, message", [
+    ("wmd", "costs must be finite and non-negative"),
+    ("pos_dist", "matching costs must be finite")])
+def test_compute_metric_scores_raises_solver_errors_with_the_pair(
+        metric, message):
+    # "huge" has finite components whose squared distances overflow; p2
+    # has no embeddable token on one side, which is a drop, not an error
+    table = scoring_table()
+    table.vectors["huge"] = np.array([1e200, 0.0, 0.0, 0.0])
+    pairs = [("p1", "cat dog", "dog cat"), ("p2", "qq zz", "cat"),
+             ("p3", "huge cat", "dog tree")]
+
+    def scores(n_pairs):
+        corpus = make_corpus(pairs[:n_pairs], [
+            (pid, "good", 3) for pid, _, _ in pairs[:n_pairs]])
+        return compute_metric_scores(corpus, [metric], table=table,
+                                     noun_tagger=lambda toks: list(toks))
+
+    assert sorted(scores(2)[metric]) == ["p1"]
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match=f"^pair 'p3': {message}$"):
+        scores(3)
+    # a bad argument is not blamed on a pair
+    with pytest.raises(ValueError,
+                       match="^unknown pos_distance aggregate 'median'$"):
+        compute_metric_scores(make_corpus(pairs, []), ["pos_dist"],
+                              table=table, pos_aggregate="median")
+
+
 def test_compute_metric_scores_precomputed_channels():
     corpus = attach_precomputed(
         scoring_corpus(), "ext_dist", {"p1": 0.5, "p2": 2.0})
@@ -771,6 +800,30 @@ def test_report_engine_matches_oracle_on_a_panel(tied_report_inputs):
                                reports=reports, annotator_ids=set())
     assert empty.status == "empty: no annotators in this panel"
     assert empty.subsets == ()
+
+
+def test_zero_baseline_statistic_has_no_percent_change():
+    # Spearman of "ext" and both statistics of "orth" are exactly 0 with
+    # and without the slow annotator z, whose labels keep gold's ranks.
+    labels = {"x": [5, 3, 1, 2], "y": [4, 2, 2, 3], "z": [5, 3, 1, 3]}
+    corpus = make_corpus(
+        [(f"p{i}", "red blue", "green oak") for i in range(4)],
+        [(f"p{i}", aid, labels[aid][i], 900.0 if aid == "z" else 30.0)
+         for i in range(4) for aid in labels])
+    scores = {"ext": dict(zip(("p0", "p1", "p2", "p3"), (0.5, 0.1, 0.5, 0.5))),
+              "orth": dict(zip(("p0", "p1", "p2", "p3"), (1.0, 0.0, 1.0, 2.0)))}
+    subsets = [(HeuristicId.SLOW,)]
+    reports = compute_flag_reports(corpus, [HeuristicId.SLOW])
+    report = correlation_report(corpus, scores, subsets=subsets,
+                                reports=reports)
+    (row,) = report.subsets
+    assert row.removed_annotators == ("z",)
+    assert report.baseline["ext"].spearman == 0.0
+    assert row.pct_change["ext"][0] is not None
+    assert row.pct_change["ext"][1] is None
+    assert row.pct_change["orth"] == (None, None)
+    assert_report_matches_oracle(report, correlation_report_oracle(
+        corpus, scores, report.metrics, subsets, reports))
 
 
 def test_style_split_report_flags_once(monkeypatch):

@@ -400,8 +400,10 @@ def test_least_cost_start_keeps_wmd_rank_order_and_saves_pivots():
 
 
 def unit_mass_problem(dists):
-    """``_min_cost_matching``'s transport problem for ``dists``: unit
-    masses, the smaller side padded by one zero-cost dummy node."""
+    """A matching posed as a transport problem: unit masses, the smaller
+    side padded by one zero-cost dummy node.  Its plans are highly
+    degenerate, which is what the pivot-oracle tests below feed the
+    simplex."""
     n, m = dists.shape
     a, b, costs = np.ones(n), np.ones(m), dists
     if n < m:
@@ -550,6 +552,87 @@ def test_wmd_ignores_token_order():
                       abs=1e-12)
 
 
+def assert_wmd_is_the_full_bag_optimum(a, b, table):
+    """``wmd`` against the simplex and the LP solved on the whole of both
+    bags, shared mass included."""
+    got = wmd(a, b, table)
+    _, wa, va = nbow_weights(a, table)
+    _, wb, vb = nbow_weights(b, table)
+    costs = _euclidean_costs(va, vb)
+    full = solve_transport(TransportProblem(wa, wb, costs)).cost
+    if not set(a) & set(b) & set(table.vectors):
+        assert got == full  # nothing shared: the very same problem
+    elif sorted(a) == sorted(b):
+        assert got == 0.0
+    assert abs(got - full) <= 4 * np.spacing(max(abs(got), abs(full)))
+    expected = linprog_transport_oracle(wa.tolist(), wb.tolist(),
+                                        costs.tolist())
+    assert abs(got - expected) <= 1e-9 * max(1.0, expected)
+
+
+def twin_table(seed, dim=4):
+    """Ten words; "twin" has the very vector of "w0"."""
+    table = make_table([f"w{i}" for i in range(9)], dim=dim, seed=seed)
+    table.vectors["twin"] = table.vectors["w0"].copy()
+    return table
+
+
+def test_wmd_equals_the_full_bag_optimum_on_seeded_bags():
+    rng = random.Random(4)
+    kinds = {"shared": 0, "disjoint": 0, "identical": 0}
+    for k in range(400):
+        table = twin_table(seed=k, dim=rng.randint(1, 8))
+        words = sorted(table.vectors)
+        a = rng.choices(words, k=rng.randint(1, 12))  # repeats tokens
+        if k % 8 == 0:
+            b = rng.sample(a, len(a))
+        elif k % 8 == 1:
+            b = rng.choices([w for w in words if w not in a] or words,
+                            k=rng.randint(1, 6))
+        else:
+            b = rng.choices(words, k=rng.randint(1, 12))
+        assert_wmd_is_the_full_bag_optimum(a, b, table)
+        if sorted(a) == sorted(b):
+            kinds["identical"] += 1
+        elif set(a) & set(b):
+            kinds["shared"] += 1
+        else:
+            kinds["disjoint"] += 1
+    assert min(kinds.values()) >= 40
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=14),
+       st.lists(st.integers(0, 9), min_size=1, max_size=14),
+       st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_wmd_equals_the_full_bag_optimum(ids_a, ids_b, seed, dim):
+    table = twin_table(seed, dim)
+    words = sorted(table.vectors)
+    assert_wmd_is_the_full_bag_optimum([words[i] for i in ids_a],
+                                       [words[i] for i in ids_b], table)
+
+
+def test_wmd_moves_only_the_unshared_mass(monkeypatch):
+    seen = []
+    real = embmetrics.solve_transport
+
+    def recording(problem):
+        seen.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(embmetrics, "solve_transport", recording)
+    # a: cat 1/2, dog 1/4, bird 1/4; b: cat 1/4, dog 1/2, moon 1/4
+    got = wmd(["cat", "cat", "dog", "bird"], ["cat", "dog", "dog", "moon"],
+              WMD_TABLE)
+    (problem,) = seen
+    assert problem.source_weights.tolist() == [0.25, 0.25]  # bird, cat
+    assert problem.target_weights.tolist() == [0.25, 0.25]  # dog, moon
+    assert got == real(problem).cost
+    seen.clear()
+    assert wmd(["cat", "dog", "cat"], ["dog", "cat", "cat"], WMD_TABLE) == 0.0
+    assert seen == []  # identical bags need no solve
+
+
 def test_nbow_weights():
     types, weights, matrix = nbow_weights(
         ["dog", "cat", "dog", "zzz"], WMD_TABLE)
@@ -658,6 +741,26 @@ def test_min_cost_matching_shapes():
     assert_matching_like_scipy(np.zeros((4, 2)))
 
 
+def test_min_cost_matching_at_16_by_16_and_taller():
+    rng = np.random.default_rng(23)
+    for n, m in [(16, 16), (16, 9), (12, 5), (16, 1), (9, 16)]:
+        for _ in range(10):
+            u = rng.normal(size=(n, 8))
+            u[n // 2:] = u[: n - n // 2]  # repeated nouns: tied matchings
+            assert_matching_like_scipy(_euclidean_costs(
+                u, rng.normal(size=(m, 8))))
+        assert_matching_like_scipy(
+            rng.integers(0, 3, size=(n, m)).astype(np.float64))
+
+
+def test_min_cost_matching_rejects_non_finite_costs():
+    for bad in (np.inf, np.nan):
+        dists = np.ones((3, 4))
+        dists[1, 2] = bad
+        with pytest.raises(ValueError, match="matching costs must be finite"):
+            _min_cost_matching(dists)
+
+
 def test_pos_distance_repeated_noun_matches_assignment():
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
@@ -695,6 +798,9 @@ def test_pos_distance_unknown_aggregate():
     tagger = lexicon_noun_tagger(frozenset({"cat"}))
     with pytest.raises(ValueError, match="aggregate"):
         pos_distance(["cat"], ["cat"], tagger, WMD_TABLE, aggregate="median")
+    # checked before the nouns: a side without nouns does not hide it
+    with pytest.raises(ValueError, match="aggregate"):
+        pos_distance(["verb"], ["cat"], tagger, WMD_TABLE, aggregate="median")
 
 
 # ------------------------------------------------- per-pair artifact IO
