@@ -10,16 +10,16 @@ the correlation between mean human labels and each metric.
 from .corpus import (Annotation, CorpusError, LabeledCorpus, SentencePair,
                      attach_precomputed, build_corpus, load_corpus,
                      load_precomputed, save_corpus)
-from .heuristics import (FilteredCorpus, FlagEvidence, FlagReport,
-                         HeuristicConfig, HeuristicId, Scorers, apply_filters,
-                         compute_flag_reports, default_scorers,
+from .heuristics import (FlagEvidence, FlagReport, HeuristicConfig,
+                         HeuristicId, Scorers, compute_flag_reports,
+                         default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
 from .stats import AnnotatorProfile, Style, annotator_profile, \
     annotator_profiles, classify_style, population_variance, reduce_label
 from .correlate import (CorrelationReport, MetricCorrelation, SubsetResult,
                         UndefinedCorrelationError, compute_metric_scores,
-                        correlation_report, pair_gold, pearson,
-                        percent_change, spearman, style_split_report)
+                        correlation_report, pearson, percent_change,
+                        spearman, style_split_report)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "AnnotatorProfile",
     "CorpusError",
     "CorrelationReport",
-    "FilteredCorpus",
     "FlagEvidence",
     "FlagReport",
     "HeuristicConfig",
@@ -42,7 +41,6 @@ __all__ = [
     "UndefinedCorrelationError",
     "annotator_profile",
     "annotator_profiles",
-    "apply_filters",
     "attach_precomputed",
     "build_corpus",
     "classify_style",
@@ -50,10 +48,10 @@ __all__ = [
     "compute_metric_scores",
     "correlation_report",
     "default_scorers",
+    "flagged_annotators",
     "heuristic_subsets",
     "load_corpus",
     "load_precomputed",
-    "pair_gold",
     "pearson",
     "percent_change",
     "population_variance",

@@ -17,8 +17,7 @@ pairs.  A filter subset is then only a keep mask over annotators (the
 panel minus the annotators its flags remove); gold means come from
 ``np.bincount`` over the kept rows, and the observations handed to
 :func:`pearson` and :func:`spearman` are, element for element and in
-order, those of a join on sorted pair ids.  No filtered corpus copy is
-ever made.
+order, those of a join on sorted pair ids.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import LabeledCorpus, SentencePair
-from .heuristics import (CorpusLike, FilteredCorpus, HeuristicConfig,
-                         HeuristicId, Scorers, compute_flag_reports,
-                         flagged_annotators, heuristic_subsets,
-                         normalize_subset, subset_label)
+from .heuristics import (HeuristicConfig, HeuristicId, Scorers,
+                         compute_flag_reports, flagged_annotators,
+                         heuristic_subsets, normalize_subset, subset_label)
 from . import embmetrics, textmetrics
 
 
@@ -43,44 +41,18 @@ class UndefinedCorrelationError(ValueError):
     non-finite input)."""
 
 
-@dataclass(frozen=True)
-class PairGold:
-    pair_id: str
-    mean_label: float
-    n_annotations: int
-
-
-def _plain_corpus(corpus: CorpusLike) -> LabeledCorpus:
-    return corpus.corpus if isinstance(corpus, FilteredCorpus) else corpus
-
-
-def pair_gold(corpus: CorpusLike,
-              annotator_ids: Optional[set] = None) -> dict[str, PairGold]:
-    """Mean label per pair; pairs without annotations are simply absent.
-
-    ``annotator_ids`` restricts the averaging to labels from those
-    annotators (used by the style-split reports).
-    """
-    plain = _plain_corpus(corpus)
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for ann in plain.annotations:
-        if annotator_ids is not None and ann.annotator_id not in annotator_ids:
-            continue
-        sums[ann.pair_id] = sums.get(ann.pair_id, 0.0) + ann.label
-        counts[ann.pair_id] = counts.get(ann.pair_id, 0) + 1
-    return {
-        pid: PairGold(pid, sums[pid] / counts[pid], counts[pid])
-        for pid in sums
-    }
-
-
 def _finite(values: Sequence[float]) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise UndefinedCorrelationError(
             "correlation undefined: an input is not finite")
     return arr
+
+
+def _constant(arr: np.ndarray) -> bool:
+    """Whether every element is the very same value; a mean of equal
+    values need not be that value, so the spread is no test of this."""
+    return bool(arr.min() == arr.max())
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -95,7 +67,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     dy = y - y.mean()
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
-    if sx == 0.0 or sy == 0.0:
+    if sx == 0.0 or sy == 0.0 or _constant(x) or _constant(y):
         raise UndefinedCorrelationError(
             "correlation undefined: an input is constant")
     r = float((dx * dy).sum() / (sx * sy))
@@ -286,7 +258,8 @@ def compute_metric_scores(corpus: LabeledCorpus,
 @dataclass(frozen=True)
 class MetricCorrelation:
     """One cell; a subset cell left with fewer than 3 observations (its
-    filters emptied the panel, say) has ``None`` for both statistics."""
+    filters emptied the panel, say) or with a constant input (every
+    surviving label is a 3, say) has ``None`` for both statistics."""
 
     pearson: Optional[float]
     spearman: Optional[float]
@@ -372,8 +345,9 @@ class _Columns:
 
         Gold is one mean per pair, or with ``per_annotation`` every kept
         label as its own observation (ordered by pair, then corpus order).
-        With ``allow_undefined`` a metric with fewer than 3 observations
-        gets an undefined cell instead of an error.
+        With ``allow_undefined`` a metric with fewer than 3 observations,
+        or with a constant input, gets an undefined cell; otherwise such
+        a metric is an error that names it.
         """
         kept = keep[self.annotator]
         pair = self.pair[kept]
@@ -392,14 +366,18 @@ class _Columns:
             else:
                 xs = self.values[name][joined]
                 ys = gold[joined]
-            if allow_undefined and xs.size < 3:
+            if allow_undefined and (xs.size < 3 or _constant(xs)
+                                    or _constant(ys)):
                 cells[name] = MetricCorrelation(None, None, int(joined.sum()))
                 continue
-            cells[name] = MetricCorrelation(
-                pearson=pearson(xs, ys),
-                spearman=spearman(xs, ys),
-                n_pairs=int(joined.sum()),
-            )
+            try:
+                cells[name] = MetricCorrelation(
+                    pearson=pearson(xs, ys),
+                    spearman=spearman(xs, ys),
+                    n_pairs=int(joined.sum()),
+                )
+            except ValueError as exc:
+                raise type(exc)(f"metric {name!r}: {exc}") from None
         return cells
 
 
@@ -475,7 +453,10 @@ def correlation_report(corpus: LabeledCorpus,
 
     columns = _Columns.build(corpus, metric_scores, usable)
     panel = columns.panel(annotator_ids)
-    baseline = columns.cells(usable, panel, per_annotation)
+    try:
+        baseline = columns.cells(usable, panel, per_annotation)
+    except ValueError as exc:
+        raise type(exc)(f"{label}: {exc}") from None
 
     if reports is None:
         reports = _subset_flag_reports(corpus, subsets, cfg, scorers)

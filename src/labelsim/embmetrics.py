@@ -88,7 +88,10 @@ def _parse_vector(fields: Sequence[str], where: str,
     """One embedding vector from its whitespace-separated components.
 
     ``where`` (``"<file> line N"`` or ``"<file> row N"``) prefixes each
-    error; a vector must match ``dimension`` once one is fixed.
+    error; a vector must match ``dimension`` once one is fixed.  Four
+    times its squared norm must be finite: that bound keeps every squared
+    distance and dot product between two such vectors, or their means,
+    finite.
     """
     try:
         values = np.array([float(x) for x in fields], dtype=np.float64)
@@ -98,6 +101,11 @@ def _parse_vector(fields: Sequence[str], where: str,
         raise CorpusError(f"{where}: no vector components")
     if not np.isfinite(values).all():
         raise CorpusError(f"{where}: non-finite vector component")
+    with np.errstate(over="ignore"):
+        bounded = np.isfinite(4.0 * (values @ values))
+    if not bounded:
+        raise CorpusError(f"{where}: vector too large: its squared norm "
+                          "overflows distance arithmetic")
     if dimension is not None and values.size != dimension:
         raise CorpusError(f"{where}: expected {dimension} components, "
                           f"got {values.size}")

@@ -16,19 +16,19 @@ its qualifying pairs.  An annotator is flagged when the statistic is
 defined and compares true against the threshold; the comparison is
 strict (``>`` for 1, 3, 4 and 5, ``<`` for 2).
 
-Filtering removes the union of annotators flagged by the chosen subset.
-Flags are always evaluated against the original corpus a filtered view
-descends from, so applying the same subset twice removes nothing new and
-a larger subset always removes a superset of annotators.
+A filter on a heuristic subset is a set of removed annotators:
+:func:`flagged_annotators` takes the union of those whose reports carry
+any flag of the subset.  Flags are computed once, on the whole corpus,
+so a larger subset always removes a superset of annotators.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -226,31 +226,6 @@ def compute_flag_reports(corpus: LabeledCorpus,
             for aid, found in zip(table.annotator_ids, evidence)}
 
 
-@dataclass(frozen=True)
-class FilteredCorpus:
-    """A corpus view with flagged annotators removed.
-
-    ``corpus`` holds the surviving annotations; ``source`` is the corpus
-    the flags were computed on, kept so that repeated filtering keeps
-    judging annotators on their full record.
-    """
-
-    corpus: LabeledCorpus
-    source: LabeledCorpus
-    subset: tuple[HeuristicId, ...]
-    removed_annotators: frozenset[str]
-    reports: dict[str, FlagReport] = field(repr=False)
-
-
-CorpusLike = Union[LabeledCorpus, FilteredCorpus]
-
-
-def _source_of(corpus: CorpusLike) -> tuple[LabeledCorpus, frozenset[str]]:
-    if isinstance(corpus, FilteredCorpus):
-        return corpus.source, corpus.removed_annotators
-    return corpus, frozenset()
-
-
 def flagged_annotators(reports: Mapping[str, FlagReport],
                        subset: Iterable[HeuristicId]) -> frozenset[str]:
     """The annotators whose reports carry a flag of ``subset``: those a
@@ -265,42 +240,6 @@ def normalize_subset(subset: Iterable[HeuristicId]) -> tuple[HeuristicId, ...]:
     if not ids:
         raise ValueError("heuristic subset must not be empty")
     return tuple(ids)
-
-
-def apply_filters(corpus: CorpusLike,
-                  subset: Iterable[HeuristicId],
-                  cfg: Optional[HeuristicConfig] = None,
-                  scorers: Optional[Scorers] = None,
-                  reports: Optional[dict[str, FlagReport]] = None
-                  ) -> FilteredCorpus:
-    """Remove every annotator flagged by any heuristic in ``subset``.
-
-    Accepts a plain corpus or an already-filtered one; in the latter case
-    flags are re-evaluated on the original corpus and the removals
-    accumulate.  Precomputed reports (covering at least ``subset``) can
-    be passed in to avoid recomputation across many subsets.
-    """
-    subset = normalize_subset(subset)
-    source, already_removed = _source_of(corpus)
-    if reports is None:
-        reports = compute_flag_reports(source, subset, cfg, scorers)
-
-    removed = already_removed | flagged_annotators(reports, subset)
-
-    surviving = tuple(a for a in source.annotations
-                      if a.annotator_id not in removed)
-    filtered = LabeledCorpus(
-        pairs=source.pairs,
-        annotations=surviving,
-        precomputed_scores=source.precomputed_scores,
-    )
-    return FilteredCorpus(
-        corpus=filtered,
-        source=source,
-        subset=subset,
-        removed_annotators=removed,
-        reports=reports,
-    )
 
 
 def heuristic_subsets(universe: Optional[Iterable[HeuristicId]] = None

@@ -372,20 +372,20 @@ def loop_ranks(values):
 def correlation_report_oracle(corpus, metric_scores, metrics, subsets, reports,
                               annotator_ids=None, per_annotation=False):
     """Baseline cells and per-subset rows of a correlation report, the long
-    way: one filtered corpus copy per subset, a dict join on sorted pair
-    ids, and loop ranks.
+    way: each subset's removed annotators from a loop over ``reports``, a
+    keep set of the panel minus them, a dict join on sorted pair ids, and
+    loop ranks.
 
     Returns ``(baseline, rows)`` with ``rows`` a list of
     ``(removed_annotators, cells, pct_change)`` in subset order.  Pearson
     itself is the package's, so every value must agree bit for bit.
     """
     from labelsim.correlate import MetricCorrelation, pearson, percent_change
-    from labelsim.heuristics import apply_filters
 
-    def gold_observations(plain, keep):
+    def gold_observations(keep):
         labels = {}
-        for ann in plain.annotations:
-            if keep is not None and ann.annotator_id not in keep:
+        for ann in corpus.annotations:
+            if ann.annotator_id not in keep:
                 continue
             labels.setdefault(ann.pair_id, []).append(float(ann.label))
         if per_annotation:
@@ -412,19 +412,21 @@ def correlation_report_oracle(corpus, metric_scores, metrics, subsets, reports,
         # a percent change from a baseline of exactly 0 is undefined
         return None if base == 0.0 else percent_change(value, base)
 
-    baseline = cells(gold_observations(corpus, annotator_ids))
+    panel = set(annotator_ids) if annotator_ids is not None \
+        else {ann.annotator_id for ann in corpus.annotations}
+    baseline = cells(gold_observations(panel))
     rows = []
     for subset in subsets:
-        filtered = apply_filters(corpus, subset, reports=reports)
-        keep = annotator_ids
-        if keep is not None:
-            keep = keep - set(filtered.removed_annotators)
-        got = cells(gold_observations(filtered.corpus, keep))
+        removed = set()
+        for aid, report in reports.items():
+            if any(h in report.flags for h in subset):
+                removed.add(aid)
+        got = cells(gold_observations(panel - removed))
         pct = {name: (pct_or_none(got[name].pearson, baseline[name].pearson),
                       pct_or_none(got[name].spearman,
                                   baseline[name].spearman))
                for name in metrics}
-        rows.append((tuple(sorted(filtered.removed_annotators)), got, pct))
+        rows.append((tuple(sorted(removed)), got, pct))
     return baseline, rows
 
 

@@ -16,8 +16,7 @@ from labelsim.cli import main as cli_main
 from labelsim.correlate import (
     LEXICAL_METRICS,
     compute_metric_scores,
-    pair_gold,
-    pearson,
+    correlation_report,
 )
 from labelsim.corpus import load_corpus
 from labelsim.embmetrics import (
@@ -29,7 +28,6 @@ from labelsim.embmetrics import (
 )
 from labelsim.heuristics import (
     HeuristicId,
-    apply_filters,
     compute_flag_reports,
     heuristic_subsets,
 )
@@ -258,17 +256,13 @@ def test_acceptance_6_filtering_improves_correlation(synthetic_runs):
     t0 = time.monotonic()
     for corpus, _, reports in runs:
         scores = compute_metric_scores(corpus, list(LEXICAL_METRICS))
-        base_gold = pair_gold(corpus)
-        filtered = apply_filters(corpus, subset, reports=reports)
-        filt_gold = pair_gold(filtered)
+        report = correlation_report(corpus, scores, subsets=[subset],
+                                    reports=reports)
+        assert report.metrics == LEXICAL_METRICS
+        (row,) = report.subsets
         for name in LEXICAL_METRICS:
-            defined = scores[name]
-            base_ids = sorted(p for p in defined if p in base_gold)
-            filt_ids = sorted(p for p in defined if p in filt_gold)
-            before = pearson([defined[p] for p in base_ids],
-                             [base_gold[p].mean_label for p in base_ids])
-            after = pearson([defined[p] for p in filt_ids],
-                            [filt_gold[p].mean_label for p in filt_ids])
+            before = report.baseline[name].pearson
+            after = row.cells[name].pearson
             improved[name] += after > before
     elapsed = time.monotonic() - t0
 
@@ -298,24 +292,13 @@ def test_acceptance_7_real_data_baselines():
     corpus = load_corpus(paths["LABELSIM_REAL_PAIRS"],
                          paths["LABELSIM_REAL_ANNOTATIONS"])
     scores = compute_metric_scores(corpus, ["rouge1", "bleu"])
-    gold = pair_gold(corpus)
-
-    def baseline(name):
-        ids = sorted(p for p in scores[name] if p in gold)
-        return pearson([scores[name][p] for p in ids],
-                       [gold[p].mean_label for p in ids])
-
-    rouge1_r = baseline("rouge1")
-    bleu_r = baseline("bleu")
 
     t0 = time.monotonic()
-    for subset in heuristic_subsets([HeuristicId.SLOW,
-                                     HeuristicId.LOW_VARIANCE,
-                                     HeuristicId.HIGH_RANDOM,
-                                     HeuristicId.DISAGREEABLE,
-                                     HeuristicId.SENTIMENT_DISALIGNED]):
-        apply_filters(corpus, subset)
+    report = correlation_report(corpus, scores)  # all 31 subsets
     elapsed = time.monotonic() - t0
+
+    rouge1_r = report.baseline["rouge1"].pearson
+    bleu_r = report.baseline["bleu"].pearson
 
     ok = (abs(rouge1_r - 0.61) <= 0.05 and abs(bleu_r - 0.41) <= 0.05
           and elapsed < 600.0)

@@ -2,17 +2,22 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from labelsim import embmetrics
 from labelsim.cli import (_build_heuristic_config, build_parser, main,
                           read_config)
 from labelsim.corpus import CorpusError, load_corpus
-from labelsim.heuristics import (HeuristicConfig, apply_filters,
-                                 heuristic_subsets, subset_label)
+from labelsim.heuristics import (HeuristicConfig, HeuristicId,
+                                 default_scorers, heuristic_subsets,
+                                 sentiment_qualifying_pairs, subset_label)
 from labelsim.sentiment import load_lexicon
+
+import oracles
 
 
 OVERLAP_TEXTS = [
@@ -429,17 +434,21 @@ def test_flag_all_subsets(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 1 + 3  # [1], [2], [1, 2]
 
 
-def test_flag_all_subsets_matches_apply_filters(one_radical_corpus, capsys):
+def test_flag_all_subsets_matches_flag_reports(one_radical_corpus, capsys):
     pairs, annotations = one_radical_corpus
     capsys.readouterr()
     assert main(["flag", "--pairs", pairs, "--annotations", annotations,
                  "--all-subsets"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     corpus = load_corpus(pairs, annotations)
+    cfg = HeuristicConfig()
+    qualifying = sentiment_qualifying_pairs(corpus, default_scorers(cfg), cfg)
+    reports = oracles.flag_reports(corpus, list(HeuristicId), cfg, qualifying)
     subsets = heuristic_subsets()
     assert len(rows) == len(subsets)
     for row, subset in zip(rows, subsets):
-        removed = sorted(apply_filters(corpus, subset).removed_annotators)
+        removed = sorted(aid for aid, report in reports.items()
+                         if report.flags & set(subset))
         assert row == '"%s",%d,%s' % (subset_label(subset), len(removed),
                                       ";".join(removed))
 
@@ -761,14 +770,23 @@ def test_report_with_a_zero_baseline_has_no_percent_change(tmp_path,
 @pytest.mark.parametrize("metric, message", [
     ("wmd", "costs must be finite and non-negative"),
     ("pos_dist", "matching costs must be finite")])
-def test_report_fails_on_a_solver_error(tmp_path, capsys, metric, message):
-    # oak's squared distances overflow: an error, not a dropped pair
+def test_report_fails_on_a_solver_error(tmp_path, capsys, monkeypatch,
+                                       metric, message):
+    # oak's squared distances overflow: an error, not a dropped pair.  The
+    # loader rejects so large a vector, so it goes into the loaded table.
     pairs, annotations = write_corpus(tmp_path)
     words = ["red", "blue", "green", "oak", "elm", "fir"]
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("".join(
-        f"{w} {'1e200' if w == 'oak' else i} {i % 2} 1\n"
-        for i, w in enumerate(words)))
+        f"{w} {i} {i % 2} 1\n" for i, w in enumerate(words)))
+    load_embeddings = embmetrics.load_embeddings
+
+    def load_with_a_huge_oak(path, vocab_filter=None):
+        table = load_embeddings(path, vocab_filter)
+        table.vectors["oak"] = np.array([1e200, 1.0, 1.0])
+        return table
+
+    monkeypatch.setattr(embmetrics, "load_embeddings", load_with_a_huge_oak)
     nouns = tmp_path / "nouns.txt"
     nouns.write_text("\n".join(words) + "\n")
     with np.errstate(over="ignore"):
@@ -779,6 +797,91 @@ def test_report_fails_on_a_solver_error(tmp_path, capsys, metric, message):
     assert rc == 1
     assert captured.out == ""
     assert captured.err == f"error: pair 'p2': {message}\n"
+
+
+@pytest.mark.parametrize("metric", ["cosine", "l2", "wmd"])
+def test_embedding_vector_too_large_is_a_load_error(tmp_path, capsys, metric):
+    pairs, _ = write_corpus(tmp_path)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("red 1 0\nblue 0 1\ngreen 1 1\noak 1e200 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        rc = main(["metrics", "--pairs", pairs, "--metrics", metric,
+                   "--embeddings", str(vectors)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: {vectors} line 4: vector too large: "
+                            "its squared norm overflows distance "
+                            "arithmetic\n")
+
+
+def write_unanimous_pair_corpus(tmp_path, annotators=("a", "b", "c")):
+    """Five pairs on an overlap ladder; 'a' labels them 1-5 and overrules
+    'b' and 'c', who give every pair a 3."""
+    texts = OVERLAP_TEXTS + [("red blue green", "red oak elm"),
+                             ("red blue green", "red blue green oak")]
+    pairs = tmp_path / "pairs.csv"
+    annotations = tmp_path / "annotations.csv"
+    pairs.write_text("pair_id,source,is_random,text_a,text_b\n" + "".join(
+        f"p{i},s1,0,{a},{b}\n" for i, (a, b) in enumerate(texts)))
+    annotations.write_text(
+        "pair_id,annotator_id,label,duration_seconds\n" + "".join(
+            f"p{i},{aid},{i + 1 if aid == 'a' else 3},30\n"
+            for i in range(5) for aid in annotators))
+    return ["--pairs", str(pairs), "--annotations", str(annotations)]
+
+
+def test_report_subset_with_constant_gold_is_undefined(tmp_path, capsys):
+    # heuristic 4 removes 'a'; the gold left is 3 on every pair
+    argv = ["report", *write_unanimous_pair_corpus(tmp_path),
+            "--metrics", "bleu1", "--heuristics", "4"]
+    assert main([*argv, "--out-format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == "all annotators,baseline,bleu1,-0.338643,-0.300000,,,5,0,"
+    assert rows[2] == "all annotators,4,bleu1,,,,,5,,1"
+
+    assert main([*argv, "--out-format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["subsets"]
+    assert row["removed_annotators"] == ["a"]
+    assert row["cells"]["bleu1"] == {
+        "pearson": None, "spearman": None, "n_pairs": 5,
+        "pearson_pct": None, "spearman_pct": None}
+
+    assert main([*argv, "--out-format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[3].split() == ["[4]", "n/a"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "all annotators: metric 'bleu1': correlation undefined: "
+         "an input is constant"),
+    (["--precomputed", "k={const}", "--metrics", "bleu1,k"],
+     "all annotators: metric 'k': correlation undefined: "
+     "an input is constant"),
+    (["--per-dataset"],
+     "dataset t: metric 'bleu1': correlation needs at least 3 observations"),
+])
+def test_report_baseline_error_names_panel_and_metric(tmp_path, capsys,
+                                                      extra, message):
+    const = tmp_path / "const.csv"
+    const.write_text("pair_id,score\n" + "".join(
+        f"p{i},0.5\n" for i in range(5)))
+    if not extra:  # only the unanimous 3s: the baseline gold is constant
+        corpus = write_unanimous_pair_corpus(tmp_path, annotators=("b", "c"))
+    else:
+        corpus = write_unanimous_pair_corpus(tmp_path)
+    if "--per-dataset" in extra:  # p3 and p4 come from a source 't'
+        pairs = Path(corpus[1])
+        lines = pairs.read_text().splitlines()
+        for i in (4, 5):
+            lines[i] = lines[i].replace(",s1,", ",t,")
+        pairs.write_text("\n".join(lines) + "\n")
+    rc = main(["report", *corpus, "--metrics", "bleu1", "--heuristics", "4",
+               *[arg.format(const=const) for arg in extra]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_report_runs_are_byte_identical(tmp_path):

@@ -19,7 +19,6 @@ from labelsim.correlate import (
     compute_metric_scores,
     correlation_report,
     metric_universe,
-    pair_gold,
     pearson,
     percent_change,
     render_report_csv,
@@ -80,6 +79,9 @@ def test_pearson_errors():
         pearson([2, 2, 2], [1, 2, 3])
     with pytest.raises(UndefinedCorrelationError, match="constant"):
         pearson([1, 2, 3], [5, 5, 5])
+    # the mean of three 0.1s is not 0.1, so the spread alone misses this
+    with pytest.raises(UndefinedCorrelationError, match="constant"):
+        pearson([0.1, 0.1, 0.1], [1, 2, 3])
 
 
 def test_spearman_monotone_transform_is_one():
@@ -145,42 +147,6 @@ def test_percent_change():
     assert percent_change(-1.5, -1.0) == pytest.approx(-50.0)
     with pytest.raises(ZeroDivisionError):
         percent_change(1.0, 0.0)
-
-
-# ------------------------------------------------------------- pair gold
-
-
-def gold_fixture():
-    return make_corpus(
-        [("p1", "alpha beta", "gamma delta"),
-         ("p2", "epsilon zeta", "eta theta"),
-         ("p3", "iota kappa", "lam mu")],
-        [("p1", "good", 1), ("p1", "junk", 3),
-         ("p2", "good", 4), ("p2", "junk", 3),
-         ("p3", "good", 5)],
-    )
-
-
-def test_pair_gold_means():
-    gold = pair_gold(gold_fixture())
-    assert gold["p1"].mean_label == 2.0
-    assert gold["p1"].n_annotations == 2
-    assert gold["p2"].mean_label == 3.5
-    assert gold["p3"].mean_label == 5.0
-
-
-def test_pair_gold_annotator_restriction():
-    gold = pair_gold(gold_fixture(), annotator_ids={"junk"})
-    assert set(gold) == {"p1", "p2"}  # junk never saw p3
-    assert gold["p1"].mean_label == 3.0
-
-
-def test_pair_gold_skips_unannotated_pairs():
-    corpus = make_corpus(
-        [("p1", "a b", "c d"), ("p2", "e f", "g h")],
-        [("p1", "good", 2)],
-    )
-    assert set(pair_gold(corpus)) == {"p1"}
 
 
 # ------------------------------------------------------- metric scoring
@@ -463,6 +429,18 @@ def test_compute_metric_scores_precomputed_only_skips_pair_pass():
 # ------------------------------------------------------------- reports
 
 
+def gold_fixture():
+    """Five pairs with two, one or no labels: the slow 'junk' never saw
+    p3, and nobody labeled p5."""
+    pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 6)]
+    annotations = [("p1", "good", 1), ("p1", "junk", 3, 400.0),
+                   ("p2", "good", 4), ("p2", "junk", 2, 400.0),
+                   ("p3", "good", 5),
+                   ("p4", "good", 2), ("p4", "junk", 5, 400.0)]
+    metric = {f"p{i}": i / 10.0 for i in range(1, 6)}
+    return make_corpus(pairs, annotations), {"m": metric}
+
+
 def report_fixture():
     """Six pairs; 'good' tracks the metric, 'junk' is a constant-3 firehose."""
     pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 7)]
@@ -505,6 +483,17 @@ def test_correlation_report_baseline_and_filtering():
         percent_change(lowvar_row.cells["m"].spearman,
                        report.baseline["m"].spearman))
 
+    # with unequal label counts, gold is each pair's own mean
+    corpus, metric_scores = gold_fixture()
+    report = correlation_report(corpus, metric_scores,
+                                subsets=[[HeuristicId.SLOW]])
+    xs = [0.1, 0.2, 0.3, 0.4]
+    assert report.baseline["m"].pearson == pearson(xs, [2.0, 3.0, 5.0, 3.5])
+    assert report.baseline["m"].n_pairs == 4
+    (slow_row,) = report.subsets
+    assert slow_row.removed_annotators == ("junk",)
+    assert slow_row.cells["m"].pearson == pearson(xs, [1.0, 4.0, 5.0, 2.0])
+
 
 def test_correlation_report_default_subsets_are_all_31():
     corpus, metric_scores = report_fixture()
@@ -542,12 +531,14 @@ def test_correlation_report_skips_metric_only_pairs():
     annotations = [(a.pair_id, a.annotator_id, a.label)
                    for a in corpus.annotations]
     corpus7 = make_corpus(pairs, annotations)
-    metric_scores = {"m": dict(metric_scores["m"], p7=0.9)}
-    report = correlation_report(corpus7, metric_scores,
+    report = correlation_report(corpus7,
+                                {"m": dict(metric_scores["m"], p7=0.9)},
                                 subsets=[[HeuristicId.SLOW]])
     # p7 has a metric value but no annotations, so it never joins the gold
     assert report.baseline["m"].n_pairs == 6
     assert report.n_pairs == 7
+    assert report.baseline["m"] == correlation_report(
+        corpus, metric_scores, subsets=[[HeuristicId.SLOW]]).baseline["m"]
 
 
 def test_correlation_report_empty_panel():
@@ -595,7 +586,8 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
 def test_correlation_report_baseline_needs_three_observations():
     corpus, metric_scores = report_fixture()
     few = {"m": dict(list(metric_scores["m"].items())[:2])}
-    with pytest.raises(ValueError, match="at least 3 observations"):
+    with pytest.raises(ValueError, match="^all annotators: metric 'm': "
+                       "correlation needs at least 3 observations$"):
         correlation_report(corpus, few, subsets=[[HeuristicId.SLOW]],
                            unavailable_fraction=1.0)
 
@@ -624,6 +616,15 @@ def test_correlation_report_panel_restriction_interacts_with_filters():
         correlation_report(corpus, metric_scores,
                            subsets=[[HeuristicId.SLOW]],
                            annotator_ids={"junk"})
+
+    # a panel's gold reads its own labels and skips the pairs it never saw
+    corpus, metric_scores = gold_fixture()
+    report = correlation_report(corpus, metric_scores,
+                                subsets=[[HeuristicId.SLOW]],
+                                annotator_ids={"junk"})
+    assert report.baseline["m"].pearson == \
+        pearson([0.1, 0.2, 0.4], [3.0, 2.0, 5.0])
+    assert report.baseline["m"].n_pairs == 3
 
 
 def test_style_split_report():

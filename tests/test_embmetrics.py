@@ -134,6 +134,23 @@ def test_load_embeddings_rejects_non_finite(tmp_path):
     assert set(load_embeddings(path, vocab_filter={"cat"}).vectors) == {"cat"}
 
 
+def test_loaders_reject_a_vector_whose_squared_norm_overflows(tmp_path):
+    # 4 * |v|^2 is 4e306 for 1e153 but overflows for 1e154
+    path = tmp_path / "vectors.txt"
+    path.write_text("cat 1e153 0\ndog 1e154 0\n")
+    with np.errstate(all="raise"), pytest.raises(
+            CorpusError, match=r"^\S*vectors\.txt line 2: vector too large: "
+                               "its squared norm overflows distance "
+                               "arithmetic$"):
+        load_embeddings(path)
+    assert load_embeddings(path, vocab_filter={"cat"}).dimension == 2
+    sent = tmp_path / "sent.csv"
+    sent.write_text("pair_id,side,vector\np1,a,1 2\np1,b,0 -1e200\n")
+    with np.errstate(all="raise"), pytest.raises(
+            CorpusError, match=r"sent\.csv row 3: vector too large"):
+        load_sentence_embeddings(sent)
+
+
 def test_load_embeddings_rejects_non_utf8(tmp_path):
     # Decoded leniently, both words would become "caf\ufffd" and the
     # second vector would be dropped as a duplicate.

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from labelsim import simulate, textmetrics
 from labelsim.heuristics import (HeuristicConfig, HeuristicId, Scorers,
-                                 apply_filters, compute_flag_reports,
-                                 default_scorers, heuristic_subsets,
+                                 compute_flag_reports, default_scorers,
+                                 flagged_annotators, heuristic_subsets,
                                  normalize_subset, sentiment_qualifying_pairs,
                                  subset_label)
 from labelsim.stats import annotator_profile, annotator_profiles
@@ -275,50 +275,23 @@ def test_compute_flag_reports_evidence_matches_flags(disagreeable_corpus):
     assert reports["x"].flags == frozenset()
 
 
-def test_apply_filters_union_semantics():
+def test_flagged_annotators_union_semantics():
     # w is slow only, v is constant only; the pair subset removes both
     corpus = make_corpus(
         [(f"p{i}", "a b", "c d") for i in range(4)],
         [(f"p{i}", "w", l, 400.0) for i, l in enumerate([1, 5, 2, 4])]
         + [(f"p{i}", "v", 3, 20.0) for i in range(4)]
         + [(f"p{i}", "u", l, 20.0) for i, l in enumerate([2, 5, 1, 4])])
-    filtered = apply_filters(corpus, [H.SLOW, H.LOW_VARIANCE])
-    assert filtered.removed_annotators == {"w", "v"}
-    survivors = {a.annotator_id for a in filtered.corpus.annotations}
-    assert survivors == {"u"}
-    # pairs and any precomputed channels are never dropped by filtering
-    assert filtered.corpus.pairs == corpus.pairs
+    reports = compute_flag_reports(corpus, [H.SLOW, H.LOW_VARIANCE])
+    assert flagged_annotators(reports, [H.SLOW]) == {"w"}
+    assert flagged_annotators(reports, [H.LOW_VARIANCE]) == {"v"}
+    assert flagged_annotators(reports, [H.SLOW, H.LOW_VARIANCE]) == {"w", "v"}
 
 
-def test_apply_filters_no_flags_no_change(tiny_corpus):
-    filtered = apply_filters(tiny_corpus, [H.LOW_VARIANCE, H.HIGH_RANDOM])
-    assert filtered.removed_annotators == frozenset()
-    assert filtered.corpus.annotations == tiny_corpus.annotations
-
-
-def test_apply_filters_idempotent(tiny_corpus):
-    once = apply_filters(tiny_corpus, [H.SLOW])
-    assert once.removed_annotators == {"ann3"}
-    twice = apply_filters(once, [H.SLOW])
-    assert twice.removed_annotators == once.removed_annotators
-    assert twice.corpus.annotations == once.corpus.annotations
-
-
-def test_apply_filters_accumulates_across_subsets():
-    spec = simulate.PopulationSpec(
-        n_pairs=40, fraction_random=0.25,
-        profiles=(
-            simulate.ProfileSpec(simulate.ProfileKind.RELIABLE, 5, 0.4),
-            simulate.ProfileSpec(simulate.ProfileKind.CONSTANT, 2, 3),
-            simulate.ProfileSpec(simulate.ProfileKind.UNIFORM_RANDOM, 2),
-            simulate.ProfileSpec(simulate.ProfileKind.SLOW, 1, 500.0),
-        ),
-        seed=3)
-    corpus, _ = simulate.generate_corpus(spec)
-    chained = apply_filters(apply_filters(corpus, [H.LOW_VARIANCE]), [H.SLOW])
-    direct = apply_filters(corpus, [H.LOW_VARIANCE, H.SLOW])
-    assert chained.removed_annotators == direct.removed_annotators
-    assert chained.corpus.annotations == direct.corpus.annotations
+def test_flagged_annotators_no_flags_removes_nobody(tiny_corpus):
+    subset = [H.LOW_VARIANCE, H.HIGH_RANDOM]
+    reports = compute_flag_reports(tiny_corpus, subset)
+    assert flagged_annotators(reports, subset) == frozenset()
 
 
 def test_removal_monotonicity_randomized():
@@ -336,10 +309,8 @@ def test_removal_monotonicity_randomized():
             seed=seed)
         corpus, _ = simulate.generate_corpus(spec)
         reports = compute_flag_reports(corpus, list(H))
-        removed = {
-            subset: apply_filters(corpus, subset, reports=reports).removed_annotators
-            for subset in heuristic_subsets()
-        }
+        removed = {subset: flagged_annotators(reports, subset)
+                   for subset in heuristic_subsets()}
         for _ in range(20):
             small = rng.choice(list(removed))
             big = rng.choice(list(removed))
