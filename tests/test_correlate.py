@@ -149,6 +149,65 @@ def test_percent_change():
         percent_change(1.0, 0.0)
 
 
+# ------------------------------------------------------------- pair gold
+
+
+def gold_fixture():
+    """Five pairs with two, one or no labels: the slow 'junk' never saw
+    p3, and nobody labeled p5."""
+    pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 6)]
+    annotations = [("p1", "good", 1), ("p1", "junk", 3, 400.0),
+                   ("p2", "good", 4), ("p2", "junk", 2, 400.0),
+                   ("p3", "good", 5),
+                   ("p4", "good", 2), ("p4", "junk", 5, 400.0)]
+    metric = {f"p{i}": i / 10.0 for i in range(1, 6)}
+    return make_corpus(pairs, annotations), {"m": metric}
+
+
+def test_pair_gold_means():
+    # with unequal label counts, gold is each pair's own mean
+    corpus, metric_scores = gold_fixture()
+    report = correlation_report(corpus, metric_scores,
+                                subsets=[[HeuristicId.SLOW]])
+    xs = [0.1, 0.2, 0.3, 0.4]
+    assert report.baseline["m"].pearson == pearson(xs, [2.0, 3.0, 5.0, 3.5])
+    assert report.baseline["m"].n_pairs == 4
+    (slow_row,) = report.subsets
+    assert slow_row.removed_annotators == ("junk",)
+    assert slow_row.cells["m"].pearson == pearson(xs, [1.0, 4.0, 5.0, 2.0])
+
+
+def test_pair_gold_annotator_restriction():
+    # a panel's gold reads its own labels and skips the pairs it never saw
+    corpus, metric_scores = gold_fixture()
+    report = correlation_report(corpus, metric_scores,
+                                subsets=[[HeuristicId.SLOW]],
+                                annotator_ids={"junk"})
+    assert report.baseline["m"].pearson == \
+        pearson([0.1, 0.2, 0.4], [3.0, 2.0, 5.0])
+    assert report.baseline["m"].n_pairs == 3
+
+
+def test_pair_gold_skips_unannotated_pairs():
+    # nobody labeled p5: the report counts it, its gold leaves it out, and
+    # the cells are those of the corpus without it, bit for bit
+    corpus, metric_scores = gold_fixture()
+    pairs = [(p.pair_id, p.text_a, p.text_b) for p in corpus.pairs
+             if p.pair_id != "p5"]
+    annotations = [(a.pair_id, a.annotator_id, a.label, a.duration)
+                   for a in corpus.annotations]
+    corpus4 = make_corpus(pairs, annotations)
+    for per_annotation in (False, True):
+        report, report4 = (
+            correlation_report(c, metric_scores, subsets=[[HeuristicId.SLOW]],
+                               per_annotation=per_annotation)
+            for c in (corpus, corpus4))
+        assert report.n_pairs == 5
+        assert report4.n_pairs == 4
+        assert report.baseline == report4.baseline
+        assert report.subsets[0].cells == report4.subsets[0].cells
+
+
 # ------------------------------------------------------- metric scoring
 
 
@@ -429,18 +488,6 @@ def test_compute_metric_scores_precomputed_only_skips_pair_pass():
 # ------------------------------------------------------------- reports
 
 
-def gold_fixture():
-    """Five pairs with two, one or no labels: the slow 'junk' never saw
-    p3, and nobody labeled p5."""
-    pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 6)]
-    annotations = [("p1", "good", 1), ("p1", "junk", 3, 400.0),
-                   ("p2", "good", 4), ("p2", "junk", 2, 400.0),
-                   ("p3", "good", 5),
-                   ("p4", "good", 2), ("p4", "junk", 5, 400.0)]
-    metric = {f"p{i}": i / 10.0 for i in range(1, 6)}
-    return make_corpus(pairs, annotations), {"m": metric}
-
-
 def report_fixture():
     """Six pairs; 'good' tracks the metric, 'junk' is a constant-3 firehose."""
     pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 7)]
@@ -482,17 +529,6 @@ def test_correlation_report_baseline_and_filtering():
     assert lowvar_row.pct_change["m"][1] == pytest.approx(
         percent_change(lowvar_row.cells["m"].spearman,
                        report.baseline["m"].spearman))
-
-    # with unequal label counts, gold is each pair's own mean
-    corpus, metric_scores = gold_fixture()
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]])
-    xs = [0.1, 0.2, 0.3, 0.4]
-    assert report.baseline["m"].pearson == pearson(xs, [2.0, 3.0, 5.0, 3.5])
-    assert report.baseline["m"].n_pairs == 4
-    (slow_row,) = report.subsets
-    assert slow_row.removed_annotators == ("junk",)
-    assert slow_row.cells["m"].pearson == pearson(xs, [1.0, 4.0, 5.0, 2.0])
 
 
 def test_correlation_report_default_subsets_are_all_31():
@@ -537,8 +573,6 @@ def test_correlation_report_skips_metric_only_pairs():
     # p7 has a metric value but no annotations, so it never joins the gold
     assert report.baseline["m"].n_pairs == 6
     assert report.n_pairs == 7
-    assert report.baseline["m"] == correlation_report(
-        corpus, metric_scores, subsets=[[HeuristicId.SLOW]]).baseline["m"]
 
 
 def test_correlation_report_empty_panel():
@@ -616,15 +650,6 @@ def test_correlation_report_panel_restriction_interacts_with_filters():
         correlation_report(corpus, metric_scores,
                            subsets=[[HeuristicId.SLOW]],
                            annotator_ids={"junk"})
-
-    # a panel's gold reads its own labels and skips the pairs it never saw
-    corpus, metric_scores = gold_fixture()
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]],
-                                annotator_ids={"junk"})
-    assert report.baseline["m"].pearson == \
-        pearson([0.1, 0.2, 0.4], [3.0, 2.0, 5.0])
-    assert report.baseline["m"].n_pairs == 3
 
 
 def test_style_split_report():
