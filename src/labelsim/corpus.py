@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -158,34 +159,43 @@ def _validate(pairs: tuple[SentencePair, ...],
         seen_ann.add(key)
 
 
-def _parse_bool01(raw: str, where: str) -> bool:
+def _parse_bool01(raw: str, path: Path, lineno: int) -> bool:
     if raw == "0":
         return False
     if raw == "1":
         return True
-    raise CorpusError(f"{where}: is_random must be 0 or 1, got {raw!r}")
+    raise CorpusError(
+        f"{path} row {lineno}: is_random must be 0 or 1, got {raw!r}")
 
 
-def _parse_int(raw, where: str) -> int:
+def _parse_int(raw, path: Path, lineno: int) -> int:
     try:
         return int(str(raw).strip())
     except (TypeError, ValueError):
-        raise CorpusError(f"{where}: expected an integer, got {raw!r}") from None
+        raise CorpusError(
+            f"{path} row {lineno}: expected an integer, got {raw!r}") from None
 
 
-def _parse_float(raw, where: str) -> float:
+def _parse_float(raw, path: Path, lineno: int) -> float:
     try:
         value = float(str(raw).strip())
     except (TypeError, ValueError):
-        raise CorpusError(f"{where}: expected a number, got {raw!r}") from None
+        raise CorpusError(
+            f"{path} row {lineno}: expected a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise CorpusError(f"{where}: expected a finite number, got {raw!r}")
+        raise CorpusError(
+            f"{path} row {lineno}: expected a finite number, got {raw!r}")
     return value
 
 
 def _read_csv_rows(path: Path, required: tuple[str, ...]):
-    """Yield ``(lineno, row)`` for each data row of a CSV file, from row 2.
+    """Yield ``(lineno, fields)`` for each data row of a CSV file.
 
+    ``fields`` is a tuple of the row's ``required`` columns, in that
+    order (``required`` names at least two); a header naming a column
+    twice gives its last one, as :class:`csv.DictReader` does.
+    ``lineno`` is the physical line the record starts on, so a blank line
+    or a quoted line break before it counts; blank lines yield nothing.
     Every CSV input is read here, so each fails the same way: a missing
     header or column, or a row short of a required column, raises
     :class:`CorpusError` naming the file and row, and a byte that is not
@@ -193,17 +203,25 @@ def _read_csv_rows(path: Path, required: tuple[str, ...]):
     """
     with path.open(newline="", encoding="utf-8") as fh:
         try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise CorpusError(f"{path}: empty file, header required")
-            missing = [c for c in required if c not in reader.fieldnames]
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in required if c not in position]
             if missing:
                 raise CorpusError(f"{path}: missing columns {missing}; "
                                   f"expected columns {','.join(required)}")
-            for lineno, row in enumerate(reader, start=2):
-                if any(row.get(c) is None for c in required):
-                    raise CorpusError(f"{path} row {lineno}: short row")
-                yield lineno, row
+            index = [position[c] for c in required]
+            pick = operator.itemgetter(*index)
+            last = max(index)
+            lineno = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) <= last:
+                        raise CorpusError(f"{path} row {lineno}: short row")
+                    yield lineno, pick(row)
+                lineno = reader.line_num + 1
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
 
@@ -220,23 +238,26 @@ def _not_utf8(path: Path) -> CorpusError:
     return CorpusError(f"{path}: not UTF-8")
 
 
-def _row_pair(row: dict, where: str, corpus: Optional[LabeledCorpus]
+def _row_pair(raw_pid: str, path: Path, lineno: int,
+              corpus: Optional[LabeledCorpus]
               ) -> tuple[str, Optional[SentencePair]]:
     """A side-file row's pair_id and, when a corpus is given, its pair.
 
     With a corpus, a pair_id it does not hold raises :class:`CorpusError`
-    prefixed by ``where``.
+    naming the file and row.
     """
-    pid = row["pair_id"].strip()
+    pid = raw_pid.strip()
     if corpus is None:
         return pid, None
     pair = corpus.pairs_by_id.get(pid)
     if pair is None:
-        raise CorpusError(f"{where}: unknown pair {pid!r}")
+        raise CorpusError(f"{path} row {lineno}: unknown pair {pid!r}")
     return pid, pair
 
 
 def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
+    """Yield ``(lineno, fields)`` for each object of a JSONL file, in the
+    shape :func:`_read_csv_rows` yields; blank lines are skipped."""
     with path.open(encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -254,7 +275,7 @@ def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
                 if missing:
                     raise CorpusError(
                         f"{path} line {lineno}: missing fields {missing}")
-                yield lineno, row
+                yield lineno, tuple(row[c] for c in required)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
 
@@ -285,19 +306,18 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
         rows = _read_csv_rows(pairs_path, PAIR_FIELDS)
     else:
         rows = _read_jsonl_rows(pairs_path, PAIR_FIELDS)
-    for lineno, row in rows:
-        where = f"{pairs_path} row {lineno}"
-        raw_random = row["is_random"]
+    for lineno, (pid, source, raw_random, text_a, text_b) in rows:
         if isinstance(raw_random, bool):
             is_random = raw_random
         else:
-            is_random = _parse_bool01(str(raw_random).strip(), where)
+            is_random = _parse_bool01(str(raw_random).strip(), pairs_path,
+                                      lineno)
         pairs.append(SentencePair(
-            pair_id=str(row["pair_id"]).strip(),
-            source=str(row["source"]).strip(),
+            pair_id=str(pid).strip(),
+            source=str(source).strip(),
             is_random=is_random,
-            text_a=str(row["text_a"]),
-            text_b=str(row["text_b"]),
+            text_a=str(text_a),
+            text_b=str(text_b),
         ))
 
     annotations = []
@@ -308,13 +328,12 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
             rows = _read_csv_rows(annotations_path, ANNOTATION_FIELDS)
         else:
             rows = _read_jsonl_rows(annotations_path, ANNOTATION_FIELDS)
-        for lineno, row in rows:
-            where = f"{annotations_path} row {lineno}"
+        for lineno, (pid, aid, label, duration) in rows:
             annotations.append(Annotation(
-                pair_id=str(row["pair_id"]).strip(),
-                annotator_id=str(row["annotator_id"]).strip(),
-                label=_parse_int(row["label"], where),
-                duration=_parse_float(row["duration_seconds"], where),
+                pair_id=str(pid).strip(),
+                annotator_id=str(aid).strip(),
+                label=_parse_int(label, annotations_path, lineno),
+                duration=_parse_float(duration, annotations_path, lineno),
             ))
 
     return build_corpus(pairs, annotations)
@@ -373,12 +392,11 @@ def load_precomputed(path) -> dict[str, float]:
     """Read a per-pair score channel from a two-column CSV (pair_id, score)."""
     path = Path(path)
     scores: dict[str, float] = {}
-    for lineno, row in _read_csv_rows(path, ("pair_id", "score")):
-        where = f"{path} row {lineno}"
-        pid = str(row["pair_id"]).strip()
+    for lineno, (pid, score) in _read_csv_rows(path, ("pair_id", "score")):
+        pid = pid.strip()
         if pid in scores:
-            raise CorpusError(f"{where}: duplicate pair_id {pid!r}")
-        scores[pid] = _parse_float(row["score"], where)
+            raise CorpusError(f"{path} row {lineno}: duplicate pair_id {pid!r}")
+        scores[pid] = _parse_float(score, path, lineno)
     return scores
 
 

@@ -596,8 +596,8 @@ def _min_cost_matching(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # external per-pair artifacts
 
 
-def _parse_side(row: dict, where: str) -> str:
-    side = row["side"].strip().lower()
+def _parse_side(raw: str, where: str) -> str:
+    side = raw.strip().lower()
     if side not in ("a", "b"):
         raise CorpusError(f"{where}: side must be a or b")
     return side
@@ -611,11 +611,12 @@ def load_sentence_embeddings(path,
     path = Path(path)
     out: dict[str, dict[str, np.ndarray]] = {}
     dimension: Optional[int] = None
-    for lineno, row in _read_csv_rows(path, ("pair_id", "side", "vector")):
+    for lineno, (pid, side, vector) in _read_csv_rows(
+            path, ("pair_id", "side", "vector")):
         where = f"{path} row {lineno}"
-        pid, _ = _row_pair(row, where, corpus)
-        side = _parse_side(row, where)
-        vec = _parse_vector(row["vector"].split(), where, dimension)
+        pid, _ = _row_pair(pid, path, lineno, corpus)
+        side = _parse_side(side, where)
+        vec = _parse_vector(vector.split(), where, dimension)
         dimension = vec.size
         sides = out.setdefault(pid, {})
         if side in sides:
@@ -635,13 +636,13 @@ def load_gold_tags(path, corpus: Optional[LabeledCorpus] = None) -> dict:
     path = Path(path)
     out: dict[tuple[str, str], dict[int, str]] = {}
     n_tokens: dict[tuple[str, str], int] = {}
-    for lineno, row in _read_csv_rows(
+    for lineno, (pid, side, token_index, tag) in _read_csv_rows(
             path, ("pair_id", "side", "token_index", "tag")):
         where = f"{path} row {lineno}"
-        pid, pair = _row_pair(row, where, corpus)
-        side = _parse_side(row, where)
+        pid, pair = _row_pair(pid, path, lineno, corpus)
+        side = _parse_side(side, where)
         try:
-            idx = int(row["token_index"])
+            idx = int(token_index)
         except ValueError:
             raise CorpusError(f"{where}: bad token_index") from None
         if idx < 0:
@@ -658,5 +659,5 @@ def load_gold_tags(path, corpus: Optional[LabeledCorpus] = None) -> dict:
         tags = out.setdefault(key, {})
         if idx in tags:
             raise CorpusError(f"{where}: duplicate token_index {idx}")
-        tags[idx] = row["tag"].strip()
+        tags[idx] = tag.strip()
     return out

@@ -32,10 +32,10 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import LabeledCorpus
+from .corpus import LabeledCorpus, SentencePair
 from .stats import (AnnotatorTable, annotator_table, label_counts,
                     label_sums, variance_from_sums)
-from .textmetrics import (EmptyText, bleu_block, pair_blocks,
+from .textmetrics import (EmptyText, bleu_block, has_tokens, pair_blocks,
                           require_tokens, tokenize)
 
 
@@ -107,7 +107,9 @@ class Scorers:
     ``(texts_a[k], texts_b[k])`` (a score list of another length is a
     ValueError); ``sentiment(text)`` returns a polarity
     score.  Per-pair sentiment overrides (from an ingested file) win over
-    the callable.
+    the callable, and a pair whose override gap is below
+    ``sentiment_gap_threshold`` cannot qualify, so ``overlap`` is never
+    given it.
     """
 
     overlap: Callable[[Sequence[str], Sequence[str]], Sequence[float]]
@@ -140,17 +142,32 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
     """Pairs that are lexically close yet far apart in sentiment.
 
     Qualification: overlap score strictly above ``overlap_threshold`` and
-    absolute sentiment gap at least ``sentiment_gap_threshold``.
+    absolute sentiment gap at least ``sentiment_gap_threshold``.  Every
+    pair must have word tokens on both sides (the first without, in
+    corpus order and side a first, raises naming the pair), but overlap
+    is scored only on pairs that can qualify: a pair whose ingested
+    sentiment override falls short of the gap is not scored.
     """
     pairs = corpus.pairs
-    try:
-        overlaps = scorers.overlap([p.text_a for p in pairs],
-                                   [p.text_b for p in pairs])
-    except EmptyText as exc:
-        raise exc.for_pair(pairs[exc.index].pair_id) from None
-    qualifying: set[str] = set()
+    for k, pair in enumerate(pairs):
+        for side, text in (("text_a", pair.text_a), ("text_b", pair.text_b)):
+            if not has_tokens(text):
+                raise EmptyText(k, side).for_pair(pair.pair_id)
     overrides = scorers.pair_sentiment or {}
-    for pair, overlap in zip(pairs, overlaps, strict=True):
+    gap = cfg.sentiment_gap_threshold
+
+    def can_qualify(pair: SentencePair) -> bool:
+        score = overrides.get(pair.pair_id)
+        return score is None or abs(score[0] - score[1]) >= gap
+
+    scored = [p for p in pairs if can_qualify(p)]
+    try:
+        overlaps = scorers.overlap([p.text_a for p in scored],
+                                   [p.text_b for p in scored])
+    except EmptyText as exc:
+        raise exc.for_pair(scored[exc.index].pair_id) from None
+    qualifying: set[str] = set()
+    for pair, overlap in zip(scored, overlaps, strict=True):
         if overlap <= cfg.overlap_threshold:
             continue
         if pair.pair_id in overrides:
@@ -158,7 +175,7 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
         else:
             score_a = scorers.sentiment(pair.text_a)
             score_b = scorers.sentiment(pair.text_b)
-        if abs(score_a - score_b) >= cfg.sentiment_gap_threshold:
+        if abs(score_a - score_b) >= gap:
             qualifying.add(pair.pair_id)
     return qualifying
 

@@ -68,19 +68,18 @@ def load_lexicon(path: Optional[Path] = None) -> SentimentLexicon:
         if path is None else Path(path)
     valences: dict[str, float] = {}
     with resources.as_file(ref) as csv_path:
-        for lineno, row in _read_csv_rows(csv_path, ("word", "valence")):
+        for lineno, (word, raw) in _read_csv_rows(csv_path,
+                                                  ("word", "valence")):
             where = f"{csv_path} row {lineno}"
-            word = row["word"].strip().lower()
+            word = word.strip().lower()
             if not word:
                 raise CorpusError(f"{where}: empty word")
             try:
-                valence = float(row["valence"])
+                valence = float(raw)
             except ValueError:
-                raise CorpusError(
-                    f"{where}: bad valence {row['valence']!r}") from None
+                raise CorpusError(f"{where}: bad valence {raw!r}") from None
             if not math.isfinite(valence):
-                raise CorpusError(
-                    f"{where}: non-finite valence {row['valence']!r}")
+                raise CorpusError(f"{where}: non-finite valence {raw!r}")
             valences[word] = valence
     return SentimentLexicon(valences=valences)
 
@@ -130,18 +129,20 @@ def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None
     """
     path = Path(path)
     out: dict[str, tuple[float, float]] = {}
-    for lineno, row in _read_csv_rows(path, ("pair_id", "score_a", "score_b")):
-        where = f"{path} row {lineno}"
-        pid, _ = _row_pair(row, where, corpus)
+    for lineno, (pid, raw_a, raw_b) in _read_csv_rows(
+            path, ("pair_id", "score_a", "score_b")):
+        pid, _ = _row_pair(pid, path, lineno, corpus)
         if pid in out:
-            raise CorpusError(f"{where}: duplicate pair {pid!r}")
+            raise CorpusError(f"{path} row {lineno}: duplicate pair {pid!r}")
         try:
-            score_a = float(row["score_a"])
-            score_b = float(row["score_b"])
+            score_a = float(raw_a)
+            score_b = float(raw_b)
         except ValueError:
-            raise CorpusError(f"{where}: non-numeric sentiment score") from None
+            raise CorpusError(
+                f"{path} row {lineno}: non-numeric sentiment score") from None
         for score in (score_a, score_b):
             if not -1.0 <= score <= 1.0:
-                raise CorpusError(f"{where}: score {score} outside [-1, 1]")
+                raise CorpusError(
+                    f"{path} row {lineno}: score {score} outside [-1, 1]")
         out[pid] = (score_a, score_b)
     return out

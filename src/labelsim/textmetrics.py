@@ -27,6 +27,7 @@ import numpy as np
 TokenSeq = Sequence[str]
 
 _TOKEN_RE = re.compile(r"[\w']+", re.UNICODE)
+_WORD_CHAR_RE = re.compile(r"\w", re.UNICODE)
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -37,6 +38,13 @@ def tokenize(text: str) -> tuple[str, ...]:
         if tok:
             tokens.append(tok)
     return tuple(tokens)
+
+
+def has_tokens(text: str) -> bool:
+    """``bool(tokenize(text))`` without building the tokens: any word
+    character lies inside a ``[\\w']+`` match, and stripping apostrophes
+    leaves it there."""
+    return _WORD_CHAR_RE.search(text.lower()) is not None
 
 
 class EmptyText(ValueError):

@@ -695,6 +695,32 @@ def flag_disagreeable(corpus, annotator_id, cfg):
     return None
 
 
+def sentiment_qualifying_pairs_loop(corpus, scorers, cfg):
+    """Heuristic 5's qualifying pairs, scoring the overlap of every pair
+    before looking at any sentiment gap."""
+    from labelsim.textmetrics import EmptyText
+
+    pairs = corpus.pairs
+    try:
+        overlaps = scorers.overlap([p.text_a for p in pairs],
+                                   [p.text_b for p in pairs])
+    except EmptyText as exc:
+        raise exc.for_pair(pairs[exc.index].pair_id) from None
+    qualifying = set()
+    overrides = scorers.pair_sentiment or {}
+    for pair, overlap in zip(pairs, overlaps, strict=True):
+        if overlap <= cfg.overlap_threshold:
+            continue
+        if pair.pair_id in overrides:
+            score_a, score_b = overrides[pair.pair_id]
+        else:
+            score_a = scorers.sentiment(pair.text_a)
+            score_b = scorers.sentiment(pair.text_b)
+        if abs(score_a - score_b) >= cfg.sentiment_gap_threshold:
+            qualifying.add(pair.pair_id)
+    return qualifying
+
+
 def flag_sentiment_disaligned(corpus, annotator_id, cfg, qualifying):
     from labelsim.heuristics import FlagEvidence
     from labelsim.stats import population_variance

@@ -479,6 +479,30 @@ def test_flag_names_the_pair_with_no_word_tokens(tmp_path, capsys):
     assert captured.err == TOKENLESS_ERROR
 
 
+@pytest.mark.parametrize("tokenless_p4", [False, True],
+                         ids=["one tokenless pair", "two tokenless pairs"])
+def test_flag_names_a_tokenless_pair_whose_overlap_is_not_scored(
+        tmp_path, capsys, tokenless_p4):
+    # p2's override gap is below the threshold, so its overlap is never
+    # scored; p4 has no override and is scored.  The error still names
+    # p2, the first tokenless pair in corpus order.
+    pairs, annotations = write_corpus(tmp_path)
+    write_tokenless_text_a(pairs)
+    if tokenless_p4:
+        path = Path(pairs)
+        lines = path.read_text().splitlines()
+        lines[4] = "p4,s1,0,red blue oak,'' ..."
+        path.write_text("\n".join(lines) + "\n")
+    sentiment = tmp_path / "sentiment.csv"
+    sentiment.write_text("pair_id,score_a,score_b\np2,0.1,-0.1\n")
+    rc = main(["flag", "--pairs", pairs, "--annotations", annotations,
+               "--heuristics", "5", "--sentiment-file", str(sentiment)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == TOKENLESS_ERROR
+
+
 def test_metrics_names_the_pair_with_no_word_tokens(tmp_path, capsys):
     pairs, annotations = write_corpus(tmp_path)
     write_tokenless_text_a(pairs)

@@ -182,3 +182,36 @@ def test_precomputed_duplicate_row(tmp_path):
                  "pair_id,score\np1,0.9\np1,0.8\n")
     with pytest.raises(CorpusError, match="duplicate pair_id"):
         load_precomputed(path)
+
+
+@pytest.mark.parametrize("first_rows", [
+    "p1,sts,0,the cat sat,a cat sat\n\n",
+    'p1,sts,0,"the cat\nsat",a cat sat\n',
+], ids=["blank line", "quoted line break"])
+def test_csv_error_names_the_line_the_record_starts_on(tmp_path, first_rows):
+    # p2 starts on line 4 of the file but is only its second record
+    path = write(tmp_path, "pairs.csv",
+                 "pair_id,source,is_random,text_a,text_b\n" + first_rows
+                 + "p2,sick,2,dogs bark,markets fell\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == \
+        f"{path} row 4: is_random must be 0 or 1, got '2'"
+
+
+def test_csv_header_naming_a_column_twice_reads_the_last(tmp_path):
+    path = write(tmp_path, "scores.csv",
+                 "pair_id,score,score\np1,0.1,0.9\np2,0.2,0.8,extra\n")
+    assert load_precomputed(path) == {"p1": 0.9, "p2": 0.8}
+    # a row that reaches the first 'score' column but not the last
+    write(tmp_path, "scores.csv", "pair_id,score,score\np1,0.1,0.9\np2,0.2\n")
+    with pytest.raises(CorpusError) as exc:
+        load_precomputed(path)
+    assert str(exc.value) == f"{path} row 3: short row"
+
+
+def test_empty_csv_file(tmp_path):
+    path = write(tmp_path, "pairs.csv", "")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: empty file, header required"

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from labelsim.corpus import attach_precomputed
 from labelsim import correlate, textmetrics
@@ -139,6 +139,24 @@ def test_ranks_match_loop_ranks(values):
     got = correlate._ranks(values)
     assert np.array_equal(got, loop_ranks(values))
     assert got.tolist() == rank_oracle(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 5000),
+       pool=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=1, max_size=8),
+       distinct_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ranks_match_loop_ranks_at_fast_sort_sizes(n, pool, distinct_share,
+                                                   seed):
+    # Arrays long enough for numpy's unstable (SIMD) sort, mostly drawn
+    # from a few values with 0.0 and -0.0 among them, so tie groups are
+    # large and hold both zeros.
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(pool + [0.0, -0.0]), size=n)
+    distinct = rng.random(n) < distinct_share
+    values[distinct] = rng.standard_normal(int(distinct.sum()))
+    assert np.array_equal(correlate._ranks(values), loop_ranks(values))
 
 
 def test_percent_change():

@@ -262,6 +262,70 @@ def test_sentiment_pair_overrides_win():
     assert sentiment_qualifying_pairs(corpus, scorers, CFG) == {"s0", "s1"}
 
 
+# no override, then gaps 0, 0.9, 1.89 (below 1.9), exactly 1.9, 2 and -1.9
+GAP_OVERRIDES = [None, (0.0, 0.0), (0.5, -0.4), (0.94, -0.95), (0.95, -0.95),
+                 (1.0, -1.0), (-0.95, 0.95)]
+
+
+def overridden_corpus_and_scorers(overlap):
+    """A simulated corpus whose pairs cycle through GAP_OVERRIDES; the
+    sentiment callable gives a pair without an override a gap of 1.9 or
+    0."""
+    spec = simulate.PopulationSpec(
+        n_pairs=600, fraction_random=0.2,
+        profiles=(
+            simulate.ProfileSpec(simulate.ProfileKind.RELIABLE, 12, 0.5),
+            simulate.ProfileSpec(simulate.ProfileKind.UNIFORM_RANDOM, 3),
+            simulate.ProfileSpec(simulate.ProfileKind.RADICAL, 4, 0.9),
+            simulate.ProfileSpec(simulate.ProfileKind.CENTRIST, 4, 0.9),
+        ),
+        seed=3)
+    corpus, _ = simulate.generate_corpus(spec)
+    overrides = {}
+    for i, pair in enumerate(corpus.pairs):
+        override = GAP_OVERRIDES[i % len(GAP_OVERRIDES)]
+        if override is not None:
+            overrides[pair.pair_id] = override
+    scorers = Scorers(overlap=overlap,
+                      sentiment=lambda text: (0.95 if sum(map(ord, text)) % 2
+                                              else -0.95),
+                      pair_sentiment=overrides)
+    return corpus, scorers
+
+
+def test_gap_first_path_equals_the_loop_that_scores_every_pair():
+    corpus, scorers = overridden_corpus_and_scorers(
+        default_scorers(CFG).overlap)
+    expected = oracles.sentiment_qualifying_pairs_loop(corpus, scorers, CFG)
+    assert sentiment_qualifying_pairs(corpus, scorers, CFG) == expected
+    # pairs qualify at a gap of exactly 1.9 and without an override
+    overrides = scorers.pair_sentiment
+    assert {overrides.get(pid) for pid in expected} == {
+        None, (0.95, -0.95), (1.0, -1.0), (-0.95, 0.95)}
+    reports = compute_flag_reports(corpus, [H.SENTIMENT_DISALIGNED], CFG,
+                                   scorers)
+    assert reports == oracles.flag_reports(corpus, [H.SENTIMENT_DISALIGNED],
+                                           CFG, expected)
+    assert any(report.flags for report in reports.values())
+
+
+def test_overlap_is_never_given_a_below_gap_override_pair():
+    seen = []
+
+    def overlap(texts_a, texts_b):
+        seen.extend(zip(texts_a, texts_b))
+        return [1.0] * len(texts_a)
+
+    corpus, scorers = overridden_corpus_and_scorers(overlap)
+    sentiment_qualifying_pairs(corpus, scorers, CFG)
+    below = {pid for pid, (a, b) in scorers.pair_sentiment.items()
+             if abs(a - b) < CFG.sentiment_gap_threshold}
+    assert {scorers.pair_sentiment[pid] for pid in below} == {
+        (0.0, 0.0), (0.5, -0.4), (0.94, -0.95)}
+    assert seen == [(p.text_a, p.text_b) for p in corpus.pairs
+                    if p.pair_id not in below]
+
+
 # ---------------------------------------------------------------------------
 # report assembly and filtering
 

@@ -35,6 +35,18 @@ def test_tokenize_deterministic():
     assert tokenize(text) == tokenize(text)
 
 
+# apostrophes, digits, underscores, combining marks, and letters whose
+# lowercase differs in length ('İ') or class
+TOKEN_EDGE_CHARS = "'_09aZ \t.!-́̈İẞ²Ⅰ　"
+
+
+@settings(max_examples=500)
+@given(st.text(st.one_of(st.sampled_from(TOKEN_EDGE_CHARS), st.characters()),
+               max_size=8))
+def test_has_tokens_matches_tokenize(text):
+    assert textmetrics.has_tokens(text) == bool(tokenize(text))
+
+
 # ---------------------------------------------------------------------------
 # word overlap
 
