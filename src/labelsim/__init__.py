@@ -14,8 +14,8 @@ from .heuristics import (FlagEvidence, FlagReport, HeuristicConfig,
                          HeuristicId, Scorers, compute_flag_reports,
                          default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
-from .stats import AnnotatorProfile, Style, annotator_profile, \
-    annotator_profiles, classify_style, population_variance, reduce_label
+from .stats import (AnnotatorProfile, Style, annotator_profiles,
+                    classify_style, population_variance, reduce_label)
 from .correlate import (CorrelationReport, MetricCorrelation, SubsetResult,
                         UndefinedCorrelationError, compute_metric_scores,
                         correlation_report, pearson, percent_change,
@@ -39,7 +39,6 @@ __all__ = [
     "Style",
     "SubsetResult",
     "UndefinedCorrelationError",
-    "annotator_profile",
     "annotator_profiles",
     "attach_precomputed",
     "build_corpus",

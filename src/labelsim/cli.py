@@ -12,14 +12,16 @@ LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import os
 import sys
 from pathlib import Path
 
 from . import correlate, embmetrics, simulate, stats
-from .corpus import (CorpusError, attach_precomputed, load_corpus,
-                     load_precomputed, save_corpus)
+from .corpus import (CorpusError, LabeledCorpus, attach_precomputed,
+                     load_corpus, load_precomputed, save_corpus)
 from .heuristics import (HeuristicConfig, HeuristicId, compute_flag_reports,
                          default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
@@ -171,7 +173,7 @@ def _attach_channels(corpus, args):
             raise ValueError(
                 f"--precomputed {name}: a native metric has that name")
         corpus = attach_precomputed(corpus, name,
-                                    load_precomputed(path.strip()))
+                                    load_precomputed(path.strip(), corpus))
     return corpus
 
 
@@ -246,6 +248,13 @@ def _build_scorers(corpus, cfg, args):
     return scorers
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV, quoting only the fields that need it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _write_output(text: str, out_path) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -271,17 +280,17 @@ def cmd_stats(args) -> int:
     corpus = load_corpus(args.pairs, args.annotations, args.fmt)
     profiles = stats.annotator_profiles(
         corpus, exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
-    lines = ["annotator_id,n_labels,mean_duration,label_variance,mean_random,"
-             "mean_nonrandom,extreme_share,central_share,disagreement_rate,style"]
+    rows = [["annotator_id", "n_labels", "mean_duration", "label_variance",
+             "mean_random", "mean_nonrandom", "extreme_share",
+             "central_share", "disagreement_rate", "style"]]
     for aid in sorted(profiles):
         p = profiles[aid]
         values = (p.mean_duration, p.label_variance, p.mean_random,
                   p.mean_nonrandom, p.extreme_share, p.central_share,
                   p.disagreement_rate)
-        lines.append(",".join([aid, str(p.n_labels)]
-                              + [correlate._fmt(v) for v in values]
-                              + [p.style.value]))
-    _write_output("\n".join(lines) + "\n", args.out)
+        rows.append([aid, p.n_labels, *map(correlate._fmt, values),
+                     p.style.value])
+    _write_output(_csv_text(rows), args.out)
     return 0
 
 
@@ -296,21 +305,23 @@ def cmd_flag(args) -> int:
     reports = compute_flag_reports(corpus, subset, cfg, scorers)
 
     if args.all_subsets:
+        # hand-quoted: an id with a comma or quote is written unquoted
         lines = ["subset,n_removed,removed_annotators"]
         for sub in heuristic_subsets(subset):
             removed = sorted(flagged_annotators(reports, sub))
             lines.append('"%s",%d,%s' % (subset_label(sub), len(removed),
                                          ";".join(removed)))
-    else:
-        lines = ["annotator_id,flags,evidence"]
-        for aid in sorted(reports):
-            rep = reports[aid]
-            flags = ";".join(str(int(h)) for h in sorted(rep.flags))
-            evidence = ";".join(
-                f"{int(h)}:{ev.statistic}={ev.value:.6f} vs {ev.threshold:g}"
-                for h, ev in sorted(rep.evidence.items()))
-            lines.append(f"{aid},{flags},{evidence}")
-    _write_output("\n".join(lines) + "\n", args.out)
+        _write_output("\n".join(lines) + "\n", args.out)
+        return 0
+    rows = [["annotator_id", "flags", "evidence"]]
+    for aid in sorted(reports):
+        rep = reports[aid]
+        flags = ";".join(str(int(h)) for h in sorted(rep.flags))
+        evidence = ";".join(
+            f"{int(h)}:{ev.statistic}={ev.value:.6f} vs {ev.threshold:g}"
+            for h, ev in sorted(rep.evidence.items()))
+        rows.append([aid, flags, evidence])
+    _write_output(_csv_text(rows), args.out)
     return 0
 
 
@@ -320,20 +331,13 @@ def cmd_metrics(args) -> int:
     metrics, kwargs = _prepare_scoring(corpus, args)
     scores = correlate.compute_metric_scores(
         corpus, metrics, oriented=False, **kwargs)
-    lines = ["pair_id," + ",".join(metrics)]
+    rows = [["pair_id", *metrics]]
     for pair in corpus.pairs:
-        cells = [correlate._fmt(scores[m].get(pair.pair_id)) for m in metrics]
-        lines.append(pair.pair_id + "," + ",".join(cells))
-    _write_output("\n".join(lines) + "\n", args.out)
+        pid = pair.pair_id
+        rows.append([pid, *(correlate._fmt(scores[m].get(pid))
+                            for m in metrics)])
+    _write_output(_csv_text(rows), args.out)
     return 0
-
-
-def _render_report(report, fmt: str) -> str:
-    if fmt == "csv":
-        return correlate.render_report_csv(report)
-    if fmt == "json":
-        return correlate.render_report_json(report)
-    return correlate.render_report_text(report)
 
 
 def _report_common(args):
@@ -357,10 +361,8 @@ def cmd_report(args) -> int:
             label=label, per_annotation=args.per_annotation_gold)
 
     if args.per_dataset:
-        chunks = []
-        sources = sorted({p.source for p in corpus.pairs})
-        for source in sources:
-            from .corpus import LabeledCorpus
+        panels = {}
+        for source in sorted({p.source for p in corpus.pairs}):
             pair_ids = {p.pair_id for p in corpus.pairs if p.source == source}
             sub = LabeledCorpus(
                 pairs=tuple(p for p in corpus.pairs if p.source == source),
@@ -371,13 +373,11 @@ def cmd_report(args) -> int:
             sub_scores = {m: {pid: v for pid, v in vals.items()
                               if pid in pair_ids}
                           for m, vals in scores.items()}
-            chunks.append(_render_report(
-                one(sub, sub_scores, f"dataset {source or '(unnamed)'}"),
-                args.out_format))
-        _write_output("".join(chunks), args.out)
+            panels[source] = one(sub, sub_scores,
+                                 f"dataset {source or '(unnamed)'}")
     else:
-        report = one(corpus, scores, "all annotators")
-        _write_output(_render_report(report, args.out_format), args.out)
+        panels = one(corpus, scores, "all annotators")
+    _write_output(correlate.render_reports(panels, args.out_format), args.out)
     return 0
 
 
@@ -386,15 +386,8 @@ def cmd_style_report(args) -> int:
     radical, centrist = correlate.style_split_report(
         corpus, scores, subsets=subsets, cfg=cfg, scorers=scorers,
         exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
-    if args.out_format == "json":
-        import json as _json
-        doc = {"radical": correlate.report_doc(radical),
-               "centrist": correlate.report_doc(centrist)}
-        _write_output(_json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        text = _render_report(radical, args.out_format) \
-            + _render_report(centrist, args.out_format)
-        _write_output(text, args.out)
+    _write_output(correlate.render_reports(
+        {"radical": radical, "centrist": centrist}, args.out_format), args.out)
     return 0
 
 

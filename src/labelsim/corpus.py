@@ -126,37 +126,55 @@ def build_corpus(pairs: Iterable[SentencePair],
     """Validate and assemble a corpus from already-parsed rows."""
     pairs = tuple(pairs)
     annotations = tuple(annotations)
-    _validate(pairs, annotations)
+    pair_ids: set[str] = set()
+    for p in pairs:
+        _check_pair(p, pair_ids)
+    labeled: set[tuple[str, str]] = set()
+    for a in annotations:
+        _check_annotation(a, pair_ids, labeled)
     return LabeledCorpus(pairs=pairs, annotations=annotations)
 
 
-def _validate(pairs: tuple[SentencePair, ...],
-              annotations: tuple[Annotation, ...]) -> None:
-    seen_pairs: set[str] = set()
-    for p in pairs:
-        if not p.pair_id:
-            raise CorpusError("pair with empty pair_id")
-        if p.pair_id in seen_pairs:
-            raise CorpusError(f"duplicate pair_id {p.pair_id!r}")
-        seen_pairs.add(p.pair_id)
-        if not p.text_a.strip() or not p.text_b.strip():
-            raise CorpusError(f"pair {p.pair_id!r} has an empty text side")
-    seen_ann: set[tuple[str, str]] = set()
-    for a in annotations:
-        if a.pair_id not in seen_pairs:
-            raise CorpusError(
-                f"annotation references unknown pair_id {a.pair_id!r}")
-        if a.label not in VALID_LABELS:
-            raise CorpusError(
-                f"label {a.label!r} for pair {a.pair_id!r} outside 1-5")
-        if a.duration < 0:
-            raise CorpusError(
-                f"negative duration {a.duration!r} for pair {a.pair_id!r}")
-        key = (a.pair_id, a.annotator_id)
-        if key in seen_ann:
-            raise CorpusError(
-                f"annotator {a.annotator_id!r} labeled pair {a.pair_id!r} twice")
-        seen_ann.add(key)
+def _fail(problem: str, path: Optional[Path], lineno: int) -> CorpusError:
+    """The error for a bad row, naming its file and row when it has one."""
+    if path is None:
+        return CorpusError(problem)
+    return CorpusError(f"{path} row {lineno}: {problem}")
+
+
+def _check_pair(p: SentencePair, pair_ids: set[str],
+                path: Optional[Path] = None, lineno: int = 0) -> None:
+    """Check one pair row against the rows before it; adds its id to
+    ``pair_ids``."""
+    if not p.pair_id:
+        raise _fail("pair with empty pair_id", path, lineno)
+    if p.pair_id in pair_ids:
+        raise _fail(f"duplicate pair_id {p.pair_id!r}", path, lineno)
+    if not p.text_a.strip() or not p.text_b.strip():
+        raise _fail(f"pair {p.pair_id!r} has an empty text side",
+                    path, lineno)
+    pair_ids.add(p.pair_id)
+
+
+def _check_annotation(a: Annotation, pair_ids: set[str],
+                      labeled: set[tuple[str, str]],
+                      path: Optional[Path] = None, lineno: int = 0) -> None:
+    """Check one annotation row against the pairs and the annotation rows
+    before it; adds its (pair, annotator) to ``labeled``."""
+    if a.pair_id not in pair_ids:
+        raise _fail(f"annotation references unknown pair_id {a.pair_id!r}",
+                    path, lineno)
+    if a.label not in VALID_LABELS:
+        raise _fail(f"label {a.label!r} for pair {a.pair_id!r} outside 1-5",
+                    path, lineno)
+    if a.duration < 0:
+        raise _fail(f"negative duration {a.duration!r} for pair "
+                    f"{a.pair_id!r}", path, lineno)
+    key = (a.pair_id, a.annotator_id)
+    if key in labeled:
+        raise _fail(f"annotator {a.annotator_id!r} labeled pair "
+                    f"{a.pair_id!r} twice", path, lineno)
+    labeled.add(key)
 
 
 def _parse_bool01(raw: str, path: Path, lineno: int) -> bool:
@@ -302,6 +320,7 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
     use_fmt = _detect_format(pairs_path, fmt)
 
     pairs = []
+    pair_ids: set[str] = set()
     if use_fmt == "csv":
         rows = _read_csv_rows(pairs_path, PAIR_FIELDS)
     else:
@@ -312,13 +331,15 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
         else:
             is_random = _parse_bool01(str(raw_random).strip(), pairs_path,
                                       lineno)
-        pairs.append(SentencePair(
+        pair = SentencePair(
             pair_id=str(pid).strip(),
             source=str(source).strip(),
             is_random=is_random,
             text_a=str(text_a),
             text_b=str(text_b),
-        ))
+        )
+        _check_pair(pair, pair_ids, pairs_path, lineno)
+        pairs.append(pair)
 
     annotations = []
     if annotations_path is not None:
@@ -328,15 +349,19 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
             rows = _read_csv_rows(annotations_path, ANNOTATION_FIELDS)
         else:
             rows = _read_jsonl_rows(annotations_path, ANNOTATION_FIELDS)
+        labeled: set[tuple[str, str]] = set()
         for lineno, (pid, aid, label, duration) in rows:
-            annotations.append(Annotation(
+            annotation = Annotation(
                 pair_id=str(pid).strip(),
                 annotator_id=str(aid).strip(),
                 label=_parse_int(label, annotations_path, lineno),
                 duration=_parse_float(duration, annotations_path, lineno),
-            ))
+            )
+            _check_annotation(annotation, pair_ids, labeled,
+                              annotations_path, lineno)
+            annotations.append(annotation)
 
-    return build_corpus(pairs, annotations)
+    return LabeledCorpus(pairs=tuple(pairs), annotations=tuple(annotations))
 
 
 def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path,
@@ -388,12 +413,17 @@ def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path,
                 }, ensure_ascii=False) + "\n")
 
 
-def load_precomputed(path) -> dict[str, float]:
-    """Read a per-pair score channel from a two-column CSV (pair_id, score)."""
+def load_precomputed(path, corpus: Optional[LabeledCorpus] = None
+                     ) -> dict[str, float]:
+    """Read a per-pair score channel from a two-column CSV (pair_id, score).
+
+    With ``corpus``, a pair_id it does not hold raises :class:`CorpusError`
+    naming the file and row.
+    """
     path = Path(path)
     scores: dict[str, float] = {}
     for lineno, (pid, score) in _read_csv_rows(path, ("pair_id", "score")):
-        pid = pid.strip()
+        pid, _ = _row_pair(pid, path, lineno, corpus)
         if pid in scores:
             raise CorpusError(f"{path} row {lineno}: duplicate pair_id {pid!r}")
         scores[pid] = _parse_float(score, path, lineno)

@@ -124,6 +124,8 @@ EMBEDDING_METRICS = ("cosine", "l2", "wmd", "pos_dist")
 WORD_VECTOR_METRICS = ("cosine", "wmd", "pos_dist")
 # the native metrics that are distances: lower means more similar
 DISTANCE_METRICS = ("l2", "wmd", "pos_dist")
+# a report leaves out a metric undefined on more than this share of pairs
+UNAVAILABLE_FRACTION = 0.5
 
 
 def metric_universe(corpus: Optional[LabeledCorpus] = None) -> list[str]:
@@ -425,7 +427,6 @@ def correlation_report(corpus: LabeledCorpus,
                        reports: Optional[dict] = None,
                        annotator_ids: Optional[set] = None,
                        label: str = "all annotators",
-                       unavailable_fraction: float = 0.5,
                        per_annotation: bool = False,
                        ) -> CorrelationReport:
     """Baseline and per-filter-subset correlations for every metric.
@@ -433,7 +434,7 @@ def correlation_report(corpus: LabeledCorpus,
     ``metric_scores`` holds oriented per-pair values as produced by
     :func:`compute_metric_scores`; a pair of ``corpus`` missing from a
     metric's map counts as dropped.  A metric undefined on more than
-    ``unavailable_fraction`` of the pairs is excluded and listed under
+    :data:`UNAVAILABLE_FRACTION` of the pairs is excluded and listed under
     ``unavailable``.  ``annotator_ids`` restricts the gold computation to
     a sub-population (the style reports use this).  A subset removes the
     annotators whose ``reports`` carry any of its flags; without
@@ -447,7 +448,7 @@ def correlation_report(corpus: LabeledCorpus,
     usable: list[str] = []
     unavailable: dict[str, str] = {}
     for name, missing in dropped.items():
-        if missing > unavailable_fraction * n_pairs:
+        if missing > UNAVAILABLE_FRACTION * n_pairs:
             unavailable[name] = (
                 f"undefined on {missing} of {n_pairs} pairs")
         else:
@@ -526,14 +527,17 @@ def style_split_report(corpus: LabeledCorpus,
 # renderers
 
 
+_CSV_HEADER = ("panel,filter,metric,pearson,spearman,pearson_pct,spearman_pct,"
+               "n_pairs,dropped_pairs,removed_annotators")
+
+
 def _fmt(value: Optional[float], spec: str = ".6f") -> str:
     return "" if value is None else format(value, spec)
 
 
-def render_report_csv(report: CorrelationReport) -> str:
+def _csv_rows(report: CorrelationReport) -> list[str]:
     panel = report.label.replace(",", ";")
-    lines = ["panel,filter,metric,pearson,spearman,pearson_pct,spearman_pct,"
-             "n_pairs,dropped_pairs,removed_annotators"]
+    lines = []
     for name in report.metrics:
         cell = report.baseline[name]
         lines.append(
@@ -550,7 +554,7 @@ def render_report_csv(report: CorrelationReport) -> str:
                 f"{_fmt(cell.spearman)},{_fmt(p_pct, '.2f')},"
                 f"{_fmt(s_pct, '.2f')},{cell.n_pairs},,"
                 f"{len(row.removed_annotators)}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _json_float(value: Optional[float]) -> Optional[float]:
@@ -592,10 +596,6 @@ def report_doc(report: CorrelationReport) -> dict:
     }
 
 
-def render_report_json(report: CorrelationReport) -> str:
-    return json.dumps(report_doc(report), indent=2, sort_keys=False) + "\n"
-
-
 def render_report_text(report: CorrelationReport) -> str:
     lines = [f"Correlation report ({report.label}); gold = mean surviving label"]
     if report.status != "ok":
@@ -627,3 +627,26 @@ def render_report_text(report: CorrelationReport) -> str:
         for name in sorted(report.unavailable):
             lines.append(f"unavailable: {name} ({report.unavailable[name]})")
     return "\n".join(lines) + "\n"
+
+
+def render_reports(panels: CorrelationReport | Mapping[str, CorrelationReport],
+                   fmt: str) -> str:
+    """A run's reports as one document in ``fmt``: "text", "csv" or "json".
+
+    ``panels`` is one report, or a mapping from a key to each panel of a
+    multi-panel run.  Text puts the panels one after another; CSV writes
+    one header, then every panel's rows; JSON writes the report's object,
+    or one object holding each panel's under its key.
+    """
+    single = isinstance(panels, CorrelationReport)
+    reports = [panels] if single else list(panels.values())
+    if fmt == "json":
+        doc = report_doc(panels) if single \
+            else {key: report_doc(r) for key, r in panels.items()}
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [_CSV_HEADER]
+        for r in reports:
+            lines.extend(_csv_rows(r))
+        return "\n".join(lines) + "\n"
+    return "".join(render_report_text(r) for r in reports)

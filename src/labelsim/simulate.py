@@ -15,18 +15,18 @@ representative slice of both easy and hard pairs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .corpus import Annotation, LabeledCorpus, SentencePair, build_corpus
-from .heuristics import HeuristicId, FlagReport
 
 _CONSONANTS = "bdfgklmnprst"
 _VOWELS = "aeiou"
+VOCAB_SIZE = 600  # words the generated sentences draw from
 
 
 class ProfileKind(str, Enum):
@@ -84,7 +84,6 @@ class PopulationSpec:
     annotators_per_pair: int = 3
     min_tokens: int = 4
     max_tokens: int = 9
-    vocab_size: int = 600
 
     def n_annotators(self) -> int:
         return sum(p.count for p in self.profiles)
@@ -104,7 +103,7 @@ class PopulationSpec:
             raise ValueError("annotators_per_pair exceeds the roster size")
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise ValueError("need 1 <= min_tokens <= max_tokens")
-        if self.vocab_size < 2 * self.max_tokens:
+        if VOCAB_SIZE < 2 * self.max_tokens:
             raise ValueError("vocabulary too small for the token range")
 
 
@@ -170,7 +169,7 @@ def generate_corpus(spec: PopulationSpec) -> tuple[LabeledCorpus, GroundTruth]:
     """Simulate a labeled corpus; returns it with the planted ground truth."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    vocab = np.array(_vocabulary(spec.vocab_size))
+    vocab = np.array(_vocabulary(VOCAB_SIZE))
 
     n_random = int(np.rint(spec.n_pairs * spec.fraction_random))
     random_mask = np.zeros(spec.n_pairs, dtype=bool)
@@ -249,47 +248,6 @@ def generate_corpus(spec: PopulationSpec) -> tuple[LabeledCorpus, GroundTruth]:
 
     corpus = build_corpus(pairs, annotations)
     return corpus, GroundTruth(annotator_kinds=kinds, latent=latent)
-
-
-@dataclass(frozen=True)
-class ConfusionCell:
-    planted: int
-    flagged: int
-    true_positive: int
-    precision: Optional[float]
-    recall: float
-
-
-def heuristic_confusion(truth: GroundTruth,
-                        reports: dict[str, FlagReport],
-                        heuristics: Optional[Iterable[HeuristicId]] = None
-                        ) -> dict[HeuristicId, dict[ProfileKind, ConfusionCell]]:
-    """Precision/recall of each heuristic against each planted kind.
-
-    ``reports`` must cover the heuristics being scored (flags that were
-    never evaluated look identical to flags that never fired).
-    """
-    heuristics = list(heuristics) if heuristics is not None \
-        else list(HeuristicId)
-    kinds_present = sorted({k for k in truth.annotator_kinds.values()},
-                           key=lambda k: k.value)
-    table: dict[HeuristicId, dict[ProfileKind, ConfusionCell]] = {}
-    for h in heuristics:
-        flagged = {aid for aid, rep in reports.items() if h in rep.flags}
-        row: dict[ProfileKind, ConfusionCell] = {}
-        for kind in kinds_present:
-            members = {aid for aid, k in truth.annotator_kinds.items()
-                       if k is kind}
-            tp = len(flagged & members)
-            row[kind] = ConfusionCell(
-                planted=len(members),
-                flagged=len(flagged),
-                true_positive=tp,
-                precision=(tp / len(flagged)) if flagged else None,
-                recall=tp / len(members) if members else 0.0,
-            )
-        table[h] = row
-    return table
 
 
 def save_ground_truth(truth: GroundTruth, annotators_path, pairs_path) -> None:

@@ -235,21 +235,6 @@ def annotator_table(corpus: LabeledCorpus) -> AnnotatorTable:
     return AnnotatorTable.build(corpus.columns)
 
 
-def annotator_profile(corpus: LabeledCorpus, annotator_id: str,
-                      exclude_midpoint_from_variance: bool = False) -> AnnotatorProfile:
-    """Compute the aggregate profile of one annotator.
-
-    ``exclude_midpoint_from_variance`` drops label-3 judgments from the
-    variance (mirroring the share computation) instead of the default of
-    using every label.
-    """
-    profile = annotator_profiles(
-        corpus, exclude_midpoint_from_variance).get(annotator_id)
-    if profile is None:
-        raise ValueError(f"annotator {annotator_id!r} has no annotations")
-    return profile
-
-
 def annotator_profiles(corpus: LabeledCorpus,
                        exclude_midpoint_from_variance: bool = False
                        ) -> dict[str, AnnotatorProfile]:

@@ -498,11 +498,3 @@ def score_lexical_block(names: Sequence[str], texts_a: Sequence[str],
             else [score(a, b, found, overlap_mode) for a, b, found in rows]
             for name, (order, score) in scorers.items()}
 
-
-def score_pair_lexical(text_a: str, text_b: str,
-                       overlap_mode: str = "jaccard") -> dict[str, float]:
-    """All lexical metrics for one sentence pair, keyed by metric name: the
-    one-pair call of :func:`score_lexical_block`."""
-    return {name: column[0] for name, column in score_lexical_block(
-        lexical_metric_names(), [text_a], [text_b],
-        overlap_mode=overlap_mode).items()}

@@ -8,7 +8,8 @@ the real code; nothing in src/ may import from here.
 import itertools
 import math
 
-from labelsim.textmetrics import light_stem
+from labelsim.textmetrics import (lexical_metric_names, light_stem,
+                                  score_lexical_block)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,14 @@ def meteor_oracle(tokens_a, tokens_b, alpha=0.9, gamma=0.5, chunk_exp=3.0):
             chunks += 1
     penalty = gamma * (chunks / matches) ** chunk_exp if chunks > 1 else 0.0
     return f_mean * (1.0 - penalty)
+
+
+def score_pair_lexical(text_a, text_b, overlap_mode="jaccard"):
+    """All lexical metrics for one sentence pair, keyed by metric name: the
+    one-pair call of ``score_lexical_block``."""
+    return {name: column[0] for name, column in score_lexical_block(
+        lexical_metric_names(), [text_a], [text_b],
+        overlap_mode=overlap_mode).items()}
 
 
 # ---------------------------------------------------------------------------

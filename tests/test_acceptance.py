@@ -38,7 +38,7 @@ from labelsim.simulate import (
     generate_corpus,
 )
 from labelsim.stats import reduce_label
-from labelsim.textmetrics import score_pair_lexical, tokenize
+from labelsim.textmetrics import tokenize
 
 from oracles import (
     bleu_oracle,
@@ -47,6 +47,7 @@ from oracles import (
     meteor_oracle,
     rouge_l_oracle,
     rouge_n_oracle,
+    score_pair_lexical,
     uniform_transport_oracle,
 )
 

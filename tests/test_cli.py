@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import csv
 import dataclasses
+import io
 import json
 import warnings
 from pathlib import Path
@@ -108,6 +110,18 @@ def test_report_names_the_pair_with_no_word_tokens(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: pair 'p4': cannot score an empty "
                             "token sequence (text_b)\n")
+
+
+def test_validate_names_the_file_and_row_of_a_bad_row(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    with open(annotations, "a") as fh:
+        fh.write("p2,good,3,30\n")
+    rc = main(["validate", "--pairs", pairs, "--annotations", annotations])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: {annotations} row 14: annotator 'good' "
+                            "labeled pair 'p2' twice\n")
 
 
 def test_validate_pairs_only(tmp_path, capsys):
@@ -354,6 +368,42 @@ def test_corrupt_corpus_is_data_error(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------- stats
+
+
+def write_comma_id_corpus(tmp_path):
+    """write_corpus with the pair p1 renamed 'p,1' and the annotator junk
+    renamed 'a,"x"'."""
+    pairs, annotations = write_corpus(tmp_path)
+    for path in (pairs, annotations):
+        text = Path(path).read_text().replace("p1,", '"p,1",')
+        Path(path).write_text(text.replace(",junk,", ',"a,""x""",'))
+    return pairs, annotations
+
+
+@pytest.mark.parametrize("argv, column, value", [
+    (["stats"], "annotator_id", 'a,"x"'),
+    (["flag", "--heuristics", "2"], "annotator_id", 'a,"x"'),
+    (["metrics", "--metrics", "word_overlap"], "pair_id", "p,1"),
+])
+def test_csv_output_quotes_ids_that_need_it(tmp_path, capsys, argv, column,
+                                            value):
+    pairs, annotations = write_comma_id_corpus(tmp_path)
+    assert main([*argv, "--pairs", pairs, "--annotations", annotations]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    header = rows[0]
+    assert all(len(row) == len(header) for row in rows)
+    assert value in [row[header.index(column)] for row in rows[1:]]
+    # quoting is what changes: every other row reads as before
+    if argv[0] == "stats":
+        assert out.splitlines()[1].startswith('"a,""x""",6,30.000000,')
+    elif argv[0] == "flag":
+        assert out.splitlines()[1] == (
+            '"a,""x""",2,2:label_variance=0.000000 vs 1')
+        assert out.splitlines()[2] == "good,,"
+    else:
+        assert out.splitlines()[1:3] == ['"p,1",1.000000', "p2,0.500000"]
+
 
 
 def test_stats_csv(tmp_path, capsys):
@@ -650,6 +700,20 @@ def test_metrics_precomputed_channel(tmp_path, capsys):
     assert out.splitlines()[1] == "p1,0.900000"
 
 
+def test_precomputed_unknown_pair_names_file_and_row(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    channel = tmp_path / "ext.csv"
+    channel.write_text("pair_id,score\np1,0.9\np9,0.5\n")
+    for argv in (["metrics", "--pairs", pairs],
+                 ["report", "--pairs", pairs, "--annotations", annotations]):
+        rc = main([*argv, "--precomputed", f"ext={channel}",
+                   "--metrics", "ext"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {channel} row 3: unknown pair 'p9'\n"
+
+
 def test_precomputed_channel_may_not_take_a_native_name(tmp_path, capsys):
     pairs, annotations = write_corpus(tmp_path)
     channel = tmp_path / "ch.csv"
@@ -928,6 +992,44 @@ def test_report_per_dataset(tmp_path, capsys):
     assert rc == 0
     assert "Correlation report (dataset s1)" in out
     assert "Correlation report (dataset s2)" in out
+
+
+def test_report_per_dataset_json_is_one_document(tmp_path, capsys):
+    pairs, annotations = write_two_source_corpus(tmp_path)
+    argv = ["report", "--pairs", pairs, "--annotations", annotations,
+            "--metrics", "word_overlap,chrf", "--heuristics", "2",
+            "--out-format", "json"]
+    assert main([*argv, "--per-dataset"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"s1", "s2"}
+    for source in ("s1", "s2"):
+        assert doc[source]["label"] == f"dataset {source}"
+        assert doc[source]["n_pairs"] == 4
+    # one panel keeps the report's own object, not one keyed by panel
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "all annotators"
+
+
+@pytest.mark.parametrize("command, extra, panels", [
+    ("report", ["--per-dataset"], ["dataset s1", "dataset s2"]),
+    ("style-report", [], ["Radical-only gold", "Centrist-only gold"]),
+])
+def test_multi_panel_csv_has_one_header(tmp_path, capsys, command, extra,
+                                        panels):
+    if command == "report":
+        pairs, annotations = write_two_source_corpus(tmp_path)
+    else:
+        pairs, annotations = write_corpus(tmp_path, with_radical=True)
+    assert main([command, "--pairs", pairs, "--annotations", annotations,
+                 "--metrics", "word_overlap,chrf", "--heuristics", "2",
+                 "--out-format", "csv", *extra]) == 0
+    out = capsys.readouterr().out
+    assert out.count("panel,filter,metric,") == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    # per panel: 2 metrics x (baseline + subset [2])
+    assert [r["panel"] for r in rows] == [p for p in panels for _ in range(4)]
+    assert [r["filter"] for r in rows] == ["baseline"] * 2 + ["2"] * 2 \
+        + ["baseline"] * 2 + ["2"] * 2
 
 
 def test_dropped_pairs_of_a_partial_distance_channel(tmp_path, capsys):

@@ -96,7 +96,8 @@ def test_bad_is_random(tmp_path):
 
 def test_bad_label(tmp_path):
     bad = ANNOTATIONS_CSV.replace("w1,5", "w1,6")
-    with pytest.raises(CorpusError, match="outside 1-5"):
+    with pytest.raises(CorpusError, match=r"ann\.csv row 2: label 6 for "
+                                          r"pair 'p1' outside 1-5$"):
         load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV),
                     write(tmp_path, "ann.csv", bad))
 
@@ -126,9 +127,41 @@ def test_non_finite_precomputed_score(tmp_path):
 
 def test_unknown_pair_reference(tmp_path):
     bad = ANNOTATIONS_CSV + "p9,w1,3,10\n"
-    with pytest.raises(CorpusError, match="unknown pair_id"):
+    with pytest.raises(CorpusError, match=r"ann\.csv row 5: annotation "
+                                          r"references unknown pair_id 'p9'$"):
         load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV),
                     write(tmp_path, "ann.csv", bad))
+
+
+@pytest.mark.parametrize("pairs_extra, ann_extra, message", [
+    ("p1,sts,0,a b,c d\n", "",
+     "pairs.csv row 4: duplicate pair_id 'p1'"),
+    ("", "p1,w2,3,9.0\n",
+     "ann.csv row 5: annotator 'w2' labeled pair 'p1' twice"),
+    ("", "p2,w2,3,-1.0\n",
+     "ann.csv row 5: negative duration -1.0 for pair 'p2'"),
+    ("p3,sts,0,a b,  \n", "",
+     "pairs.csv row 4: pair 'p3' has an empty text side"),
+    (",sts,0,a b,c d\n", "",
+     "pairs.csv row 4: pair with empty pair_id"),
+], ids=["duplicate pair", "duplicate annotation", "negative duration",
+        "empty text side", "empty pair_id"])
+def test_bad_corpus_row_names_file_and_row(tmp_path, pairs_extra, ann_extra,
+                                           message):
+    pairs = write(tmp_path, "pairs.csv", PAIRS_CSV + pairs_extra)
+    ann = write(tmp_path, "ann.csv", ANNOTATIONS_CSV + ann_extra)
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(pairs, ann)
+    assert str(exc.value) == f"{tmp_path}/{message}"
+
+
+def test_first_bad_row_in_file_order_is_reported(tmp_path):
+    # row 2's label is out of range; row 3's duration is not a number
+    ann = write(tmp_path, "ann.csv",
+                "pair_id,annotator_id,label,duration_seconds\n"
+                "p1,w1,7,1.0\np1,w2,3,fast\n")
+    with pytest.raises(CorpusError, match=r"ann\.csv row 2: label 7 "):
+        load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV), ann)
 
 
 def test_duplicate_pair_id():
@@ -175,6 +208,16 @@ def test_precomputed_channel(tmp_path, tiny_corpus):
 def test_precomputed_unknown_pair(tiny_corpus):
     with pytest.raises(CorpusError, match="unknown pair"):
         attach_precomputed(tiny_corpus, "bert", {"nope": 1.0})
+
+
+def test_precomputed_unknown_pair_names_file_and_row(tmp_path, tiny_corpus):
+    path = write(tmp_path, "scores.csv", "pair_id,score\np1,0.5\np9,x\n")
+    with pytest.raises(CorpusError) as exc:
+        load_precomputed(path, tiny_corpus)
+    assert str(exc.value) == f"{path} row 3: unknown pair 'p9'"
+    # without a corpus the ids are not checked
+    write(tmp_path, "scores.csv", "pair_id,score\np9,0.5\n")
+    assert load_precomputed(path) == {"p9": 0.5}
 
 
 def test_precomputed_duplicate_row(tmp_path):

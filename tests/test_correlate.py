@@ -21,9 +21,8 @@ from labelsim.correlate import (
     metric_universe,
     pearson,
     percent_change,
-    render_report_csv,
-    render_report_json,
     render_report_text,
+    render_reports,
     report_doc,
     spearman,
     style_split_report,
@@ -34,13 +33,13 @@ from labelsim.heuristics import (HeuristicId, compute_flag_reports,
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
 from labelsim.textmetrics import (bleu, chrf, lexical_metric_names,
-                                  meteor_lite, rouge_l, rouge_n,
-                                  score_pair_lexical, tokenize, word_overlap)
+                                  meteor_lite, rouge_l, rouge_n, tokenize,
+                                  word_overlap)
 
 from conftest import make_corpus
 from oracles import (chrf_oracle, correlation_report_oracle, counter_bleu,
                      jaccard_oracle, loop_ranks, pearson_oracle, rank_oracle,
-                     rouge_n_oracle, spearman_oracle)
+                     rouge_n_oracle, score_pair_lexical, spearman_oracle)
 
 
 # ------------------------------------------------------------ correlation
@@ -625,9 +624,9 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
     assert kept.cells["m"] == report.baseline["m"]
     assert kept.pct_change["m"] == (0.0, 0.0)
 
-    csv_rows = render_report_csv(report).splitlines()
+    csv_rows = render_reports(report, "csv").splitlines()
     assert "slow panel,1,m,,,,,0,,1" in csv_rows
-    doc = json.loads(render_report_json(report))
+    doc = json.loads(render_reports(report, "json"))
     assert doc["subsets"][0]["cells"]["m"] == {
         "pearson": None, "spearman": None, "n_pairs": 0,
         "pearson_pct": None, "spearman_pct": None}
@@ -635,13 +634,13 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
     assert text_rows[3].split() == ["[1]", "n/a"]
 
 
-def test_correlation_report_baseline_needs_three_observations():
+def test_correlation_report_baseline_needs_three_observations(monkeypatch):
+    monkeypatch.setattr(correlate, "UNAVAILABLE_FRACTION", 1.0)
     corpus, metric_scores = report_fixture()
     few = {"m": dict(list(metric_scores["m"].items())[:2])}
     with pytest.raises(ValueError, match="^all annotators: metric 'm': "
                        "correlation needs at least 3 observations$"):
-        correlation_report(corpus, few, subsets=[[HeuristicId.SLOW]],
-                           unavailable_fraction=1.0)
+        correlation_report(corpus, few, subsets=[[HeuristicId.SLOW]])
 
 
 def test_correlation_report_per_annotation_gold():
@@ -704,7 +703,7 @@ def rendered_report():
 
 def test_render_report_csv():
     report = rendered_report()
-    text = render_report_csv(report)
+    text = render_reports(report, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == ("panel,filter,metric,pearson,spearman,pearson_pct,"
                         "spearman_pct,n_pairs,dropped_pairs,removed_annotators")
@@ -720,7 +719,7 @@ def test_render_report_csv():
 
 def test_render_report_json_round_trip():
     report = rendered_report()
-    doc = json.loads(render_report_json(report))
+    doc = json.loads(render_reports(report, "json"))
     assert doc["label"] == "all, annotators"
     assert doc["status"] == "ok"
     assert doc["metrics"] == ["m"]
@@ -738,6 +737,24 @@ def test_render_report_json_round_trip():
     assert doc == report_doc(report)
 
 
+def test_render_reports_joins_panels_into_one_document():
+    first = rendered_report()
+    corpus, metric_scores = report_fixture()
+    second = correlation_report(corpus, metric_scores,
+                                subsets=[[HeuristicId.SLOW]], label="other")
+    panels = {"x": first, "y": second}
+
+    lines = render_reports(panels, "csv").splitlines()
+    assert lines == render_reports(first, "csv").splitlines() \
+        + render_reports(second, "csv").splitlines()[1:]
+    assert sum(line.startswith("panel,") for line in lines) == 1
+    assert json.loads(render_reports(panels, "json")) == {
+        "x": report_doc(first), "y": report_doc(second)}
+    assert render_reports(panels, "text") == \
+        render_report_text(first) + render_report_text(second)
+    assert render_reports(first, "text") == render_report_text(first)
+
+
 def test_report_doc_rounds_floats_and_keeps_undefined_cells():
     cell = correlate.MetricCorrelation(1 / 3, None, 3)
     report = CorrelationReport(
@@ -752,7 +769,7 @@ def test_report_doc_rounds_floats_and_keeps_undefined_cells():
     sub = doc["subsets"][0]["cells"]["m"]
     assert sub["pearson_pct"] == -0.666666666667
     assert sub["spearman_pct"] is None
-    assert '"pearson": 0.333333333333,' in render_report_json(report)
+    assert '"pearson": 0.333333333333,' in render_reports(report, "json")
 
 
 def test_render_report_text():

@@ -10,7 +10,7 @@ from labelsim.heuristics import (HeuristicConfig, HeuristicId, Scorers,
                                  flagged_annotators, heuristic_subsets,
                                  normalize_subset, sentiment_qualifying_pairs,
                                  subset_label)
-from labelsim.stats import annotator_profile, annotator_profiles
+from labelsim.stats import annotator_profiles
 
 from conftest import make_corpus
 import oracles
@@ -26,7 +26,7 @@ def evidence(corpus, h, annotator_id="w", scorers=None):
 
 
 def disagreement_rate(corpus, annotator_id):
-    return annotator_profile(corpus, annotator_id).disagreement_rate
+    return annotator_profiles(corpus)[annotator_id].disagreement_rate
 
 
 def single_annotator_corpus(labels, durations=None, random_flags=None):

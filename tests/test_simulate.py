@@ -7,18 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from labelsim.heuristics import (
-    FlagReport,
-    HeuristicId,
-    compute_flag_reports,
-)
 from labelsim.simulate import (
-    GroundTruth,
     PopulationSpec,
     ProfileKind,
     ProfileSpec,
     generate_corpus,
-    heuristic_confusion,
     save_ground_truth,
 )
 from labelsim.textmetrics import tokenize, word_overlap
@@ -56,7 +49,7 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError, match="min_tokens"):
         small_spec(min_tokens=5, max_tokens=4).validate()
     with pytest.raises(ValueError, match="vocabulary too small"):
-        small_spec(vocab_size=10).validate()
+        small_spec(max_tokens=301).validate()
 
 
 def test_profile_validation_errors():
@@ -235,55 +228,6 @@ def test_radical_and_centrist_label_distributions():
     assert {1, 5} <= set(rad_labels)
     # full-strength centrists never reach 1 or 5
     assert not {1, 5} & set(cen_labels)
-
-
-# ----------------------------------------------------------- confusion
-
-
-def test_heuristic_confusion_counts():
-    truth = GroundTruth(
-        annotator_kinds={
-            "a": ProfileKind.CONSTANT,
-            "b": ProfileKind.CONSTANT,
-            "c": ProfileKind.RELIABLE,
-        },
-        latent={},
-    )
-    H = HeuristicId.LOW_VARIANCE
-    reports = {
-        "a": FlagReport("a", frozenset({H}), {}),
-        "b": FlagReport("b", frozenset(), {}),
-        "c": FlagReport("c", frozenset({H}), {}),
-    }
-    table = heuristic_confusion(truth, reports, [H])
-    cell = table[H][ProfileKind.CONSTANT]
-    assert cell.planted == 2
-    assert cell.flagged == 2
-    assert cell.true_positive == 1
-    assert cell.precision == 0.5
-    assert cell.recall == 0.5
-    reliable = table[H][ProfileKind.RELIABLE]
-    assert reliable.true_positive == 1
-    assert reliable.recall == 1.0
-
-
-def test_heuristic_confusion_no_flags_has_no_precision():
-    truth = GroundTruth(
-        annotator_kinds={"a": ProfileKind.CONSTANT}, latent={})
-    reports = {"a": FlagReport("a", frozenset(), {})}
-    table = heuristic_confusion(truth, reports, [HeuristicId.SLOW])
-    cell = table[HeuristicId.SLOW][ProfileKind.CONSTANT]
-    assert cell.precision is None
-    assert cell.recall == 0.0
-
-
-def test_confusion_on_generated_corpus():
-    corpus, truth = generate_corpus(small_spec(n_pairs=80))
-    reports = compute_flag_reports(corpus, [HeuristicId.LOW_VARIANCE])
-    table = heuristic_confusion(truth, reports, [HeuristicId.LOW_VARIANCE])
-    cell = table[HeuristicId.LOW_VARIANCE][ProfileKind.CONSTANT]
-    # a constant labeler has zero variance, the definition of the flag
-    assert cell.recall == 1.0
 
 
 # --------------------------------------------------------- ground truth

@@ -5,8 +5,8 @@ import pytest
 
 from labelsim.heuristics import (HeuristicConfig, HeuristicId,
                                  compute_flag_reports)
-from labelsim.stats import (Style, annotator_profile, annotator_profiles,
-                            classify_style, population_variance, reduce_label)
+from labelsim.stats import (Style, annotator_profiles, classify_style,
+                            population_variance, reduce_label)
 
 from conftest import make_corpus
 from oracles import pvariance_oracle
@@ -62,7 +62,7 @@ def test_mean_duration_adds_left_to_right():
         [(f"p{i}", "ann", 3, 0.1) for i in range(10)])
     mean = 0.9999999999999999 / 10
     assert mean != 0.1
-    assert annotator_profile(corpus, "ann").mean_duration == mean
+    assert annotator_profiles(corpus)["ann"].mean_duration == mean
     # heuristic 1 sees the same mean: equal to the threshold, so not slow
     cfg = HeuristicConfig(slow_threshold=mean)
     report = compute_flag_reports(corpus, [HeuristicId.SLOW], cfg)["ann"]
@@ -89,7 +89,7 @@ def test_profile_constant_labels():
     corpus = make_corpus(
         [("p1", "a b", "c d"), ("p2", "e f", "g h"), ("p3", "i j", "k l")],
         [("p1", "w", 4), ("p2", "w", 4), ("p3", "w", 4)])
-    prof = annotator_profile(corpus, "w")
+    prof = annotator_profiles(corpus)["w"]
     assert prof.n_labels == 3
     assert prof.label_variance == 0.0
     assert prof.central_share == 1.0
@@ -100,7 +100,7 @@ def test_profile_constant_labels():
 def test_profile_full_scale():
     pairs = [(f"p{i}", "a b", "c d") for i in range(5)]
     anns = [(f"p{i}", "w", i + 1, 10.0 * (i + 1)) for i in range(5)]
-    prof = annotator_profile(make_corpus(pairs, anns), "w")
+    prof = annotator_profiles(make_corpus(pairs, anns))["w"]
     assert prof.label_variance == 2.0
     assert prof.mean_duration == pytest.approx(30.0)
     # labels != 3 are 1,2,4,5: half extreme, half central
@@ -114,14 +114,14 @@ def test_profile_random_vs_nonrandom_means():
         [("r1", "a b", "c d", True), ("r2", "e f", "g h", True),
          ("n1", "i j", "k l"), ("n2", "m n", "o p")],
         [("r1", "w", 5), ("r2", "w", 5), ("n1", "w", 2), ("n2", "w", 2)])
-    prof = annotator_profile(corpus, "w")
+    prof = annotator_profiles(corpus)["w"]
     assert prof.mean_random == 5.0
     assert prof.mean_nonrandom == 2.0
 
 
 def test_profile_undefined_means_are_none():
     corpus = make_corpus([("p1", "a b", "c d")], [("p1", "w", 3)])
-    prof = annotator_profile(corpus, "w")
+    prof = annotator_profiles(corpus)["w"]
     assert prof.mean_random is None
     assert prof.mean_nonrandom == 3.0
     assert prof.extreme_share is None
@@ -135,7 +135,7 @@ def test_share_sum_invariant():
         n = rng.randint(1, 12)
         pairs = [(f"p{i}", "a b", "c d") for i in range(n)]
         anns = [(f"p{i}", "w", rng.randint(1, 5)) for i in range(n)]
-        prof = annotator_profile(make_corpus(pairs, anns), "w")
+        prof = annotator_profiles(make_corpus(pairs, anns))["w"]
         if prof.extreme_share is not None:
             assert prof.extreme_share + prof.central_share == pytest.approx(1.0)
         assert prof.label_variance >= 0.0
@@ -149,7 +149,7 @@ def test_style_depends_only_on_label_multiset():
         rng.shuffle(labels)
         pairs = [(f"p{i}", "a b", "c d") for i in range(len(labels))]
         anns = [(f"p{i}", "w", l) for i, l in enumerate(labels)]
-        style = annotator_profile(make_corpus(pairs, anns), "w").style
+        style = annotator_profiles(make_corpus(pairs, anns))["w"].style
         base = base or style
         assert style is base
 
@@ -160,18 +160,13 @@ def test_exclude_midpoint_variance_flag():
     pairs = [(f"p{i}", "a b", "c d") for i in range(len(labels))]
     anns = [(f"p{i}", "w", l) for i, l in enumerate(labels)]
     corpus = make_corpus(pairs, anns)
-    plain = annotator_profile(corpus, "w")
-    flagged = annotator_profile(corpus, "w",
-                                exclude_midpoint_from_variance=True)
+    plain = annotator_profiles(corpus)["w"]
+    flagged = annotator_profiles(
+        corpus, exclude_midpoint_from_variance=True)["w"]
     assert plain.label_variance == pytest.approx(pvariance_oracle(labels))
     assert flagged.label_variance == pytest.approx(pvariance_oracle([1, 5]))
     assert plain.style is Style.EXCLUDED       # variance 0.8 is at most 1
     assert flagged.style is Style.RADICAL      # variance 4 clears the bar
-
-
-def test_unknown_annotator(tiny_corpus):
-    with pytest.raises(ValueError, match="no annotations"):
-        annotator_profile(tiny_corpus, "ghost")
 
 
 def test_profiles_cover_everyone(tiny_corpus):

@@ -9,9 +9,10 @@ from labelsim.textmetrics import (EmptyText, bleu, bleu_block,
                                   chrf, chrf_block, lexical_metric_names,
                                   light_stem, meteor_lite, require_tokens,
                                   rouge_l, rouge_n, score_lexical_block,
-                                  score_pair_lexical, tokenize, word_overlap)
+                                  tokenize, word_overlap)
 
 import oracles
+from oracles import score_pair_lexical
 
 
 def random_tokens(rng, min_len=1, max_len=8, vocab="abcdef"):
