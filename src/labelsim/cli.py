@@ -219,6 +219,9 @@ def _prepare_scoring(corpus, args):
             print(f"warning: skipping {', '.join(skipped)}: "
                   "no --embeddings file given", file=sys.stderr)
             metrics = [m for m in metrics if m not in skipped]
+            if not metrics:
+                raise ValueError(
+                    f"every requested metric was skipped: {', '.join(skipped)}")
 
     gold_tags = None
     if pos_tags_path:
@@ -305,13 +308,14 @@ def cmd_flag(args) -> int:
     reports = compute_flag_reports(corpus, subset, cfg, scorers)
 
     if args.all_subsets:
-        # hand-quoted: an id with a comma or quote is written unquoted
-        lines = ["subset,n_removed,removed_annotators"]
+        # the subset label is always quoted, by hand; the ids only where
+        # CSV needs it
+        lines = ["subset,n_removed,removed_annotators\n"]
         for sub in heuristic_subsets(subset):
             removed = sorted(flagged_annotators(reports, sub))
-            lines.append('"%s",%d,%s' % (subset_label(sub), len(removed),
-                                         ";".join(removed)))
-        _write_output("\n".join(lines) + "\n", args.out)
+            lines.append('"%s",' % subset_label(sub)
+                         + _csv_text([[len(removed), ";".join(removed)]]))
+        _write_output("".join(lines), args.out)
         return 0
     rows = [["annotator_id", "flags", "evidence"]]
     for aid in sorted(reports):
@@ -348,17 +352,19 @@ def _report_common(args):
     scorers = _build_scorers(corpus, cfg, args)
     metrics, kwargs = _prepare_scoring(corpus, args)
     scores = correlate.compute_metric_scores(corpus, metrics, **kwargs)
-    subsets = heuristic_subsets(_parse_heuristics(args.heuristics))
-    return corpus, cfg, scorers, scores, subsets
+    heuristics = _parse_heuristics(args.heuristics)
+    # a run's one flag pass over a corpus: the same call `flag` makes
+    return corpus, scores, \
+        lambda c: compute_flag_reports(c, heuristics, cfg, scorers)
 
 
 def cmd_report(args) -> int:
-    corpus, cfg, scorers, scores, subsets = _report_common(args)
+    corpus, scores, flag_pass = _report_common(args)
 
-    def one(c, sc, label):
+    def one(c, label):
         return correlate.correlation_report(
-            c, sc, subsets=subsets, cfg=cfg, scorers=scorers,
-            label=label, per_annotation=args.per_annotation_gold)
+            c, scores, flag_pass(c), label=label,
+            per_annotation=args.per_annotation_gold)
 
     if args.per_dataset:
         panels = {}
@@ -370,21 +376,17 @@ def cmd_report(args) -> int:
                                   if a.pair_id in pair_ids),
                 precomputed_scores=corpus.precomputed_scores,
             )
-            sub_scores = {m: {pid: v for pid, v in vals.items()
-                              if pid in pair_ids}
-                          for m, vals in scores.items()}
-            panels[source] = one(sub, sub_scores,
-                                 f"dataset {source or '(unnamed)'}")
+            panels[source] = one(sub, f"dataset {source or '(unnamed)'}")
     else:
-        panels = one(corpus, scores, "all annotators")
+        panels = one(corpus, "all annotators")
     _write_output(correlate.render_reports(panels, args.out_format), args.out)
     return 0
 
 
 def cmd_style_report(args) -> int:
-    corpus, cfg, scorers, scores, subsets = _report_common(args)
+    corpus, scores, flag_pass = _report_common(args)
     radical, centrist = correlate.style_split_report(
-        corpus, scores, subsets=subsets, cfg=cfg, scorers=scorers,
+        corpus, scores, flag_pass(corpus),
         exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
     _write_output(correlate.render_reports(
         {"radical": radical, "centrist": centrist}, args.out_format), args.out)

@@ -12,12 +12,15 @@ always means more similar, and leaves out the pairs a metric cannot score.
 :func:`correlation_report` works on integer columns: the corpus's cached
 annotation columns give every annotation a (pair index, annotator index,
 label) row, with pairs indexed in sorted ``pair_id`` order, and every
-usable metric becomes a value array with a ``defined`` mask over those
-pairs.  A filter subset is then only a keep mask over annotators (the
-panel minus the annotators its flags remove); gold means come from
-``np.bincount`` over the kept rows, and the observations handed to
-:func:`pearson` and :func:`spearman` are, element for element and in
-order, those of a join on sorted pair ids.
+metric becomes a value array with a ``defined`` mask over those pairs;
+the mask's gaps are the metric's dropped pairs.  A filter subset is then
+only a keep mask over annotators (the panel minus the annotators its
+flags remove).  The flags are the caller's: one
+:class:`~labelsim.heuristics.FlagPass` from ``compute_flag_reports`` is
+handed to every report of a run, and this module runs no heuristic
+itself.  Gold means come from ``np.bincount`` over the kept rows, and
+the observations handed to :func:`pearson` and :func:`spearman` are,
+element for element and in order, those of a join on sorted pair ids.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import LabeledCorpus, SentencePair
-from .heuristics import (HeuristicConfig, HeuristicId, Scorers,
-                         compute_flag_reports, flagged_annotators,
+from .heuristics import (FlagPass, HeuristicId, flagged_annotators,
                          heuristic_subsets, normalize_subset, subset_label)
 from . import embmetrics, textmetrics
 
@@ -404,27 +406,10 @@ def _pct_pair(cell: MetricCorrelation, base: MetricCorrelation
             pct(cell.spearman, base.spearman))
 
 
-def _normalized_subsets(subsets: Optional[Sequence[Sequence[HeuristicId]]]
-                        ) -> list[tuple[HeuristicId, ...]]:
-    return [normalize_subset(s) for s in subsets] if subsets is not None \
-        else heuristic_subsets()
-
-
-def _subset_flag_reports(corpus: LabeledCorpus,
-                         subsets: Sequence[tuple[HeuristicId, ...]],
-                         cfg: Optional[HeuristicConfig],
-                         scorers: Optional[Scorers]) -> dict:
-    """One flag pass covering every heuristic the subsets use."""
-    universe = sorted({h for s in subsets for h in s})
-    return compute_flag_reports(corpus, universe, cfg, scorers)
-
-
 def correlation_report(corpus: LabeledCorpus,
                        metric_scores: Mapping[str, Mapping[str, float]],
+                       reports: FlagPass,
                        subsets: Optional[Sequence[Sequence[HeuristicId]]] = None,
-                       cfg: Optional[HeuristicConfig] = None,
-                       scorers: Optional[Scorers] = None,
-                       reports: Optional[dict] = None,
                        annotator_ids: Optional[set] = None,
                        label: str = "all annotators",
                        per_annotation: bool = False,
@@ -433,18 +418,24 @@ def correlation_report(corpus: LabeledCorpus,
 
     ``metric_scores`` holds oriented per-pair values as produced by
     :func:`compute_metric_scores`; a pair of ``corpus`` missing from a
-    metric's map counts as dropped.  A metric undefined on more than
+    metric's map counts as dropped, and a scored pair outside ``corpus``
+    is ignored.  A metric undefined on more than
     :data:`UNAVAILABLE_FRACTION` of the pairs is excluded and listed under
     ``unavailable``.  ``annotator_ids`` restricts the gold computation to
     a sub-population (the style reports use this).  A subset removes the
-    annotators whose ``reports`` carry any of its flags; without
-    ``reports`` one flag pass over ``corpus`` computes them.
+    annotators whose ``reports`` (one flag pass over ``corpus``) carry any
+    of its flags; ``subsets`` defaults to every non-empty subset of the
+    heuristics the pass evaluated, and a subset using any other heuristic
+    is an error.
     """
-    subsets = _normalized_subsets(subsets)
+    subsets = [normalize_subset(s) for s in subsets] if subsets is not None \
+        else heuristic_subsets(reports.heuristics)
+    removals = [tuple(sorted(flagged_annotators(reports, s))) for s in subsets]
 
-    n_pairs = len(corpus.pairs)
-    dropped = {name: n_pairs - len(values)
-               for name, values in metric_scores.items()}
+    columns = _Columns.build(corpus, metric_scores, list(metric_scores))
+    n_pairs = columns.n_pairs
+    dropped = {name: n_pairs - int(columns.defined[name].sum())
+               for name in metric_scores}
     usable: list[str] = []
     unavailable: dict[str, str] = {}
     for name, missing in dropped.items():
@@ -460,19 +451,14 @@ def correlation_report(corpus: LabeledCorpus,
             metrics=(), baseline={}, subsets=(), dropped=dropped,
             unavailable=unavailable, n_pairs=n_pairs)
 
-    columns = _Columns.build(corpus, metric_scores, usable)
     panel = columns.panel(annotator_ids)
     try:
         baseline = columns.cells(usable, panel, per_annotation)
     except ValueError as exc:
         raise type(exc)(f"{label}: {exc}") from None
 
-    if reports is None:
-        reports = _subset_flag_reports(corpus, subsets, cfg, scorers)
-
     subset_rows = []
-    for subset in subsets:
-        removed = tuple(sorted(flagged_annotators(reports, subset)))
+    for subset, removed in zip(subsets, removals):
         keep = panel.copy()
         keep[[columns.annotators[aid] for aid in removed
               if aid in columns.annotators]] = False
@@ -494,33 +480,23 @@ def correlation_report(corpus: LabeledCorpus,
 
 def style_split_report(corpus: LabeledCorpus,
                        metric_scores: Mapping[str, Mapping[str, float]],
+                       reports: FlagPass,
                        subsets: Optional[Sequence[Sequence[HeuristicId]]] = None,
-                       cfg: Optional[HeuristicConfig] = None,
-                       scorers: Optional[Scorers] = None,
                        exclude_midpoint_from_variance: bool = False,
                        ) -> tuple[CorrelationReport, CorrelationReport]:
     """Correlation reports using gold means from Radical-only and
-    Centrist-only annotators, in that order.  Both panels share one flag
-    pass over the corpus."""
+    Centrist-only annotators, in that order, both filtered by the one
+    flag pass ``reports``."""
     from .stats import Style, annotator_profiles
 
     profiles = annotator_profiles(
         corpus, exclude_midpoint_from_variance=exclude_midpoint_from_variance)
-    radical = {aid for aid, p in profiles.items() if p.style is Style.RADICAL}
-    centrist = {aid for aid, p in profiles.items() if p.style is Style.CENTRIST}
-
-    subsets = _normalized_subsets(subsets)
-    reports = None
-    if radical or centrist:
-        reports = _subset_flag_reports(corpus, subsets, cfg, scorers)
-
-    out = []
-    for style_name, ids in (("Radical", radical), ("Centrist", centrist)):
-        out.append(correlation_report(
-            corpus, metric_scores, subsets=subsets, cfg=cfg, scorers=scorers,
-            reports=reports, annotator_ids=ids,
-            label=f"{style_name}-only gold"))
-    return out[0], out[1]
+    return tuple(
+        correlation_report(corpus, metric_scores, reports, subsets,
+                           annotator_ids={aid for aid, p in profiles.items()
+                                          if p.style is style},
+                           label=f"{style.value}-only gold")
+        for style in (Style.RADICAL, Style.CENTRIST))
 
 
 # ---------------------------------------------------------------------------

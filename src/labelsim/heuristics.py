@@ -19,7 +19,10 @@ strict (``>`` for 1, 3, 4 and 5, ``<`` for 2).
 A filter on a heuristic subset is a set of removed annotators:
 :func:`flagged_annotators` takes the union of those whose reports carry
 any flag of the subset.  Flags are computed once, on the whole corpus,
-so a larger subset always removes a superset of annotators.
+so a larger subset always removes a superset of annotators.  That one
+pass, a :class:`FlagPass`, records the heuristics it evaluated, and a
+subset using any other heuristic is an error: an annotator never tested
+for a flag must not read as one who passed.
 """
 
 from __future__ import annotations
@@ -219,11 +222,20 @@ def _qualifying_variance(corpus: LabeledCorpus, qualifying: set[str],
             for s in sums]
 
 
+class FlagPass(dict[str, FlagReport]):
+    """Every annotator's :class:`FlagReport`, by annotator id, from one
+    flag pass; ``heuristics`` is the normalized subset it evaluated."""
+
+    def __init__(self, reports: Mapping[str, FlagReport],
+                 heuristics: tuple[HeuristicId, ...]):
+        super().__init__(reports)
+        self.heuristics = heuristics
+
+
 def compute_flag_reports(corpus: LabeledCorpus,
                          subset: Iterable[HeuristicId],
                          cfg: Optional[HeuristicConfig] = None,
-                         scorers: Optional[Scorers] = None
-                         ) -> dict[str, FlagReport]:
+                         scorers: Optional[Scorers] = None) -> FlagPass:
     """Evaluate the given heuristics for every annotator in one pass."""
     cfg = cfg or HeuristicConfig()
     cfg.validate()
@@ -238,16 +250,23 @@ def compute_flag_reports(corpus: LabeledCorpus,
         for found, value, limit in zip(evidence, values, thresholds):
             if value is not None and limit is not None and exceeds(value, limit):
                 found[h] = FlagEvidence(statistic, value, limit)
-    return {aid: FlagReport(annotator_id=aid, flags=frozenset(found),
-                            evidence=found)
-            for aid, found in zip(table.annotator_ids, evidence)}
+    return FlagPass({aid: FlagReport(annotator_id=aid, flags=frozenset(found),
+                                     evidence=found)
+                     for aid, found in zip(table.annotator_ids, evidence)},
+                    subset)
 
 
-def flagged_annotators(reports: Mapping[str, FlagReport],
+def flagged_annotators(reports: FlagPass,
                        subset: Iterable[HeuristicId]) -> frozenset[str]:
     """The annotators whose reports carry a flag of ``subset``: those a
-    filter on ``subset`` removes."""
+    filter on ``subset`` removes.  A heuristic of ``subset`` that the pass
+    did not evaluate is an error."""
     flags = set(subset)
+    missing = flags.difference(reports.heuristics)
+    if missing:
+        raise ValueError(
+            f"the flag pass did not evaluate heuristics {subset_label(missing)}"
+            f" (it evaluated {subset_label(reports.heuristics)})")
     return frozenset(aid for aid, rep in reports.items() if rep.flags & flags)
 
 

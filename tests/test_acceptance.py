@@ -257,8 +257,8 @@ def test_acceptance_6_filtering_improves_correlation(synthetic_runs):
     t0 = time.monotonic()
     for corpus, _, reports in runs:
         scores = compute_metric_scores(corpus, list(LEXICAL_METRICS))
-        report = correlation_report(corpus, scores, subsets=[subset],
-                                    reports=reports)
+        report = correlation_report(corpus, scores, reports,
+                                    subsets=[subset])
         assert report.metrics == LEXICAL_METRICS
         (row,) = report.subsets
         for name in LEXICAL_METRICS:
@@ -295,7 +295,8 @@ def test_acceptance_7_real_data_baselines():
     scores = compute_metric_scores(corpus, ["rouge1", "bleu"])
 
     t0 = time.monotonic()
-    report = correlation_report(corpus, scores)  # all 31 subsets
+    reports = compute_flag_reports(corpus, list(HeuristicId))
+    report = correlation_report(corpus, scores, reports)  # all 31 subsets
     elapsed = time.monotonic() - t0
 
     rouge1_r = report.baseline["rouge1"].pearson

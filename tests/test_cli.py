@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelsim import embmetrics
+from labelsim import cli, embmetrics
 from labelsim.cli import (_build_heuristic_config, build_parser, main,
                           read_config)
 from labelsim.corpus import CorpusError, load_corpus
@@ -384,6 +384,8 @@ def write_comma_id_corpus(tmp_path):
     (["stats"], "annotator_id", 'a,"x"'),
     (["flag", "--heuristics", "2"], "annotator_id", 'a,"x"'),
     (["metrics", "--metrics", "word_overlap"], "pair_id", "p,1"),
+    (["flag", "--heuristics", "1,2", "--all-subsets"], "removed_annotators",
+     'a,"x"'),
 ])
 def test_csv_output_quotes_ids_that_need_it(tmp_path, capsys, argv, column,
                                             value):
@@ -397,6 +399,10 @@ def test_csv_output_quotes_ids_that_need_it(tmp_path, capsys, argv, column,
     # quoting is what changes: every other row reads as before
     if argv[0] == "stats":
         assert out.splitlines()[1].startswith('"a,""x""",6,30.000000,')
+    elif "--all-subsets" in argv:
+        # the subset label keeps its hand quoting
+        assert out.splitlines()[1:] == ['"[1]",0,', '"[2]",1,"a,""x"""',
+                                        '"[1, 2]",1,"a,""x"""']
     elif argv[0] == "flag":
         assert out.splitlines()[1] == (
             '"a,""x""",2,2:label_variance=0.000000 vs 1')
@@ -652,6 +658,23 @@ def test_metrics_warn_skips_embedding_metrics(tmp_path, capsys):
     assert "warning: skipping cosine, l2, wmd, pos_dist" in captured.err
     assert captured.out.startswith(
         "pair_id,word_overlap,bleu1,bleu,chrf,rouge1,rouge2,rougeL,meteor")
+
+
+@pytest.mark.parametrize("command, metrics, skipped", [
+    ("metrics", "cosine", "cosine"),
+    ("report", "embedding", "cosine, l2, wmd, pos_dist"),
+    ("style-report", "cosine,wmd", "cosine, wmd")])
+def test_a_run_whose_every_metric_is_skipped_fails(tmp_path, capsys, command,
+                                                   metrics, skipped):
+    pairs, annotations = write_corpus(tmp_path)
+    rc = main([command, "--pairs", pairs, "--annotations", annotations,
+               "--metrics", metrics])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"warning: skipping {skipped}: no --embeddings file given\n"
+        f"error: every requested metric was skipped: {skipped}\n")
 
 
 def test_metrics_with_embeddings(tmp_path, capsys):
@@ -1087,6 +1110,28 @@ def test_style_report_text(tmp_path, capsys):
     assert rc == 0
     assert "Correlation report (Radical-only gold)" in out
     assert "Correlation report (Centrist-only gold)" in out
+
+
+@pytest.mark.parametrize("command, extra, sizes", [
+    ("style-report", [], [8]),  # both panels read one pass
+    ("report", [], [8]),
+    ("report", ["--per-dataset"], [4, 4]),  # one pass per source corpus
+], ids=["style-report", "report", "report-per-dataset"])
+def test_report_runs_one_flag_pass_per_corpus(tmp_path, capsys, monkeypatch,
+                                              command, extra, sizes):
+    made = []
+    real = cli.compute_flag_reports
+
+    def counting(corpus, *args, **kwargs):
+        made.append(len(corpus.pairs))
+        return real(corpus, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_flag_reports", counting)
+    pairs, annotations = write_two_source_corpus(tmp_path)
+    assert main([command, "--pairs", pairs, "--annotations", annotations,
+                 "--metrics", "word_overlap", "--heuristics", "1,2",
+                 *extra]) == 0
+    assert made == sizes
 
 
 @pytest.fixture(scope="module")

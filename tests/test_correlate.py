@@ -169,6 +169,11 @@ def test_percent_change():
 # ------------------------------------------------------------- pair gold
 
 
+def flags(corpus, *heuristics):
+    """One flag pass over the numbered heuristics."""
+    return compute_flag_reports(corpus, [HeuristicId(h) for h in heuristics])
+
+
 def gold_fixture():
     """Five pairs with two, one or no labels: the slow 'junk' never saw
     p3, and nobody labeled p5."""
@@ -184,8 +189,7 @@ def gold_fixture():
 def test_pair_gold_means():
     # with unequal label counts, gold is each pair's own mean
     corpus, metric_scores = gold_fixture()
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]])
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1))
     xs = [0.1, 0.2, 0.3, 0.4]
     assert report.baseline["m"].pearson == pearson(xs, [2.0, 3.0, 5.0, 3.5])
     assert report.baseline["m"].n_pairs == 4
@@ -197,8 +201,7 @@ def test_pair_gold_means():
 def test_pair_gold_annotator_restriction():
     # a panel's gold reads its own labels and skips the pairs it never saw
     corpus, metric_scores = gold_fixture()
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]],
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1),
                                 annotator_ids={"junk"})
     assert report.baseline["m"].pearson == \
         pearson([0.1, 0.2, 0.4], [3.0, 2.0, 5.0])
@@ -216,7 +219,7 @@ def test_pair_gold_skips_unannotated_pairs():
     corpus4 = make_corpus(pairs, annotations)
     for per_annotation in (False, True):
         report, report4 = (
-            correlation_report(c, metric_scores, subsets=[[HeuristicId.SLOW]],
+            correlation_report(c, metric_scores, flags(c, 1),
                                per_annotation=per_annotation)
             for c in (corpus, corpus4))
         assert report.n_pairs == 5
@@ -519,7 +522,7 @@ def report_fixture():
 def test_correlation_report_baseline_and_filtering():
     corpus, metric_scores = report_fixture()
     report = correlation_report(
-        corpus, metric_scores,
+        corpus, metric_scores, flags(corpus, 1, 2),
         subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
     assert report.status == "ok"
     assert report.metrics == ("m",)
@@ -550,7 +553,8 @@ def test_correlation_report_baseline_and_filtering():
 
 def test_correlation_report_default_subsets_are_all_31():
     corpus, metric_scores = report_fixture()
-    report = correlation_report(corpus, metric_scores)
+    report = correlation_report(corpus, metric_scores,
+                                flags(corpus, *HeuristicId))
     assert len(report.subsets) == 31
     assert report.subsets[0].subset == (HeuristicId.SLOW,)
     assert len(report.subsets[-1].subset) == 5
@@ -564,12 +568,44 @@ def test_correlation_report_default_subsets_are_all_31():
     ]
 
 
+def test_correlation_report_default_subsets_are_those_of_the_pass():
+    corpus, metric_scores = report_fixture()
+    report = correlation_report(corpus, metric_scores, flags(corpus, 2, 1))
+    assert [row.subset for row in report.subsets] == [
+        (HeuristicId.SLOW,), (HeuristicId.LOW_VARIANCE,),
+        (HeuristicId.SLOW, HeuristicId.LOW_VARIANCE)]
+    assert [row.removed_annotators for row in report.subsets] == [
+        (), ("junk",), ("junk",)]
+
+
+@pytest.mark.parametrize("panel", [None, set()])
+def test_correlation_report_refuses_a_subset_its_pass_never_evaluated(panel):
+    # even a report with nothing to correlate refuses: the error is in
+    # the request, not in the data
+    corpus, metric_scores = report_fixture()
+    with pytest.raises(ValueError, match=r"did not evaluate heuristics \[1\]"):
+        correlation_report(
+            corpus, metric_scores, flags(corpus, 2), annotator_ids=panel,
+            subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
+
+
+def test_dropped_pairs_counts_only_corpus_pairs():
+    # 'm' lacks p6 and scores 4 pairs the corpus does not hold
+    corpus, metric_scores = report_fixture()
+    inside = {pid: v for pid, v in metric_scores["m"].items() if pid != "p6"}
+    outside = {f"x{i}": 0.5 for i in range(4)}
+    report = correlation_report(corpus, {"m": {**inside, **outside}},
+                                flags(corpus, 2))
+    assert report.dropped == {"m": 1}
+    alone = correlation_report(corpus, {"m": inside}, flags(corpus, 2))
+    assert report == alone
+
+
 def test_correlation_report_unavailable_metric():
     corpus, metric_scores = report_fixture()
     metric_scores = dict(metric_scores)
     metric_scores["part"] = {"p1": 0.5, "p2": 0.7}  # 4 of 6 missing
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]])
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1))
     assert report.metrics == ("m",)
     assert "part" in report.unavailable
     assert "undefined on 4 of 6 pairs" in report.unavailable["part"]
@@ -586,7 +622,7 @@ def test_correlation_report_skips_metric_only_pairs():
     corpus7 = make_corpus(pairs, annotations)
     report = correlation_report(corpus7,
                                 {"m": dict(metric_scores["m"], p7=0.9)},
-                                subsets=[[HeuristicId.SLOW]])
+                                flags(corpus7, 1))
     # p7 has a metric value but no annotations, so it never joins the gold
     assert report.baseline["m"].n_pairs == 6
     assert report.n_pairs == 7
@@ -594,8 +630,7 @@ def test_correlation_report_skips_metric_only_pairs():
 
 def test_correlation_report_empty_panel():
     corpus, metric_scores = report_fixture()
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]],
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1),
                                 annotator_ids=set(), label="nobody")
     assert report.status == "empty: no annotators in this panel"
     assert report.metrics == ()
@@ -614,7 +649,8 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
     corpus = make_corpus(pairs, annotations)
     metric_scores = {"m": {f"p{i}": i / 10.0 for i in range(1, 7)}}
     report = correlation_report(
-        corpus, metric_scores, annotator_ids={"slow"}, label="slow panel",
+        corpus, metric_scores, flags(corpus, 1, 2), annotator_ids={"slow"},
+        label="slow panel",
         subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
     assert report.status == "ok"
     emptied, kept = report.subsets
@@ -640,13 +676,12 @@ def test_correlation_report_baseline_needs_three_observations(monkeypatch):
     few = {"m": dict(list(metric_scores["m"].items())[:2])}
     with pytest.raises(ValueError, match="^all annotators: metric 'm': "
                        "correlation needs at least 3 observations$"):
-        correlation_report(corpus, few, subsets=[[HeuristicId.SLOW]])
+        correlation_report(corpus, few, flags(corpus, 1))
 
 
 def test_correlation_report_per_annotation_gold():
     corpus, metric_scores = report_fixture()
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]],
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1),
                                 per_annotation=True)
     # each pair contributes one observation per surviving label
     good_labels = {"p1": 1, "p2": 2, "p3": 2, "p4": 4, "p5": 4, "p6": 5}
@@ -664,8 +699,7 @@ def test_correlation_report_panel_restriction_interacts_with_filters():
     corpus, metric_scores = report_fixture()
     # panel of junk alone: baseline gold is constant 3 -> error surfaces
     with pytest.raises(UndefinedCorrelationError):
-        correlation_report(corpus, metric_scores,
-                           subsets=[[HeuristicId.SLOW]],
+        correlation_report(corpus, metric_scores, flags(corpus, 1),
                            annotator_ids={"junk"})
 
 
@@ -679,7 +713,7 @@ def test_style_split_report():
     metric = {f"p{i}": i / 10.0 for i in range(1, 7)}
 
     rad_report, cen_report = style_split_report(
-        corpus, {"m": metric}, subsets=[[HeuristicId.SLOW]])
+        corpus, {"m": metric}, flags(corpus, 1))
     assert rad_report.label == "Radical-only gold"
     assert cen_report.label == "Centrist-only gold"
 
@@ -696,7 +730,7 @@ def test_style_split_report():
 def rendered_report():
     corpus, metric_scores = report_fixture()
     return correlation_report(
-        corpus, metric_scores,
+        corpus, metric_scores, flags(corpus, 1, 2),
         subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]],
         label="all, annotators")
 
@@ -740,8 +774,8 @@ def test_render_report_json_round_trip():
 def test_render_reports_joins_panels_into_one_document():
     first = rendered_report()
     corpus, metric_scores = report_fixture()
-    second = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]], label="other")
+    second = correlation_report(corpus, metric_scores, flags(corpus, 1),
+                                label="other")
     panels = {"x": first, "y": second}
 
     lines = render_reports(panels, "csv").splitlines()
@@ -787,8 +821,7 @@ def test_render_report_text():
 def test_render_report_text_lists_unavailable_metrics():
     corpus, metric_scores = report_fixture()
     metric_scores = dict(metric_scores, part={"p1": 0.5})
-    report = correlation_report(corpus, metric_scores,
-                                subsets=[[HeuristicId.SLOW]])
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1))
     text = render_report_text(report)
     assert "unavailable: part" in text
 
@@ -833,8 +866,7 @@ def assert_report_matches_oracle(report, oracle):
 def test_report_engine_matches_oracle(tied_report_inputs, per_annotation):
     corpus, scores, reports = tied_report_inputs
     subsets = heuristic_subsets()
-    report = correlation_report(corpus, scores, subsets=subsets,
-                                reports=reports,
+    report = correlation_report(corpus, scores, reports, subsets=subsets,
                                 per_annotation=per_annotation)
     assert report.metrics == ("coarse", "five", "holes")
     # the filters do remove people, and not always the same ones
@@ -850,15 +882,15 @@ def test_report_engine_matches_oracle_on_a_panel(tied_report_inputs):
     panel = set(ids[::2])
     assert any(reports[aid].flags for aid in panel)
     subsets = heuristic_subsets()
-    report = correlation_report(corpus, scores, subsets=subsets,
-                                reports=reports, annotator_ids=panel)
+    report = correlation_report(corpus, scores, reports, subsets=subsets,
+                                annotator_ids=panel)
     assert report.status == "ok"
     assert_report_matches_oracle(report, correlation_report_oracle(
         corpus, scores, report.metrics, subsets, reports,
         annotator_ids=panel))
 
-    empty = correlation_report(corpus, scores, subsets=subsets,
-                               reports=reports, annotator_ids=set())
+    empty = correlation_report(corpus, scores, reports, subsets=subsets,
+                               annotator_ids=set())
     assert empty.status == "empty: no annotators in this panel"
     assert empty.subsets == ()
 
@@ -875,8 +907,7 @@ def test_zero_baseline_statistic_has_no_percent_change():
               "orth": dict(zip(("p0", "p1", "p2", "p3"), (1.0, 0.0, 1.0, 2.0)))}
     subsets = [(HeuristicId.SLOW,)]
     reports = compute_flag_reports(corpus, [HeuristicId.SLOW])
-    report = correlation_report(corpus, scores, subsets=subsets,
-                                reports=reports)
+    report = correlation_report(corpus, scores, reports, subsets=subsets)
     (row,) = report.subsets
     assert row.removed_annotators == ("z",)
     assert report.baseline["ext"].spearman == 0.0
@@ -885,24 +916,3 @@ def test_zero_baseline_statistic_has_no_percent_change():
     assert row.pct_change["orth"] == (None, None)
     assert_report_matches_oracle(report, correlation_report_oracle(
         corpus, scores, report.metrics, subsets, reports))
-
-
-def test_style_split_report_flags_once(monkeypatch):
-    calls = []
-    real = correlate.compute_flag_reports
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(correlate, "compute_flag_reports", counting)
-    pairs = [(f"p{i}", f"w{i} x{i}", f"y{i} z{i}") for i in range(1, 7)]
-    rad_labels = {"p1": 1, "p2": 5, "p3": 1, "p4": 5, "p5": 1, "p6": 5}
-    cen_labels = {"p1": 1, "p2": 2, "p3": 4, "p4": 2, "p5": 4, "p6": 4}
-    annotations = [(pid, "rad", lab) for pid, lab in rad_labels.items()]
-    annotations += [(pid, "cen", lab) for pid, lab in cen_labels.items()]
-    corpus = make_corpus(pairs, annotations)
-    metric = {f"p{i}": i / 10.0 for i in range(1, 7)}
-    style_split_report(corpus, {"m": metric},
-                       subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
-    assert len(calls) == 1

@@ -358,6 +358,26 @@ def test_flagged_annotators_no_flags_removes_nobody(tiny_corpus):
     assert flagged_annotators(reports, subset) == frozenset()
 
 
+def test_flag_pass_records_its_heuristics(tiny_corpus):
+    reports = compute_flag_reports(tiny_corpus, [H.HIGH_RANDOM, H.SLOW, 1])
+    assert reports.heuristics == (H.SLOW, H.HIGH_RANDOM)
+    assert sorted(reports) == ["ann1", "ann2", "ann3"]
+    assert reports["ann3"].flags == {H.SLOW}
+
+
+def test_flagged_annotators_refuses_a_heuristic_the_pass_never_evaluated(
+        tiny_corpus):
+    # a pass over heuristic 2 cannot say whom heuristic 1 removes; read
+    # as "nobody", its rows would look like an honest +0.0%
+    reports = compute_flag_reports(tiny_corpus, [H.LOW_VARIANCE])
+    with pytest.raises(ValueError, match=r"^the flag pass did not evaluate "
+                       r"heuristics \[1\] \(it evaluated \[2\]\)$"):
+        flagged_annotators(reports, [H.SLOW])
+    with pytest.raises(ValueError, match=r"heuristics \[1, 3\] "):
+        flagged_annotators(reports, [H.SLOW, H.LOW_VARIANCE, H.HIGH_RANDOM])
+    assert flagged_annotators(reports, [H.LOW_VARIANCE]) == frozenset()
+
+
 def test_removal_monotonicity_randomized():
     rng = random.Random(0)
     for seed in range(4):

@@ -33,3 +33,10 @@ def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert re.match(r"filter \[2, 3\] removes \d+ annotators\n", out)
     assert "Correlation report (all annotators)" in out
+
+
+def test_reports_read_a_flag_pass_and_run_no_heuristic():
+    # the CLI makes a run's one flag pass; the report layer only reads it
+    from labelsim import correlate
+    for name in ("HeuristicConfig", "Scorers", "compute_flag_reports"):
+        assert not hasattr(correlate, name), name
