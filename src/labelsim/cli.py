@@ -301,13 +301,17 @@ def cmd_flag(args) -> int:
     corpus = load_corpus(args.pairs, args.annotations, args.fmt)
     file_cfg = read_config(args.config) if args.config else {}
     cfg = _build_heuristic_config(args, file_cfg)
+    scorers = _build_scorers(corpus, cfg, args)
     subset = _parse_heuristics(args.heuristics)
-    scorers = None
-    if HeuristicId.SENTIMENT_DISALIGNED in subset:
-        scorers = _build_scorers(corpus, cfg, args)
     reports = compute_flag_reports(corpus, subset, cfg, scorers)
 
     if args.all_subsets:
+        # removed ids are joined with ';', so an id holding one could not
+        # be split back out
+        bad = next((aid for aid in sorted(reports) if ";" in aid), None)
+        if bad is not None:
+            raise ValueError(f"annotator id {bad!r} contains ';', which "
+                             "--all-subsets uses to join removed ids")
         # the subset label is always quoted, by hand; the ids only where
         # CSV needs it
         lines = ["subset,n_removed,removed_annotators\n"]

@@ -170,11 +170,12 @@ class TransportProblem:
             raise ValueError("weights must be non-negative")
         if not np.isfinite(C).all() or (C < 0).any():
             raise ValueError("costs must be finite and non-negative")
-        if a.sum() <= 0 or b.sum() <= 0:
+        mass_a, mass_b = a.sum(), b.sum()
+        if mass_a <= 0 or mass_b <= 0:
             raise ValueError("zero-mass transport problem")
-        if abs(a.sum() - b.sum()) > MARGINAL_TOL:
+        if abs(mass_a - mass_b) > MARGINAL_TOL:
             raise ValueError(
-                f"weight sums differ by {abs(a.sum() - b.sum()):.3g} "
+                f"weight sums differ by {abs(mass_a - mass_b):.3g} "
                 f"(tolerance {MARGINAL_TOL})")
 
 
@@ -232,8 +233,8 @@ def _least_cost_start(a: np.ndarray, b: np.ndarray, C: np.ndarray
     row_open = [True] * n
     col_open = [True] * m
     rows_left, cols_left = n, m
-    for flat in np.argsort(C, axis=None, kind="stable").tolist():
-        i, j = divmod(flat, m)
+    rows, cols = np.divmod(np.argsort(C, axis=None, kind="stable"), m)
+    for i, j in zip(rows.tolist(), cols.tolist()):
         if not (row_open[i] and col_open[j]):
             continue
         basis.append((i, j))
@@ -298,20 +299,35 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
         stack = [top]
         while stack:
             node = stack.pop()
-            for nxt in adj[node]:
-                if nxt == parent[node]:
-                    continue
-                parent[nxt] = node
-                depth[nxt] = depth[node] + 1
-                if node < n:
-                    v[nxt - n] = cost[node][nxt - n] - u[node]
-                else:
-                    u[nxt] = cost[nxt][node - n] - v[node - n]
-                stack.append(nxt)
+            up = parent[node]
+            below = depth[node] + 1
+            if node < n:
+                row, base = cost[node], u[node]
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = below
+                        v[nxt - n] = row[nxt - n] - base
+                        stack.append(nxt)
+            else:
+                j, base = node - n, v[node - n]
+                for nxt in adj[node]:
+                    if nxt != up:
+                        parent[nxt] = node
+                        depth[nxt] = below
+                        u[nxt] = cost[nxt][j] - base
+                        stack.append(nxt)
 
     hang(0)
+    # Reduced costs (C[i][j] - u[i]) - v[j], rebuilt in place each round.
+    ucol = np.empty((n, 1))
+    vrow = np.empty(m)
+    reduced = np.empty((n, m))
     for pivot_count in range(max_pivots):
-        reduced = C - np.array(u)[:, None] - np.array(v)[None, :]
+        ucol[:, 0] = u
+        vrow[:] = v
+        np.subtract(C, ucol, out=reduced)
+        reduced -= vrow
         reduced[in_basis] = np.inf
 
         if use_bland:
@@ -320,7 +336,7 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
                 return np.array(plan), pivot_count
             enter_i, enter_j = (int(candidates[0][0]), int(candidates[0][1]))
         else:
-            flat = int(np.argmin(reduced))
+            flat = int(reduced.argmin())
             enter_i, enter_j = divmod(flat, m)
             if reduced[enter_i, enter_j] >= -opt_tol:
                 return np.array(plan), pivot_count
@@ -328,7 +344,8 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
         # The tree path from the entering column node to the entering row
         # node, through their common ancestor; each node on it stands for
         # the tree edge to its parent.  With the entering edge it forms
-        # the cycle, whose signs alternate from + on the entering cell.
+        # the cycle, whose signs alternate from + on the entering cell:
+        # its even cells gain theta and its odd cells lose it.
         row_side: list[int] = []
         col_side: list[int] = []
         x, y = enter_i, n + enter_j
@@ -343,24 +360,20 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
             x = parent[x]
             col_side.append(y)
             y = parent[y]
-        path = col_side + row_side[::-1]
+        cycle = [(enter_i, enter_j)]
+        for node in col_side + row_side[::-1]:
+            cycle.append((parent[node], node - n) if node >= n
+                         else (node, parent[node] - n))
 
-        cycle = [(enter_i, enter_j, 1)]
-        sign = -1
-        for node in path:
-            if node >= n:
-                cycle.append((parent[node], node - n, sign))
-            else:
-                cycle.append((node, parent[node] - n, sign))
-            sign = -sign
+        minus_cells = cycle[1::2]
+        theta = min([plan[ci][cj] for ci, cj in minus_cells])
+        leaving = min([(ci, cj) for ci, cj in minus_cells
+                       if plan[ci][cj] <= theta])
 
-        minus_cells = [(ci, cj) for ci, cj, s in cycle if s < 0]
-        theta = min(plan[ci][cj] for ci, cj in minus_cells)
-        leaving = min((ci, cj) for ci, cj in minus_cells
-                      if plan[ci][cj] <= theta)
-
-        for ci, cj, s in cycle:
-            plan[ci][cj] += s * theta
+        for ci, cj in cycle[::2]:
+            plan[ci][cj] += theta
+        for ci, cj in minus_cells:
+            plan[ci][cj] -= theta
         leave_i, leave_j = leaving
         plan[leave_i][leave_j] = 0.0
 
@@ -373,7 +386,7 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
         adj[n + leave_j].remove(leave_i)
         adj[enter_i].append(n + enter_j)
         adj[n + enter_j].append(enter_i)
-        if cycle.index((leave_i, leave_j, -1)) <= len(col_side):
+        if cycle.index(leaving) <= len(col_side):
             top, above = n + enter_j, enter_i
             v[enter_j] = cost[enter_i][enter_j] - u[enter_i]
         else:
@@ -404,14 +417,28 @@ def nbow_weights(tokens: TokenSeq, table: EmbeddingTable
     Returns the sorted types, their frequency-proportional weights, and
     the stacked embedding matrix.
     """
+    types, weights = _bag(tokens, table)
+    return types, np.array(weights), _gather(types, table)
+
+
+def _bag(tokens: TokenSeq, table: EmbeddingTable
+         ) -> tuple[list[str], list[float]]:
+    """``nbow_weights``' types and weights, the weights as Python floats.
+
+    Each weight is its count over the token total, both exact integers,
+    so the quotient rounds the same whether numpy or Python divides.
+    """
     counts = Counter(t for t in tokens if t in table.vectors)
     if not counts:
         raise ValueError("no representable tokens in sentence")
     types = sorted(counts)
-    weights = np.array([counts[t] for t in types], dtype=np.float64)
-    weights /= weights.sum()
-    matrix = np.stack([table.vectors[t] for t in types])
-    return types, weights, matrix
+    total = sum(counts.values())
+    return types, [counts[t] / total for t in types]
+
+
+def _gather(words: Sequence[str], table: EmbeddingTable) -> np.ndarray:
+    """The embedding vectors of ``words``, one row each."""
+    return np.array([table.vectors[t] for t in words])
 
 
 def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> float:
@@ -427,8 +454,8 @@ def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> float:
     at zero cost and the residual problem has the same optimum.
     Identical bags cost 0.0 without a solve.
     """
-    types_a, wa, va = nbow_weights(a, table)
-    types_b, wb, vb = nbow_weights(b, table)
+    types_a, wa = _bag(a, table)
+    types_b, wb = _bag(b, table)
     index_b = {t: j for j, t in enumerate(types_b)}
     for i, t in enumerate(types_a):
         j = index_b.get(t)
@@ -436,13 +463,15 @@ def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> float:
             shared = min(wa[i], wb[j])
             wa[i] -= shared
             wb[j] -= shared
-    keep_a = wa > 0.0
-    keep_b = wb > 0.0
-    if not keep_a.any() and not keep_b.any():
+    keep_a = [i for i, w in enumerate(wa) if w > 0.0]
+    keep_b = [j for j, w in enumerate(wb) if w > 0.0]
+    if not keep_a and not keep_b:
         return 0.0
-    costs = _euclidean_costs(va[keep_a], vb[keep_b])
-    return solve_transport(
-        TransportProblem(wa[keep_a], wb[keep_b], costs)).cost
+    costs = _euclidean_costs(_gather([types_a[i] for i in keep_a], table),
+                             _gather([types_b[j] for j in keep_b], table))
+    return solve_transport(TransportProblem(
+        np.array([wa[i] for i in keep_a]), np.array([wb[j] for j in keep_b]),
+        costs)).cost
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +537,7 @@ def pos_distance(a: TokenSeq, b: TokenSeq,
     nouns_b = [t for t in noun_tagger(b) if t in table.vectors]
     if not nouns_a or not nouns_b:
         return None
-    dists = _euclidean_costs(np.stack([table.vectors[t] for t in nouns_a]),
-                             np.stack([table.vectors[t] for t in nouns_b]))
+    dists = _euclidean_costs(_gather(nouns_a, table), _gather(nouns_b, table))
     if aggregate == "all_pairs":
         return float(dists.mean())
     rows, cols = _min_cost_matching(dists)

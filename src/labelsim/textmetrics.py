@@ -341,16 +341,27 @@ def _f1(precision: float, recall: float) -> float:
 
 
 def _lcs_length(a: TokenSeq, b: TokenSeq) -> int:
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        cur = [0]
-        for j, tok_b in enumerate(b, start=1):
-            if tok_a == tok_b:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Length of a longest common subsequence of ``a`` and ``b``.
+
+    Bit-parallel (Allison & Dix 1986, in the form of Hyyro 2004): bit j
+    of ``v`` is 0 exactly where the DP row ``L[i][j + 1]`` steps up from
+    ``L[i][j]``.  One add, one subtract and a few masks update all of
+    ``b``'s bits for a token of ``a``, as the DP recurrence does cell by
+    cell, so the count of zero bits after the last token is the DP's
+    ``L[len(a)][len(b)]``.  A token absent from ``b`` leaves ``v`` as it
+    is and is skipped.
+    """
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        mask = masks.get(tok)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(a: TokenSeq, b: TokenSeq) -> float:
@@ -384,29 +395,37 @@ def light_stem(word: str) -> str:
 def _align(a: TokenSeq, b: TokenSeq) -> list[tuple[int, int]]:
     """One-to-one unigram alignment: exact matches first, then stem matches.
 
-    Each stage scans ``b`` left to right and takes the earliest unmatched
-    position in ``a`` that matches, which keeps the procedure
-    deterministic and cheap.
+    Each stage takes the positions of ``b`` left to right and gives each
+    the earliest unmatched position in ``a`` with the same key (the token,
+    then its ``light_stem``), which keeps the procedure deterministic and
+    cheap.  A stage keeps, per key, the unmatched positions of ``a``,
+    latest first, and pops the last: a position leaves that list only
+    when it is matched, so the last is the earliest unmatched one, the
+    position a left-to-right scan of ``a`` would find.  Only the tokens
+    left unmatched by the exact stage are stemmed.  Returns ``(j, i)``
+    pairs sorted by ``j``.
     """
-    matched_a: set[int] = set()
+    free: dict[str, list[int]] = {}
+    for i in range(len(a) - 1, -1, -1):
+        free.setdefault(a[i], []).append(i)
     alignment: dict[int, int] = {}
-
-    def run_stage(key) -> None:
-        keys_a = [key(tok) for tok in a]
-        for j, tok_b in enumerate(b):
-            if j in alignment:
-                continue
-            want = key(tok_b)
-            for i, have in enumerate(keys_a):
-                if i in matched_a:
-                    continue
-                if have == want:
-                    alignment[j] = i
-                    matched_a.add(i)
-                    break
-
-    run_stage(lambda t: t)
-    run_stage(light_stem)
+    unmatched_b = []
+    for j, tok in enumerate(b):
+        positions = free.get(tok)
+        if positions:
+            alignment[j] = positions.pop()
+        else:
+            unmatched_b.append(j)
+    if unmatched_b and len(alignment) < len(a):
+        taken = set(alignment.values())
+        free = {}
+        for i in range(len(a) - 1, -1, -1):
+            if i not in taken:
+                free.setdefault(light_stem(a[i]), []).append(i)
+        for j in unmatched_b:
+            positions = free.get(light_stem(b[j]))
+            if positions:
+                alignment[j] = positions.pop()
     return sorted(alignment.items())
 
 

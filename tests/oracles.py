@@ -156,6 +156,22 @@ def lcs_oracle(tokens_a, tokens_b):
     return best
 
 
+def lcs_dp_oracle(tokens_a, tokens_b):
+    """Longest common subsequence length by the row-by-row dynamic
+    program: ``L[i][j]`` is the LCS of the first ``i`` tokens of ``a``
+    and the first ``j`` of ``b``.  Quadratic, so fit for long inputs."""
+    prev = [0] * (len(tokens_b) + 1)
+    for tok_a in tokens_a:
+        cur = [0]
+        for j, tok_b in enumerate(tokens_b, start=1):
+            if tok_a == tok_b:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
 def rouge_l_oracle(tokens_a, tokens_b):
     lcs = lcs_oracle(tokens_a, tokens_b)
     if lcs == 0:
@@ -165,12 +181,14 @@ def rouge_l_oracle(tokens_a, tokens_b):
     return 2 * precision * recall / (precision + recall)
 
 
-def meteor_oracle(tokens_a, tokens_b, alpha=0.9, gamma=0.5, chunk_exp=3.0):
-    """Recompute the two-stage greedy alignment and scoring from scratch.
+def align_oracle(tokens_a, tokens_b):
+    """METEOR's two-stage greedy alignment by plain scans: each stage
+    walks ``b`` left to right and scans ``a`` for the earliest untaken
+    match, exact tokens first, then equal stems.  Returns ``(i, j)``
+    pairs in the order they were made.
 
     The stemming rules are shared with the implementation (they are an
-    arbitrary fixed choice, not a derived quantity); the alignment,
-    chunking, and scoring are re-derived independently.
+    arbitrary fixed choice, not a derived quantity).
     """
     taken = [False] * len(tokens_a)
     pairs = []
@@ -189,6 +207,13 @@ def meteor_oracle(tokens_a, tokens_b, alpha=0.9, gamma=0.5, chunk_exp=3.0):
                     taken[i] = True
                     pairs.append((i, j))
                     break
+    return pairs
+
+
+def meteor_oracle(tokens_a, tokens_b, alpha=0.9, gamma=0.5, chunk_exp=3.0):
+    """Recompute the alignment (``align_oracle``) and scoring from
+    scratch; the chunking and scoring are re-derived independently."""
+    pairs = align_oracle(tokens_a, tokens_b)
     if not pairs:
         return 0.0
     matches = len(pairs)
@@ -486,6 +511,51 @@ def northwest_corner_wmd(tokens_a, tokens_b, table):
     C = cdist(va, vb)
     flow, pivots = _simplex_pivots(C, *northwest_corner_start(wa, wb, C))
     return float((flow * C).sum()), pivots
+
+
+def wmd_residual_problem(tokens_a, tokens_b, table):
+    """The transport problem ``wmd`` solves, built with plain loops.
+
+    Each bag weighs a word type by its count over the bag's size; a type
+    in both bags loses the smaller of its two weights on both sides, and
+    the types left with no weight are dropped.  The costs are Euclidean
+    distances, the squares added one dimension at a time.  Returns
+    ``(source_weights, target_weights, costs)`` as arrays, or None when
+    no mass is left to move.
+    """
+    import numpy as np
+
+    def bag(tokens):
+        counts = {}
+        for tok in tokens:
+            if tok in table.vectors:
+                counts[tok] = counts.get(tok, 0) + 1
+        total = sum(counts.values())
+        return {tok: count / total for tok, count in counts.items()}
+
+    bag_a, bag_b = bag(tokens_a), bag(tokens_b)
+    for tok in bag_a:
+        if tok in bag_b:
+            shared = min(bag_a[tok], bag_b[tok])
+            bag_a[tok] -= shared
+            bag_b[tok] -= shared
+    left_a = sorted(tok for tok, w in bag_a.items() if w > 0.0)
+    left_b = sorted(tok for tok, w in bag_b.items() if w > 0.0)
+    if not left_a and not left_b:
+        return None
+    costs = []
+    for ta in left_a:
+        row = []
+        for tb in left_b:
+            total = 0.0
+            for x, y in zip(table.vectors[ta].tolist(),
+                            table.vectors[tb].tolist()):
+                total += (x - y) * (x - y)
+            row.append(math.sqrt(total))
+        costs.append(row)
+    return (np.array([bag_a[t] for t in left_a]),
+            np.array([bag_b[t] for t in left_b]),
+            np.array(costs).reshape(len(left_a), len(left_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,47 @@ def test_flag_all_subsets_matches_flag_reports(one_radical_corpus, capsys):
                                       ";".join(removed))
 
 
+@pytest.mark.parametrize("ids", [("junk", "a;b"), ("good", "a;b"),
+                                 ("junk", "x;y", "good", "a;b")],
+                         ids=["flagged", "not flagged", "two ids"])
+def test_flag_all_subsets_refuses_an_id_holding_the_joiner(tmp_path, capsys,
+                                                           ids):
+    # ids a;b and c would read the same as a and b;c once joined, so the
+    # command fails on the first such id in the pass, flagged or not
+    pairs, annotations = write_corpus(tmp_path)
+    path = Path(annotations)
+    text = path.read_text()
+    for old, new in zip(ids[::2], ids[1::2]):
+        text = text.replace(f",{old},", f",{new},")
+    path.write_text(text)
+    rc = main(["flag", "--pairs", pairs, "--annotations", annotations,
+               "--all-subsets"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: annotator id 'a;b' contains ';', which "
+                            "--all-subsets uses to join removed ids\n")
+    # without --all-subsets nothing is joined, and the id is fine
+    assert main(["flag", "--pairs", pairs, "--annotations", annotations]) == 0
+    assert "a;b" in capsys.readouterr().out
+
+
+def test_flag_and_report_read_the_sentiment_file_alike(tmp_path, capsys):
+    # heuristic 5 is not selected, yet both commands check the file
+    pairs, annotations = write_corpus(tmp_path)
+    sentiment = tmp_path / "sentiment.csv"
+    sentiment.write_text("pair_id,score_a,score_b\nzz,0.5,0.5\n")
+    errors = []
+    for argv in (["flag"], ["report", "--metrics", "bleu"]):
+        rc = main([*argv, "--pairs", pairs, "--annotations", annotations,
+                   "--heuristics", "2", "--sentiment-file", str(sentiment)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == [f"error: {sentiment} row 2: unknown pair 'zz'\n"] * 2
+
+
 def write_tokenless_text_a(pairs):
     """Give pair p2 a text_a with no word tokens; validate still passes."""
     path = Path(pairs)

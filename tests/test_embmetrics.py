@@ -43,6 +43,7 @@ from oracles import (
     rebuild_tree_pivots,
     residual_min_mean_cycle,
     uniform_transport_oracle,
+    wmd_residual_problem,
 )
 
 # The simplex stops once no reduced cost is below -1e-11 * scale, so no
@@ -627,6 +628,51 @@ def test_wmd_equals_the_full_bag_optimum(ids_a, ids_b, seed, dim):
     words = sorted(table.vectors)
     assert_wmd_is_the_full_bag_optimum([words[i] for i in ids_a],
                                        [words[i] for i in ids_b], table)
+
+
+def test_wmd_solves_the_residual_problem_on_seeded_bags(monkeypatch):
+    # The problem wmd hands the solver is, bit for bit, the one the
+    # oracle builds with plain loops; wmd returns its solved cost; and the
+    # solver takes as many pivots on those problems as the pivot loop
+    # that rebuilds its tree every pivot.
+    seen = []
+    real = embmetrics.solve_transport
+
+    def recording(problem):
+        seen.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(embmetrics, "solve_transport", recording)
+    rng = random.Random(9)
+    solves = pivots = rebuilt_pivots = 0
+    for k in range(300):
+        table = make_table([f"w{i}" for i in range(16)],
+                           dim=rng.randint(1, 8), seed=k)
+        table.vectors["twin"] = table.vectors["w0"].copy()
+        words = sorted(table.vectors) + ["oov"]
+        a = rng.choices(words, k=rng.randint(1, 24))
+        b = rng.choices(words, k=rng.randint(1, 24))
+        if not set(a) & set(table.vectors) or not set(b) & set(table.vectors):
+            continue
+        seen.clear()
+        got = wmd(a, b, table)
+        expected = wmd_residual_problem(a, b, table)
+        if expected is None:
+            assert got == 0.0 and seen == []
+            continue
+        (problem,) = seen
+        wa, wb, costs = expected
+        assert problem.source_weights.tobytes() == wa.tobytes()
+        assert problem.target_weights.tobytes() == wb.tobytes()
+        assert problem.costs.tobytes() == costs.tobytes()
+        result = real(TransportProblem(wa, wb, costs))
+        assert got == result.cost
+        solves += 1
+        pivots += result.iterations
+        rebuilt_pivots += rebuild_tree_pivots(
+            costs, *_least_cost_start(wa, wb, costs))[1]
+    assert pivots == rebuilt_pivots
+    assert solves > 250 and pivots > 750  # 299 solves, 1,038 pivots
 
 
 def test_wmd_moves_only_the_unshared_mass(monkeypatch):

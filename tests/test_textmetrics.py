@@ -300,6 +300,28 @@ def test_rouge_matches_oracle():
             oracles.rouge_l_oracle(a, b), abs=1e-12)
 
 
+def token_lists(alphabet, max_size):
+    """Token lists of any length up to ``max_size``, drawn from
+    ``alphabet``; the length is drawn first so long lists come up."""
+    return st.integers(0, max_size).flatmap(
+        lambda size: st.lists(st.sampled_from(alphabet), min_size=size,
+                              max_size=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(token_lists("abcd", 200), token_lists("abcd", 200))
+def test_lcs_length_equals_the_dp(a, b):
+    # four token kinds: long bit-vectors full of repeats, carries that
+    # run across many bits
+    assert textmetrics._lcs_length(a, b) == oracles.lcs_dp_oracle(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_lists("abcde", 10), token_lists("abcde", 10))
+def test_lcs_length_equals_exhaustive_search(a, b):
+    assert textmetrics._lcs_length(a, b) == oracles.lcs_oracle(a, b)
+
+
 # ---------------------------------------------------------------------------
 # METEOR
 
@@ -333,6 +355,18 @@ def test_meteor_fragmentation_penalty():
     # alignment has two chunks: P = R = 1 but the penalty bites
     score = meteor_lite(("the", "cat", "sat"), ("sat", "the", "cat"))
     assert score == pytest.approx(23 / 27)
+
+
+# Words whose stems collide: classes/class, running/runn, runs/run, ...
+STEMMABLE = ("cat", "cats", "class", "classes", "running", "runn", "run",
+             "runs", "jumped", "jump", "a")
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_lists(STEMMABLE, 16), token_lists(STEMMABLE, 16))
+def test_align_equals_the_scanning_alignment(a, b):
+    assert textmetrics._align(a, b) == sorted(
+        (j, i) for i, j in oracles.align_oracle(a, b))
 
 
 def test_meteor_matches_oracle():
