@@ -12,9 +12,7 @@ LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import os
 import sys
 from pathlib import Path
@@ -251,13 +249,6 @@ def _build_scorers(corpus, cfg, args):
     return scorers
 
 
-def _csv_text(rows) -> str:
-    """``rows`` as CSV, quoting only the fields that need it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _write_output(text: str, out_path) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -293,7 +284,7 @@ def cmd_stats(args) -> int:
                   p.disagreement_rate)
         rows.append([aid, p.n_labels, *map(correlate._fmt, values),
                      p.style.value])
-    _write_output(_csv_text(rows), args.out)
+    _write_output(correlate._csv_text(rows), args.out)
     return 0
 
 
@@ -317,8 +308,8 @@ def cmd_flag(args) -> int:
         lines = ["subset,n_removed,removed_annotators\n"]
         for sub in heuristic_subsets(subset):
             removed = sorted(flagged_annotators(reports, sub))
-            lines.append('"%s",' % subset_label(sub)
-                         + _csv_text([[len(removed), ";".join(removed)]]))
+            lines.append('"%s",' % subset_label(sub) + correlate._csv_text(
+                [[len(removed), ";".join(removed)]]))
         _write_output("".join(lines), args.out)
         return 0
     rows = [["annotator_id", "flags", "evidence"]]
@@ -329,7 +320,7 @@ def cmd_flag(args) -> int:
             f"{int(h)}:{ev.statistic}={ev.value:.6f} vs {ev.threshold:g}"
             for h, ev in sorted(rep.evidence.items()))
         rows.append([aid, flags, evidence])
-    _write_output(_csv_text(rows), args.out)
+    _write_output(correlate._csv_text(rows), args.out)
     return 0
 
 
@@ -344,7 +335,7 @@ def cmd_metrics(args) -> int:
         pid = pair.pair_id
         rows.append([pid, *(correlate._fmt(scores[m].get(pid))
                             for m in metrics)])
-    _write_output(_csv_text(rows), args.out)
+    _write_output(correlate._csv_text(rows), args.out)
     return 0
 
 
@@ -427,11 +418,9 @@ def _parse_profiles(raw: str) -> tuple:
 
 def cmd_simulate(args) -> int:
     file_cfg = read_config(args.config) if args.config else {}
-    # PopulationSpec holds the other fields' defaults
-    values = {"n_pairs": 100, "fraction_random": 0.2,
-              "profiles": "reliable:8:0.3,constant:1:3,uniform:1",
-              **_given_values(args, file_cfg, _SIM_CONFIG_FIELDS)}
-    values["profiles"] = _parse_profiles(values["profiles"])
+    values = _given_values(args, file_cfg, _SIM_CONFIG_FIELDS)
+    if "profiles" in values:
+        values["profiles"] = _parse_profiles(values["profiles"])
     spec = simulate.PopulationSpec(**values)
     corpus, truth = simulate.generate_corpus(spec)
 

@@ -309,6 +309,13 @@ def _detect_format(path: Path, fmt: Optional[str]) -> str:
     return "csv"
 
 
+def _read_rows(path: Path, required: tuple[str, ...], fmt: Optional[str]):
+    """The rows of a CSV or JSONL file, read as its format says."""
+    read = _read_csv_rows if _detect_format(path, fmt) == "csv" \
+        else _read_jsonl_rows
+    return read(path, required)
+
+
 def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) -> LabeledCorpus:
     """Load pairs (and optionally annotations) from CSV or JSONL files.
 
@@ -317,14 +324,9 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
     schema violation.
     """
     pairs_path = Path(pairs_path)
-    use_fmt = _detect_format(pairs_path, fmt)
-
     pairs = []
     pair_ids: set[str] = set()
-    if use_fmt == "csv":
-        rows = _read_csv_rows(pairs_path, PAIR_FIELDS)
-    else:
-        rows = _read_jsonl_rows(pairs_path, PAIR_FIELDS)
+    rows = _read_rows(pairs_path, PAIR_FIELDS, fmt)
     for lineno, (pid, source, raw_random, text_a, text_b) in rows:
         if isinstance(raw_random, bool):
             is_random = raw_random
@@ -344,11 +346,7 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
     annotations = []
     if annotations_path is not None:
         annotations_path = Path(annotations_path)
-        ann_fmt = _detect_format(annotations_path, fmt)
-        if ann_fmt == "csv":
-            rows = _read_csv_rows(annotations_path, ANNOTATION_FIELDS)
-        else:
-            rows = _read_jsonl_rows(annotations_path, ANNOTATION_FIELDS)
+        rows = _read_rows(annotations_path, ANNOTATION_FIELDS, fmt)
         labeled: set[tuple[str, str]] = set()
         for lineno, (pid, aid, label, duration) in rows:
             annotation = Annotation(
@@ -366,51 +364,34 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
 
 def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path,
                 fmt: Optional[str] = None) -> None:
-    """Write a corpus back to disk; inverse of :func:`load_corpus`."""
-    pairs_path = Path(pairs_path)
-    annotations_path = Path(annotations_path)
-    use_fmt = _detect_format(pairs_path, fmt)
+    """Write a corpus back to disk; inverse of :func:`load_corpus`.
 
-    if use_fmt == "csv":
-        with pairs_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(PAIR_FIELDS))
-            writer.writeheader()
-            for p in corpus.pairs:
-                writer.writerow({
-                    "pair_id": p.pair_id,
-                    "source": p.source,
-                    "is_random": int(p.is_random),
-                    "text_a": p.text_a,
-                    "text_b": p.text_b,
-                })
-        with annotations_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(ANNOTATION_FIELDS))
-            writer.writeheader()
-            for a in corpus.annotations:
-                writer.writerow({
-                    "pair_id": a.pair_id,
-                    "annotator_id": a.annotator_id,
-                    "label": a.label,
-                    "duration_seconds": repr(a.duration),
-                })
-    else:
-        with pairs_path.open("w", encoding="utf-8") as fh:
-            for p in corpus.pairs:
-                fh.write(json.dumps({
-                    "pair_id": p.pair_id,
-                    "source": p.source,
-                    "is_random": int(p.is_random),
-                    "text_a": p.text_a,
-                    "text_b": p.text_b,
-                }, ensure_ascii=False) + "\n")
-        with annotations_path.open("w", encoding="utf-8") as fh:
-            for a in corpus.annotations:
-                fh.write(json.dumps({
-                    "pair_id": a.pair_id,
-                    "annotator_id": a.annotator_id,
-                    "label": a.label,
-                    "duration_seconds": a.duration,
-                }, ensure_ascii=False) + "\n")
+    Both files take the format of ``pairs_path`` unless ``fmt`` forces
+    one.  Each row is one dict of its fields, written by ``DictWriter``
+    as CSV or by ``json.dumps`` as JSONL; the CSV's float durations read
+    as ``repr`` does.
+    """
+    pairs_path = Path(pairs_path)
+    use_fmt = _detect_format(pairs_path, fmt)
+    tables = (
+        (pairs_path, PAIR_FIELDS,
+         ((p.pair_id, p.source, int(p.is_random), p.text_a, p.text_b)
+          for p in corpus.pairs)),
+        (Path(annotations_path), ANNOTATION_FIELDS,
+         ((a.pair_id, a.annotator_id, a.label, a.duration)
+          for a in corpus.annotations)),
+    )
+    for path, fields, values in tables:
+        rows = (dict(zip(fields, row)) for row in values)
+        if use_fmt == "csv":
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=fields)
+                writer.writeheader()
+                writer.writerows(rows)
+        else:
+            with path.open("w", encoding="utf-8") as fh:
+                for row in rows:
+                    fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def load_precomputed(path, corpus: Optional[LabeledCorpus] = None

@@ -17,7 +17,8 @@ the mask's gaps are the metric's dropped pairs.  A filter subset is then
 only a keep mask over annotators (the panel minus the annotators its
 flags remove).  The flags are the caller's: one
 :class:`~labelsim.heuristics.FlagPass` from ``compute_flag_reports`` is
-handed to every report of a run, and this module runs no heuristic
+handed to every report of a run, its heuristics give the report's rows
+(every non-empty subset of them), and this module runs no heuristic
 itself.  Gold means come from ``np.bincount`` over the kept rows, and
 the observations handed to :func:`pearson` and :func:`spearman` are,
 element for element and in order, those of a join on sorted pair ids.
@@ -25,6 +26,8 @@ element for element and in order, those of a join on sorted pair ids.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ import numpy as np
 
 from .corpus import LabeledCorpus, SentencePair
 from .heuristics import (FlagPass, HeuristicId, flagged_annotators,
-                         heuristic_subsets, normalize_subset, subset_label)
+                         heuristic_subsets, subset_label)
 from . import embmetrics, textmetrics
 
 
@@ -119,7 +122,7 @@ def percent_change(value: float, baseline: float) -> float:
 # metric scoring over a corpus
 
 
-LEXICAL_METRICS = tuple(textmetrics.lexical_metric_names())
+LEXICAL_METRICS = tuple(textmetrics.LEXICAL_SCORERS)
 EMBEDDING_METRICS = ("cosine", "l2", "wmd", "pos_dist")
 # the embedding metrics that always read word vectors; l2 can instead
 # come from sentence embeddings
@@ -409,7 +412,6 @@ def _pct_pair(cell: MetricCorrelation, base: MetricCorrelation
 def correlation_report(corpus: LabeledCorpus,
                        metric_scores: Mapping[str, Mapping[str, float]],
                        reports: FlagPass,
-                       subsets: Optional[Sequence[Sequence[HeuristicId]]] = None,
                        annotator_ids: Optional[set] = None,
                        label: str = "all annotators",
                        per_annotation: bool = False,
@@ -422,14 +424,12 @@ def correlation_report(corpus: LabeledCorpus,
     is ignored.  A metric undefined on more than
     :data:`UNAVAILABLE_FRACTION` of the pairs is excluded and listed under
     ``unavailable``.  ``annotator_ids`` restricts the gold computation to
-    a sub-population (the style reports use this).  A subset removes the
-    annotators whose ``reports`` (one flag pass over ``corpus``) carry any
-    of its flags; ``subsets`` defaults to every non-empty subset of the
-    heuristics the pass evaluated, and a subset using any other heuristic
-    is an error.
+    a sub-population (the style reports use this).  There is one row per
+    non-empty subset of the heuristics that ``reports`` (one flag pass
+    over ``corpus``) evaluated, and a row removes the annotators whose
+    reports carry any of its flags.
     """
-    subsets = [normalize_subset(s) for s in subsets] if subsets is not None \
-        else heuristic_subsets(reports.heuristics)
+    subsets = heuristic_subsets(reports.heuristics)
     removals = [tuple(sorted(flagged_annotators(reports, s))) for s in subsets]
 
     columns = _Columns.build(corpus, metric_scores, list(metric_scores))
@@ -481,7 +481,6 @@ def correlation_report(corpus: LabeledCorpus,
 def style_split_report(corpus: LabeledCorpus,
                        metric_scores: Mapping[str, Mapping[str, float]],
                        reports: FlagPass,
-                       subsets: Optional[Sequence[Sequence[HeuristicId]]] = None,
                        exclude_midpoint_from_variance: bool = False,
                        ) -> tuple[CorrelationReport, CorrelationReport]:
     """Correlation reports using gold means from Radical-only and
@@ -492,7 +491,7 @@ def style_split_report(corpus: LabeledCorpus,
     profiles = annotator_profiles(
         corpus, exclude_midpoint_from_variance=exclude_midpoint_from_variance)
     return tuple(
-        correlation_report(corpus, metric_scores, reports, subsets,
+        correlation_report(corpus, metric_scores, reports,
                            annotator_ids={aid for aid, p in profiles.items()
                                           if p.style is style},
                            label=f"{style.value}-only gold")
@@ -503,34 +502,32 @@ def style_split_report(corpus: LabeledCorpus,
 # renderers
 
 
-_CSV_HEADER = ("panel,filter,metric,pearson,spearman,pearson_pct,spearman_pct,"
-               "n_pairs,dropped_pairs,removed_annotators")
+_CSV_HEADER = ("panel", "filter", "metric", "pearson", "spearman",
+               "pearson_pct", "spearman_pct", "n_pairs", "dropped_pairs",
+               "removed_annotators")
 
 
 def _fmt(value: Optional[float], spec: str = ".6f") -> str:
     return "" if value is None else format(value, spec)
 
 
-def _csv_rows(report: CorrelationReport) -> list[str]:
-    panel = report.label.replace(",", ";")
-    lines = []
+def _csv_rows(report: CorrelationReport) -> list[list]:
+    rows = []
     for name in report.metrics:
         cell = report.baseline[name]
-        lines.append(
-            f"{panel},baseline,{name},{_fmt(cell.pearson)},"
-            f"{_fmt(cell.spearman)},,,{cell.n_pairs},"
-            f"{report.dropped.get(name, 0)},")
+        rows.append([report.label, "baseline", name, _fmt(cell.pearson),
+                     _fmt(cell.spearman), "", "", cell.n_pairs,
+                     report.dropped.get(name, 0), ""])
     for row in report.subsets:
         tag = "+".join(str(int(h)) for h in row.subset)
         for name in report.metrics:
             cell = row.cells[name]
             p_pct, s_pct = row.pct_change[name]
-            lines.append(
-                f"{panel},{tag},{name},{_fmt(cell.pearson)},"
-                f"{_fmt(cell.spearman)},{_fmt(p_pct, '.2f')},"
-                f"{_fmt(s_pct, '.2f')},{cell.n_pairs},,"
-                f"{len(row.removed_annotators)}")
-    return lines
+            rows.append([report.label, tag, name, _fmt(cell.pearson),
+                         _fmt(cell.spearman), _fmt(p_pct, ".2f"),
+                         _fmt(s_pct, ".2f"), cell.n_pairs, "",
+                         len(row.removed_annotators)])
+    return rows
 
 
 def _json_float(value: Optional[float]) -> Optional[float]:
@@ -621,8 +618,14 @@ def render_reports(panels: CorrelationReport | Mapping[str, CorrelationReport],
             else {key: report_doc(r) for key, r in panels.items()}
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for r in reports:
-            lines.extend(_csv_rows(r))
-        return "\n".join(lines) + "\n"
+        return _csv_text([_CSV_HEADER,
+                          *(row for r in reports for row in _csv_rows(r))])
     return "".join(render_report_text(r) for r in reports)
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as CSV, quoting only the fields that need it: the one
+    writer of the reports' CSV and of the other commands'."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

@@ -166,8 +166,9 @@ class TransportProblem:
             raise ValueError(
                 f"cost matrix shape {C.shape} does not match weights "
                 f"({a.size}, {b.size})")
-        if (a < 0).any() or (b < 0).any():
-            raise ValueError("weights must be non-negative")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()) \
+                or (a < 0).any() or (b < 0).any():
+            raise ValueError("weights must be finite and non-negative")
         if not np.isfinite(C).all() or (C < 0).any():
             raise ValueError("costs must be finite and non-negative")
         mass_a, mass_b = a.sum(), b.sum()

@@ -12,15 +12,19 @@ Five heuristics, numbered as they appear in reports:
 Each heuristic is a threshold rule ``(heuristic, statistic, comparator,
 threshold)`` over a per-annotator column: heuristics 1-4 read the
 :class:`~labelsim.stats.AnnotatorTable`, heuristic 5 the label sums over
-its qualifying pairs.  An annotator is flagged when the statistic is
-defined and compares true against the threshold; the comparison is
-strict (``>`` for 1, 3, 4 and 5, ``<`` for 2).
+its qualifying pairs (every pair must have word tokens on both sides,
+checked once before any overlap is scored).  An annotator is flagged
+when the statistic is defined and compares true against the threshold;
+the comparison is strict (``>`` for 1, 3, 4 and 5, ``<`` for 2).  A
+:class:`FlagReport` keeps the evidence of each flag, and its flags are
+the heuristics it has evidence for.
 
 A filter on a heuristic subset is a set of removed annotators:
 :func:`flagged_annotators` takes the union of those whose reports carry
 any flag of the subset.  Flags are computed once, on the whole corpus,
 so a larger subset always removes a superset of annotators.  That one
-pass, a :class:`FlagPass`, records the heuristics it evaluated, and a
+pass, a :class:`FlagPass`, records the heuristics it evaluated; a
+correlation report has one row per non-empty subset of them, and a
 subset using any other heuristic is an error: an annotator never tested
 for a flag must not read as one who passed.
 """
@@ -39,7 +43,7 @@ from .corpus import LabeledCorpus, SentencePair
 from .stats import (AnnotatorTable, annotator_table, label_counts,
                     label_sums, variance_from_sums)
 from .textmetrics import (EmptyText, bleu_block, has_tokens, pair_blocks,
-                          require_tokens, tokenize)
+                          tokenize)
 
 
 class HeuristicId(IntEnum):
@@ -97,8 +101,12 @@ class FlagEvidence:
 @dataclass(frozen=True)
 class FlagReport:
     annotator_id: str
-    flags: frozenset[HeuristicId]
     evidence: dict[HeuristicId, FlagEvidence]
+
+    @property
+    def flags(self) -> frozenset[HeuristicId]:
+        """The heuristics that flagged the annotator: those with evidence."""
+        return frozenset(self.evidence)
 
 
 @dataclass
@@ -109,7 +117,8 @@ class Scorers:
     returns one lexical-closeness score in [0, 1] per pair
     ``(texts_a[k], texts_b[k])`` (a score list of another length is a
     ValueError); ``sentiment(text)`` returns a polarity
-    score.  Per-pair sentiment overrides (from an ingested file) win over
+    score.  ``overlap`` is only given pairs with word tokens on both
+    sides.  Per-pair sentiment overrides (from an ingested file) win over
     the callable, and a pair whose override gap is below
     ``sentiment_gap_threshold`` cannot qualify, so ``overlap`` is never
     given it.
@@ -132,7 +141,6 @@ def default_scorers(cfg: Optional[HeuristicConfig] = None) -> Scorers:
         for block in pair_blocks(len(texts_a)):
             refs = [tokenize(t) for t in texts_a[block]]
             cands = [tokenize(t) for t in texts_b[block]]
-            require_tokens(refs, cands, block.start)
             values.extend(bleu_block(cands, refs, max_n=order,
                                      smoothing="none"))
         return values
@@ -164,11 +172,8 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
         return score is None or abs(score[0] - score[1]) >= gap
 
     scored = [p for p in pairs if can_qualify(p)]
-    try:
-        overlaps = scorers.overlap([p.text_a for p in scored],
-                                   [p.text_b for p in scored])
-    except EmptyText as exc:
-        raise exc.for_pair(scored[exc.index].pair_id) from None
+    overlaps = scorers.overlap([p.text_a for p in scored],
+                               [p.text_b for p in scored])
     qualifying: set[str] = set()
     for pair, overlap in zip(scored, overlaps, strict=True):
         if overlap <= cfg.overlap_threshold:
@@ -250,8 +255,7 @@ def compute_flag_reports(corpus: LabeledCorpus,
         for found, value, limit in zip(evidence, values, thresholds):
             if value is not None and limit is not None and exceeds(value, limit):
                 found[h] = FlagEvidence(statistic, value, limit)
-    return FlagPass({aid: FlagReport(annotator_id=aid, flags=frozenset(found),
-                                     evidence=found)
+    return FlagPass({aid: FlagReport(annotator_id=aid, evidence=found)
                      for aid, found in zip(table.annotator_ids, evidence)},
                     subset)
 

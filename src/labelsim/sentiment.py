@@ -50,16 +50,6 @@ DEFAULT_INTENSIFIERS = {
 @dataclass(frozen=True)
 class SentimentLexicon:
     valences: dict[str, float]
-    negators: frozenset[str] = DEFAULT_NEGATORS
-    intensifiers: dict[str, float] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.intensifiers is None:
-            object.__setattr__(self, "intensifiers", dict(DEFAULT_INTENSIFIERS))
-        for word, mult in self.intensifiers.items():
-            if mult <= 0:
-                raise ValueError(
-                    f"intensifier {word!r} must have a positive multiplier")
 
 
 def load_lexicon(path: Optional[Path] = None) -> SentimentLexicon:
@@ -99,10 +89,10 @@ def sentiment_score(text: str, lexicon: SentimentLexicon) -> float:
         if valence is None:
             continue
         window = tokens[max(0, idx - NEGATION_WINDOW):idx]
-        sign = -1.0 if any(w in lexicon.negators for w in window) else 1.0
+        sign = -1.0 if any(w in DEFAULT_NEGATORS for w in window) else 1.0
         mult = 1.0
         for w in window:
-            boost = lexicon.intensifiers.get(w)
+            boost = DEFAULT_INTENSIFIERS.get(w)
             if boost is not None:
                 mult *= boost
         total += sign * mult * valence

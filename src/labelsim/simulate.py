@@ -77,9 +77,15 @@ class ProfileSpec:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    n_pairs: int
-    fraction_random: float
-    profiles: tuple[ProfileSpec, ...]
+    """A population to simulate; the defaults are ``simulate``'s."""
+
+    n_pairs: int = 100
+    fraction_random: float = 0.2
+    profiles: tuple[ProfileSpec, ...] = (
+        ProfileSpec(ProfileKind.RELIABLE, 8, 0.3),
+        ProfileSpec(ProfileKind.CONSTANT, 1, 3.0),
+        ProfileSpec(ProfileKind.UNIFORM_RANDOM, 1),
+    )
     seed: int = 0
     annotators_per_pair: int = 3
     min_tokens: int = 4

@@ -60,16 +60,15 @@ class EmptyText(ValueError):
 
 
 def require_tokens(tokens_a: Sequence[TokenSeq], tokens_b: Sequence[TokenSeq],
-                   start: int = 0, sides: tuple[str, str] = ("text_a", "text_b")
-                   ) -> None:
+                   sides: tuple[str, str] = ("text_a", "text_b")) -> None:
     """Raise :class:`EmptyText` for the first pair ``(tokens_a[k],
-    tokens_b[k])`` with an empty side, side a first.  ``start`` is the
-    block's offset in the corpus; ``sides`` names the two sides."""
+    tokens_b[k])`` with an empty side, side a first; ``sides`` names the
+    two sides."""
     if all(tokens_a) and all(tokens_b):
         return
     k = next(k for k, (a, b) in enumerate(zip(tokens_a, tokens_b))
              if not a or not b)
-    raise EmptyText(start + k, sides[1] if tokens_a[k] else sides[0])
+    raise EmptyText(k, sides[1] if tokens_a[k] else sides[0])
 
 
 def word_overlap(a: TokenSeq, b: TokenSeq, mode: str = "jaccard") -> float:
@@ -480,10 +479,6 @@ LEXICAL_SCORERS = {
     "rougeL": (0, lambda a, b, *_: rouge_l(a, b)),
     "meteor": (0, lambda a, b, *_: meteor_lite(a, b)),
 }
-
-
-def lexical_metric_names() -> list[str]:
-    return list(LEXICAL_SCORERS)
 
 
 def score_lexical_block(names: Sequence[str], texts_a: Sequence[str],

@@ -8,7 +8,7 @@ the real code; nothing in src/ may import from here.
 import itertools
 import math
 
-from labelsim.textmetrics import (lexical_metric_names, light_stem,
+from labelsim.textmetrics import (LEXICAL_SCORERS, light_stem,
                                   score_lexical_block)
 
 
@@ -233,7 +233,7 @@ def score_pair_lexical(text_a, text_b, overlap_mode="jaccard"):
     """All lexical metrics for one sentence pair, keyed by metric name: the
     one-pair call of ``score_lexical_block``."""
     return {name: column[0] for name, column in score_lexical_block(
-        lexical_metric_names(), [text_a], [text_b],
+        list(LEXICAL_SCORERS), [text_a], [text_b],
         overlap_mode=overlap_mode).items()}
 
 
@@ -837,9 +837,8 @@ def flag_reports(corpus, subset, cfg, qualifying=None):
                                                qualifying)
             if ev is not None:
                 evidence[h] = ev
-        reports[annotator_id] = FlagReport(
-            annotator_id=annotator_id, flags=frozenset(evidence),
-            evidence=evidence)
+        reports[annotator_id] = FlagReport(annotator_id=annotator_id,
+                                           evidence=evidence)
     return reports
 
 

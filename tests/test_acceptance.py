@@ -257,10 +257,10 @@ def test_acceptance_6_filtering_improves_correlation(synthetic_runs):
     t0 = time.monotonic()
     for corpus, _, reports in runs:
         scores = compute_metric_scores(corpus, list(LEXICAL_METRICS))
-        report = correlation_report(corpus, scores, reports,
-                                    subsets=[subset])
+        report = correlation_report(corpus, scores, reports)
         assert report.metrics == LEXICAL_METRICS
-        (row,) = report.subsets
+        row = report.subsets[-1]
+        assert row.subset == tuple(subset)
         for name in LEXICAL_METRICS:
             before = report.baseline[name].pearson
             after = row.cells[name].pearson

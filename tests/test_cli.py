@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelsim import cli, embmetrics
+from labelsim import cli, correlate, embmetrics
 from labelsim.cli import (_build_heuristic_config, build_parser, main,
                           read_config)
 from labelsim.corpus import CorpusError, load_corpus
@@ -1094,6 +1094,57 @@ def test_multi_panel_csv_has_one_header(tmp_path, capsys, command, extra,
     assert [r["panel"] for r in rows] == [p for p in panels for _ in range(4)]
     assert [r["filter"] for r in rows] == ["baseline"] * 2 + ["2"] * 2 \
         + ["baseline"] * 2 + ["2"] * 2
+
+
+def test_report_csv_quotes_panel_and_metric_names(tmp_path, capsys):
+    # a channel name holding ',' and a source holding '"' and a line
+    # break: every field still reads back under its own header
+    ladder = OVERLAP_TEXTS + [("red blue green", "red oak elm")]
+    odd = 'src "q"\nx'
+    pairs = tmp_path / "pairs.csv"
+    annotations = tmp_path / "annotations.csv"
+    channel = tmp_path / "ext.csv"
+    with pairs.open("w", newline="") as fp, \
+            annotations.open("w", newline="") as fa, \
+            channel.open("w", newline="") as fc:
+        pair_rows, ann_rows, score_rows = (csv.writer(f)
+                                           for f in (fp, fa, fc))
+        pair_rows.writerow(["pair_id", "source", "is_random", "text_a",
+                            "text_b"])
+        ann_rows.writerow(["pair_id", "annotator_id", "label",
+                           "duration_seconds"])
+        score_rows.writerow(["pair_id", "score"])
+        for i in range(8):
+            pid = f"p{i + 1}"
+            pair_rows.writerow([pid, "plain" if i < 4 else odd, 0,
+                                *ladder[i % 4]])
+            ann_rows.writerow([pid, "good", [1, 2, 4, 5][i % 4], 30])
+            ann_rows.writerow([pid, "junk", 3, 30])
+            score_rows.writerow([pid, [0.9, 0.6, 0.1, 0.4][i % 4]])
+    base = ["--pairs", str(pairs), "--annotations", str(annotations),
+            "--precomputed", f"a,b={channel}"]
+    assert main(["report", *base, "--metrics", "lexical", "--heuristics", "2",
+                 "--out-format", "csv", "--per-dataset"]) == 0
+    out = capsys.readouterr().out
+    reader = csv.DictReader(io.StringIO(out))
+    rows = list(reader)
+    assert reader.fieldnames == [
+        "panel", "filter", "metric", "pearson", "spearman", "pearson_pct",
+        "spearman_pct", "n_pairs", "dropped_pairs", "removed_annotators"]
+    assert rows and all(None not in row and None not in row.values()
+                        for row in rows)
+    assert {r["panel"] for r in rows} == {"dataset plain", f"dataset {odd}"}
+    assert {r["metric"] for r in rows} == {*correlate.LEXICAL_METRICS, "a,b"}
+    assert {r["filter"] for r in rows} == {"baseline", "2"}
+    for row in rows:
+        float(row["pearson"])
+        assert row["n_pairs"] == "4"
+        assert row["dropped_pairs" if row["filter"] == "baseline"
+                   else "removed_annotators"] in ("0", "1")
+    # metrics writes the channel's name the same way
+    assert main(["metrics", *base, "--metrics", "lexical"]) == 0
+    header = next(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert header[-1] == "a,b"
 
 
 def test_dropped_pairs_of_a_partial_distance_channel(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for metric scoring, gold aggregation, and correlation reports."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -32,7 +34,7 @@ from labelsim.heuristics import (HeuristicId, compute_flag_reports,
                                  heuristic_subsets)
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
-from labelsim.textmetrics import (bleu, chrf, lexical_metric_names,
+from labelsim.textmetrics import (LEXICAL_SCORERS, bleu, chrf,
                                   meteor_lite, rouge_l, rouge_n, tokenize,
                                   word_overlap)
 
@@ -250,7 +252,7 @@ def scoring_table():
 
 def test_metric_universe():
     names = metric_universe()
-    assert list(LEXICAL_METRICS) == lexical_metric_names()
+    assert list(LEXICAL_METRICS) == list(LEXICAL_SCORERS)
     assert names == list(LEXICAL_METRICS) + list(EMBEDDING_METRICS)
     corpus = attach_precomputed(scoring_corpus(), "ext", {"p1": 0.5})
     assert metric_universe(corpus) == names + ["ext"]
@@ -521,9 +523,7 @@ def report_fixture():
 
 def test_correlation_report_baseline_and_filtering():
     corpus, metric_scores = report_fixture()
-    report = correlation_report(
-        corpus, metric_scores, flags(corpus, 1, 2),
-        subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1, 2))
     assert report.status == "ok"
     assert report.metrics == ("m",)
     assert report.n_pairs == 6
@@ -533,7 +533,7 @@ def test_correlation_report_baseline_and_filtering():
     assert report.baseline["m"].pearson == pearson(xs, base_gold)
     assert report.baseline["m"].n_pairs == 6
 
-    slow_row, lowvar_row = report.subsets
+    slow_row, lowvar_row, _ = report.subsets
     # nobody is slow: identical to baseline, bit for bit
     assert slow_row.removed_annotators == ()
     assert slow_row.cells["m"].pearson == report.baseline["m"].pearson
@@ -576,17 +576,6 @@ def test_correlation_report_default_subsets_are_those_of_the_pass():
         (HeuristicId.SLOW, HeuristicId.LOW_VARIANCE)]
     assert [row.removed_annotators for row in report.subsets] == [
         (), ("junk",), ("junk",)]
-
-
-@pytest.mark.parametrize("panel", [None, set()])
-def test_correlation_report_refuses_a_subset_its_pass_never_evaluated(panel):
-    # even a report with nothing to correlate refuses: the error is in
-    # the request, not in the data
-    corpus, metric_scores = report_fixture()
-    with pytest.raises(ValueError, match=r"did not evaluate heuristics \[1\]"):
-        correlation_report(
-            corpus, metric_scores, flags(corpus, 2), annotator_ids=panel,
-            subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
 
 
 def test_dropped_pairs_counts_only_corpus_pairs():
@@ -650,10 +639,9 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
     metric_scores = {"m": {f"p{i}": i / 10.0 for i in range(1, 7)}}
     report = correlation_report(
         corpus, metric_scores, flags(corpus, 1, 2), annotator_ids={"slow"},
-        label="slow panel",
-        subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]])
+        label="slow panel")
     assert report.status == "ok"
-    emptied, kept = report.subsets
+    emptied, kept, _ = report.subsets
     assert emptied.removed_annotators == ("slow",)
     assert emptied.cells["m"] == correlate.MetricCorrelation(None, None, 0)
     assert emptied.pct_change["m"] == (None, None)
@@ -729,10 +717,8 @@ def test_style_split_report():
 
 def rendered_report():
     corpus, metric_scores = report_fixture()
-    return correlation_report(
-        corpus, metric_scores, flags(corpus, 1, 2),
-        subsets=[[HeuristicId.SLOW], [HeuristicId.LOW_VARIANCE]],
-        label="all, annotators")
+    return correlation_report(corpus, metric_scores, flags(corpus, 1, 2),
+                              label="all, annotators")
 
 
 def test_render_report_csv():
@@ -741,14 +727,18 @@ def test_render_report_csv():
     lines = text.strip().split("\n")
     assert lines[0] == ("panel,filter,metric,pearson,spearman,pearson_pct,"
                         "spearman_pct,n_pairs,dropped_pairs,removed_annotators")
-    # 1 metric x (1 baseline + 2 subsets)
-    assert len(lines) == 1 + 3
-    assert lines[1].startswith("all; annotators,baseline,m,")
-    assert ",1,m," in lines[2] or lines[2].startswith("all; annotators,1,m,")
-    assert lines[3].startswith("all; annotators,2,m,")
+    # 1 metric x (1 baseline + 3 subsets of the pass over [1, 2])
+    assert len(lines) == 1 + 4
+    # the panel label holds a comma, so it is quoted, not rewritten
+    assert lines[1].startswith('"all, annotators",baseline,m,')
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert all(None not in row for row in rows)
+    assert {row["panel"] for row in rows} == {"all, annotators"}
+    assert [row["filter"] for row in rows] == ["baseline", "1", "2", "1+2"]
+    assert [row["removed_annotators"] for row in rows] == ["", "0", "1", "1"]
     # baseline rows leave the pct columns empty
-    assert lines[1].split(",")[5] == ""
-    assert lines[1].split(",")[6] == ""
+    assert rows[0]["pearson_pct"] == ""
+    assert rows[0]["spearman_pct"] == ""
 
 
 def test_render_report_json_round_trip():
@@ -758,7 +748,7 @@ def test_render_report_json_round_trip():
     assert doc["status"] == "ok"
     assert doc["metrics"] == ["m"]
     assert doc["n_pairs"] == 6
-    assert [row["subset"] for row in doc["subsets"]] == [[1], [2]]
+    assert [row["subset"] for row in doc["subsets"]] == [[1], [2], [1, 2]]
     assert doc["subsets"][1]["removed_annotators"] == ["junk"]
     cell = doc["subsets"][1]["cells"]["m"]
     assert set(cell) == {"pearson", "spearman", "n_pairs",
@@ -866,7 +856,7 @@ def assert_report_matches_oracle(report, oracle):
 def test_report_engine_matches_oracle(tied_report_inputs, per_annotation):
     corpus, scores, reports = tied_report_inputs
     subsets = heuristic_subsets()
-    report = correlation_report(corpus, scores, reports, subsets=subsets,
+    report = correlation_report(corpus, scores, reports,
                                 per_annotation=per_annotation)
     assert report.metrics == ("coarse", "five", "holes")
     # the filters do remove people, and not always the same ones
@@ -882,15 +872,13 @@ def test_report_engine_matches_oracle_on_a_panel(tied_report_inputs):
     panel = set(ids[::2])
     assert any(reports[aid].flags for aid in panel)
     subsets = heuristic_subsets()
-    report = correlation_report(corpus, scores, reports, subsets=subsets,
-                                annotator_ids=panel)
+    report = correlation_report(corpus, scores, reports, annotator_ids=panel)
     assert report.status == "ok"
     assert_report_matches_oracle(report, correlation_report_oracle(
         corpus, scores, report.metrics, subsets, reports,
         annotator_ids=panel))
 
-    empty = correlation_report(corpus, scores, reports, subsets=subsets,
-                               annotator_ids=set())
+    empty = correlation_report(corpus, scores, reports, annotator_ids=set())
     assert empty.status == "empty: no annotators in this panel"
     assert empty.subsets == ()
 
@@ -905,9 +893,8 @@ def test_zero_baseline_statistic_has_no_percent_change():
          for i in range(4) for aid in labels])
     scores = {"ext": dict(zip(("p0", "p1", "p2", "p3"), (0.5, 0.1, 0.5, 0.5))),
               "orth": dict(zip(("p0", "p1", "p2", "p3"), (1.0, 0.0, 1.0, 2.0)))}
-    subsets = [(HeuristicId.SLOW,)]
     reports = compute_flag_reports(corpus, [HeuristicId.SLOW])
-    report = correlation_report(corpus, scores, reports, subsets=subsets)
+    report = correlation_report(corpus, scores, reports)
     (row,) = report.subsets
     assert row.removed_annotators == ("z",)
     assert report.baseline["ext"].spearman == 0.0
@@ -915,4 +902,4 @@ def test_zero_baseline_statistic_has_no_percent_change():
     assert row.pct_change["ext"][1] is None
     assert row.pct_change["orth"] == (None, None)
     assert_report_matches_oracle(report, correlation_report_oracle(
-        corpus, scores, report.metrics, subsets, reports))
+        corpus, scores, report.metrics, [(HeuristicId.SLOW,)], reports))

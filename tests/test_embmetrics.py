@@ -235,6 +235,17 @@ def test_transport_validate_errors():
         TransportProblem(good_a, np.array([0.3, 0.3]), C).validate()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transport_rejects_a_non_finite_weight(bad):
+    # NaN passes both the "< 0" and the sum checks, so it needs its own
+    half = np.array([0.5, 0.5])
+    for a, b in ((np.array([bad, 0.5]), half), (half, np.array([0.5, bad]))):
+        problem = TransportProblem(a, b, np.ones((2, 2)))
+        with pytest.raises(ValueError,
+                           match="^weights must be finite and non-negative$"):
+            solve_transport(problem)
+
+
 def test_solve_transport_unknown_method():
     prob = TransportProblem(np.ones(1), np.ones(1), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="unknown transport method"):

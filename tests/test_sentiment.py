@@ -31,8 +31,6 @@ def test_bundled_lexicon_loads():
     assert lex.valences["good"] == 1.9
     assert lex.valences["bad"] == -1.9
     assert lex.valences["great"] == 3.1
-    assert lex.negators == DEFAULT_NEGATORS
-    assert lex.intensifiers == DEFAULT_INTENSIFIERS
 
 
 def test_load_lexicon_from_path(tmp_path):
@@ -69,13 +67,6 @@ def test_load_lexicon_non_finite_valence(tmp_path):
     p.write_text("word,valence\nshiny,2.0\ndull,nan\n")
     with pytest.raises(ValueError, match=r"lex\.csv row 3: non-finite valence"):
         load_lexicon(p)
-
-
-def test_nonpositive_intensifier_rejected():
-    with pytest.raises(ValueError, match="positive multiplier"):
-        SentimentLexicon(valences={"good": 1.0}, intensifiers={"very": 0.0})
-    with pytest.raises(ValueError, match="positive multiplier"):
-        SentimentLexicon(valences={"good": 1.0}, intensifiers={"very": -1.5})
 
 
 # ---------------------------------------------------------------- scoring
@@ -152,8 +143,8 @@ def test_antonym_swap_negates_exactly():
 
 def test_scores_bounded_on_random_salads():
     lex = load_lexicon()
-    words = (sorted(lex.valences) + sorted(lex.negators)
-             + sorted(lex.intensifiers) + ["the", "swivel", "blue"])
+    words = (sorted(lex.valences) + sorted(DEFAULT_NEGATORS)
+             + sorted(DEFAULT_INTENSIFIERS) + ["the", "swivel", "blue"])
     rng = random.Random(20240817)
     for _ in range(300):
         text = " ".join(rng.choices(words, k=rng.randint(1, 25)))
