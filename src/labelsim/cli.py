@@ -31,16 +31,10 @@ ENV_PREFIX = "LABELSIM_"
 _CONFIG_FIELDS = {f.name: type(f.default)
                   for f in dataclasses.fields(HeuristicConfig)}
 
-# simulate's --flags and config keys, in --help order
-_SIM_CONFIG_FIELDS = {
-    "seed": int,
-    "n_pairs": int,
-    "fraction_random": float,
-    "profiles": str,
-    "annotators_per_pair": int,
-    "min_tokens": int,
-    "max_tokens": int,
-}
+# PopulationSpec's fields, each a simulate --flag and a config key; the
+# profiles are read as text and parsed by _parse_profiles
+_SIM_CONFIG_FIELDS = {f.name: str if f.name == "profiles" else type(f.default)
+                      for f in dataclasses.fields(simulate.PopulationSpec)}
 
 
 def read_config(path) -> dict[str, str]:
@@ -265,7 +259,7 @@ def cmd_validate(args) -> int:
     n_random = sum(1 for p in corpus.pairs if p.is_random)
     print(f"pairs: {len(corpus.pairs)} ({n_random} random)")
     print(f"annotations: {len(corpus.annotations)}")
-    print(f"annotators: {len(corpus.annotator_ids())}")
+    print(f"annotators: {len(corpus.columns.annotator_ids)}")
     print("ok")
     return 0
 
@@ -389,15 +383,8 @@ def cmd_style_report(args) -> int:
 
 
 def _parse_profiles(raw: str) -> tuple:
-    aliases = {
-        "reliable": simulate.ProfileKind.RELIABLE,
-        "constant": simulate.ProfileKind.CONSTANT,
-        "uniform": simulate.ProfileKind.UNIFORM_RANDOM,
-        "uniform_random": simulate.ProfileKind.UNIFORM_RANDOM,
-        "slow": simulate.ProfileKind.SLOW,
-        "radical": simulate.ProfileKind.RADICAL,
-        "centrist": simulate.ProfileKind.CENTRIST,
-    }
+    aliases = {k.value: k for k in simulate.ProfileKind}
+    aliases["uniform"] = simulate.ProfileKind.UNIFORM_RANDOM
     specs = []
     for chunk in raw.split(","):
         chunk = chunk.strip()

@@ -58,10 +58,14 @@ class AnnotationColumns:
     ``pair`` indexes ``pair_ids``, every pair of the corpus in sorted
     order; ``annotator`` indexes ``annotator_ids``, every annotator with
     a label, sorted; ``is_random`` is the flag of the row's pair.
+    ``pair_index`` and ``annotator_index`` map each id to its index, in
+    the same order; they are the one place an id becomes an index.
     """
 
     pair_ids: tuple[str, ...]
     annotator_ids: tuple[str, ...]
+    pair_index: dict[str, int]
+    annotator_index: dict[str, int]
     pair: np.ndarray       # intp
     annotator: np.ndarray  # intp
     label: np.ndarray      # int64
@@ -83,6 +87,8 @@ class AnnotationColumns:
         return cls(
             pair_ids=pair_ids,
             annotator_ids=annotator_ids,
+            pair_index=pair_index,
+            annotator_index=annotator_index,
             pair=pair,
             annotator=np.fromiter((annotator_index[a.annotator_id]
                                    for a in annotations),
@@ -116,9 +122,6 @@ class LabeledCorpus:
     def columns(self) -> AnnotationColumns:
         """The annotations as arrays, built on first use and kept."""
         return AnnotationColumns.build(self.pairs, self.annotations)
-
-    def annotator_ids(self) -> list[str]:
-        return list(self.columns.annotator_ids)
 
 
 def build_corpus(pairs: Iterable[SentencePair],

@@ -3,7 +3,12 @@
 The gold value of a pair is the arithmetic mean of its surviving labels.
 Pearson is the headline statistic; Spearman rides along in a secondary
 column.  A constant or non-finite input makes a correlation undefined and
-that is an error here, never a silent zero (or a silent one).
+that is an error here, never a silent zero (or a silent one).  A report
+has one rule for it: a cell is undefined exactly when :func:`pearson` or
+:func:`spearman` raises.  In a baseline that fails the report, naming the
+panel and the metric; a filter-subset cell becomes undefined instead, and
+its percent changes, derived from the cell and the baseline whenever a
+report is rendered, are undefined with it.
 
 A metric score is one plain float per pair; :func:`compute_metric_scores`
 negates the :data:`DISTANCE_METRICS` and the distance channels, so higher
@@ -182,7 +187,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
     distance_channels = set(distance_channels)
 
     def embeddable(tokens) -> bool:
-        return any(t in table.vectors for t in tokens)
+        return any(t in table for t in tokens)
 
     def score_one(pair: SentencePair, tokens_a, tokens_b) -> dict[str, float]:
         """The embedding metrics of one pair; a metric that needs word
@@ -272,9 +277,9 @@ def compute_metric_scores(corpus: LabeledCorpus,
 
 @dataclass(frozen=True)
 class MetricCorrelation:
-    """One cell; a subset cell left with fewer than 3 observations (its
-    filters emptied the panel, say) or with a constant input (every
-    surviving label is a 3, say) has ``None`` for both statistics."""
+    """One cell; a subset cell whose statistics are undefined (its filters
+    left fewer than 3 observations, or every surviving label is a 3, say)
+    has ``None`` for both."""
 
     pearson: Optional[float]
     spearman: Optional[float]
@@ -286,7 +291,6 @@ class SubsetResult:
     subset: tuple[HeuristicId, ...]
     removed_annotators: tuple[str, ...]
     cells: dict[str, MetricCorrelation]
-    pct_change: dict[str, tuple[Optional[float], Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,7 @@ class _Columns:
               metric_scores: Mapping[str, Mapping[str, float]],
               names: Sequence[str]) -> "_Columns":
         columns = corpus.columns
-        pair_index = {pid: i for i, pid in enumerate(columns.pair_ids)}
+        pair_index = columns.pair_index
         order = np.argsort(columns.pair, kind="stable")
         values: dict[str, np.ndarray] = {}
         defined: dict[str, np.ndarray] = {}
@@ -339,8 +343,7 @@ class _Columns:
             values[name] = vals
             defined[name] = mask
         return cls(n_pairs=len(pair_index),
-                   annotators={aid: i for i, aid
-                               in enumerate(columns.annotator_ids)},
+                   annotators=columns.annotator_index,
                    pair=columns.pair[order],
                    annotator=columns.annotator[order],
                    label=columns.label[order].astype(np.float64),
@@ -360,9 +363,11 @@ class _Columns:
 
         Gold is one mean per pair, or with ``per_annotation`` every kept
         label as its own observation (ordered by pair, then corpus order).
-        With ``allow_undefined`` a metric with fewer than 3 observations,
-        or with a constant input, gets an undefined cell; otherwise such
-        a metric is an error that names it.
+        A metric is undefined exactly when :func:`pearson` or
+        :func:`spearman` raises ``ValueError`` on its observations (fewer
+        than 3, a constant input, a spread that underflows, a result that
+        is not finite).  With ``allow_undefined`` it gets an undefined
+        cell; otherwise it is an error that names it.
         """
         kept = keep[self.annotator]
         pair = self.pair[kept]
@@ -381,18 +386,14 @@ class _Columns:
             else:
                 xs = self.values[name][joined]
                 ys = gold[joined]
-            if allow_undefined and (xs.size < 3 or _constant(xs)
-                                    or _constant(ys)):
-                cells[name] = MetricCorrelation(None, None, int(joined.sum()))
-                continue
+            n = int(joined.sum())
             try:
-                cells[name] = MetricCorrelation(
-                    pearson=pearson(xs, ys),
-                    spearman=spearman(xs, ys),
-                    n_pairs=int(joined.sum()),
-                )
+                cells[name] = MetricCorrelation(pearson(xs, ys),
+                                                spearman(xs, ys), n)
             except ValueError as exc:
-                raise type(exc)(f"metric {name!r}: {exc}") from None
+                if not allow_undefined:
+                    raise type(exc)(f"metric {name!r}: {exc}") from None
+                cells[name] = MetricCorrelation(None, None, n)
         return cells
 
 
@@ -462,14 +463,11 @@ def correlation_report(corpus: LabeledCorpus,
         keep = panel.copy()
         keep[[columns.annotators[aid] for aid in removed
               if aid in columns.annotators]] = False
-        cells = columns.cells(usable, keep, per_annotation,
-                              allow_undefined=True)
-        pct = {name: _pct_pair(cells[name], baseline[name]) for name in usable}
         subset_rows.append(SubsetResult(
             subset=subset,
             removed_annotators=removed,
-            cells=cells,
-            pct_change=pct,
+            cells=columns.cells(usable, keep, per_annotation,
+                                allow_undefined=True),
         ))
 
     return CorrelationReport(
@@ -522,7 +520,7 @@ def _csv_rows(report: CorrelationReport) -> list[list]:
         tag = "+".join(str(int(h)) for h in row.subset)
         for name in report.metrics:
             cell = row.cells[name]
-            p_pct, s_pct = row.pct_change[name]
+            p_pct, s_pct = _pct_pair(cell, report.baseline[name])
             rows.append([report.label, tag, name, _fmt(cell.pearson),
                          _fmt(cell.spearman), _fmt(p_pct, ".2f"),
                          _fmt(s_pct, ".2f"), cell.n_pairs, "",
@@ -543,6 +541,11 @@ def report_doc(report: CorrelationReport) -> dict:
                 "spearman": _json_float(cell.spearman),
                 "n_pairs": cell.n_pairs}
 
+    def subset_cell_dict(cell: MetricCorrelation, name: str) -> dict:
+        p_pct, s_pct = _pct_pair(cell, report.baseline[name])
+        return dict(cell_dict(cell), pearson_pct=_json_float(p_pct),
+                    spearman_pct=_json_float(s_pct))
+
     return {
         "label": report.label,
         "status": report.status,
@@ -557,12 +560,8 @@ def report_doc(report: CorrelationReport) -> dict:
             {
                 "subset": [int(h) for h in row.subset],
                 "removed_annotators": list(row.removed_annotators),
-                "cells": {
-                    name: dict(cell_dict(row.cells[name]),
-                               pearson_pct=_json_float(row.pct_change[name][0]),
-                               spearman_pct=_json_float(row.pct_change[name][1]))
-                    for name in report.metrics
-                },
+                "cells": {name: subset_cell_dict(row.cells[name], name)
+                          for name in report.metrics},
             }
             for row in report.subsets
         ],
@@ -586,7 +585,7 @@ def render_report_text(report: CorrelationReport) -> str:
         cells = ""
         for name in report.metrics:
             val = row.cells[name].pearson
-            pct = row.pct_change[name][0]
+            pct = _pct_pair(row.cells[name], report.baseline[name])[0]
             if val is None:
                 shown = "n/a"
             elif pct is None:

@@ -10,8 +10,11 @@ The one-to-one noun matching of ``pos_distance`` is an assignment
 problem, solved by shortest augmenting paths (Jonker & Volgenant 1987).
 The module needs numpy only.
 
-Every metric returns a plain float; ``l2_distance``, ``wmd`` and
-``pos_distance`` are distances, which ``correlate`` negates.
+An embedding table is a plain dict from a word to its vector
+(:data:`EmbeddingTable` names that type); every vector has the length of
+the first one loaded.  Every metric returns a plain float;
+``l2_distance``, ``wmd`` and ``pos_distance`` are distances, which
+``correlate`` negates.
 """
 
 from __future__ import annotations
@@ -37,10 +40,7 @@ STALL_PIVOTS_PER_NODE = 4
 # embedding tables
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    dimension: int
-    vectors: dict  # word -> np.ndarray, all of length `dimension`
+EmbeddingTable = dict[str, np.ndarray]
 
 
 def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
@@ -50,7 +50,7 @@ def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
     dimension is fixed by the first vector line; any later mismatch is an
     error naming the line, and so is a line that is not UTF-8.  Duplicate
     words keep their first vector.  ``vocab_filter`` restricts loading to
-    the given words.
+    the given words.  Returns the word -> vector map.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
@@ -80,7 +80,7 @@ def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
                 vectors[word] = values
     if dimension is None:
         raise CorpusError(f"{path}: no embedding vectors found")
-    return EmbeddingTable(dimension=dimension, vectors=vectors)
+    return vectors
 
 
 def _parse_vector(fields: Sequence[str], where: str,
@@ -115,7 +115,7 @@ def _parse_vector(fields: Sequence[str], where: str,
 def sentence_vector(tokens: TokenSeq, table: EmbeddingTable) -> np.ndarray:
     """Mean of the in-vocabulary token vectors; out-of-vocabulary tokens
     are skipped and an all-OOV sentence is an error."""
-    rows = [table.vectors[t] for t in tokens if t in table.vectors]
+    rows = [table[t] for t in tokens if t in table]
     if not rows:
         raise ValueError("no representable tokens in sentence")
     return np.mean(rows, axis=0)
@@ -429,7 +429,7 @@ def _bag(tokens: TokenSeq, table: EmbeddingTable
     Each weight is its count over the token total, both exact integers,
     so the quotient rounds the same whether numpy or Python divides.
     """
-    counts = Counter(t for t in tokens if t in table.vectors)
+    counts = Counter(t for t in tokens if t in table)
     if not counts:
         raise ValueError("no representable tokens in sentence")
     types = sorted(counts)
@@ -439,7 +439,7 @@ def _bag(tokens: TokenSeq, table: EmbeddingTable
 
 def _gather(words: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     """The embedding vectors of ``words``, one row each."""
-    return np.array([table.vectors[t] for t in words])
+    return np.array([table[t] for t in words])
 
 
 def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> float:
@@ -534,8 +534,8 @@ def pos_distance(a: TokenSeq, b: TokenSeq,
     """
     if aggregate not in POS_AGGREGATES:
         raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
-    nouns_a = [t for t in noun_tagger(a) if t in table.vectors]
-    nouns_b = [t for t in noun_tagger(b) if t in table.vectors]
+    nouns_a = [t for t in noun_tagger(a) if t in table]
+    nouns_b = [t for t in noun_tagger(b) if t in table]
     if not nouns_a or not nouns_b:
         return None
     dists = _euclidean_costs(_gather(nouns_a, table), _gather(nouns_b, table))

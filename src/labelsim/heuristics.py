@@ -54,9 +54,6 @@ class HeuristicId(IntEnum):
     SENTIMENT_DISALIGNED = 5
 
 
-ALL_HEURISTICS = tuple(HeuristicId)
-
-
 @dataclass(frozen=True)
 class HeuristicConfig:
     """Thresholds for the five flags; defaults match the report legend."""
@@ -220,8 +217,8 @@ def _qualifying_variance(corpus: LabeledCorpus, qualifying: set[str],
     """Per annotator, the population variance of their labels on the
     qualifying pairs; None with fewer than ``min_labels`` such labels."""
     columns = corpus.columns
-    on_pair = np.fromiter((pid in qualifying for pid in columns.pair_ids),
-                          dtype=bool, count=len(columns.pair_ids))
+    on_pair = np.zeros(len(columns.pair_ids), dtype=bool)
+    on_pair[[columns.pair_index[pid] for pid in qualifying]] = True
     sums = zip(*label_sums(label_counts(columns, on_pair[columns.pair])))
     return [variance_from_sums(*s) if s[0] >= min_labels else None
             for s in sums]
@@ -282,12 +279,11 @@ def normalize_subset(subset: Iterable[HeuristicId]) -> tuple[HeuristicId, ...]:
     return tuple(ids)
 
 
-def heuristic_subsets(universe: Optional[Iterable[HeuristicId]] = None
+def heuristic_subsets(universe: Iterable[HeuristicId]
                       ) -> list[tuple[HeuristicId, ...]]:
-    """Every non-empty subset of the heuristics, ordered by size then
+    """Every non-empty subset of ``universe``, ordered by size then
     lexicographically -- the row order used in the combination reports."""
-    ids = sorted({HeuristicId(h) for h in universe}) if universe is not None \
-        else list(ALL_HEURISTICS)
+    ids = sorted({HeuristicId(h) for h in universe})
     out: list[tuple[HeuristicId, ...]] = []
     for size in range(1, len(ids) + 1):
         out.extend(itertools.combinations(ids, size))

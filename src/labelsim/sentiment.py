@@ -9,7 +9,6 @@ and per-pair scores from an external tool can be ingested from CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -47,13 +46,9 @@ DEFAULT_INTENSIFIERS = {
 }
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
-    valences: dict[str, float]
-
-
-def load_lexicon(path: Optional[Path] = None) -> SentimentLexicon:
-    """Read a word,valence CSV; with no path, the bundled lexicon is used."""
+def load_lexicon(path: Optional[Path] = None) -> dict[str, float]:
+    """Read a word,valence CSV into a word -> valence map; with no path,
+    the bundled lexicon is used."""
     ref = resources.files("labelsim.data").joinpath("sentiment_lexicon.csv") \
         if path is None else Path(path)
     valences: dict[str, float] = {}
@@ -71,13 +66,14 @@ def load_lexicon(path: Optional[Path] = None) -> SentimentLexicon:
             if not math.isfinite(valence):
                 raise CorpusError(f"{where}: non-finite valence {raw!r}")
             valences[word] = valence
-    return SentimentLexicon(valences=valences)
+    return valences
 
 
-def sentiment_score(text: str, lexicon: SentimentLexicon) -> float:
+def sentiment_score(text: str, lexicon: dict[str, float]) -> float:
     """Polarity of a sentence in [-1, 1].
 
-    A valence word contributes its valence, scaled by any intensifier and
+    ``lexicon`` maps a word to its valence, as :func:`load_lexicon` reads
+    it.  A valence word contributes its valence, scaled by any intensifier and
     flipped by any negator in the three preceding tokens; the raw sum is
     squashed with x / (1 + |x|), which is odd, so swapping every valence
     for its negative exactly negates the score.
@@ -85,7 +81,7 @@ def sentiment_score(text: str, lexicon: SentimentLexicon) -> float:
     tokens = tokenize(text)
     total = 0.0
     for idx, tok in enumerate(tokens):
-        valence = lexicon.valences.get(tok)
+        valence = lexicon.get(tok)
         if valence is None:
             continue
         window = tokens[max(0, idx - NEGATION_WINDOW):idx]

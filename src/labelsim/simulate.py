@@ -77,8 +77,10 @@ class ProfileSpec:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """A population to simulate; the defaults are ``simulate``'s."""
+    """A population to simulate; the defaults are ``simulate``'s, and the
+    field order is its ``--help`` order."""
 
+    seed: int = 0
     n_pairs: int = 100
     fraction_random: float = 0.2
     profiles: tuple[ProfileSpec, ...] = (
@@ -86,7 +88,6 @@ class PopulationSpec:
         ProfileSpec(ProfileKind.CONSTANT, 1, 3.0),
         ProfileSpec(ProfileKind.UNIFORM_RANDOM, 1),
     )
-    seed: int = 0
     annotators_per_pair: int = 3
     min_tokens: int = 4
     max_tokens: int = 9

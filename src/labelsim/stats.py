@@ -37,19 +37,20 @@ class Style(str, Enum):
     EXCLUDED = "Excluded"
 
 
-def reduce_label(label: int) -> int:
-    """Collapse a 1-5 similarity label to the three-way scheme -1/0/+1.
+def reduce_label(label):
+    """Collapse 1-5 similarity labels to the three-way scheme -1/0/+1.
 
     Labels below 3 mean "not similar" (-1), 3 is neutral (0), labels
-    above 3 mean "similar" (+1).
+    above 3 mean "similar" (+1).  ``label`` is one label, reduced to an
+    ``int``, or an integer array, reduced element-wise; any label outside
+    1-5 raises ``ValueError``.
     """
-    if label not in VALID_LABELS:
-        raise ValueError(f"label {label!r} outside the 1-5 scale")
-    if label < MIDPOINT_LABEL:
-        return -1
-    if label > MIDPOINT_LABEL:
-        return 1
-    return 0
+    labels = np.asarray(label)
+    outside = labels[~np.isin(labels, _LABELS)].tolist()
+    if outside:
+        raise ValueError(f"label {outside[0]!r} outside the 1-5 scale")
+    reduced = np.sign(labels - MIDPOINT_LABEL)
+    return int(reduced) if reduced.ndim == 0 else reduced
 
 
 def population_variance(values: Sequence[float]) -> float:
@@ -219,7 +220,7 @@ def _disagreement_counts(columns: AnnotationColumns
     triple = np.bincount(columns.pair, minlength=len(columns.pair_ids)) == 3
     rows = np.flatnonzero(triple[columns.pair])
     rows = rows[np.argsort(columns.pair[rows], kind="stable")].reshape(-1, 3)
-    reduced = np.sign(columns.label[rows] - MIDPOINT_LABEL)
+    reduced = reduce_label(columns.label[rows])
     # column j of others_* holds the two co-annotators of position j
     others_a = reduced[:, [1, 0, 0]]
     others_b = reduced[:, [2, 2, 1]]

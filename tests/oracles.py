@@ -411,7 +411,8 @@ def correlation_report_oracle(corpus, metric_scores, metrics, subsets, reports,
     loop ranks.
 
     Returns ``(baseline, rows)`` with ``rows`` a list of
-    ``(removed_annotators, cells, pct_change)`` in subset order.  Pearson
+    ``(removed_annotators, cells, pct)`` in subset order, ``pct`` holding
+    each metric's (Pearson, Spearman) percent changes.  Pearson
     itself is the package's, so every value must agree bit for bit.
     """
     from labelsim.correlate import MetricCorrelation, pearson, percent_change
@@ -528,7 +529,7 @@ def wmd_residual_problem(tokens_a, tokens_b, table):
     def bag(tokens):
         counts = {}
         for tok in tokens:
-            if tok in table.vectors:
+            if tok in table:
                 counts[tok] = counts.get(tok, 0) + 1
         total = sum(counts.values())
         return {tok: count / total for tok, count in counts.items()}
@@ -548,8 +549,8 @@ def wmd_residual_problem(tokens_a, tokens_b, table):
         row = []
         for tb in left_b:
             total = 0.0
-            for x, y in zip(table.vectors[ta].tolist(),
-                            table.vectors[tb].tolist()):
+            for x, y in zip(table[ta].tolist(),
+                            table[tb].tolist()):
                 total += (x - y) * (x - y)
             row.append(math.sqrt(total))
         costs.append(row)

@@ -20,7 +20,6 @@ from labelsim.correlate import (
 )
 from labelsim.corpus import load_corpus
 from labelsim.embmetrics import (
-    EmbeddingTable,
     TransportProblem,
     cosine_similarity,
     sentence_vector,
@@ -87,7 +86,8 @@ EXPECTED_SUBSETS = [
 
 def test_acceptance_2_subset_enumeration():
     t0 = time.monotonic()
-    got = [tuple(int(h) for h in subset) for subset in heuristic_subsets()]
+    got = [tuple(int(h) for h in subset)
+           for subset in heuristic_subsets(HeuristicId)]
     elapsed = time.monotonic() - t0
     ok = got == EXPECTED_SUBSETS and elapsed < 1.0
     _verdict(2, "filter-subset enumeration", ok,
@@ -133,9 +133,7 @@ def test_acceptance_3_lexical_metric_oracles():
     # identity: every similarity metric scores 1.0 on s == s (two or more
     # tokens so bigram-based rouge2 has anything to count)
     vec_rng = np.random.default_rng(99)
-    table = EmbeddingTable(
-        dimension=3,
-        vectors={w: vec_rng.normal(size=3) for w in vocab})
+    table = {w: vec_rng.normal(size=3) for w in vocab}
     for _ in range(50):
         text = " ".join(rng.choices(vocab, k=rng.randint(2, 8)))
         for name, s in score_pair_lexical(text, text).items():

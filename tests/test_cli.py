@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -500,7 +501,7 @@ def test_flag_all_subsets_matches_flag_reports(one_radical_corpus, capsys):
     cfg = HeuristicConfig()
     qualifying = sentiment_qualifying_pairs(corpus, default_scorers(cfg), cfg)
     reports = oracles.flag_reports(corpus, list(HeuristicId), cfg, qualifying)
-    subsets = heuristic_subsets()
+    subsets = heuristic_subsets(HeuristicId)
     assert len(rows) == len(subsets)
     for row, subset in zip(rows, subsets):
         removed = sorted(aid for aid, report in reports.items()
@@ -935,7 +936,7 @@ def test_report_fails_on_a_solver_error(tmp_path, capsys, monkeypatch,
 
     def load_with_a_huge_oak(path, vocab_filter=None):
         table = load_embeddings(path, vocab_filter)
-        table.vectors["oak"] = np.array([1e200, 1.0, 1.0])
+        table["oak"] = np.array([1e200, 1.0, 1.0])
         return table
 
     monkeypatch.setattr(embmetrics, "load_embeddings", load_with_a_huge_oak)
@@ -1012,12 +1013,19 @@ def test_report_subset_with_constant_gold_is_undefined(tmp_path, capsys):
      "an input is constant"),
     (["--per-dataset"],
      "dataset t: metric 'bleu1': correlation needs at least 3 observations"),
+    # distinct values whose spread underflows to 0
+    (["--precomputed", "k={tiny}", "--metrics", "k"],
+     "all annotators: metric 'k': correlation undefined: "
+     "an input is constant"),
 ])
 def test_report_baseline_error_names_panel_and_metric(tmp_path, capsys,
                                                       extra, message):
     const = tmp_path / "const.csv"
     const.write_text("pair_id,score\n" + "".join(
         f"p{i},0.5\n" for i in range(5)))
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("pair_id,score\n" + "".join(
+        f"p{i},{i + 1}e-170\n" for i in range(5)))
     if not extra:  # only the unanimous 3s: the baseline gold is constant
         corpus = write_unanimous_pair_corpus(tmp_path, annotators=("b", "c"))
     else:
@@ -1029,11 +1037,54 @@ def test_report_baseline_error_names_panel_and_metric(tmp_path, capsys,
             lines[i] = lines[i].replace(",s1,", ",t,")
         pairs.write_text("\n".join(lines) + "\n")
     rc = main(["report", *corpus, "--metrics", "bleu1", "--heuristics", "4",
-               *[arg.format(const=const) for arg in extra]])
+               *[arg.format(const=const, tiny=tiny) for arg in extra]])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def write_underflow_corpus(tmp_path):
+    """Six pairs: 'r1' and 'r2' label p0-p4, and 'slow' alone labels p5.
+    The channel 'ext' is 1e-170 ... 5e-170 on p0-p4, distinct values whose
+    spread underflows to 0, and 1.0 on p5."""
+    r1, r2 = [1, 2, 3, 4, 5], [2, 4, 1, 3, 5]
+    pairs = tmp_path / "pairs.csv"
+    annotations = tmp_path / "annotations.csv"
+    ext = tmp_path / "ext.csv"
+    pairs.write_text("pair_id,source,is_random,text_a,text_b\n" + "".join(
+        f"p{i},s1,0,a b c,a b d\n" for i in range(6)))
+    annotations.write_text(
+        "pair_id,annotator_id,label,duration_seconds\n"
+        + "".join(f"p{i},r1,{r1[i]},10\np{i},r2,{r2[i]},10\n"
+                  for i in range(5))
+        + "p5,slow,5,900\n")
+    ext.write_text("pair_id,score\n"
+                   + "".join(f"p{i},{i + 1}e-170\n" for i in range(5))
+                   + "p5,1.0\n")
+    return ["--pairs", str(pairs), "--annotations", str(annotations),
+            "--precomputed", f"ext={ext}", "--metrics", "ext",
+            "--heuristics", "1"]
+
+
+def test_report_subset_whose_spread_underflows_is_undefined(tmp_path,
+                                                           capsys):
+    # heuristic 1 removes 'slow' and with it p5: the five values left are
+    # distinct, but their spread is 0 in floating point
+    argv = ["report", *write_underflow_corpus(tmp_path)]
+    assert main([*argv, "--out-format", "csv"]) == 0
+    baseline, row = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert baseline["filter"] == "baseline"
+    assert baseline["pearson"] == "0.554700"
+    assert baseline["n_pairs"] == "6"
+    assert row["filter"] == "1"
+    assert [row[k] for k in ("pearson", "spearman", "pearson_pct",
+                             "spearman_pct")] == ["", "", "", ""]
+    assert row["n_pairs"] == "5"
+    assert row["removed_annotators"] == "1"
+
+    assert main([*argv, "--out-format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[3].split() == ["[1]", "n/a"]
 
 
 def test_report_runs_are_byte_identical(tmp_path):
@@ -1277,6 +1328,43 @@ def test_style_report_json(tmp_path, capsys):
     assert set(doc) == {"radical", "centrist"}
     assert doc["radical"]["label"] == "Radical-only gold"
     assert doc["centrist"]["status"] == "ok"
+
+
+_CORPUS = ["-h", "--help", "--pairs", "--annotations", "--format"]
+_THRESHOLDS = ["--slow-threshold", "--low-variance-threshold",
+               "--disagreement-threshold", "--overlap-threshold",
+               "--sentiment-gap-threshold", "--sentiment-variance-threshold",
+               "--overlap-bleu-order", "--min-sentiment-pairs"]
+_METRICS = ["--metrics", "--embeddings", "--sent-embeddings", "--pos-tags",
+            "--noun-lexicon", "--precomputed", "--precomputed-distance",
+            "--overlap-mode", "--pos-aggregate"]
+_REPORT = [*_CORPUS, "--config", "--out", *_METRICS, "--heuristics",
+           "--out-format", "--sentiment-file"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("validate", _CORPUS),
+    ("stats", [*_CORPUS, "--out", "--style-variance-excludes-midpoint"]),
+    ("flag", [*_CORPUS, "--config", "--out", "--heuristics", "--all-subsets",
+              "--sentiment-file", *_THRESHOLDS]),
+    ("metrics", [*_CORPUS, "--out", *_METRICS]),
+    ("report", [*_REPORT, "--per-dataset", "--per-annotation-gold",
+                *_THRESHOLDS]),
+    ("style-report", [*_REPORT, "--style-variance-excludes-midpoint",
+                      *_THRESHOLDS]),
+    ("simulate", ["-h", "--help", "--config", "--out-dir", "--seed",
+                  "--n-pairs", "--fraction-random", "--profiles",
+                  "--annotators-per-pair", "--min-tokens", "--max-tokens"]),
+])
+def test_help_lists_every_option_in_a_fixed_order(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # after the usage block, each option's line starts two spaces in
+    body = capsys.readouterr().out.split("\n\n", 1)[1]
+    listed = [opt for line in re.findall(r"(?m)^  (-.*?)(?:  |$)", body)
+              for opt in (part.split()[0] for part in line.split(", "))]
+    assert listed == options
 
 
 # -------------------------------------------------------------- simulate

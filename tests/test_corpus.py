@@ -34,7 +34,7 @@ def test_load_csv(tmp_path):
     assert corpus.pairs_by_id["p1"].source == "sts"
     assert len(corpus.annotations) == 3
     assert [a.label for a in corpus.annotations if a.pair_id == "p1"] == [5, 4]
-    assert corpus.annotator_ids() == ["w1", "w2"]
+    assert corpus.columns.annotator_ids == ("w1", "w2")
 
 
 def test_load_jsonl(tmp_path):

@@ -29,7 +29,7 @@ from labelsim.correlate import (
     spearman,
     style_split_report,
 )
-from labelsim.embmetrics import EmbeddingTable, cosine_similarity, l2_distance
+from labelsim.embmetrics import cosine_similarity, l2_distance
 from labelsim.heuristics import (HeuristicId, compute_flag_reports,
                                  heuristic_subsets)
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
@@ -246,8 +246,7 @@ def scoring_table():
     rng = np.random.default_rng(17)
     words = ["the", "cat", "sat", "dog", "house", "tree", "fish",
              "moon", "car", "bird"]
-    return EmbeddingTable(
-        dimension=4, vectors={w: rng.normal(size=4) for w in words})
+    return {w: rng.normal(size=4) for w in words}
 
 
 def test_metric_universe():
@@ -439,7 +438,7 @@ def test_compute_metric_scores_raises_solver_errors_with_the_pair(
     # "huge" has finite components whose squared distances overflow; p2
     # has no embeddable token on one side, which is a drop, not an error
     table = scoring_table()
-    table.vectors["huge"] = np.array([1e200, 0.0, 0.0, 0.0])
+    table["huge"] = np.array([1e200, 0.0, 0.0, 0.0])
     pairs = [("p1", "cat dog", "dog cat"), ("p2", "qq zz", "cat"),
              ("p3", "huge cat", "dog tree")]
 
@@ -497,7 +496,7 @@ def test_compute_metric_scores_gold_tag_route():
     scores = compute_metric_scores(
         corpus, ["pos_dist"], table=table, gold_tags=tags)
     expected = float(np.linalg.norm(
-        table.vectors["cat"] - table.vectors["dog"]))
+        table["cat"] - table["dog"]))
     assert scores["pos_dist"]["p1"] == pytest.approx(-expected)
 
 
@@ -521,6 +520,12 @@ def report_fixture():
     return corpus, {"m": metric}
 
 
+def pct_pair(report, row, name):
+    """A subset cell's (Pearson, Spearman) percent changes, derived as the
+    renderers derive them."""
+    return correlate._pct_pair(row.cells[name], report.baseline[name])
+
+
 def test_correlation_report_baseline_and_filtering():
     corpus, metric_scores = report_fixture()
     report = correlation_report(corpus, metric_scores, flags(corpus, 1, 2))
@@ -537,16 +542,16 @@ def test_correlation_report_baseline_and_filtering():
     # nobody is slow: identical to baseline, bit for bit
     assert slow_row.removed_annotators == ()
     assert slow_row.cells["m"].pearson == report.baseline["m"].pearson
-    assert slow_row.pct_change["m"][0] == 0.0
+    assert pct_pair(report, slow_row, "m")[0] == 0.0
 
     # the constant annotator goes; gold becomes the informative labels
     assert lowvar_row.removed_annotators == ("junk",)
     filtered_gold = [1.0, 2.0, 2.0, 4.0, 4.0, 5.0]
     assert lowvar_row.cells["m"].pearson == pearson(xs, filtered_gold)
-    assert lowvar_row.pct_change["m"][0] == pytest.approx(
+    assert pct_pair(report, lowvar_row, "m")[0] == pytest.approx(
         percent_change(lowvar_row.cells["m"].pearson,
                        report.baseline["m"].pearson))
-    assert lowvar_row.pct_change["m"][1] == pytest.approx(
+    assert pct_pair(report, lowvar_row, "m")[1] == pytest.approx(
         percent_change(lowvar_row.cells["m"].spearman,
                        report.baseline["m"].spearman))
 
@@ -644,9 +649,9 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
     emptied, kept, _ = report.subsets
     assert emptied.removed_annotators == ("slow",)
     assert emptied.cells["m"] == correlate.MetricCorrelation(None, None, 0)
-    assert emptied.pct_change["m"] == (None, None)
+    assert pct_pair(report, emptied, "m") == (None, None)
     assert kept.cells["m"] == report.baseline["m"]
-    assert kept.pct_change["m"] == (0.0, 0.0)
+    assert pct_pair(report, kept, "m") == (0.0, 0.0)
 
     csv_rows = render_reports(report, "csv").splitlines()
     assert "slow panel,1,m,,,,,0,,1" in csv_rows
@@ -656,6 +661,39 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
         "pearson_pct": None, "spearman_pct": None}
     text_rows = render_report_text(report).splitlines()
     assert text_rows[3].split() == ["[1]", "n/a"]
+
+
+def underflow_fixture():
+    """Six pairs: 'r1' and 'r2' label p0-p4, and the one slow annotator,
+    'slow', alone labels p5.  Metric 'm' is 1e-170 ... 5e-170 on p0-p4, distinct values
+    whose spread underflows to 0, and 1.0 on p5."""
+    r1, r2 = [1, 2, 3, 4, 5], [2, 4, 1, 3, 5]
+    pairs = [(f"p{i}", "a b c", "a b d") for i in range(6)]
+    annotations = [(f"p{i}", aid, labels[i], 10.0)
+                   for i in range(5) for aid, labels in (("r1", r1),
+                                                         ("r2", r2))]
+    annotations.append(("p5", "slow", 5, 900.0))
+    metric = {f"p{i}": (i + 1) * 1e-170 for i in range(5)}
+    metric["p5"] = 1.0
+    return make_corpus(pairs, annotations), {"m": metric}
+
+
+def test_subset_cell_whose_spread_underflows_is_undefined():
+    corpus, metric_scores = underflow_fixture()
+    report = correlation_report(corpus, metric_scores, flags(corpus, 1))
+    assert f"{report.baseline['m'].pearson:.6f}" == "0.554700"
+    (row,) = report.subsets
+    # removing 'slow' drops p5; the values left are not all equal, but
+    # pearson finds no spread in them
+    assert row.removed_annotators == ("slow",)
+    assert row.cells["m"] == correlate.MetricCorrelation(None, None, 5)
+    assert pct_pair(report, row, "m") == (None, None)
+
+    del metric_scores["m"]["p5"]
+    with pytest.raises(UndefinedCorrelationError,
+                       match="^all annotators: metric 'm': correlation "
+                             "undefined: an input is constant$"):
+        correlation_report(corpus, metric_scores, flags(corpus, 1))
 
 
 def test_correlation_report_baseline_needs_three_observations(monkeypatch):
@@ -757,7 +795,7 @@ def test_render_report_json_round_trip():
     assert doc["baseline"]["m"]["pearson"] == \
         float(f"{report.baseline['m'].pearson:.12g}")
     assert cell["pearson_pct"] == \
-        float(f"{report.subsets[1].pct_change['m'][0]:.12g}")
+        float(f"{pct_pair(report, report.subsets[1], 'm')[0]:.12g}")
     assert doc == report_doc(report)
 
 
@@ -780,17 +818,20 @@ def test_render_reports_joins_panels_into_one_document():
 
 
 def test_report_doc_rounds_floats_and_keeps_undefined_cells():
-    cell = correlate.MetricCorrelation(1 / 3, None, 3)
+    # the subset's Pearson is 2/3 % below the baseline's
+    base = correlate.MetricCorrelation(1 / 3, None, 3)
+    cell = correlate.MetricCorrelation(298 / 900, None, 3)
     report = CorrelationReport(
-        label="x", status="ok", metrics=("m",), baseline={"m": cell},
+        label="x", status="ok", metrics=("m",), baseline={"m": base},
         subsets=(correlate.SubsetResult(
             subset=(HeuristicId.SLOW,), removed_annotators=("a",),
-            cells={"m": cell}, pct_change={"m": (-2 / 3, None)}),),
+            cells={"m": cell}),),
         dropped={}, unavailable={}, n_pairs=3)
     doc = report_doc(report)
     assert doc["baseline"]["m"] == {"pearson": 0.333333333333,
                                     "spearman": None, "n_pairs": 3}
     sub = doc["subsets"][0]["cells"]["m"]
+    assert sub["pearson"] == 0.331111111111
     assert sub["pearson_pct"] == -0.666666666667
     assert sub["spearman_pct"] is None
     assert '"pearson": 0.333333333333,' in render_reports(report, "json")
@@ -849,13 +890,14 @@ def assert_report_matches_oracle(report, oracle):
     for row, (removed, cells, pct) in zip(report.subsets, rows):
         assert row.removed_annotators == removed
         assert row.cells == cells
-        assert row.pct_change == pct
+        assert {name: pct_pair(report, row, name)
+                for name in report.metrics} == pct
 
 
 @pytest.mark.parametrize("per_annotation", [False, True])
 def test_report_engine_matches_oracle(tied_report_inputs, per_annotation):
     corpus, scores, reports = tied_report_inputs
-    subsets = heuristic_subsets()
+    subsets = heuristic_subsets(HeuristicId)
     report = correlation_report(corpus, scores, reports,
                                 per_annotation=per_annotation)
     assert report.metrics == ("coarse", "five", "holes")
@@ -868,10 +910,10 @@ def test_report_engine_matches_oracle(tied_report_inputs, per_annotation):
 
 def test_report_engine_matches_oracle_on_a_panel(tied_report_inputs):
     corpus, scores, reports = tied_report_inputs
-    ids = corpus.annotator_ids()
+    ids = corpus.columns.annotator_ids
     panel = set(ids[::2])
     assert any(reports[aid].flags for aid in panel)
-    subsets = heuristic_subsets()
+    subsets = heuristic_subsets(HeuristicId)
     report = correlation_report(corpus, scores, reports, annotator_ids=panel)
     assert report.status == "ok"
     assert_report_matches_oracle(report, correlation_report_oracle(
@@ -898,8 +940,8 @@ def test_zero_baseline_statistic_has_no_percent_change():
     (row,) = report.subsets
     assert row.removed_annotators == ("z",)
     assert report.baseline["ext"].spearman == 0.0
-    assert row.pct_change["ext"][0] is not None
-    assert row.pct_change["ext"][1] is None
-    assert row.pct_change["orth"] == (None, None)
+    assert pct_pair(report, row, "ext")[0] is not None
+    assert pct_pair(report, row, "ext")[1] is None
+    assert pct_pair(report, row, "orth") == (None, None)
     assert_report_matches_oracle(report, correlation_report_oracle(
         corpus, scores, report.metrics, [(HeuristicId.SLOW,)], reports))

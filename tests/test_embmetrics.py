@@ -10,7 +10,6 @@ from labelsim import embmetrics
 from labelsim.corpus import CorpusError
 from labelsim.embmetrics import (
     MARGINAL_TOL,
-    EmbeddingTable,
     TransportProblem,
     cosine_similarity,
     l2_distance,
@@ -53,10 +52,7 @@ SOLVER_TOL = 1.01e-11
 
 def make_table(words, dim=4, seed=7):
     rng = np.random.default_rng(seed)
-    return EmbeddingTable(
-        dimension=dim,
-        vectors={w: rng.normal(size=dim) for w in words},
-    )
+    return {w: rng.normal(size=dim) for w in words}
 
 
 # ------------------------------------------------------------ embedding IO
@@ -66,17 +62,17 @@ def test_load_embeddings_basic(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
     table = load_embeddings(p)
-    assert table.dimension == 2
-    assert set(table.vectors) == {"cat", "dog"}
-    assert table.vectors["cat"].tolist() == [1.0, 0.0]
+    assert {v.size for v in table.values()} == {2}
+    assert set(table) == {"cat", "dog"}
+    assert table["cat"].tolist() == [1.0, 0.0]
 
 
 def test_load_embeddings_skips_count_dim_header(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("2 3\ncat 1 2 3\ndog 4 5 6\n")
     table = load_embeddings(p)
-    assert table.dimension == 3
-    assert set(table.vectors) == {"cat", "dog"}
+    assert {v.size for v in table.values()} == {3}
+    assert set(table) == {"cat", "dog"}
 
 
 def test_load_embeddings_two_field_word_line_is_not_header(tmp_path):
@@ -85,8 +81,8 @@ def test_load_embeddings_two_field_word_line_is_not_header(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("up 1.0\ndown -1.0\n")
     table = load_embeddings(p)
-    assert table.dimension == 1
-    assert table.vectors["down"].tolist() == [-1.0]
+    assert {v.size for v in table.values()} == {1}
+    assert table["down"].tolist() == [-1.0]
 
 
 def test_load_embeddings_dimension_mismatch(tmp_path):
@@ -100,14 +96,14 @@ def test_load_embeddings_duplicates_keep_first(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("cat 1 2\ncat 9 9\n")
     table = load_embeddings(p)
-    assert table.vectors["cat"].tolist() == [1.0, 2.0]
+    assert table["cat"].tolist() == [1.0, 2.0]
 
 
 def test_load_embeddings_vocab_filter(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("cat 1 2\ndog 3 4\neel 5 6\n")
     table = load_embeddings(p, vocab_filter={"dog", "eel"})
-    assert set(table.vectors) == {"dog", "eel"}
+    assert set(table) == {"dog", "eel"}
 
 
 def test_load_embeddings_errors(tmp_path):
@@ -132,7 +128,7 @@ def test_load_embeddings_rejects_non_finite(tmp_path):
                        match=r"vectors\.txt line 2: non-finite vector"):
         load_embeddings(path)
     # a filtered-out word is never parsed, so it cannot fail the load
-    assert set(load_embeddings(path, vocab_filter={"cat"}).vectors) == {"cat"}
+    assert set(load_embeddings(path, vocab_filter={"cat"})) == {"cat"}
 
 
 def test_loaders_reject_a_vector_whose_squared_norm_overflows(tmp_path):
@@ -144,7 +140,7 @@ def test_loaders_reject_a_vector_whose_squared_norm_overflows(tmp_path):
                                "its squared norm overflows distance "
                                "arithmetic$"):
         load_embeddings(path)
-    assert load_embeddings(path, vocab_filter={"cat"}).dimension == 2
+    assert load_embeddings(path, vocab_filter={"cat"})["cat"].size == 2
     sent = tmp_path / "sent.csv"
     sent.write_text("pair_id,side,vector\np1,a,1 2\np1,b,0 -1e200\n")
     with np.errstate(all="raise"), pytest.raises(
@@ -169,16 +165,16 @@ def test_load_embeddings_rejects_non_utf8(tmp_path):
 
 
 def test_sentence_vector_mean_skips_oov():
-    table = EmbeddingTable(dimension=2, vectors={
+    table = {
         "cat": np.array([2.0, 0.0]),
         "dog": np.array([0.0, 4.0]),
-    })
+    }
     vec = sentence_vector(["cat", "dog", "zzz"], table)
     assert vec.tolist() == [1.0, 2.0]
 
 
 def test_sentence_vector_all_oov_errors():
-    table = EmbeddingTable(dimension=2, vectors={"cat": np.array([1.0, 0.0])})
+    table = {"cat": np.array([1.0, 0.0])}
     with pytest.raises(ValueError, match="no representable tokens"):
         sentence_vector(["zzz", "qqq"], table)
 
@@ -548,13 +544,13 @@ def test_wmd_identical_sentences_cost_zero():
 
 def test_wmd_single_words_is_euclidean_distance():
     got = wmd(["cat"], ["dog"], WMD_TABLE)
-    expected = l2_distance(WMD_TABLE.vectors["cat"], WMD_TABLE.vectors["dog"])
+    expected = l2_distance(WMD_TABLE["cat"], WMD_TABLE["dog"])
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_wmd_symmetric():
     rng = random.Random(6)
-    words = sorted(WMD_TABLE.vectors)
+    words = sorted(WMD_TABLE)
     for _ in range(20):
         a = rng.choices(words, k=rng.randint(1, 5))
         b = rng.choices(words, k=rng.randint(1, 5))
@@ -564,7 +560,7 @@ def test_wmd_symmetric():
 
 def test_wmd_triangle_inequality():
     rng = random.Random(7)
-    words = sorted(WMD_TABLE.vectors)
+    words = sorted(WMD_TABLE)
     for _ in range(20):
         a = rng.choices(words, k=rng.randint(1, 4))
         b = rng.choices(words, k=rng.randint(1, 4))
@@ -589,7 +585,7 @@ def assert_wmd_is_the_full_bag_optimum(a, b, table):
     _, wb, vb = nbow_weights(b, table)
     costs = _euclidean_costs(va, vb)
     full = solve_transport(TransportProblem(wa, wb, costs)).cost
-    if not set(a) & set(b) & set(table.vectors):
+    if not set(a) & set(b) & set(table):
         assert got == full  # nothing shared: the very same problem
     elif sorted(a) == sorted(b):
         assert got == 0.0
@@ -602,7 +598,7 @@ def assert_wmd_is_the_full_bag_optimum(a, b, table):
 def twin_table(seed, dim=4):
     """Ten words; "twin" has the very vector of "w0"."""
     table = make_table([f"w{i}" for i in range(9)], dim=dim, seed=seed)
-    table.vectors["twin"] = table.vectors["w0"].copy()
+    table["twin"] = table["w0"].copy()
     return table
 
 
@@ -611,7 +607,7 @@ def test_wmd_equals_the_full_bag_optimum_on_seeded_bags():
     kinds = {"shared": 0, "disjoint": 0, "identical": 0}
     for k in range(400):
         table = twin_table(seed=k, dim=rng.randint(1, 8))
-        words = sorted(table.vectors)
+        words = sorted(table)
         a = rng.choices(words, k=rng.randint(1, 12))  # repeats tokens
         if k % 8 == 0:
             b = rng.sample(a, len(a))
@@ -636,7 +632,7 @@ def test_wmd_equals_the_full_bag_optimum_on_seeded_bags():
        st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_wmd_equals_the_full_bag_optimum(ids_a, ids_b, seed, dim):
     table = twin_table(seed, dim)
-    words = sorted(table.vectors)
+    words = sorted(table)
     assert_wmd_is_the_full_bag_optimum([words[i] for i in ids_a],
                                        [words[i] for i in ids_b], table)
 
@@ -659,11 +655,11 @@ def test_wmd_solves_the_residual_problem_on_seeded_bags(monkeypatch):
     for k in range(300):
         table = make_table([f"w{i}" for i in range(16)],
                            dim=rng.randint(1, 8), seed=k)
-        table.vectors["twin"] = table.vectors["w0"].copy()
-        words = sorted(table.vectors) + ["oov"]
+        table["twin"] = table["w0"].copy()
+        words = sorted(table) + ["oov"]
         a = rng.choices(words, k=rng.randint(1, 24))
         b = rng.choices(words, k=rng.randint(1, 24))
-        if not set(a) & set(table.vectors) or not set(b) & set(table.vectors):
+        if not set(a) & set(table) or not set(b) & set(table):
             continue
         seen.clear()
         got = wmd(a, b, table)
@@ -713,7 +709,7 @@ def test_nbow_weights():
     assert types == ["cat", "dog"]
     assert weights.tolist() == [1.0 / 3.0, 2.0 / 3.0]
     assert weights.sum() == pytest.approx(1.0)
-    assert matrix.shape == (2, WMD_TABLE.dimension)
+    assert matrix.shape == (2, WMD_TABLE["cat"].size)
     with pytest.raises(ValueError, match="no representable tokens"):
         nbow_weights(["zzz"], WMD_TABLE)
 
@@ -755,12 +751,12 @@ def test_nouns_from_tags():
 def test_pos_distance_single_nouns():
     tagger = lexicon_noun_tagger(frozenset({"cat", "dog"}))
     score = pos_distance(["the", "cat"], ["a", "dog"], tagger, WMD_TABLE)
-    expected = l2_distance(WMD_TABLE.vectors["cat"], WMD_TABLE.vectors["dog"])
+    expected = l2_distance(WMD_TABLE["cat"], WMD_TABLE["dog"])
     assert score == pytest.approx(expected)
 
 
 def test_pos_distance_matched_matches_assignment_oracle():
-    words = sorted(WMD_TABLE.vectors)
+    words = sorted(WMD_TABLE)
     tagger = lexicon_noun_tagger(frozenset(words))
     rng = random.Random(8)
     for _ in range(40):
@@ -769,7 +765,7 @@ def test_pos_distance_matched_matches_assignment_oracle():
         nouns_a = rng.sample(words, n_a)
         nouns_b = rng.sample(words, n_b)
         got = pos_distance(nouns_a, nouns_b, tagger, WMD_TABLE)
-        costs = [[l2_distance(WMD_TABLE.vectors[x], WMD_TABLE.vectors[y])
+        costs = [[l2_distance(WMD_TABLE[x], WMD_TABLE[y])
                   for y in nouns_b] for x in nouns_a]
         assert got == pytest.approx(assignment_oracle(costs) / n_a,
                                           abs=1e-9)
@@ -839,12 +835,12 @@ def test_pos_distance_repeated_noun_matches_assignment():
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    tagger = lexicon_noun_tagger(frozenset(WMD_TABLE.vectors))
+    tagger = lexicon_noun_tagger(frozenset(WMD_TABLE))
     a = ["cat", "dog", "cat", "tree"]
     b = ["dog", "cat", "moon"]
     got = pos_distance(a, b, tagger, WMD_TABLE)
-    dists = cdist(np.stack([WMD_TABLE.vectors[t] for t in a]),
-                  np.stack([WMD_TABLE.vectors[t] for t in b]))
+    dists = cdist(np.stack([WMD_TABLE[t] for t in a]),
+                  np.stack([WMD_TABLE[t] for t in b]))
     rows, cols = linear_sum_assignment(dists)
     ref = dists[rows, cols].mean()
     assert abs(got - ref) <= 4 * np.spacing(ref)
@@ -854,8 +850,8 @@ def test_pos_distance_all_pairs_mean():
     tagger = lexicon_noun_tagger(frozenset({"cat", "dog", "tree"}))
     got = pos_distance(["cat", "dog"], ["tree"], tagger, WMD_TABLE,
                        aggregate="all_pairs")
-    d1 = l2_distance(WMD_TABLE.vectors["cat"], WMD_TABLE.vectors["tree"])
-    d2 = l2_distance(WMD_TABLE.vectors["dog"], WMD_TABLE.vectors["tree"])
+    d1 = l2_distance(WMD_TABLE["cat"], WMD_TABLE["tree"])
+    d2 = l2_distance(WMD_TABLE["dog"], WMD_TABLE["tree"])
     assert got == pytest.approx((d1 + d2) / 2.0)
 
 

@@ -394,7 +394,7 @@ def test_removal_monotonicity_randomized():
         corpus, _ = simulate.generate_corpus(spec)
         reports = compute_flag_reports(corpus, list(H))
         removed = {subset: flagged_annotators(reports, subset)
-                   for subset in heuristic_subsets()}
+                   for subset in heuristic_subsets(HeuristicId)}
         for _ in range(20):
             small = rng.choice(list(removed))
             big = rng.choice(list(removed))
@@ -425,7 +425,7 @@ def test_flags_invariant_to_annotation_order(disagreeable_corpus):
 
 
 def test_heuristic_subsets_row_order():
-    subsets = heuristic_subsets()
+    subsets = heuristic_subsets(HeuristicId)
     assert len(subsets) == 31
     assert subsets[0] == (H.SLOW,)
     assert subsets[-1] == tuple(H)
@@ -504,7 +504,7 @@ def assert_table_matches_loops(corpus, cfg, scorers):
     for exclude in (False, True):
         assert annotator_profiles(corpus, exclude) == {
             aid: oracles.annotator_profile(corpus, aid, exclude)
-            for aid in corpus.annotator_ids()}
+            for aid in corpus.columns.annotator_ids}
 
 
 @settings(max_examples=300, deadline=None)

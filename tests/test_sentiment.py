@@ -8,7 +8,6 @@ from labelsim.corpus import CorpusError
 from labelsim.sentiment import (
     DEFAULT_INTENSIFIERS,
     DEFAULT_NEGATORS,
-    SentimentLexicon,
     default_sentiment_scorer,
     ingest_sentiment,
     load_lexicon,
@@ -27,17 +26,17 @@ def squash(x):
 
 def test_bundled_lexicon_loads():
     lex = load_lexicon()
-    assert len(lex.valences) >= 100
-    assert lex.valences["good"] == 1.9
-    assert lex.valences["bad"] == -1.9
-    assert lex.valences["great"] == 3.1
+    assert len(lex) >= 100
+    assert lex["good"] == 1.9
+    assert lex["bad"] == -1.9
+    assert lex["great"] == 3.1
 
 
 def test_load_lexicon_from_path(tmp_path):
     p = tmp_path / "lex.csv"
     p.write_text("word,valence\nshiny,2.0\n  Dull  ,-1.5\n")
     lex = load_lexicon(p)
-    assert lex.valences == {"shiny": 2.0, "dull": -1.5}
+    assert lex == {"shiny": 2.0, "dull": -1.5}
 
 
 def test_load_lexicon_missing_column(tmp_path):
@@ -72,7 +71,7 @@ def test_load_lexicon_non_finite_valence(tmp_path):
 # ---------------------------------------------------------------- scoring
 
 
-LEX = SentimentLexicon(valences={"fine": 1.0, "awful": -2.0, "nice": 0.5})
+LEX = {"fine": 1.0, "awful": -2.0, "nice": 0.5}
 
 
 def test_neutral_text_scores_zero():
@@ -128,8 +127,7 @@ def test_valences_sum_across_words():
 def test_antonym_swap_negates_exactly():
     # Squash x/(1+|x|) is odd, so negating every valence negates the score
     # bit for bit.
-    flipped = SentimentLexicon(
-        valences={w: -v for w, v in LEX.valences.items()})
+    flipped = {w: -v for w, v in LEX.items()}
     texts = [
         "fine",
         "not fine",
@@ -143,7 +141,7 @@ def test_antonym_swap_negates_exactly():
 
 def test_scores_bounded_on_random_salads():
     lex = load_lexicon()
-    words = (sorted(lex.valences) + sorted(DEFAULT_NEGATORS)
+    words = (sorted(lex) + sorted(DEFAULT_NEGATORS)
              + sorted(DEFAULT_INTENSIFIERS) + ["the", "swivel", "blue"])
     rng = random.Random(20240817)
     for _ in range(300):

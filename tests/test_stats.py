@@ -1,6 +1,7 @@
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from labelsim.heuristics import (HeuristicConfig, HeuristicId,
@@ -21,10 +22,20 @@ def test_reduce_label_monotone():
     assert reduced == sorted(reduced)
 
 
-@pytest.mark.parametrize("bad", [0, 6, -1, 2.5])
+@pytest.mark.parametrize("bad", [0, 6, -1, 2.5, np.array([1, 0, 3]),
+                                 np.array([1, 6, 3])],
+                         ids=["0", "6", "-1", "2.5", "array0", "array6"])
 def test_reduce_label_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the 1-5 scale"):
         reduce_label(bad)
+
+
+def test_reduce_label_works_element_wise():
+    got = reduce_label(np.array([1, 2, 3, 4, 5]))
+    assert got.tolist() == [-1, -1, 0, 1, 1]
+    assert reduce_label(np.array([[5, 3], [2, 4]])).tolist() == [[1, 0],
+                                                                [-1, 1]]
+    assert type(reduce_label(4)) is int
 
 
 def test_population_variance_known():
