@@ -365,17 +365,16 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
     return LabeledCorpus(pairs=tuple(pairs), annotations=tuple(annotations))
 
 
-def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path,
-                fmt: Optional[str] = None) -> None:
+def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path) -> None:
     """Write a corpus back to disk; inverse of :func:`load_corpus`.
 
-    Both files take the format of ``pairs_path`` unless ``fmt`` forces
-    one.  Each row is one dict of its fields, written by ``DictWriter``
-    as CSV or by ``json.dumps`` as JSONL; the CSV's float durations read
-    as ``repr`` does.
+    Both files take the format that ``pairs_path``'s suffix names.  Each
+    row is one dict of its fields, written by ``DictWriter`` as CSV or by
+    ``json.dumps`` as JSONL; the CSV's float durations read as ``repr``
+    does.
     """
     pairs_path = Path(pairs_path)
-    use_fmt = _detect_format(pairs_path, fmt)
+    use_fmt = _detect_format(pairs_path, None)
     tables = (
         (pairs_path, PAIR_FIELDS,
          ((p.pair_id, p.source, int(p.is_random), p.text_a, p.text_b)

@@ -66,20 +66,30 @@ def _constant(arr: np.ndarray) -> bool:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation; raises on constant or non-finite input."""
+    """Sample Pearson correlation; raises on constant or non-finite input.
+
+    Each input is scaled by the power of two that puts its largest
+    magnitude in [0.5, 1).  That is exact, so ``r`` does not depend on
+    the input's scale and equals what the unscaled sums give wherever
+    they neither overflow nor underflow.  Limit: an input whose
+    magnitudes span more than the double range (about 1e-308 to 1e308)
+    can lose its smallest entries to subnormals or zero once scaled.
+    """
     if len(xs) != len(ys):
         raise ValueError("correlation inputs must have equal length")
     if len(xs) < 3:
         raise ValueError("correlation needs at least 3 observations")
     x = _finite(xs)
     y = _finite(ys)
+    if _constant(x) or _constant(y):
+        raise UndefinedCorrelationError(
+            "correlation undefined: an input is constant")
+    x = np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
+    y = np.ldexp(y, -math.frexp(float(np.abs(y).max()))[1])
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
-    if sx == 0.0 or sy == 0.0 or _constant(x) or _constant(y):
-        raise UndefinedCorrelationError(
-            "correlation undefined: an input is constant")
     r = float((dx * dy).sum() / (sx * sy))
     if not math.isfinite(r):
         raise UndefinedCorrelationError(
@@ -225,7 +235,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
                     for side, tokens in (("a", tokens_a), ("b", tokens_b))]
             else:
                 nouns = [noun_tagger(tokens_a), noun_tagger(tokens_b)]
-            dist = embmetrics.pos_distance(*nouns, list, table,
+            dist = embmetrics.pos_distance(*nouns, table,
                                            aggregate=pos_aggregate)
             if dist is not None:
                 out["pos_dist"] = dist

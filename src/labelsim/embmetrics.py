@@ -188,18 +188,11 @@ class TransportResult:
     marginal_error: float
 
 
-def solve_transport(problem: TransportProblem,
-                    method: str = "exact") -> TransportResult:
+def solve_transport(problem: TransportProblem) -> TransportResult:
     """Solve the transport problem exactly with the transportation simplex.
 
     The plan is a provably optimal vertex of the transport polytope.
-    ``method`` accepts only ``"exact"``; any other name raises
-    ``ValueError``.  The keyword stays only for the benchmark's solver
-    probe (``perfbench/probe.py``), which asks for other methods by name
-    and reads that error as "method removed".
     """
-    if method != "exact":
-        raise ValueError(f"unknown transport method {method!r}")
     problem.validate()
     a = np.asarray(problem.source_weights, dtype=np.float64)
     b = np.asarray(problem.target_weights, dtype=np.float64)
@@ -411,20 +404,10 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
 # word mover's distance
 
 
-def nbow_weights(tokens: TokenSeq, table: EmbeddingTable
-                 ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Normalized bag-of-words over in-vocabulary token types.
-
-    Returns the sorted types, their frequency-proportional weights, and
-    the stacked embedding matrix.
-    """
-    types, weights = _bag(tokens, table)
-    return types, np.array(weights), _gather(types, table)
-
-
 def _bag(tokens: TokenSeq, table: EmbeddingTable
          ) -> tuple[list[str], list[float]]:
-    """``nbow_weights``' types and weights, the weights as Python floats.
+    """Normalized bag-of-words over in-vocabulary token types: the sorted
+    types and their frequency-proportional weights, as Python floats.
 
     Each weight is its count over the token total, both exact integers,
     so the quotient rounds the same whether numpy or Python divides.
@@ -521,11 +504,12 @@ def nouns_from_tags(tokens: TokenSeq, tags: dict) -> list[str]:
 POS_AGGREGATES = ("matched", "all_pairs")
 
 
-def pos_distance(a: TokenSeq, b: TokenSeq,
-                 noun_tagger: Callable[[TokenSeq], list[str]],
+def pos_distance(nouns_a: TokenSeq, nouns_b: TokenSeq,
                  table: EmbeddingTable,
                  aggregate: str = "matched") -> Optional[float]:
-    """Mean embedding distance between the nouns of the two sentences.
+    """Mean embedding distance between two sentences' nouns, as a tagger
+    or :func:`nouns_from_tags` selects them; nouns without a vector are
+    skipped.
 
     With ``matched`` aggregation the nouns are paired one-to-one by a
     minimum-cost assignment over min(#nouns) pairs; ``all_pairs``
@@ -534,8 +518,8 @@ def pos_distance(a: TokenSeq, b: TokenSeq,
     """
     if aggregate not in POS_AGGREGATES:
         raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
-    nouns_a = [t for t in noun_tagger(a) if t in table]
-    nouns_b = [t for t in noun_tagger(b) if t in table]
+    nouns_a = [t for t in nouns_a if t in table]
+    nouns_b = [t for t in nouns_b if t in table]
     if not nouns_a or not nouns_b:
         return None
     dists = _euclidean_costs(_gather(nouns_a, table), _gather(nouns_b, table))

@@ -498,6 +498,24 @@ def northwest_corner_start(a, b, C):
     return flow, basis
 
 
+def nbow_oracle(tokens, table):
+    """Normalized bag-of-words over the in-vocabulary token types.
+
+    Returns ``(types, weights, vectors)``: the sorted types, each type's
+    count over the in-vocabulary token total, and one embedding row per
+    type.
+    """
+    from collections import Counter
+
+    import numpy as np
+
+    counts = Counter(t for t in tokens if t in table)
+    total = sum(counts.values())
+    types = sorted(counts)
+    weights = np.array([counts[t] / total for t in types])
+    return types, weights, np.array([table[t] for t in types])
+
+
 def northwest_corner_wmd(tokens_a, tokens_b, table):
     """WMD from the northwest-corner start and the package's pivot loop.
 
@@ -505,10 +523,10 @@ def northwest_corner_wmd(tokens_a, tokens_b, table):
     """
     from scipy.spatial.distance import cdist
 
-    from labelsim.embmetrics import _simplex_pivots, nbow_weights
+    from labelsim.embmetrics import _simplex_pivots
 
-    _, wa, va = nbow_weights(tokens_a, table)
-    _, wb, vb = nbow_weights(tokens_b, table)
+    _, wa, va = nbow_oracle(tokens_a, table)
+    _, wb, vb = nbow_oracle(tokens_b, table)
     C = cdist(va, vb)
     flow, pivots = _simplex_pivots(C, *northwest_corner_start(wa, wb, C))
     return float((flow * C).sum()), pivots

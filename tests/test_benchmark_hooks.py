@@ -72,3 +72,15 @@ def test_setup_loader_reads_every_input(bench, tmp_path, workload):
         [sys.executable, str(PERFBENCH / "load_inputs.py"), str(spec)],
         env=run.child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_solver_probe_reports_sinkhorn_absent(bench):
+    # The traced mode runs this probe; the package offers neither the
+    # Sinkhorn solver nor the bag-of-words helper it imports, so the probe
+    # must return None, leaving its metrics absent, rather than raise.
+    run, paths = bench
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import probe
+    assert probe.sinkhorn_probe(paths["pairs"], paths["embeddings"],
+                                run.PROBE_PROBLEMS) is None

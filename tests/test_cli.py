@@ -1013,19 +1013,12 @@ def test_report_subset_with_constant_gold_is_undefined(tmp_path, capsys):
      "an input is constant"),
     (["--per-dataset"],
      "dataset t: metric 'bleu1': correlation needs at least 3 observations"),
-    # distinct values whose spread underflows to 0
-    (["--precomputed", "k={tiny}", "--metrics", "k"],
-     "all annotators: metric 'k': correlation undefined: "
-     "an input is constant"),
 ])
 def test_report_baseline_error_names_panel_and_metric(tmp_path, capsys,
                                                       extra, message):
     const = tmp_path / "const.csv"
     const.write_text("pair_id,score\n" + "".join(
         f"p{i},0.5\n" for i in range(5)))
-    tiny = tmp_path / "tiny.csv"
-    tiny.write_text("pair_id,score\n" + "".join(
-        f"p{i},{i + 1}e-170\n" for i in range(5)))
     if not extra:  # only the unanimous 3s: the baseline gold is constant
         corpus = write_unanimous_pair_corpus(tmp_path, annotators=("b", "c"))
     else:
@@ -1037,21 +1030,21 @@ def test_report_baseline_error_names_panel_and_metric(tmp_path, capsys,
             lines[i] = lines[i].replace(",s1,", ",t,")
         pairs.write_text("\n".join(lines) + "\n")
     rc = main(["report", *corpus, "--metrics", "bleu1", "--heuristics", "4",
-               *[arg.format(const=const, tiny=tiny) for arg in extra]])
+               *[arg.format(const=const) for arg in extra]])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
 
 
-def write_underflow_corpus(tmp_path):
+def write_scaled_channel_corpus(tmp_path, exponent):
     """Six pairs: 'r1' and 'r2' label p0-p4, and 'slow' alone labels p5.
-    The channel 'ext' is 1e-170 ... 5e-170 on p0-p4, distinct values whose
-    spread underflows to 0, and 1.0 on p5."""
+    The channel 'ext' is 1 ... 5 times ``10**exponent`` on p0-p4, written
+    as ``1e<exponent>`` and so on, and 1.0 on p5."""
     r1, r2 = [1, 2, 3, 4, 5], [2, 4, 1, 3, 5]
     pairs = tmp_path / "pairs.csv"
     annotations = tmp_path / "annotations.csv"
-    ext = tmp_path / "ext.csv"
+    ext = tmp_path / f"ext{exponent}.csv"
     pairs.write_text("pair_id,source,is_random,text_a,text_b\n" + "".join(
         f"p{i},s1,0,a b c,a b d\n" for i in range(6)))
     annotations.write_text(
@@ -1060,31 +1053,55 @@ def write_underflow_corpus(tmp_path):
                   for i in range(5))
         + "p5,slow,5,900\n")
     ext.write_text("pair_id,score\n"
-                   + "".join(f"p{i},{i + 1}e-170\n" for i in range(5))
+                   + "".join(f"p{i},{i + 1}e{exponent}\n" for i in range(5))
                    + "p5,1.0\n")
     return ["--pairs", str(pairs), "--annotations", str(annotations),
             "--precomputed", f"ext={ext}", "--metrics", "ext",
             "--heuristics", "1"]
 
 
-def test_report_subset_whose_spread_underflows_is_undefined(tmp_path,
-                                                           capsys):
-    # heuristic 1 removes 'slow' and with it p5: the five values left are
-    # distinct, but their spread is 0 in floating point
-    argv = ["report", *write_underflow_corpus(tmp_path)]
-    assert main([*argv, "--out-format", "csv"]) == 0
-    baseline, row = csv.DictReader(io.StringIO(capsys.readouterr().out))
+def test_report_subset_at_1e_170_scale_matches_unit_scale(tmp_path,
+                                                          capsys):
+    # heuristic 1 removes 'slow' and with it p5: the five values left
+    # square to subnormals or zero unless pearson scales them first
+    rows = {}
+    for exponent in (-170, 0):
+        argv = ["report", *write_scaled_channel_corpus(tmp_path, exponent)]
+        assert main([*argv, "--out-format", "csv"]) == 0
+        rows[exponent] = list(csv.DictReader(
+            io.StringIO(capsys.readouterr().out)))
+    baseline, row = rows[-170]
     assert baseline["filter"] == "baseline"
     assert baseline["pearson"] == "0.554700"
     assert baseline["n_pairs"] == "6"
     assert row["filter"] == "1"
-    assert [row[k] for k in ("pearson", "spearman", "pearson_pct",
-                             "spearman_pct")] == ["", "", "", ""]
-    assert row["n_pairs"] == "5"
     assert row["removed_annotators"] == "1"
+    unit_row = rows[0][1]
+    assert [row[k] for k in ("pearson", "spearman", "n_pairs")] == \
+        [unit_row[k] for k in ("pearson", "spearman", "n_pairs")] == \
+        ["0.866025", "0.900000", "5"]
 
-    assert main([*argv, "--out-format", "text"]) == 0
-    assert capsys.readouterr().out.splitlines()[3].split() == ["[1]", "n/a"]
+
+def test_report_pearson_does_not_depend_on_channel_scale(tmp_path, capsys):
+    pairs, annotations = write_unanimous_pair_corpus(tmp_path)[1::2]
+    outputs = {}
+    for exponent in (0, 200, -170):
+        channel = tmp_path / f"ext{exponent}.csv"
+        channel.write_text("pair_id,score\n" + "".join(
+            f"p{i},{v}e{exponent}\n" for i, v in enumerate([1, 3, 2, 5, 4])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            rc = main(["report", "--pairs", pairs, "--annotations",
+                       annotations, "--precomputed", f"ext={channel}",
+                       "--metrics", "ext", "--heuristics", "4",
+                       "--out-format", "csv"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        outputs[exponent] = captured.out
+    assert outputs[200] == outputs[-170] == outputs[0]
+    baseline = next(csv.DictReader(io.StringIO(outputs[0])))
+    assert baseline["pearson"] == "0.800000"
 
 
 def test_report_runs_are_byte_identical(tmp_path):

@@ -5,10 +5,11 @@ import io
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from labelsim.corpus import attach_precomputed
 from labelsim import correlate, textmetrics
@@ -69,6 +70,24 @@ def test_pearson_matches_oracle():
         got = pearson(xs, ys)
         assert got == pytest.approx(pearson_oracle(xs, ys), abs=1e-12)
         assert -1.0 <= got <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pearson_does_not_depend_on_a_power_of_two_scale(data):
+    n = data.draw(st.integers(3, 30))
+    values = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
+    xs = data.draw(st.lists(values, min_size=n, max_size=n))
+    ys = data.draw(st.lists(values, min_size=n, max_size=n))
+    assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+    # every k at which each non-zero x * 2**k stays a normal float
+    exponents = [math.frexp(x)[1] for x in xs if x != 0.0]
+    k = data.draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)))
+    scaled = [math.ldexp(x, k) for x in xs]
+    assert all(x == 0.0 or sys.float_info.min <= abs(x) <= sys.float_info.max
+               for x in scaled)
+    assert pearson(scaled, ys) == pearson(xs, ys)
+    assert pearson(ys, scaled) == pearson(ys, xs)
 
 
 def test_pearson_errors():
@@ -663,37 +682,44 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
     assert text_rows[3].split() == ["[1]", "n/a"]
 
 
-def underflow_fixture():
+def scaled_metric_fixture(scale):
     """Six pairs: 'r1' and 'r2' label p0-p4, and the one slow annotator,
-    'slow', alone labels p5.  Metric 'm' is 1e-170 ... 5e-170 on p0-p4, distinct values
-    whose spread underflows to 0, and 1.0 on p5."""
+    'slow', alone labels p5.  Metric 'm' is ``scale`` times 1 ... 5 on
+    p0-p4 and 1.0 on p5."""
     r1, r2 = [1, 2, 3, 4, 5], [2, 4, 1, 3, 5]
     pairs = [(f"p{i}", "a b c", "a b d") for i in range(6)]
     annotations = [(f"p{i}", aid, labels[i], 10.0)
                    for i in range(5) for aid, labels in (("r1", r1),
                                                          ("r2", r2))]
     annotations.append(("p5", "slow", 5, 900.0))
-    metric = {f"p{i}": (i + 1) * 1e-170 for i in range(5)}
+    metric = {f"p{i}": (i + 1) * scale for i in range(5)}
     metric["p5"] = 1.0
     return make_corpus(pairs, annotations), {"m": metric}
 
 
-def test_subset_cell_whose_spread_underflows_is_undefined():
-    corpus, metric_scores = underflow_fixture()
-    report = correlation_report(corpus, metric_scores, flags(corpus, 1))
+def test_subset_cell_at_1e_170_scale_matches_unit_scale():
+    corpus, tiny = scaled_metric_fixture(1e-170)
+    _, unit = scaled_metric_fixture(1.0)
+    report = correlation_report(corpus, tiny, flags(corpus, 1))
     assert f"{report.baseline['m'].pearson:.6f}" == "0.554700"
     (row,) = report.subsets
-    # removing 'slow' drops p5; the values left are not all equal, but
-    # pearson finds no spread in them
+    # removing 'slow' drops p5; the five values left square to subnormals
+    # or zero unless pearson scales them first
     assert row.removed_annotators == ("slow",)
-    assert row.cells["m"] == correlate.MetricCorrelation(None, None, 5)
-    assert pct_pair(report, row, "m") == (None, None)
+    (unit_row,) = correlation_report(corpus, unit, flags(corpus, 1)).subsets
+    cell, unit_cell = row.cells["m"], unit_row.cells["m"]
+    assert f"{cell.pearson:.6f}" == f"{unit_cell.pearson:.6f}" == "0.866025"
+    assert cell.pearson == pytest.approx(unit_cell.pearson, abs=1e-15)
+    assert cell.spearman == unit_cell.spearman
+    assert cell.n_pairs == unit_cell.n_pairs == 5
 
-    del metric_scores["m"]["p5"]
-    with pytest.raises(UndefinedCorrelationError,
-                       match="^all annotators: metric 'm': correlation "
-                             "undefined: an input is constant$"):
-        correlation_report(corpus, metric_scores, flags(corpus, 1))
+    # the same five values alone make the baseline, which is defined too
+    for scores in (tiny, unit):
+        del scores["m"]["p5"]
+    got = correlation_report(corpus, tiny, flags(corpus, 1)).baseline["m"]
+    want = correlation_report(corpus, unit, flags(corpus, 1)).baseline["m"]
+    assert got.pearson == pytest.approx(want.pearson, abs=1e-15)
+    assert got.n_pairs == want.n_pairs == 5
 
 
 def test_correlation_report_baseline_needs_three_observations(monkeypatch):

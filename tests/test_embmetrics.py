@@ -18,7 +18,6 @@ from labelsim.embmetrics import (
     load_gold_tags,
     load_noun_lexicon,
     load_sentence_embeddings,
-    nbow_weights,
     nouns_from_tags,
     pos_distance,
     sentence_vector,
@@ -38,6 +37,7 @@ from oracles import (
     assignment_oracle,
     linprog_transport_oracle,
     matching_min_mean_cycle,
+    nbow_oracle,
     northwest_corner_wmd,
     rebuild_tree_pivots,
     residual_min_mean_cycle,
@@ -242,16 +242,6 @@ def test_transport_rejects_a_non_finite_weight(bad):
             solve_transport(problem)
 
 
-def test_solve_transport_unknown_method():
-    prob = TransportProblem(np.ones(1), np.ones(1), np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="unknown transport method"):
-        solve_transport(prob, method="magic")
-    # A removed method reads as unknown, which is what the solver probe
-    # of perfbench/probe.py relies on.
-    with pytest.raises(ValueError, match="unknown transport method"):
-        solve_transport(prob, method="sinkhorn")
-
-
 # ------------------------------------------------------- exact transport
 
 
@@ -363,7 +353,7 @@ def transport_problems(draw):
           np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.408e-11]])))
 def test_exact_transport_matches_highs(problem):
     a, b, C = problem
-    result = solve_transport(TransportProblem(a, b, C), method="exact")
+    result = solve_transport(TransportProblem(a, b, C))
     scale = max(1.0, float(C.max()))
     assert result.marginal_error <= 1e-12
     assert (result.plan >= 0).all()
@@ -409,8 +399,8 @@ def test_least_cost_start_keeps_wmd_rank_order_and_saves_pivots():
     table = make_table(words, dim=16, seed=3)
     new, old, new_pivots, old_pivots = [], [], 0, 0
     for tokens_a, tokens_b in sides:
-        _, wa, va = nbow_weights(tokens_a, table)
-        _, wb, vb = nbow_weights(tokens_b, table)
+        _, wa, va = nbow_oracle(tokens_a, table)
+        _, wb, vb = nbow_oracle(tokens_b, table)
         result = solve_transport(TransportProblem(wa, wb, cdist(va, vb)))
         new.append(result.cost)
         new_pivots += result.iterations
@@ -581,8 +571,8 @@ def assert_wmd_is_the_full_bag_optimum(a, b, table):
     """``wmd`` against the simplex and the LP solved on the whole of both
     bags, shared mass included."""
     got = wmd(a, b, table)
-    _, wa, va = nbow_weights(a, table)
-    _, wb, vb = nbow_weights(b, table)
+    _, wa, va = nbow_oracle(a, table)
+    _, wb, vb = nbow_oracle(b, table)
     costs = _euclidean_costs(va, vb)
     full = solve_transport(TransportProblem(wa, wb, costs)).cost
     if not set(a) & set(b) & set(table):
@@ -704,14 +694,14 @@ def test_wmd_moves_only_the_unshared_mass(monkeypatch):
 
 
 def test_nbow_weights():
-    types, weights, matrix = nbow_weights(
-        ["dog", "cat", "dog", "zzz"], WMD_TABLE)
-    assert types == ["cat", "dog"]
-    assert weights.tolist() == [1.0 / 3.0, 2.0 / 3.0]
-    assert weights.sum() == pytest.approx(1.0)
-    assert matrix.shape == (2, WMD_TABLE["cat"].size)
+    # the normalized bag-of-words that wmd builds for each side
+    types, weights = embmetrics._bag(
+        ["dog", "tree", "cat", "dog", "zzz", "dog"], WMD_TABLE)
+    assert types == ["cat", "dog", "tree"]
+    assert weights == [1 / 5, 3 / 5, 1 / 5]  # out-of-vocabulary zzz dropped
+    assert all(type(w) is float for w in weights)
     with pytest.raises(ValueError, match="no representable tokens"):
-        nbow_weights(["zzz"], WMD_TABLE)
+        embmetrics._bag(["zzz", "qqq"], WMD_TABLE)
 
 
 # --------------------------------------------------------- noun distance
@@ -750,7 +740,8 @@ def test_nouns_from_tags():
 
 def test_pos_distance_single_nouns():
     tagger = lexicon_noun_tagger(frozenset({"cat", "dog"}))
-    score = pos_distance(["the", "cat"], ["a", "dog"], tagger, WMD_TABLE)
+    score = pos_distance(tagger(["the", "cat"]), tagger(["a", "dog"]),
+                         WMD_TABLE)
     expected = l2_distance(WMD_TABLE["cat"], WMD_TABLE["dog"])
     assert score == pytest.approx(expected)
 
@@ -764,7 +755,7 @@ def test_pos_distance_matched_matches_assignment_oracle():
         n_b = rng.randint(n_a, 5)  # oracle wants rows <= columns
         nouns_a = rng.sample(words, n_a)
         nouns_b = rng.sample(words, n_b)
-        got = pos_distance(nouns_a, nouns_b, tagger, WMD_TABLE)
+        got = pos_distance(tagger(nouns_a), tagger(nouns_b), WMD_TABLE)
         costs = [[l2_distance(WMD_TABLE[x], WMD_TABLE[y])
                   for y in nouns_b] for x in nouns_a]
         assert got == pytest.approx(assignment_oracle(costs) / n_a,
@@ -838,7 +829,7 @@ def test_pos_distance_repeated_noun_matches_assignment():
     tagger = lexicon_noun_tagger(frozenset(WMD_TABLE))
     a = ["cat", "dog", "cat", "tree"]
     b = ["dog", "cat", "moon"]
-    got = pos_distance(a, b, tagger, WMD_TABLE)
+    got = pos_distance(tagger(a), tagger(b), WMD_TABLE)
     dists = cdist(np.stack([WMD_TABLE[t] for t in a]),
                   np.stack([WMD_TABLE[t] for t in b]))
     rows, cols = linear_sum_assignment(dists)
@@ -848,7 +839,7 @@ def test_pos_distance_repeated_noun_matches_assignment():
 
 def test_pos_distance_all_pairs_mean():
     tagger = lexicon_noun_tagger(frozenset({"cat", "dog", "tree"}))
-    got = pos_distance(["cat", "dog"], ["tree"], tagger, WMD_TABLE,
+    got = pos_distance(tagger(["cat", "dog"]), tagger(["tree"]), WMD_TABLE,
                        aggregate="all_pairs")
     d1 = l2_distance(WMD_TABLE["cat"], WMD_TABLE["tree"])
     d2 = l2_distance(WMD_TABLE["dog"], WMD_TABLE["tree"])
@@ -857,20 +848,23 @@ def test_pos_distance_all_pairs_mean():
 
 def test_pos_distance_none_when_side_has_no_nouns():
     tagger = lexicon_noun_tagger(frozenset({"cat"}))
-    assert pos_distance(["cat"], ["verb", "only"], tagger, WMD_TABLE) is None
-    assert pos_distance(["verb"], ["cat"], tagger, WMD_TABLE) is None
+    assert pos_distance(tagger(["cat"]), tagger(["verb", "only"]),
+                        WMD_TABLE) is None
+    assert pos_distance(tagger(["verb"]), tagger(["cat"]), WMD_TABLE) is None
     # nouns outside the embedding vocabulary do not count either
     tagger2 = lexicon_noun_tagger(frozenset({"cat", "qqq"}))
-    assert pos_distance(["qqq"], ["cat"], tagger2, WMD_TABLE) is None
+    assert pos_distance(tagger2(["qqq"]), tagger2(["cat"]), WMD_TABLE) is None
 
 
 def test_pos_distance_unknown_aggregate():
     tagger = lexicon_noun_tagger(frozenset({"cat"}))
     with pytest.raises(ValueError, match="aggregate"):
-        pos_distance(["cat"], ["cat"], tagger, WMD_TABLE, aggregate="median")
+        pos_distance(tagger(["cat"]), tagger(["cat"]), WMD_TABLE,
+                     aggregate="median")
     # checked before the nouns: a side without nouns does not hide it
     with pytest.raises(ValueError, match="aggregate"):
-        pos_distance(["verb"], ["cat"], tagger, WMD_TABLE, aggregate="median")
+        pos_distance(tagger(["verb"]), tagger(["cat"]), WMD_TABLE,
+                     aggregate="median")
 
 
 # ------------------------------------------------- per-pair artifact IO
