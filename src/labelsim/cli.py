@@ -4,9 +4,10 @@ Subcommands: validate, stats, flag, metrics, report, style-report,
 simulate.  Exit code 0 on success, 1 on data errors, 2 on usage errors
 (argparse's own convention).  Defaults can come from a ``key = value``
 config file via --config; explicit flags always win.  Environment
-variables with the ``LABELSIM_`` prefix override path options
-(LABELSIM_EMBEDDINGS, LABELSIM_SENTIMENT_FILE, LABELSIM_POS_TAGS,
-LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON).
+variables with the ``LABELSIM_`` prefix supply path options that no flag
+gives (LABELSIM_EMBEDDINGS, LABELSIM_SENTIMENT_FILE, LABELSIM_POS_TAGS,
+LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON); a flag wins over its
+variable.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import sys
 from pathlib import Path
 
 from . import correlate, embmetrics, simulate, stats
-from .corpus import (CorpusError, LabeledCorpus, attach_precomputed,
-                     load_corpus, load_precomputed, save_corpus)
+from .corpus import (CorpusError, LabeledCorpus, _not_utf8,
+                     attach_precomputed, load_corpus, load_precomputed,
+                     save_corpus)
 from .heuristics import (HeuristicConfig, HeuristicId, compute_flag_reports,
                          default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
@@ -37,40 +39,51 @@ _SIM_CONFIG_FIELDS = {f.name: str if f.name == "profiles" else type(f.default)
                       for f in dataclasses.fields(simulate.PopulationSpec)}
 
 
-def read_config(path) -> dict[str, str]:
-    """Parse a ``key = value`` config file; '#' starts a comment line."""
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path} line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _env_path(name: str):
     return os.environ.get(ENV_PREFIX + name) or None
 
 
-def _given_values(args, file_cfg: dict[str, str], fields: dict) -> dict:
-    """The ``fields`` set by a flag, or else by the config file, cast to
-    their types; explicit flags win."""
+def _given_values(args, fields: dict) -> dict:
+    """The ``fields`` set by a flag, or else by a ``key = value`` line of
+    the --config file ('#' starts a comment line; a key may spell ``_`` as
+    ``-``), typed as the field's flag types it; explicit flags win.  A line
+    that is no such pair, names none of ``fields`` or holds a value the
+    flag would refuse raises ``ValueError`` naming the file, line and key.
+    """
     values = {}
-    for name, cast in fields.items():
-        value = getattr(args, name, None)
-        if value is None and name in file_cfg:
-            value = cast(file_cfg[name])
+    path = args.config
+    try:
+        text = Path(path).read_text(encoding="utf-8") if path else ""
+    except UnicodeDecodeError:
+        raise _not_utf8(Path(path)) from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, raw = line.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        where = f"{path} line {lineno}"
+        if not sep:
+            raise ValueError(f"{where}: expected key = value")
+        if key not in fields:
+            raise ValueError(f"{where}: unknown key {key!r}; expected one "
+                             f"of {', '.join(fields)}")
+        cast = fields[key]
+        try:
+            values[key] = cast(raw)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise ValueError(f"{where}: {key}: expected {kind}, "
+                             f"got {raw!r}") from None
+    for name in fields:
+        value = getattr(args, name)
         if value is not None:
             values[name] = value
     return values
 
 
-def _build_heuristic_config(args, file_cfg: dict[str, str]) -> HeuristicConfig:
-    cfg = HeuristicConfig(**_given_values(args, file_cfg, _CONFIG_FIELDS))
+def _build_heuristic_config(args) -> HeuristicConfig:
+    cfg = HeuristicConfig(**_given_values(args, _CONFIG_FIELDS))
     cfg.validate()
     return cfg
 
@@ -284,8 +297,7 @@ def cmd_stats(args) -> int:
 
 def cmd_flag(args) -> int:
     corpus = load_corpus(args.pairs, args.annotations, args.fmt)
-    file_cfg = read_config(args.config) if args.config else {}
-    cfg = _build_heuristic_config(args, file_cfg)
+    cfg = _build_heuristic_config(args)
     scorers = _build_scorers(corpus, cfg, args)
     subset = _parse_heuristics(args.heuristics)
     reports = compute_flag_reports(corpus, subset, cfg, scorers)
@@ -336,8 +348,7 @@ def cmd_metrics(args) -> int:
 def _report_common(args):
     corpus = load_corpus(args.pairs, args.annotations, args.fmt)
     corpus = _attach_channels(corpus, args)
-    file_cfg = read_config(args.config) if args.config else {}
-    cfg = _build_heuristic_config(args, file_cfg)
+    cfg = _build_heuristic_config(args)
     scorers = _build_scorers(corpus, cfg, args)
     metrics, kwargs = _prepare_scoring(corpus, args)
     scores = correlate.compute_metric_scores(corpus, metrics, **kwargs)
@@ -390,22 +401,22 @@ def _parse_profiles(raw: str) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        if len(parts) not in (2, 3) or parts[0].strip().lower() not in aliases:
+        name, _, rest = chunk.partition(":")
+        count, sep, param = rest.partition(":")
+        try:
+            specs.append(simulate.ProfileSpec(
+                kind=aliases[name.strip().lower()], count=int(count),
+                param=float(param) if sep else None))
+        except (KeyError, ValueError):
             raise ValueError(
-                f"bad profile {chunk!r}; expected kind:count[:param]")
-        kind = aliases[parts[0].strip().lower()]
-        count = int(parts[1])
-        param = float(parts[2]) if len(parts) == 3 else None
-        specs.append(simulate.ProfileSpec(kind=kind, count=count, param=param))
+                f"bad profile {chunk!r}; expected kind:count[:param]") from None
     if not specs:
         raise ValueError("no annotator profiles given")
     return tuple(specs)
 
 
 def cmd_simulate(args) -> int:
-    file_cfg = read_config(args.config) if args.config else {}
-    values = _given_values(args, file_cfg, _SIM_CONFIG_FIELDS)
+    values = _given_values(args, _SIM_CONFIG_FIELDS)
     if "profiles" in values:
         values["profiles"] = _parse_profiles(values["profiles"])
     spec = simulate.PopulationSpec(**values)

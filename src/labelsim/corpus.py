@@ -60,6 +60,8 @@ class AnnotationColumns:
     a label, sorted; ``is_random`` is the flag of the row's pair.
     ``pair_index`` and ``annotator_index`` map each id to its index, in
     the same order; they are the one place an id becomes an index.
+    ``by_pair`` lists the rows stably sorted by ``pair`` (a pair's rows
+    keep their file order); it is the one place rows are put in pair order.
     """
 
     pair_ids: tuple[str, ...]
@@ -71,6 +73,7 @@ class AnnotationColumns:
     label: np.ndarray      # int64
     duration: np.ndarray   # float64
     is_random: np.ndarray  # bool
+    by_pair: np.ndarray    # intp
 
     @classmethod
     def build(cls, pairs: tuple[SentencePair, ...],
@@ -98,6 +101,7 @@ class AnnotationColumns:
             duration=np.fromiter((a.duration for a in annotations),
                                  dtype=np.float64, count=n),
             is_random=random_pairs[pair],
+            by_pair=np.argsort(pair, kind="stable"),
         )
 
 
@@ -190,6 +194,9 @@ def _parse_bool01(raw: str, path: Path, lineno: int) -> bool:
 
 
 def _parse_int(raw, path: Path, lineno: int) -> int:
+    """An integer field of an input row.  Every one-number field of the
+    corpus and side files is read here or by :func:`_parse_float`, so a bad
+    one fails alike: :class:`CorpusError` naming the file and row."""
     try:
         return int(str(raw).strip())
     except (TypeError, ValueError):
@@ -198,6 +205,7 @@ def _parse_int(raw, path: Path, lineno: int) -> int:
 
 
 def _parse_float(raw, path: Path, lineno: int) -> float:
+    """A finite float field of an input row; see :func:`_parse_int`."""
     try:
         value = float(str(raw).strip())
     except (TypeError, ValueError):

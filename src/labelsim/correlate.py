@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import LabeledCorpus, SentencePair
+from .corpus import AnnotationColumns, LabeledCorpus, SentencePair
 from .heuristics import (FlagPass, HeuristicId, flagged_annotators,
                          heuristic_subsets, subset_label)
 from . import embmetrics, textmetrics
@@ -74,6 +74,12 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     they neither overflow nor underflow.  Limit: an input whose
     magnitudes span more than the double range (about 1e-308 to 1e308)
     can lose its smallest entries to subnormals or zero once scaled.
+
+    The scaling also keeps ``r`` finite: a scaled input that is not
+    constant holds its largest magnitude, in [0.5, 1), and another value
+    at least 2**-54 from it, so its centred sum of squares lies between
+    about 1e-33 and 4n; and ``|cov| <= sx * sy`` up to rounding
+    (Cauchy-Schwarz), which the clamp to [-1, 1] absorbs.
     """
     if len(xs) != len(ys):
         raise ValueError("correlation inputs must have equal length")
@@ -91,9 +97,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
     r = float((dx * dy).sum() / (sx * sy))
-    if not math.isfinite(r):
-        raise UndefinedCorrelationError(
-            "correlation undefined: the result is not finite")
     return max(-1.0, min(1.0, r))
 
 
@@ -103,9 +106,8 @@ def _ranks(values: Sequence[float]) -> np.ndarray:
     Every member of a tie group gets the same rank, so the order of equal
     values inside the sort cannot change any rank: numpy's default sort,
     several times faster than the stable one here, gives the same ranks.
-    Sorts whose tie order is read (``_Columns.build``'s rows, the
-    transport start, the matching's transpose, the disagreement rows in
-    ``stats``) stay stable.
+    Sorts whose tie order is read (``AnnotationColumns.by_pair``, the
+    transport start, the matching's transpose) stay stable.
     """
     arr = np.asarray(values, dtype=np.float64)
     order = np.argsort(arr)
@@ -317,19 +319,14 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class _Columns:
-    """A corpus and its metric scores as arrays, built once per report.
+    """A corpus's annotation columns and its metric scores as arrays.
 
-    Pairs are indexed in sorted ``pair_id`` order, as in the corpus's
-    annotation columns, and the annotation rows are stably sorted by that
-    index, so rows of one pair stay in corpus order.  ``values[name]`` /
-    ``defined[name]`` hold each metric over the same pair index.
+    ``values[name]`` / ``defined[name]`` hold each metric over the pair
+    index of ``columns``, the corpus's cached :class:`AnnotationColumns`,
+    so every report on one corpus reads the same annotation arrays.
     """
 
-    n_pairs: int           # the length of per-pair arrays
-    annotators: dict[str, int]
-    pair: np.ndarray       # pair index per annotation row, ascending
-    annotator: np.ndarray  # annotator index per annotation row
-    label: np.ndarray      # float label per annotation row
+    columns: AnnotationColumns
     values: dict[str, np.ndarray]
     defined: dict[str, np.ndarray]
 
@@ -339,7 +336,6 @@ class _Columns:
               names: Sequence[str]) -> "_Columns":
         columns = corpus.columns
         pair_index = columns.pair_index
-        order = np.argsort(columns.pair, kind="stable")
         values: dict[str, np.ndarray] = {}
         defined: dict[str, np.ndarray] = {}
         for name in names:
@@ -352,19 +348,13 @@ class _Columns:
                     mask[i] = True
             values[name] = vals
             defined[name] = mask
-        return cls(n_pairs=len(pair_index),
-                   annotators=columns.annotator_index,
-                   pair=columns.pair[order],
-                   annotator=columns.annotator[order],
-                   label=columns.label[order].astype(np.float64),
-                   values=values, defined=defined)
+        return cls(columns=columns, values=values, defined=defined)
 
     def panel(self, annotator_ids: Optional[set]) -> np.ndarray:
         """Keep mask over annotators: everyone, or just ``annotator_ids``."""
-        if annotator_ids is None:
-            return np.ones(len(self.annotators), dtype=bool)
-        return np.fromiter((aid in annotator_ids for aid in self.annotators),
-                           dtype=bool, count=len(self.annotators))
+        ids = self.columns.annotator_ids
+        return np.fromiter((annotator_ids is None or aid in annotator_ids
+                            for aid in ids), dtype=bool, count=len(ids))
 
     def cells(self, names: Sequence[str], keep: np.ndarray,
               per_annotation: bool, allow_undefined: bool = False
@@ -375,16 +365,19 @@ class _Columns:
         label as its own observation (ordered by pair, then corpus order).
         A metric is undefined exactly when :func:`pearson` or
         :func:`spearman` raises ``ValueError`` on its observations (fewer
-        than 3, a constant input, a spread that underflows, a result that
-        is not finite).  With ``allow_undefined`` it gets an undefined
-        cell; otherwise it is an error that names it.
+        than 3, or a constant input).  With ``allow_undefined`` it gets an
+        undefined cell; otherwise it is an error that names it.
         """
-        kept = keep[self.annotator]
-        pair = self.pair[kept]
-        label = self.label[kept]
-        counts = np.bincount(pair, minlength=self.n_pairs)
+        columns = self.columns
+        kept = keep[columns.annotator]
+        # label sums are exact in any order; observations need pair order
+        rows = columns.by_pair[kept[columns.by_pair]] if per_annotation \
+            else kept
+        pair = columns.pair[rows]
+        label = columns.label[rows]
+        counts = np.bincount(pair, minlength=len(columns.pair_ids))
         has_gold = counts > 0
-        gold = np.bincount(pair, weights=label, minlength=self.n_pairs) \
+        gold = np.bincount(pair, weights=label, minlength=counts.size) \
             / np.maximum(counts, 1)
         cells = {}
         for name in names:
@@ -444,7 +437,7 @@ def correlation_report(corpus: LabeledCorpus,
     removals = [tuple(sorted(flagged_annotators(reports, s))) for s in subsets]
 
     columns = _Columns.build(corpus, metric_scores, list(metric_scores))
-    n_pairs = columns.n_pairs
+    n_pairs = len(corpus.columns.pair_ids)
     dropped = {name: n_pairs - int(columns.defined[name].sum())
                for name in metric_scores}
     usable: list[str] = []
@@ -468,11 +461,11 @@ def correlation_report(corpus: LabeledCorpus,
     except ValueError as exc:
         raise type(exc)(f"{label}: {exc}") from None
 
+    index = corpus.columns.annotator_index
     subset_rows = []
     for subset, removed in zip(subsets, removals):
         keep = panel.copy()
-        keep[[columns.annotators[aid] for aid in removed
-              if aid in columns.annotators]] = False
+        keep[[index[aid] for aid in removed if aid in index]] = False
         subset_rows.append(SubsetResult(
             subset=subset,
             removed_annotators=removed,

@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, LabeledCorpus, _read_csv_rows, _row_pair
+from .corpus import (CorpusError, LabeledCorpus, _parse_int,
+                     _read_csv_rows, _row_pair)
 from .textmetrics import TokenSeq, light_stem, tokenize
 
 MARGINAL_TOL = 1e-9
@@ -654,10 +655,7 @@ def load_gold_tags(path, corpus: Optional[LabeledCorpus] = None) -> dict:
         where = f"{path} row {lineno}"
         pid, pair = _row_pair(pid, path, lineno, corpus)
         side = _parse_side(side, where)
-        try:
-            idx = int(token_index)
-        except ValueError:
-            raise CorpusError(f"{where}: bad token_index") from None
+        idx = _parse_int(token_index, path, lineno)
         if idx < 0:
             raise CorpusError(f"{where}: negative token_index {idx}")
         key = (pid, side)

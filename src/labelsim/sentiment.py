@@ -8,12 +8,12 @@ and per-pair scores from an external tool can be ingested from CSV.
 
 from __future__ import annotations
 
-import math
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-from .corpus import CorpusError, LabeledCorpus, _read_csv_rows, _row_pair
+from .corpus import (CorpusError, LabeledCorpus, _parse_float,
+                     _read_csv_rows, _row_pair)
 from .textmetrics import tokenize
 
 NEGATION_WINDOW = 3
@@ -55,17 +55,10 @@ def load_lexicon(path: Optional[Path] = None) -> dict[str, float]:
     with resources.as_file(ref) as csv_path:
         for lineno, (word, raw) in _read_csv_rows(csv_path,
                                                   ("word", "valence")):
-            where = f"{csv_path} row {lineno}"
             word = word.strip().lower()
             if not word:
-                raise CorpusError(f"{where}: empty word")
-            try:
-                valence = float(raw)
-            except ValueError:
-                raise CorpusError(f"{where}: bad valence {raw!r}") from None
-            if not math.isfinite(valence):
-                raise CorpusError(f"{where}: non-finite valence {raw!r}")
-            valences[word] = valence
+                raise CorpusError(f"{csv_path} row {lineno}: empty word")
+            valences[word] = _parse_float(raw, csv_path, lineno)
     return valences
 
 
@@ -120,12 +113,8 @@ def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None
         pid, _ = _row_pair(pid, path, lineno, corpus)
         if pid in out:
             raise CorpusError(f"{path} row {lineno}: duplicate pair {pid!r}")
-        try:
-            score_a = float(raw_a)
-            score_b = float(raw_b)
-        except ValueError:
-            raise CorpusError(
-                f"{path} row {lineno}: non-numeric sentiment score") from None
+        score_a = _parse_float(raw_a, path, lineno)
+        score_b = _parse_float(raw_b, path, lineno)
         for score in (score_a, score_b):
             if not -1.0 <= score <= 1.0:
                 raise CorpusError(

@@ -218,8 +218,8 @@ def _disagreement_counts(columns: AnnotationColumns
     """
     k = len(columns.annotator_ids)
     triple = np.bincount(columns.pair, minlength=len(columns.pair_ids)) == 3
-    rows = np.flatnonzero(triple[columns.pair])
-    rows = rows[np.argsort(columns.pair[rows], kind="stable")].reshape(-1, 3)
+    by_pair = columns.by_pair
+    rows = by_pair[triple[columns.pair[by_pair]]].reshape(-1, 3)
     reduced = reduce_label(columns.label[rows])
     # column j of others_* holds the two co-annotators of position j
     others_a = reduced[:, [1, 0, 0]]

@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelsim import cli, correlate, embmetrics
-from labelsim.cli import (_build_heuristic_config, build_parser, main,
-                          read_config)
+from labelsim import cli, correlate, embmetrics, simulate
+from labelsim.cli import _build_heuristic_config, build_parser, main
 from labelsim.corpus import CorpusError, load_corpus
 from labelsim.heuristics import (HeuristicConfig, HeuristicId,
                                  default_scorers, heuristic_subsets,
@@ -638,11 +637,11 @@ def test_every_heuristic_config_field_is_a_flag_and_a_config_key(
     argv = ["flag", "--pairs", "pairs.csv", "--annotations", "ann.csv"]
     flag = "--" + field.name.replace("_", "-")
     from_flag = _build_heuristic_config(
-        build_parser().parse_args(argv + [flag, str(value)]), {})
+        build_parser().parse_args(argv + [flag, str(value)]))
     cfg = tmp_path / "thresholds.cfg"
     cfg.write_text(f"{field.name} = {value}\n")
-    from_file = _build_heuristic_config(build_parser().parse_args(argv),
-                                        read_config(cfg))
+    from_file = _build_heuristic_config(
+        build_parser().parse_args(argv + ["--config", str(cfg)]))
     expected = dataclasses.replace(HeuristicConfig(), **{field.name: value})
     assert from_flag == from_file == expected
     assert type(getattr(from_flag, field.name)) is type(field.default)
@@ -666,13 +665,47 @@ def test_flag_config_file_and_flag_precedence(tmp_path, capsys):
     junk_row = next(l for l in out.strip().split("\n")
                     if l.startswith("junk,"))
     assert junk_row.split(",")[1] == "2"
+    # a flag does not excuse a bad line of the file for the same key
+    cfg.write_text("low-variance-threshold = none\n")
+    rc = main(["flag", "--pairs", pairs, "--annotations", annotations,
+               "--config", str(cfg), "--low-variance-threshold", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: {cfg} line 1: low_variance_threshold: "
+                            "expected a number, got 'none'\n")
 
 
-def test_read_config_rejects_garbage(tmp_path):
+def test_read_config_rejects_garbage(tmp_path, capsys):
+    # a config key must name one of the command's settings, and its value
+    # must be one that setting's flag takes
+    pairs, annotations = write_corpus(tmp_path)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this line has no equals sign\n")
-    with pytest.raises(ValueError, match="key = value"):
-        read_config(cfg)
+    flag = ["flag", "--pairs", pairs, "--annotations", annotations]
+    sim = ["simulate", "--out-dir", str(tmp_path / "sim")]
+    thresholds = ", ".join(f.name for f in dataclasses.fields(HeuristicConfig))
+    population = ", ".join(
+        f.name for f in dataclasses.fields(simulate.PopulationSpec))
+    for argv, body, problem in (
+            (flag, "this line has no equals sign\n",
+             "line 1: expected key = value"),
+            (flag, "slow_treshold = 45\n",
+             f"line 1: unknown key 'slow_treshold'; expected one of "
+             f"{thresholds}"),
+            (flag, "slow_threshold = abc\n",
+             "line 1: slow_threshold: expected a number, got 'abc'"),
+            (flag, "# heuristic 5\nmin_sentiment_pairs = 2.5\n",
+             "line 2: min_sentiment_pairs: expected an integer, got '2.5'"),
+            (flag, "slow_threshold = 45\n# caf\xe9\n", "line 2: not UTF-8"),
+            (sim, "seed = 3\n\nslow-threshold = 45\n",
+             f"line 3: unknown key 'slow_threshold'; expected one of "
+             f"{population}")):
+        cfg.write_bytes(body.encode("latin-1"))
+        assert main(argv + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg} {problem}\n"
+    assert not (tmp_path / "sim").exists()
 
 
 # --------------------------------------------------------------- metrics
@@ -741,6 +774,18 @@ def test_metrics_env_var_supplies_embeddings(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 0
     assert "warning" not in captured.err
+    assert captured.out.splitlines()[1].startswith("p1,1.000000")
+
+
+def test_metrics_embeddings_flag_beats_env_var(tmp_path, capsys,
+                                               monkeypatch):
+    pairs, _ = write_corpus(tmp_path)
+    monkeypatch.setenv("LABELSIM_EMBEDDINGS", str(tmp_path / "missing.txt"))
+    rc = main(["metrics", "--pairs", pairs, "--metrics", "cosine",
+               "--embeddings", write_embeddings(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
     assert captured.out.splitlines()[1].startswith("p1,1.000000")
 
 
@@ -1416,11 +1461,14 @@ def test_simulate_is_seed_deterministic(tmp_path):
 
 
 def test_simulate_bad_profiles(tmp_path, capsys):
-    rc = main(["simulate", "--out-dir", str(tmp_path / "sim"),
-               "--profiles", "wizard:3"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "bad profile" in captured.err
+    for profile in ("wizard:3", "reliable:x", "reliable:3:y", "reliable",
+                    "reliable:3:0.5:1"):
+        rc = main(["simulate", "--out-dir", str(tmp_path / "sim"),
+                   "--profiles", profile])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (f"error: bad profile {profile!r}; "
+                                "expected kind:count[:param]\n")
 
 
 def test_simulate_reads_seed_from_config(tmp_path):

@@ -90,6 +90,28 @@ def test_pearson_does_not_depend_on_a_power_of_two_scale(data):
     assert pearson(ys, scaled) == pearson(ys, xs)
 
 
+# a sign, a mantissa and a decimal exponent: magnitudes from 1e-300 to 1e300
+WIDE_FLOATS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, m, e: sign * m * 10.0 ** e, st.sampled_from([-1, 1]),
+              st.floats(1, 10, exclude_max=True), st.integers(-300, 299)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pearson_is_finite_on_any_finite_input(data):
+    # the power-of-two scaling keeps every sum finite and non-zero, so the
+    # result needs no check of its own; the clamp would turn a NaN into
+    # 1.0, so every step is checked for overflow and 0/0 instead
+    n = data.draw(st.integers(3, 30))
+    xs = data.draw(st.lists(WIDE_FLOATS, min_size=n, max_size=n))
+    ys = data.draw(st.lists(WIDE_FLOATS, min_size=n, max_size=n))
+    assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        r = pearson(xs, ys)
+    assert math.isfinite(r) and -1.0 <= r <= 1.0
+
+
 def test_pearson_errors():
     with pytest.raises(ValueError, match="equal length"):
         pearson([1, 2, 3], [1, 2])

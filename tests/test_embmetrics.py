@@ -931,9 +931,11 @@ def test_load_gold_tags_errors(tmp_path):
     with pytest.raises(ValueError, match="side must be a or b"):
         load_gold_tags(
             attempt("pair_id,side,token_index,tag\np1,x,0,NN\n"))
-    with pytest.raises(ValueError, match="bad token_index"):
+    with pytest.raises(CorpusError) as exc:
         load_gold_tags(
             attempt("pair_id,side,token_index,tag\np1,a,first,NN\n"))
+    assert str(exc.value) == \
+        f"{tmp_path / 'tags.csv'} row 2: expected an integer, got 'first'"
     with pytest.raises(ValueError, match="row 2: negative token_index -1"):
         load_gold_tags(
             attempt("pair_id,side,token_index,tag\np1,a,-1,NN\n"))

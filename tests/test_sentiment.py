@@ -56,16 +56,18 @@ def test_load_lexicon_empty_word(tmp_path):
 def test_load_lexicon_bad_valence(tmp_path):
     p = tmp_path / "lex.csv"
     p.write_text("word,valence\nshiny,strong\n")
-    with pytest.raises(ValueError, match="bad valence"):
+    with pytest.raises(CorpusError) as exc:
         load_lexicon(p)
+    assert str(exc.value) == f"{p} row 2: expected a number, got 'strong'"
 
 
 def test_load_lexicon_non_finite_valence(tmp_path):
     # a NaN valence used to score every sentence containing the word 1.0
     p = tmp_path / "lex.csv"
     p.write_text("word,valence\nshiny,2.0\ndull,nan\n")
-    with pytest.raises(ValueError, match=r"lex\.csv row 3: non-finite valence"):
+    with pytest.raises(CorpusError) as exc:
         load_lexicon(p)
+    assert str(exc.value) == f"{p} row 3: expected a finite number, got 'nan'"
 
 
 # ---------------------------------------------------------------- scoring
@@ -195,9 +197,14 @@ def test_ingest_sentiment_duplicate_pair(tmp_path):
 
 
 def test_ingest_sentiment_non_numeric(tmp_path):
-    p = write_scores(tmp_path, "p1,high,0.5\n")
-    with pytest.raises(CorpusError, match="non-numeric"):
-        ingest_sentiment(p)
+    # either score, and a NaN, which no range check would catch
+    for row, raw, problem in (("p1,high,0.5", "high", "a number"),
+                              ("p1,0.5,low", "low", "a number"),
+                              ("p1,0.5,nan", "nan", "a finite number")):
+        p = write_scores(tmp_path, row + "\n")
+        with pytest.raises(CorpusError) as exc:
+            ingest_sentiment(p)
+        assert str(exc.value) == f"{p} row 2: expected {problem}, got {raw!r}"
 
 
 def test_ingest_sentiment_out_of_range(tmp_path):
