@@ -19,9 +19,8 @@ import sys
 from pathlib import Path
 
 from . import correlate, embmetrics, simulate, stats
-from .corpus import (CorpusError, LabeledCorpus, _not_utf8,
-                     attach_precomputed, load_corpus, load_precomputed,
-                     save_corpus)
+from .corpus import (CorpusError, _not_utf8, attach_precomputed, load_corpus,
+                     load_precomputed, save_corpus, select_pairs)
 from .heuristics import (HeuristicConfig, HeuristicId, compute_flag_reports,
                          default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
@@ -33,10 +32,38 @@ ENV_PREFIX = "LABELSIM_"
 _CONFIG_FIELDS = {f.name: type(f.default)
                   for f in dataclasses.fields(HeuristicConfig)}
 
-# PopulationSpec's fields, each a simulate --flag and a config key; the
-# profiles are read as text and parsed by _parse_profiles
-_SIM_CONFIG_FIELDS = {f.name: str if f.name == "profiles" else type(f.default)
-                      for f in dataclasses.fields(simulate.PopulationSpec)}
+
+def _parse_profiles(raw: str) -> tuple:
+    aliases = {k.value: k for k in simulate.ProfileKind}
+    aliases["uniform"] = simulate.ProfileKind.UNIFORM_RANDOM
+    specs = []
+    for chunk in raw.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        name, _, rest = chunk.partition(":")
+        count, sep, param = rest.partition(":")
+        try:
+            specs.append(simulate.ProfileSpec(
+                kind=aliases[name.strip().lower()], count=int(count),
+                param=float(param) if sep else None))
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"bad profile {chunk!r}; expected kind:count[:param]") from None
+    if not specs:
+        raise ValueError("no annotator profiles given")
+    return tuple(specs)
+
+
+# PopulationSpec's fields, each a simulate --flag and a config key; a
+# profiles value is text that _parse_profiles reads
+_SIM_CONFIG_FIELDS = {
+    f.name: _parse_profiles if f.name == "profiles" else type(f.default)
+    for f in dataclasses.fields(simulate.PopulationSpec)}
+
+# the field types a flag reads itself, and what a value of each must be; a
+# field of another kind is read as text and parsed by its function
+_NUMBER_KINDS = {int: "an integer", float: "a number"}
 
 
 def _env_path(name: str):
@@ -46,9 +73,9 @@ def _env_path(name: str):
 def _given_values(args, fields: dict) -> dict:
     """The ``fields`` set by a flag, or else by a ``key = value`` line of
     the --config file ('#' starts a comment line; a key may spell ``_`` as
-    ``-``), typed as the field's flag types it; explicit flags win.  A line
-    that is no such pair, names none of ``fields`` or holds a value the
-    flag would refuse raises ``ValueError`` naming the file, line and key.
+    ``-``), read by the field's type or parser; explicit flags win.  A
+    line that is no such pair, names none of ``fields`` or holds a value
+    the field refuses raises ``ValueError`` naming the file, line and key.
     """
     values = {}
     path = args.config
@@ -71,14 +98,14 @@ def _given_values(args, fields: dict) -> dict:
         cast = fields[key]
         try:
             values[key] = cast(raw)
-        except ValueError:
-            kind = "an integer" if cast is int else "a number"
-            raise ValueError(f"{where}: {key}: expected {kind}, "
-                             f"got {raw!r}") from None
-    for name in fields:
+        except ValueError as exc:
+            problem = f"expected {_NUMBER_KINDS[cast]}, got {raw!r}" \
+                if cast in _NUMBER_KINDS else exc
+            raise ValueError(f"{where}: {key}: {problem}") from None
+    for name, cast in fields.items():
         value = getattr(args, name)
         if value is not None:
-            values[name] = value
+            values[name] = value if cast in _NUMBER_KINDS else cast(value)
     return values
 
 
@@ -107,7 +134,8 @@ def _add_out_arg(p):
 def _add_field_args(p, fields: dict, helps: dict) -> None:
     """One --flag per config field, named after it with - for _."""
     for name, cast in fields.items():
-        p.add_argument("--" + name.replace("_", "-"), type=cast, dest=name,
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=cast if cast in _NUMBER_KINDS else str,
                        help=helps.get(name))
 
 
@@ -369,13 +397,8 @@ def cmd_report(args) -> int:
     if args.per_dataset:
         panels = {}
         for source in sorted({p.source for p in corpus.pairs}):
-            pair_ids = {p.pair_id for p in corpus.pairs if p.source == source}
-            sub = LabeledCorpus(
-                pairs=tuple(p for p in corpus.pairs if p.source == source),
-                annotations=tuple(a for a in corpus.annotations
-                                  if a.pair_id in pair_ids),
-                precomputed_scores=corpus.precomputed_scores,
-            )
+            sub = select_pairs(corpus, tuple(p for p in corpus.pairs
+                                             if p.source == source))
             panels[source] = one(sub, f"dataset {source or '(unnamed)'}")
     else:
         panels = one(corpus, "all annotators")
@@ -393,33 +416,8 @@ def cmd_style_report(args) -> int:
     return 0
 
 
-def _parse_profiles(raw: str) -> tuple:
-    aliases = {k.value: k for k in simulate.ProfileKind}
-    aliases["uniform"] = simulate.ProfileKind.UNIFORM_RANDOM
-    specs = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, rest = chunk.partition(":")
-        count, sep, param = rest.partition(":")
-        try:
-            specs.append(simulate.ProfileSpec(
-                kind=aliases[name.strip().lower()], count=int(count),
-                param=float(param) if sep else None))
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"bad profile {chunk!r}; expected kind:count[:param]") from None
-    if not specs:
-        raise ValueError("no annotator profiles given")
-    return tuple(specs)
-
-
 def cmd_simulate(args) -> int:
-    values = _given_values(args, _SIM_CONFIG_FIELDS)
-    if "profiles" in values:
-        values["profiles"] = _parse_profiles(values["profiles"])
-    spec = simulate.PopulationSpec(**values)
+    spec = simulate.PopulationSpec(**_given_values(args, _SIM_CONFIG_FIELDS))
     corpus, truth = simulate.generate_corpus(spec)
 
     out_dir = Path(args.out_dir)

@@ -13,8 +13,11 @@ import csv
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -55,13 +58,14 @@ class Annotation:
 class AnnotationColumns:
     """The annotations as arrays, one row per annotation in file order.
 
-    ``pair`` indexes ``pair_ids``, every pair of the corpus in sorted
-    order; ``annotator`` indexes ``annotator_ids``, every annotator with
-    a label, sorted; ``is_random`` is the flag of the row's pair.
-    ``pair_index`` and ``annotator_index`` map each id to its index, in
-    the same order; they are the one place an id becomes an index.
-    ``by_pair`` lists the rows stably sorted by ``pair`` (a pair's rows
-    keep their file order); it is the one place rows are put in pair order.
+    A corpus holds its annotations only in this form.  ``pair`` indexes
+    ``pair_ids``, every pair of the corpus in sorted order; ``annotator``
+    indexes ``annotator_ids``, every annotator with a label, sorted;
+    ``is_random`` is the flag of the row's pair.  ``pair_index`` and
+    ``annotator_index`` map each id to its index, in the same order; they
+    are the one place an id becomes an index.  ``by_pair`` lists the rows
+    stably sorted by ``pair`` (a pair's rows keep their file order); it is
+    the one place rows are put in pair order.
     """
 
     pair_ids: tuple[str, ...]
@@ -77,69 +81,189 @@ class AnnotationColumns:
 
     @classmethod
     def build(cls, pairs: tuple[SentencePair, ...],
-              annotations: tuple[Annotation, ...]) -> "AnnotationColumns":
-        pair_ids = tuple(sorted(p.pair_id for p in pairs))
-        pair_index = {pid: i for i, pid in enumerate(pair_ids)}
-        annotator_ids = tuple(sorted({a.annotator_id for a in annotations}))
-        annotator_index = {aid: i for i, aid in enumerate(annotator_ids)}
-        n = len(annotations)
-        pair = np.fromiter((pair_index[a.pair_id] for a in annotations),
-                           dtype=np.intp, count=n)
-        random_pairs = np.zeros(len(pair_ids), dtype=bool)
-        random_pairs[[pair_index[p.pair_id] for p in pairs if p.is_random]] = True
-        return cls(
-            pair_ids=pair_ids,
+              annotations: Iterable[Annotation]) -> "AnnotationColumns":
+        """The columns of ``annotations``, each row checked as
+        :func:`load_corpus` checks a row of its file."""
+        table = _AnnotationTable(pairs)
+        for a in annotations:
+            table.add(a.pair_id, a.annotator_id, a.label, a.duration)
+        return table.columns()
+
+    def __eq__(self, other) -> bool:
+        """Field by field, each array as a whole (the generated ``__eq__``
+        would ask an array of per-element results for its truth)."""
+        if not isinstance(other, AnnotationColumns):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+
+class _AnnotationTable:
+    """Annotation rows gathered into column buffers.
+
+    Each row is checked against the pairs and the rows before it as it is
+    added, so the first bad row in file order is the one reported.  An
+    annotator's code is its order of first appearance until
+    :meth:`columns` maps it to its place among the sorted ids.
+    """
+
+    def __init__(self, pairs: tuple[SentencePair, ...]):
+        self.pairs = pairs
+        self.pair_ids = tuple(sorted(p.pair_id for p in pairs))
+        self.pair_index = {pid: i for i, pid in enumerate(self.pair_ids)}
+        self.annotator_code: dict[str, int] = {}
+        self.labeled: set[int] = set()  # annotator code * pairs + pair
+        self.pair = array("q")
+        self.annotator = array("q")
+        self.label = array("q")
+        self.duration = array("d")
+
+    def add(self, pair_id: str, annotator_id: str, label: int,
+            duration: float, path: Optional[Path] = None,
+            lineno: int = 0) -> None:
+        pair = self.pair_index.get(pair_id)
+        if pair is None:
+            raise _fail(f"annotation references unknown pair_id {pair_id!r}",
+                        path, lineno)
+        if label not in VALID_LABELS:
+            raise _fail(f"label {label!r} for pair {pair_id!r} outside 1-5",
+                        path, lineno)
+        if duration < 0:
+            raise _fail(f"negative duration {duration!r} for pair "
+                        f"{pair_id!r}", path, lineno)
+        code = self.annotator_code.setdefault(annotator_id,
+                                              len(self.annotator_code))
+        key = code * len(self.pair_ids) + pair
+        if key in self.labeled:
+            raise _fail(f"annotator {annotator_id!r} labeled pair "
+                        f"{pair_id!r} twice", path, lineno)
+        self.labeled.add(key)
+        self.pair.append(pair)
+        self.annotator.append(code)
+        self.label.append(int(label))  # 3.0 is the label 3
+        self.duration.append(duration)
+
+    def columns(self) -> AnnotationColumns:
+        first_seen = tuple(self.annotator_code)
+        order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+        place = np.empty(len(order), dtype=np.intp)
+        place[order] = np.arange(len(order))
+        annotator_ids = tuple(first_seen[i] for i in order)
+        pair = np.array(self.pair, dtype=np.intp)
+        random_pairs = np.zeros(len(self.pair_ids), dtype=bool)
+        random_pairs[[self.pair_index[p.pair_id]
+                      for p in self.pairs if p.is_random]] = True
+        return AnnotationColumns(
+            pair_ids=self.pair_ids,
             annotator_ids=annotator_ids,
-            pair_index=pair_index,
-            annotator_index=annotator_index,
+            pair_index=self.pair_index,
+            annotator_index={aid: i for i, aid in enumerate(annotator_ids)},
             pair=pair,
-            annotator=np.fromiter((annotator_index[a.annotator_id]
-                                   for a in annotations),
-                                  dtype=np.intp, count=n),
-            label=np.fromiter((a.label for a in annotations),
-                              dtype=np.int64, count=n),
-            duration=np.fromiter((a.duration for a in annotations),
-                                 dtype=np.float64, count=n),
+            annotator=place[np.array(self.annotator, dtype=np.intp)],
+            label=np.array(self.label, dtype=np.int64),
+            duration=np.array(self.duration, dtype=np.float64),
             is_random=random_pairs[pair],
             by_pair=np.argsort(pair, kind="stable"),
         )
+
+
+class AnnotationRows(Sequence):
+    """A corpus's annotations as :class:`Annotation` rows in file order,
+    each made from the columns when it is read."""
+
+    def __init__(self, columns: AnnotationColumns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns.pair)
+
+    def __getitem__(self, i: int) -> Annotation:
+        c = self._columns
+        return Annotation(c.pair_ids[c.pair[i]],
+                          c.annotator_ids[c.annotator[i]],
+                          int(c.label[i]), float(c.duration[i]))
+
+    def __iter__(self):
+        c = self._columns
+        for pair, annotator, label, duration in zip(
+                c.pair.tolist(), c.annotator.tolist(), c.label.tolist(),
+                c.duration.tolist()):
+            yield Annotation(c.pair_ids[pair], c.annotator_ids[annotator],
+                             label, duration)
 
 
 @dataclass(frozen=True)
 class LabeledCorpus:
     """Immutable bundle of pairs, annotations and optional score channels.
 
-    ``precomputed_scores`` maps a metric name to a per-pair score map; it
-    is how externally computed similarity scores (contextual-embedding
-    models and the like) enter the pipeline.
+    The annotations are held as :class:`AnnotationColumns` only;
+    ``annotations`` reads them back as rows.  ``precomputed_scores`` maps
+    a metric name to a per-pair score map; it is how externally computed
+    similarity scores (contextual-embedding models and the like) enter the
+    pipeline.
     """
 
     pairs: tuple[SentencePair, ...]
-    annotations: tuple[Annotation, ...]
+    columns: AnnotationColumns
     precomputed_scores: dict[str, dict[str, float]] = field(default_factory=dict)
 
     @cached_property
     def pairs_by_id(self) -> dict[str, SentencePair]:
         return {p.pair_id: p for p in self.pairs}
 
-    @cached_property
-    def columns(self) -> AnnotationColumns:
-        """The annotations as arrays, built on first use and kept."""
-        return AnnotationColumns.build(self.pairs, self.annotations)
+    @property
+    def annotations(self) -> AnnotationRows:
+        return AnnotationRows(self.columns)
 
 
 def build_corpus(pairs: Iterable[SentencePair],
                  annotations: Iterable[Annotation]) -> LabeledCorpus:
     """Validate and assemble a corpus from already-parsed rows."""
     pairs = tuple(pairs)
-    annotations = tuple(annotations)
     pair_ids: set[str] = set()
     for p in pairs:
         _check_pair(p, pair_ids)
-    labeled: set[tuple[str, str]] = set()
-    for a in annotations:
-        _check_annotation(a, pair_ids, labeled)
-    return LabeledCorpus(pairs=pairs, annotations=annotations)
+    return LabeledCorpus(pairs=pairs,
+                         columns=AnnotationColumns.build(pairs, annotations))
+
+
+def select_pairs(corpus: LabeledCorpus,
+                 pairs: tuple[SentencePair, ...]) -> LabeledCorpus:
+    """The corpus cut to ``pairs``, some of its pairs in its order, with
+    their annotations and every score channel.  The columns are cut by a
+    pair mask and indexed as :meth:`AnnotationColumns.build` would index
+    the kept rows."""
+    columns = corpus.columns
+    keep = np.zeros(len(columns.pair_ids), dtype=bool)
+    keep[[columns.pair_index[p.pair_id] for p in pairs]] = True
+    rows = keep[columns.pair]
+    annotator = columns.annotator[rows]
+    labeled = np.zeros(len(columns.annotator_ids), dtype=bool)
+    labeled[annotator] = True
+    pair_ids = tuple(compress(columns.pair_ids, keep))
+    annotator_ids = tuple(compress(columns.annotator_ids, labeled))
+    pair = (np.cumsum(keep) - 1)[columns.pair[rows]]
+    return LabeledCorpus(
+        pairs=pairs,
+        columns=AnnotationColumns(
+            pair_ids=pair_ids,
+            annotator_ids=annotator_ids,
+            pair_index={pid: i for i, pid in enumerate(pair_ids)},
+            annotator_index={aid: i for i, aid in enumerate(annotator_ids)},
+            pair=pair,
+            annotator=(np.cumsum(labeled) - 1)[annotator],
+            label=columns.label[rows],
+            duration=columns.duration[rows],
+            is_random=columns.is_random[rows],
+            by_pair=np.argsort(pair, kind="stable"),
+        ),
+        precomputed_scores=corpus.precomputed_scores)
 
 
 def _fail(problem: str, path: Optional[Path], lineno: int) -> CorpusError:
@@ -161,27 +285,6 @@ def _check_pair(p: SentencePair, pair_ids: set[str],
         raise _fail(f"pair {p.pair_id!r} has an empty text side",
                     path, lineno)
     pair_ids.add(p.pair_id)
-
-
-def _check_annotation(a: Annotation, pair_ids: set[str],
-                      labeled: set[tuple[str, str]],
-                      path: Optional[Path] = None, lineno: int = 0) -> None:
-    """Check one annotation row against the pairs and the annotation rows
-    before it; adds its (pair, annotator) to ``labeled``."""
-    if a.pair_id not in pair_ids:
-        raise _fail(f"annotation references unknown pair_id {a.pair_id!r}",
-                    path, lineno)
-    if a.label not in VALID_LABELS:
-        raise _fail(f"label {a.label!r} for pair {a.pair_id!r} outside 1-5",
-                    path, lineno)
-    if a.duration < 0:
-        raise _fail(f"negative duration {a.duration!r} for pair "
-                    f"{a.pair_id!r}", path, lineno)
-    key = (a.pair_id, a.annotator_id)
-    if key in labeled:
-        raise _fail(f"annotator {a.annotator_id!r} labeled pair "
-                    f"{a.pair_id!r} twice", path, lineno)
-    labeled.add(key)
 
 
 def _parse_bool01(raw: str, path: Path, lineno: int) -> bool:
@@ -354,23 +457,17 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
         _check_pair(pair, pair_ids, pairs_path, lineno)
         pairs.append(pair)
 
-    annotations = []
+    pairs = tuple(pairs)
+    table = _AnnotationTable(pairs)
     if annotations_path is not None:
         annotations_path = Path(annotations_path)
         rows = _read_rows(annotations_path, ANNOTATION_FIELDS, fmt)
-        labeled: set[tuple[str, str]] = set()
         for lineno, (pid, aid, label, duration) in rows:
-            annotation = Annotation(
-                pair_id=str(pid).strip(),
-                annotator_id=str(aid).strip(),
-                label=_parse_int(label, annotations_path, lineno),
-                duration=_parse_float(duration, annotations_path, lineno),
-            )
-            _check_annotation(annotation, pair_ids, labeled,
-                              annotations_path, lineno)
-            annotations.append(annotation)
-
-    return LabeledCorpus(pairs=tuple(pairs), annotations=tuple(annotations))
+            table.add(str(pid).strip(), str(aid).strip(),
+                      _parse_int(label, annotations_path, lineno),
+                      _parse_float(duration, annotations_path, lineno),
+                      annotations_path, lineno)
+    return LabeledCorpus(pairs=pairs, columns=table.columns())
 
 
 def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path) -> None:

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import (CorpusError, LabeledCorpus, _parse_int,
+from .corpus import (CorpusError, LabeledCorpus, _not_utf8, _parse_int,
                      _read_csv_rows, _row_pair)
 from .textmetrics import TokenSeq, light_stem, tokenize
 
@@ -464,19 +464,26 @@ def wmd(a: TokenSeq, b: TokenSeq, table: EmbeddingTable) -> float:
 
 
 def load_noun_lexicon(path: Optional[Path] = None) -> frozenset:
-    """Noun word list, one per line, '#' comments allowed; default bundled."""
+    """Noun word list, one per line, '#' comments allowed; default bundled.
+
+    A list with no word, or a line that is not UTF-8, raises
+    :class:`CorpusError` naming the file (and the line).
+    """
     if path is None:
-        ref = resources.files("labelsim.data").joinpath("nouns.txt")
-        text = ref.read_text(encoding="utf-8")
+        path = resources.files("labelsim.data").joinpath("nouns.txt")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     nouns = set()
     for line in text.splitlines():
         word = line.strip().lower()
         if word and not word.startswith("#"):
             nouns.add(word)
     if not nouns:
-        raise ValueError("noun lexicon is empty")
+        raise CorpusError(f"{path}: noun lexicon is empty")
     return frozenset(nouns)
 
 

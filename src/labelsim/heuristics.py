@@ -68,17 +68,18 @@ class HeuristicConfig:
     min_sentiment_pairs: int = 2
 
     def validate(self) -> None:
-        if self.slow_threshold <= 0:
+        # each test is written to fail on NaN, which compares false
+        if not self.slow_threshold > 0:
             raise ValueError("slow_threshold must be positive")
-        if self.low_variance_threshold < 0:
+        if not self.low_variance_threshold >= 0:
             raise ValueError("low_variance_threshold must be non-negative")
         if not 0 <= self.disagreement_threshold <= 1:
             raise ValueError("disagreement_threshold must lie in [0, 1]")
         if not 0 <= self.overlap_threshold <= 1:
             raise ValueError("overlap_threshold must lie in [0, 1]")
-        if self.sentiment_gap_threshold < 0:
+        if not self.sentiment_gap_threshold >= 0:
             raise ValueError("sentiment_gap_threshold must be non-negative")
-        if self.sentiment_variance_threshold < 0:
+        if not self.sentiment_variance_threshold >= 0:
             raise ValueError("sentiment_variance_threshold must be non-negative")
         if self.overlap_bleu_order < 1:
             raise ValueError("overlap_bleu_order must be >= 1")

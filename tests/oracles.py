@@ -686,6 +686,47 @@ def rebuild_tree_pivots(C, flow, basis):
 
 
 # ---------------------------------------------------------------------------
+# corpus loading
+
+
+def load_annotations_oracle(pairs, path, fmt=None):
+    """The annotation rows of ``path`` as one ``Annotation`` object each,
+    every row checked against ``pairs`` and the rows before it: the
+    package's former row-object loader."""
+    from pathlib import Path
+
+    from labelsim.corpus import (ANNOTATION_FIELDS, VALID_LABELS, Annotation,
+                                 CorpusError, _parse_float, _parse_int,
+                                 _read_rows)
+    path = Path(path)
+    pair_ids = {p.pair_id for p in pairs}
+    labeled = set()
+    annotations = []
+    for lineno, (pid, aid, label, duration) in _read_rows(
+            path, ANNOTATION_FIELDS, fmt):
+        a = Annotation(pair_id=str(pid).strip(),
+                       annotator_id=str(aid).strip(),
+                       label=_parse_int(label, path, lineno),
+                       duration=_parse_float(duration, path, lineno))
+        where = f"{path} row {lineno}"
+        if a.pair_id not in pair_ids:
+            raise CorpusError(f"{where}: annotation references unknown "
+                              f"pair_id {a.pair_id!r}")
+        if a.label not in VALID_LABELS:
+            raise CorpusError(f"{where}: label {a.label!r} for pair "
+                              f"{a.pair_id!r} outside 1-5")
+        if a.duration < 0:
+            raise CorpusError(f"{where}: negative duration {a.duration!r} "
+                              f"for pair {a.pair_id!r}")
+        if (a.pair_id, a.annotator_id) in labeled:
+            raise CorpusError(f"{where}: annotator {a.annotator_id!r} "
+                              f"labeled pair {a.pair_id!r} twice")
+        labeled.add((a.pair_id, a.annotator_id))
+        annotations.append(a)
+    return tuple(annotations)
+
+
+# ---------------------------------------------------------------------------
 # per-annotator flags and profiles, one annotator at a time
 
 

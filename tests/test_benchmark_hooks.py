@@ -8,6 +8,7 @@ run the benchmark's own tracer and loader, with each workload's own
 arguments, on a small generated input, so such a break fails here.
 """
 
+import csv
 import json
 import subprocess
 import sys
@@ -45,11 +46,22 @@ def run_traced(bench, workload, tmp_path) -> dict:
     return json.loads(spans.read_text(encoding="utf-8"))
 
 
+def generated_rows(paths) -> int:
+    """The data rows of the generated pairs and annotations files."""
+    total = 0
+    for role in ("pairs", "annotations"):
+        with paths[role].open(newline="", encoding="utf-8") as fh:
+            total += sum(1 for _ in csv.reader(fh)) - 1
+    return total
+
+
 def test_traced_text_report_feeds_every_hook(bench, tmp_path):
     doc = run_traced(bench, "text-report", tmp_path)
     assert doc["hook_errors"] == {}
     counters = doc["counters"]
     assert set(FLAG_COUNTERS + TRANSPORT_COUNTERS) <= set(counters)
+    # the one load_corpus call reads every generated pair and annotation
+    assert counters["corpus.rows"] == generated_rows(bench[1])
     assert counters["correlate.cells"] > 0
     assert counters["embmetrics.solve_transport.problems"] > 0
 
@@ -59,6 +71,7 @@ def test_traced_style_report_feeds_every_hook(bench, tmp_path):
     assert doc["hook_errors"] == {}
     counters = doc["counters"]
     assert set(FLAG_COUNTERS + TRANSPORT_COUNTERS) <= set(counters)
+    assert counters["corpus.rows"] == generated_rows(bench[1])
     assert counters["correlate.cells"] > 0
 
 

@@ -708,6 +708,21 @@ def test_read_config_rejects_garbage(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
+def test_flag_rejects_nan_threshold_from_flag_and_config(tmp_path, capsys):
+    # a NaN threshold flags nobody, so it must fail, not print an empty
+    # removal list
+    pairs, annotations = write_corpus(tmp_path)
+    argv = ["flag", "--pairs", pairs, "--annotations", annotations,
+            "--heuristics", "1", "--all-subsets"]
+    cfg = tmp_path / "thresholds.cfg"
+    cfg.write_text("slow_threshold = nan\n")
+    for extra in (["--slow-threshold", "nan"], ["--config", str(cfg)]):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: slow_threshold must be positive\n"
+
+
 # --------------------------------------------------------------- metrics
 
 
@@ -1469,6 +1484,22 @@ def test_simulate_bad_profiles(tmp_path, capsys):
         assert rc == 1
         assert captured.err == (f"error: bad profile {profile!r}; "
                                 "expected kind:count[:param]\n")
+
+
+def test_simulate_bad_profiles_in_config_name_file_and_line(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("seed = 5\nprofiles = wizard:3\n")
+    out_dir = tmp_path / "sim"
+    # a flag does not excuse a bad line of the file for the same key
+    for extra in ([], ["--profiles", "reliable:3"]):
+        rc = main(["simulate", "--out-dir", str(out_dir), "--config",
+                   str(cfg)] + extra)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (f"error: {cfg} line 2: profiles: bad profile "
+                                "'wizard:3'; expected kind:count[:param]\n")
+    assert not out_dir.exists()
 
 
 def test_simulate_reads_seed_from_config(tmp_path):

@@ -1,10 +1,23 @@
-import pytest
+import csv
+import dataclasses
+import gc
+import json
+import tempfile
+from pathlib import Path
 
-from labelsim.corpus import (Annotation, CorpusError, SentencePair,
-                             attach_precomputed, build_corpus, load_corpus,
-                             load_precomputed, save_corpus)
+import numpy as np
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from labelsim import corpus as corpus_module
+from labelsim.corpus import (Annotation, AnnotationColumns, CorpusError,
+                             SentencePair, attach_precomputed, build_corpus,
+                             load_corpus, load_precomputed, save_corpus,
+                             select_pairs)
+from labelsim.simulate import PopulationSpec, generate_corpus
 
 from conftest import make_corpus
+import oracles
 
 PAIRS_CSV = """\
 pair_id,source,is_random,text_a,text_b
@@ -54,7 +67,7 @@ def test_load_jsonl(tmp_path):
 
 def test_pairs_only(tmp_path):
     corpus = load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV))
-    assert corpus.annotations == ()
+    assert tuple(corpus.annotations) == ()
 
 
 def test_format_override(tmp_path):
@@ -72,14 +85,14 @@ def test_round_trip_preserves_durations(tmp_path, tiny_corpus):
     save_corpus(tiny_corpus, tmp_path / "p.csv", tmp_path / "a.csv")
     again = load_corpus(tmp_path / "p.csv", tmp_path / "a.csv")
     assert again.pairs == tiny_corpus.pairs
-    assert again.annotations == tiny_corpus.annotations
+    assert tuple(again.annotations) == tuple(tiny_corpus.annotations)
 
 
 def test_round_trip_jsonl(tmp_path, tiny_corpus):
     save_corpus(tiny_corpus, tmp_path / "p.jsonl", tmp_path / "a.jsonl")
     again = load_corpus(tmp_path / "p.jsonl", tmp_path / "a.jsonl")
     assert again.pairs == tiny_corpus.pairs
-    assert again.annotations == tiny_corpus.annotations
+    assert tuple(again.annotations) == tuple(tiny_corpus.annotations)
 
 
 def test_missing_column(tmp_path):
@@ -258,3 +271,113 @@ def test_empty_csv_file(tmp_path):
     with pytest.raises(CorpusError) as exc:
         load_corpus(path)
     assert str(exc.value) == f"{path}: empty file, header required"
+
+
+# ------------------------------------------------------- columnar store
+
+
+def assert_same_columns(got: AnnotationColumns, want: AnnotationColumns):
+    for f in dataclasses.fields(AnnotationColumns):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+    assert got == want
+
+
+def test_loaded_corpus_holds_no_annotation_objects(tmp_path, monkeypatch):
+    pairs = write(tmp_path, "pairs.csv", PAIRS_CSV)
+    ann = write(tmp_path, "ann.csv", ANNOTATIONS_CSV)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("load_corpus built an Annotation")
+
+    monkeypatch.setattr(corpus_module, "Annotation", no_rows)
+    corpus = load_corpus(pairs, ann)
+    monkeypatch.undo()
+    seen, todo = set(), [corpus]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, Annotation)
+        todo.extend(gc.get_referents(obj))
+    assert len(corpus.annotations) == 3
+    assert list(corpus.annotations)[2] == corpus.annotations[-1] == \
+        Annotation("p2", "w1", 1, 8.25)
+
+
+def test_select_pairs_matches_a_corpus_built_from_those_rows():
+    corpus, _ = generate_corpus(PopulationSpec(n_pairs=40, seed=3))
+    for keep in (lambda i: i % 3 == 0, lambda i: i >= 35, lambda i: False):
+        pairs = tuple(p for i, p in enumerate(corpus.pairs) if keep(i))
+        ids = {p.pair_id for p in pairs}
+        sub = select_pairs(corpus, pairs)
+        built = build_corpus(pairs, [a for a in corpus.annotations
+                                     if a.pair_id in ids])
+        assert sub.pairs == pairs
+        assert_same_columns(sub.columns, built.columns)
+
+
+LOADER_PAIRS_CSV = ("pair_id,source,is_random,text_a,text_b\n"
+                    + "".join(f"p{i},s,{i % 2},a b,c d\n" for i in range(5)))
+ANNOTATORS = ["w1", "w2", "w3", " w3 ", "10", "9", "a,b", 'q"x', "\u00e9"]
+GOOD_ROW = st.tuples(st.sampled_from([f"p{i}" for i in range(5)]),
+                     st.sampled_from(ANNOTATORS), st.integers(1, 5),
+                     st.floats(0, 1e4, allow_nan=False))
+BAD_ROW = st.one_of(
+    st.tuples(st.just("p9"), st.sampled_from(ANNOTATORS), st.just(3),
+              st.just(1.0)),
+    st.tuples(st.just("p0"), st.just("w1"),
+              st.sampled_from([0, 6, -2, "x", "2.5"]), st.just(1.0)),
+    st.tuples(st.just("p1"), st.just("w2"), st.just(2),
+              st.sampled_from([-0.5, "fast", "nan"])),
+    # a row of a (pair, annotator) the good rows may hold
+    GOOD_ROW)
+
+
+def write_annotations(path, rows, fmt):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(["pair_id", "annotator_id", "label",
+                             "duration_seconds"])
+            writer.writerows(rows)
+        else:
+            for pid, aid, label, duration in rows:
+                fh.write(json.dumps({"pair_id": pid, "annotator_id": aid,
+                                     "label": label,
+                                     "duration_seconds": duration}) + "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(good=st.lists(GOOD_ROW, max_size=30,
+                     unique_by=lambda r: (r[0], r[1].strip())),
+       bad=st.lists(st.tuples(st.integers(0, 30), BAD_ROW), max_size=3),
+       fmt=st.sampled_from(["csv", "jsonl"]))
+def test_loader_columns_match_build_over_oracle_rows(good, bad, fmt):
+    rows = list(good)
+    for position, row in bad:
+        rows.insert(position, row)
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs_path = Path(tmp, "pairs.csv")
+        pairs_path.write_text(LOADER_PAIRS_CSV, encoding="utf-8")
+        ann_path = Path(tmp, "ann." + fmt)
+        write_annotations(ann_path, rows, fmt)
+        pairs = load_corpus(pairs_path).pairs
+        try:
+            want = oracles.load_annotations_oracle(pairs, ann_path)
+        except CorpusError as exc:
+            # several bad rows: the first in file order, as the oracle says
+            with pytest.raises(CorpusError) as got:
+                load_corpus(pairs_path, ann_path)
+            assert str(got.value) == str(exc)
+            event("a bad row")
+            return
+        corpus = load_corpus(pairs_path, ann_path)
+    assert corpus.pairs == pairs
+    assert_same_columns(corpus.columns, AnnotationColumns.build(pairs, want))
+    assert tuple(corpus.annotations) == want

@@ -717,10 +717,19 @@ def test_load_noun_lexicon_custom(tmp_path):
     p = tmp_path / "nouns.txt"
     p.write_text("# header comment\nCat\n\ndog\n")
     assert load_noun_lexicon(p) == frozenset({"cat", "dog"})
+
+
+def test_load_noun_lexicon_errors_name_the_file(tmp_path):
     empty = tmp_path / "none.txt"
     empty.write_text("# only a comment\n")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(CorpusError) as exc:
         load_noun_lexicon(empty)
+    assert str(exc.value) == f"{empty}: noun lexicon is empty"
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("cat\n# nouns\ncaf\xe9\n".encode("latin-1"))
+    with pytest.raises(CorpusError) as exc:
+        load_noun_lexicon(latin)
+    assert str(exc.value) == f"{latin} line 3: not UTF-8"
 
 
 def test_lexicon_noun_tagger_uses_stemming():

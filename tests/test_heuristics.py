@@ -54,6 +54,16 @@ def test_config_validation():
         HeuristicConfig(min_sentiment_pairs=0).validate()
 
 
+@pytest.mark.parametrize("name", [
+    "slow_threshold", "low_variance_threshold", "disagreement_threshold",
+    "overlap_threshold", "sentiment_gap_threshold",
+    "sentiment_variance_threshold"])
+def test_config_validation_rejects_nan_thresholds(name):
+    # NaN compares false with every bound, and a NaN threshold flags nobody
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        HeuristicConfig(**{name: float("nan")}).validate()
+
+
 # ---------------------------------------------------------------------------
 # individual flags
 
