@@ -61,33 +61,37 @@ class AnnotationColumns:
     A corpus holds its annotations only in this form.  ``pair`` indexes
     ``pair_ids``, every pair of the corpus in sorted order; ``annotator``
     indexes ``annotator_ids``, every annotator with a label, sorted;
-    ``is_random`` is the flag of the row's pair.  ``pair_index`` and
-    ``annotator_index`` map each id to its index, in the same order; they
-    are the one place an id becomes an index.  ``by_pair`` lists the rows
-    stably sorted by ``pair`` (a pair's rows keep their file order); it is
-    the one place rows are put in pair order.
+    ``pair_is_random`` is each pair's flag, in ``pair_ids`` order.  The
+    fields are the whole store; the properties below derive the rest from
+    them when first read, and are the one place each is derived:
+    ``pair_index`` and ``annotator_index`` map each id to its index,
+    ``is_random`` is the flag of each row's pair, and ``by_pair`` lists the
+    rows stably sorted by ``pair`` (a pair's rows keep their file order).
     """
 
     pair_ids: tuple[str, ...]
     annotator_ids: tuple[str, ...]
-    pair_index: dict[str, int]
-    annotator_index: dict[str, int]
-    pair: np.ndarray       # intp
-    annotator: np.ndarray  # intp
-    label: np.ndarray      # int64
-    duration: np.ndarray   # float64
-    is_random: np.ndarray  # bool
-    by_pair: np.ndarray    # intp
+    pair: np.ndarray            # intp
+    annotator: np.ndarray       # intp
+    label: np.ndarray           # int64
+    duration: np.ndarray        # float64
+    pair_is_random: np.ndarray  # bool
 
-    @classmethod
-    def build(cls, pairs: tuple[SentencePair, ...],
-              annotations: Iterable[Annotation]) -> "AnnotationColumns":
-        """The columns of ``annotations``, each row checked as
-        :func:`load_corpus` checks a row of its file."""
-        table = _AnnotationTable(pairs)
-        for a in annotations:
-            table.add(a.pair_id, a.annotator_id, a.label, a.duration)
-        return table.columns()
+    @cached_property
+    def pair_index(self) -> dict[str, int]:
+        return {pid: i for i, pid in enumerate(self.pair_ids)}
+
+    @cached_property
+    def annotator_index(self) -> dict[str, int]:
+        return {aid: i for i, aid in enumerate(self.annotator_ids)}
+
+    @cached_property
+    def is_random(self) -> np.ndarray:
+        return self.pair_is_random[self.pair]
+
+    @cached_property
+    def by_pair(self) -> np.ndarray:
+        return np.argsort(self.pair, kind="stable")
 
     def __eq__(self, other) -> bool:
         """Field by field, each array as a whole (the generated ``__eq__``
@@ -104,73 +108,60 @@ class AnnotationColumns:
         return True
 
 
-class _AnnotationTable:
-    """Annotation rows gathered into column buffers.
+def _annotation_columns(pairs: tuple[SentencePair, ...],
+                        rows: Iterable[tuple]) -> AnnotationColumns:
+    """The columns of annotation ``rows``, each a tuple ``(pair_id,
+    annotator_id, label, duration, path, lineno)``; ``path`` is None for a
+    row read from no file.
 
     Each row is checked against the pairs and the rows before it as it is
-    added, so the first bad row in file order is the one reported.  An
-    annotator's code is its order of first appearance until
-    :meth:`columns` maps it to its place among the sorted ids.
+    read, so the first bad row in order is the one reported.  An
+    annotator's code is its order of first appearance until the end maps
+    it to its place among the sorted ids.
     """
-
-    def __init__(self, pairs: tuple[SentencePair, ...]):
-        self.pairs = pairs
-        self.pair_ids = tuple(sorted(p.pair_id for p in pairs))
-        self.pair_index = {pid: i for i, pid in enumerate(self.pair_ids)}
-        self.annotator_code: dict[str, int] = {}
-        self.labeled: set[int] = set()  # annotator code * pairs + pair
-        self.pair = array("q")
-        self.annotator = array("q")
-        self.label = array("q")
-        self.duration = array("d")
-
-    def add(self, pair_id: str, annotator_id: str, label: int,
-            duration: float, path: Optional[Path] = None,
-            lineno: int = 0) -> None:
-        pair = self.pair_index.get(pair_id)
-        if pair is None:
+    pair_ids = tuple(sorted(p.pair_id for p in pairs))
+    pair_code = {pid: i for i, pid in enumerate(pair_ids)}
+    annotator_code: dict[str, int] = {}
+    labeled: set[int] = set()  # annotator code * pairs + pair code
+    pair, annotator, label, duration = \
+        array("q"), array("q"), array("q"), array("d")
+    for pair_id, annotator_id, value, seconds, path, lineno in rows:
+        p = pair_code.get(pair_id)
+        if p is None:
             raise _fail(f"annotation references unknown pair_id {pair_id!r}",
                         path, lineno)
-        if label not in VALID_LABELS:
-            raise _fail(f"label {label!r} for pair {pair_id!r} outside 1-5",
+        if value not in VALID_LABELS:
+            raise _fail(f"label {value!r} for pair {pair_id!r} outside 1-5",
                         path, lineno)
-        if duration < 0:
-            raise _fail(f"negative duration {duration!r} for pair "
+        if seconds < 0:
+            raise _fail(f"negative duration {seconds!r} for pair "
                         f"{pair_id!r}", path, lineno)
-        code = self.annotator_code.setdefault(annotator_id,
-                                              len(self.annotator_code))
-        key = code * len(self.pair_ids) + pair
-        if key in self.labeled:
+        a = annotator_code.setdefault(annotator_id, len(annotator_code))
+        key = a * len(pair_ids) + p
+        if key in labeled:
             raise _fail(f"annotator {annotator_id!r} labeled pair "
                         f"{pair_id!r} twice", path, lineno)
-        self.labeled.add(key)
-        self.pair.append(pair)
-        self.annotator.append(code)
-        self.label.append(int(label))  # 3.0 is the label 3
-        self.duration.append(duration)
+        labeled.add(key)
+        pair.append(p)
+        annotator.append(a)
+        label.append(int(value))  # 3.0 is the label 3
+        duration.append(seconds)
 
-    def columns(self) -> AnnotationColumns:
-        first_seen = tuple(self.annotator_code)
-        order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-        place = np.empty(len(order), dtype=np.intp)
-        place[order] = np.arange(len(order))
-        annotator_ids = tuple(first_seen[i] for i in order)
-        pair = np.array(self.pair, dtype=np.intp)
-        random_pairs = np.zeros(len(self.pair_ids), dtype=bool)
-        random_pairs[[self.pair_index[p.pair_id]
-                      for p in self.pairs if p.is_random]] = True
-        return AnnotationColumns(
-            pair_ids=self.pair_ids,
-            annotator_ids=annotator_ids,
-            pair_index=self.pair_index,
-            annotator_index={aid: i for i, aid in enumerate(annotator_ids)},
-            pair=pair,
-            annotator=place[np.array(self.annotator, dtype=np.intp)],
-            label=np.array(self.label, dtype=np.int64),
-            duration=np.array(self.duration, dtype=np.float64),
-            is_random=random_pairs[pair],
-            by_pair=np.argsort(pair, kind="stable"),
-        )
+    first_seen = tuple(annotator_code)
+    order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    place = np.empty(len(order), dtype=np.intp)
+    place[order] = np.arange(len(order))
+    pair_is_random = np.zeros(len(pair_ids), dtype=bool)
+    pair_is_random[[pair_code[p.pair_id] for p in pairs if p.is_random]] = True
+    return AnnotationColumns(
+        pair_ids=pair_ids,
+        annotator_ids=tuple(first_seen[i] for i in order),
+        pair=np.array(pair, dtype=np.intp),
+        annotator=place[np.array(annotator, dtype=np.intp)],
+        label=np.array(label, dtype=np.int64),
+        duration=np.array(duration, dtype=np.float64),
+        pair_is_random=pair_is_random,
+    )
 
 
 class AnnotationRows(Sequence):
@@ -224,21 +215,25 @@ class LabeledCorpus:
 
 def build_corpus(pairs: Iterable[SentencePair],
                  annotations: Iterable[Annotation]) -> LabeledCorpus:
-    """Validate and assemble a corpus from already-parsed rows."""
+    """Validate and assemble a corpus from already-parsed rows; each
+    annotation is checked as :func:`load_corpus` checks a row of its
+    file."""
     pairs = tuple(pairs)
     pair_ids: set[str] = set()
     for p in pairs:
         _check_pair(p, pair_ids)
+    rows = ((a.pair_id, a.annotator_id, a.label, a.duration, None, 0)
+            for a in annotations)
     return LabeledCorpus(pairs=pairs,
-                         columns=AnnotationColumns.build(pairs, annotations))
+                         columns=_annotation_columns(pairs, rows))
 
 
 def select_pairs(corpus: LabeledCorpus,
                  pairs: tuple[SentencePair, ...]) -> LabeledCorpus:
     """The corpus cut to ``pairs``, some of its pairs in its order, with
     their annotations and every score channel.  The columns are cut by a
-    pair mask and indexed as :meth:`AnnotationColumns.build` would index
-    the kept rows."""
+    pair mask and coded as :func:`build_corpus` would code the kept
+    rows."""
     columns = corpus.columns
     keep = np.zeros(len(columns.pair_ids), dtype=bool)
     keep[[columns.pair_index[p.pair_id] for p in pairs]] = True
@@ -246,22 +241,16 @@ def select_pairs(corpus: LabeledCorpus,
     annotator = columns.annotator[rows]
     labeled = np.zeros(len(columns.annotator_ids), dtype=bool)
     labeled[annotator] = True
-    pair_ids = tuple(compress(columns.pair_ids, keep))
-    annotator_ids = tuple(compress(columns.annotator_ids, labeled))
-    pair = (np.cumsum(keep) - 1)[columns.pair[rows]]
     return LabeledCorpus(
         pairs=pairs,
         columns=AnnotationColumns(
-            pair_ids=pair_ids,
-            annotator_ids=annotator_ids,
-            pair_index={pid: i for i, pid in enumerate(pair_ids)},
-            annotator_index={aid: i for i, aid in enumerate(annotator_ids)},
-            pair=pair,
+            pair_ids=tuple(compress(columns.pair_ids, keep)),
+            annotator_ids=tuple(compress(columns.annotator_ids, labeled)),
+            pair=(np.cumsum(keep) - 1)[columns.pair[rows]],
             annotator=(np.cumsum(labeled) - 1)[annotator],
             label=columns.label[rows],
             duration=columns.duration[rows],
-            is_random=columns.is_random[rows],
-            by_pair=np.argsort(pair, kind="stable"),
+            pair_is_random=columns.pair_is_random[keep],
         ),
         precomputed_scores=corpus.precomputed_scores)
 
@@ -458,16 +447,15 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
         pairs.append(pair)
 
     pairs = tuple(pairs)
-    table = _AnnotationTable(pairs)
+    rows = ()
     if annotations_path is not None:
-        annotations_path = Path(annotations_path)
-        rows = _read_rows(annotations_path, ANNOTATION_FIELDS, fmt)
-        for lineno, (pid, aid, label, duration) in rows:
-            table.add(str(pid).strip(), str(aid).strip(),
-                      _parse_int(label, annotations_path, lineno),
-                      _parse_float(duration, annotations_path, lineno),
-                      annotations_path, lineno)
-    return LabeledCorpus(pairs=pairs, columns=table.columns())
+        path = Path(annotations_path)
+        rows = ((str(pid).strip(), str(aid).strip(),
+                 _parse_int(label, path, lineno),
+                 _parse_float(duration, path, lineno), path, lineno)
+                for lineno, (pid, aid, label, duration)
+                in _read_rows(path, ANNOTATION_FIELDS, fmt))
+    return LabeledCorpus(pairs=pairs, columns=_annotation_columns(pairs, rows))
 
 
 def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path) -> None:

@@ -214,10 +214,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
             except ValueError:
                 pass
         if "cosine" in metrics and means is not None:
-            try:
-                out["cosine"] = embmetrics.cosine_similarity(*means)
-            except ValueError:
-                pass
+            out["cosine"] = embmetrics.cosine_similarity(*means)
         if "l2" in metrics:
             if sent_embeddings is not None:
                 sides = sent_embeddings.get(pair.pair_id, {})
@@ -322,8 +319,8 @@ class _Columns:
     """A corpus's annotation columns and its metric scores as arrays.
 
     ``values[name]`` / ``defined[name]`` hold each metric over the pair
-    index of ``columns``, the corpus's cached :class:`AnnotationColumns`,
-    so every report on one corpus reads the same annotation arrays.
+    index of ``columns``, the corpus's :class:`AnnotationColumns`, so
+    every report on one corpus reads the same annotation arrays.
     """
 
     columns: AnnotationColumns
@@ -430,9 +427,12 @@ def correlation_report(corpus: LabeledCorpus,
     ``unavailable``.  ``annotator_ids`` restricts the gold computation to
     a sub-population (the style reports use this).  There is one row per
     non-empty subset of the heuristics that ``reports`` (one flag pass
-    over ``corpus``) evaluated, and a row removes the annotators whose
-    reports carry any of its flags.
+    over ``corpus``; a pass over another corpus is an error) evaluated,
+    and a row removes the annotators whose reports carry any of its flags.
     """
+    if tuple(reports) != corpus.columns.annotator_ids:
+        raise ValueError(f"{label}: the flag pass was made over another "
+                         "corpus; its annotators are not this corpus's")
     subsets = heuristic_subsets(reports.heuristics)
     removals = [tuple(sorted(flagged_annotators(reports, s))) for s in subsets]
 
@@ -465,7 +465,7 @@ def correlation_report(corpus: LabeledCorpus,
     subset_rows = []
     for subset, removed in zip(subsets, removals):
         keep = panel.copy()
-        keep[[index[aid] for aid in removed if aid in index]] = False
+        keep[[index[aid] for aid in removed]] = False
         subset_rows.append(SubsetResult(
             subset=subset,
             removed_annotators=removed,

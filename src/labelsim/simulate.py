@@ -240,19 +240,13 @@ def generate_corpus(spec: PopulationSpec) -> tuple[LabeledCorpus, GroundTruth]:
                 cursor += 1
             assignment[pair.pair_id] = chosen
 
-    annotations = []
-    for pair in pairs:
-        t = latent[pair.pair_id]
-        for aid in assignment[pair.pair_id]:
-            kind = kinds[aid]
-            param = params[aid]
-            annotations.append(Annotation(
-                pair_id=pair.pair_id,
-                annotator_id=aid,
-                label=_label_for(kind, param, t, rng),
-                duration=_duration_for(kind, param, rng),
-            ))
-
+    # drawn as the corpus builder reads each row, so no list of rows is held
+    annotations = (
+        Annotation(pair_id=pair.pair_id, annotator_id=aid,
+                   label=_label_for(kinds[aid], params[aid],
+                                    latent[pair.pair_id], rng),
+                   duration=_duration_for(kinds[aid], params[aid], rng))
+        for pair in pairs for aid in assignment[pair.pair_id])
     corpus = build_corpus(pairs, annotations)
     return corpus, GroundTruth(annotator_kinds=kinds, latent=latent)
 

@@ -782,6 +782,27 @@ def test_metrics_with_embeddings(tmp_path, capsys):
     assert float(p3[2]) > 0.0 and float(p3[3]) > 0.0
 
 
+def test_metrics_cosine_of_a_zero_mean_vector_fails_naming_the_pair(
+        tmp_path, capsys):
+    # p3's side b has one in-vocabulary word, whose vector is 0: cosine is
+    # undefined there, which is not the no-embeddable-token drop
+    pairs, _ = write_corpus(tmp_path)
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("red 1 0\noak 0 0\n")
+    rc = main(["metrics", "--pairs", pairs, "--metrics", "cosine,l2,wmd",
+               "--embeddings", str(vectors)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: pair 'p3': cosine similarity undefined "
+                            "for zero-norm vector\n")
+    # without cosine the pair scores
+    assert main(["metrics", "--pairs", pairs, "--metrics", "l2,wmd",
+                 "--embeddings", str(vectors)]) == 0
+    assert capsys.readouterr().out.splitlines()[3] == \
+        "p3,1.000000,1.000000"
+
+
 def test_metrics_env_var_supplies_embeddings(tmp_path, capsys, monkeypatch):
     pairs, _ = write_corpus(tmp_path)
     monkeypatch.setenv("LABELSIM_EMBEDDINGS", write_embeddings(tmp_path))

@@ -276,15 +276,43 @@ def test_empty_csv_file(tmp_path):
 # ------------------------------------------------------- columnar store
 
 
+DERIVED = ("pair_index", "annotator_index", "is_random", "by_pair")
+
+
 def assert_same_columns(got: AnnotationColumns, want: AnnotationColumns):
-    for f in dataclasses.fields(AnnotationColumns):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+    # the stored fields, then what the class derives from them
+    names = [f.name for f in dataclasses.fields(AnnotationColumns)]
+    for name in names + list(DERIVED):
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype, f.name
-            assert np.array_equal(a, b), f.name
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        elif isinstance(b, dict):
+            assert type(a) is dict and list(a.items()) == list(b.items()), \
+                name
         else:
-            assert type(a) is type(b) and a == b, f.name
+            assert type(a) is type(b) and a == b, name
     assert got == want
+
+
+def test_columns_store_codes_and_derive_the_indexes(tmp_path):
+    pairs = write(tmp_path, "pairs.csv", PAIRS_CSV)
+    ann = write(tmp_path, "ann.csv",
+                "pair_id,annotator_id,label,duration_seconds\n"
+                "p2,w2,1,1\np1,w1,5,2\np2,w1,2,3\np1,w2,4,4\n")
+    columns = load_corpus(pairs, ann).columns
+    assert [f.name for f in dataclasses.fields(AnnotationColumns)] == [
+        "pair_ids", "annotator_ids", "pair", "annotator", "label",
+        "duration", "pair_is_random"]
+    assert columns.pair.tolist() == [1, 0, 1, 0]
+    assert columns.annotator.tolist() == [1, 0, 0, 1]
+    assert columns.pair_is_random.tolist() == [False, True]
+    assert columns.pair_index == {"p1": 0, "p2": 1}
+    assert columns.annotator_index == {"w1": 0, "w2": 1}
+    assert columns.is_random.tolist() == [True, False, True, False]
+    assert columns.by_pair.tolist() == [1, 3, 0, 2]
+    # derived once, then read from the instance
+    assert columns.by_pair is columns.by_pair
 
 
 def test_loaded_corpus_holds_no_annotation_objects(tmp_path, monkeypatch):
@@ -379,5 +407,5 @@ def test_loader_columns_match_build_over_oracle_rows(good, bad, fmt):
             return
         corpus = load_corpus(pairs_path, ann_path)
     assert corpus.pairs == pairs
-    assert_same_columns(corpus.columns, AnnotationColumns.build(pairs, want))
+    assert_same_columns(corpus.columns, build_corpus(pairs, want).columns)
     assert tuple(corpus.annotations) == want

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from labelsim.corpus import attach_precomputed
+from labelsim.corpus import attach_precomputed, select_pairs
 from labelsim import correlate, textmetrics
 from labelsim.correlate import (
     DISTANCE_METRICS,
@@ -670,6 +670,21 @@ def test_correlation_report_empty_panel():
     assert report.status == "empty: no annotators in this panel"
     assert report.metrics == ()
     assert report.subsets == ()
+
+
+def test_correlation_report_rejects_a_flag_pass_over_another_corpus():
+    # 'junk' never labeled p3 or p5, so a cut to them lacks it: the full
+    # corpus's pass would list it as removed and remove nobody
+    corpus, metric_scores = gold_fixture()
+    cut = select_pairs(corpus, tuple(p for p in corpus.pairs
+                                     if p.pair_id in ("p3", "p5")))
+    message = ("dataset x: the flag pass was made over another corpus; "
+               "its annotators are not this corpus's")
+    for target, source in ((cut, corpus), (corpus, cut)):
+        with pytest.raises(ValueError) as exc:
+            correlation_report(target, metric_scores, flags(source, 1),
+                               label="dataset x")
+        assert str(exc.value) == message
 
 
 def test_correlation_report_subset_that_empties_the_panel_is_undefined():

@@ -1,6 +1,7 @@
 """The package's documented surface: its exports and README's library
 quick start."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -8,13 +9,25 @@ import labelsim
 from labelsim import simulate
 from labelsim.corpus import save_corpus
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in labelsim.__all__
                if not hasattr(labelsim, name)]
     assert missing == []
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # pyproject.toml: requires-python = ">=3.10"
+    assert 'requires-python = ">=3.10"' in \
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    modules = sorted((ROOT / "src" / "labelsim").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
