@@ -489,12 +489,24 @@ def load_noun_lexicon(path: Optional[Path] = None) -> frozenset:
 
 def lexicon_noun_tagger(nouns: Optional[frozenset] = None
                         ) -> Callable[[TokenSeq], list[str]]:
-    """Tagger that keeps tokens found (directly or via stemming) in a noun list."""
+    """Tagger that keeps tokens found (directly or via stemming) in a noun list.
+
+    Each token type is decided once per tagger: the answers are kept in a
+    dict bounded by the vocabulary the tagger sees.
+    """
     if nouns is None:
         nouns = load_noun_lexicon()
+    is_noun: dict[str, bool] = {}
 
     def tagger(tokens: TokenSeq) -> list[str]:
-        return [t for t in tokens if t in nouns or light_stem(t) in nouns]
+        kept = []
+        for t in tokens:
+            noun = is_noun.get(t)
+            if noun is None:
+                noun = is_noun[t] = t in nouns or light_stem(t) in nouns
+            if noun:
+                kept.append(t)
+        return kept
 
     return tagger
 

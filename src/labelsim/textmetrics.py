@@ -26,24 +26,21 @@ import numpy as np
 
 TokenSeq = Sequence[str]
 
-_TOKEN_RE = re.compile(r"[\w']+", re.UNICODE)
-_WORD_CHAR_RE = re.compile(r"\w", re.UNICODE)
+# A token is a maximal run of word characters and apostrophes, stripped
+# of its leading and trailing apostrophes: it runs from the run's first
+# word character to its last.
+_TOKEN_RE = re.compile(r"\w(?:[\w']*\w)?")
+_WORD_CHAR_RE = re.compile(r"\w")
 
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase and split into word tokens; punctuation is discarded."""
-    tokens = []
-    for raw in _TOKEN_RE.findall(text.lower()):
-        tok = raw.strip("'")
-        if tok:
-            tokens.append(tok)
-    return tuple(tokens)
+    return tuple(_TOKEN_RE.findall(text.lower()))
 
 
 def has_tokens(text: str) -> bool:
-    """``bool(tokenize(text))`` without building the tokens: any word
-    character lies inside a ``[\\w']+`` match, and stripping apostrophes
-    leaves it there."""
+    """``bool(tokenize(text))`` without building the tokens: every word
+    character starts or lies inside a token."""
     return _WORD_CHAR_RE.search(text.lower()) is not None
 
 
@@ -205,8 +202,8 @@ def chrf_block(texts_a: Sequence[str], texts_b: Sequence[str],
     privileged reference role: the score is the mean of the two
     directional F_beta values, so chrf(a, b) == chrf(b, a).
 
-    The n-grams of all texts get dense ids order by order: order 1 by
-    code point, order n by the pair (order n-1 id, last character id).
+    Characters get dense ids by code point; each order's n-gram ids are
+    built from them as :func:`_clipped_matches` describes.
     Clipped matches are the smaller count of each (pair, n-gram) seen on
     both sides.  Counts are integers; the float steps run per order, in
     the order a loop over one pair would take, so every value is the
@@ -244,6 +241,10 @@ def chrf_block(texts_a: Sequence[str], texts_b: Sequence[str],
     return values.tolist()
 
 
+# Bound on the (pair, n-gram, side) sort keys, safely inside int64.
+_KEY_LIMIT = 1 << 62
+
+
 def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
                      n_symbols: int, max_n: int) -> np.ndarray:
     """Clipped n-gram matches of each pair, for the orders 1..max_n.
@@ -251,10 +252,12 @@ def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
     ``symbols`` holds the dense ids (below ``n_symbols``) of 2k texts laid
     end to end, the k side-a texts first, and ``lengths`` their lengths.
     Row n-1 of the result gives, per pair, the sum over its order-n
-    n-grams of the smaller of the two sides' counts.  Order-n n-grams
-    get dense ids from the pair (order n-1 id, last symbol id); each
-    (pair, n-gram, side) is counted by one sort.  Orders longer than
-    every pair's shorter side match nothing and are not counted.
+    n-grams of the smaller of the two sides' counts.  An order-n
+    n-gram's id is its order n-1 id times ``n_symbols`` plus its last
+    symbol's id; the ids are renumbered densely only when a (pair,
+    n-gram, side) key could reach :data:`_KEY_LIMIT`.  Each (pair,
+    n-gram, side) is counted by one sort.  Orders longer than every
+    pair's shorter side match nothing and are not counted.
     """
     n_pairs = lengths.size // 2
     text = np.repeat(np.arange(2 * n_pairs), lengths)
@@ -267,8 +270,16 @@ def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
     gram_id, n_grams = symbols, n_symbols
     for n in range(1, top + 1):
         if n > 1:
-            gram_id, n_grams = _dense_ids(
-                gram_id[:-1] * n_symbols + symbols[n - 1:])
+            if n_grams * n_symbols * 2 * n_pairs < _KEY_LIMIT:
+                gram_id = gram_id[:-1] * n_symbols + symbols[n - 1:]
+                n_grams *= n_symbols
+            else:
+                # the composed ids or keys could overflow int64: number
+                # the n-grams densely, below symbols.size, on both sides
+                # of the step
+                gram_id, _ = _dense_ids(gram_id)
+                gram_id, n_grams = _dense_ids(
+                    gram_id[:-1] * n_symbols + symbols[n - 1:])
         whole = np.flatnonzero(room[:gram_id.size] >= n)
         # side in the lowest bit: a pair's n-gram on side a sorts just
         # before the same n-gram on side b

@@ -7,9 +7,25 @@ the real code; nothing in src/ may import from here.
 
 import itertools
 import math
+import re
 
 from labelsim.textmetrics import (LEXICAL_SCORERS, light_stem,
                                   score_lexical_block)
+
+
+# ---------------------------------------------------------------------------
+# tokenizer
+
+
+def tokenize_oracle(text):
+    """Maximal runs of word characters and apostrophes, each stripped of
+    its outer apostrophes; the runs left empty are dropped."""
+    tokens = []
+    for raw in re.findall(r"[\w']+", text.lower()):
+        tok = raw.strip("'")
+        if tok:
+            tokens.append(tok)
+    return tuple(tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from labelsim.embmetrics import (
 )
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
-from labelsim.textmetrics import tokenize
+from labelsim.textmetrics import light_stem, tokenize
 
 from conftest import make_corpus
 from oracles import (
@@ -737,6 +737,29 @@ def test_lexicon_noun_tagger_uses_stemming():
     assert tagger(["the", "cats", "ran", "past", "a", "house"]) == \
         ["cats", "house"]
     assert tagger(["nothing", "here"]) == []
+
+
+def test_lexicon_noun_tagger_decides_each_token_type_once(monkeypatch):
+    nouns = frozenset({"cat", "house", "glass", "stud", "runn"})
+    words = ["cat", "cats", "house", "houses", "glasses", "glass", "studies",
+             "stud", "studing", "running", "runs", "the", "a", "ran"]
+    stem_calls = []
+
+    def counted_stem(word):
+        stem_calls.append(word)
+        return light_stem(word)
+
+    monkeypatch.setattr(embmetrics, "light_stem", counted_stem)
+    tagger = lexicon_noun_tagger(nouns)
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(300):
+        tokens = [rng.choice(words) for _ in range(rng.randint(0, 9))]
+        seen.update(tokens)
+        assert tagger(tokens) == [t for t in tokens
+                                  if t in nouns or light_stem(t) in nouns]
+    assert len(stem_calls) == len(set(stem_calls))
+    assert set(stem_calls) == seen - nouns
 
 
 def test_nouns_from_tags():

@@ -2,7 +2,11 @@
 quick start."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import labelsim
@@ -17,6 +21,67 @@ def test_every_exported_name_resolves():
     missing = [name for name in labelsim.__all__
                if not hasattr(labelsim, name)]
     assert missing == []
+
+
+def _in_fresh_process(code):
+    """Run ``code`` in a new interpreter that imports this package, and
+    return what it printed, read as JSON."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(labelsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+LOADED = ("import json, sys; print(json.dumps(sorted("
+          "m for m in sys.modules if m.startswith('labelsim'))))")
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    loaded = _in_fresh_process("import labelsim.corpus; " + LOADED)
+    assert loaded == ["labelsim", "labelsim.corpus"]
+
+
+def test_benchmark_loader_imports_load_only_their_modules():
+    # the two import lines of perfbench/load_inputs.py on a crowd workload
+    loaded = _in_fresh_process(
+        "from labelsim.corpus import (attach_precomputed, load_corpus, "
+        "load_precomputed); "
+        "from labelsim.sentiment import ingest_sentiment; " + LOADED)
+    assert loaded == ["labelsim", "labelsim.corpus", "labelsim.sentiment",
+                      "labelsim.textmetrics"]
+
+
+def test_an_export_loads_its_module_on_first_use():
+    loaded = _in_fresh_process(
+        "import labelsim; labelsim.population_variance; " + LOADED)
+    assert loaded == ["labelsim", "labelsim.corpus", "labelsim.stats"]
+
+
+def test_star_import_and_dir_list_every_export():
+    got = _in_fresh_process(
+        "import json, labelsim; from labelsim import *; "
+        "print(json.dumps({'all': labelsim.__all__, "
+        "'bound': [n for n in labelsim.__all__ if n not in globals()], "
+        "'same': [n for n in labelsim.__all__ "
+        "if globals()[n] is not getattr(labelsim, n)], "
+        "'undir': sorted(set(labelsim.__all__) - set(dir(labelsim)))}))")
+    assert got["all"] == sorted(got["all"]) and len(got["all"]) == 35
+    assert got["bound"] == []
+    assert got["same"] == []
+    assert got["undir"] == []
+
+
+def test_an_unknown_name_raises_attribute_error():
+    got = _in_fresh_process(
+        "import json, labelsim\n"
+        "try:\n"
+        "    labelsim.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(json.dumps([str(exc), hasattr(labelsim, 'nope')]))\n")
+    assert got == ["module 'labelsim' has no attribute 'no_such_name'",
+                   False]
 
 
 def test_every_module_parses_as_the_oldest_supported_python():

@@ -48,6 +48,22 @@ def test_has_tokens_matches_tokenize(text):
     assert textmetrics.has_tokens(text) == bool(tokenize(text))
 
 
+def test_tokenize_apostrophe_edges():
+    cases = {"'tis": ("tis",), "''": (), "a''b c'": ("a''b", "c"),
+             "rock'n'roll": ("rock'n'roll",), "Ça 'VA' bien": ("ça", "va", "bien"),
+             "x_1'": ("x_1",), "' ' a": ("a",)}
+    for text, want in cases.items():
+        assert tokenize(text) == want, text
+        assert oracles.tokenize_oracle(text) == want, text
+
+
+@settings(max_examples=500)
+@given(st.text(st.one_of(st.sampled_from(TOKEN_EDGE_CHARS), st.characters()),
+               max_size=24))
+def test_tokenize_matches_the_strip_loop_oracle(text):
+    assert tokenize(text) == oracles.tokenize_oracle(text)
+
+
 # ---------------------------------------------------------------------------
 # word overlap
 
@@ -246,6 +262,46 @@ def test_chrf_block_equals_oracle_on_short_strings():
     for (a, b), score in zip(pairs, got):
         assert score == oracles.chrf_oracle(a, b)
         assert score == chrf(a, b)
+
+
+def _count_dense_ids(monkeypatch):
+    calls = []
+    dense_ids = textmetrics._dense_ids
+
+    def counted(keys):
+        calls.append(keys.size)
+        return dense_ids(keys)
+
+    monkeypatch.setattr(textmetrics, "_dense_ids", counted)
+    return calls
+
+
+def test_chrf_block_composes_ids_without_renumbering(monkeypatch):
+    calls = _count_dense_ids(monkeypatch)
+    pairs = [("the cat sat on the mat", "a cat sat on a mat"),
+             ("kitten", "sitting")]
+    got = chrf_block([a for a, _ in pairs], [b for _, b in pairs])
+    assert got == [oracles.chrf_oracle(a, b) for a, b in pairs]
+    assert len(calls) == 1  # the characters only
+
+
+def test_chrf_block_renumbers_ids_that_would_overflow(monkeypatch):
+    # 5,000 distinct code points: order-5 ids composed from them would
+    # pass 2**62, so the n-grams are numbered densely from there on
+    calls = _count_dense_ids(monkeypatch)
+    rng = random.Random(606)
+    alphabet = [chr(0x4E00 + k) for k in range(5000)]
+    pairs = []
+    for _ in range(4):
+        a = "".join(rng.choice(alphabet) for _ in range(1500))
+        cut = rng.randrange(1000)
+        b = a[cut:cut + 400] + "".join(rng.choice(alphabet[:50])
+                                       for _ in range(300)) + a[:200]
+        pairs.append((a, b))
+    pairs.append(("".join(alphabet), "".join(alphabet[::-1])))
+    got = chrf_block([a for a, _ in pairs], [b for _, b in pairs])
+    assert len(calls) > 1
+    assert got == [oracles.chrf_oracle(a, b) for a, b in pairs]
 
 
 def test_chrf_block_whitespace_only_side_raises():
