@@ -16,15 +16,15 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "corpus": ("Annotation", "CorpusError", "LabeledCorpus", "SentencePair",
-               "attach_precomputed", "build_corpus", "load_corpus",
-               "load_precomputed", "save_corpus"),
+    "corpus": ("Annotation", "CorpusError", "LabeledCorpus", "PairScores",
+               "SentencePair", "attach_precomputed", "build_corpus",
+               "load_corpus", "load_precomputed", "save_corpus"),
     "heuristics": ("FlagEvidence", "FlagReport", "HeuristicConfig",
                    "HeuristicId", "Scorers", "compute_flag_reports",
                    "default_scorers", "flagged_annotators",
                    "heuristic_subsets", "subset_label"),
     "stats": ("AnnotatorProfile", "Style", "annotator_profiles",
-              "classify_style", "population_variance", "reduce_label"),
+              "classify_style", "reduce_label"),
     "correlate": ("CorrelationReport", "MetricCorrelation", "SubsetResult",
                   "UndefinedCorrelationError", "compute_metric_scores",
                   "correlation_report", "pearson", "percent_change",

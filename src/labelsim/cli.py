@@ -364,11 +364,15 @@ def cmd_metrics(args) -> int:
     metrics, kwargs = _prepare_scoring(corpus, args)
     scores = correlate.compute_metric_scores(
         corpus, metrics, oriented=False, **kwargs)
+    # each metric's cells in corpus order, read off its column's arrays
+    order = corpus.columns.pair_order
+    shown = [[correlate._fmt(value) if ok else ""
+              for value, ok in zip(scores[m].values[order].tolist(),
+                                   scores[m].defined[order].tolist())]
+             for m in metrics]
     rows = [["pair_id", *metrics]]
-    for pair in corpus.pairs:
-        pid = pair.pair_id
-        rows.append([pid, *(correlate._fmt(scores[m].get(pid))
-                            for m in metrics)])
+    rows.extend([pair.pair_id, *(column[k] for column in shown)]
+                for k, pair in enumerate(corpus.pairs))
     _write_output(correlate._csv_text(rows), args.out)
     return 0
 

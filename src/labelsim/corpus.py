@@ -14,12 +14,12 @@ import json
 import math
 import operator
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -61,7 +61,8 @@ class AnnotationColumns:
     A corpus holds its annotations only in this form.  ``pair`` indexes
     ``pair_ids``, every pair of the corpus in sorted order; ``annotator``
     indexes ``annotator_ids``, every annotator with a label, sorted;
-    ``pair_is_random`` is each pair's flag, in ``pair_ids`` order.  The
+    ``pair_is_random`` is each pair's flag, in ``pair_ids`` order, and
+    ``pair_order`` each pair's index, in corpus order.  The
     fields are the whole store; the properties below derive the rest from
     them when first read, and are the one place each is derived:
     ``pair_index`` and ``annotator_index`` map each id to its index,
@@ -76,6 +77,7 @@ class AnnotationColumns:
     label: np.ndarray           # int64
     duration: np.ndarray        # float64
     pair_is_random: np.ndarray  # bool
+    pair_order: np.ndarray      # intp
 
     @cached_property
     def pair_index(self) -> dict[str, int]:
@@ -151,8 +153,10 @@ def _annotation_columns(pairs: tuple[SentencePair, ...],
     order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
     place = np.empty(len(order), dtype=np.intp)
     place[order] = np.arange(len(order))
+    pair_order = np.array([pair_code[p.pair_id] for p in pairs],
+                          dtype=np.intp)
     pair_is_random = np.zeros(len(pair_ids), dtype=bool)
-    pair_is_random[[pair_code[p.pair_id] for p in pairs if p.is_random]] = True
+    pair_is_random[pair_order] = [p.is_random for p in pairs]
     return AnnotationColumns(
         pair_ids=pair_ids,
         annotator_ids=tuple(first_seen[i] for i in order),
@@ -161,6 +165,7 @@ def _annotation_columns(pairs: tuple[SentencePair, ...],
         label=np.array(label, dtype=np.int64),
         duration=np.array(duration, dtype=np.float64),
         pair_is_random=pair_is_random,
+        pair_order=pair_order,
     )
 
 
@@ -189,20 +194,94 @@ class AnnotationRows(Sequence):
                              label, duration)
 
 
+class PairScores(Mapping):
+    """One per-pair score column: arrays over the pair index of
+    ``columns``, read as a mapping from pair id to score.
+
+    ``values[i]`` is the score of ``columns.pair_ids[i]`` where
+    ``defined[i]``; any other pair has no score.  A score is a float, or
+    a tuple of floats where ``values`` has a second axis (heuristic 5's
+    two sentiment scores).  The mapping is read-only and iterates its
+    pairs in corpus order, as :class:`AnnotationRows` reads annotations
+    in file order.  Build one from any score mapping with
+    :func:`pair_scores`.
+    """
+
+    __slots__ = ("columns", "values", "defined")
+
+    def __init__(self, columns: AnnotationColumns, values: np.ndarray,
+                 defined: np.ndarray):
+        self.columns = columns
+        self.values = values
+        self.defined = defined
+
+    def __getitem__(self, pair_id: str):
+        i = self.columns.pair_index.get(pair_id)
+        if i is None or not self.defined[i]:
+            raise KeyError(pair_id)
+        value = self.values[i].tolist()
+        return tuple(value) if isinstance(value, list) else value
+
+    def __iter__(self):
+        return map(self.columns.pair_ids.__getitem__, self.rows().tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.defined))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+    def rows(self) -> np.ndarray:
+        """The indexes of the scored pairs, in corpus order."""
+        order = self.columns.pair_order
+        return order[self.defined[order]]
+
+
+def pair_scores(columns: AnnotationColumns, scores: Mapping,
+                unknown: Optional[Callable[[str], Exception]] = None
+                ) -> PairScores:
+    """``scores``, any mapping from pair id to score, as a column over the
+    pair index of ``columns``; a column already over it is returned as it
+    is.  Every other mapping (a dict, a column over another corpus) is
+    converted in one pass.  A scored pair outside ``columns`` is left out,
+    or, with ``unknown``, raises ``unknown(pair_id)`` for the first in
+    the mapping's order.
+    """
+    if isinstance(scores, PairScores):
+        if scores.columns is columns:
+            return scores
+        values = scores.values[scores.rows()]
+    else:
+        values = np.array(list(scores.values()), dtype=np.float64)
+    keys = list(scores)
+    at = np.fromiter(map(columns.pair_index.get, keys, repeat(-1)),
+                     dtype=np.intp, count=len(keys))
+    known = at >= 0
+    if unknown is not None and not known.all():
+        raise unknown(keys[int(np.argmin(known))])
+    n_pairs = len(columns.pair_ids)
+    column = np.zeros((n_pairs,) + values.shape[1:], dtype=np.float64)
+    column[at[known]] = values[known]
+    defined = np.zeros(n_pairs, dtype=bool)
+    defined[at[known]] = True
+    return PairScores(columns, column, defined)
+
+
 @dataclass(frozen=True)
 class LabeledCorpus:
     """Immutable bundle of pairs, annotations and optional score channels.
 
     The annotations are held as :class:`AnnotationColumns` only;
     ``annotations`` reads them back as rows.  ``precomputed_scores`` maps
-    a metric name to a per-pair score map; it is how externally computed
-    similarity scores (contextual-embedding models and the like) enter the
-    pipeline.
+    a metric name to a per-pair :class:`PairScores` column; it is how
+    externally computed similarity scores (contextual-embedding models
+    and the like) enter the pipeline.  A corpus cut by
+    :func:`select_pairs` shares its parent's columns.
     """
 
     pairs: tuple[SentencePair, ...]
     columns: AnnotationColumns
-    precomputed_scores: dict[str, dict[str, float]] = field(default_factory=dict)
+    precomputed_scores: dict[str, PairScores] = field(default_factory=dict)
 
     @cached_property
     def pairs_by_id(self) -> dict[str, SentencePair]:
@@ -235,8 +314,11 @@ def select_pairs(corpus: LabeledCorpus,
     pair mask and coded as :func:`build_corpus` would code the kept
     rows."""
     columns = corpus.columns
+    at = np.array([columns.pair_index[p.pair_id] for p in pairs],
+                  dtype=np.intp)
     keep = np.zeros(len(columns.pair_ids), dtype=bool)
-    keep[[columns.pair_index[p.pair_id] for p in pairs]] = True
+    keep[at] = True
+    kept_index = np.cumsum(keep) - 1
     rows = keep[columns.pair]
     annotator = columns.annotator[rows]
     labeled = np.zeros(len(columns.annotator_ids), dtype=bool)
@@ -246,11 +328,12 @@ def select_pairs(corpus: LabeledCorpus,
         columns=AnnotationColumns(
             pair_ids=tuple(compress(columns.pair_ids, keep)),
             annotator_ids=tuple(compress(columns.annotator_ids, labeled)),
-            pair=(np.cumsum(keep) - 1)[columns.pair[rows]],
+            pair=kept_index[columns.pair[rows]],
             annotator=(np.cumsum(labeled) - 1)[annotator],
             label=columns.label[rows],
             duration=columns.duration[rows],
             pair_is_random=columns.pair_is_random[keep],
+            pair_order=kept_index[at],
         ),
         precomputed_scores=corpus.precomputed_scores)
 
@@ -507,15 +590,16 @@ def load_precomputed(path, corpus: Optional[LabeledCorpus] = None
 
 
 def attach_precomputed(corpus: LabeledCorpus, metric_name: str,
-                       scores: dict[str, float]) -> LabeledCorpus:
-    """Return a new corpus with an extra named score channel attached."""
+                       scores: Mapping[str, float]) -> LabeledCorpus:
+    """Return a new corpus with an extra named score channel attached,
+    held as a :class:`PairScores` column over the corpus's pairs."""
     if metric_name in corpus.precomputed_scores:
         raise CorpusError(f"score channel {metric_name!r} already attached")
-    known = corpus.pairs_by_id
-    for pid in scores:
-        if pid not in known:
-            raise CorpusError(
-                f"precomputed channel {metric_name!r} references unknown pair {pid!r}")
-    merged = dict(corpus.precomputed_scores)
-    merged[metric_name] = dict(scores)
-    return replace(corpus, precomputed_scores=merged)
+
+    def unknown(pid: str) -> CorpusError:
+        return CorpusError(f"precomputed channel {metric_name!r} "
+                           f"references unknown pair {pid!r}")
+
+    column = pair_scores(corpus.columns, scores, unknown)
+    return replace(corpus, precomputed_scores={**corpus.precomputed_scores,
+                                               metric_name: column})

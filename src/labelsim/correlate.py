@@ -10,15 +10,17 @@ panel and the metric; a filter-subset cell becomes undefined instead, and
 its percent changes, derived from the cell and the baseline whenever a
 report is rendered, are undefined with it.
 
-A metric score is one plain float per pair; :func:`compute_metric_scores`
-negates the :data:`DISTANCE_METRICS` and the distance channels, so higher
-always means more similar, and leaves out the pairs a metric cannot score.
+A metric score is one plain float per pair, held in a
+:class:`~labelsim.corpus.PairScores` column: a value array with a
+``defined`` mask over the corpus's pairs, indexed in sorted ``pair_id``
+order.  :func:`compute_metric_scores` negates the
+:data:`DISTANCE_METRICS` and the distance channels, so higher always
+means more similar, and leaves out the pairs a metric cannot score.
 
 :func:`correlation_report` works on integer columns: the corpus's cached
 annotation columns give every annotation a (pair index, annotator index,
-label) row, with pairs indexed in sorted ``pair_id`` order, and every
-metric becomes a value array with a ``defined`` mask over those pairs;
-the mask's gaps are the metric's dropped pairs.  A filter subset is then
+label) row, over the same pair index as the metric columns, whose mask
+gaps are each metric's dropped pairs.  A filter subset is then
 only a keep mask over annotators (the panel minus the annotators its
 flags remove).  The flags are the caller's: one
 :class:`~labelsim.heuristics.FlagPass` from ``compute_flag_reports`` is
@@ -40,7 +42,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import AnnotationColumns, LabeledCorpus, SentencePair
+from .corpus import (AnnotationColumns, LabeledCorpus, PairScores,
+                     SentencePair, pair_scores)
 from .heuristics import (FlagPass, HeuristicId, flagged_annotators,
                          heuristic_subsets, subset_label)
 from . import embmetrics, textmetrics
@@ -167,16 +170,18 @@ def compute_metric_scores(corpus: LabeledCorpus,
                           overlap_mode: str = "jaccard",
                           pos_aggregate: str = "matched",
                           oriented: bool = True,
-                          ) -> dict[str, dict[str, float]]:
+                          ) -> dict[str, PairScores]:
     """Score every pair with the requested metrics.
 
-    Returns ``scores[name][pair_id]``; a pair on which a metric is
-    undefined is absent from its map.  Precomputed channels are pulled
-    from the corpus.  With ``oriented`` every metric in
-    :data:`DISTANCE_METRICS` or ``distance_channels`` is negated, last
-    and in this one place, so higher always means more similar;
-    ``oriented=False`` keeps every value raw (distances stay positive),
-    which is what the metric-matrix dump wants.
+    Returns ``scores[name]``, a :class:`~labelsim.corpus.PairScores`
+    column over the corpus's pairs, read as ``scores[name][pair_id]``; a
+    pair on which a metric is undefined is absent from it.  Each native
+    metric is written straight into its arrays; a precomputed channel is
+    the corpus's own column, shared, not copied.  With ``oriented`` every
+    metric in :data:`DISTANCE_METRICS` or ``distance_channels`` is
+    negated, last and in this one place, so higher always means more
+    similar; ``oriented=False`` keeps every value raw (distances stay
+    positive), which is what the metric-matrix dump wants.
     """
     metrics = list(metrics)
     known = set(metric_universe(corpus))
@@ -240,13 +245,17 @@ def compute_metric_scores(corpus: LabeledCorpus,
                 out["pos_dist"] = dist
         return out
 
-    pairs = list(corpus.pairs)
-    scores: dict[str, dict[str, float]] = {name: {} for name in metrics}
+    pairs = corpus.pairs
+    columns = corpus.columns
+    n_pairs = len(columns.pair_ids)
+    native = {name: PairScores(columns, np.zeros(n_pairs),
+                               np.zeros(n_pairs, dtype=bool))
+              for name in lexical + embedding}
     # precomputed channels alone need no per-pair pass
-    blocks = textmetrics.pair_blocks(len(pairs)) if lexical or embedding \
-        else []
+    blocks = textmetrics.pair_blocks(len(pairs)) if native else []
     for part in blocks:
         block = pairs[part]
+        at = columns.pair_order[part]
         texts_a = [p.text_a for p in block]
         texts_b = [p.text_b for p in block]
         tokens_a = tokens_b = None
@@ -254,29 +263,35 @@ def compute_metric_scores(corpus: LabeledCorpus,
             tokens_a = [textmetrics.tokenize(t) for t in texts_a]
             tokens_b = [textmetrics.tokenize(t) for t in texts_b]
         try:
-            columns = textmetrics.score_lexical_block(
+            scored = textmetrics.score_lexical_block(
                 lexical, texts_a, texts_b, tokens_a, tokens_b, overlap_mode)
         except textmetrics.EmptyText as exc:
             raise exc.for_pair(block[exc.index].pair_id) from None
-        for name, column in columns.items():
-            for pair, value in zip(block, column):
-                scores[name][pair.pair_id] = value
+        for name, column in scored.items():
+            native[name].values[at] = column
+            native[name].defined[at] = True
         if embedding:
-            for pair, tok_a, tok_b in zip(block, tokens_a, tokens_b):
+            for pair, i, tok_a, tok_b in zip(block, at.tolist(), tokens_a,
+                                             tokens_b):
                 try:
-                    values = score_one(pair, tok_a, tok_b)
+                    found = score_one(pair, tok_a, tok_b)
                 except ValueError as exc:
                     raise ValueError(f"pair {pair.pair_id!r}: {exc}") \
                         from None
-                for name, value in values.items():
-                    scores[name][pair.pair_id] = value
+                for name, value in found.items():
+                    native[name].values[i] = value
+                    native[name].defined[i] = True
 
-    for name in scores:
+    scores: dict[str, PairScores] = {}
+    for name in metrics:
         if name in corpus.precomputed_scores:
-            scores[name] = dict(corpus.precomputed_scores[name])
+            column = pair_scores(columns, corpus.precomputed_scores[name])
+        else:
+            column = native[name]
         if oriented and (name in DISTANCE_METRICS
                          or name in distance_channels):
-            scores[name] = {pid: -value for pid, value in scores[name].items()}
+            column = PairScores(columns, -column.values, column.defined)
+        scores[name] = column
     return scores
 
 
@@ -318,34 +333,24 @@ class CorrelationReport:
 class _Columns:
     """A corpus's annotation columns and its metric scores as arrays.
 
-    ``values[name]`` / ``defined[name]`` hold each metric over the pair
-    index of ``columns``, the corpus's :class:`AnnotationColumns`, so
-    every report on one corpus reads the same annotation arrays.
+    ``scores[name]`` holds each metric over the pair index of
+    ``columns``, the corpus's :class:`AnnotationColumns`, so every report
+    on one corpus reads the same annotation arrays.  A metric's
+    :class:`~labelsim.corpus.PairScores` over that index is read as it
+    is; any other score mapping is converted by
+    :func:`~labelsim.corpus.pair_scores`.
     """
 
     columns: AnnotationColumns
-    values: dict[str, np.ndarray]
-    defined: dict[str, np.ndarray]
+    scores: dict[str, PairScores]
 
     @classmethod
     def build(cls, corpus: LabeledCorpus,
               metric_scores: Mapping[str, Mapping[str, float]],
               names: Sequence[str]) -> "_Columns":
         columns = corpus.columns
-        pair_index = columns.pair_index
-        values: dict[str, np.ndarray] = {}
-        defined: dict[str, np.ndarray] = {}
-        for name in names:
-            vals = np.zeros(len(pair_index), dtype=np.float64)
-            mask = np.zeros(len(pair_index), dtype=bool)
-            for pid, value in metric_scores[name].items():
-                i = pair_index.get(pid)
-                if i is not None:
-                    vals[i] = value
-                    mask[i] = True
-            values[name] = vals
-            defined[name] = mask
-        return cls(columns=columns, values=values, defined=defined)
+        return cls(columns, {name: pair_scores(columns, metric_scores[name])
+                             for name in names})
 
     def panel(self, annotator_ids: Optional[set]) -> np.ndarray:
         """Keep mask over annotators: everyone, or just ``annotator_ids``."""
@@ -378,13 +383,14 @@ class _Columns:
             / np.maximum(counts, 1)
         cells = {}
         for name in names:
-            joined = self.defined[name] & has_gold
+            metric = self.scores[name]
+            joined = metric.defined & has_gold
             if per_annotation:
                 observed = joined[pair]
-                xs = self.values[name][pair[observed]]
+                xs = metric.values[pair[observed]]
                 ys = label[observed]
             else:
-                xs = self.values[name][joined]
+                xs = metric.values[joined]
                 ys = gold[joined]
             n = int(joined.sum())
             try:
@@ -438,7 +444,7 @@ def correlation_report(corpus: LabeledCorpus,
 
     columns = _Columns.build(corpus, metric_scores, list(metric_scores))
     n_pairs = len(corpus.columns.pair_ids)
-    dropped = {name: n_pairs - int(columns.defined[name].sum())
+    dropped = {name: n_pairs - len(columns.scores[name])
                for name in metric_scores}
     usable: list[str] = []
     unavailable: dict[str, str] = {}

@@ -263,9 +263,10 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
     back by the entering cell, needs new potentials for that subtree
     only.  The entering cell's cycle is its two ends' paths up to their
     common ancestor.  Entering cells are picked by most negative reduced
-    cost; after ``STALL_PIVOTS_PER_NODE * (n + m)`` degenerate pivots in a
-    row the rule drops to Bland's smallest-index selection, which cannot
-    cycle.
+    cost, priced on a copy of ``C`` that holds +inf on the basic cells
+    (a pivot updates it at the two cells it swaps); after
+    ``STALL_PIVOTS_PER_NODE * (n + m)`` degenerate pivots in a row the
+    rule drops to Bland's smallest-index selection, which cannot cycle.
     """
     n, m = C.shape
     scale = max(1.0, float(C.max()))
@@ -278,10 +279,11 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
 
     cost = C.tolist()
     plan = flow.tolist()
-    in_basis = np.zeros((n, m), dtype=bool)
+    # C with +inf on the basic cells, which no pricing round may pick
+    priced = C.copy()
     adj: list[list[int]] = [[] for _ in range(n + m)]
     for (bi, bj) in basis:
-        in_basis[bi, bj] = True
+        priced[bi, bj] = np.inf
         adj[bi].append(n + bj)
         adj[n + bj].append(bi)
     parent = [-1] * (n + m)
@@ -314,16 +316,16 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
                         stack.append(nxt)
 
     hang(0)
-    # Reduced costs (C[i][j] - u[i]) - v[j], rebuilt in place each round.
+    # Reduced costs (C[i][j] - u[i]) - v[j], rebuilt in place each round;
+    # the basic cells stay +inf.
     ucol = np.empty((n, 1))
     vrow = np.empty(m)
     reduced = np.empty((n, m))
     for pivot_count in range(max_pivots):
         ucol[:, 0] = u
         vrow[:] = v
-        np.subtract(C, ucol, out=reduced)
+        np.subtract(priced, ucol, out=reduced)
         reduced -= vrow
-        reduced[in_basis] = np.inf
 
         if use_bland:
             candidates = np.argwhere(reduced < -opt_tol)
@@ -375,8 +377,8 @@ def _simplex_pivots(C: np.ndarray, flow: np.ndarray,
         # Swap the leaving edge for the entering one.  The subtree below
         # the leaving edge holds exactly one end of the entering edge; it
         # hangs from the other end now.
-        in_basis[leave_i, leave_j] = False
-        in_basis[enter_i, enter_j] = True
+        priced[leave_i, leave_j] = C[leave_i, leave_j]
+        priced[enter_i, enter_j] = np.inf
         adj[leave_i].remove(n + leave_j)
         adj[n + leave_j].remove(leave_i)
         adj[enter_i].append(n + enter_j)

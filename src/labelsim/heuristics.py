@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import LabeledCorpus, SentencePair
+from .corpus import LabeledCorpus, pair_scores
 from .stats import (AnnotatorTable, annotator_table, label_counts,
                     label_sums, variance_from_sums)
 from .textmetrics import (EmptyText, bleu_block, has_tokens, pair_blocks,
@@ -139,8 +139,7 @@ def default_scorers(cfg: Optional[HeuristicConfig] = None) -> Scorers:
         for block in pair_blocks(len(texts_a)):
             refs = [tokenize(t) for t in texts_a[block]]
             cands = [tokenize(t) for t in texts_b[block]]
-            values.extend(bleu_block(cands, refs, max_n=order,
-                                     smoothing="none"))
+            values.extend(bleu_block(cands, refs, max_n=order))
         return values
 
     return Scorers(overlap=overlap, sentiment=default_sentiment_scorer())
@@ -162,26 +161,29 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
         for side, text in (("text_a", pair.text_a), ("text_b", pair.text_b)):
             if not has_tokens(text):
                 raise EmptyText(k, side).for_pair(pair.pair_id)
-    overrides = scorers.pair_sentiment or {}
     gap = cfg.sentiment_gap_threshold
+    # per pair in corpus order: whether an override decides its gap, and
+    # whether that gap falls short
+    overridden = short = np.zeros(len(pairs), dtype=bool)
+    if scorers.pair_sentiment:
+        overrides = pair_scores(corpus.columns, scorers.pair_sentiment)
+        at = corpus.columns.pair_order
+        overridden = overrides.defined[at]
+        scores = overrides.values[at]
+        short = overridden & ~(np.abs(scores[:, 0] - scores[:, 1]) >= gap)
 
-    def can_qualify(pair: SentencePair) -> bool:
-        score = overrides.get(pair.pair_id)
-        return score is None or abs(score[0] - score[1]) >= gap
-
-    scored = [p for p in pairs if can_qualify(p)]
-    overlaps = scorers.overlap([p.text_a for p in scored],
-                               [p.text_b for p in scored])
+    scored = np.flatnonzero(~short).tolist()
+    overlaps = scorers.overlap([pairs[k].text_a for k in scored],
+                               [pairs[k].text_b for k in scored])
+    overridden = overridden.tolist()
     qualifying: set[str] = set()
-    for pair, overlap in zip(scored, overlaps, strict=True):
+    for k, overlap in zip(scored, overlaps, strict=True):
         if overlap <= cfg.overlap_threshold:
             continue
-        if pair.pair_id in overrides:
-            score_a, score_b = overrides[pair.pair_id]
-        else:
-            score_a = scorers.sentiment(pair.text_a)
-            score_b = scorers.sentiment(pair.text_b)
-        if abs(score_a - score_b) >= gap:
+        pair = pairs[k]
+        # an override that is not short qualifies the pair
+        if overridden[k] or abs(scorers.sentiment(pair.text_a)
+                                - scorers.sentiment(pair.text_b)) >= gap:
             qualifying.add(pair.pair_id)
     return qualifying
 

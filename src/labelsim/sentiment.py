@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .corpus import (CorpusError, LabeledCorpus, _parse_float,
-                     _read_csv_rows, _row_pair)
+                     _read_csv_rows, _row_pair, pair_scores)
 from .textmetrics import tokenize
 
 NEGATION_WINDOW = 3
@@ -100,11 +100,13 @@ def default_sentiment_scorer() -> Callable[[str], float]:
 
 
 def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None
-                     ) -> dict[str, tuple[float, float]]:
+                     ) -> Mapping[str, tuple[float, float]]:
     """Load per-pair sentiment scores (pair_id, score_a, score_b CSV).
 
     Scores must lie in [-1, 1].  When a corpus is given, every pair_id
-    must exist in it.
+    must exist in it, and the scores come back as one
+    :class:`~labelsim.corpus.PairScores` column over its pairs, two
+    values per pair; without one, as a dict.
     """
     path = Path(path)
     out: dict[str, tuple[float, float]] = {}
@@ -120,4 +122,4 @@ def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None
                 raise CorpusError(
                     f"{path} row {lineno}: score {score} outside [-1, 1]")
         out[pid] = (score_a, score_b)
-    return out
+    return out if corpus is None else pair_scores(corpus.columns, out)

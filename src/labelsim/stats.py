@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,24 +50,6 @@ def reduce_label(label):
         raise ValueError(f"label {outside[0]!r} outside the 1-5 scale")
     reduced = np.sign(labels - MIDPOINT_LABEL)
     return int(reduced) if reduced.ndim == 0 else reduced
-
-
-def population_variance(values: Sequence[float]) -> float:
-    """Population (denominator n) variance of a non-empty sequence.
-
-    Integer input (labels) is computed exactly as
-    ``(n * sum(l**2) - sum(l)**2) / n**2`` and rounded once, so a variance
-    that is exactly a threshold compares as that threshold; other input
-    uses the two-pass float formula.
-    """
-    if not values:
-        raise ValueError("variance of an empty sequence is undefined")
-    n = len(values)
-    if all(isinstance(v, Integral) for v in values):
-        ints = [int(v) for v in values]
-        return variance_from_sums(n, sum(ints), sum(v * v for v in ints))
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / n
 
 
 def variance_from_sums(n: int, total: int, total_sq: int) -> float:

@@ -13,7 +13,9 @@ One table, :data:`LEXICAL_SCORERS`, says how each metric is scored, and
 :func:`score_lexical_block` scores the requested names over a block of
 pairs: BLEU and ROUGE-N from one clipped token n-gram count of the block,
 chrF from its character n-grams, and word overlap, rougeL and METEOR pair
-by pair.  ``bleu``, ``rouge_n``, ``chrf``, ... score one pair.
+by pair, the block's tokens checked once.  :func:`bleu_block` (heuristic
+5's unsmoothed overlap) and :func:`chrf_block` score a block of pairs
+too; ``word_overlap``, ``rouge_l`` and ``meteor_lite`` score one pair.
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ def require_tokens(tokens_a: Sequence[TokenSeq], tokens_b: Sequence[TokenSeq],
 def word_overlap(a: TokenSeq, b: TokenSeq, mode: str = "jaccard") -> float:
     """Unigram type overlap: Jaccard by default, |A&B|/|A| in precision mode."""
     require_tokens([a], [b], sides=("a", "b"))
+    return _word_overlap(a, b, mode)
+
+
+def _word_overlap(a: TokenSeq, b: TokenSeq, mode: str) -> float:
+    """:func:`word_overlap` of sides already checked to hold tokens."""
     types_a, types_b = set(a), set(b)
     common = len(types_a & types_b)
     if mode == "jaccard":
@@ -80,8 +87,8 @@ def word_overlap(a: TokenSeq, b: TokenSeq, mode: str = "jaccard") -> float:
     raise ValueError(f"unknown word_overlap mode {mode!r}")
 
 
-# Pairs per block when a caller scores many pairs with score_lexical_block,
-# bleu_block or chrf_block; see pair_blocks.
+# Pairs per block when a caller scores many pairs with score_lexical_block
+# or bleu_block; see pair_blocks.
 BLOCK_PAIRS = 16
 
 
@@ -99,25 +106,13 @@ def pair_blocks(n_pairs: int) -> list[slice]:
             for start in range(0, n_pairs, BLOCK_PAIRS)]
 
 
-def bleu(candidate: TokenSeq, reference: TokenSeq, max_n: int = 4,
-         smoothing: str = "add_one") -> float:
-    """Sentence BLEU of one pair; see :func:`bleu_block`, of which this is
-    the one-pair call."""
-    return bleu_block([candidate], [reference], max_n=max_n,
-                      smoothing=smoothing)[0]
-
-
 def bleu_block(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq],
-               max_n: int = 4, smoothing: str = "add_one") -> list[float]:
-    """Sentence BLEU of every pair ``(candidates[k], references[k])``, in
-    one pass.
+               max_n: int = 4) -> list[float]:
+    """Unsmoothed sentence BLEU of every pair ``(candidates[k],
+    references[k])``, in one pass; heuristic 5 scores its overlap so.
 
-    Per pair: clipped n-gram precision, geometric mean, brevity penalty.
-    The effective order is capped by the shorter sentence.  With
-    ``add_one`` smoothing, orders above 1 use (matches+1)/(total+1); the
-    unigram precision is never smoothed, so disjoint sentences score 0.
-    The brevity penalty exp(1 - |ref|/|cand|) applies only when the
-    candidate is shorter than the reference.
+    Per pair: clipped n-gram precision, geometric mean, brevity penalty
+    (see :func:`_bleu_value`, which the table's smoothed ``bleu`` shares).
 
     The clipped matches come from one count of the block
     (:func:`_token_matches`) and are integers; the float steps run per
@@ -129,11 +124,9 @@ def bleu_block(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq],
         raise ValueError("bleu_block needs as many candidates as references")
     if max_n < 1:
         raise ValueError("BLEU max_n must be >= 1")
-    if smoothing not in ("none", "add_one"):
-        raise ValueError(f"unknown BLEU smoothing {smoothing!r}")
     require_tokens(candidates, references, sides=("candidate", "reference"))
     matches = _token_matches(candidates, references, max_n)
-    return [_bleu_value(found, len(c), len(r), max_n, smoothing)
+    return [_bleu_value(found, len(c), len(r), max_n, "none")
             for found, c, r in zip(matches, candidates, references)]
 
 
@@ -156,7 +149,14 @@ def _token_matches(tokens_a: Sequence[TokenSeq], tokens_b: Sequence[TokenSeq],
 
 def _bleu_value(matches: list[int], len_c: int, len_r: int, max_n: int,
                 smoothing: str) -> float:
-    """BLEU of one pair from its clipped matches per order."""
+    """BLEU of one pair from its clipped matches per order.
+
+    The effective order is capped by the shorter sentence.  With
+    ``add_one`` smoothing, orders above 1 use (matches+1)/(total+1); the
+    unigram precision is never smoothed, so disjoint sentences score 0.
+    The brevity penalty exp(1 - |ref|/|cand|) applies only when the
+    candidate is shorter than the reference.
+    """
     effective_n = min(max_n, len_c, len_r)
     log_sum = 0.0
     for n in range(1, effective_n + 1):
@@ -186,21 +186,16 @@ def _char_stream(text: str) -> str:
 CHRF_BETA = 2.0
 
 
-def chrf(text_a: str, text_b: str, max_n: int = 6) -> float:
-    """Character n-gram F-score over orders 1..max_n; see :func:`chrf_block`,
-    of which this is the one-pair call."""
-    return chrf_block([text_a], [text_b], max_n=max_n)[0]
-
-
 def chrf_block(texts_a: Sequence[str], texts_b: Sequence[str],
                max_n: int = 6) -> list[float]:
-    """chrF of every pair ``(texts_a[k], texts_b[k])``, in one pass.
+    """chrF, the character n-gram F-score over orders 1..max_n, of every
+    pair ``(texts_a[k], texts_b[k])``, in one pass.
 
     Per pair: precision and recall are averaged across the orders where
     either side has n-grams, then combined with F_beta, beta
     :data:`CHRF_BETA` (which favors recall).  Neither text plays a
     privileged reference role: the score is the mean of the two
-    directional F_beta values, so chrf(a, b) == chrf(b, a).
+    directional F_beta values, so swapping the sides changes no score.
 
     Characters get dense ids by code point; each order's n-gram ids are
     built from them as :func:`_clipped_matches` describes.
@@ -324,19 +319,10 @@ def _f_beta(p: np.ndarray, r: np.ndarray) -> np.ndarray:
                         (1 + CHRF_BETA * CHRF_BETA) * p * r / denom)
 
 
-def rouge_n(a: TokenSeq, b: TokenSeq, n: int) -> float:
-    """N-gram overlap F1 with clipped counts; recall is taken against ``a``.
-    The table's ``rouge1`` and ``rouge2`` score each pair of a block the
-    same way, from the block's one count."""
-    if n < 1:
-        raise ValueError("n-gram order must be >= 1")
-    require_tokens([a], [b], sides=("a", "b"))
-    return _rouge_score(a, b, _token_matches([a], [b], n)[0], n)
-
-
 def _rouge_score(a: TokenSeq, b: TokenSeq, matches: list[int],
                  n: int) -> float:
-    """ROUGE-N of one pair from its clipped matches per order."""
+    """ROUGE-N of one pair from its clipped matches per order: n-gram
+    overlap F1 with clipped counts, recall taken against ``a``."""
     total_a = max(len(a) - n + 1, 0)
     total_b = max(len(b) - n + 1, 0)
     if total_a == 0 or total_b == 0:
@@ -377,6 +363,11 @@ def _lcs_length(a: TokenSeq, b: TokenSeq) -> int:
 def rouge_l(a: TokenSeq, b: TokenSeq) -> float:
     """Longest-common-subsequence F1."""
     require_tokens([a], [b], sides=("a", "b"))
+    return _rouge_l(a, b)
+
+
+def _rouge_l(a: TokenSeq, b: TokenSeq) -> float:
+    """:func:`rouge_l` of sides already checked to hold tokens."""
     lcs = _lcs_length(a, b)
     return _f1(lcs / len(b), lcs / len(a))
 
@@ -454,6 +445,11 @@ def meteor_lite(a: TokenSeq, b: TokenSeq) -> float:
     at all.
     """
     require_tokens([a], [b], sides=("a", "b"))
+    return _meteor(a, b)
+
+
+def _meteor(a: TokenSeq, b: TokenSeq) -> float:
+    """:func:`meteor_lite` of sides already checked to hold tokens."""
     pairs = _align(a, b)
     matches = len(pairs)
     if matches == 0:
@@ -477,9 +473,11 @@ def meteor_lite(a: TokenSeq, b: TokenSeq) -> float:
 # scorer).  The scorer of a metric with an order scores one pair from its
 # tokens a and b, their clipped n-gram matches of orders 1..order (none
 # for order 0) and the overlap mode; BLEU takes text b as the candidate.
-# chrF's (order None) scores the texts of a whole block and reads no tokens.
+# These scorers leave the empty-side check to score_lexical_block, which
+# makes it once per block.  chrF's (order None) scores the texts of a
+# whole block and reads no tokens.
 LEXICAL_SCORERS = {
-    "word_overlap": (0, lambda a, b, _, mode: word_overlap(a, b, mode=mode)),
+    "word_overlap": (0, lambda a, b, _, mode: _word_overlap(a, b, mode)),
     "bleu1": (1, lambda a, b, found, _: _bleu_value(found, len(b), len(a), 1,
                                                     "none")),
     "bleu": (4, lambda a, b, found, _: _bleu_value(found, len(b), len(a), 4,
@@ -487,8 +485,8 @@ LEXICAL_SCORERS = {
     "chrf": (None, chrf_block),
     "rouge1": (1, lambda a, b, found, _: _rouge_score(a, b, found, 1)),
     "rouge2": (2, lambda a, b, found, _: _rouge_score(a, b, found, 2)),
-    "rougeL": (0, lambda a, b, *_: rouge_l(a, b)),
-    "meteor": (0, lambda a, b, *_: meteor_lite(a, b)),
+    "rougeL": (0, lambda a, b, *_: _rouge_l(a, b)),
+    "meteor": (0, lambda a, b, *_: _meteor(a, b)),
 }
 
 

@@ -8,9 +8,45 @@ the real code; nothing in src/ may import from here.
 import itertools
 import math
 import re
+from numbers import Integral
 
+from labelsim import textmetrics
 from labelsim.textmetrics import (LEXICAL_SCORERS, light_stem,
                                   score_lexical_block)
+
+
+# ---------------------------------------------------------------------------
+# one-pair calls of the package's block scorers
+
+
+def bleu(candidate, reference, max_n=4, smoothing="add_one"):
+    """Sentence BLEU of one pair, by the package's own count
+    (``textmetrics._token_matches``) and per-pair step
+    (``textmetrics._bleu_value``); ``smoothing`` is "none" or "add_one"."""
+    if max_n < 1:
+        raise ValueError("BLEU max_n must be >= 1")
+    if smoothing not in ("none", "add_one"):
+        raise ValueError(f"unknown BLEU smoothing {smoothing!r}")
+    textmetrics.require_tokens([candidate], [reference],
+                               sides=("candidate", "reference"))
+    found = textmetrics._token_matches([candidate], [reference], max_n)[0]
+    return textmetrics._bleu_value(found, len(candidate), len(reference),
+                                   max_n, smoothing)
+
+
+def chrf(text_a, text_b, max_n=6):
+    """chrF of one pair: ``textmetrics.chrf_block`` of a one-pair block."""
+    return textmetrics.chrf_block([text_a], [text_b], max_n=max_n)[0]
+
+
+def rouge_n(a, b, n):
+    """ROUGE-N of one pair, by the package's own count and per-pair step
+    (``textmetrics._rouge_score``); recall is taken against ``a``."""
+    if n < 1:
+        raise ValueError("n-gram order must be >= 1")
+    textmetrics.require_tokens([a], [b], sides=("a", "b"))
+    return textmetrics._rouge_score(
+        a, b, textmetrics._token_matches([a], [b], n)[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +300,27 @@ def mean_oracle(values):
 def pvariance_oracle(values):
     mu = mean_oracle(values)
     return sum((v - mu) ** 2 for v in values) / len(values)
+
+
+def population_variance(values):
+    """Population (denominator n) variance of a non-empty sequence.
+
+    Integer input (labels) is computed exactly as
+    ``(n * sum(l**2) - sum(l)**2) / n**2`` and rounded once, as the
+    package's ``stats.variance_from_sums`` does, so a variance that is
+    exactly a threshold compares as that threshold; other input uses the
+    two-pass float formula.
+    """
+    from labelsim.stats import variance_from_sums
+
+    if not values:
+        raise ValueError("variance of an empty sequence is undefined")
+    n = len(values)
+    if all(isinstance(v, Integral) for v in values):
+        ints = [int(v) for v in values]
+        return variance_from_sums(n, sum(ints), sum(v * v for v in ints))
+    mean = sum(values) / n
+    return sum((v - mean) ** 2 for v in values) / n
 
 
 def pearson_oracle(xs, ys):
@@ -787,7 +844,6 @@ def flag_slow(corpus, annotator_id, cfg):
 
 def flag_low_variance(corpus, annotator_id, cfg):
     from labelsim.heuristics import FlagEvidence
-    from labelsim.stats import population_variance
 
     anns = _annotations_of(corpus, annotator_id)
     variance = population_variance([a.label for a in anns])
@@ -878,7 +934,6 @@ def sentiment_qualifying_pairs_loop(corpus, scorers, cfg):
 
 def flag_sentiment_disaligned(corpus, annotator_id, cfg, qualifying):
     from labelsim.heuristics import FlagEvidence
-    from labelsim.stats import population_variance
 
     anns = _annotations_of(corpus, annotator_id)
     labels = [a.label for a in anns if a.pair_id in qualifying]
@@ -922,7 +977,7 @@ def annotator_profile(corpus, annotator_id,
                       exclude_midpoint_from_variance=False):
     from labelsim.stats import (CENTRAL_LABELS, EXTREME_LABELS,
                                 MIDPOINT_LABEL, AnnotatorProfile,
-                                classify_style, population_variance)
+                                classify_style)
 
     anns = _annotations_of(corpus, annotator_id)
     labels = [a.label for a in anns]

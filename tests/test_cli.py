@@ -13,7 +13,8 @@ import pytest
 
 from labelsim import cli, correlate, embmetrics, simulate
 from labelsim.cli import _build_heuristic_config, build_parser, main
-from labelsim.corpus import CorpusError, load_corpus
+from labelsim.corpus import (CorpusError, build_corpus, load_corpus,
+                             load_precomputed)
 from labelsim.heuristics import (HeuristicConfig, HeuristicId,
                                  default_scorers, heuristic_subsets,
                                  sentiment_qualifying_pairs, subset_label)
@@ -1326,6 +1327,77 @@ def test_dropped_pairs_of_a_partial_distance_channel(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     for panel in ("radical", "centrist"):
         assert doc[panel]["dropped_pairs"] == {"ext": 2, "word_overlap": 0}
+
+
+def test_per_dataset_channels_join_gold_by_pair_id(tmp_path, capsys):
+    # 36 pairs over three sources, listed p1..p36 (their ids sort
+    # otherwise); the channel files list the pairs in other orders, and
+    # the distance channel lacks two.  Every panel must equal an oracle
+    # that joins each channel's plain dict to gold by pair id.
+    rng = np.random.default_rng(23)
+    latent = rng.uniform(1, 5, size=36)
+    ids = [f"p{i + 1}" for i in range(36)]
+    sources = {pid: f"s{i % 3}" for i, pid in enumerate(ids)}
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("pair_id,source,is_random,text_a,text_b\n" + "".join(
+        f"{pid},{sources[pid]},0,red oak,red elm\n" for pid in ids))
+    ann_lines = []
+    for pid, s in zip(ids, latent):
+        for aid in ("a1", "a2", "a3"):
+            label = int(np.clip(np.rint(s + rng.normal(0, 0.8)), 1, 5))
+            ann_lines.append(f"{pid},{aid},{label},30\n")
+        ann_lines.append(f"{pid},flat,3,30\n")  # low variance: flag 2
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text("pair_id,annotator_id,label,duration_seconds\n"
+                           + "".join(ann_lines))
+    sim, dist = tmp_path / "sim.csv", tmp_path / "dist.csv"
+    sim.write_text("pair_id,score\n" + "".join(
+        f"{pid},{s + rng.normal(0, 0.7):.4f}\n"
+        for pid, s in reversed(list(zip(ids, latent)))))
+    kept = [i for i in rng.permutation(36) if i not in (4, 16)]
+    dist.write_text("pair_id,score\n" + "".join(
+        f"{ids[i]},{5 - latent[i] + rng.normal(0, 0.7):.4f}\n"
+        for i in kept))
+    assert main(["report", "--pairs", str(pairs), "--annotations",
+                 str(annotations), "--precomputed", f"ext_sim={sim}",
+                 "--precomputed", f"ext_dist={dist}",
+                 "--precomputed-distance", "ext_dist",
+                 "--metrics", "ext_sim,ext_dist", "--heuristics", "2",
+                 "--per-dataset", "--out-format", "csv"]) == 0
+    got = {(r["panel"], r["filter"], r["metric"]):
+           (r["pearson"], r["spearman"], r["n_pairs"], r["removed_annotators"])
+           for r in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+
+    corpus = load_corpus(pairs, annotations)
+    channels = {"ext_sim": load_precomputed(sim),
+                "ext_dist": {pid: -value for pid, value
+                             in load_precomputed(dist).items()}}
+    want = {}
+    for source in ("s0", "s1", "s2"):
+        members = {pid for pid in ids if sources[pid] == source}
+        sub = build_corpus([p for p in corpus.pairs if p.pair_id in members],
+                           [a for a in corpus.annotations
+                            if a.pair_id in members])
+        scores = {name: {pid: v for pid, v in values.items()
+                         if pid in members}
+                  for name, values in channels.items()}
+        reports = oracles.flag_reports(sub, [HeuristicId.LOW_VARIANCE],
+                                       HeuristicConfig())
+        baseline, rows = oracles.correlation_report_oracle(
+            sub, scores, list(channels), [(HeuristicId.LOW_VARIANCE,)],
+            reports)
+        (removed, cells, _), = rows
+        assert "flat" in removed
+        for tag, found, n_removed in (("baseline", baseline, ""),
+                                      ("2", cells, str(len(removed)))):
+            for name, cell in found.items():
+                want[(f"dataset {source}", tag, name)] = (
+                    f"{cell.pearson:.6f}", f"{cell.spearman:.6f}",
+                    str(cell.n_pairs), n_removed)
+    assert got == want
+    # p5 and p17, both of source s1, have no distance
+    assert [got[(f"dataset s{i}", "baseline", "ext_dist")][2]
+            for i in range(3)] == ["12", "10", "12"]
 
 
 def test_report_per_annotation_gold(tmp_path, capsys):

@@ -11,9 +11,9 @@ from hypothesis import event, given, settings, strategies as st
 
 from labelsim import corpus as corpus_module
 from labelsim.corpus import (Annotation, AnnotationColumns, CorpusError,
-                             SentencePair, attach_precomputed, build_corpus,
-                             load_corpus, load_precomputed, save_corpus,
-                             select_pairs)
+                             PairScores, SentencePair, attach_precomputed,
+                             build_corpus, load_corpus, load_precomputed,
+                             pair_scores, save_corpus, select_pairs)
 from labelsim.simulate import PopulationSpec, generate_corpus
 
 from conftest import make_corpus
@@ -218,6 +218,65 @@ def test_precomputed_channel(tmp_path, tiny_corpus):
         attach_precomputed(corpus, "bert", scores)
 
 
+# ------------------------------------------------- per-pair score columns
+
+
+def unsorted_corpus():
+    """Pairs listed p10, p2, p1: sorted, they read p1, p10, p2."""
+    return make_corpus([("p10", "a b", "a c"), ("p2", "d e", "d f"),
+                        ("p1", "g h", "g i")], [])
+
+
+def test_pair_scores_read_as_a_mapping_in_corpus_order():
+    corpus = unsorted_corpus()
+    scores = {"p1": 0.25, "p10": -1.5}
+    column = attach_precomputed(corpus, "ext", scores).precomputed_scores["ext"]
+    assert isinstance(column, PairScores)
+    assert column == scores and scores == column
+    assert column != {"p1": 0.25} and column != {**scores, "p2": 0.0}
+    assert column["p10"] == -1.5 and type(column["p10"]) is float
+    assert column.get("p1") == 0.25
+    assert column.get("p2") is None and column.get("p2", 7.0) == 7.0
+    assert column.get("nope", 7.0) == 7.0
+    for undefined in ("p2", "nope"):  # a pair without a score, no pair
+        with pytest.raises(KeyError):
+            column[undefined]
+        assert undefined not in column
+    assert "p1" in column
+    assert len(column) == 2
+    assert list(column) == ["p10", "p1"]  # corpus order, not sorted
+    assert list(column.items()) == [("p10", -1.5), ("p1", 0.25)]
+    assert dict(column) == scores
+    # the store: arrays over the corpus's sorted pair ids
+    assert column.columns is corpus.columns
+    assert corpus.columns.pair_ids == ("p1", "p10", "p2")
+    assert corpus.columns.pair_order.tolist() == [1, 2, 0]
+    assert column.values.tolist() == [0.25, -1.5, 0.0]
+    assert column.defined.tolist() == [True, True, False]
+
+
+def test_pair_scores_converts_every_other_mapping_in_one_pass():
+    corpus = attach_precomputed(unsorted_corpus(), "ext",
+                                {"p1": 0.25, "p10": -1.5})
+    column = corpus.precomputed_scores["ext"]
+    assert pair_scores(corpus.columns, column) is column
+    # a cut corpus shares its parent's channels; over the cut's pairs a
+    # channel is converted, and a pair outside the cut is left out
+    cut = select_pairs(corpus, corpus.pairs[:2])  # p10, p2
+    assert cut.precomputed_scores["ext"] is column
+    sub = pair_scores(cut.columns, column)
+    assert sub.columns is cut.columns and sub == {"p10": -1.5}
+    assert sub.values.tolist() == [-1.5, 0.0]
+    # a dict: numbers read as floats; a pair outside the columns is left
+    # out, or raises through ``unknown``, the first in the dict's order
+    assert pair_scores(cut.columns, {"p2": 3, "zz": 1.0}) == {"p2": 3.0}
+    with pytest.raises(KeyError, match="zz"):
+        pair_scores(cut.columns, {"p2": 3.0, "zz": 1.0, "yy": 2.0},
+                    unknown=KeyError)
+    empty = pair_scores(cut.columns, {})
+    assert len(empty) == 0 and empty == {} and list(empty) == []
+
+
 def test_precomputed_unknown_pair(tiny_corpus):
     with pytest.raises(CorpusError, match="unknown pair"):
         attach_precomputed(tiny_corpus, "bert", {"nope": 1.0})
@@ -303,10 +362,11 @@ def test_columns_store_codes_and_derive_the_indexes(tmp_path):
     columns = load_corpus(pairs, ann).columns
     assert [f.name for f in dataclasses.fields(AnnotationColumns)] == [
         "pair_ids", "annotator_ids", "pair", "annotator", "label",
-        "duration", "pair_is_random"]
+        "duration", "pair_is_random", "pair_order"]
     assert columns.pair.tolist() == [1, 0, 1, 0]
     assert columns.annotator.tolist() == [1, 0, 0, 1]
     assert columns.pair_is_random.tolist() == [False, True]
+    assert columns.pair_order.tolist() == [0, 1]
     assert columns.pair_index == {"p1": 0, "p2": 1}
     assert columns.annotator_index == {"w1": 0, "w2": 1}
     assert columns.is_random.tolist() == [True, False, True, False]

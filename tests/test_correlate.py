@@ -6,12 +6,13 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from labelsim.corpus import attach_precomputed, select_pairs
+from labelsim.corpus import PairScores, attach_precomputed, select_pairs
 from labelsim import correlate, textmetrics
 from labelsim.correlate import (
     DISTANCE_METRICS,
@@ -35,14 +36,14 @@ from labelsim.heuristics import (HeuristicId, compute_flag_reports,
                                  heuristic_subsets)
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
-from labelsim.textmetrics import (LEXICAL_SCORERS, bleu, chrf,
-                                  meteor_lite, rouge_l, rouge_n, tokenize,
-                                  word_overlap)
+from labelsim.textmetrics import (LEXICAL_SCORERS, meteor_lite, rouge_l,
+                                  tokenize, word_overlap)
 
 from conftest import make_corpus
-from oracles import (chrf_oracle, correlation_report_oracle, counter_bleu,
-                     jaccard_oracle, loop_ranks, pearson_oracle, rank_oracle,
-                     rouge_n_oracle, score_pair_lexical, spearman_oracle)
+from oracles import (bleu, chrf, chrf_oracle, correlation_report_oracle,
+                     counter_bleu, jaccard_oracle, loop_ranks, pearson_oracle,
+                     rank_oracle, rouge_n, rouge_n_oracle, score_pair_lexical,
+                     spearman_oracle)
 
 
 # ------------------------------------------------------------ correlation
@@ -410,6 +411,15 @@ def test_compute_metric_scores_names_a_pair_without_word_tokens():
     assert scores["chrf"]["p2"] == chrf_oracle("red oak", "!!! ???") == 0.0
 
 
+@pytest.mark.parametrize("name", ["word_overlap", "rougeL", "meteor"])
+def test_pair_by_pair_scorers_name_a_pair_without_word_tokens(name):
+    # their table entries leave the check to the block, which names the pair
+    corpus = make_corpus([("p1", "red oak", "red elm"),
+                          ("p2", "red oak", "!!! ???")], [])
+    with pytest.raises(ValueError, match=r"^pair 'p2': .*\(text_b\)$"):
+        compute_metric_scores(corpus, [name])
+
+
 def test_compute_metric_scores_orientation():
     # one rule: a metric in DISTANCE_METRICS or among the distance
     # channels is negated, every other metric keeps its raw value
@@ -545,6 +555,43 @@ def test_compute_metric_scores_precomputed_only_skips_pair_pass():
     corpus = attach_precomputed(scoring_corpus(), "ext", {"p1": 0.5, "p3": 0.2})
     scores = compute_metric_scores(corpus, ["ext"])
     assert scores == {"ext": {"p1": 0.5, "p3": 0.2}}
+
+
+def test_compute_metric_scores_shares_channel_arrays():
+    corpus = attach_precomputed(scoring_corpus(), "ext", {"p1": 0.5, "p3": 0.2})
+    corpus = attach_precomputed(corpus, "ext_dist", {"p2": 2.0})
+    channels = corpus.precomputed_scores
+    scores = compute_metric_scores(corpus, ["ext", "ext_dist", "rouge1"],
+                                   distance_channels={"ext_dist"})
+    assert all(isinstance(column, PairScores) for column in scores.values())
+    assert scores["ext"] is channels["ext"]
+    # a distance channel is negated into new values over the same mask
+    assert scores["ext_dist"].defined is channels["ext_dist"].defined
+    assert scores["ext_dist"] == {"p2": -2.0}
+    assert channels["ext_dist"] == {"p2": 2.0}
+    assert scores["rouge1"].columns is corpus.columns
+    # a cut corpus reads its parent's channels over its own pairs
+    cut = select_pairs(corpus, corpus.pairs[1:])
+    assert compute_metric_scores(cut, ["ext"]) == {"ext": {"p3": 0.2}}
+
+
+def test_compute_metric_scores_retains_arrays_not_per_pair_objects():
+    # 8 lexical metrics on about 2,000 pairs: what the call leaves behind
+    # is its columns, 8 bytes of value and 1 of mask per (pair, metric),
+    # not a float object and a dict slot per score (about 47 bytes)
+    corpus, _ = generate_corpus(PopulationSpec(n_pairs=2000, seed=5))
+    corpus.columns.pair_index  # the cached indexes, made before counting
+    corpus.pairs_by_id
+    metrics = list(LEXICAL_METRICS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scores = compute_metric_scores(corpus, metrics)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(len(scores[name]) == len(corpus.pairs) for name in metrics)
+    assert retained / (len(corpus.pairs) * len(metrics)) < 20
 
 
 # ------------------------------------------------------------- reports

@@ -10,6 +10,7 @@ from labelsim.heuristics import (HeuristicConfig, HeuristicId, Scorers,
                                  flagged_annotators, heuristic_subsets,
                                  normalize_subset, sentiment_qualifying_pairs,
                                  subset_label)
+from labelsim.sentiment import ingest_sentiment
 from labelsim.stats import annotator_profiles
 
 from conftest import make_corpus
@@ -317,6 +318,29 @@ def test_gap_first_path_equals_the_loop_that_scores_every_pair():
     assert reports == oracles.flag_reports(corpus, [H.SENTIMENT_DISALIGNED],
                                            CFG, expected)
     assert any(report.flags for report in reports.values())
+
+
+def test_qualifying_pairs_read_an_ingested_sentiment_file_alike(tmp_path):
+    # the overrides as a file, listed in reverse corpus order, then
+    # ingested over the corpus: the same qualifying pairs as the dict
+    corpus, scorers = overridden_corpus_and_scorers(
+        default_scorers(CFG).overlap)
+    overrides = scorers.pair_sentiment
+    expected = sentiment_qualifying_pairs(corpus, scorers, CFG)
+    path = tmp_path / "sentiment.csv"
+    path.write_text("pair_id,score_a,score_b\n" + "".join(
+        f"{pid},{a!r},{b!r}\n" for pid, (a, b)
+        in reversed(list(overrides.items()))))
+    ingested = ingest_sentiment(path, corpus)
+    assert ingested == overrides
+    assert list(ingested) == list(overrides)  # both in corpus order
+    scorers.pair_sentiment = ingested
+    assert sentiment_qualifying_pairs(corpus, scorers, CFG) == expected
+    assert expected == oracles.sentiment_qualifying_pairs_loop(
+        corpus, scorers, CFG)
+    assert compute_flag_reports(corpus, [H.SENTIMENT_DISALIGNED], CFG,
+                                scorers) == oracles.flag_reports(
+        corpus, [H.SENTIMENT_DISALIGNED], CFG, expected)
 
 
 def test_overlap_is_never_given_a_below_gap_override_pair():

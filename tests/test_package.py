@@ -55,7 +55,7 @@ def test_benchmark_loader_imports_load_only_their_modules():
 
 def test_an_export_loads_its_module_on_first_use():
     loaded = _in_fresh_process(
-        "import labelsim; labelsim.population_variance; " + LOADED)
+        "import labelsim; labelsim.reduce_label; " + LOADED)
     assert loaded == ["labelsim", "labelsim.corpus", "labelsim.stats"]
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from labelsim.corpus import CorpusError
+from labelsim.corpus import CorpusError, PairScores
 from labelsim.sentiment import (
     DEFAULT_INTENSIFIERS,
     DEFAULT_NEGATORS,
@@ -181,6 +181,18 @@ def test_ingest_sentiment_checks_corpus_pairs(tmp_path):
         ingest_sentiment(p, corpus)
     # without a corpus the same file is accepted
     assert set(ingest_sentiment(p)) == {"p1", "pX"}
+
+
+def test_ingest_sentiment_over_a_corpus_is_a_column(tmp_path):
+    corpus = make_corpus([("p2", "a b", "a c"), ("p1", "d e", "d f"),
+                          ("p3", "g h", "g i")], [])
+    p = write_scores(tmp_path, "p1,0.5,-0.25\np2,1.0,-1.0\n")
+    got = ingest_sentiment(p, corpus)
+    assert isinstance(got, PairScores) and got.columns is corpus.columns
+    assert got == {"p1": (0.5, -0.25), "p2": (1.0, -1.0)}
+    assert list(got) == ["p2", "p1"]  # corpus order
+    assert got["p1"] == (0.5, -0.25) and "p3" not in got
+    assert got.values.shape == (3, 2)
 
 
 def test_ingest_sentiment_missing_column(tmp_path):

@@ -7,10 +7,10 @@ import pytest
 from labelsim.heuristics import (HeuristicConfig, HeuristicId,
                                  compute_flag_reports)
 from labelsim.stats import (Style, annotator_profiles, classify_style,
-                            population_variance, reduce_label)
+                            reduce_label)
 
 from conftest import make_corpus
-from oracles import pvariance_oracle
+from oracles import population_variance, pvariance_oracle
 
 
 def test_reduce_label_exhaustive():

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelsim import textmetrics
-from labelsim.textmetrics import (LEXICAL_SCORERS, EmptyText, bleu,
-                                  bleu_block, chrf, chrf_block,
-                                  light_stem, meteor_lite, require_tokens,
-                                  rouge_l, rouge_n, score_lexical_block,
-                                  tokenize, word_overlap)
+from labelsim.textmetrics import (LEXICAL_SCORERS, EmptyText, bleu_block,
+                                  chrf_block, light_stem, meteor_lite,
+                                  require_tokens, rouge_l,
+                                  score_lexical_block, tokenize, word_overlap)
 
 import oracles
-from oracles import score_pair_lexical
+from oracles import bleu, chrf, rouge_n, score_pair_lexical
 
 
 def random_tokens(rng, min_len=1, max_len=8, vocab="abcdef"):
@@ -146,11 +145,9 @@ def test_bleu_effective_order_capped():
 
 def test_bleu_rejects_bad_args():
     with pytest.raises(ValueError):
-        bleu((), ("a",))
+        bleu_block([()], [("a",)])
     with pytest.raises(ValueError):
-        bleu(("a",), ("a",), max_n=0)
-    with pytest.raises(ValueError):
-        bleu(("a",), ("a",), smoothing="epsilon")
+        bleu_block([("a",)], [("a",)], max_n=0)
 
 
 def test_bleu_matches_oracle():
@@ -173,14 +170,27 @@ token_seqs = st.lists(st.sampled_from(["a", "b", "c", "\u00e9t\u00e9", "x'y"]),
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(token_seqs, token_seqs), min_size=1, max_size=6),
-       st.integers(1, 5), st.sampled_from(["none", "add_one"]))
-def test_bleu_block_equals_counter_bleu(pairs, max_n, smoothing):
+       st.integers(1, 5))
+def test_bleu_block_equals_counter_bleu(pairs, max_n):
+    # bleu_block is unsmoothed
     got = bleu_block([c for c, _ in pairs], [r for _, r in pairs],
-                     max_n=max_n, smoothing=smoothing)
+                     max_n=max_n)
     assert got == [
-        oracles.counter_bleu(c, r, max_n, smoothing) for c, r in pairs]
+        oracles.counter_bleu(c, r, max_n, "none") for c, r in pairs]
     assert got == [
-        bleu(c, r, max_n=max_n, smoothing=smoothing) for c, r in pairs]
+        bleu(c, r, max_n=max_n, smoothing="none") for c, r in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(token_seqs, token_seqs), min_size=1, max_size=6))
+def test_smoothed_bleu_column_equals_counter_bleu(pairs):
+    # the table's "bleu" is add-one smoothed 4-gram BLEU with text b as the
+    # candidate, scored from the block's one count
+    refs, cands = [r for _, r in pairs], [c for c, _ in pairs]
+    got = score_lexical_block(["bleu"], [" ".join(r) for r in refs],
+                              [" ".join(c) for c in cands], refs, cands)
+    assert got == {"bleu": [
+        oracles.counter_bleu(c, r, 4, "add_one") for c, r in pairs]}
 
 
 def test_bleu_block_rejects_bad_blocks():
@@ -550,3 +560,24 @@ def test_disjoint_scores_zero_for_all_metrics():
     # token AND character disjoint, so chrf drops to zero too
     for name, score in score_pair_lexical("aba cab bac", "xyz zyx yzx").items():
         assert score == 0.0, name
+
+
+def test_a_lexical_block_checks_its_tokens_once(monkeypatch):
+    # the block is checked once; the table's per-pair scorers (word
+    # overlap, ROUGE-L and METEOR among them) do not check again
+    calls = []
+    check = textmetrics.require_tokens
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(textmetrics, "require_tokens", counted)
+    texts_a = ["the cat sat", "a dog ran far", "red oak"]
+    texts_b = ["the cat sits", "dogs ran", "red elm tree"]
+    got = score_lexical_block(list(LEXICAL_SCORERS), texts_a, texts_b)
+    assert calls == [3]
+    tokens = [(tokenize(a), tokenize(b)) for a, b in zip(texts_a, texts_b)]
+    assert got["word_overlap"] == [word_overlap(a, b) for a, b in tokens]
+    assert got["rougeL"] == [rouge_l(a, b) for a, b in tokens]
+    assert got["meteor"] == [meteor_lite(a, b) for a, b in tokens]
