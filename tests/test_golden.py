@@ -1,0 +1,143 @@
+"""Golden output: the CLI's stdout on fixed inputs, pinned by sha256.
+
+Byte-identical output for the same inputs is the contract that lets the
+internals change.  The inputs come from ``simulate.generate_corpus`` and a
+fixed numpy seed, not from the benchmark's generator, so only a change
+to the package can move them.  The pairs file lists the pairs out of id
+order and in two sources; the side files are word embeddings, two score
+channels (a few pairs missing from the distance one), sentiment
+overrides and gold POS tags.
+
+A hash that moves means some output byte moved.  Update a hash only for
+a change that means to alter output, and say so where the change is
+recorded.
+"""
+
+import csv
+import hashlib
+
+import numpy as np
+import pytest
+
+from labelsim import cli, simulate
+from labelsim.simulate import PopulationSpec, ProfileKind, ProfileSpec
+
+SPEC = PopulationSpec(
+    seed=11, n_pairs=80, annotators_per_pair=5,
+    profiles=(ProfileSpec(ProfileKind.RELIABLE, 6),
+              ProfileSpec(ProfileKind.CONSTANT, 1),
+              ProfileSpec(ProfileKind.UNIFORM_RANDOM, 1),
+              ProfileSpec(ProfileKind.SLOW, 1),
+              ProfileSpec(ProfileKind.RADICAL, 2),
+              ProfileSpec(ProfileKind.CENTRIST, 2)))
+
+
+def _write_csv(path, header, rows):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    corpus, _ = simulate.generate_corpus(SPEC)
+    rng = np.random.default_rng(2024)
+    pairs = [corpus.pairs[i] for i in rng.permutation(len(corpus.pairs))]
+    source = {p.pair_id: ("news", "forum")[i % 2]
+              for i, p in enumerate(sorted(corpus.pairs,
+                                           key=lambda p: p.pair_id))}
+    paths = {
+        "pairs": _write_csv(
+            out / "pairs.csv", ("pair_id", "source", "is_random", "text_a",
+                                "text_b"),
+            [(p.pair_id, source[p.pair_id], int(p.is_random), p.text_a,
+              p.text_b) for p in pairs]),
+        "annotations": _write_csv(
+            out / "annotations.csv",
+            ("pair_id", "annotator_id", "label", "duration_seconds"),
+            [(a.pair_id, a.annotator_id, a.label, repr(a.duration))
+             for a in corpus.annotations]),
+    }
+    words = sorted({w for p in pairs for w in (p.text_a + " " + p.text_b)
+                    .split()})
+    kept = [w for w in words if rng.random() < 0.9]
+    vectors = rng.normal(size=(len(kept), 5))
+    (out / "vectors.txt").write_text("".join(
+        w + " " + " ".join(f"{x:.6f}" for x in v) + "\n"
+        for w, v in zip(kept, vectors)))
+    paths["embeddings"] = str(out / "vectors.txt")
+    ids = [p.pair_id for p in pairs]
+    paths["ext_sim"] = _write_csv(
+        out / "ext_sim.csv", ("pair_id", "score"),
+        [(pid, f"{x:.6f}") for pid, x in zip(ids, rng.random(len(ids)))])
+    missing = set(rng.choice(ids, size=4, replace=False).tolist())
+    paths["ext_dist"] = _write_csv(
+        out / "ext_dist.csv", ("pair_id", "score"),
+        [(pid, f"{x:.6f}") for pid, x in zip(ids, rng.random(len(ids)) * 3)
+         if pid not in missing])
+    paths["sentiment"] = _write_csv(
+        out / "sentiment.csv", ("pair_id", "score_a", "score_b"),
+        [(pid, f"{a:.4f}", f"{b:.4f}")
+         for pid, (a, b) in zip(ids, rng.uniform(-1, 1, (len(ids), 2)))])
+    tags = []
+    for p in pairs:
+        for side, text in (("a", p.text_a), ("b", p.text_b)):
+            for i in range(len(text.split())):
+                tags.append((p.pair_id, side, i,
+                             "NN" if rng.random() < 0.5 else "VB"))
+    paths["pos_tags"] = _write_csv(
+        out / "tags.csv", ("pair_id", "side", "token_index", "tag"), tags)
+    return paths
+
+
+CHANNELS = ("--precomputed", "ext_sim={ext_sim}",
+            "--precomputed", "ext_dist={ext_dist}",
+            "--precomputed-distance", "ext_dist")
+CORPUS = ("--pairs", "{pairs}", "--annotations", "{annotations}")
+
+COMMANDS = {
+    "report-csv": (
+        "report", *CORPUS, *CHANNELS, "--metrics", "all",
+        "--embeddings", "{embeddings}", "--sentiment-file", "{sentiment}",
+        "--out-format", "csv"),
+    "report-per-dataset-json": (
+        "report", *CORPUS, *CHANNELS, "--metrics", "all",
+        "--embeddings", "{embeddings}", "--per-dataset",
+        "--per-annotation-gold", "--out-format", "json"),
+    "style-report-json": (
+        "style-report", *CORPUS, *CHANNELS, "--metrics", "ext_sim,ext_dist",
+        "--sentiment-file", "{sentiment}", "--out-format", "json"),
+    "flag-all-subsets": (
+        "flag", *CORPUS, "--all-subsets", "--sentiment-file", "{sentiment}"),
+    "stats": ("stats", *CORPUS),
+    "metrics-pos-tags": (
+        "metrics", "--pairs", "{pairs}", *CHANNELS, "--metrics", "all",
+        "--embeddings", "{embeddings}", "--pos-tags", "{pos_tags}"),
+}
+
+GOLDEN = {
+    "report-csv":
+        "affb0a55aebc6542c7ee05099d9d9f7e12f1f5dd7b68b8ac8838d837b7386b4b",
+    "report-per-dataset-json":
+        "646916081bc465ec8e48aad6eb567a8e6a0624c07e40a86dc9a1853aa5c7d31f",
+    "style-report-json":
+        "740648cce9bb028da3b262978e88bc44a26761d090ff6fa4124763eb0e0210d0",
+    "flag-all-subsets":
+        "8685a6fbff986fa759318be64628a1a7fd88937b3d8e2e8a64c3a6226aa4daeb",
+    "stats":
+        "0c3d31d38146d99c86059342c1948eb60f1be92ec450d37c6d5ef02bc843e747",
+    "metrics-pos-tags":
+        "576df2aa1ffd38ed58bfef4730533c882d77b9d87251419f2241c54c2c5dfc46",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_is_byte_identical(inputs, capsys, name):
+    argv = [arg.format(**inputs) for arg in COMMANDS[name]]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") > 10
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[name]
