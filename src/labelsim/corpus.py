@@ -58,14 +58,17 @@ class Annotation:
 class AnnotationColumns:
     """The annotations as arrays, one row per annotation in file order.
 
-    A corpus holds its annotations only in this form.  ``pair`` indexes
+    A corpus holds its annotations only in this form, and these columns
+    are its one map from an id to a position.  ``pair`` indexes
     ``pair_ids``, every pair of the corpus in sorted order; ``annotator``
-    indexes ``annotator_ids``, every annotator with a label, sorted;
+    indexes ``annotator_ids``, every annotator with a label, sorted, so a
+    mask over ``annotator_ids`` selects annotators in sorted order;
     ``pair_is_random`` is each pair's flag, in ``pair_ids`` order, and
-    ``pair_order`` each pair's index, in corpus order.  The
-    fields are the whole store; the properties below derive the rest from
-    them when first read, and are the one place each is derived:
-    ``pair_index`` and ``annotator_index`` map each id to its index,
+    ``pair_order`` each pair's index, in corpus order (its inverse gives a
+    pair index's place in the corpus).  The fields are the whole store;
+    the properties below derive the rest from them when first read, and
+    are the one place each is derived: ``pair_index`` maps each pair id to
+    its index (side files check their pair ids against it),
     ``is_random`` is the flag of each row's pair, and ``by_pair`` lists the
     rows stably sorted by ``pair`` (a pair's rows keep their file order).
     """
@@ -82,10 +85,6 @@ class AnnotationColumns:
     @cached_property
     def pair_index(self) -> dict[str, int]:
         return {pid: i for i, pid in enumerate(self.pair_ids)}
-
-    @cached_property
-    def annotator_index(self) -> dict[str, int]:
-        return {aid: i for i, aid in enumerate(self.annotator_ids)}
 
     @cached_property
     def is_random(self) -> np.ndarray:
@@ -132,6 +131,8 @@ def _annotation_columns(pairs: tuple[SentencePair, ...],
         if p is None:
             raise _fail(f"annotation references unknown pair_id {pair_id!r}",
                         path, lineno)
+        if not annotator_id.strip():
+            raise _fail("annotation with empty annotator_id", path, lineno)
         if value not in VALID_LABELS:
             raise _fail(f"label {value!r} for pair {pair_id!r} outside 1-5",
                         path, lineno)
@@ -282,10 +283,6 @@ class LabeledCorpus:
     pairs: tuple[SentencePair, ...]
     columns: AnnotationColumns
     precomputed_scores: dict[str, PairScores] = field(default_factory=dict)
-
-    @cached_property
-    def pairs_by_id(self) -> dict[str, SentencePair]:
-        return {p.pair_id: p for p in self.pairs}
 
     @property
     def annotations(self) -> AnnotationRows:
@@ -443,20 +440,14 @@ def _not_utf8(path: Path) -> CorpusError:
 
 
 def _row_pair(raw_pid: str, path: Path, lineno: int,
-              corpus: Optional[LabeledCorpus]
-              ) -> tuple[str, Optional[SentencePair]]:
-    """A side-file row's pair_id and, when a corpus is given, its pair.
-
-    With a corpus, a pair_id it does not hold raises :class:`CorpusError`
-    naming the file and row.
-    """
+              corpus: Optional[LabeledCorpus]) -> str:
+    """A side-file row's pair_id.  With a corpus, a pair_id outside its
+    ``columns.pair_index`` raises :class:`CorpusError` naming the file
+    and row."""
     pid = raw_pid.strip()
-    if corpus is None:
-        return pid, None
-    pair = corpus.pairs_by_id.get(pid)
-    if pair is None:
+    if corpus is not None and pid not in corpus.columns.pair_index:
         raise CorpusError(f"{path} row {lineno}: unknown pair {pid!r}")
-    return pid, pair
+    return pid
 
 
 def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
@@ -582,7 +573,7 @@ def load_precomputed(path, corpus: Optional[LabeledCorpus] = None
     path = Path(path)
     scores: dict[str, float] = {}
     for lineno, (pid, score) in _read_csv_rows(path, ("pair_id", "score")):
-        pid, _ = _row_pair(pid, path, lineno, corpus)
+        pid = _row_pair(pid, path, lineno, corpus)
         if pid in scores:
             raise CorpusError(f"{path} row {lineno}: duplicate pair_id {pid!r}")
         scores[pid] = _parse_float(score, path, lineno)

@@ -21,14 +21,16 @@ means more similar, and leaves out the pairs a metric cannot score.
 annotation columns give every annotation a (pair index, annotator index,
 label) row, over the same pair index as the metric columns, whose mask
 gaps are each metric's dropped pairs.  A filter subset is then
-only a keep mask over annotators (the panel minus the annotators its
-flags remove).  The flags are the caller's: one
+only a keep mask over the columns' sorted ``annotator_ids`` (the panel
+minus the annotators its flags remove, whose ids the mask gives back in
+sorted order).  The flags are the caller's: one
 :class:`~labelsim.heuristics.FlagPass` from ``compute_flag_reports`` is
 handed to every report of a run, its heuristics give the report's rows
 (every non-empty subset of them), and this module runs no heuristic
-itself.  Gold means come from ``np.bincount`` over the kept rows, and
-the observations handed to :func:`pearson` and :func:`spearman` are,
-element for element and in order, those of a join on sorted pair ids.
+itself.  :func:`_gold` takes gold means from ``np.bincount`` over the
+kept rows, and the observations handed to :func:`pearson` and
+:func:`spearman` are, element for element and in order, those of a join
+on sorted pair ids.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -329,78 +332,58 @@ class CorrelationReport:
     n_pairs: int = 0
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """A corpus's annotation columns and its metric scores as arrays.
+def _gold(columns: AnnotationColumns, keep: np.ndarray,
+          per_annotation: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The gold of the annotators that ``keep``, a mask over
+    ``columns.annotator_ids``, marks: ``(pair, gold)``, each observation's
+    pair index and value.
 
-    ``scores[name]`` holds each metric over the pair index of
-    ``columns``, the corpus's :class:`AnnotationColumns`, so every report
-    on one corpus reads the same annotation arrays.  A metric's
-    :class:`~labelsim.corpus.PairScores` over that index is read as it
-    is; any other score mapping is converted by
-    :func:`~labelsim.corpus.pair_scores`.
+    Gold is one mean kept label per pair that has one, in pair index
+    order, or with ``per_annotation`` every kept label, ordered by pair,
+    then file order.
     """
+    kept = keep[columns.annotator]
+    if per_annotation:
+        rows = columns.by_pair[kept[columns.by_pair]]
+        return columns.pair[rows], columns.label[rows]
+    # label sums are exact in any order
+    pair = columns.pair[kept]
+    counts = np.bincount(pair, minlength=len(columns.pair_ids))
+    sums = np.bincount(pair, weights=columns.label[kept],
+                       minlength=counts.size)
+    has_gold = np.flatnonzero(counts)
+    return has_gold, sums[has_gold] / counts[has_gold]
 
-    columns: AnnotationColumns
-    scores: dict[str, PairScores]
 
-    @classmethod
-    def build(cls, corpus: LabeledCorpus,
-              metric_scores: Mapping[str, Mapping[str, float]],
-              names: Sequence[str]) -> "_Columns":
-        columns = corpus.columns
-        return cls(columns, {name: pair_scores(columns, metric_scores[name])
-                             for name in names})
+def _cells(columns: AnnotationColumns, scores: Mapping[str, PairScores],
+           names: Sequence[str], keep: np.ndarray, per_annotation: bool,
+           allow_undefined: bool = False) -> dict[str, MetricCorrelation]:
+    """Correlate each metric of ``scores``, columns over the pair index
+    of ``columns``, with the :func:`_gold` of the kept annotators.
 
-    def panel(self, annotator_ids: Optional[set]) -> np.ndarray:
-        """Keep mask over annotators: everyone, or just ``annotator_ids``."""
-        ids = self.columns.annotator_ids
-        return np.fromiter((annotator_ids is None or aid in annotator_ids
-                            for aid in ids), dtype=bool, count=len(ids))
-
-    def cells(self, names: Sequence[str], keep: np.ndarray,
-              per_annotation: bool, allow_undefined: bool = False
-              ) -> dict[str, MetricCorrelation]:
-        """Correlate each metric with the gold of the kept annotators.
-
-        Gold is one mean per pair, or with ``per_annotation`` every kept
-        label as its own observation (ordered by pair, then corpus order).
-        A metric is undefined exactly when :func:`pearson` or
-        :func:`spearman` raises ``ValueError`` on its observations (fewer
-        than 3, or a constant input).  With ``allow_undefined`` it gets an
-        undefined cell; otherwise it is an error that names it.
-        """
-        columns = self.columns
-        kept = keep[columns.annotator]
-        # label sums are exact in any order; observations need pair order
-        rows = columns.by_pair[kept[columns.by_pair]] if per_annotation \
-            else kept
-        pair = columns.pair[rows]
-        label = columns.label[rows]
-        counts = np.bincount(pair, minlength=len(columns.pair_ids))
-        has_gold = counts > 0
-        gold = np.bincount(pair, weights=label, minlength=counts.size) \
-            / np.maximum(counts, 1)
-        cells = {}
-        for name in names:
-            metric = self.scores[name]
-            joined = metric.defined & has_gold
-            if per_annotation:
-                observed = joined[pair]
-                xs = metric.values[pair[observed]]
-                ys = label[observed]
-            else:
-                xs = metric.values[joined]
-                ys = gold[joined]
-            n = int(joined.sum())
-            try:
-                cells[name] = MetricCorrelation(pearson(xs, ys),
-                                                spearman(xs, ys), n)
-            except ValueError as exc:
-                if not allow_undefined:
-                    raise type(exc)(f"metric {name!r}: {exc}") from None
-                cells[name] = MetricCorrelation(None, None, n)
-        return cells
+    A metric is undefined exactly when :func:`pearson` or
+    :func:`spearman` raises ``ValueError`` on its observations (fewer
+    than 3, or a constant input).  With ``allow_undefined`` it gets an
+    undefined cell; otherwise it is an error that names it.
+    """
+    pair, gold = _gold(columns, keep, per_annotation)
+    has_gold = np.zeros(len(columns.pair_ids), dtype=bool)
+    has_gold[pair] = True
+    cells = {}
+    for name in names:
+        metric = scores[name]
+        observed = metric.defined[pair]
+        xs = metric.values[pair[observed]]
+        ys = gold[observed]
+        n = int(np.count_nonzero(metric.defined & has_gold))
+        try:
+            cells[name] = MetricCorrelation(pearson(xs, ys),
+                                            spearman(xs, ys), n)
+        except ValueError as exc:
+            if not allow_undefined:
+                raise type(exc)(f"metric {name!r}: {exc}") from None
+            cells[name] = MetricCorrelation(None, None, n)
+    return cells
 
 
 def _pct_pair(cell: MetricCorrelation, base: MetricCorrelation
@@ -436,16 +419,14 @@ def correlation_report(corpus: LabeledCorpus,
     over ``corpus``; a pass over another corpus is an error) evaluated,
     and a row removes the annotators whose reports carry any of its flags.
     """
-    if tuple(reports) != corpus.columns.annotator_ids:
+    columns = corpus.columns
+    if tuple(reports) != columns.annotator_ids:
         raise ValueError(f"{label}: the flag pass was made over another "
                          "corpus; its annotators are not this corpus's")
-    subsets = heuristic_subsets(reports.heuristics)
-    removals = [tuple(sorted(flagged_annotators(reports, s))) for s in subsets]
-
-    columns = _Columns.build(corpus, metric_scores, list(metric_scores))
-    n_pairs = len(corpus.columns.pair_ids)
-    dropped = {name: n_pairs - len(columns.scores[name])
-               for name in metric_scores}
+    scores = {name: pair_scores(columns, metric_scores[name])
+              for name in metric_scores}
+    n_pairs = len(columns.pair_ids)
+    dropped = {name: n_pairs - len(scores[name]) for name in scores}
     usable: list[str] = []
     unavailable: dict[str, str] = {}
     for name, missing in dropped.items():
@@ -461,22 +442,26 @@ def correlation_report(corpus: LabeledCorpus,
             metrics=(), baseline={}, subsets=(), dropped=dropped,
             unavailable=unavailable, n_pairs=n_pairs)
 
-    panel = columns.panel(annotator_ids)
+    def mask(ids) -> np.ndarray:
+        return np.fromiter((aid in ids for aid in columns.annotator_ids),
+                           dtype=bool, count=len(columns.annotator_ids))
+
+    panel = np.ones(len(columns.annotator_ids), dtype=bool) \
+        if annotator_ids is None else mask(annotator_ids)
     try:
-        baseline = columns.cells(usable, panel, per_annotation)
+        baseline = _cells(columns, scores, usable, panel, per_annotation)
     except ValueError as exc:
         raise type(exc)(f"{label}: {exc}") from None
 
-    index = corpus.columns.annotator_index
     subset_rows = []
-    for subset, removed in zip(subsets, removals):
-        keep = panel.copy()
-        keep[[index[aid] for aid in removed]] = False
+    for subset in heuristic_subsets(reports.heuristics):
+        removed = mask(flagged_annotators(reports, subset))
         subset_rows.append(SubsetResult(
             subset=subset,
-            removed_annotators=removed,
-            cells=columns.cells(usable, keep, per_annotation,
-                                allow_undefined=True),
+            removed_annotators=tuple(compress(columns.annotator_ids,
+                                              removed)),
+            cells=_cells(columns, scores, usable, panel & ~removed,
+                         per_annotation, allow_undefined=True),
         ))
 
     return CorrelationReport(

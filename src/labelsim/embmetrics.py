@@ -649,7 +649,7 @@ def load_sentence_embeddings(path,
     for lineno, (pid, side, vector) in _read_csv_rows(
             path, ("pair_id", "side", "vector")):
         where = f"{path} row {lineno}"
-        pid, _ = _row_pair(pid, path, lineno, corpus)
+        pid = _row_pair(pid, path, lineno, corpus)
         side = _parse_side(side, where)
         vec = _parse_vector(vector.split(), where, dimension)
         dimension = vec.size
@@ -671,17 +671,21 @@ def load_gold_tags(path, corpus: Optional[LabeledCorpus] = None) -> dict:
     path = Path(path)
     out: dict[tuple[str, str], dict[int, str]] = {}
     n_tokens: dict[tuple[str, str], int] = {}
+    if corpus is not None:
+        # a pair's place in corpus.pairs, by its index in the columns
+        place = np.argsort(corpus.columns.pair_order).tolist()
     for lineno, (pid, side, token_index, tag) in _read_csv_rows(
             path, ("pair_id", "side", "token_index", "tag")):
         where = f"{path} row {lineno}"
-        pid, pair = _row_pair(pid, path, lineno, corpus)
+        pid = _row_pair(pid, path, lineno, corpus)
         side = _parse_side(side, where)
         idx = _parse_int(token_index, path, lineno)
         if idx < 0:
             raise CorpusError(f"{where}: negative token_index {idx}")
         key = (pid, side)
-        if pair is not None:
+        if corpus is not None:
             if key not in n_tokens:
+                pair = corpus.pairs[place[corpus.columns.pair_index[pid]]]
                 n_tokens[key] = len(tokenize(
                     pair.text_a if side == "a" else pair.text_b))
             if idx >= n_tokens[key]:

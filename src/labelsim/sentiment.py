@@ -112,7 +112,7 @@ def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None
     out: dict[str, tuple[float, float]] = {}
     for lineno, (pid, raw_a, raw_b) in _read_csv_rows(
             path, ("pair_id", "score_a", "score_b")):
-        pid, _ = _row_pair(pid, path, lineno, corpus)
+        pid = _row_pair(pid, path, lineno, corpus)
         if pid in out:
             raise CorpusError(f"{path} row {lineno}: duplicate pair {pid!r}")
         score_a = _parse_float(raw_a, path, lineno)

@@ -857,10 +857,11 @@ def flag_high_random(corpus, annotator_id):
     from labelsim.heuristics import FlagEvidence
 
     anns = _annotations_of(corpus, annotator_id)
+    pairs_by_id = {p.pair_id: p for p in corpus.pairs}
     random_labels = []
     nonrandom_labels = []
     for a in anns:
-        if corpus.pairs_by_id[a.pair_id].is_random:
+        if pairs_by_id[a.pair_id].is_random:
             random_labels.append(a.label)
         else:
             nonrandom_labels.append(a.label)
@@ -988,10 +989,11 @@ def annotator_profile(corpus, annotator_id,
         variance_labels = non_mid or labels
     label_variance = population_variance(variance_labels)
 
+    pairs_by_id = {p.pair_id: p for p in corpus.pairs}
     random_labels = []
     nonrandom_labels = []
     for a in anns:
-        pair = corpus.pairs_by_id[a.pair_id]
+        pair = pairs_by_id[a.pair_id]
         (random_labels if pair.is_random else nonrandom_labels).append(a.label)
     mean_random = sum(random_labels) / len(random_labels) if random_labels else None
     mean_nonrandom = (sum(nonrandom_labels) / len(nonrandom_labels)

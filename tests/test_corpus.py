@@ -43,8 +43,9 @@ def test_load_csv(tmp_path):
     corpus = load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV),
                          write(tmp_path, "ann.csv", ANNOTATIONS_CSV))
     assert len(corpus.pairs) == 2
-    assert corpus.pairs_by_id["p2"].is_random is True
-    assert corpus.pairs_by_id["p1"].source == "sts"
+    p1, p2 = corpus.pairs
+    assert p2.pair_id == "p2" and p2.is_random is True
+    assert p1.pair_id == "p1" and p1.source == "sts"
     assert len(corpus.annotations) == 3
     assert [a.label for a in corpus.annotations if a.pair_id == "p1"] == [5, 4]
     assert corpus.columns.annotator_ids == ("w1", "w2")
@@ -61,7 +62,8 @@ def test_load_jsonl(tmp_path):
                 '{"pair_id": "p1", "annotator_id": "w1", "label": 3,'
                 ' "duration_seconds": 9.5}\n')
     corpus = load_corpus(pairs, ann)
-    assert corpus.pairs_by_id["p2"].is_random is True
+    p2 = corpus.pairs[1]
+    assert p2.pair_id == "p2" and p2.is_random is True
     assert corpus.annotations[0].duration == 9.5
 
 
@@ -166,6 +168,34 @@ def test_bad_corpus_row_names_file_and_row(tmp_path, pairs_extra, ann_extra,
     with pytest.raises(CorpusError) as exc:
         load_corpus(pairs, ann)
     assert str(exc.value) == f"{tmp_path}/{message}"
+
+
+def test_empty_annotator_id_is_rejected(tmp_path):
+    # an empty id would load as an annotator named "", whom a filter could
+    # remove with no id to show for it
+    pairs = write(tmp_path, "pairs.csv", PAIRS_CSV)
+    ann = write(tmp_path, "ann.csv", ANNOTATIONS_CSV + "p2,,3,10\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(pairs, ann)
+    assert str(exc.value) == \
+        f"{ann} row 5: annotation with empty annotator_id"
+
+    pairs = write(tmp_path, "pairs.jsonl",
+                  '{"pair_id": "p1", "source": "", "is_random": false,'
+                  ' "text_a": "one two", "text_b": "one three"}\n')
+    ann = write(tmp_path, "ann.jsonl",
+                '{"pair_id": "p1", "annotator_id": "w1", "label": 3,'
+                ' "duration_seconds": 9.5}\n'
+                '{"pair_id": "p1", "annotator_id": " \\t", "label": 3,'
+                ' "duration_seconds": 9.5}\n')
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(pairs, ann)
+    assert str(exc.value) == \
+        f"{ann} row 2: annotation with empty annotator_id"
+
+    with pytest.raises(CorpusError) as exc:
+        make_corpus([("p1", "a b", "c d")], [("p1", "w1", 3), ("p1", " ", 4)])
+    assert str(exc.value) == "annotation with empty annotator_id"
 
 
 def test_first_bad_row_in_file_order_is_reported(tmp_path):
@@ -335,7 +365,7 @@ def test_empty_csv_file(tmp_path):
 # ------------------------------------------------------- columnar store
 
 
-DERIVED = ("pair_index", "annotator_index", "is_random", "by_pair")
+DERIVED = ("pair_index", "is_random", "by_pair")
 
 
 def assert_same_columns(got: AnnotationColumns, want: AnnotationColumns):
@@ -368,7 +398,6 @@ def test_columns_store_codes_and_derive_the_indexes(tmp_path):
     assert columns.pair_is_random.tolist() == [False, True]
     assert columns.pair_order.tolist() == [0, 1]
     assert columns.pair_index == {"p1": 0, "p2": 1}
-    assert columns.annotator_index == {"w1": 0, "w2": 1}
     assert columns.is_random.tolist() == [True, False, True, False]
     assert columns.by_pair.tolist() == [1, 3, 0, 2]
     # derived once, then read from the instance

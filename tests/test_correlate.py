@@ -33,7 +33,7 @@ from labelsim.correlate import (
 )
 from labelsim.embmetrics import cosine_similarity, l2_distance
 from labelsim.heuristics import (HeuristicId, compute_flag_reports,
-                                 heuristic_subsets)
+                                 flagged_annotators, heuristic_subsets)
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
                                generate_corpus)
 from labelsim.textmetrics import (LEXICAL_SCORERS, meteor_lite, rouge_l,
@@ -581,7 +581,6 @@ def test_compute_metric_scores_retains_arrays_not_per_pair_objects():
     # not a float object and a dict slot per score (about 47 bytes)
     corpus, _ = generate_corpus(PopulationSpec(n_pairs=2000, seed=5))
     corpus.columns.pair_index  # the cached indexes, made before counting
-    corpus.pairs_by_id
     metrics = list(LEXICAL_METRICS)
     tracemalloc.start()
     try:
@@ -1055,3 +1054,86 @@ def test_zero_baseline_statistic_has_no_percent_change():
     assert pct_pair(report, row, "orth") == (None, None)
     assert_report_matches_oracle(report, correlation_report_oracle(
         corpus, scores, report.metrics, [(HeuristicId.SLOW,)], reports))
+
+
+# --------------------------------------------------- gold and keep masks
+
+
+# file order b, B, a10, a2, a; sorted order B, a, a10, a2, b
+ANNOTATORS = ("b", "B", "a10", "a2", "a")
+
+
+def gold_loop(corpus, kept, per_annotation):
+    """Each gold observation's pair id and value, by a loop over the
+    annotation rows: pairs in id order, a pair's rows in file order."""
+    rows = [a for a in corpus.annotations if a.annotator_id in kept]
+    pairs, values = [], []
+    for pid in sorted({a.pair_id for a in rows}):
+        labels = [a.label for a in rows if a.pair_id == pid]
+        if per_annotation:
+            pairs += [pid] * len(labels)
+            values += labels
+        else:
+            pairs.append(pid)
+            values.append(sum(labels) / len(labels))
+    return pairs, values
+
+
+@pytest.mark.parametrize("per_annotation", [False, True])
+def test_gold_equals_a_loop_over_the_annotations(per_annotation):
+    rng = random.Random(17)
+    pairs = [(f"p{i}", "red blue", "green oak") for i in (3, 0, 7, 1, 5, 2)]
+    rows = [(pid, aid, rng.randint(1, 5)) for pid, *_ in pairs
+            for aid in ANNOTATORS if rng.random() < 0.7]
+    rng.shuffle(rows)
+    corpus = make_corpus(pairs, rows)
+    columns = corpus.columns
+    ids = columns.annotator_ids
+    assert ids == ("B", "a", "a10", "a2", "b")
+    half = np.random.default_rng(3).random(len(ids)) < 0.5
+    masks = [np.ones(len(ids), dtype=bool), np.zeros(len(ids), dtype=bool),
+             half, ~half]
+    for i in range(len(ids)):
+        masks.append(np.arange(len(ids)) != i)
+    for keep in masks:
+        kept = {aid for aid, k in zip(ids, keep) if k}
+        pair, gold = correlate._gold(columns, keep, per_annotation)
+        want_pairs, want_values = gold_loop(corpus, kept, per_annotation)
+        assert [columns.pair_ids[p] for p in pair.tolist()] == want_pairs
+        assert gold.tolist() == want_values
+
+
+def flagged_corpus():
+    """Twenty pairs in reverse id order, four random; B is slow, b answers
+    3 to everything, and a10 and a2 rate random pairs high."""
+    texts = ["red blue green oak", "the cat sat down", "rain falls in spain",
+             "dogs bark loudly now", "a quiet river bend"]
+    pairs, rows = [], []
+    for i in reversed(range(20)):
+        pid, random_pair = f"p{i:02d}", i < 4
+        text_b = texts[(3 * i + 1) % 5] if random_pair \
+            else texts[i % 5] + " too"
+        pairs.append((pid, texts[i % 5], text_b, random_pair))
+        truth = 1 if random_pair else 1 + i % 5
+        labels = {"b": 3, "B": truth, "a10": 5 if random_pair else truth,
+                  "a2": 6 - truth, "a": truth}
+        rows += [(pid, aid, labels[aid], 500.0 if aid == "B" else 20.0 + i)
+                 for aid in ANNOTATORS]
+    return make_corpus(pairs, rows)
+
+
+def test_removed_annotators_are_the_sorted_flagged_ids():
+    corpus = flagged_corpus()
+    for c in (corpus, select_pairs(corpus, corpus.pairs[::2])):
+        rng = random.Random(4)
+        scores = {"m": {p.pair_id: rng.random() for p in c.pairs}}
+        reports = compute_flag_reports(c, HeuristicId)
+        report = correlation_report(c, scores, reports)
+        assert [row.subset for row in report.subsets] \
+            == heuristic_subsets(reports.heuristics)
+        for row in report.subsets:
+            assert row.removed_annotators == tuple(
+                sorted(flagged_annotators(reports, row.subset)))
+        # some row removes annotators whose file order is not sorted
+        assert ("B", "a10", "a2", "b") in \
+            {row.removed_annotators for row in report.subsets}

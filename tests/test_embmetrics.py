@@ -1010,3 +1010,19 @@ def test_load_gold_tags_checks_corpus(tmp_path):
     assert str(exc.value) == (f"{p} row 3: token_index 2 out of range; "
                               "side b of 'p1' has 2 tokens")
 
+
+def test_load_gold_tags_reads_each_pairs_own_text_out_of_id_order(tmp_path):
+    # listed in reverse id order, so a pair's place in the corpus is not
+    # its index among the sorted ids; p2's side a has 4 tokens, p1's 2
+    corpus = make_corpus([("p2", "one two three four", "x y"),
+                          ("p1", "one two", "x y")], [("p1", "w", 3)])
+    p = tmp_path / "tags.csv"
+    p.write_text("pair_id,side,token_index,tag\np2,a,3,NN\np1,a,1,NN\n")
+    assert load_gold_tags(p, corpus) == {("p2", "a"): {3: "NN"},
+                                         ("p1", "a"): {1: "NN"}}
+    p.write_text("pair_id,side,token_index,tag\np2,a,3,NN\np1,a,3,NN\n")
+    with pytest.raises(CorpusError) as exc:
+        load_gold_tags(p, corpus)
+    assert str(exc.value) == (f"{p} row 3: token_index 3 out of range; "
+                              "side a of 'p1' has 2 tokens")
+
