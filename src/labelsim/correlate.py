@@ -446,8 +446,8 @@ def correlation_report(corpus: LabeledCorpus,
         return np.fromiter((aid in ids for aid in columns.annotator_ids),
                            dtype=bool, count=len(columns.annotator_ids))
 
-    panel = np.ones(len(columns.annotator_ids), dtype=bool) \
-        if annotator_ids is None else mask(annotator_ids)
+    # the flag pass is keyed by every annotator of the corpus
+    panel = mask(reports if annotator_ids is None else annotator_ids)
     try:
         baseline = _cells(columns, scores, usable, panel, per_annotation)
     except ValueError as exc:
