@@ -6,7 +6,9 @@ fixed numpy seed, not from the benchmark's generator, so only a change
 to the package can move them.  The pairs file lists the pairs out of id
 order and in two sources; the side files are word embeddings, two score
 channels (a few pairs missing from the distance one), sentiment
-overrides and gold POS tags.
+overrides and gold POS tags.  The pairs file is also written in id
+order, reversed and shuffled, and every command but ``metrics`` must
+print the same bytes from each.
 
 A hash that moves means some output byte moved.  Update a hash only for
 a change that means to alter output, and say so where the change is
@@ -46,15 +48,26 @@ def inputs(tmp_path_factory):
     corpus, _ = simulate.generate_corpus(SPEC)
     rng = np.random.default_rng(2024)
     pairs = [corpus.pairs[i] for i in rng.permutation(len(corpus.pairs))]
+    by_id = sorted(corpus.pairs, key=lambda p: p.pair_id)
     source = {p.pair_id: ("news", "forum")[i % 2]
-              for i, p in enumerate(sorted(corpus.pairs,
-                                           key=lambda p: p.pair_id))}
-    paths = {
-        "pairs": _write_csv(
-            out / "pairs.csv", ("pair_id", "source", "is_random", "text_a",
-                                "text_b"),
+              for i, p in enumerate(by_id)}
+
+    def write_pairs(name, pairs):
+        return _write_csv(
+            out / name, ("pair_id", "source", "is_random", "text_a",
+                         "text_b"),
             [(p.pair_id, source[p.pair_id], int(p.is_random), p.text_a,
-              p.text_b) for p in pairs]),
+              p.text_b) for p in pairs])
+
+    paths = {
+        "pairs": write_pairs("pairs.csv", pairs),
+        # the same pairs file in other row orders
+        "pairs_by_id": write_pairs("pairs_by_id.csv", by_id),
+        "pairs_reversed": write_pairs("pairs_reversed.csv", by_id[::-1]),
+        "pairs_shuffled": write_pairs(
+            "pairs_shuffled.csv",
+            [by_id[i] for i in
+             np.random.default_rng(7).permutation(len(by_id))]),
         "annotations": _write_csv(
             out / "annotations.csv",
             ("pair_id", "annotator_id", "label", "duration_seconds"),
@@ -141,3 +154,22 @@ def test_stdout_is_byte_identical(inputs, capsys, name):
     out = capsys.readouterr().out
     assert out.count("\n") > 10
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[name]
+
+
+# the commands whose output does not depend on the pairs file's row order
+# (``metrics`` lists its rows in that order)
+ORDER_FREE = ("report-csv", "report-per-dataset-json", "style-report-json",
+              "flag-all-subsets", "stats")
+
+
+@pytest.mark.parametrize("name", ORDER_FREE)
+def test_stdout_does_not_depend_on_the_pairs_row_order(inputs, capsys, name):
+    outs = []
+    for order in ("pairs_by_id", "pairs_reversed", "pairs_shuffled"):
+        argv = [arg.format(**{**inputs, "pairs": inputs[order]})
+                for arg in COMMANDS[name]]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    # and the same as from the golden inputs' own order
+    assert hashlib.sha256(outs[0].encode("utf-8")).hexdigest() == GOLDEN[name]
