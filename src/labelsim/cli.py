@@ -365,10 +365,9 @@ def cmd_metrics(args) -> int:
     scores = correlate.compute_metric_scores(
         corpus, metrics, oriented=False, **kwargs)
     # each metric's cells in corpus order, read off its column's arrays
-    order = corpus.columns.pair_order
     shown = [[correlate._fmt(value) if ok else ""
-              for value, ok in zip(scores[m].values[order].tolist(),
-                                   scores[m].defined[order].tolist())]
+              for value, ok in zip(scores[m].values.tolist(),
+                                   scores[m].defined.tolist())]
              for m in metrics]
     rows = [["pair_id", *metrics]]
     rows.extend([pair.pair_id, *(column[k] for column in shown)]

@@ -60,17 +60,19 @@ class AnnotationColumns:
 
     A corpus holds its annotations only in this form, and these columns
     are its one map from an id to a position.  ``pair`` indexes
-    ``pair_ids``, every pair of the corpus in sorted order; ``annotator``
-    indexes ``annotator_ids``, every annotator with a label, sorted, so a
-    mask over ``annotator_ids`` selects annotators in sorted order;
-    ``pair_is_random`` is each pair's flag, in ``pair_ids`` order, and
-    ``pair_order`` each pair's index, in corpus order (its inverse gives a
-    pair index's place in the corpus).  The fields are the whole store;
-    the properties below derive the rest from them when first read, and
-    are the one place each is derived: ``pair_index`` maps each pair id to
-    its index (side files check their pair ids against it),
-    ``is_random`` is the flag of each row's pair, and ``by_pair`` lists the
-    rows stably sorted by ``pair`` (a pair's rows keep their file order).
+    ``pair_ids``, every pair of the corpus in corpus order, so a pair's
+    index is its place in ``corpus.pairs``; ``annotator`` indexes
+    ``annotator_ids``, every annotator with a label, sorted, so a mask
+    over ``annotator_ids`` selects annotators in sorted order;
+    ``pair_is_random`` is each pair's flag, in ``pair_ids`` order.  The
+    fields are the whole store; the properties below derive the rest from
+    them when first read, and are the one place each is derived:
+    ``pair_index`` maps each pair id to its index (side files check their
+    pair ids against it), ``is_random`` is the flag of each row's pair,
+    ``by_id`` lists the pair indexes in sorted ``pair_id`` order (the
+    order a report takes its observations in), and ``by_pair`` lists the
+    rows grouped by pair in that order (a pair's rows keep their file
+    order).
     """
 
     pair_ids: tuple[str, ...]
@@ -80,7 +82,6 @@ class AnnotationColumns:
     label: np.ndarray           # int64
     duration: np.ndarray        # float64
     pair_is_random: np.ndarray  # bool
-    pair_order: np.ndarray      # intp
 
     @cached_property
     def pair_index(self) -> dict[str, int]:
@@ -91,8 +92,16 @@ class AnnotationColumns:
         return self.pair_is_random[self.pair]
 
     @cached_property
+    def by_id(self) -> np.ndarray:
+        return np.array(sorted(range(len(self.pair_ids)),
+                               key=self.pair_ids.__getitem__),
+                        dtype=np.intp)
+
+    @cached_property
     def by_pair(self) -> np.ndarray:
-        return np.argsort(self.pair, kind="stable")
+        rank = np.empty(len(self.pair_ids), dtype=np.intp)
+        rank[self.by_id] = np.arange(rank.size)
+        return np.argsort(rank[self.pair], kind="stable")
 
     def __eq__(self, other) -> bool:
         """Field by field, each array as a whole (the generated ``__eq__``
@@ -120,7 +129,7 @@ def _annotation_columns(pairs: tuple[SentencePair, ...],
     annotator's code is its order of first appearance until the end maps
     it to its place among the sorted ids.
     """
-    pair_ids = tuple(sorted(p.pair_id for p in pairs))
+    pair_ids = tuple(p.pair_id for p in pairs)
     pair_code = {pid: i for i, pid in enumerate(pair_ids)}
     annotator_code: dict[str, int] = {}
     labeled: set[int] = set()  # annotator code * pairs + pair code
@@ -154,10 +163,6 @@ def _annotation_columns(pairs: tuple[SentencePair, ...],
     order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
     place = np.empty(len(order), dtype=np.intp)
     place[order] = np.arange(len(order))
-    pair_order = np.array([pair_code[p.pair_id] for p in pairs],
-                          dtype=np.intp)
-    pair_is_random = np.zeros(len(pair_ids), dtype=bool)
-    pair_is_random[pair_order] = [p.is_random for p in pairs]
     return AnnotationColumns(
         pair_ids=pair_ids,
         annotator_ids=tuple(first_seen[i] for i in order),
@@ -165,8 +170,7 @@ def _annotation_columns(pairs: tuple[SentencePair, ...],
         annotator=place[np.array(annotator, dtype=np.intp)],
         label=np.array(label, dtype=np.int64),
         duration=np.array(duration, dtype=np.float64),
-        pair_is_random=pair_is_random,
-        pair_order=pair_order,
+        pair_is_random=np.array([p.is_random for p in pairs], dtype=bool),
     )
 
 
@@ -199,13 +203,13 @@ class PairScores(Mapping):
     """One per-pair score column: arrays over the pair index of
     ``columns``, read as a mapping from pair id to score.
 
-    ``values[i]`` is the score of ``columns.pair_ids[i]`` where
-    ``defined[i]``; any other pair has no score.  A score is a float, or
-    a tuple of floats where ``values`` has a second axis (heuristic 5's
-    two sentiment scores).  The mapping is read-only and iterates its
-    pairs in corpus order, as :class:`AnnotationRows` reads annotations
-    in file order.  Build one from any score mapping with
-    :func:`pair_scores`.
+    ``values[i]`` is the score of ``columns.pair_ids[i]``, the corpus's
+    ``i``-th pair, where ``defined[i]``; any other pair has no score.  A
+    score is a float, or a tuple of floats where ``values`` has a second
+    axis (heuristic 5's two sentiment scores).  The mapping is read-only
+    and iterates its pairs in corpus order, as :class:`AnnotationRows`
+    reads annotations in file order.  Build one from any score mapping
+    with :func:`pair_scores`.
     """
 
     __slots__ = ("columns", "values", "defined")
@@ -224,18 +228,14 @@ class PairScores(Mapping):
         return tuple(value) if isinstance(value, list) else value
 
     def __iter__(self):
-        return map(self.columns.pair_ids.__getitem__, self.rows().tolist())
+        return map(self.columns.pair_ids.__getitem__,
+                   np.flatnonzero(self.defined).tolist())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.defined))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
-
-    def rows(self) -> np.ndarray:
-        """The indexes of the scored pairs, in corpus order."""
-        order = self.columns.pair_order
-        return order[self.defined[order]]
 
 
 def pair_scores(columns: AnnotationColumns, scores: Mapping,
@@ -251,7 +251,7 @@ def pair_scores(columns: AnnotationColumns, scores: Mapping,
     if isinstance(scores, PairScores):
         if scores.columns is columns:
             return scores
-        values = scores.values[scores.rows()]
+        values = scores.values[scores.defined]
     else:
         values = np.array(list(scores.values()), dtype=np.float64)
     keys = list(scores)
@@ -306,31 +306,27 @@ def build_corpus(pairs: Iterable[SentencePair],
 
 def select_pairs(corpus: LabeledCorpus,
                  pairs: tuple[SentencePair, ...]) -> LabeledCorpus:
-    """The corpus cut to ``pairs``, some of its pairs in its order, with
-    their annotations and every score channel.  The columns are cut by a
-    pair mask and coded as :func:`build_corpus` would code the kept
-    rows."""
+    """The corpus cut to ``pairs``, some of its pairs, with their
+    annotations and every score channel; the cut lists them once each,
+    in corpus order.  The columns are cut by a pair mask and coded as
+    :func:`build_corpus` would code the kept rows."""
     columns = corpus.columns
-    at = np.array([columns.pair_index[p.pair_id] for p in pairs],
-                  dtype=np.intp)
     keep = np.zeros(len(columns.pair_ids), dtype=bool)
-    keep[at] = True
-    kept_index = np.cumsum(keep) - 1
+    keep[[columns.pair_index[p.pair_id] for p in pairs]] = True
     rows = keep[columns.pair]
     annotator = columns.annotator[rows]
     labeled = np.zeros(len(columns.annotator_ids), dtype=bool)
     labeled[annotator] = True
     return LabeledCorpus(
-        pairs=pairs,
+        pairs=tuple(compress(corpus.pairs, keep)),
         columns=AnnotationColumns(
             pair_ids=tuple(compress(columns.pair_ids, keep)),
             annotator_ids=tuple(compress(columns.annotator_ids, labeled)),
-            pair=kept_index[columns.pair[rows]],
+            pair=(np.cumsum(keep) - 1)[columns.pair[rows]],
             annotator=(np.cumsum(labeled) - 1)[annotator],
             label=columns.label[rows],
             duration=columns.duration[rows],
             pair_is_random=columns.pair_is_random[keep],
-            pair_order=kept_index[at],
         ),
         precomputed_scores=corpus.precomputed_scores)
 

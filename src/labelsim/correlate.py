@@ -12,10 +12,10 @@ report is rendered, are undefined with it.
 
 A metric score is one plain float per pair, held in a
 :class:`~labelsim.corpus.PairScores` column: a value array with a
-``defined`` mask over the corpus's pairs, indexed in sorted ``pair_id``
-order.  :func:`compute_metric_scores` negates the
-:data:`DISTANCE_METRICS` and the distance channels, so higher always
-means more similar, and leaves out the pairs a metric cannot score.
+``defined`` mask over the corpus's pairs, indexed in corpus order.
+:func:`compute_metric_scores` negates the :data:`DISTANCE_METRICS` and
+the distance channels, so higher always means more similar, and leaves
+out the pairs a metric cannot score.
 
 :func:`correlation_report` works on integer columns: the corpus's cached
 annotation columns give every annotation a (pair index, annotator index,
@@ -28,9 +28,10 @@ sorted order).  The flags are the caller's: one
 handed to every report of a run, its heuristics give the report's rows
 (every non-empty subset of them), and this module runs no heuristic
 itself.  :func:`_gold` takes gold means from ``np.bincount`` over the
-kept rows, and the observations handed to :func:`pearson` and
-:func:`spearman` are, element for element and in order, those of a join
-on sorted pair ids.
+kept rows and lists them in sorted ``pair_id`` order, so the
+observations handed to :func:`pearson` and :func:`spearman` are, element
+for element and in order, those of a join on sorted pair ids, whatever
+the row order of the pairs file.
 """
 
 from __future__ import annotations
@@ -258,7 +259,6 @@ def compute_metric_scores(corpus: LabeledCorpus,
     blocks = textmetrics.pair_blocks(len(pairs)) if native else []
     for part in blocks:
         block = pairs[part]
-        at = columns.pair_order[part]
         texts_a = [p.text_a for p in block]
         texts_b = [p.text_b for p in block]
         tokens_a = tokens_b = None
@@ -271,11 +271,11 @@ def compute_metric_scores(corpus: LabeledCorpus,
         except textmetrics.EmptyText as exc:
             raise exc.for_pair(block[exc.index].pair_id) from None
         for name, column in scored.items():
-            native[name].values[at] = column
-            native[name].defined[at] = True
+            native[name].values[part] = column
+            native[name].defined[part] = True
         if embedding:
-            for pair, i, tok_a, tok_b in zip(block, at.tolist(), tokens_a,
-                                             tokens_b):
+            for i, (pair, tok_a, tok_b) in enumerate(
+                    zip(block, tokens_a, tokens_b), part.start):
                 try:
                     found = score_one(pair, tok_a, tok_b)
                 except ValueError as exc:
@@ -338,9 +338,11 @@ def _gold(columns: AnnotationColumns, keep: np.ndarray,
     ``columns.annotator_ids``, marks: ``(pair, gold)``, each observation's
     pair index and value.
 
-    Gold is one mean kept label per pair that has one, in pair index
-    order, or with ``per_annotation`` every kept label, ordered by pair,
-    then file order.
+    Gold is one mean kept label per pair that has one, or with
+    ``per_annotation`` every kept label, a pair's in file order.  The
+    pairs come in sorted ``pair_id`` order (``columns.by_id``), not in
+    corpus order: a report's sums run in the one order every row order of
+    the pairs file gives, and this is the one place that order is read.
     """
     kept = keep[columns.annotator]
     if per_annotation:
@@ -351,7 +353,7 @@ def _gold(columns: AnnotationColumns, keep: np.ndarray,
     counts = np.bincount(pair, minlength=len(columns.pair_ids))
     sums = np.bincount(pair, weights=columns.label[kept],
                        minlength=counts.size)
-    has_gold = np.flatnonzero(counts)
+    has_gold = columns.by_id[counts[columns.by_id] > 0]
     return has_gold, sums[has_gold] / counts[has_gold]
 
 

@@ -671,9 +671,6 @@ def load_gold_tags(path, corpus: Optional[LabeledCorpus] = None) -> dict:
     path = Path(path)
     out: dict[tuple[str, str], dict[int, str]] = {}
     n_tokens: dict[tuple[str, str], int] = {}
-    if corpus is not None:
-        # a pair's place in corpus.pairs, by its index in the columns
-        place = np.argsort(corpus.columns.pair_order).tolist()
     for lineno, (pid, side, token_index, tag) in _read_csv_rows(
             path, ("pair_id", "side", "token_index", "tag")):
         where = f"{path} row {lineno}"
@@ -685,7 +682,7 @@ def load_gold_tags(path, corpus: Optional[LabeledCorpus] = None) -> dict:
         key = (pid, side)
         if corpus is not None:
             if key not in n_tokens:
-                pair = corpus.pairs[place[corpus.columns.pair_index[pid]]]
+                pair = corpus.pairs[corpus.columns.pair_index[pid]]
                 n_tokens[key] = len(tokenize(
                     pair.text_a if side == "a" else pair.text_b))
             if idx >= n_tokens[key]:

@@ -167,9 +167,8 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
     overridden = short = np.zeros(len(pairs), dtype=bool)
     if scorers.pair_sentiment:
         overrides = pair_scores(corpus.columns, scorers.pair_sentiment)
-        at = corpus.columns.pair_order
-        overridden = overrides.defined[at]
-        scores = overrides.values[at]
+        overridden = overrides.defined
+        scores = overrides.values
         short = overridden & ~(np.abs(scores[:, 0] - scores[:, 1]) >= gap)
 
     scored = np.flatnonzero(~short).tolist()

@@ -15,6 +15,7 @@ representative slice of both easy and hard pairs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -22,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Annotation, LabeledCorpus, SentencePair, build_corpus
+from .corpus import (VALID_LABELS, Annotation, LabeledCorpus, SentencePair,
+                     build_corpus)
 
 _CONSONANTS = "bdfgklmnprst"
 _VOWELS = "aeiou"
@@ -64,10 +66,15 @@ class ProfileSpec:
         if self.count < 1:
             raise ValueError(f"profile {self.kind.value}: count must be >= 1")
         p = self.resolved_param()
+        if not math.isfinite(p):
+            raise ValueError(f"profile {self.kind.value}: param must be "
+                             f"finite, got {p!r}")
         if self.kind is ProfileKind.RELIABLE and p < 0:
             raise ValueError("reliable noise_sd must be non-negative")
-        if self.kind is ProfileKind.CONSTANT and int(p) not in (1, 2, 3, 4, 5):
-            raise ValueError("constant label must be in 1..5")
+        # 3.0 is the label 3; 2.9 is no label
+        if self.kind is ProfileKind.CONSTANT and p not in VALID_LABELS:
+            raise ValueError(
+                f"constant label must be a whole number in 1..5, got {p!r}")
         if self.kind is ProfileKind.SLOW and p <= 0:
             raise ValueError("slow mean duration must be positive")
         if self.kind in (ProfileKind.RADICAL, ProfileKind.CENTRIST) \

@@ -1579,6 +1579,39 @@ def test_simulate_bad_profiles(tmp_path, capsys):
                                 "expected kind:count[:param]\n")
 
 
+@pytest.mark.parametrize("profiles, message", [
+    ("reliable:4:nan,constant:1", "profile reliable: param must be finite, "
+                                  "got nan"),
+    ("reliable:4:inf,constant:1", "profile reliable: param must be finite, "
+                                  "got inf"),
+    ("constant:3:2.9,reliable:3", "constant label must be a whole number "
+                                  "in 1..5, got 2.9"),
+    ("slow:2:inf,reliable:3", "profile slow: param must be finite, got inf"),
+    ("constant:3:nan", "profile constant: param must be finite, got nan"),
+])
+def test_simulate_rejects_a_param_no_profile_can_use(tmp_path, capsys,
+                                                     profiles, message):
+    out_dir = tmp_path / "sim"
+    rc = main(["simulate", "--out-dir", str(out_dir), "--n-pairs", "10",
+               "--profiles", profiles])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_simulate_reads_a_whole_float_as_a_constant_label(tmp_path):
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--out-dir", str(out_dir), "--n-pairs", "10",
+                 "--profiles", "constant:3:3.0,reliable:3"]) == 0
+    truth = (out_dir / "truth_annotators.csv").read_text()
+    constant = {line.split(",")[0] for line in truth.splitlines()
+                if "constant" in line}
+    with (out_dir / "annotations.csv").open(newline="") as fh:
+        labels = {row["label"] for row in csv.DictReader(fh)
+                  if row["annotator_id"] in constant}
+    assert len(constant) == 3 and labels == {"3"}
+
+
 def test_simulate_bad_profiles_in_config_name_file_and_line(tmp_path,
                                                             capsys):
     cfg = tmp_path / "sim.cfg"

@@ -277,12 +277,11 @@ def test_pair_scores_read_as_a_mapping_in_corpus_order():
     assert list(column) == ["p10", "p1"]  # corpus order, not sorted
     assert list(column.items()) == [("p10", -1.5), ("p1", 0.25)]
     assert dict(column) == scores
-    # the store: arrays over the corpus's sorted pair ids
+    # the store: arrays over the corpus's pairs, in corpus order
     assert column.columns is corpus.columns
-    assert corpus.columns.pair_ids == ("p1", "p10", "p2")
-    assert corpus.columns.pair_order.tolist() == [1, 2, 0]
-    assert column.values.tolist() == [0.25, -1.5, 0.0]
-    assert column.defined.tolist() == [True, True, False]
+    assert corpus.columns.pair_ids == ("p10", "p2", "p1")
+    assert column.values.tolist() == [-1.5, 0.0, 0.25]
+    assert column.defined.tolist() == [True, False, True]
 
 
 def test_pair_scores_converts_every_other_mapping_in_one_pass():
@@ -365,7 +364,7 @@ def test_empty_csv_file(tmp_path):
 # ------------------------------------------------------- columnar store
 
 
-DERIVED = ("pair_index", "is_random", "by_pair")
+DERIVED = ("pair_index", "is_random", "by_id", "by_pair")
 
 
 def assert_same_columns(got: AnnotationColumns, want: AnnotationColumns):
@@ -392,11 +391,10 @@ def test_columns_store_codes_and_derive_the_indexes(tmp_path):
     columns = load_corpus(pairs, ann).columns
     assert [f.name for f in dataclasses.fields(AnnotationColumns)] == [
         "pair_ids", "annotator_ids", "pair", "annotator", "label",
-        "duration", "pair_is_random", "pair_order"]
+        "duration", "pair_is_random"]
     assert columns.pair.tolist() == [1, 0, 1, 0]
     assert columns.annotator.tolist() == [1, 0, 0, 1]
     assert columns.pair_is_random.tolist() == [False, True]
-    assert columns.pair_order.tolist() == [0, 1]
     assert columns.pair_index == {"p1": 0, "p2": 1}
     assert columns.is_random.tolist() == [True, False, True, False]
     assert columns.by_pair.tolist() == [1, 3, 0, 2]
@@ -437,6 +435,60 @@ def test_select_pairs_matches_a_corpus_built_from_those_rows():
                                      if a.pair_id in ids])
         assert sub.pairs == pairs
         assert_same_columns(sub.columns, built.columns)
+
+
+def assert_one_pair_index(corpus):
+    """The columns index pairs in corpus order; ``by_id`` and ``by_pair``
+    give sorted-id order."""
+    columns = corpus.columns
+    ids = columns.pair_ids
+    assert ids == tuple(p.pair_id for p in corpus.pairs)
+    assert columns.pair_is_random.tolist() == \
+        [p.is_random for p in corpus.pairs]
+    assert [ids[i] for i in columns.by_id.tolist()] == sorted(ids)
+    # rows grouped by pair, pairs in id order, a pair's rows in file order
+    pair = columns.pair.tolist()
+    assert columns.by_pair.tolist() == sorted(
+        range(len(pair)), key=lambda row: (ids[pair[row]], row))
+
+
+def assert_cut_matches_build(corpus, pairs, want):
+    """``select_pairs(corpus, pairs)`` lists ``want``, its pairs once each
+    in corpus order, with the columns ``build_corpus`` gives them."""
+    sub = select_pairs(corpus, pairs)
+    ids = {p.pair_id for p in want}
+    built = build_corpus(want, [a for a in corpus.annotations
+                                if a.pair_id in ids])
+    assert sub.pairs == want
+    assert_same_columns(sub.columns, built.columns)
+    assert_one_pair_index(sub)
+
+
+def test_columns_index_pairs_in_corpus_order(tmp_path):
+    # out of id order; code-point order puts "B" before "a", "p10"
+    # before "p2", and "z" before "\u00e9"
+    ids = ["p2", "\u00e9", "p10", "a", "B", "z", "p1"]
+    pairs_path = write(tmp_path, "pairs.csv",
+                       "pair_id,source,is_random,text_a,text_b\n" + "".join(
+                           f"{pid},s,{i % 2},x y,x z\n"
+                           for i, pid in enumerate(ids)))
+    ann_path = write(tmp_path, "ann.csv",
+                     "pair_id,annotator_id,label,duration_seconds\n"
+                     + "".join(f"{pid},w{k // len(ids)},{k % 5 + 1},1\n"
+                               for k, pid in enumerate(ids[::-1] + ids)))
+    loaded = load_corpus(pairs_path, ann_path)
+    built = build_corpus(loaded.pairs, loaded.annotations)
+    generated, _ = generate_corpus(PopulationSpec(n_pairs=30, seed=5))
+    for corpus in (loaded, built, generated):
+        assert_one_pair_index(corpus)
+        pairs = corpus.pairs
+        assert_cut_matches_build(corpus, pairs[::-1], pairs)
+        assert_cut_matches_build(corpus, (pairs[4], pairs[1], pairs[4]),
+                                 (pairs[1], pairs[4]))
+        assert_cut_matches_build(corpus, pairs[::2], pairs[::2])
+    assert loaded.columns.pair_ids == tuple(ids)
+    assert loaded.columns.by_id.tolist() == [4, 3, 6, 2, 0, 5, 1]
+    assert_same_columns(loaded.columns, built.columns)
 
 
 LOADER_PAIRS_CSV = ("pair_id,source,is_random,text_a,text_b\n"

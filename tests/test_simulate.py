@@ -68,6 +68,15 @@ def test_profile_validation_errors():
         ProfileSpec(kind, 1).validate()
 
 
+@pytest.mark.parametrize("kind", list(ProfileKind))
+def test_profile_param_must_be_finite_for_every_kind(kind):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError,
+                           match=f"^profile {kind.value}: param must be "
+                                 "finite"):
+            ProfileSpec(kind, 1, bad).validate()
+
+
 def test_resolved_param_defaults():
     assert ProfileSpec(ProfileKind.RELIABLE, 1).resolved_param() == 0.3
     assert ProfileSpec(ProfileKind.CONSTANT, 1).resolved_param() == 3.0
