@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from labelsim.corpus import (PairScores, attach_precomputed, build_corpus,
-                             select_pairs)
+from labelsim.corpus import PairScores, attach_precomputed, select_pairs
 from labelsim import correlate, textmetrics
 from labelsim.correlate import (
     DISTANCE_METRICS,
@@ -271,26 +270,6 @@ def test_pair_gold_skips_unannotated_pairs():
         assert report4.n_pairs == 4
         assert report.baseline == report4.baseline
         assert report.subsets[0].cells == report4.subsets[0].cells
-
-
-def test_report_cells_do_not_depend_on_the_pairs_order():
-    # gold is taken in sorted pair id order, so every sum of a report runs
-    # in one order, and each cell is the same float, bit for bit, however
-    # the pairs are listed
-    corpus, _ = generate_corpus(PopulationSpec(n_pairs=80, seed=4))
-    ids = sorted(p.pair_id for p in corpus.pairs)
-    rng = np.random.default_rng(0)
-    metric_scores = {"m": dict(zip(ids, rng.random(len(ids)).tolist()))}
-    by_id = sorted(corpus.pairs, key=lambda p: p.pair_id)
-    shuffled = [by_id[i] for i in rng.permutation(len(by_id))]
-    for per_annotation in (False, True):
-        reports = []
-        for pairs in (by_id, by_id[::-1], shuffled):
-            c = build_corpus(pairs, corpus.annotations)
-            reports.append(correlation_report(
-                c, metric_scores, flags(c, 1, 2, 3, 4),
-                per_annotation=per_annotation))
-        assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 # ------------------------------------------------------- metric scoring
