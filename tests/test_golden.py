@@ -126,6 +126,12 @@ COMMANDS = {
     "flag-all-subsets": (
         "flag", *CORPUS, "--all-subsets", "--sentiment-file", "{sentiment}"),
     "stats": ("stats", *CORPUS),
+    "stats-excludes-midpoint": (
+        "stats", *CORPUS, "--style-variance-excludes-midpoint"),
+    "style-report-excludes-midpoint-csv": (
+        "style-report", *CORPUS, *CHANNELS, "--metrics", "ext_sim,ext_dist",
+        "--sentiment-file", "{sentiment}",
+        "--style-variance-excludes-midpoint", "--out-format", "csv"),
     "metrics-pos-tags": (
         "metrics", "--pairs", "{pairs}", *CHANNELS, "--metrics", "all",
         "--embeddings", "{embeddings}", "--pos-tags", "{pos_tags}"),
@@ -142,6 +148,10 @@ GOLDEN = {
         "8685a6fbff986fa759318be64628a1a7fd88937b3d8e2e8a64c3a6226aa4daeb",
     "stats":
         "0c3d31d38146d99c86059342c1948eb60f1be92ec450d37c6d5ef02bc843e747",
+    "stats-excludes-midpoint":
+        "bbc02bd77d0194b0c2d7f0754034d307b3aa92d6bb827ebcda476694ea5ef75b",
+    "style-report-excludes-midpoint-csv":
+        "86c1dbdf4bbb2235a9df0261162a793796ed201b02b4c2e4f8b49d54bbe0173f",
     "metrics-pos-tags":
         "576df2aa1ffd38ed58bfef4730533c882d77b9d87251419f2241c54c2c5dfc46",
 }
@@ -159,7 +169,8 @@ def test_stdout_is_byte_identical(inputs, capsys, name):
 # the commands whose output does not depend on the pairs file's row order
 # (``metrics`` lists its rows in that order)
 ORDER_FREE = ("report-csv", "report-per-dataset-json", "style-report-json",
-              "flag-all-subsets", "stats")
+              "flag-all-subsets", "stats", "stats-excludes-midpoint",
+              "style-report-excludes-midpoint-csv")
 
 
 @pytest.mark.parametrize("name", ORDER_FREE)
