@@ -50,6 +50,7 @@ from .corpus import (AnnotationColumns, LabeledCorpus, PairScores,
                      SentencePair, pair_scores)
 from .heuristics import (FlagPass, HeuristicId, flagged_annotators,
                          heuristic_subsets, subset_label)
+from .stats import Style, annotator_profiles
 from . import embmetrics, textmetrics
 
 
@@ -480,8 +481,6 @@ def style_split_report(corpus: LabeledCorpus,
     """Correlation reports using gold means from Radical-only and
     Centrist-only annotators, in that order, both filtered by the one
     flag pass ``reports``."""
-    from .stats import Style, annotator_profiles
-
     profiles = annotator_profiles(
         corpus, exclude_midpoint_from_variance=exclude_midpoint_from_variance)
     return tuple(

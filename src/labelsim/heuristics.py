@@ -11,7 +11,9 @@ Five heuristics, numbered as they appear in reports:
 
 Each heuristic is a threshold rule ``(heuristic, statistic, comparator,
 threshold)`` over a per-annotator column: heuristics 1-4 read the
-:class:`~labelsim.stats.AnnotatorTable`, heuristic 5 the label sums over
+:class:`~labelsim.stats.AnnotatorProfile` records that
+:func:`~labelsim.stats.annotator_profiles` builds, the one source of
+per-annotator statistics, and heuristic 5 the label sums over
 its qualifying pairs (every pair must have word tokens on both sides,
 checked once before any overlap is scored).  An annotator is flagged
 when the statistic is defined and compares true against the threshold;
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import LabeledCorpus, pair_scores
-from .stats import (AnnotatorTable, annotator_table, label_counts,
+from .stats import (AnnotatorProfile, annotator_profiles, label_counts,
                     label_sums, variance_from_sums)
 from .textmetrics import (EmptyText, bleu_block, has_tokens, pair_blocks,
                           tokenize)
@@ -187,25 +189,30 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
     return qualifying
 
 
-def _rule(h: HeuristicId, corpus: LabeledCorpus, table: AnnotatorTable,
-          cfg: HeuristicConfig, scorers: Optional[Scorers]):
+def _rule(h: HeuristicId, corpus: LabeledCorpus,
+          profiles: Sequence[AnnotatorProfile], cfg: HeuristicConfig,
+          scorers: Optional[Scorers]):
     """Heuristic ``h`` as a threshold rule: ``(evidence statistic,
     comparator, values, thresholds)``, one value and one threshold per
-    annotator.  None marks an undefined value or threshold."""
+    profile.  None marks an undefined value or threshold."""
     every = itertools.repeat
     if h is HeuristicId.SLOW:
-        return ("mean_duration", operator.gt, table.mean_duration,
+        return ("mean_duration", operator.gt,
+                [p.mean_duration for p in profiles],
                 every(cfg.slow_threshold))
     if h is HeuristicId.LOW_VARIANCE:
-        return ("label_variance", operator.lt, table.label_variance,
+        return ("label_variance", operator.lt,
+                [p.label_variance for p in profiles],
                 every(cfg.low_variance_threshold))
     if h is HeuristicId.HIGH_RANDOM:
         # both means must be defined: an annotator who never saw one of
         # the two pair kinds is never flagged
-        return ("mean_random_label", operator.gt, table.mean_random,
-                table.mean_nonrandom)
+        return ("mean_random_label", operator.gt,
+                [p.mean_random for p in profiles],
+                [p.mean_nonrandom for p in profiles])
     if h is HeuristicId.DISAGREEABLE:
-        return ("disagreement_rate", operator.gt, table.disagreement_rate,
+        return ("disagreement_rate", operator.gt,
+                [p.disagreement_rate for p in profiles],
                 every(cfg.disagreement_threshold))
     qualifying = sentiment_qualifying_pairs(
         corpus, scorers or default_scorers(cfg), cfg)
@@ -245,18 +252,16 @@ def compute_flag_reports(corpus: LabeledCorpus,
     cfg.validate()
     subset = normalize_subset(subset)
 
-    table = annotator_table(corpus)
-    evidence: list[dict[HeuristicId, FlagEvidence]] = [
-        {} for _ in table.annotator_ids]
+    profiles = list(annotator_profiles(corpus).values())
+    evidence: list[dict[HeuristicId, FlagEvidence]] = [{} for _ in profiles]
     for h in subset:
-        statistic, exceeds, values, thresholds = _rule(h, corpus, table, cfg,
-                                                       scorers)
+        statistic, exceeds, values, thresholds = _rule(h, corpus, profiles,
+                                                       cfg, scorers)
         for found, value, limit in zip(evidence, values, thresholds):
             if value is not None and limit is not None and exceeds(value, limit):
                 found[h] = FlagEvidence(statistic, value, limit)
-    return FlagPass({aid: FlagReport(annotator_id=aid, evidence=found)
-                     for aid, found in zip(table.annotator_ids, evidence)},
-                    subset)
+    return FlagPass({p.annotator_id: FlagReport(p.annotator_id, found)
+                     for p, found in zip(profiles, evidence)}, subset)
 
 
 def flagged_annotators(reports: FlagPass,

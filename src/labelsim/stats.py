@@ -1,10 +1,12 @@
 """Per-annotator aggregate statistics and labeling-style classification.
 
-Every per-annotator statistic comes from one :class:`AnnotatorTable`: a
-few ``np.bincount`` passes over the corpus's annotation columns give each
-annotator's label histogram (split by random and non-random pairs), the
-sum of their durations and their disagreement counts.  Profiles here and
-heuristics 1-4 in :mod:`labelsim.heuristics` are plain reads of it.
+Every per-annotator statistic comes from one function,
+:func:`annotator_profiles`: a few ``np.bincount`` passes over the
+corpus's annotation columns give each annotator's label histogram (split
+by random and non-random pairs), the sum of their durations and their
+disagreement counts, and one :class:`AnnotatorProfile` per annotator
+holds what follows from them.  ``stats``, ``style-report`` and
+heuristics 1-4 in :mod:`labelsim.heuristics` read those profiles.
 
 All variances here are population variances (denominator ``n``), because
 the quantities of interest describe the finite set of labels an
@@ -102,72 +104,6 @@ def _ratios(numerators: Sequence[int], denominators: Sequence[int]
     return [a / b if b else None for a, b in zip(numerators, denominators)]
 
 
-@dataclass(frozen=True)
-class AnnotatorTable:
-    """Every annotator's statistics, one list per statistic.
-
-    Entry k of every list belongs to ``annotator_ids[k]``; a statistic
-    is None where it is undefined, as in :class:`AnnotatorProfile`.  The
-    lists come from per-annotator sums: label counts and, from them, the
-    exact integer sums of labels and squared labels; the sum of
-    durations, which ``np.bincount`` adds in file order, left to right
-    and uncompensated (Python's ``sum`` of floats matches it up to 3.11;
-    from 3.12 on it is compensated and may differ in the last place);
-    and the disagreement counts.  Means, shares and rates are ratios of
-    those sums and variances use :func:`variance_from_sums`, so every
-    value is the one a loop over the annotator's labels gives.  ``off_mid_variance`` leaves label-3
-    judgments out, except for an annotator who has no other label.
-    """
-
-    annotator_ids: tuple[str, ...]
-    n_labels: list[int]
-    mean_duration: list[float]
-    label_variance: list[float]
-    off_mid_variance: list[float]
-    mean_random: list[Optional[float]]
-    mean_nonrandom: list[Optional[float]]
-    extreme_share: list[Optional[float]]
-    central_share: list[Optional[float]]
-    disagreement_rate: list[Optional[float]]
-
-    @classmethod
-    def build(cls, columns: AnnotationColumns) -> "AnnotatorTable":
-        random_counts = label_counts(columns, columns.is_random)
-        nonrandom_counts = label_counts(columns, ~columns.is_random)
-        every = random_counts + nonrandom_counts
-        off_mid = every * (_LABELS != MIDPOINT_LABEL)
-        n, label_sum, label_sq_sum = label_sums(every)
-        off_mid_n, off_mid_sum, off_mid_sq_sum = label_sums(off_mid)
-        variance = [variance_from_sums(*sums)
-                    for sums in zip(n, label_sum, label_sq_sum)]
-        duration_sum = np.bincount(columns.annotator, weights=columns.duration,
-                                   minlength=len(n)).tolist()
-
-        def label_mean(counts: np.ndarray) -> list[Optional[float]]:
-            count, total, _ = label_sums(counts)
-            return _ratios(total, count)
-
-        def share(labels: frozenset) -> list[Optional[float]]:
-            hits = every[:, np.isin(_LABELS, list(labels))].sum(axis=1)
-            return _ratios(hits.tolist(), off_mid_n)
-
-        return cls(
-            annotator_ids=columns.annotator_ids,
-            n_labels=n,
-            mean_duration=[d / k for d, k in zip(duration_sum, n)],
-            label_variance=variance,
-            off_mid_variance=[
-                variance_from_sums(*sums) if sums[0] else full
-                for sums, full in zip(zip(off_mid_n, off_mid_sum,
-                                          off_mid_sq_sum), variance)],
-            mean_random=label_mean(random_counts),
-            mean_nonrandom=label_mean(nonrandom_counts),
-            extreme_share=share(EXTREME_LABELS),
-            central_share=share(CENTRAL_LABELS),
-            disagreement_rate=_ratios(*_disagreement_counts(columns)),
-        )
-
-
 def label_counts(columns: AnnotationColumns, rows: np.ndarray) -> np.ndarray:
     """``counts[k, l - 1]``: how often annotator k gave label l on the
     annotation rows selected by the mask ``rows``."""
@@ -212,23 +148,52 @@ def _disagreement_counts(columns: AnnotationColumns
             np.bincount(annotator[considered], minlength=k).tolist())
 
 
-def annotator_table(corpus: LabeledCorpus) -> AnnotatorTable:
-    """Every annotator's statistics in ``corpus``."""
-    return AnnotatorTable.build(corpus.columns)
-
-
 def annotator_profiles(corpus: LabeledCorpus,
                        exclude_midpoint_from_variance: bool = False
                        ) -> dict[str, AnnotatorProfile]:
-    """Profiles for every annotator in the corpus, keyed by id."""
-    t = annotator_table(corpus)
-    variances = t.off_mid_variance if exclude_midpoint_from_variance \
-        else t.label_variance
-    return {aid: AnnotatorProfile(aid, n, duration, variance, rand, nonrand,
-                                  extreme, central, rate,
+    """Every annotator's profile in ``corpus``, keyed by id in the
+    (sorted) order of ``corpus.columns.annotator_ids``.
+
+    The statistics come from per-annotator sums: label counts and, from
+    them, the exact integer sums of labels and squared labels; the sum of
+    durations, which ``np.bincount`` adds in file order, left to right
+    and uncompensated (Python's ``sum`` of floats matches it up to 3.11;
+    from 3.12 on it is compensated and may differ in the last place);
+    and the disagreement counts.  Means, shares and rates are ratios of
+    those sums and variances use :func:`variance_from_sums`, so every
+    value is the one a loop over the annotator's labels gives.  With
+    ``exclude_midpoint_from_variance`` the variance leaves label-3
+    judgments out, except for an annotator who has no other label.
+    """
+    columns = corpus.columns
+    random_counts = label_counts(columns, columns.is_random)
+    nonrandom_counts = label_counts(columns, ~columns.is_random)
+    every = random_counts + nonrandom_counts
+    off_mid = every * (_LABELS != MIDPOINT_LABEL)
+    n, label_sum, label_sq_sum = label_sums(every)
+    off_mid_sums = label_sums(off_mid)
+    variances = [variance_from_sums(*sums)
+                 for sums in zip(n, label_sum, label_sq_sum)]
+    if exclude_midpoint_from_variance:
+        variances = [variance_from_sums(*sums) if sums[0] else full
+                     for sums, full in zip(zip(*off_mid_sums), variances)]
+    duration_sum = np.bincount(columns.annotator, weights=columns.duration,
+                               minlength=len(n)).tolist()
+
+    def label_mean(counts: np.ndarray) -> list[Optional[float]]:
+        count, total, _ = label_sums(counts)
+        return _ratios(total, count)
+
+    def share(labels: frozenset) -> list[Optional[float]]:
+        hits = every[:, np.isin(_LABELS, list(labels))].sum(axis=1)
+        return _ratios(hits.tolist(), off_mid_sums[0])
+
+    return {aid: AnnotatorProfile(aid, k, duration / k, variance, rand,
+                                  nonrand, extreme, central, rate,
                                   classify_style(variance, extreme, central))
-            for aid, n, duration, variance, rand, nonrand, extreme, central,
-            rate in zip(t.annotator_ids, t.n_labels, t.mean_duration,
-                        variances, t.mean_random, t.mean_nonrandom,
-                        t.extreme_share, t.central_share,
-                        t.disagreement_rate)}
+            for aid, k, duration, variance, rand, nonrand, extreme, central,
+            rate in zip(columns.annotator_ids, n, duration_sum, variances,
+                        label_mean(random_counts),
+                        label_mean(nonrandom_counts),
+                        share(EXTREME_LABELS), share(CENTRAL_LABELS),
+                        _ratios(*_disagreement_counts(columns)))}
