@@ -138,12 +138,16 @@ def _token_matches(tokens_a: Sequence[TokenSeq], tokens_b: Sequence[TokenSeq],
     The block's tokens are interned to ids and counted by
     :func:`_clipped_matches`.  The counts are symmetric, so one count
     serves BLEU (text b as the candidate) and ROUGE-N (recall against a).
+    The lists stop at the block's longest sequence: no pair has an
+    n-gram of a higher order, and BLEU and ROUGE-N read only orders that
+    both of a pair's sides hold, so a huge ``max_n`` costs no memory.
     """
     texts = list(tokens_a) + list(tokens_b)
     vocab: dict[str, int] = {}
     tokens = np.array([vocab.setdefault(tok, len(vocab))
                        for text in texts for tok in text], dtype=np.int64)
     lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    max_n = min(max_n, int(lengths.max(initial=0)))
     return _clipped_matches(tokens, lengths, len(vocab), max_n).T.tolist()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +192,28 @@ def test_smoothed_bleu_column_equals_counter_bleu(pairs):
                               [" ".join(c) for c in cands], refs, cands)
     assert got == {"bleu": [
         oracles.counter_bleu(c, r, 4, "add_one") for c, r in pairs]}
+
+
+def test_bleu_block_order_past_the_longest_sequence_costs_nothing():
+    # no pair holds an n-gram longer than the block's longest sequence,
+    # so a huge order scores as that length does, in about the memory of
+    # order 4
+    rng = random.Random(31)
+    cands = [random_tokens(rng) for _ in range(16)]
+    refs = [random_tokens(rng) for _ in range(16)]
+    longest = max(len(t) for t in cands + refs)
+    assert bleu_block(cands, refs, max_n=10**6) == \
+        bleu_block(cands, refs, max_n=longest)
+
+    def peak(max_n):
+        tracemalloc.start()
+        try:
+            bleu_block(cands, refs, max_n=max_n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10**6) <= peak(4) + 16 * 1024
 
 
 def test_bleu_block_rejects_bad_blocks():
