@@ -446,9 +446,20 @@ def _row_pair(raw_pid: str, path: Path, lineno: int,
     return pid
 
 
+# The JSON values a text field may not hold, by their Python type.  A
+# text field is a string or a number; ``str`` of any other value (a null
+# read as "None", an array as "['x']") would pass for data.
+_NOT_TEXT = {type(None): "null", bool: "a boolean", list: "an array",
+             dict: "an object"}
+_TEXT_FIELDS = frozenset(("pair_id", "source", "text_a", "text_b",
+                          "annotator_id"))
+
+
 def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
     """Yield ``(lineno, fields)`` for each object of a JSONL file, in the
-    shape :func:`_read_csv_rows` yields; blank lines are skipped."""
+    shape :func:`_read_csv_rows` yields; blank lines are skipped.  A text
+    field (an id, a source or a text) that holds neither a string nor a
+    number raises :class:`CorpusError` naming the file, row and field."""
     with path.open(encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -466,6 +477,12 @@ def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
                 if missing:
                     raise CorpusError(
                         f"{path} line {lineno}: missing fields {missing}")
+                for c in required:
+                    kind = c in _TEXT_FIELDS and _NOT_TEXT.get(type(row[c]))
+                    if kind:
+                        raise CorpusError(
+                            f"{path} row {lineno}: {c} must be a string or a"
+                            f" number, got {kind}")
                 yield lineno, tuple(row[c] for c in required)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None

@@ -229,6 +229,41 @@ def test_negative_duration():
         make_corpus([("p1", "a", "b")], [("p1", "w1", 3, -1.0)])
 
 
+@pytest.mark.parametrize("field", ["pair_id", "source", "text_a", "text_b",
+                                   "annotator_id"])
+@pytest.mark.parametrize("value, kind", [
+    (None, "null"), (True, "a boolean"), (False, "a boolean"),
+    (["x"], "an array"), ({"x": 1}, "an object")])
+def test_jsonl_text_field_must_be_a_string_or_number(tmp_path, field, value,
+                                                     kind):
+    pair = {"pair_id": "p1", "source": "s", "is_random": 0,
+            "text_a": "a b", "text_b": "b c"}
+    ann = {"pair_id": "p1", "annotator_id": "w1", "label": 3,
+           "duration_seconds": 1.0}
+    if field == "annotator_id":
+        name, ann = "ann.jsonl", dict(ann, annotator_id=value)
+    else:
+        name, pair = "pairs.jsonl", dict(pair, **{field: value})
+    pairs = write(tmp_path, "pairs.jsonl", json.dumps(pair) + "\n")
+    anns = write(tmp_path, "ann.jsonl", json.dumps(ann) + "\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(pairs, anns)
+    assert str(exc.value) == (f"{tmp_path / name} row 1: {field} must be a"
+                              f" string or a number, got {kind}")
+
+
+def test_jsonl_numbers_in_text_fields_load_as_their_text(tmp_path):
+    pairs = write(tmp_path, "pairs.jsonl",
+                  '{"pair_id": 7, "source": 1.5, "is_random": 0,'
+                  ' "text_a": 12, "text_b": "b c"}\n')
+    ann = write(tmp_path, "ann.jsonl",
+                '{"pair_id": 7, "annotator_id": 42, "label": 3,'
+                ' "duration_seconds": 1.0}\n')
+    corpus = load_corpus(pairs, ann)
+    assert corpus.pairs == (SentencePair("7", "12", "b c", "1.5", False),)
+    assert corpus.columns.annotator_ids == ("42",)
+
+
 def test_bad_json_line(tmp_path):
     path = write(tmp_path, "pairs.jsonl", "{not json}\n")
     with pytest.raises(CorpusError, match="line 1"):
