@@ -48,7 +48,8 @@ DEFAULT_INTENSIFIERS = {
 
 def load_lexicon(path: Optional[Path] = None) -> dict[str, float]:
     """Read a word,valence CSV into a word -> valence map; with no path,
-    the bundled lexicon is used."""
+    the bundled lexicon is used.  Words are compared lowercased, and a
+    word listed twice raises :class:`CorpusError` naming the file and row."""
     ref = resources.files("labelsim.data").joinpath("sentiment_lexicon.csv") \
         if path is None else Path(path)
     valences: dict[str, float] = {}
@@ -58,6 +59,9 @@ def load_lexicon(path: Optional[Path] = None) -> dict[str, float]:
             word = word.strip().lower()
             if not word:
                 raise CorpusError(f"{csv_path} row {lineno}: empty word")
+            if word in valences:
+                raise CorpusError(
+                    f"{csv_path} row {lineno}: duplicate word {word!r}")
             valences[word] = _parse_float(raw, csv_path, lineno)
     return valences
 

@@ -53,6 +53,15 @@ def test_load_lexicon_empty_word(tmp_path):
         load_lexicon(p)
 
 
+def test_load_lexicon_duplicate_word(tmp_path):
+    # a repeat used to replace the earlier valence without a word
+    p = tmp_path / "lex.csv"
+    p.write_text("word,valence\ngood,2\nGood,-3\n")
+    with pytest.raises(CorpusError) as exc:
+        load_lexicon(p)
+    assert str(exc.value) == f"{p} row 3: duplicate word 'good'"
+
+
 def test_load_lexicon_bad_valence(tmp_path):
     p = tmp_path / "lex.csv"
     p.write_text("word,valence\nshiny,strong\n")
