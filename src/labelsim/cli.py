@@ -291,6 +291,20 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _write_reports(panels, args) -> None:
+    """Write a run's correlation reports in ``--out-format``.  CSV rows
+    have no place for a metric a panel left out, so with CSV each one is
+    named on stderr, as text and JSON name it in the document."""
+    if args.out_format == "csv":
+        reports = [panels] if isinstance(panels, correlate.CorrelationReport) \
+            else panels.values()
+        for report in reports:
+            for name in sorted(report.unavailable):
+                print(f"warning: {report.label}: left out {name} "
+                      f"({report.unavailable[name]})", file=sys.stderr)
+    _write_output(correlate.render_reports(panels, args.out_format), args.out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -405,7 +419,7 @@ def cmd_report(args) -> int:
             panels[source] = one(sub, f"dataset {source or '(unnamed)'}")
     else:
         panels = one(corpus, "all annotators")
-    _write_output(correlate.render_reports(panels, args.out_format), args.out)
+    _write_reports(panels, args)
     return 0
 
 
@@ -414,8 +428,7 @@ def cmd_style_report(args) -> int:
     radical, centrist = correlate.style_split_report(
         corpus, scores, flag_pass(corpus),
         exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
-    _write_output(correlate.render_reports(
-        {"radical": radical, "centrist": centrist}, args.out_format), args.out)
+    _write_reports({"radical": radical, "centrist": centrist}, args)
     return 0
 
 

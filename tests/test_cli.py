@@ -926,6 +926,28 @@ def test_report_csv_structure(tmp_path, capsys):
     assert lines[2].split(",")[-1] == "1"  # junk removed
 
 
+def test_csv_report_names_a_left_out_metric_on_stderr(tmp_path, capsys):
+    # "half" is defined on 2 of 6 pairs, too few to correlate; CSV rows
+    # cannot say so, so stderr does, once per panel
+    pairs, annotations = write_corpus(tmp_path, with_radical=True)
+    channel = tmp_path / "half.csv"
+    channel.write_text("pair_id,score\np1,0.9\np2,0.5\n")
+    corpus = ["--pairs", pairs, "--annotations", annotations,
+              "--precomputed", f"half={channel}", "--heuristics", "2"]
+    for command, labels in (("report", ["all annotators"]),
+                            ("style-report", ["Radical-only gold",
+                                              "Centrist-only gold"])):
+        for fmt in ("csv", "json", "text"):
+            rc = main([command, *corpus, "--metrics", "half,word_overlap",
+                       "--out-format", fmt])
+            out, err = capsys.readouterr()
+            assert rc == 0
+            assert err == ("".join(
+                f"warning: {label}: left out half (undefined on 4 of 6 "
+                "pairs)\n" for label in labels) if fmt == "csv" else "")
+            assert ("half" in out) == (fmt != "csv")
+
+
 def test_report_json_and_out_file(tmp_path, capsys):
     pairs, annotations = write_corpus(tmp_path)
     out_path = tmp_path / "report.json"
