@@ -8,7 +8,8 @@ order and in two sources; the side files are word embeddings, two score
 channels (a few pairs missing from the distance one), sentiment
 overrides and gold POS tags.  The pairs file is also written in id
 order, reversed and shuffled, and every command but ``metrics`` must
-print the same bytes from each.
+print the same bytes from each.  Every command also writes the same
+bytes to an ``--out`` file as to stdout.
 
 A hash that moves means some output byte moved.  Update a hash only for
 a change that means to alter output, and say so where the change is
@@ -116,6 +117,9 @@ COMMANDS = {
         "report", *CORPUS, *CHANNELS, "--metrics", "all",
         "--embeddings", "{embeddings}", "--sentiment-file", "{sentiment}",
         "--out-format", "csv"),
+    "report-text": (
+        "report", *CORPUS, *CHANNELS, "--metrics", "all",
+        "--embeddings", "{embeddings}", "--out-format", "text"),
     "report-per-dataset-json": (
         "report", *CORPUS, *CHANNELS, "--metrics", "all",
         "--embeddings", "{embeddings}", "--per-dataset",
@@ -140,6 +144,8 @@ COMMANDS = {
 GOLDEN = {
     "report-csv":
         "affb0a55aebc6542c7ee05099d9d9f7e12f1f5dd7b68b8ac8838d837b7386b4b",
+    "report-text":
+        "fa7f28330e5388074bec1aa6db9ec2d23b3ae13ab31f86f3500fe4705c048fc7",
     "report-per-dataset-json":
         "646916081bc465ec8e48aad6eb567a8e6a0624c07e40a86dc9a1853aa5c7d31f",
     "style-report-json":
@@ -166,9 +172,18 @@ def test_stdout_is_byte_identical(inputs, capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_out_file_is_byte_identical(inputs, capsys, tmp_path, name):
+    out_path = tmp_path / "out.txt"
+    argv = [arg.format(**inputs) for arg in COMMANDS[name]]
+    assert cli.main([*argv, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
 # the commands whose output does not depend on the pairs file's row order
 # (``metrics`` lists its rows in that order)
-ORDER_FREE = ("report-csv", "report-per-dataset-json", "style-report-json",
+ORDER_FREE = ("report-csv", "report-text", "report-per-dataset-json", "style-report-json",
               "flag-all-subsets", "stats", "stats-excludes-midpoint",
               "style-report-excludes-midpoint-csv")
 
