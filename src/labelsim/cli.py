@@ -8,17 +8,26 @@ variables with the ``LABELSIM_`` prefix supply path options that no flag
 gives (LABELSIM_EMBEDDINGS, LABELSIM_SENTIMENT_FILE, LABELSIM_POS_TAGS,
 LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON); a flag wins over its
 variable.
+
+A command imports only what it runs: :mod:`~labelsim.embmetrics` is
+loaded only by a run that scores an embedding metric or names a word- or
+sentence-embedding, POS-tag or noun-lexicon file.  Each command writes
+its document straight into its output as it renders it: into the --out
+file, opened once every result is computed, or into a buffer that goes
+to stdout in one write.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import os
 import sys
 from pathlib import Path
 
-from . import correlate, embmetrics, simulate, stats
+from . import correlate, simulate, stats
 from .corpus import (CorpusError, _not_utf8, attach_precomputed, load_corpus,
                      load_precomputed, save_corpus, select_pairs)
 from .heuristics import (HeuristicConfig, HeuristicId, compute_flag_reports,
@@ -80,7 +89,7 @@ def _given_values(args, fields: dict) -> dict:
     values = {}
     path = args.config
     try:
-        text = Path(path).read_text(encoding="utf-8") if path else ""
+        text = Path(path).read_text(encoding="utf-8-sig") if path else ""
     except UnicodeDecodeError:
         raise _not_utf8(Path(path)) from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -163,7 +172,7 @@ def _add_metric_args(p):
                    help="treat this precomputed channel as a distance")
     p.add_argument("--overlap-mode", choices=["jaccard", "precision"],
                    default="jaccard")
-    p.add_argument("--pos-aggregate", choices=embmetrics.POS_AGGREGATES,
+    p.add_argument("--pos-aggregate", choices=correlate.POS_AGGREGATES,
                    default="matched")
 
 
@@ -233,6 +242,8 @@ def _prepare_scoring(corpus, args):
     sent_emb_path = args.sent_embeddings or _env_path("SENT_EMBEDDINGS")
     pos_tags_path = args.pos_tags or _env_path("POS_TAGS")
     noun_lex_path = args.noun_lexicon or _env_path("NOUN_LEXICON")
+    if embeddings_path or sent_emb_path or pos_tags_path or noun_lex_path:
+        from . import embmetrics
 
     table = None
     if embeddings_path:
@@ -284,25 +295,38 @@ def _build_scorers(corpus, cfg, args):
     return scorers
 
 
-def _write_output(text: str, out_path) -> None:
+@contextlib.contextmanager
+def _output(out_path):
+    """The text stream a command writes its document into, once every
+    result is computed: the ``out_path`` file, or else a buffer that is
+    written to stdout in one call when the document is complete (an
+    unbuffered stdout would take a system call per piece)."""
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        buf = io.StringIO()
+        yield buf
+        sys.stdout.write(buf.getvalue())
 
 
 def _write_reports(panels, args) -> None:
     """Write a run's correlation reports in ``--out-format``.  CSV rows
-    have no place for a metric a panel left out, so with CSV each one is
-    named on stderr, as text and JSON name it in the document."""
+    have no place for a panel's status or a metric it left out, so with
+    CSV each is named on stderr, as text and JSON name them in the
+    document."""
     if args.out_format == "csv":
         reports = [panels] if isinstance(panels, correlate.CorrelationReport) \
             else panels.values()
         for report in reports:
+            if report.status != "ok":
+                print(f"warning: {report.label}: {report.status}",
+                      file=sys.stderr)
             for name in sorted(report.unavailable):
                 print(f"warning: {report.label}: left out {name} "
                       f"({report.unavailable[name]})", file=sys.stderr)
-    _write_output(correlate.render_reports(panels, args.out_format), args.out)
+    with _output(args.out) as fh:
+        correlate.write_reports(panels, args.out_format, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +347,19 @@ def cmd_stats(args) -> int:
     corpus = load_corpus(args.pairs, args.annotations, args.fmt)
     profiles = stats.annotator_profiles(
         corpus, exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
-    rows = [["annotator_id", "n_labels", "mean_duration", "label_variance",
-             "mean_random", "mean_nonrandom", "extreme_share",
-             "central_share", "disagreement_rate", "style"]]
-    for aid in sorted(profiles):
-        p = profiles[aid]
-        values = (p.mean_duration, p.label_variance, p.mean_random,
-                  p.mean_nonrandom, p.extreme_share, p.central_share,
-                  p.disagreement_rate)
-        rows.append([aid, p.n_labels, *map(correlate._fmt, values),
-                     p.style.value])
-    _write_output(correlate._csv_text(rows), args.out)
+    with _output(args.out) as fh:
+        writer = correlate._csv_writer(fh)
+        writer.writerow(["annotator_id", "n_labels", "mean_duration",
+                         "label_variance", "mean_random", "mean_nonrandom",
+                         "extreme_share", "central_share",
+                         "disagreement_rate", "style"])
+        for aid in sorted(profiles):
+            p = profiles[aid]
+            values = (p.mean_duration, p.label_variance, p.mean_random,
+                      p.mean_nonrandom, p.extreme_share, p.central_share,
+                      p.disagreement_rate)
+            writer.writerow([aid, p.n_labels, *map(correlate._fmt, values),
+                             p.style.value])
     return 0
 
 
@@ -353,22 +379,24 @@ def cmd_flag(args) -> int:
                              "--all-subsets uses to join removed ids")
         # the subset label is always quoted, by hand; the ids only where
         # CSV needs it
-        lines = ["subset,n_removed,removed_annotators\n"]
-        for sub in heuristic_subsets(subset):
-            removed = sorted(flagged_annotators(reports, sub))
-            lines.append('"%s",' % subset_label(sub) + correlate._csv_text(
-                [[len(removed), ";".join(removed)]]))
-        _write_output("".join(lines), args.out)
+        with _output(args.out) as fh:
+            writer = correlate._csv_writer(fh)
+            fh.write("subset,n_removed,removed_annotators\n")
+            for sub in heuristic_subsets(subset):
+                removed = sorted(flagged_annotators(reports, sub))
+                fh.write('"%s",' % subset_label(sub))
+                writer.writerow([len(removed), ";".join(removed)])
         return 0
-    rows = [["annotator_id", "flags", "evidence"]]
-    for aid in sorted(reports):
-        rep = reports[aid]
-        flags = ";".join(str(int(h)) for h in sorted(rep.flags))
-        evidence = ";".join(
-            f"{int(h)}:{ev.statistic}={ev.value:.6f} vs {ev.threshold:g}"
-            for h, ev in sorted(rep.evidence.items()))
-        rows.append([aid, flags, evidence])
-    _write_output(correlate._csv_text(rows), args.out)
+    with _output(args.out) as fh:
+        writer = correlate._csv_writer(fh)
+        writer.writerow(["annotator_id", "flags", "evidence"])
+        for aid in sorted(reports):
+            rep = reports[aid]
+            flags = ";".join(str(int(h)) for h in sorted(rep.flags))
+            evidence = ";".join(
+                f"{int(h)}:{ev.statistic}={ev.value:.6f} vs {ev.threshold:g}"
+                for h, ev in sorted(rep.evidence.items()))
+            writer.writerow([aid, flags, evidence])
     return 0
 
 
@@ -383,10 +411,11 @@ def cmd_metrics(args) -> int:
               for value, ok in zip(scores[m].values.tolist(),
                                    scores[m].defined.tolist())]
              for m in metrics]
-    rows = [["pair_id", *metrics]]
-    rows.extend([pair.pair_id, *(column[k] for column in shown)]
-                for k, pair in enumerate(corpus.pairs))
-    _write_output(correlate._csv_text(rows), args.out)
+    with _output(args.out) as fh:
+        writer = correlate._csv_writer(fh)
+        writer.writerow(["pair_id", *metrics])
+        writer.writerows([pair.pair_id, *(column[k] for column in shown)]
+                         for k, pair in enumerate(corpus.pairs))
     return 0
 
 

@@ -396,9 +396,10 @@ def _read_csv_rows(path: Path, required: tuple[str, ...]):
     Every CSV input is read here, so each fails the same way: a missing
     header or column, or a row short of a required column, raises
     :class:`CorpusError` naming the file and row, and a byte that is not
-    UTF-8 one naming the file and line.
+    UTF-8 one naming the file and line.  A UTF-8 byte-order mark that
+    opens the file, as spreadsheet exports write, is skipped.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -457,10 +458,11 @@ _TEXT_FIELDS = frozenset(("pair_id", "source", "text_a", "text_b",
 
 def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
     """Yield ``(lineno, fields)`` for each object of a JSONL file, in the
-    shape :func:`_read_csv_rows` yields; blank lines are skipped.  A text
+    shape :func:`_read_csv_rows` yields; blank lines, and a byte-order
+    mark that opens the file, are skipped.  A text
     field (an id, a source or a text) that holds neither a string nor a
     number raises :class:`CorpusError` naming the file, row and field."""
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()

@@ -32,17 +32,22 @@ kept rows and lists them in sorted ``pair_id`` order, so the
 observations handed to :func:`pearson` and :func:`spearman` are, element
 for element and in order, those of a join on sorted pair ids, whatever
 the row order of the pairs file.
+
+The embedding metrics' module, :mod:`~labelsim.embmetrics`, is imported
+only by a :func:`compute_metric_scores` call that scores one of them, so
+a run on lexical metrics and precomputed channels never loads it.
+:func:`write_reports` writes each part of a report into its output as it
+renders it; no document is first built as one string.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -51,7 +56,7 @@ from .corpus import (AnnotationColumns, LabeledCorpus, PairScores,
 from .heuristics import (FlagPass, HeuristicId, flagged_annotators,
                          heuristic_subsets, subset_label)
 from .stats import Style, annotator_profiles
-from . import embmetrics, textmetrics
+from . import textmetrics
 
 
 class UndefinedCorrelationError(ValueError):
@@ -154,6 +159,8 @@ EMBEDDING_METRICS = ("cosine", "l2", "wmd", "pos_dist")
 WORD_VECTOR_METRICS = ("cosine", "wmd", "pos_dist")
 # the native metrics that are distances: lower means more similar
 DISTANCE_METRICS = ("l2", "wmd", "pos_dist")
+# how pos_dist averages the noun distances of a pair
+POS_AGGREGATES = ("matched", "all_pairs")
 # a report leaves out a metric undefined on more than this share of pairs
 UNAVAILABLE_FRACTION = 0.5
 
@@ -167,7 +174,7 @@ def metric_universe(corpus: Optional[LabeledCorpus] = None) -> list[str]:
 
 def compute_metric_scores(corpus: LabeledCorpus,
                           metrics: Sequence[str],
-                          table: Optional[embmetrics.EmbeddingTable] = None,
+                          table: Optional[Mapping[str, np.ndarray]] = None,
                           noun_tagger: Optional[Callable] = None,
                           gold_tags: Optional[Mapping] = None,
                           sent_embeddings: Optional[Mapping] = None,
@@ -186,14 +193,16 @@ def compute_metric_scores(corpus: LabeledCorpus,
     metric in :data:`DISTANCE_METRICS` or ``distance_channels`` is
     negated, last and in this one place, so higher always means more
     similar; ``oriented=False`` keeps every value raw (distances stay
-    positive), which is what the metric-matrix dump wants.
+    positive), which is what the metric-matrix dump wants.  The
+    embedding module is imported only when ``metrics`` names one of the
+    :data:`EMBEDDING_METRICS`.
     """
     metrics = list(metrics)
     known = set(metric_universe(corpus))
     for name in metrics:
         if name not in known:
             raise ValueError(f"unknown metric {name!r}")
-    if "pos_dist" in metrics and pos_aggregate not in embmetrics.POS_AGGREGATES:
+    if "pos_dist" in metrics and pos_aggregate not in POS_AGGREGATES:
         raise ValueError(f"unknown pos_distance aggregate {pos_aggregate!r}")
     needs_table = [m for m in metrics if m in WORD_VECTOR_METRICS]
     if needs_table and table is None:
@@ -201,12 +210,14 @@ def compute_metric_scores(corpus: LabeledCorpus,
     if "l2" in metrics and table is None and sent_embeddings is None:
         raise ValueError(
             "metric 'l2' needs an embedding table or sentence embeddings")
-    if "pos_dist" in metrics and gold_tags is None and noun_tagger is None:
-        noun_tagger = embmetrics.lexicon_noun_tagger()
 
     lexical = [m for m in metrics if m in LEXICAL_METRICS]
     embedding = [m for m in metrics if m in EMBEDDING_METRICS]
     distance_channels = set(distance_channels)
+    if embedding:
+        from . import embmetrics
+    if "pos_dist" in metrics and gold_tags is None and noun_tagger is None:
+        noun_tagger = embmetrics.lexicon_noun_tagger()
 
     def embeddable(tokens) -> bool:
         return any(t in table for t in tokens)
@@ -596,30 +607,35 @@ def render_report_text(report: CorrelationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_reports(panels: CorrelationReport | Mapping[str, CorrelationReport],
-                   fmt: str) -> str:
-    """A run's reports as one document in ``fmt``: "text", "csv" or "json".
+def write_reports(panels: CorrelationReport | Mapping[str, CorrelationReport],
+                  fmt: str, fh: TextIO) -> None:
+    """Write a run's reports into ``fh`` as one document in ``fmt``:
+    "text", "csv" or "json".
 
     ``panels`` is one report, or a mapping from a key to each panel of a
     multi-panel run.  Text puts the panels one after another; CSV writes
     one header, then every panel's rows; JSON writes the report's object,
-    or one object holding each panel's under its key.
+    or one object holding each panel's under its key.  Each part is
+    written as it is rendered; the document is never one string.
     """
     single = isinstance(panels, CorrelationReport)
     reports = [panels] if single else list(panels.values())
     if fmt == "json":
         doc = report_doc(panels) if single \
             else {key: report_doc(r) for key, r in panels.items()}
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_text([_CSV_HEADER,
-                          *(row for r in reports for row in _csv_rows(r))])
-    return "".join(render_report_text(r) for r in reports)
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    elif fmt == "csv":
+        writer = _csv_writer(fh)
+        writer.writerow(_CSV_HEADER)
+        for report in reports:
+            writer.writerows(_csv_rows(report))
+    else:
+        for report in reports:
+            fh.write(render_report_text(report))
 
 
-def _csv_text(rows) -> str:
-    """``rows`` as CSV, quoting only the fields that need it: the one
-    writer of the reports' CSV and of the other commands'."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _csv_writer(fh: TextIO):
+    """A CSV writer into ``fh`` that quotes only the fields that need it:
+    the one dialect of the reports' CSV and of the other commands'."""
+    return csv.writer(fh, lineterminator="\n")

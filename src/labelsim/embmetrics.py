@@ -47,7 +47,8 @@ EmbeddingTable = dict[str, np.ndarray]
 def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
     """Read a text-format embedding file: ``word v1 v2 ... vd`` per line.
 
-    A leading ``count dim`` header line is detected and skipped.  The
+    A leading ``count dim`` header line is detected and skipped, and so
+    is a UTF-8 byte-order mark at the very start of the file.  The
     dimension is fixed by the first vector line; any later mismatch is an
     error naming the line, and so is a line that is not UTF-8.  Duplicate
     words keep their first vector.  ``vocab_filter`` restricts loading to
@@ -59,7 +60,9 @@ def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                parts = raw.decode("utf-8").split()
+                # a byte-order mark may open the file, and nothing else
+                parts = raw.decode("utf-8-sig" if lineno == 1
+                                   else "utf-8").split()
             except UnicodeDecodeError:
                 raise CorpusError(f"{path} line {lineno}: not UTF-8") from None
             if not parts:
@@ -476,7 +479,7 @@ def load_noun_lexicon(path: Optional[Path] = None) -> frozenset:
     else:
         path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     nouns = set()
@@ -523,9 +526,6 @@ def nouns_from_tags(tokens: TokenSeq, tags: dict) -> list[str]:
     return out
 
 
-POS_AGGREGATES = ("matched", "all_pairs")
-
-
 def pos_distance(nouns_a: TokenSeq, nouns_b: TokenSeq,
                  table: EmbeddingTable,
                  aggregate: str = "matched") -> Optional[float]:
@@ -538,7 +538,7 @@ def pos_distance(nouns_a: TokenSeq, nouns_b: TokenSeq,
     averages the full cross-product instead.  Returns None when either
     side has no embeddable noun, so callers can drop the pair.
     """
-    if aggregate not in POS_AGGREGATES:
+    if aggregate not in ("matched", "all_pairs"):
         raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
     nouns_a = [t for t in nouns_a if t in table]
     nouns_b = [t for t in nouns_b if t in table]

@@ -19,6 +19,7 @@ from labelsim.heuristics import (HeuristicConfig, HeuristicId,
                                  default_scorers, heuristic_subsets,
                                  sentiment_qualifying_pairs, subset_label)
 from labelsim.sentiment import load_lexicon
+from labelsim.stats import Style, annotator_profiles
 
 import oracles
 
@@ -675,6 +676,18 @@ def test_flag_config_file_and_flag_precedence(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: {cfg} line 1: low_variance_threshold: "
                             "expected a number, got 'none'\n")
+
+
+def test_config_file_may_open_with_a_byte_order_mark(tmp_path):
+    argv = ["flag", "--pairs", "p.csv", "--annotations", "a.csv", "--config"]
+    got = []
+    for name, encoding in (("plain.cfg", "utf-8"), ("marked.cfg", "utf-8-sig")):
+        cfg = tmp_path / name
+        cfg.write_text("slow-threshold = 90\n", encoding=encoding)
+        got.append(_build_heuristic_config(
+            build_parser().parse_args(argv + [str(cfg)])))
+    assert got[0] == got[1] == \
+        dataclasses.replace(HeuristicConfig(), slow_threshold=90.0)
 
 
 def test_read_config_rejects_garbage(tmp_path, capsys):
@@ -1506,6 +1519,34 @@ def test_style_report_survives_an_emptied_panel(one_radical_corpus, fmt,
                    for c in cells)
     else:
         assert "n/a" in out
+
+
+def test_csv_style_report_names_an_empty_panel_on_stderr(one_radical_corpus,
+                                                        tmp_path, capsys):
+    # the fixture's annotators but its Centrists: one Radical and one
+    # Excluded, so the Centrist panel is empty
+    pairs, annotations = one_radical_corpus
+    profiles = annotator_profiles(load_corpus(pairs, annotations))
+    kept = {aid for aid, p in profiles.items() if p.style is not Style.CENTRIST}
+    with open(annotations, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    path = tmp_path / "annotations.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *(r for r in rows if r[1] in kept)])
+    capsys.readouterr()
+    got = {}
+    for fmt in ("csv", "json", "text"):
+        assert main(["style-report", "--pairs", pairs, "--annotations",
+                     str(path), "--metrics", "lexical",
+                     "--out-format", fmt]) == 0
+        got[fmt] = capsys.readouterr()
+    assert got["csv"].err == ("warning: Centrist-only gold: empty: no "
+                              "annotators in this panel\n")
+    assert got["json"].err == got["text"].err == ""
+    assert "Centrist" not in got["csv"].out
+    assert json.loads(got["json"].out)["centrist"]["status"] == \
+        "empty: no annotators in this panel"
+    assert "status: empty: no annotators in this panel" in got["text"].out
 
 
 def test_style_report_json(tmp_path, capsys):

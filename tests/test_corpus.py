@@ -67,6 +67,33 @@ def test_load_jsonl(tmp_path):
     assert corpus.annotations[0].duration == 9.5
 
 
+def test_csv_and_jsonl_inputs_skip_a_byte_order_mark(tmp_path):
+    jsonl_pairs = ('{"pair_id": "p1", "source": "", "is_random": false,'
+                   ' "text_a": "one two", "text_b": "one three"}\n')
+    jsonl_ann = ('{"pair_id": "p1", "annotator_id": "w1", "label": 3,'
+                 ' "duration_seconds": 9.5}\n')
+    for ext, pairs, ann in (("csv", PAIRS_CSV, ANNOTATIONS_CSV),
+                            ("jsonl", jsonl_pairs, jsonl_ann)):
+        plain = load_corpus(write(tmp_path, f"pairs.{ext}", pairs),
+                            write(tmp_path, f"ann.{ext}", ann))
+        marked = load_corpus(write(tmp_path, f"bom_pairs.{ext}",
+                                   "\ufeff" + pairs),
+                             write(tmp_path, f"bom_ann.{ext}", "\ufeff" + ann))
+        assert marked.pairs == plain.pairs
+        assert list(marked.annotations) == list(plain.annotations)
+    # a side file goes through the same CSV reader
+    channel = "pair_id,score\np1,0.5\np2,0.25\n"
+    assert load_precomputed(write(tmp_path, "bom.csv", "\ufeff" + channel)) \
+        == load_precomputed(write(tmp_path, "plain.csv", channel))
+
+
+def test_a_later_feff_in_a_csv_input_stays_data(tmp_path):
+    ann = ANNOTATIONS_CSV.replace("p1,w2,", "p1,\ufeffw2,")
+    corpus = load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV),
+                         write(tmp_path, "ann.csv", ann))
+    assert corpus.columns.annotator_ids == ("w1", "\ufeffw2")
+
+
 def test_pairs_only(tmp_path):
     corpus = load_corpus(write(tmp_path, "pairs.csv", PAIRS_CSV))
     assert tuple(corpus.annotations) == ()

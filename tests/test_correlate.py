@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from labelsim.corpus import PairScores, attach_precomputed, select_pairs
-from labelsim import correlate, textmetrics
+from labelsim import correlate, embmetrics, textmetrics
 from labelsim.correlate import (
     DISTANCE_METRICS,
     EMBEDDING_METRICS,
@@ -26,10 +26,10 @@ from labelsim.correlate import (
     pearson,
     percent_change,
     render_report_text,
-    render_reports,
     report_doc,
     spearman,
     style_split_report,
+    write_reports,
 )
 from labelsim.embmetrics import cosine_similarity, l2_distance
 from labelsim.heuristics import (HeuristicId, compute_flag_reports,
@@ -452,13 +452,13 @@ def test_compute_metric_scores_mean_vectors_once_per_pair(monkeypatch):
     corpus = scoring_corpus()
     table = scoring_table()
     calls = []
-    original = correlate.embmetrics.sentence_vector
+    original = embmetrics.sentence_vector
 
     def counting(tokens, tab):
         calls.append(tuple(tokens))
         return original(tokens, tab)
 
-    monkeypatch.setattr(correlate.embmetrics, "sentence_vector", counting)
+    monkeypatch.setattr(embmetrics, "sentence_vector", counting)
     scores = compute_metric_scores(corpus, ["cosine", "l2"], table=table)
     assert len(calls) == 2 * len(corpus.pairs)
     for pair in corpus.pairs:
@@ -755,9 +755,9 @@ def test_correlation_report_subset_that_empties_the_panel_is_undefined():
     assert kept.cells["m"] == report.baseline["m"]
     assert pct_pair(report, kept, "m") == (0.0, 0.0)
 
-    csv_rows = render_reports(report, "csv").splitlines()
+    csv_rows = written(report, "csv").splitlines()
     assert "slow panel,1,m,,,,,0,,1" in csv_rows
-    doc = json.loads(render_reports(report, "json"))
+    doc = json.loads(written(report, "json"))
     assert doc["subsets"][0]["cells"]["m"] == {
         "pearson": None, "spearman": None, "n_pairs": 0,
         "pearson_pct": None, "spearman_pct": None}
@@ -862,6 +862,13 @@ def test_style_split_report():
 # ------------------------------------------------------------ renderers
 
 
+def written(panels, fmt):
+    """The document that ``write_reports`` writes for ``panels``."""
+    fh = io.StringIO()
+    write_reports(panels, fmt, fh)
+    return fh.getvalue()
+
+
 def rendered_report():
     corpus, metric_scores = report_fixture()
     return correlation_report(corpus, metric_scores, flags(corpus, 1, 2),
@@ -870,7 +877,7 @@ def rendered_report():
 
 def test_render_report_csv():
     report = rendered_report()
-    text = render_reports(report, "csv")
+    text = written(report, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == ("panel,filter,metric,pearson,spearman,pearson_pct,"
                         "spearman_pct,n_pairs,dropped_pairs,removed_annotators")
@@ -890,7 +897,7 @@ def test_render_report_csv():
 
 def test_render_report_json_round_trip():
     report = rendered_report()
-    doc = json.loads(render_reports(report, "json"))
+    doc = json.loads(written(report, "json"))
     assert doc["label"] == "all, annotators"
     assert doc["status"] == "ok"
     assert doc["metrics"] == ["m"]
@@ -915,15 +922,15 @@ def test_render_reports_joins_panels_into_one_document():
                                 label="other")
     panels = {"x": first, "y": second}
 
-    lines = render_reports(panels, "csv").splitlines()
-    assert lines == render_reports(first, "csv").splitlines() \
-        + render_reports(second, "csv").splitlines()[1:]
+    lines = written(panels, "csv").splitlines()
+    assert lines == written(first, "csv").splitlines() \
+        + written(second, "csv").splitlines()[1:]
     assert sum(line.startswith("panel,") for line in lines) == 1
-    assert json.loads(render_reports(panels, "json")) == {
+    assert json.loads(written(panels, "json")) == {
         "x": report_doc(first), "y": report_doc(second)}
-    assert render_reports(panels, "text") == \
+    assert written(panels, "text") == \
         render_report_text(first) + render_report_text(second)
-    assert render_reports(first, "text") == render_report_text(first)
+    assert written(first, "text") == render_report_text(first)
 
 
 def test_report_doc_rounds_floats_and_keeps_undefined_cells():
@@ -943,7 +950,7 @@ def test_report_doc_rounds_floats_and_keeps_undefined_cells():
     assert sub["pearson"] == 0.331111111111
     assert sub["pearson_pct"] == -0.666666666667
     assert sub["spearman_pct"] is None
-    assert '"pearson": 0.333333333333,' in render_reports(report, "json")
+    assert '"pearson": 0.333333333333,' in written(report, "json")
 
 
 def test_render_report_text():

@@ -75,6 +75,23 @@ def test_load_embeddings_skips_count_dim_header(tmp_path):
     assert set(table) == {"cat", "dog"}
 
 
+@pytest.mark.parametrize("header", ["", "2 3\n"], ids=["bare", "count-dim"])
+def test_load_embeddings_skips_a_byte_order_mark(tmp_path, header):
+    text = header + "the 1 2 3\ndog 4 5 6\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    got, want = load_embeddings(marked), load_embeddings(plain)
+    assert set(got) == set(want) == {"the", "dog"}
+    assert all(got[w].tolist() == want[w].tolist() for w in want)
+
+
+def test_load_embeddings_keeps_a_later_feff_as_data(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("cat 1 2\n\ufeffdog 3 4\n", encoding="utf-8")
+    assert set(load_embeddings(path)) == {"cat", "\ufeffdog"}
+
+
 def test_load_embeddings_two_field_word_line_is_not_header(tmp_path):
     # "up 1.0" cannot be a count/dim header (1.0 is not an int), so it is
     # a one-dimensional vector entry.
@@ -719,6 +736,14 @@ def test_load_noun_lexicon_custom(tmp_path):
     assert load_noun_lexicon(p) == frozenset({"cat", "dog"})
 
 
+def test_load_noun_lexicon_skips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("cat\ndog\n", encoding="utf-8")
+    marked.write_text("cat\ndog\n", encoding="utf-8-sig")
+    assert load_noun_lexicon(marked) == load_noun_lexicon(plain) == \
+        frozenset({"cat", "dog"})
+
+
 def test_load_noun_lexicon_errors_name_the_file(tmp_path):
     empty = tmp_path / "none.txt"
     empty.write_text("# only a comment\n")
@@ -897,6 +922,15 @@ def test_pos_distance_unknown_aggregate():
     with pytest.raises(ValueError, match="aggregate"):
         pos_distance(tagger(["verb"]), tagger(["cat"]), WMD_TABLE,
                      aggregate="median")
+
+
+def test_pos_distance_accepts_every_report_aggregate():
+    from labelsim.correlate import POS_AGGREGATES
+    tagger = lexicon_noun_tagger(frozenset({"cat", "dog", "tree"}))
+    for aggregate in POS_AGGREGATES:
+        got = pos_distance(tagger(["cat", "dog"]), tagger(["tree"]),
+                           WMD_TABLE, aggregate=aggregate)
+        assert got is not None and got > 0.0
 
 
 # ------------------------------------------------- per-pair artifact IO

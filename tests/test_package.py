@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import labelsim
 from labelsim import simulate
 from labelsim.corpus import save_corpus
+from labelsim.textmetrics import tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -111,6 +114,59 @@ def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert re.match(r"filter \[2, 3\] removes \d+ annotators\n", out)
     assert "Correlation report (all annotators)" in out
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A small simulated corpus with a score channel, a sentiment file
+    and word vectors for its every token."""
+    out = tmp_path_factory.mktemp("cli_inputs")
+    corpus, _ = simulate.generate_corpus(
+        simulate.PopulationSpec(n_pairs=40, seed=2))
+    save_corpus(corpus, out / "pairs.csv", out / "annotations.csv")
+    ids = [p.pair_id for p in corpus.pairs]
+    (out / "ext.csv").write_text("pair_id,score\n" + "".join(
+        f"{pid},{k % 7}\n" for k, pid in enumerate(ids)))
+    (out / "sent.csv").write_text("pair_id,score_a,score_b\n" + "".join(
+        f"{pid},0.5,-0.5\n" for pid in ids))
+    words = sorted({w for p in corpus.pairs
+                    for w in tokenize(p.text_a) + tokenize(p.text_b)})
+    (out / "vectors.txt").write_text("".join(
+        f"{w} {k % 5} {k % 3}\n" for k, w in enumerate(words)))
+    return str(out)
+
+
+_CORPUS = ["--pairs", "{d}/pairs.csv", "--annotations", "{d}/annotations.csv"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate", *_CORPUS], False),
+    (["stats", *_CORPUS], False),
+    (["flag", *_CORPUS, "--sentiment-file", "{d}/sent.csv"], False),
+    (["style-report", *_CORPUS, "--precomputed", "ext={d}/ext.csv",
+      "--metrics", "ext", "--sentiment-file", "{d}/sent.csv",
+      "--out-format", "json"], False),
+    (["report", *_CORPUS, "--metrics", "lexical"], False),
+    (["metrics", "--pairs", "{d}/pairs.csv", "--metrics", "bleu1"], False),
+    (["report", *_CORPUS, "--metrics", "all",
+      "--embeddings", "{d}/vectors.txt"], True),
+], ids=["validate", "stats", "flag", "style-report", "report-lexical",
+        "metrics-bleu1", "report-embeddings"])
+def test_only_embedding_work_loads_embmetrics(cli_inputs, argv, loaded):
+    argv = [arg.format(d=cli_inputs) for arg in argv]
+    got = _in_fresh_process(
+        "import contextlib, io, json, sys\n"
+        "from labelsim import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main({argv!r})\n"
+        "print(json.dumps([rc, 'labelsim.embmetrics' in sys.modules]))\n")
+    assert got == [0, loaded]
+
+
+def test_embmetrics_imports_no_report_or_cli_module():
+    loaded = _in_fresh_process("import labelsim.embmetrics; " + LOADED)
+    assert "labelsim.correlate" not in loaded
+    assert "labelsim.cli" not in loaded
 
 
 def test_reports_read_a_flag_pass_and_run_no_heuristic():
