@@ -310,6 +310,11 @@ def _output(out_path):
         sys.stdout.write(buf.getvalue())
 
 
+def _write_csv(rows, out_path) -> None:
+    with _output(out_path) as fh:
+        correlate._csv_writer(fh).writerows(rows)
+
+
 def _write_reports(panels, args) -> None:
     """Write a run's correlation reports in ``--out-format``.  CSV rows
     have no place for a panel's status or a metric it left out, so with
@@ -347,19 +352,17 @@ def cmd_stats(args) -> int:
     corpus = load_corpus(args.pairs, args.annotations, args.fmt)
     profiles = stats.annotator_profiles(
         corpus, exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
-    with _output(args.out) as fh:
-        writer = correlate._csv_writer(fh)
-        writer.writerow(["annotator_id", "n_labels", "mean_duration",
-                         "label_variance", "mean_random", "mean_nonrandom",
-                         "extreme_share", "central_share",
-                         "disagreement_rate", "style"])
-        for aid in sorted(profiles):
-            p = profiles[aid]
-            values = (p.mean_duration, p.label_variance, p.mean_random,
-                      p.mean_nonrandom, p.extreme_share, p.central_share,
-                      p.disagreement_rate)
-            writer.writerow([aid, p.n_labels, *map(correlate._fmt, values),
-                             p.style.value])
+    rows = [["annotator_id", "n_labels", "mean_duration", "label_variance",
+             "mean_random", "mean_nonrandom", "extreme_share",
+             "central_share", "disagreement_rate", "style"]]
+    for aid in sorted(profiles):
+        p = profiles[aid]
+        values = (p.mean_duration, p.label_variance, p.mean_random,
+                  p.mean_nonrandom, p.extreme_share, p.central_share,
+                  p.disagreement_rate)
+        rows.append([aid, p.n_labels, *map(correlate._fmt, values),
+                     p.style.value])
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -387,16 +390,15 @@ def cmd_flag(args) -> int:
                 fh.write('"%s",' % subset_label(sub))
                 writer.writerow([len(removed), ";".join(removed)])
         return 0
-    with _output(args.out) as fh:
-        writer = correlate._csv_writer(fh)
-        writer.writerow(["annotator_id", "flags", "evidence"])
-        for aid in sorted(reports):
-            rep = reports[aid]
-            flags = ";".join(str(int(h)) for h in sorted(rep.flags))
-            evidence = ";".join(
-                f"{int(h)}:{ev.statistic}={ev.value:.6f} vs {ev.threshold:g}"
-                for h, ev in sorted(rep.evidence.items()))
-            writer.writerow([aid, flags, evidence])
+    rows = [["annotator_id", "flags", "evidence"]]
+    for aid in sorted(reports):
+        rep = reports[aid]
+        flags = ";".join(str(int(h)) for h in sorted(rep.flags))
+        evidence = ";".join(
+            f"{int(h)}:{ev.statistic}={ev.value:.6f} vs {ev.threshold:g}"
+            for h, ev in sorted(rep.evidence.items()))
+        rows.append([aid, flags, evidence])
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -411,11 +413,10 @@ def cmd_metrics(args) -> int:
               for value, ok in zip(scores[m].values.tolist(),
                                    scores[m].defined.tolist())]
              for m in metrics]
-    with _output(args.out) as fh:
-        writer = correlate._csv_writer(fh)
-        writer.writerow(["pair_id", *metrics])
-        writer.writerows([pair.pair_id, *(column[k] for column in shown)]
-                         for k, pair in enumerate(corpus.pairs))
+    rows = [["pair_id", *metrics]]
+    rows.extend([pair.pair_id, *(column[k] for column in shown)]
+                for k, pair in enumerate(corpus.pairs))
+    _write_csv(rows, args.out)
     return 0
 
 
