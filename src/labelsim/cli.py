@@ -9,8 +9,8 @@ gives (LABELSIM_EMBEDDINGS, LABELSIM_SENTIMENT_FILE, LABELSIM_POS_TAGS,
 LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON); a flag wins over its
 variable.
 
-A command imports only what it runs: :mod:`~labelsim.embmetrics` is
-loaded only by a run that scores an embedding metric or names a word- or
+The embedding metrics' module, :mod:`~labelsim.embmetrics`, is loaded
+only by a run that scores an embedding metric or names a word- or
 sentence-embedding, POS-tag or noun-lexicon file.  Each command writes
 its document straight into its output as it renders it: into the --out
 file, opened once every result is computed, or into a buffer that goes
