@@ -153,7 +153,9 @@ def _add_threshold_args(p):
                     _CONFIG_FIELDS, {})
 
 
-def _add_metric_args(p):
+def _add_metric_args(p, distances=True):
+    """The scoring options; ``distances`` adds --precomputed-distance,
+    which only a command that orients its scores reads."""
     p.add_argument("--metrics", default="all",
                    help="'lexical', 'embedding', 'all', or comma-separated names")
     p.add_argument("--embeddings", default=None,
@@ -167,9 +169,10 @@ def _add_metric_args(p):
     p.add_argument("--precomputed", action="append", default=[],
                    metavar="NAME=PATH",
                    help="attach a per-pair score channel (repeatable)")
-    p.add_argument("--precomputed-distance", action="append", default=[],
-                   metavar="NAME",
-                   help="treat this precomputed channel as a distance")
+    if distances:
+        p.add_argument("--precomputed-distance", action="append", default=[],
+                       metavar="NAME",
+                       help="treat this precomputed channel as a distance")
     p.add_argument("--overlap-mode", choices=["jaccard", "precision"],
                    default="jaccard")
     p.add_argument("--pos-aggregate", choices=correlate.POS_AGGREGATES,
@@ -232,7 +235,8 @@ def _prepare_scoring(corpus, args):
     """Resolve metric names and load whatever artifacts they need."""
     metrics = _parse_metric_names(args.metrics, corpus)
     channels = sorted(corpus.precomputed_scores)
-    for name in args.precomputed_distance:
+    distance_channels = getattr(args, "precomputed_distance", [])
+    for name in distance_channels:
         if name not in channels:
             raise ValueError(
                 f"--precomputed-distance {name}: no precomputed channel has "
@@ -280,7 +284,7 @@ def _prepare_scoring(corpus, args):
         noun_tagger=noun_tagger,
         gold_tags=gold_tags,
         sent_embeddings=sent_embeddings,
-        distance_channels=set(args.precomputed_distance),
+        distance_channels=set(distance_channels),
         overlap_mode=args.overlap_mode,
         pos_aggregate=args.pos_aggregate,
     )
@@ -515,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="score every pair with the metrics")
     _add_corpus_args(p, annotations_required=False)
     _add_out_arg(p)
-    _add_metric_args(p)
+    _add_metric_args(p, distances=False)
     p.set_defaults(func=cmd_metrics)
 
     for name, handler in (("report", cmd_report),

@@ -277,7 +277,7 @@ class LabeledCorpus:
     a metric name to a per-pair :class:`PairScores` column; it is how
     externally computed similarity scores (contextual-embedding models
     and the like) enter the pipeline.  A corpus cut by
-    :func:`select_pairs` shares its parent's columns.
+    :func:`select_pairs` holds its own columns and channels.
     """
 
     pairs: tuple[SentencePair, ...]
@@ -308,8 +308,8 @@ def select_pairs(corpus: LabeledCorpus,
                  pairs: tuple[SentencePair, ...]) -> LabeledCorpus:
     """The corpus cut to ``pairs``, some of its pairs, with their
     annotations and every score channel; the cut lists them once each,
-    in corpus order.  The columns are cut by a pair mask and coded as
-    :func:`build_corpus` would code the kept rows."""
+    in corpus order.  The columns and each channel are cut by a pair mask
+    and coded as :func:`build_corpus` would code the kept rows."""
     columns = corpus.columns
     keep = np.zeros(len(columns.pair_ids), dtype=bool)
     keep[[columns.pair_index[p.pair_id] for p in pairs]] = True
@@ -317,18 +317,20 @@ def select_pairs(corpus: LabeledCorpus,
     annotator = columns.annotator[rows]
     labeled = np.zeros(len(columns.annotator_ids), dtype=bool)
     labeled[annotator] = True
+    cut = AnnotationColumns(
+        pair_ids=tuple(compress(columns.pair_ids, keep)),
+        annotator_ids=tuple(compress(columns.annotator_ids, labeled)),
+        pair=(np.cumsum(keep) - 1)[columns.pair[rows]],
+        annotator=(np.cumsum(labeled) - 1)[annotator],
+        label=columns.label[rows],
+        duration=columns.duration[rows],
+        pair_is_random=columns.pair_is_random[keep],
+    )
     return LabeledCorpus(
-        pairs=tuple(compress(corpus.pairs, keep)),
-        columns=AnnotationColumns(
-            pair_ids=tuple(compress(columns.pair_ids, keep)),
-            annotator_ids=tuple(compress(columns.annotator_ids, labeled)),
-            pair=(np.cumsum(keep) - 1)[columns.pair[rows]],
-            annotator=(np.cumsum(labeled) - 1)[annotator],
-            label=columns.label[rows],
-            duration=columns.duration[rows],
-            pair_is_random=columns.pair_is_random[keep],
-        ),
-        precomputed_scores=corpus.precomputed_scores)
+        pairs=tuple(compress(corpus.pairs, keep)), columns=cut,
+        precomputed_scores={
+            name: PairScores(cut, channel.values[keep], channel.defined[keep])
+            for name, channel in corpus.precomputed_scores.items()})
 
 
 def _fail(problem: str, path: Optional[Path], lineno: int) -> CorpusError:

@@ -637,5 +637,6 @@ def write_reports(panels: CorrelationReport | Mapping[str, CorrelationReport],
 
 def _csv_writer(fh: TextIO):
     """A CSV writer into ``fh`` that quotes only the fields that need it:
-    the one dialect of the reports' CSV and of the other commands'."""
+    the dialect of every CSV document a command writes to ``--out`` or
+    stdout.  ``simulate``'s files keep csv's default ``\r\n`` lines."""
     return csv.writer(fh, lineterminator="\n")

@@ -57,31 +57,30 @@ def load_embeddings(path, vocab_filter: Optional[set] = None) -> EmbeddingTable:
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                # a byte-order mark may open the file, and nothing else
-                parts = raw.decode("utf-8-sig" if lineno == 1
-                                   else "utf-8").split()
-            except UnicodeDecodeError:
-                raise CorpusError(f"{path} line {lineno}: not UTF-8") from None
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    continue  # count/dim header
-            word = parts[0]
-            if vocab_filter is not None and word not in vocab_filter:
-                continue
-            values = _parse_vector(parts[1:], f"{path} line {lineno}",
-                                   dimension)
-            dimension = values.size
-            if word not in vectors:
-                vectors[word] = values
+    # lines end at "\n" alone, as _not_utf8 counts them
+    with path.open(encoding="utf-8-sig", newline="\n") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2:
+                    try:
+                        int(parts[0]), int(parts[1])
+                    except ValueError:
+                        pass
+                    else:
+                        continue  # count/dim header
+                word = parts[0]
+                if vocab_filter is not None and word not in vocab_filter:
+                    continue
+                values = _parse_vector(parts[1:], f"{path} line {lineno}",
+                                       dimension)
+                dimension = values.size
+                if word not in vectors:
+                    vectors[word] = values
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if dimension is None:
         raise CorpusError(f"{path}: no embedding vectors found")
     return vectors

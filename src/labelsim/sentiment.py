@@ -8,6 +8,7 @@ and per-pair scores from an external tool can be ingested from CSV.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional
@@ -94,13 +95,9 @@ def sentiment_score(text: str, lexicon: dict[str, float]) -> float:
 
 
 def default_sentiment_scorer() -> Callable[[str], float]:
-    """Closure over the bundled lexicon, suitable as a Scorers.sentiment."""
-    lexicon = load_lexicon()
-
-    def score(text: str) -> float:
-        return sentiment_score(text, lexicon)
-
-    return score
+    """:func:`sentiment_score` over the bundled lexicon, suitable as a
+    Scorers.sentiment."""
+    return functools.partial(sentiment_score, lexicon=load_lexicon())
 
 
 def ingest_sentiment(path, corpus: Optional[LabeledCorpus] = None

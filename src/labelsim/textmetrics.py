@@ -282,8 +282,9 @@ def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
         whole = np.flatnonzero(room[:gram_id.size] >= n)
         # side in the lowest bit: a pair's n-gram on side a sorts just
         # before the same n-gram on side b
-        keys, counts = _key_counts(
-            (pair[whole] * n_grams + gram_id[whole]) * 2 + side[whole])
+        keys, counts = np.unique(
+            (pair[whole] * n_grams + gram_id[whole]) * 2 + side[whole],
+            return_counts=True)
         both = np.flatnonzero(keys[1:] - keys[:-1] == 1)
         both = both[keys[both] % 2 == 0]
         matches[n - 1] = np.bincount(keys[both] // (2 * n_grams),
@@ -294,26 +295,8 @@ def _clipped_matches(symbols: np.ndarray, lengths: np.ndarray,
 
 def _dense_ids(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Each key's index among the sorted distinct keys, and their number."""
-    order = np.argsort(keys)
-    first = _run_starts(keys[order])
-    ids = np.empty(keys.size, dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    return ids, int(first.sum())
-
-
-def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct keys and how often each occurs."""
-    ordered = np.sort(keys)
-    starts = np.flatnonzero(_run_starts(ordered))
-    return ordered[starts], np.diff(np.append(starts, keys.size))
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the positions where a run of equal sorted keys begins."""
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return first
+    distinct, ids = np.unique(keys, return_inverse=True)
+    return ids, distinct.size
 
 
 def _f_beta(p: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -350,8 +350,16 @@ def _latin1_precomputed(tmp_path):
                   "--metrics", "ext"], 3
 
 
+def _latin1_embeddings(tmp_path):
+    pairs, _ = write_corpus(tmp_path)
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"\xef\xbb\xbfred 1 2\nblue 3 4\ncaf\xe9 5 6\n")
+    return path, ["metrics", "--pairs", pairs, "--metrics", "cosine",
+                  "--embeddings", str(path)], 3
+
+
 @pytest.mark.parametrize("write", [_latin1_pairs_csv, _latin1_pairs_jsonl,
-                                   _latin1_precomputed])
+                                   _latin1_precomputed, _latin1_embeddings])
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys, write):
     path, argv, line = write(tmp_path)
     rc = main(argv)
@@ -896,16 +904,32 @@ def test_precomputed_distance_must_name_an_attached_channel(tmp_path,
     channel.write_text("pair_id,score\np1,0.9\np2,0.5\np3,0.1\n")
     argv = ["--pairs", pairs, "--annotations", annotations,
             "--metrics", "word_overlap", "--precomputed-distance", "exd"]
-    for command, attached in (("report", "ext"), ("style-report", "ext"),
-                              ("metrics", None)):
-        extra = ["--precomputed", f"ext={channel}"] if attached else []
+    for command, extra, attached in (
+            ("report", ["--precomputed", f"ext={channel}"], "ext"),
+            ("style-report", ["--precomputed", f"ext={channel}"], "ext"),
+            ("report", [], "none")):
         rc = main([command, *argv, *extra])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
         assert captured.err == (
             "error: --precomputed-distance exd: no precomputed channel has "
-            f"that name (attached: {attached or 'none'})\n")
+            f"that name (attached: {attached})\n")
+
+
+def test_metrics_takes_no_precomputed_distance(tmp_path, capsys):
+    # metrics prints raw values, so a channel's orientation means nothing
+    pairs, _ = write_corpus(tmp_path)
+    channel = tmp_path / "ch.csv"
+    channel.write_text("pair_id,score\np1,0.9\np2,0.5\np3,0.1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--pairs", pairs, "--metrics", "ext",
+              "--precomputed", f"ext={channel}",
+              "--precomputed-distance", "ext"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --precomputed-distance ext" in captured.err
 
 
 # ---------------------------------------------------------------- report
@@ -1580,7 +1604,8 @@ _REPORT = [*_CORPUS, "--config", "--out", *_METRICS, "--heuristics",
     ("stats", [*_CORPUS, "--out", "--style-variance-excludes-midpoint"]),
     ("flag", [*_CORPUS, "--config", "--out", "--heuristics", "--all-subsets",
               "--sentiment-file", *_THRESHOLDS]),
-    ("metrics", [*_CORPUS, "--out", *_METRICS]),
+    ("metrics", [*_CORPUS, "--out",
+                 *(o for o in _METRICS if o != "--precomputed-distance")]),
     ("report", [*_REPORT, "--per-dataset", "--per-annotation-gold",
                 *_THRESHOLDS]),
     ("style-report", [*_REPORT, "--style-variance-excludes-midpoint",

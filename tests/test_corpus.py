@@ -351,10 +351,11 @@ def test_pair_scores_converts_every_other_mapping_in_one_pass():
                                 {"p1": 0.25, "p10": -1.5})
     column = corpus.precomputed_scores["ext"]
     assert pair_scores(corpus.columns, column) is column
-    # a cut corpus shares its parent's channels; over the cut's pairs a
-    # channel is converted, and a pair outside the cut is left out
+    # a cut corpus holds its own channels; over the cut's pairs a
+    # parent's channel is converted, and a pair outside the cut is left out
     cut = select_pairs(corpus, corpus.pairs[:2])  # p10, p2
-    assert cut.precomputed_scores["ext"] is column
+    own = cut.precomputed_scores["ext"]
+    assert own.columns is cut.columns and own == {"p10": -1.5}
     sub = pair_scores(cut.columns, column)
     assert sub.columns is cut.columns and sub == {"p10": -1.5}
     assert sub.values.tolist() == [-1.5, 0.0]
@@ -366,6 +367,23 @@ def test_pair_scores_converts_every_other_mapping_in_one_pass():
                     unknown=KeyError)
     empty = pair_scores(cut.columns, {})
     assert len(empty) == 0 and empty == {} and list(empty) == []
+
+
+def test_a_cut_corpus_cuts_each_channel_by_its_pairs():
+    corpus = attach_precomputed(unsorted_corpus(), "ext",
+                                {"p1": 0.25, "p10": -1.5})
+    two_sided = pair_scores(corpus.columns, {"p2": (0.5, -0.5),
+                                             "p1": (1.0, 0.0)})
+    corpus = dataclasses.replace(corpus, precomputed_scores={
+        **corpus.precomputed_scores, "sent": two_sided})
+    cut = select_pairs(corpus, (corpus.pairs[2], corpus.pairs[1]))  # p1, p2
+    ext, sent = cut.precomputed_scores["ext"], cut.precomputed_scores["sent"]
+    assert ext.columns is cut.columns and sent.columns is cut.columns
+    assert len(ext.values) == len(ext.defined) == 2 and ext == {"p1": 0.25}
+    assert sent.values.shape == (2, 2)
+    assert sent == {"p2": (0.5, -0.5), "p1": (1.0, 0.0)}
+    # the parent's channels are left as they were
+    assert corpus.precomputed_scores["ext"] == {"p1": 0.25, "p10": -1.5}
 
 
 def test_precomputed_unknown_pair(tiny_corpus):

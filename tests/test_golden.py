@@ -107,9 +107,9 @@ def inputs(tmp_path_factory):
     return paths
 
 
-CHANNELS = ("--precomputed", "ext_sim={ext_sim}",
-            "--precomputed", "ext_dist={ext_dist}",
-            "--precomputed-distance", "ext_dist")
+ATTACH = ("--precomputed", "ext_sim={ext_sim}",
+          "--precomputed", "ext_dist={ext_dist}")
+CHANNELS = (*ATTACH, "--precomputed-distance", "ext_dist")
 CORPUS = ("--pairs", "{pairs}", "--annotations", "{annotations}")
 
 COMMANDS = {
@@ -137,7 +137,7 @@ COMMANDS = {
         "--sentiment-file", "{sentiment}",
         "--style-variance-excludes-midpoint", "--out-format", "csv"),
     "metrics-pos-tags": (
-        "metrics", "--pairs", "{pairs}", *CHANNELS, "--metrics", "all",
+        "metrics", "--pairs", "{pairs}", *ATTACH, "--metrics", "all",
         "--embeddings", "{embeddings}", "--pos-tags", "{pos_tags}"),
 }
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -174,3 +175,43 @@ def test_reports_read_a_flag_pass_and_run_no_heuristic():
     from labelsim import correlate
     for name in ("HeuristicConfig", "Scorers", "compute_flag_reports"):
         assert not hasattr(correlate, name), name
+
+
+def _binary_reads(tree):
+    """(function, line) of each call in ``tree`` that opens a file in
+    binary mode, reads one as bytes or decodes bytes."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) \
+                else getattr(node.func, "id", None)
+            modes = [a for a in node.args if isinstance(a, ast.Constant)] + \
+                [k.value for k in node.keywords if k.arg == "mode"]
+            binary = name == "open" and any(
+                isinstance(m, ast.Constant) and "b" in str(m.value)
+                for m in modes)
+            if binary or name in ("decode", "read_bytes"):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_one_function_decodes_bytes():
+    # every input is read as UTF-8 text; corpus._not_utf8 alone goes back
+    # to the bytes, to name the first line that is not UTF-8
+    calls = Counter(
+        f"{path.stem}.{function}"
+        for path in (ROOT / "src" / "labelsim").glob("*.py")
+        for function, _ in _binary_reads(
+            ast.parse(path.read_text(encoding="utf-8"))))
+    assert calls == {"corpus._not_utf8": 2}
+    # the scan sees each form it looks for
+    probe = ast.parse("def f(p):\n    open(p, 'rb')\n    p.open(mode='wb')\n"
+                      "    p.read_bytes()\n    b''.decode()\n    open(p)\n")
+    assert [line for _, line in _binary_reads(probe)] == [2, 3, 4, 5]
