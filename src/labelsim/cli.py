@@ -3,11 +3,8 @@
 Subcommands: validate, stats, flag, metrics, report, style-report,
 simulate.  Exit code 0 on success, 1 on data errors, 2 on usage errors
 (argparse's own convention).  Defaults can come from a ``key = value``
-config file via --config; explicit flags always win.  Environment
-variables with the ``LABELSIM_`` prefix supply path options that no flag
-gives (LABELSIM_EMBEDDINGS, LABELSIM_SENTIMENT_FILE, LABELSIM_POS_TAGS,
-LABELSIM_SENT_EMBEDDINGS, LABELSIM_NOUN_LEXICON); a flag wins over its
-variable.
+config file via --config; explicit flags always win.  A run's whole
+input is its command line and the files it names.
 
 The embedding metrics' module, :mod:`~labelsim.embmetrics`, is loaded
 only by a run that scores an embedding metric or names a word- or
@@ -23,7 +20,6 @@ import argparse
 import contextlib
 import dataclasses
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -34,8 +30,6 @@ from .heuristics import (HeuristicConfig, HeuristicId, compute_flag_reports,
                          default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
 from .sentiment import ingest_sentiment
-
-ENV_PREFIX = "LABELSIM_"
 
 # HeuristicConfig's fields, each a --flag and a config key
 _CONFIG_FIELDS = {f.name: type(f.default)
@@ -73,10 +67,6 @@ _SIM_CONFIG_FIELDS = {
 # the field types a flag reads itself, and what a value of each must be; a
 # field of another kind is read as text and parsed by its function
 _NUMBER_KINDS = {int: "an integer", float: "a number"}
-
-
-def _env_path(name: str):
-    return os.environ.get(ENV_PREFIX + name) or None
 
 
 def _given_values(args, fields: dict) -> dict:
@@ -124,10 +114,13 @@ def _build_heuristic_config(args) -> HeuristicConfig:
     return cfg
 
 
-def _add_corpus_args(p, annotations_required=True):
+def _add_corpus_args(p, annotations=True):
+    """--pairs and --format; ``annotations`` is whether --annotations is
+    required, or None for a command that reads no labels."""
     p.add_argument("--pairs", required=True, help="pairs file (CSV or JSONL)")
-    p.add_argument("--annotations", required=annotations_required,
-                   help="annotations file (CSV or JSONL)")
+    if annotations is not None:
+        p.add_argument("--annotations", required=annotations,
+                       help="annotations file (CSV or JSONL)")
     p.add_argument("--format", dest="fmt", choices=["csv", "jsonl"],
                    help="force the corpus file format")
 
@@ -200,7 +193,11 @@ def _parse_metric_names(raw: str, corpus) -> list[str]:
         return list(correlate.EMBEDDING_METRICS)
     if raw == "all":
         return correlate.metric_universe(corpus)
-    names = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    # a repeated name is scored and shown once, where it first appears
+    names = list(dict.fromkeys(tok.strip() for tok in raw.split(",")
+                               if tok.strip()))
+    if not names:
+        raise ValueError("empty metric list")
     universe = set(correlate.metric_universe(corpus))
     for name in names:
         if name not in universe:
@@ -242,22 +239,19 @@ def _prepare_scoring(corpus, args):
                 f"--precomputed-distance {name}: no precomputed channel has "
                 f"that name (attached: {', '.join(channels) or 'none'})")
 
-    embeddings_path = args.embeddings or _env_path("EMBEDDINGS")
-    sent_emb_path = args.sent_embeddings or _env_path("SENT_EMBEDDINGS")
-    pos_tags_path = args.pos_tags or _env_path("POS_TAGS")
-    noun_lex_path = args.noun_lexicon or _env_path("NOUN_LEXICON")
-    if embeddings_path or sent_emb_path or pos_tags_path or noun_lex_path:
+    if args.embeddings or args.sent_embeddings or args.pos_tags \
+            or args.noun_lexicon:
         from . import embmetrics
 
     table = None
-    if embeddings_path:
+    if args.embeddings:
         table = embmetrics.load_embeddings(
-            embeddings_path, vocab_filter=_corpus_vocabulary(corpus))
+            args.embeddings, vocab_filter=_corpus_vocabulary(corpus))
 
     sent_embeddings = None
-    if sent_emb_path:
+    if args.sent_embeddings:
         sent_embeddings = embmetrics.load_sentence_embeddings(
-            sent_emb_path, corpus)
+            args.sent_embeddings, corpus)
 
     if table is None:
         skipped = [m for m in metrics
@@ -272,12 +266,12 @@ def _prepare_scoring(corpus, args):
                     f"every requested metric was skipped: {', '.join(skipped)}")
 
     gold_tags = None
-    if pos_tags_path:
-        gold_tags = embmetrics.load_gold_tags(pos_tags_path, corpus)
+    if args.pos_tags:
+        gold_tags = embmetrics.load_gold_tags(args.pos_tags, corpus)
     noun_tagger = None
-    if "pos_dist" in metrics and gold_tags is None and noun_lex_path:
+    if "pos_dist" in metrics and gold_tags is None and args.noun_lexicon:
         noun_tagger = embmetrics.lexicon_noun_tagger(
-            embmetrics.load_noun_lexicon(noun_lex_path))
+            embmetrics.load_noun_lexicon(args.noun_lexicon))
 
     return metrics, dict(
         table=table,
@@ -292,10 +286,8 @@ def _prepare_scoring(corpus, args):
 
 def _build_scorers(corpus, cfg, args):
     scorers = default_scorers(cfg)
-    sentiment_path = getattr(args, "sentiment_file", None) \
-        or _env_path("SENTIMENT_FILE")
-    if sentiment_path:
-        scorers.pair_sentiment = ingest_sentiment(sentiment_path, corpus)
+    if args.sentiment_file:
+        scorers.pair_sentiment = ingest_sentiment(args.sentiment_file, corpus)
     return scorers
 
 
@@ -303,15 +295,17 @@ def _build_scorers(corpus, cfg, args):
 def _output(out_path):
     """The text stream a command writes its document into, once every
     result is computed: the ``out_path`` file, or else a buffer that is
-    written to stdout in one call when the document is complete (an
-    unbuffered stdout would take a system call per piece)."""
+    written to stdout's bytes in one call when the document is complete
+    (an unbuffered stdout would take a system call per piece).  Both get
+    the same UTF-8, whatever stdout's own encoding and newline."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             yield fh
     else:
         buf = io.StringIO()
         yield buf
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.flush()
+        sys.stdout.buffer.write(buf.getvalue().encode("utf-8"))
 
 
 def _write_csv(rows, out_path) -> None:
@@ -407,7 +401,7 @@ def cmd_flag(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    corpus = load_corpus(args.pairs, args.annotations, args.fmt)
+    corpus = load_corpus(args.pairs, fmt=args.fmt)
     corpus = _attach_channels(corpus, args)
     metrics, kwargs = _prepare_scoring(corpus, args)
     scores = correlate.compute_metric_scores(
@@ -493,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check corpus files and summarize")
-    _add_corpus_args(p, annotations_required=False)
+    _add_corpus_args(p, annotations=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="per-annotator statistics as CSV")
@@ -517,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flag)
 
     p = sub.add_parser("metrics", help="score every pair with the metrics")
-    _add_corpus_args(p, annotations_required=False)
+    _add_corpus_args(p, annotations=None)
     _add_out_arg(p)
     _add_metric_args(p, distances=False)
     p.set_defaults(func=cmd_metrics)

@@ -579,17 +579,19 @@ def render_report_text(report: CorrelationReport) -> str:
     if report.status != "ok":
         lines.append(f"status: {report.status}")
         return "\n".join(lines) + "\n"
-    width = max([len("filter")] + [len(subset_label(r.subset))
-                                   for r in report.subsets])
+    width = max([len("baseline")] + [len(subset_label(r.subset))
+                                     for r in report.subsets])
+    columns = {name: max(20, len(name)) for name in report.metrics}
     header = "filter".ljust(width) + "".join(
-        f"  {name:>20}" for name in report.metrics)
+        f"  {name:>{w}}" for name, w in columns.items())
     lines.append(header)
     base_cells = "".join(
-        f"  {report.baseline[name].pearson:>20.4f}" for name in report.metrics)
+        f"  {report.baseline[name].pearson:>{w}.4f}"
+        for name, w in columns.items())
     lines.append("baseline".ljust(width) + base_cells)
     for row in report.subsets:
         cells = ""
-        for name in report.metrics:
+        for name, w in columns.items():
             val = row.cells[name].pearson
             pct = _pct_pair(row.cells[name], report.baseline[name])[0]
             if val is None:
@@ -598,7 +600,7 @@ def render_report_text(report: CorrelationReport) -> str:
                 shown = f"{val:.4f} (n/a)"
             else:
                 shown = f"{val:.4f} ({pct:+.1f}%)"
-            cells += f"  {shown:>20}"
+            cells += f"  {shown:>{w}}"
         lines.append(subset_label(row.subset).ljust(width) + cells)
     if report.unavailable:
         lines.append("")

@@ -73,6 +73,13 @@ def write_two_source_corpus(tmp_path):
     return str(pairs), str(annotations)
 
 
+def corpus_args(command, pairs, annotations):
+    """--pairs, and --annotations for every command but metrics, which
+    reads no labels."""
+    return ["--pairs", pairs] if command == "metrics" \
+        else ["--pairs", pairs, "--annotations", annotations]
+
+
 def write_embeddings(tmp_path):
     rng = np.random.default_rng(5)
     words = ["red", "blue", "green", "oak", "elm", "fir"]
@@ -149,6 +156,25 @@ def _child_env():
     # the child imports the same package this process is testing
     return dict(os.environ,
                 PYTHONPATH=str(Path(labelsim.__file__).resolve().parents[1]))
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # latin-1 stands for a non-UTF-8 locale, or Windows' redirected stdout
+    import subprocess
+    import sys
+
+    pairs, annotations = write_corpus(tmp_path)
+    text = Path(annotations).read_text().replace(",junk,", ",junk—李,")
+    Path(annotations).write_text(text, encoding="utf-8")
+    argv = ["stats", "--pairs", pairs, "--annotations", annotations]
+    code = f"import sys; from labelsim.cli import main; sys.exit(main({argv!r}))"
+    env = dict(_child_env(), PYTHONIOENCODING="latin-1")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert main([*argv, "--out", str(tmp_path / "stats.csv")]) == 0
+    assert done.stdout == (tmp_path / "stats.csv").read_bytes()
+    assert "junk—李".encode("utf-8") in done.stdout
 
 
 def test_import_loads_no_scipy():
@@ -278,7 +304,7 @@ def test_short_row_in_any_csv_input_names_file_and_row(
         assert str(exc.value) == expected
         return
     embeddings = write_embeddings(tmp_path)
-    rc = main(argv[:1] + ["--pairs", pairs, "--annotations", annotations]
+    rc = main(argv[:1] + corpus_args(argv[0], pairs, annotations)
               + [a.replace("PATH", str(path)).replace("EMB", embeddings)
                  for a in argv[1:]])
     assert rc == 1
@@ -400,7 +426,7 @@ def write_comma_id_corpus(tmp_path):
 def test_csv_output_quotes_ids_that_need_it(tmp_path, capsys, argv, column,
                                             value):
     pairs, annotations = write_comma_id_corpus(tmp_path)
-    assert main([*argv, "--pairs", pairs, "--annotations", annotations]) == 0
+    assert main([*argv, *corpus_args(argv[0], pairs, annotations)]) == 0
     out = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(out)))
     header = rows[0]
@@ -779,7 +805,7 @@ def test_metrics_warn_skips_embedding_metrics(tmp_path, capsys):
 def test_a_run_whose_every_metric_is_skipped_fails(tmp_path, capsys, command,
                                                    metrics, skipped):
     pairs, annotations = write_corpus(tmp_path)
-    rc = main([command, "--pairs", pairs, "--annotations", annotations,
+    rc = main([command, *corpus_args(command, pairs, annotations),
                "--metrics", metrics])
     captured = capsys.readouterr()
     assert rc == 1
@@ -823,28 +849,6 @@ def test_metrics_cosine_of_a_zero_mean_vector_fails_naming_the_pair(
                  "--embeddings", str(vectors)]) == 0
     assert capsys.readouterr().out.splitlines()[3] == \
         "p3,1.000000,1.000000"
-
-
-def test_metrics_env_var_supplies_embeddings(tmp_path, capsys, monkeypatch):
-    pairs, _ = write_corpus(tmp_path)
-    monkeypatch.setenv("LABELSIM_EMBEDDINGS", write_embeddings(tmp_path))
-    rc = main(["metrics", "--pairs", pairs, "--metrics", "cosine"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert "warning" not in captured.err
-    assert captured.out.splitlines()[1].startswith("p1,1.000000")
-
-
-def test_metrics_embeddings_flag_beats_env_var(tmp_path, capsys,
-                                               monkeypatch):
-    pairs, _ = write_corpus(tmp_path)
-    monkeypatch.setenv("LABELSIM_EMBEDDINGS", str(tmp_path / "missing.txt"))
-    rc = main(["metrics", "--pairs", pairs, "--metrics", "cosine",
-               "--embeddings", write_embeddings(tmp_path)])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert captured.err == ""
-    assert captured.out.splitlines()[1].startswith("p1,1.000000")
 
 
 def test_metrics_unknown_metric(tmp_path, capsys):
@@ -930,6 +934,40 @@ def test_metrics_takes_no_precomputed_distance(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --precomputed-distance ext" in captured.err
+
+
+def test_metrics_takes_no_annotations(tmp_path, capsys):
+    # metrics scores pairs and never reads a label
+    pairs, annotations = write_corpus(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--pairs", pairs, "--annotations", annotations,
+              "--metrics", "bleu1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --annotations" in captured.err
+
+
+def test_an_empty_metric_list_fails_and_a_repeated_name_counts_once(
+        tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    corpus = ["--pairs", pairs, "--annotations", annotations]
+    for argv in (["report", *corpus, "--out-format", "csv"],
+                 ["metrics", "--pairs", pairs]):
+        for raw in (",", "", " , "):
+            rc = main([*argv, "--metrics", raw])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == \
+                (1, "", "error: empty metric list\n")
+    assert main(["metrics", "--pairs", pairs,
+                 "--metrics", "bleu1,rougeL,bleu1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "pair_id,bleu1,rougeL"
+    assert main(["report", *corpus, "--metrics", "bleu1,rougeL,bleu1",
+                 "--heuristics", "2", "--out-format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [
+        ["baseline", "bleu1"], ["baseline", "rougeL"],
+        ["2", "bleu1"], ["2", "rougeL"]]
 
 
 # ---------------------------------------------------------------- report
@@ -1059,6 +1097,28 @@ def test_report_with_a_zero_baseline_has_no_percent_change(tmp_path,
     assert main([*argv, "--out-format", "text"]) == 0
     row = capsys.readouterr().out.splitlines()[3]
     assert row.split()[-4:] == ["0.1325", "(+0.0%)", "0.0000", "(n/a)"]
+
+
+def test_text_report_columns_fit_a_long_metric_name(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    name = "contextual_embedding_similarity"
+    channel = tmp_path / "ctx.csv"
+    channel.write_text("pair_id,score\n" + "".join(
+        f"p{i},{v}\n" for i, v in enumerate((0.9, 0.4, 0.1, 0.8, 0.5, 0.2),
+                                           start=1)))
+    assert main(["report", "--pairs", pairs, "--annotations", annotations,
+                 "--precomputed", f"{name}={channel}",
+                 "--metrics", f"bleu1,{name},rougeL", "--heuristics", "2,3",
+                 "--out-format", "text"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    ends = [header.index(m) + len(m) for m in ("bleu1", name, "rougeL")]
+    assert ends[-1] == len(header)
+    assert len(rows) == 4
+    for row in rows:
+        # each cell ends where its metric's name ends in the header
+        assert len(row) == len(header)
+        assert all(row[e - 1] != " " and row[e:e + 2] in ("  ", "")
+                   for e in ends), row
 
 
 @pytest.mark.parametrize("metric, message", [
@@ -1351,7 +1411,8 @@ def test_report_csv_quotes_panel_and_metric_names(tmp_path, capsys):
         assert row["dropped_pairs" if row["filter"] == "baseline"
                    else "removed_annotators"] in ("0", "1")
     # metrics writes the channel's name the same way
-    assert main(["metrics", *base, "--metrics", "lexical"]) == 0
+    assert main(["metrics", "--pairs", str(pairs), *base[4:],
+                 "--metrics", "lexical"]) == 0
     header = next(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert header[-1] == "a,b"
 
@@ -1604,7 +1665,7 @@ _REPORT = [*_CORPUS, "--config", "--out", *_METRICS, "--heuristics",
     ("stats", [*_CORPUS, "--out", "--style-variance-excludes-midpoint"]),
     ("flag", [*_CORPUS, "--config", "--out", "--heuristics", "--all-subsets",
               "--sentiment-file", *_THRESHOLDS]),
-    ("metrics", [*_CORPUS, "--out",
+    ("metrics", [*(o for o in _CORPUS if o != "--annotations"), "--out",
                  *(o for o in _METRICS if o != "--precomputed-distance")]),
     ("report", [*_REPORT, "--per-dataset", "--per-annotation-gold",
                 *_THRESHOLDS]),

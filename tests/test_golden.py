@@ -9,7 +9,9 @@ channels (a few pairs missing from the distance one), sentiment
 overrides and gold POS tags.  The pairs file is also written in id
 order, reversed and shuffled, and every command but ``metrics`` must
 print the same bytes from each.  Every command also writes the same
-bytes to an ``--out`` file as to stdout.
+bytes to an ``--out`` file as to stdout, and prints the same bytes with
+``LABELSIM_`` path variables naming another corpus's files or missing
+ones: a run's input is its command line and the files it names.
 
 A hash that moves means some output byte moved.  Update a hash only for
 a change that means to alter output, and say so where the change is
@@ -163,13 +165,39 @@ GOLDEN = {
 }
 
 
+@pytest.fixture(scope="module")
+def stray_environments(tmp_path_factory):
+    """Two settings of the five ``LABELSIM_`` path variables: files of
+    another corpus (pair ``zz``, a 3-word vector file), then missing
+    paths."""
+    out = tmp_path_factory.mktemp("stray")
+    files = {
+        "EMBEDDINGS": ("vectors.txt", "zz 1 0\nyy 0 1\nxx 1 1\n"),
+        "SENT_EMBEDDINGS": ("sent.csv", "pair_id,side,vector\nzz,a,1 0\n"),
+        "POS_TAGS": ("tags.csv", "pair_id,side,token_index,tag\nzz,a,0,NN\n"),
+        "NOUN_LEXICON": ("nouns.txt", "zz\n"),
+        "SENTIMENT_FILE": ("sentiment.csv",
+                           "pair_id,score_a,score_b\nzz,0.5,-0.5\n"),
+    }
+    for name, text in files.values():
+        (out / name).write_text(text)
+    return [{"LABELSIM_" + var: str(where / name)
+             for var, (name, _) in files.items()}
+            for where in (out, out / "missing")]
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_stdout_is_byte_identical(inputs, capsys, name):
+def test_stdout_is_byte_identical(inputs, stray_environments, capsys,
+                                  monkeypatch, name):
     argv = [arg.format(**inputs) for arg in COMMANDS[name]]
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") > 10
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[name]
+    for environment in ({}, *stray_environments):
+        for var, value in environment.items():
+            monkeypatch.setenv(var, value)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") > 10
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            GOLDEN[name], environment
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

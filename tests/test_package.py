@@ -158,7 +158,7 @@ def test_only_embedding_work_loads_embmetrics(cli_inputs, argv, loaded):
     got = _in_fresh_process(
         "import contextlib, io, json, sys\n"
         "from labelsim import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):\n"
         f"    rc = cli.main({argv!r})\n"
         "print(json.dumps([rc, 'labelsim.embmetrics' in sys.modules]))\n")
     assert got == [0, loaded]
@@ -215,3 +215,41 @@ def test_only_one_function_decodes_bytes():
     probe = ast.parse("def f(p):\n    open(p, 'rb')\n    p.open(mode='wb')\n"
                       "    p.read_bytes()\n    b''.decode()\n    open(p)\n")
     assert [line for _, line in _binary_reads(probe)] == [2, 3, 4, 5]
+
+
+ENVIRONMENT = ("environ", "environb", "getenv", "putenv")
+
+
+def _environment_reads(tree):
+    """(function, line) of each use in ``tree`` of ``os.environ``,
+    ``os.environb``, ``os.getenv`` or ``os.putenv``, or import of one."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT \
+                and getattr(node.value, "id", None) == "os" \
+                or isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(a.name in ENVIRONMENT for a in node.names):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # a run's input is its command line and the files it names
+    uses = [f"{path.stem}.{function}"
+            for path in sorted((ROOT / "src" / "labelsim").glob("*.py"))
+            for function, _ in _environment_reads(
+                ast.parse(path.read_text(encoding="utf-8")))]
+    assert uses == []
+    # the scan sees each form it looks for
+    probe = ast.parse("import os\nfrom os import getenv\n"
+                      "def f():\n    os.environ.get('X')\n"
+                      "    os.environb\n    os.getenv('X')\n"
+                      "    os.putenv('X', '1')\n    os.path.join('a')\n")
+    assert [line for _, line in _environment_reads(probe)] == [2, 4, 5, 6, 7]
