@@ -4,7 +4,8 @@ Subcommands: validate, stats, flag, metrics, report, style-report,
 simulate.  Exit code 0 on success, 1 on data errors, 2 on usage errors
 (argparse's own convention).  Defaults can come from a ``key = value``
 config file via --config; explicit flags always win.  A run's whole
-input is its command line and the files it names.
+input is its command line and the files it names, each read and checked
+whether the run uses it or not; a corpus file's content gives its format.
 
 The embedding metrics' module, :mod:`~labelsim.embmetrics`, is loaded
 only by a run that scores an embedding metric or names a word- or
@@ -115,14 +116,12 @@ def _build_heuristic_config(args) -> HeuristicConfig:
 
 
 def _add_corpus_args(p, annotations=True):
-    """--pairs and --format; ``annotations`` is whether --annotations is
+    """--pairs and --annotations; ``annotations`` is whether the latter is
     required, or None for a command that reads no labels."""
     p.add_argument("--pairs", required=True, help="pairs file (CSV or JSONL)")
     if annotations is not None:
         p.add_argument("--annotations", required=annotations,
                        help="annotations file (CSV or JSONL)")
-    p.add_argument("--format", dest="fmt", choices=["csv", "jsonl"],
-                   help="force the corpus file format")
 
 
 def _add_config_arg(p):
@@ -239,6 +238,9 @@ def _prepare_scoring(corpus, args):
                 f"--precomputed-distance {name}: no precomputed channel has "
                 f"that name (attached: {', '.join(channels) or 'none'})")
 
+    if args.pos_tags and args.noun_lexicon:
+        raise ValueError("--pos-tags and --noun-lexicon both choose "
+                         "pos_dist's nouns; give one")
     if args.embeddings or args.sent_embeddings or args.pos_tags \
             or args.noun_lexicon:
         from . import embmetrics
@@ -265,11 +267,10 @@ def _prepare_scoring(corpus, args):
                 raise ValueError(
                     f"every requested metric was skipped: {', '.join(skipped)}")
 
-    gold_tags = None
+    gold_tags = noun_tagger = None
     if args.pos_tags:
         gold_tags = embmetrics.load_gold_tags(args.pos_tags, corpus)
-    noun_tagger = None
-    if "pos_dist" in metrics and gold_tags is None and args.noun_lexicon:
+    if args.noun_lexicon:
         noun_tagger = embmetrics.lexicon_noun_tagger(
             embmetrics.load_noun_lexicon(args.noun_lexicon))
 
@@ -284,8 +285,8 @@ def _prepare_scoring(corpus, args):
     )
 
 
-def _build_scorers(corpus, cfg, args):
-    scorers = default_scorers(cfg)
+def _build_scorers(corpus, args):
+    scorers = default_scorers()
     if args.sentiment_file:
         scorers.pair_sentiment = ingest_sentiment(args.sentiment_file, corpus)
     return scorers
@@ -337,7 +338,7 @@ def _write_reports(panels, args) -> None:
 
 
 def cmd_validate(args) -> int:
-    corpus = load_corpus(args.pairs, args.annotations, args.fmt)
+    corpus = load_corpus(args.pairs, args.annotations)
     n_random = sum(1 for p in corpus.pairs if p.is_random)
     print(f"pairs: {len(corpus.pairs)} ({n_random} random)")
     print(f"annotations: {len(corpus.annotations)}")
@@ -347,7 +348,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = load_corpus(args.pairs, args.annotations, args.fmt)
+    corpus = load_corpus(args.pairs, args.annotations)
     profiles = stats.annotator_profiles(
         corpus, exclude_midpoint_from_variance=args.style_variance_excludes_midpoint)
     rows = [["annotator_id", "n_labels", "mean_duration", "label_variance",
@@ -365,9 +366,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    corpus = load_corpus(args.pairs, args.annotations, args.fmt)
+    corpus = load_corpus(args.pairs, args.annotations)
     cfg = _build_heuristic_config(args)
-    scorers = _build_scorers(corpus, cfg, args)
+    scorers = _build_scorers(corpus, args)
     subset = _parse_heuristics(args.heuristics)
     reports = compute_flag_reports(corpus, subset, cfg, scorers)
 
@@ -401,7 +402,7 @@ def cmd_flag(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    corpus = load_corpus(args.pairs, fmt=args.fmt)
+    corpus = load_corpus(args.pairs)
     corpus = _attach_channels(corpus, args)
     metrics, kwargs = _prepare_scoring(corpus, args)
     scores = correlate.compute_metric_scores(
@@ -419,10 +420,10 @@ def cmd_metrics(args) -> int:
 
 
 def _report_common(args):
-    corpus = load_corpus(args.pairs, args.annotations, args.fmt)
+    corpus = load_corpus(args.pairs, args.annotations)
     corpus = _attach_channels(corpus, args)
     cfg = _build_heuristic_config(args)
-    scorers = _build_scorers(corpus, cfg, args)
+    scorers = _build_scorers(corpus, args)
     metrics, kwargs = _prepare_scoring(corpus, args)
     scores = correlate.compute_metric_scores(corpus, metrics, **kwargs)
     heuristics = _parse_heuristics(args.heuristics)

@@ -2,9 +2,10 @@
 
 A corpus is two tables: sentence pairs (``pair_id, source, is_random,
 text_a, text_b``) and annotations (``pair_id, annotator_id, label,
-duration_seconds``).  Text is kept verbatim at load time; all
-normalization happens in the tokenizer so there is exactly one place
-where it can go wrong.
+duration_seconds``), each a CSV or JSONL file; a loader reads which
+from the file's content, a writer from the file's name.  Text is kept
+verbatim at load time; all normalization happens in the tokenizer so
+there is exactly one place where it can go wrong.
 """
 
 from __future__ import annotations
@@ -492,35 +493,34 @@ def _read_jsonl_rows(path: Path, required: tuple[str, ...]):
             raise _not_utf8(path) from None
 
 
-def _detect_format(path: Path, fmt: Optional[str]) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "jsonl"):
-            raise CorpusError(f"unknown corpus format {fmt!r}")
-        return fmt
-    suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".ndjson", ".json"):
-        return "jsonl"
-    return "csv"
+def _read_rows(path: Path, required: tuple[str, ...]):
+    """The rows of a CSV or JSONL file, read as its content says: JSONL
+    when its first non-blank line, after an optional byte-order mark,
+    starts with ``{`` (a JSON object does; a CSV header naming
+    ``pair_id`` cannot), else CSV.  An empty or all-blank file raises
+    :class:`CorpusError`, as a CSV file without a header does."""
+    with path.open(encoding="utf-8-sig") as fh:
+        try:
+            head = next(filter(None, map(str.strip, fh)), "")
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+    if not head:
+        raise CorpusError(f"{path}: empty file, header required")
+    read = _read_jsonl_rows if head.startswith("{") else _read_csv_rows
+    yield from read(path, required)
 
 
-def _read_rows(path: Path, required: tuple[str, ...], fmt: Optional[str]):
-    """The rows of a CSV or JSONL file, read as its format says."""
-    read = _read_csv_rows if _detect_format(path, fmt) == "csv" \
-        else _read_jsonl_rows
-    return read(path, required)
-
-
-def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) -> LabeledCorpus:
+def load_corpus(pairs_path, annotations_path=None) -> LabeledCorpus:
     """Load pairs (and optionally annotations) from CSV or JSONL files.
 
-    The format is inferred from the file suffix unless ``fmt`` forces it.
+    Each file's format is read from its content, whatever its name.
     Raises :class:`CorpusError` with the offending file and row for any
     schema violation.
     """
     pairs_path = Path(pairs_path)
     pairs = []
     pair_ids: set[str] = set()
-    rows = _read_rows(pairs_path, PAIR_FIELDS, fmt)
+    rows = _read_rows(pairs_path, PAIR_FIELDS)
     for lineno, (pid, source, raw_random, text_a, text_b) in rows:
         if isinstance(raw_random, bool):
             is_random = raw_random
@@ -545,20 +545,21 @@ def load_corpus(pairs_path, annotations_path=None, fmt: Optional[str] = None) ->
                  _parse_int(label, path, lineno),
                  _parse_float(duration, path, lineno), path, lineno)
                 for lineno, (pid, aid, label, duration)
-                in _read_rows(path, ANNOTATION_FIELDS, fmt))
+                in _read_rows(path, ANNOTATION_FIELDS))
     return LabeledCorpus(pairs=pairs, columns=_annotation_columns(pairs, rows))
 
 
 def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path) -> None:
     """Write a corpus back to disk; inverse of :func:`load_corpus`.
 
-    Both files take the format that ``pairs_path``'s suffix names.  Each
-    row is one dict of its fields, written by ``DictWriter`` as CSV or by
-    ``json.dumps`` as JSONL; the CSV's float durations read as ``repr``
-    does.
+    Both files take the format that ``pairs_path``'s suffix names: JSONL
+    for ``.jsonl``, ``.ndjson`` or ``.json``, else CSV (a writer has no
+    content to read it from).  Each row is one dict of its fields,
+    written by ``DictWriter`` as CSV or by ``json.dumps`` as JSONL; the
+    CSV's float durations read as ``repr`` does.
     """
     pairs_path = Path(pairs_path)
-    use_fmt = _detect_format(pairs_path, None)
+    jsonl = pairs_path.suffix.lower() in (".jsonl", ".ndjson", ".json")
     tables = (
         (pairs_path, PAIR_FIELDS,
          ((p.pair_id, p.source, int(p.is_random), p.text_a, p.text_b)
@@ -569,7 +570,7 @@ def save_corpus(corpus: LabeledCorpus, pairs_path, annotations_path) -> None:
     )
     for path, fields, values in tables:
         rows = (dict(zip(fields, row)) for row in values)
-        if use_fmt == "csv":
+        if not jsonl:
             with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.DictWriter(fh, fieldnames=fields)
                 writer.writeheader()

@@ -299,10 +299,8 @@ def compute_metric_scores(corpus: LabeledCorpus,
 
     scores: dict[str, PairScores] = {}
     for name in metrics:
-        if name in corpus.precomputed_scores:
-            column = pair_scores(columns, corpus.precomputed_scores[name])
-        else:
-            column = native[name]
+        column = corpus.precomputed_scores[name] \
+            if name in corpus.precomputed_scores else native[name]
         if oriented and (name in DISTANCE_METRICS
                          or name in distance_channels):
             column = PairScores(columns, -column.values, column.defined)

@@ -113,30 +113,28 @@ class FlagReport:
 class Scorers:
     """Pluggable text scorers used by the sentiment-disalignment flag.
 
-    ``overlap(texts_a, texts_b)`` scores a block of pairs at once and
-    returns one lexical-closeness score in [0, 1] per pair
-    ``(texts_a[k], texts_b[k])`` (a score list of another length is a
-    ValueError); ``sentiment(text)`` returns a polarity
-    score.  ``overlap`` is only given pairs with word tokens on both
-    sides.  Per-pair sentiment overrides (from an ingested file) win over
+    ``overlap(texts_a, texts_b, order)`` scores a block of pairs at once,
+    ``order`` being the config's ``overlap_bleu_order``, and returns one
+    lexical-closeness score in [0, 1] per pair ``(texts_a[k], texts_b[k])``
+    (a score list of another length is a ValueError); ``sentiment(text)``
+    returns a polarity score.  ``overlap`` is only given pairs with word
+    tokens on both sides.  Per-pair sentiment overrides (from an ingested file) win over
     the callable, and a pair whose override gap is below
     ``sentiment_gap_threshold`` cannot qualify, so ``overlap`` is never
     given it.
     """
 
-    overlap: Callable[[Sequence[str], Sequence[str]], Sequence[float]]
+    overlap: Callable[[Sequence[str], Sequence[str], int], Sequence[float]]
     sentiment: Callable[[str], float]
     pair_sentiment: Optional[Mapping[str, tuple[float, float]]] = None
 
 
-def default_scorers(cfg: Optional[HeuristicConfig] = None) -> Scorers:
+def default_scorers() -> Scorers:
     """Bundled scorers: sentence-BLEU overlap and the built-in sentiment lexicon."""
     from .sentiment import default_sentiment_scorer
 
-    cfg = cfg or HeuristicConfig()
-    order = cfg.overlap_bleu_order
-
-    def overlap(texts_a: Sequence[str], texts_b: Sequence[str]) -> list[float]:
+    def overlap(texts_a: Sequence[str], texts_b: Sequence[str],
+                order: int) -> list[float]:
         values: list[float] = []
         for block in pair_blocks(len(texts_a)):
             refs = [tokenize(t) for t in texts_a[block]]
@@ -175,7 +173,8 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
 
     scored = np.flatnonzero(~short).tolist()
     overlaps = scorers.overlap([pairs[k].text_a for k in scored],
-                               [pairs[k].text_b for k in scored])
+                               [pairs[k].text_b for k in scored],
+                               cfg.overlap_bleu_order)
     overridden = overridden.tolist()
     qualifying: set[str] = set()
     for k, overlap in zip(scored, overlaps, strict=True):
@@ -215,7 +214,7 @@ def _rule(h: HeuristicId, corpus: LabeledCorpus,
                 [p.disagreement_rate for p in profiles],
                 every(cfg.disagreement_threshold))
     qualifying = sentiment_qualifying_pairs(
-        corpus, scorers or default_scorers(cfg), cfg)
+        corpus, scorers or default_scorers(), cfg)
     return ("sentiment_pair_label_variance", operator.gt,
             _qualifying_variance(corpus, qualifying, cfg.min_sentiment_pairs),
             every(cfg.sentiment_variance_threshold))

@@ -762,7 +762,7 @@ def rebuild_tree_pivots(C, flow, basis):
 # corpus loading
 
 
-def load_annotations_oracle(pairs, path, fmt=None):
+def load_annotations_oracle(pairs, path):
     """The annotation rows of ``path`` as one ``Annotation`` object each,
     every row checked against ``pairs`` and the rows before it: the
     package's former row-object loader."""
@@ -776,7 +776,7 @@ def load_annotations_oracle(pairs, path, fmt=None):
     labeled = set()
     annotations = []
     for lineno, (pid, aid, label, duration) in _read_rows(
-            path, ANNOTATION_FIELDS, fmt):
+            path, ANNOTATION_FIELDS):
         a = Annotation(pair_id=str(pid).strip(),
                        annotator_id=str(aid).strip(),
                        label=_parse_int(label, path, lineno),
@@ -915,7 +915,8 @@ def sentiment_qualifying_pairs_loop(corpus, scorers, cfg):
     pairs = corpus.pairs
     try:
         overlaps = scorers.overlap([p.text_a for p in pairs],
-                                   [p.text_b for p in pairs])
+                                   [p.text_b for p in pairs],
+                                   cfg.overlap_bleu_order)
     except EmptyText as exc:
         raise exc.for_pair(pairs[exc.index].pair_id) from None
     qualifying = set()

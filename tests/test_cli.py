@@ -337,6 +337,25 @@ def test_side_files_are_checked_against_the_corpus(tmp_path, capsys, name,
     assert capsys.readouterr().err == f"error: {path} {message}\n"
 
 
+def test_a_named_noun_lexicon_is_read_and_never_named_with_pos_tags(
+        tmp_path, capsys):
+    # a lexicon is read like every side file, whatever the metrics; named
+    # with --pos-tags, pos_dist would have two sources of nouns, and the
+    # run fails before it opens either file
+    pairs, annotations = write_corpus(tmp_path)
+    missing = tmp_path / "missing.txt"
+    argv = ["report", "--pairs", pairs, "--annotations", annotations,
+            "--metrics", "bleu1"]
+    assert main(argv + ["--noun-lexicon", str(missing)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert main(argv + ["--pos-tags", str(missing),
+                        "--noun-lexicon", str(missing)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --pos-tags and --noun-lexicon both choose pos_dist's nouns;"
+        " give one\n")
+
+
 def test_non_utf8_embeddings_file_is_data_error(tmp_path, capsys):
     pairs, _ = write_corpus(tmp_path)
     path = tmp_path / "latin1.txt"
@@ -534,7 +553,7 @@ def test_flag_all_subsets_matches_flag_reports(one_radical_corpus, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     corpus = load_corpus(pairs, annotations)
     cfg = HeuristicConfig()
-    qualifying = sentiment_qualifying_pairs(corpus, default_scorers(cfg), cfg)
+    qualifying = sentiment_qualifying_pairs(corpus, default_scorers(), cfg)
     reports = oracles.flag_reports(corpus, list(HeuristicId), cfg, qualifying)
     subsets = heuristic_subsets(HeuristicId)
     assert len(rows) == len(subsets)
@@ -1648,7 +1667,7 @@ def test_style_report_json(tmp_path, capsys):
     assert doc["centrist"]["status"] == "ok"
 
 
-_CORPUS = ["-h", "--help", "--pairs", "--annotations", "--format"]
+_CORPUS = ["-h", "--help", "--pairs", "--annotations"]
 _THRESHOLDS = ["--slow-threshold", "--low-variance-threshold",
                "--disagreement-threshold", "--overlap-threshold",
                "--sentiment-gap-threshold", "--sentiment-variance-threshold",

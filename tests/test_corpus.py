@@ -99,15 +99,35 @@ def test_pairs_only(tmp_path):
     assert tuple(corpus.annotations) == ()
 
 
-def test_format_override(tmp_path):
-    # jsonl content behind a .txt suffix needs the explicit format
-    path = write(tmp_path, "pairs.txt",
-                 '{"pair_id": "p1", "source": "", "is_random": 0,'
-                 ' "text_a": "a b", "text_b": "b c"}\n')
-    corpus = load_corpus(path, fmt="jsonl")
-    assert corpus.pairs[0].text_b == "b c"
-    with pytest.raises(CorpusError):
-        load_corpus(path, fmt="tsv")
+PAIR_OBJECT = ('{"pair_id": "p1", "source": "", "is_random": 0,'
+               ' "text_a": "a b", "text_b": "b c"}\n')
+
+
+@pytest.mark.parametrize("name, content, problem", [
+    ("pairs.txt", PAIR_OBJECT, None),
+    ("pairs.csv", PAIR_OBJECT, None),
+    ("pairs.jsonl", "pair_id,source,is_random,text_a,text_b\np1,,0,a b,b c\n",
+     None),
+    ("pairs.txt", "\ufeff" + PAIR_OBJECT, None),
+    ("pairs.csv", "\n  \n" + PAIR_OBJECT, None),
+    ("pairs.jsonl", "", "empty file, header required"),
+    ("pairs.jsonl", "\n \n", "empty file, header required"),
+    ("pairs.txt", "caf\xe9\n" + PAIR_OBJECT, "line 1: not UTF-8"),
+], ids=["jsonl as txt", "jsonl as csv", "csv as jsonl", "byte-order mark",
+        "blank lines first", "empty", "all blank", "not utf-8"])
+def test_format_is_read_from_content(tmp_path, name, content, problem):
+    # a corpus file is JSONL when its first non-blank line opens an
+    # object, CSV otherwise, whatever its name
+    path = tmp_path / name
+    path.write_bytes(content.encode("latin-1" if "\xe9" in content
+                                    else "utf-8"))
+    if problem is not None:
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(path)
+        assert str(exc.value).endswith(problem)
+        return
+    (pair,) = load_corpus(path).pairs
+    assert (pair.pair_id, pair.text_a, pair.text_b) == ("p1", "a b", "b c")
 
 
 def test_round_trip_preserves_durations(tmp_path, tiny_corpus):

@@ -8,7 +8,9 @@ order and in two sources; the side files are word embeddings, two score
 channels (a few pairs missing from the distance one), sentiment
 overrides and gold POS tags.  The pairs file is also written in id
 order, reversed and shuffled, and every command but ``metrics`` must
-print the same bytes from each.  Every command also writes the same
+print the same bytes from each.  The pairs and annotations are also
+written as JSONL under ``.txt`` names, and every command must print the
+same bytes from these twins: a corpus file's format is its content.  Every command also writes the same
 bytes to an ``--out`` file as to stdout, and prints the same bytes with
 ``LABELSIM_`` path variables naming another corpus's files or missing
 ones: a run's input is its command line and the files it names.
@@ -20,6 +22,7 @@ recorded.
 
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -45,6 +48,13 @@ def _write_csv(path, header, rows):
     return str(path)
 
 
+def _write_jsonl(path, header, rows):
+    with path.open("w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(dict(zip(header, row))) + "\n")
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
@@ -55,12 +65,15 @@ def inputs(tmp_path_factory):
     source = {p.pair_id: ("news", "forum")[i % 2]
               for i, p in enumerate(by_id)}
 
-    def write_pairs(name, pairs):
-        return _write_csv(
+    def write_pairs(name, pairs, write=_write_csv):
+        return write(
             out / name, ("pair_id", "source", "is_random", "text_a",
                          "text_b"),
             [(p.pair_id, source[p.pair_id], int(p.is_random), p.text_a,
               p.text_b) for p in pairs])
+
+    annotation_fields = ("pair_id", "annotator_id", "label",
+                         "duration_seconds")
 
     paths = {
         "pairs": write_pairs("pairs.csv", pairs),
@@ -72,9 +85,14 @@ def inputs(tmp_path_factory):
             [by_id[i] for i in
              np.random.default_rng(7).permutation(len(by_id))]),
         "annotations": _write_csv(
-            out / "annotations.csv",
-            ("pair_id", "annotator_id", "label", "duration_seconds"),
+            out / "annotations.csv", annotation_fields,
             [(a.pair_id, a.annotator_id, a.label, repr(a.duration))
+             for a in corpus.annotations]),
+        # the JSONL twins: integer flags and labels, float durations
+        "pairs_jsonl": write_pairs("pairs.txt", pairs, _write_jsonl),
+        "annotations_jsonl": _write_jsonl(
+            out / "annotations.txt", annotation_fields,
+            [(a.pair_id, a.annotator_id, a.label, a.duration)
              for a in corpus.annotations]),
     }
     words = sorted({w for p in pairs for w in (p.text_a + " " + p.text_b)
@@ -207,6 +225,16 @@ def test_out_file_is_byte_identical(inputs, capsys, tmp_path, name):
     assert cli.main([*argv, "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_jsonl_twins_give_the_golden_bytes(inputs, capsys, name):
+    twins = {**inputs, "pairs": inputs["pairs_jsonl"],
+             "annotations": inputs["annotations_jsonl"]}
+    argv = [arg.format(**twins) for arg in COMMANDS[name]]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[name]
 
 
 # the commands whose output does not depend on the pairs file's row order

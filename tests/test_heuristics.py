@@ -172,7 +172,7 @@ def stub_scorers(overlap_value=1.0, sentiments=None, pair_sentiment=None):
     sentiments = sentiments or {}
 
     return Scorers(
-        overlap=lambda texts_a, texts_b: [overlap_value] * len(texts_a),
+        overlap=lambda a, b, order: [overlap_value] * len(a),
         sentiment=lambda text: sentiments.get(text, 0.0),
         pair_sentiment=pair_sentiment,
     )
@@ -220,7 +220,7 @@ def test_sentiment_overlap_threshold_is_strict():
 
 def test_sentiment_overlap_scorer_must_score_every_pair():
     corpus = sentiment_corpus({"v": [1, 5, 1]})
-    short = Scorers(overlap=lambda texts_a, texts_b: [1.0],
+    short = Scorers(overlap=lambda texts_a, texts_b, order: [1.0],
                     sentiment=lambda text: SENTS.get(text, 0.0))
     with pytest.raises(ValueError):
         sentiment_qualifying_pairs(corpus, short, CFG)
@@ -240,11 +240,29 @@ def test_default_overlap_scores_every_block(size):
                for _ in range(size)]
     texts_b = [" ".join(rng.choices(words, k=rng.randint(1, 6)))
                for _ in range(size)]
-    cfg = HeuristicConfig(overlap_bleu_order=2)
-    assert default_scorers(cfg).overlap(texts_a, texts_b) == [
+    assert default_scorers().overlap(texts_a, texts_b, 2) == [
         oracles.counter_bleu(textmetrics.tokenize(b), textmetrics.tokenize(a),
                              2, "none")
         for a, b in zip(texts_a, texts_b)]
+
+
+def test_overlap_takes_its_bleu_order_from_the_config():
+    # every gap qualifies, so the pairs are those whose order-3 BLEU
+    # beats the threshold; the bundled scorers hold no order of their own
+    corpus, _ = simulate.generate_corpus(
+        simulate.PopulationSpec(n_pairs=200, seed=3))
+    cfg = HeuristicConfig(overlap_threshold=0.3, sentiment_gap_threshold=0.0,
+                          overlap_bleu_order=3)
+    expected = {p.pair_id for p in corpus.pairs
+                if oracles.counter_bleu(textmetrics.tokenize(p.text_b),
+                                        textmetrics.tokenize(p.text_a),
+                                        3, "none") > 0.3}
+    assert expected and len(expected) < len(corpus.pairs)
+    assert sentiment_qualifying_pairs(corpus, default_scorers(), cfg) == \
+        expected
+    assert compute_flag_reports(corpus, [H.SENTIMENT_DISALIGNED], cfg,
+                                default_scorers()) == \
+        compute_flag_reports(corpus, [H.SENTIMENT_DISALIGNED], cfg)
 
 
 def test_sentiment_names_a_tokenless_pair_in_a_later_block():
@@ -253,7 +271,7 @@ def test_sentiment_names_a_tokenless_pair_in_a_later_block():
         [(f"p{i}", "red oak", "red elm" if i < n - 1 else "' !!") for i in range(n)],
         [])
     with pytest.raises(ValueError, match=rf"pair 'p{n - 1}'.*\(text_b\)"):
-        sentiment_qualifying_pairs(corpus, default_scorers(CFG), CFG)
+        sentiment_qualifying_pairs(corpus, default_scorers(), CFG)
 
 
 def test_sentiment_gap_threshold_is_inclusive():
@@ -306,7 +324,7 @@ def overridden_corpus_and_scorers(overlap):
 
 def test_gap_first_path_equals_the_loop_that_scores_every_pair():
     corpus, scorers = overridden_corpus_and_scorers(
-        default_scorers(CFG).overlap)
+        default_scorers().overlap)
     expected = oracles.sentiment_qualifying_pairs_loop(corpus, scorers, CFG)
     assert sentiment_qualifying_pairs(corpus, scorers, CFG) == expected
     # pairs qualify at a gap of exactly 1.9 and without an override
@@ -324,7 +342,7 @@ def test_qualifying_pairs_read_an_ingested_sentiment_file_alike(tmp_path):
     # the overrides as a file, listed in reverse corpus order, then
     # ingested over the corpus: the same qualifying pairs as the dict
     corpus, scorers = overridden_corpus_and_scorers(
-        default_scorers(CFG).overlap)
+        default_scorers().overlap)
     overrides = scorers.pair_sentiment
     expected = sentiment_qualifying_pairs(corpus, scorers, CFG)
     path = tmp_path / "sentiment.csv"
@@ -346,7 +364,7 @@ def test_qualifying_pairs_read_an_ingested_sentiment_file_alike(tmp_path):
 def test_overlap_is_never_given_a_below_gap_override_pair():
     seen = []
 
-    def overlap(texts_a, texts_b):
+    def overlap(texts_a, texts_b, order):
         seen.extend(zip(texts_a, texts_b))
         return [1.0] * len(texts_a)
 
@@ -567,4 +585,4 @@ def test_table_flags_and_profiles_equal_the_loops_on_a_simulated_corpus():
     reports = compute_flag_reports(corpus, list(H))
     fired = {h for report in reports.values() for h in report.flags}
     assert fired >= {H.SLOW, H.LOW_VARIANCE, H.HIGH_RANDOM, H.DISAGREEABLE}
-    assert_table_matches_loops(corpus, CFG, default_scorers(CFG))
+    assert_table_matches_loops(corpus, CFG, default_scorers())
