@@ -206,15 +206,14 @@ def _parse_metric_names(raw: str, corpus) -> list[str]:
 
 def _attach_channels(corpus, args):
     for spec in args.precomputed:
-        name, sep, path = spec.partition("=")
+        name, sep, path = map(str.strip, spec.partition("="))
         if not sep or not name or not path:
             raise ValueError(f"--precomputed expects NAME=PATH, got {spec!r}")
-        name = name.strip()
         if name in correlate.metric_universe():
             raise ValueError(
                 f"--precomputed {name}: a native metric has that name")
         corpus = attach_precomputed(corpus, name,
-                                    load_precomputed(path.strip(), corpus))
+                                    load_precomputed(path, corpus))
     return corpus
 
 
@@ -341,7 +340,7 @@ def cmd_validate(args) -> int:
     corpus = load_corpus(args.pairs, args.annotations)
     n_random = sum(1 for p in corpus.pairs if p.is_random)
     print(f"pairs: {len(corpus.pairs)} ({n_random} random)")
-    print(f"annotations: {len(corpus.annotations)}")
+    print(f"annotations: {len(corpus.columns.pair)}")
     print(f"annotators: {len(corpus.columns.annotator_ids)}")
     print("ok")
     return 0
@@ -409,7 +408,7 @@ def cmd_metrics(args) -> int:
         corpus, metrics, oriented=False, **kwargs)
     # each metric's cells in corpus order, read off its column's arrays
     shown = [[correlate._fmt(value) if ok else ""
-              for value, ok in zip(scores[m].values.tolist(),
+              for value, ok in zip(scores[m].data.tolist(),
                                    scores[m].defined.tolist())]
              for m in metrics]
     rows = [["pair_id", *metrics]]
@@ -470,7 +469,7 @@ def cmd_simulate(args) -> int:
     save_corpus(corpus, out_dir / "pairs.csv", out_dir / "annotations.csv")
     simulate.save_ground_truth(truth, out_dir / "truth_annotators.csv",
                                out_dir / "truth_pairs.csv")
-    print(f"wrote {len(corpus.pairs)} pairs, {len(corpus.annotations)} "
+    print(f"wrote {len(corpus.pairs)} pairs, {len(corpus.columns.pair)} "
           f"annotations for {len(truth.annotator_kinds)} annotators "
           f"to {out_dir}")
     return 0

@@ -15,7 +15,7 @@ import json
 import math
 import operator
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import compress, repeat
@@ -175,57 +175,31 @@ def _annotation_columns(pairs: tuple[SentencePair, ...],
     )
 
 
-class AnnotationRows(Sequence):
-    """A corpus's annotations as :class:`Annotation` rows in file order,
-    each made from the columns when it is read."""
-
-    def __init__(self, columns: AnnotationColumns):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns.pair)
-
-    def __getitem__(self, i: int) -> Annotation:
-        c = self._columns
-        return Annotation(c.pair_ids[c.pair[i]],
-                          c.annotator_ids[c.annotator[i]],
-                          int(c.label[i]), float(c.duration[i]))
-
-    def __iter__(self):
-        c = self._columns
-        for pair, annotator, label, duration in zip(
-                c.pair.tolist(), c.annotator.tolist(), c.label.tolist(),
-                c.duration.tolist()):
-            yield Annotation(c.pair_ids[pair], c.annotator_ids[annotator],
-                             label, duration)
-
-
 class PairScores(Mapping):
     """One per-pair score column: arrays over the pair index of
     ``columns``, read as a mapping from pair id to score.
 
-    ``values[i]`` is the score of ``columns.pair_ids[i]``, the corpus's
+    ``data[i]`` is the score of ``columns.pair_ids[i]``, the corpus's
     ``i``-th pair, where ``defined[i]``; any other pair has no score.  A
-    score is a float, or a tuple of floats where ``values`` has a second
+    score is a float, or a tuple of floats where ``data`` has a second
     axis (heuristic 5's two sentiment scores).  The mapping is read-only
-    and iterates its pairs in corpus order, as :class:`AnnotationRows`
-    reads annotations in file order.  Build one from any score mapping
-    with :func:`pair_scores`.
+    and iterates its pairs in corpus order.  Build one from any score
+    mapping with :func:`pair_scores`.
     """
 
-    __slots__ = ("columns", "values", "defined")
+    __slots__ = ("columns", "data", "defined")
 
-    def __init__(self, columns: AnnotationColumns, values: np.ndarray,
+    def __init__(self, columns: AnnotationColumns, data: np.ndarray,
                  defined: np.ndarray):
         self.columns = columns
-        self.values = values
+        self.data = data
         self.defined = defined
 
     def __getitem__(self, pair_id: str):
         i = self.columns.pair_index.get(pair_id)
         if i is None or not self.defined[i]:
             raise KeyError(pair_id)
-        value = self.values[i].tolist()
+        value = self.data[i].tolist()
         return tuple(value) if isinstance(value, list) else value
 
     def __iter__(self):
@@ -252,7 +226,7 @@ def pair_scores(columns: AnnotationColumns, scores: Mapping,
     if isinstance(scores, PairScores):
         if scores.columns is columns:
             return scores
-        values = scores.values[scores.defined]
+        values = scores.data[scores.defined]
     else:
         values = np.array(list(scores.values()), dtype=np.float64)
     keys = list(scores)
@@ -274,20 +248,38 @@ class LabeledCorpus:
     """Immutable bundle of pairs, annotations and optional score channels.
 
     The annotations are held as :class:`AnnotationColumns` only;
-    ``annotations`` reads them back as rows.  ``precomputed_scores`` maps
-    a metric name to a per-pair :class:`PairScores` column; it is how
-    externally computed similarity scores (contextual-embedding models
-    and the like) enter the pipeline.  A corpus cut by
-    :func:`select_pairs` holds its own columns and channels.
+    ``annotations`` reads them back as a tuple of :class:`Annotation`
+    rows in file order, made from the columns each time it is read.
+    ``precomputed_scores`` maps a metric name to a per-pair
+    :class:`PairScores` column over ``columns``; it is how externally
+    computed similarity scores (contextual-embedding models and the like)
+    enter the pipeline.  However a corpus is made, the constructor passes
+    each channel through :func:`pair_scores`, and a channel that scores a
+    pair the corpus does not hold raises :class:`CorpusError`.
     """
 
     pairs: tuple[SentencePair, ...]
     columns: AnnotationColumns
     precomputed_scores: dict[str, PairScores] = field(default_factory=dict)
 
+    def __post_init__(self):
+        def column(name: str, scores: Mapping) -> PairScores:
+            return pair_scores(self.columns, scores, lambda pid: CorpusError(
+                f"precomputed channel {name!r} references unknown pair "
+                f"{pid!r}"))
+
+        object.__setattr__(self, "precomputed_scores", {
+            name: column(name, scores)
+            for name, scores in self.precomputed_scores.items()})
+
     @property
-    def annotations(self) -> AnnotationRows:
-        return AnnotationRows(self.columns)
+    def annotations(self) -> tuple[Annotation, ...]:
+        c = self.columns
+        return tuple(map(Annotation,
+                         map(c.pair_ids.__getitem__, c.pair.tolist()),
+                         map(c.annotator_ids.__getitem__,
+                             c.annotator.tolist()),
+                         c.label.tolist(), c.duration.tolist()))
 
 
 def build_corpus(pairs: Iterable[SentencePair],
@@ -330,7 +322,7 @@ def select_pairs(corpus: LabeledCorpus,
     return LabeledCorpus(
         pairs=tuple(compress(corpus.pairs, keep)), columns=cut,
         precomputed_scores={
-            name: PairScores(cut, channel.values[keep], channel.defined[keep])
+            name: PairScores(cut, channel.data[keep], channel.defined[keep])
             for name, channel in corpus.precomputed_scores.items()})
 
 
@@ -600,15 +592,10 @@ def load_precomputed(path, corpus: Optional[LabeledCorpus] = None
 
 def attach_precomputed(corpus: LabeledCorpus, metric_name: str,
                        scores: Mapping[str, float]) -> LabeledCorpus:
-    """Return a new corpus with an extra named score channel attached,
-    held as a :class:`PairScores` column over the corpus's pairs."""
+    """Return a new corpus with an extra named score channel attached;
+    the new corpus holds it as a :class:`PairScores` column over its
+    pairs, and a pair it does not hold raises :class:`CorpusError`."""
     if metric_name in corpus.precomputed_scores:
         raise CorpusError(f"score channel {metric_name!r} already attached")
-
-    def unknown(pid: str) -> CorpusError:
-        return CorpusError(f"precomputed channel {metric_name!r} "
-                           f"references unknown pair {pid!r}")
-
-    column = pair_scores(corpus.columns, scores, unknown)
     return replace(corpus, precomputed_scores={**corpus.precomputed_scores,
-                                               metric_name: column})
+                                               metric_name: scores})

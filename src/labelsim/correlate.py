@@ -11,7 +11,7 @@ its percent changes, derived from the cell and the baseline whenever a
 report is rendered, are undefined with it.
 
 A metric score is one plain float per pair, held in a
-:class:`~labelsim.corpus.PairScores` column: a value array with a
+:class:`~labelsim.corpus.PairScores` column: a ``data`` array with a
 ``defined`` mask over the corpus's pairs, indexed in corpus order.
 :func:`compute_metric_scores` negates the :data:`DISTANCE_METRICS` and
 the distance channels, so higher always means more similar, and leaves
@@ -283,7 +283,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
         except textmetrics.EmptyText as exc:
             raise exc.for_pair(block[exc.index].pair_id) from None
         for name, column in scored.items():
-            native[name].values[part] = column
+            native[name].data[part] = column
             native[name].defined[part] = True
         if embedding:
             for i, (pair, tok_a, tok_b) in enumerate(
@@ -294,7 +294,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
                     raise ValueError(f"pair {pair.pair_id!r}: {exc}") \
                         from None
                 for name, value in found.items():
-                    native[name].values[i] = value
+                    native[name].data[i] = value
                     native[name].defined[i] = True
 
     scores: dict[str, PairScores] = {}
@@ -303,7 +303,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
             if name in corpus.precomputed_scores else native[name]
         if oriented and (name in DISTANCE_METRICS
                          or name in distance_channels):
-            column = PairScores(columns, -column.values, column.defined)
+            column = PairScores(columns, -column.data, column.defined)
         scores[name] = column
     return scores
 
@@ -385,7 +385,7 @@ def _cells(columns: AnnotationColumns, scores: Mapping[str, PairScores],
     for name in names:
         metric = scores[name]
         observed = metric.defined[pair]
-        xs = metric.values[pair[observed]]
+        xs = metric.data[pair[observed]]
         ys = gold[observed]
         n = int(np.count_nonzero(metric.defined & has_gold))
         try:

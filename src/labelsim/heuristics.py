@@ -168,7 +168,7 @@ def sentiment_qualifying_pairs(corpus: LabeledCorpus, scorers: Scorers,
     if scorers.pair_sentiment:
         overrides = pair_scores(corpus.columns, scorers.pair_sentiment)
         overridden = overrides.defined
-        scores = overrides.values
+        scores = overrides.data
         short = overridden & ~(np.abs(scores[:, 0] - scores[:, 1]) >= gap)
 
     scored = np.flatnonzero(~short).tolist()

@@ -920,6 +920,21 @@ def test_precomputed_channel_may_not_take_a_native_name(tmp_path, capsys):
             "error: --precomputed chrf: a native metric has that name\n")
 
 
+def test_precomputed_name_and_path_may_not_be_blank(tmp_path, capsys):
+    pairs, annotations = write_corpus(tmp_path)
+    channel = tmp_path / "ch.csv"
+    channel.write_text("pair_id,score\np1,0.9\np2,0.5\np3,0.1\n")
+    for spec in (f" ={channel}", "ext= "):
+        rc = main(["report", "--pairs", pairs, "--annotations", annotations,
+                   "--precomputed", spec, "--metrics", "all",
+                   "--out-format", "csv"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --precomputed expects NAME=PATH, got {spec!r}\n")
+
+
 def test_precomputed_distance_must_name_an_attached_channel(tmp_path,
                                                             capsys):
     pairs, annotations = write_corpus(tmp_path)
@@ -1714,7 +1729,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
                "--profiles", "reliable:4:0.3,constant:1:3", "--seed", "3"])
     captured = capsys.readouterr()
     assert rc == 0
-    assert "wrote 40 pairs" in captured.out
+    assert "wrote 40 pairs, 120 annotations for 5 annotators" in captured.out
     for name in ("pairs.csv", "annotations.csv",
                  "truth_annotators.csv", "truth_pairs.csv"):
         assert (out_dir / name).exists()
@@ -1722,7 +1737,9 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     rc = main(["validate", "--pairs", str(out_dir / "pairs.csv"),
                "--annotations", str(out_dir / "annotations.csv")])
     assert rc == 0
-    assert "pairs: 40" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "pairs: 40" in out and "annotations: 120\n" in out
+    assert len((out_dir / "annotations.csv").read_text().splitlines()) == 121
 
 
 def test_simulate_is_seed_deterministic(tmp_path):

@@ -14,6 +14,8 @@ from labelsim.corpus import (Annotation, AnnotationColumns, CorpusError,
                              PairScores, SentencePair, attach_precomputed,
                              build_corpus, load_corpus, load_precomputed,
                              pair_scores, save_corpus, select_pairs)
+from labelsim.correlate import compute_metric_scores, correlation_report
+from labelsim.heuristics import HeuristicId, compute_flag_reports
 from labelsim.simulate import PopulationSpec, generate_corpus
 
 from conftest import make_corpus
@@ -362,7 +364,7 @@ def test_pair_scores_read_as_a_mapping_in_corpus_order():
     # the store: arrays over the corpus's pairs, in corpus order
     assert column.columns is corpus.columns
     assert corpus.columns.pair_ids == ("p10", "p2", "p1")
-    assert column.values.tolist() == [-1.5, 0.0, 0.25]
+    assert column.data.tolist() == [-1.5, 0.0, 0.25]
     assert column.defined.tolist() == [True, False, True]
 
 
@@ -378,7 +380,7 @@ def test_pair_scores_converts_every_other_mapping_in_one_pass():
     assert own.columns is cut.columns and own == {"p10": -1.5}
     sub = pair_scores(cut.columns, column)
     assert sub.columns is cut.columns and sub == {"p10": -1.5}
-    assert sub.values.tolist() == [-1.5, 0.0]
+    assert sub.data.tolist() == [-1.5, 0.0]
     # a dict: numbers read as floats; a pair outside the columns is left
     # out, or raises through ``unknown``, the first in the dict's order
     assert pair_scores(cut.columns, {"p2": 3, "zz": 1.0}) == {"p2": 3.0}
@@ -399,11 +401,80 @@ def test_a_cut_corpus_cuts_each_channel_by_its_pairs():
     cut = select_pairs(corpus, (corpus.pairs[2], corpus.pairs[1]))  # p1, p2
     ext, sent = cut.precomputed_scores["ext"], cut.precomputed_scores["sent"]
     assert ext.columns is cut.columns and sent.columns is cut.columns
-    assert len(ext.values) == len(ext.defined) == 2 and ext == {"p1": 0.25}
-    assert sent.values.shape == (2, 2)
+    assert len(ext.data) == len(ext.defined) == 2 and ext == {"p1": 0.25}
+    assert sent.data.shape == (2, 2)
     assert sent == {"p2": (0.5, -0.5), "p1": (1.0, 0.0)}
     # the parent's channels are left as they were
     assert corpus.precomputed_scores["ext"] == {"p1": 0.25, "p10": -1.5}
+
+
+def test_annotations_read_back_as_a_tuple_of_the_columns_rows(tiny_corpus):
+    rows = tiny_corpus.annotations
+    c = tiny_corpus.columns
+    assert type(rows) is tuple and len(rows) == len(c.pair) == 9
+    assert rows == tiny_corpus.annotations  # made anew, equal each time
+    assert rows[0] == Annotation("p1", "ann1", 5, 20.0)
+    assert rows[-1] == rows[8] and rows[1:3] == (rows[1], rows[2])
+    assert [(a.pair_id, a.annotator_id, a.label, a.duration)
+            for a in rows] == [
+        (c.pair_ids[p], c.annotator_ids[k], label, duration)
+        for p, k, label, duration in zip(c.pair.tolist(),
+                                         c.annotator.tolist(),
+                                         c.label.tolist(),
+                                         c.duration.tolist())]
+
+
+def test_pair_scores_keeps_the_mapping_contract():
+    corpus = attach_precomputed(unsorted_corpus(), "ext",
+                                {"p1": 0.25, "p10": -1.5})
+    column = corpus.precomputed_scores["ext"]
+    plain = dict(column)
+    assert list(column.keys()) == list(plain.keys())
+    assert list(column.values()) == list(plain.values()) == [-1.5, 0.25]
+    assert list(column.items()) == list(plain.items())
+    assert column.get("p10") == plain.get("p10")
+    assert column.get("p2", 7.0) == plain.get("p2", 7.0) == 7.0
+    assert ("p1" in column) == ("p1" in plain) and "p2" not in column
+    assert column == plain and len(column) == len(plain) == 2
+
+
+def test_a_corpus_holds_each_channel_as_a_column_over_its_pairs():
+    corpus = unsorted_corpus()
+    made = dataclasses.replace(corpus, precomputed_scores={
+        "x": {"p1": 0.25, "p10": -1.5}})
+    scores = compute_metric_scores(made, ["x"])
+    assert isinstance(scores["x"], PairScores)
+    assert scores["x"].columns is made.columns
+    assert scores["x"] == {"p1": 0.25, "p10": -1.5}
+    cut = select_pairs(made, made.pairs[:2])  # p10, p2
+    assert cut.precomputed_scores["x"] == {"p10": -1.5}
+    # the constructor keeps a column already over the corpus's pairs
+    again = dataclasses.replace(made, pairs=made.pairs)
+    assert again.precomputed_scores["x"] is made.precomputed_scores["x"]
+    with pytest.raises(CorpusError, match="channel 'y' references "
+                                          "unknown pair 'zz'"):
+        dataclasses.replace(corpus, precomputed_scores={"y": {"zz": 1.0}})
+
+
+def test_a_channel_over_another_corpus_is_an_error():
+    corpus, _ = generate_corpus(PopulationSpec(n_pairs=200, seed=3))
+    halves = [select_pairs(corpus, corpus.pairs[:100]),
+              select_pairs(corpus, corpus.pairs[100:])]
+    half_a, half_b = (
+        attach_precomputed(half, "x",
+                           compute_metric_scores(half, ["bleu1"])["bleu1"])
+        for half in halves)
+    with pytest.raises(CorpusError) as exc:
+        dataclasses.replace(half_a,
+                            precomputed_scores=half_b.precomputed_scores)
+    assert str(exc.value) == \
+        "precomputed channel 'x' references unknown pair 'p0100'"
+    # the half's own channel gives the report its number
+    cut = select_pairs(half_a, half_a.pairs[:80])
+    report = correlation_report(
+        cut, compute_metric_scores(cut, ["x"]),
+        compute_flag_reports(cut, list(HeuristicId)[:4]))
+    assert report.baseline["x"].pearson == pytest.approx(0.890472, abs=1e-6)
 
 
 def test_precomputed_unknown_pair(tiny_corpus):

@@ -2,12 +2,16 @@
 quick start."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -253,3 +257,39 @@ def test_no_module_reads_the_environment():
                       "    os.environb\n    os.getenv('X')\n"
                       "    os.putenv('X', '1')\n    os.path.join('a')\n")
     assert [line for _, line in _environment_reads(probe)] == [2, 4, 5, 6, 7]
+
+
+def _shadowed_abc_methods(cls):
+    """The names of ``cls``'s slots and non-function class attributes that
+    hide a method one of its ``collections.abc`` bases provides."""
+    provided = {name for base in cls.__mro__
+                if base.__module__ == Mapping.__module__
+                for name, value in vars(base).items()
+                if inspect.isfunction(value)
+                or isinstance(value, (classmethod, staticmethod))}
+    own = set(getattr(cls, "__slots__", ())) | {
+        name for name, value in vars(cls).items()
+        if not inspect.isfunction(value)}
+    return sorted(own & provided)
+
+
+def test_no_view_hides_a_method_of_its_abc():
+    views = {f"{module.__name__}.{cls.__name__}": cls
+             for module in (importlib.import_module(f"labelsim.{info.name}")
+                            for info in pkgutil.iter_modules(
+                                labelsim.__path__))
+             for cls in vars(module).values()
+             if isinstance(cls, type) and cls.__module__ == module.__name__
+             and any(base.__module__ == Mapping.__module__
+                     for base in cls.__mro__[1:-1])}
+    assert "labelsim.corpus.PairScores" in views
+    assert {name: _shadowed_abc_methods(cls)
+            for name, cls in views.items()
+            if _shadowed_abc_methods(cls)} == {}
+    # the scan sees a slot and a class attribute that hide a method
+
+    class Probe(Mapping):
+        __slots__ = ("values",)
+        keys = property(lambda self: ())
+
+    assert _shadowed_abc_methods(Probe) == ["keys", "values"]

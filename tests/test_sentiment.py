@@ -201,7 +201,7 @@ def test_ingest_sentiment_over_a_corpus_is_a_column(tmp_path):
     assert got == {"p1": (0.5, -0.25), "p2": (1.0, -1.0)}
     assert list(got) == ["p2", "p1"]  # corpus order
     assert got["p1"] == (0.5, -0.25) and "p3" not in got
-    assert got.values.shape == (3, 2)
+    assert got.data.shape == (3, 2)
 
 
 def test_ingest_sentiment_missing_column(tmp_path):
