@@ -31,6 +31,7 @@ from .heuristics import (HeuristicConfig, HeuristicId, compute_flag_reports,
                          default_scorers, flagged_annotators,
                          heuristic_subsets, subset_label)
 from .sentiment import ingest_sentiment
+from .textmetrics import tokenize
 
 # HeuristicConfig's fields, each a --flag and a config key
 _CONFIG_FIELDS = {f.name: type(f.default)
@@ -167,7 +168,7 @@ def _add_metric_args(p, distances=True):
                        help="treat this precomputed channel as a distance")
     p.add_argument("--overlap-mode", choices=["jaccard", "precision"],
                    default="jaccard")
-    p.add_argument("--pos-aggregate", choices=correlate.POS_AGGREGATES,
+    p.add_argument("--pos-aggregate", choices=["matched", "all_pairs"],
                    default="matched")
 
 
@@ -217,15 +218,6 @@ def _attach_channels(corpus, args):
     return corpus
 
 
-def _corpus_vocabulary(corpus) -> set:
-    from .textmetrics import tokenize
-    vocab = set()
-    for pair in corpus.pairs:
-        vocab.update(tokenize(pair.text_a))
-        vocab.update(tokenize(pair.text_b))
-    return vocab
-
-
 def _prepare_scoring(corpus, args):
     """Resolve metric names and load whatever artifacts they need."""
     metrics = _parse_metric_names(args.metrics, corpus)
@@ -240,24 +232,22 @@ def _prepare_scoring(corpus, args):
     if args.pos_tags and args.noun_lexicon:
         raise ValueError("--pos-tags and --noun-lexicon both choose "
                          "pos_dist's nouns; give one")
-    if args.embeddings or args.sent_embeddings or args.pos_tags \
-            or args.noun_lexicon:
+    side_files = args.embeddings or args.sent_embeddings or args.pos_tags \
+        or args.noun_lexicon
+    if side_files:
         from . import embmetrics
-
-    table = None
-    if args.embeddings:
-        table = embmetrics.load_embeddings(
-            args.embeddings, vocab_filter=_corpus_vocabulary(corpus))
-
-    sent_embeddings = None
+    table = sent_embeddings = nouns = None
+    if args.embeddings:  # the vectors of the corpus's own words
+        table = embmetrics.load_embeddings(args.embeddings, vocab_filter={
+            t for p in corpus.pairs for text in (p.text_a, p.text_b)
+            for t in tokenize(text)})
     if args.sent_embeddings:
         sent_embeddings = embmetrics.load_sentence_embeddings(
             args.sent_embeddings, corpus)
 
     if table is None:
-        skipped = [m for m in metrics
-                   if m in correlate.WORD_VECTOR_METRICS
-                   or (m == "l2" and sent_embeddings is None)]
+        skipped = [m for m in metrics if m in correlate.EMBEDDING_METRICS
+                   and (m != "l2" or sent_embeddings is None)]
         if skipped:
             print(f"warning: skipping {', '.join(skipped)}: "
                   "no --embeddings file given", file=sys.stderr)
@@ -266,21 +256,19 @@ def _prepare_scoring(corpus, args):
                 raise ValueError(
                     f"every requested metric was skipped: {', '.join(skipped)}")
 
-    gold_tags = noun_tagger = None
     if args.pos_tags:
-        gold_tags = embmetrics.load_gold_tags(args.pos_tags, corpus)
+        nouns = embmetrics.tagged_nouns(
+            embmetrics.load_gold_tags(args.pos_tags, corpus))
     if args.noun_lexicon:
-        noun_tagger = embmetrics.lexicon_noun_tagger(
+        nouns = embmetrics.lexicon_nouns(
             embmetrics.load_noun_lexicon(args.noun_lexicon))
 
     return metrics, dict(
-        table=table,
-        noun_tagger=noun_tagger,
-        gold_tags=gold_tags,
-        sent_embeddings=sent_embeddings,
+        embedding=embmetrics.EmbeddingInputs(
+            table, sent_embeddings, nouns, args.pos_aggregate)
+        if side_files else None,
         distance_channels=set(distance_channels),
         overlap_mode=args.overlap_mode,
-        pos_aggregate=args.pos_aggregate,
     )
 
 

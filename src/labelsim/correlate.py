@@ -33,9 +33,9 @@ observations handed to :func:`pearson` and :func:`spearman` are, element
 for element and in order, those of a join on sorted pair ids, whatever
 the row order of the pairs file.
 
-The embedding metrics' module, :mod:`~labelsim.embmetrics`, is imported
-only by a :func:`compute_metric_scores` call that scores one of them, so
-a run on lexical metrics and precomputed channels never loads it.
+The embedding metrics are scored by block in :mod:`~labelsim.embmetrics`,
+which only a :func:`compute_metric_scores` call that scores one of them
+imports, so a run on lexical metrics and precomputed channels never loads it.
 :func:`write_reports` writes each part of a report into its output as it
 renders it; no document is first built as one string.
 """
@@ -47,16 +47,18 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import (AnnotationColumns, LabeledCorpus, PairScores,
-                     SentencePair, pair_scores)
+from .corpus import AnnotationColumns, LabeledCorpus, PairScores, pair_scores
 from .heuristics import (FlagPass, HeuristicId, flagged_annotators,
                          heuristic_subsets, subset_label)
 from .stats import Style, annotator_profiles
 from . import textmetrics
+
+if TYPE_CHECKING:
+    from .embmetrics import EmbeddingInputs
 
 
 class UndefinedCorrelationError(ValueError):
@@ -154,13 +156,8 @@ def percent_change(value: float, baseline: float) -> float:
 
 LEXICAL_METRICS = tuple(textmetrics.LEXICAL_SCORERS)
 EMBEDDING_METRICS = ("cosine", "l2", "wmd", "pos_dist")
-# the embedding metrics that always read word vectors; l2 can instead
-# come from sentence embeddings
-WORD_VECTOR_METRICS = ("cosine", "wmd", "pos_dist")
 # the native metrics that are distances: lower means more similar
 DISTANCE_METRICS = ("l2", "wmd", "pos_dist")
-# how pos_dist averages the noun distances of a pair
-POS_AGGREGATES = ("matched", "all_pairs")
 # a report leaves out a metric undefined on more than this share of pairs
 UNAVAILABLE_FRACTION = 0.5
 
@@ -174,13 +171,9 @@ def metric_universe(corpus: Optional[LabeledCorpus] = None) -> list[str]:
 
 def compute_metric_scores(corpus: LabeledCorpus,
                           metrics: Sequence[str],
-                          table: Optional[Mapping[str, np.ndarray]] = None,
-                          noun_tagger: Optional[Callable] = None,
-                          gold_tags: Optional[Mapping] = None,
-                          sent_embeddings: Optional[Mapping] = None,
+                          embedding: Optional[EmbeddingInputs] = None,
                           distance_channels: Iterable[str] = (),
                           overlap_mode: str = "jaccard",
-                          pos_aggregate: str = "matched",
                           oriented: bool = True,
                           ) -> dict[str, PairScores]:
     """Score every pair with the requested metrics.
@@ -194,79 +187,26 @@ def compute_metric_scores(corpus: LabeledCorpus,
     negated, last and in this one place, so higher always means more
     similar; ``oriented=False`` keeps every value raw (distances stay
     positive), which is what the metric-matrix dump wants.  The
-    embedding module is imported only when ``metrics`` names one of the
-    :data:`EMBEDDING_METRICS`.
+    :data:`EMBEDDING_METRICS` read ``embedding``, and their module is
+    imported only when ``metrics`` names one of them.
     """
     metrics = list(metrics)
     known = set(metric_universe(corpus))
     for name in metrics:
         if name not in known:
             raise ValueError(f"unknown metric {name!r}")
-    if "pos_dist" in metrics and pos_aggregate not in POS_AGGREGATES:
-        raise ValueError(f"unknown pos_distance aggregate {pos_aggregate!r}")
-    needs_table = [m for m in metrics if m in WORD_VECTOR_METRICS]
-    if needs_table and table is None:
-        raise ValueError(f"metrics {needs_table} need an embedding table")
-    if "l2" in metrics and table is None and sent_embeddings is None:
-        raise ValueError(
-            "metric 'l2' needs an embedding table or sentence embeddings")
-
     lexical = [m for m in metrics if m in LEXICAL_METRICS]
-    embedding = [m for m in metrics if m in EMBEDDING_METRICS]
+    vectors = [m for m in metrics if m in EMBEDDING_METRICS]
     distance_channels = set(distance_channels)
-    if embedding:
+    if vectors:
         from . import embmetrics
-    if "pos_dist" in metrics and gold_tags is None and noun_tagger is None:
-        noun_tagger = embmetrics.lexicon_noun_tagger()
-
-    def embeddable(tokens) -> bool:
-        return any(t in table for t in tokens)
-
-    def score_one(pair: SentencePair, tokens_a, tokens_b) -> dict[str, float]:
-        """The embedding metrics of one pair; a metric that needs word
-        vectors drops the pair when a side has none, and any other error
-        is raised."""
-        out: dict[str, float] = {}
-        means = None  # each side's mean token vector, computed once
-        if "cosine" in metrics or ("l2" in metrics and sent_embeddings is None):
-            try:
-                means = (embmetrics.sentence_vector(tokens_a, table),
-                         embmetrics.sentence_vector(tokens_b, table))
-            except ValueError:
-                pass
-        if "cosine" in metrics and means is not None:
-            out["cosine"] = embmetrics.cosine_similarity(*means)
-        if "l2" in metrics:
-            if sent_embeddings is not None:
-                sides = sent_embeddings.get(pair.pair_id, {})
-                vectors = (sides["a"], sides["b"]) \
-                    if "a" in sides and "b" in sides else None
-            else:
-                vectors = means
-            if vectors is not None:
-                out["l2"] = embmetrics.l2_distance(*vectors)
-        if "wmd" in metrics and embeddable(tokens_a) \
-                and embeddable(tokens_b):
-            out["wmd"] = embmetrics.wmd(tokens_a, tokens_b, table)
-        if "pos_dist" in metrics:
-            if gold_tags is not None:
-                nouns = [embmetrics.nouns_from_tags(
-                    tokens, gold_tags.get((pair.pair_id, side), {}))
-                    for side, tokens in (("a", tokens_a), ("b", tokens_b))]
-            else:
-                nouns = [noun_tagger(tokens_a), noun_tagger(tokens_b)]
-            dist = embmetrics.pos_distance(*nouns, table,
-                                           aggregate=pos_aggregate)
-            if dist is not None:
-                out["pos_dist"] = dist
-        return out
 
     pairs = corpus.pairs
     columns = corpus.columns
     n_pairs = len(columns.pair_ids)
     native = {name: PairScores(columns, np.zeros(n_pairs),
                                np.zeros(n_pairs, dtype=bool))
-              for name in lexical + embedding}
+              for name in lexical + vectors}
     # precomputed channels alone need no per-pair pass
     blocks = textmetrics.pair_blocks(len(pairs)) if native else []
     for part in blocks:
@@ -274,7 +214,7 @@ def compute_metric_scores(corpus: LabeledCorpus,
         texts_a = [p.text_a for p in block]
         texts_b = [p.text_b for p in block]
         tokens_a = tokens_b = None
-        if embedding:
+        if vectors:
             tokens_a = [textmetrics.tokenize(t) for t in texts_a]
             tokens_b = [textmetrics.tokenize(t) for t in texts_b]
         try:
@@ -285,17 +225,13 @@ def compute_metric_scores(corpus: LabeledCorpus,
         for name, column in scored.items():
             native[name].data[part] = column
             native[name].defined[part] = True
-        if embedding:
-            for i, (pair, tok_a, tok_b) in enumerate(
-                    zip(block, tokens_a, tokens_b), part.start):
-                try:
-                    found = score_one(pair, tok_a, tok_b)
-                except ValueError as exc:
-                    raise ValueError(f"pair {pair.pair_id!r}: {exc}") \
-                        from None
-                for name, value in found.items():
-                    native[name].data[i] = value
-                    native[name].defined[i] = True
+        if vectors:
+            scored = embmetrics.score_embedding_block(
+                vectors, columns.pair_ids[part], tokens_a, tokens_b,
+                embedding or embmetrics.EmbeddingInputs())
+            for name, (values, defined) in scored.items():
+                native[name].data[part] = values
+                native[name].defined[part] = defined
 
     scores: dict[str, PairScores] = {}
     for name in metrics:

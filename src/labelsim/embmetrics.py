@@ -14,16 +14,18 @@ An embedding table is a plain dict from a word to its vector
 (:data:`EmbeddingTable` names that type); every vector has the length of
 the first one loaded.  Every metric returns a plain float;
 ``l2_distance``, ``wmd`` and ``pos_distance`` are distances, which
-``correlate`` negates.
+``correlate`` negates.  :func:`score_embedding_block` scores a block of
+pairs from one :class:`EmbeddingInputs`, and decides what a metric drops.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +37,8 @@ MARGINAL_TOL = 1e-9
 # Degenerate pivots in a row, per node of the transport graph, after which
 # the simplex picks entering cells by Bland's rule.
 STALL_PIVOTS_PER_NODE = 4
+# how pos_distance averages the noun distances of a pair
+POS_AGGREGATES = ("matched", "all_pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +495,22 @@ def load_noun_lexicon(path: Optional[Path] = None) -> frozenset:
     return frozenset(nouns)
 
 
-def lexicon_noun_tagger(nouns: Optional[frozenset] = None
-                        ) -> Callable[[TokenSeq], list[str]]:
-    """Tagger that keeps tokens found (directly or via stemming) in a noun list.
+# pos_dist's nouns on one side of a pair: (pair_id, "a" or "b", tokens)
+NounSource = Callable[[str, str, TokenSeq], list[str]]
 
-    Each token type is decided once per tagger: the answers are kept in a
-    dict bounded by the vocabulary the tagger sees.
+
+def lexicon_nouns(nouns: Optional[frozenset] = None) -> NounSource:
+    """The noun source that keeps the tokens found, directly or via
+    stemming, in ``nouns``, by default the bundled noun list.
+
+    Each token type is decided once per source: the answers are kept in
+    a dict bounded by the vocabulary the source sees.
     """
     if nouns is None:
         nouns = load_noun_lexicon()
     is_noun: dict[str, bool] = {}
 
-    def tagger(tokens: TokenSeq) -> list[str]:
+    def source(pair_id: str, side: str, tokens: TokenSeq) -> list[str]:
         kept = []
         for t in tokens:
             noun = is_noun.get(t)
@@ -512,32 +520,33 @@ def lexicon_noun_tagger(nouns: Optional[frozenset] = None
                 kept.append(t)
         return kept
 
-    return tagger
+    return source
 
 
-def nouns_from_tags(tokens: TokenSeq, tags: dict) -> list[str]:
-    """Select noun tokens using gold tags: a map token_index -> POS tag."""
-    out = []
-    for idx in sorted(tags):
-        tag = tags[idx].upper()
-        if 0 <= idx < len(tokens) and (tag.startswith("NN") or tag == "NOUN"):
-            out.append(tokens[idx])
-    return out
+def tagged_nouns(tags: Mapping) -> NounSource:
+    """The noun source that keeps the tokens gold tags mark NN* or NOUN:
+    ``tags`` maps (pair_id, side) to {token_index: tag}, as
+    :func:`load_gold_tags` returns."""
+    def source(pair_id: str, side: str, tokens: TokenSeq) -> list[str]:
+        marked = tags.get((pair_id, side), {})
+        return [tokens[i] for i in sorted(marked) if 0 <= i < len(tokens)
+                and (marked[i].upper().startswith("NN")
+                     or marked[i].upper() == "NOUN")]
+    return source
 
 
 def pos_distance(nouns_a: TokenSeq, nouns_b: TokenSeq,
                  table: EmbeddingTable,
                  aggregate: str = "matched") -> Optional[float]:
-    """Mean embedding distance between two sentences' nouns, as a tagger
-    or :func:`nouns_from_tags` selects them; nouns without a vector are
-    skipped.
+    """Mean embedding distance between two sentences' nouns, as a
+    :data:`NounSource` selects them; nouns without a vector are skipped.
 
     With ``matched`` aggregation the nouns are paired one-to-one by a
     minimum-cost assignment over min(#nouns) pairs; ``all_pairs``
     averages the full cross-product instead.  Returns None when either
     side has no embeddable noun, so callers can drop the pair.
     """
-    if aggregate not in ("matched", "all_pairs"):
+    if aggregate not in POS_AGGREGATES:
         raise ValueError(f"unknown pos_distance aggregate {aggregate!r}")
     nouns_a = [t for t in nouns_a if t in table]
     nouns_b = [t for t in nouns_b if t in table]
@@ -624,6 +633,83 @@ def _min_cost_matching(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(cols, kind="stable")
         rows, cols = cols[order], rows[order]
     return rows, cols
+
+
+# ---------------------------------------------------------------------------
+# a block of pairs
+
+
+@dataclass(frozen=True)
+class EmbeddingInputs:
+    """What the embedding metrics read besides the tokens: the word
+    ``table``; the ``sentence_vectors`` of :func:`load_sentence_embeddings`,
+    which l2 reads instead when given; pos_dist's ``nouns``, None for the
+    bundled noun list, read when pos_dist is first scored; its aggregate."""
+
+    table: Optional[EmbeddingTable] = None
+    sentence_vectors: Optional[Mapping[str, Mapping[str, np.ndarray]]] = None
+    nouns: Optional[NounSource] = None
+    pos_aggregate: str = "matched"
+
+    def __post_init__(self):
+        if self.pos_aggregate not in POS_AGGREGATES:
+            raise ValueError(
+                f"unknown pos_distance aggregate {self.pos_aggregate!r}")
+
+    @cached_property
+    def noun_source(self) -> NounSource:
+        return self.nouns or lexicon_nouns()
+
+
+def score_embedding_block(names: Sequence[str], pair_ids: Sequence[str],
+                          tokens_a: Sequence[TokenSeq],
+                          tokens_b: Sequence[TokenSeq],
+                          inputs: EmbeddingInputs
+                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The embedding metrics ``names`` of every pair ``(tokens_a[k],
+    tokens_b[k])``: ``{name: (values, defined)}``.  A metric drops a pair
+    with a side that has no token in the table, no sentence vector (l2
+    from those) or no embeddable noun (pos_dist); any other
+    ``ValueError`` is raised naming the pair."""
+    table, sentences = inputs.table, inputs.sentence_vectors
+    needs_table = [m for m in names if m != "l2"]
+    if table is None and (needs_table or sentences is None):
+        raise ValueError(
+            f"metrics {needs_table} need an embedding table" if needs_table
+            else "metric 'l2' needs an embedding table or sentence embeddings")
+    means_read = "cosine" in names or ("l2" in names and sentences is None)
+    n = len(pair_ids)
+    columns = {name: (np.zeros(n), np.zeros(n, dtype=bool)) for name in names}
+    for k, (pair_id, a, b) in enumerate(zip(pair_ids, tokens_a, tokens_b)):
+        found = {}
+        try:
+            embedded = table is not None and any(t in table for t in a) \
+                and any(t in table for t in b)
+            # the sides' mean token vectors, or l2's sentence vectors
+            vectors = (sentence_vector(a, table), sentence_vector(b, table)) \
+                if means_read and embedded else None
+            if "cosine" in names and vectors is not None:
+                found["cosine"] = cosine_similarity(*vectors)
+            if "l2" in names and sentences is not None:
+                sides = sentences.get(pair_id, {})
+                vectors = (sides["a"], sides["b"]) \
+                    if "a" in sides and "b" in sides else None
+            if "l2" in names and vectors is not None:
+                found["l2"] = l2_distance(*vectors)
+            if "wmd" in names and embedded:
+                found["wmd"] = wmd(a, b, table)
+            if "pos_dist" in names:
+                dist = pos_distance(inputs.noun_source(pair_id, "a", a),
+                                    inputs.noun_source(pair_id, "b", b),
+                                    table, aggregate=inputs.pos_aggregate)
+                if dist is not None:
+                    found["pos_dist"] = dist
+        except ValueError as exc:
+            raise ValueError(f"pair {pair_id!r}: {exc}") from None
+        for name, value in found.items():
+            columns[name][0][k] = value
+            columns[name][1][k] = True
+    return columns
 
 
 # ---------------------------------------------------------------------------

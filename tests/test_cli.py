@@ -1720,6 +1720,16 @@ def test_help_lists_every_option_in_a_fixed_order(capsys, command, options):
     assert listed == options
 
 
+def test_the_cli_offers_each_pos_aggregate(capsys):
+    # the parser writes the choices out, so that it loads no embedding
+    # module; they are the aggregates the embedding inputs accept
+    with pytest.raises(SystemExit):
+        main(["metrics", "--help"])
+    offered = re.search(r"--pos-aggregate \{(.*?)\}",
+                        capsys.readouterr().out).group(1)
+    assert offered.split(",") == list(embmetrics.POS_AGGREGATES)
+
+
 # -------------------------------------------------------------- simulate
 
 

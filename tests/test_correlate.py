@@ -1,6 +1,7 @@
 """Tests for metric scoring, gold aggregation, and correlation reports."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -31,7 +32,8 @@ from labelsim.correlate import (
     style_split_report,
     write_reports,
 )
-from labelsim.embmetrics import cosine_similarity, l2_distance
+from labelsim.embmetrics import (EmbeddingInputs, cosine_similarity,
+                                 l2_distance, tagged_nouns)
 from labelsim.heuristics import (HeuristicId, compute_flag_reports,
                                  flagged_annotators, heuristic_subsets)
 from labelsim.simulate import (PopulationSpec, ProfileKind, ProfileSpec,
@@ -427,8 +429,9 @@ def test_compute_metric_scores_orientation():
     for name, values in (("ext_dist", {"p1": 0.5, "p2": 2.0, "p3": 1.0}),
                          ("ext_sim", {"p1": 0.9, "p2": -0.2, "p3": 0.4})):
         corpus = attach_precomputed(corpus, name, values)
-    kwargs = dict(metrics=metric_universe(corpus), table=scoring_table(),
-                  noun_tagger=lambda toks: list(toks),
+    every_token = EmbeddingInputs(
+        scoring_table(), nouns=lambda pair_id, side, toks: list(toks))
+    kwargs = dict(metrics=metric_universe(corpus), embedding=every_token,
                   distance_channels={"ext_dist"})
     oriented = compute_metric_scores(corpus, **kwargs)
     raw = compute_metric_scores(corpus, oriented=False, **kwargs)
@@ -459,7 +462,8 @@ def test_compute_metric_scores_mean_vectors_once_per_pair(monkeypatch):
         return original(tokens, tab)
 
     monkeypatch.setattr(embmetrics, "sentence_vector", counting)
-    scores = compute_metric_scores(corpus, ["cosine", "l2"], table=table)
+    scores = compute_metric_scores(corpus, ["cosine", "l2"],
+                                   EmbeddingInputs(table))
     assert len(calls) == 2 * len(corpus.pairs)
     for pair in corpus.pairs:
         va = original(tokenize(pair.text_a), table)
@@ -475,7 +479,7 @@ def test_compute_metric_scores_drops_oov_pairs():
     )
     table = scoring_table()
     scores = compute_metric_scores(
-        corpus, ["cosine", "wmd", "word_overlap"], table=table)
+        corpus, ["cosine", "wmd", "word_overlap"], EmbeddingInputs(table))
     assert {name: sorted(values) for name, values in scores.items()} == {
         "cosine": ["p1"], "wmd": ["p1"], "word_overlap": ["p1", "p2"]}
     assert scores["word_overlap"]["p2"] == 0.0
@@ -496,18 +500,17 @@ def test_compute_metric_scores_raises_solver_errors_with_the_pair(
     def scores(n_pairs):
         corpus = make_corpus(pairs[:n_pairs], [
             (pid, "good", 3) for pid, _, _ in pairs[:n_pairs]])
-        return compute_metric_scores(corpus, [metric], table=table,
-                                     noun_tagger=lambda toks: list(toks))
+        return compute_metric_scores(corpus, [metric], EmbeddingInputs(
+            table, nouns=lambda pair_id, side, toks: list(toks)))
 
     assert sorted(scores(2)[metric]) == ["p1"]
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match=f"^pair 'p3': {message}$"):
         scores(3)
-    # a bad argument is not blamed on a pair
+    # a bad argument is not blamed on a pair: the inputs refuse it
     with pytest.raises(ValueError,
                        match="^unknown pos_distance aggregate 'median'$"):
-        compute_metric_scores(make_corpus(pairs, []), ["pos_dist"],
-                              table=table, pos_aggregate="median")
+        EmbeddingInputs(table, pos_aggregate="median")
 
 
 def test_compute_metric_scores_precomputed_channels():
@@ -531,7 +534,8 @@ def test_compute_metric_scores_sentence_embedding_l2():
         "p2": {"a": np.array([1.0, 1.0]), "b": np.array([1.0, 1.0])},
         # p3 missing entirely -> dropped
     }
-    scores = compute_metric_scores(corpus, ["l2"], sent_embeddings=sent)
+    scores = compute_metric_scores(corpus, ["l2"],
+                                   EmbeddingInputs(sentence_vectors=sent))
     assert scores["l2"]["p1"] == pytest.approx(-5.0)
     assert scores["l2"]["p2"] == pytest.approx(0.0)
     assert "p3" not in scores["l2"]
@@ -545,10 +549,44 @@ def test_compute_metric_scores_gold_tag_route():
     table = scoring_table()
     tags = {("p1", "a"): {1: "NN"}, ("p1", "b"): {1: "NN"}}
     scores = compute_metric_scores(
-        corpus, ["pos_dist"], table=table, gold_tags=tags)
+        corpus, ["pos_dist"], EmbeddingInputs(table, nouns=tagged_nouns(tags)))
     expected = float(np.linalg.norm(
         table["cat"] - table["dog"]))
     assert scores["pos_dist"]["p1"] == pytest.approx(-expected)
+
+
+def test_compute_metric_scores_takes_one_noun_source():
+    # pos_dist's nouns have one source, so gold tags and a noun list
+    # cannot both be given and one of them silently ignored
+    assert [f.name for f in dataclasses.fields(EmbeddingInputs)] == \
+        ["table", "sentence_vectors", "nouns", "pos_aggregate"]
+    with pytest.raises(TypeError):
+        compute_metric_scores(scoring_corpus(), ["pos_dist"],
+                              gold_tags={}, noun_tagger=list)
+
+
+@pytest.mark.parametrize("metrics, reads", [
+    (["pos_dist", "wmd"], 1), (["cosine", "l2", "wmd"], 0)])
+def test_the_bundled_noun_list_is_read_once(monkeypatch, metrics, reads):
+    # more than two blocks of pairs: a noun source made per block would
+    # read the list once a block, and lose its tagger's per-type memo
+    corpus = make_corpus([(f"p{i}", "the cat sat", "a dog in a house")
+                          for i in range(2 * BLOCK + 1)], [])
+    load = embmetrics.load_noun_lexicon
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(embmetrics, "load_noun_lexicon", counting)
+    inputs = EmbeddingInputs(scoring_table())
+    scores = compute_metric_scores(corpus, metrics, inputs)
+    assert all(len(scores[name]) == len(corpus.pairs) for name in metrics)
+    assert len(calls) == reads
+    # the same inputs read it no more
+    compute_metric_scores(corpus, metrics, inputs)
+    assert len(calls) == reads
 
 
 def test_compute_metric_scores_precomputed_only_skips_pair_pass():

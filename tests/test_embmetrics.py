@@ -10,18 +10,21 @@ from labelsim import embmetrics
 from labelsim.corpus import CorpusError
 from labelsim.embmetrics import (
     MARGINAL_TOL,
+    POS_AGGREGATES,
+    EmbeddingInputs,
     TransportProblem,
     cosine_similarity,
     l2_distance,
-    lexicon_noun_tagger,
+    lexicon_nouns,
     load_embeddings,
     load_gold_tags,
     load_noun_lexicon,
     load_sentence_embeddings,
-    nouns_from_tags,
     pos_distance,
+    score_embedding_block,
     sentence_vector,
     solve_transport,
+    tagged_nouns,
     wmd,
     _euclidean_costs,
     _least_cost_start,
@@ -757,6 +760,12 @@ def test_load_noun_lexicon_errors_name_the_file(tmp_path):
     assert str(exc.value) == f"{latin} line 3: not UTF-8"
 
 
+def lexicon_noun_tagger(nouns):
+    """The lexicon's noun source, read as a tagger of one token list."""
+    source = lexicon_nouns(nouns)
+    return lambda tokens: source("p1", "a", tokens)
+
+
 def test_lexicon_noun_tagger_uses_stemming():
     tagger = lexicon_noun_tagger(frozenset({"cat", "house"}))
     assert tagger(["the", "cats", "ran", "past", "a", "house"]) == \
@@ -789,10 +798,16 @@ def test_lexicon_noun_tagger_decides_each_token_type_once(monkeypatch):
 
 def test_nouns_from_tags():
     tokens = ["the", "cat", "sat", "on", "mats"]
-    tags = {1: "NN", 4: "NNS", 2: "VBD", 9: "NN", 0: "DT"}
+    tags = {1: "NN", 4: "NNS", 2: "VBD", 9: "NN", 0: "DT", -1: "NN"}
+
+    def nouns_from_tags(tokens, marked):
+        return tagged_nouns({("p1", "a"): marked})("p1", "a", tokens)
+
     assert nouns_from_tags(tokens, tags) == ["cat", "mats"]
     assert nouns_from_tags(tokens, {1: "NOUN"}) == ["cat"]
     assert nouns_from_tags(tokens, {}) == []
+    # a side without tags has no noun
+    assert tagged_nouns({("p1", "a"): tags})("p1", "b", tokens) == []
 
 
 def test_pos_distance_single_nouns():
@@ -925,12 +940,93 @@ def test_pos_distance_unknown_aggregate():
 
 
 def test_pos_distance_accepts_every_report_aggregate():
-    from labelsim.correlate import POS_AGGREGATES
     tagger = lexicon_noun_tagger(frozenset({"cat", "dog", "tree"}))
     for aggregate in POS_AGGREGATES:
         got = pos_distance(tagger(["cat", "dog"]), tagger(["tree"]),
                            WMD_TABLE, aggregate=aggregate)
         assert got is not None and got > 0.0
+
+
+# ------------------------------------------------------ a block of pairs
+
+
+def test_a_block_scores_as_the_per_pair_functions_do():
+    # every drop rule: p2 has a side with no token in the table, p3 no
+    # sentence vectors, p4 a side with no embeddable noun; p5's bags are
+    # identical, so its wmd is 0.0 without a solve
+    specs = [("p1", "the cat and a tree", "a dog under the moon"),
+             ("p2", "cat", "qq zz"),
+             ("p3", "bird in a tree", "a fish in a car"),
+             ("p4", "run to the house", "run and swim"),
+             ("p5", "dog cat dog", "cat dog dog"),
+             ("p6", "moon", "moon and car")]
+    ids = [pid for pid, _, _ in specs]
+    tokens_a = [tokenize(a) for _, a, _ in specs]
+    tokens_b = [tokenize(b) for _, _, b in specs]
+    rng = np.random.default_rng(3)
+    sentences = {pid: {"a": rng.normal(size=3), "b": rng.normal(size=3)}
+                 for pid in ids if pid != "p3"}
+    nouns = frozenset(WMD_TABLE) | {"qq"}  # qq has no vector
+    def tagger(tokens):
+        return [t for t in tokens if t in nouns or light_stem(t) in nouns]
+
+    tags = {(pid, side): {i: "NN" if t in nouns else "VB"
+                          for i, t in enumerate(toks)}
+            for pid, a, b in zip(ids, tokens_a, tokens_b)
+            for side, toks in (("a", a), ("b", b))}
+    names = ["cosine", "l2", "wmd", "pos_dist"]
+
+    def one_pair(pid, a, b, sentence_vectors, aggregate):
+        out = {}
+        if any(t in WMD_TABLE for t in a) and any(t in WMD_TABLE for t in b):
+            means = (sentence_vector(a, WMD_TABLE),
+                     sentence_vector(b, WMD_TABLE))
+            out["cosine"] = cosine_similarity(*means)
+            out["l2"] = l2_distance(*means)
+            out["wmd"] = wmd(a, b, WMD_TABLE)
+        if sentence_vectors is not None:
+            out.pop("l2", None)
+            if pid in sentence_vectors:
+                out["l2"] = l2_distance(sentence_vectors[pid]["a"],
+                                        sentence_vectors[pid]["b"])
+        dist = pos_distance(tagger(a), tagger(b), WMD_TABLE, aggregate)
+        if dist is not None:
+            out["pos_dist"] = dist
+        return out
+
+    for sentence_vectors in (None, sentences):
+        for aggregate in POS_AGGREGATES:
+            expected = [one_pair(pid, a, b, sentence_vectors, aggregate)
+                        for pid, a, b in zip(ids, tokens_a, tokens_b)]
+            assert "cosine" not in expected[1] and "wmd" not in expected[1]
+            assert ("l2" in expected[2]) == (sentence_vectors is None)
+            assert "pos_dist" not in expected[3]
+            assert expected[4]["wmd"] == 0.0
+            for source in (lexicon_nouns(nouns), tagged_nouns(tags)):
+                inputs = EmbeddingInputs(WMD_TABLE, sentence_vectors,
+                                         source, aggregate)
+                got = score_embedding_block(names, ids, tokens_a, tokens_b,
+                                            inputs)
+                assert list(got) == names
+                for name, (values, defined) in got.items():
+                    assert defined.tolist() == [name in e for e in expected]
+                    assert values[defined].tolist() == \
+                        [e[name] for e in expected if name in e], name
+
+
+def test_a_block_names_what_its_inputs_lack():
+    tokens = [["cat"]]
+    with pytest.raises(ValueError,
+                       match=r"^metrics \['cosine', 'wmd'\] need an embedding"):
+        score_embedding_block(["cosine", "l2", "wmd"], ["p1"], tokens,
+                              tokens, EmbeddingInputs())
+    with pytest.raises(ValueError, match="^metric 'l2' needs an embedding "
+                       "table or sentence embeddings$"):
+        score_embedding_block(["l2"], ["p1"], tokens, tokens,
+                              EmbeddingInputs())
+    got = score_embedding_block(["l2"], ["p1"], tokens, tokens,
+                                EmbeddingInputs(sentence_vectors={}))
+    assert got["l2"][1].tolist() == [False]
 
 
 # ------------------------------------------------- per-pair artifact IO

@@ -124,6 +124,15 @@ def inputs(tmp_path_factory):
                              "NN" if rng.random() < 0.5 else "VB"))
     paths["pos_tags"] = _write_csv(
         out / "tags.csv", ("pair_id", "side", "token_index", "tag"), tags)
+    # drawn from a second generator, so the files above stay as they were
+    rng = np.random.default_rng(2025)
+    paths["sent_embeddings"] = _write_csv(
+        out / "sent.csv", ("pair_id", "side", "vector"),
+        [(pid, side, " ".join(f"{x:.6f}" for x in rng.normal(size=3)))
+         for pid in ids for side in "ab" if rng.random() < 0.95])
+    (out / "nouns.txt").write_text("".join(
+        w + "\n" for w in words if rng.random() < 0.3))
+    paths["noun_lexicon"] = str(out / "nouns.txt")
     return paths
 
 
@@ -159,6 +168,11 @@ COMMANDS = {
     "metrics-pos-tags": (
         "metrics", "--pairs", "{pairs}", *ATTACH, "--metrics", "all",
         "--embeddings", "{embeddings}", "--pos-tags", "{pos_tags}"),
+    "metrics-sent-embeddings-noun-lexicon": (
+        "metrics", "--pairs", "{pairs}", "--metrics", "all",
+        "--embeddings", "{embeddings}", "--sent-embeddings",
+        "{sent_embeddings}", "--noun-lexicon", "{noun_lexicon}",
+        "--pos-aggregate", "all_pairs"),
 }
 
 GOLDEN = {
@@ -180,6 +194,8 @@ GOLDEN = {
         "86c1dbdf4bbb2235a9df0261162a793796ed201b02b4c2e4f8b49d54bbe0173f",
     "metrics-pos-tags":
         "576df2aa1ffd38ed58bfef4730533c882d77b9d87251419f2241c54c2c5dfc46",
+    "metrics-sent-embeddings-noun-lexicon":
+        "b72abf72e63407e70d9d14fbc729a034205b8d22d093a192a47efffbf49e0013",
 }
 
 
